@@ -4,12 +4,12 @@ Run:
     python examples/secure_aggregation.py
 
 HeteFedRec's aggregation (Eq. 8/15) only ever consumes *sums* of client
-updates.  Secure aggregation (``repro.federated.secure_agg``) makes that
-privacy argument concrete: every upload is pairwise-masked so it looks
-uniformly random to the server, yet the per-round sums — and therefore
-the trained model — are exactly those of plaintext training.  This
-example verifies both halves of that claim and demonstrates dropout
-recovery.
+updates.  Secure aggregation (the four-phase masking protocol behind
+``run_secure_round``) makes that privacy argument concrete: every upload
+is double-masked so it looks uniformly random to the server, yet the
+per-round sums — and therefore the trained model — are exactly those of
+plaintext training.  This example verifies both halves of that claim
+and demonstrates dropout recovery.
 """
 
 import numpy as np
@@ -17,10 +17,11 @@ import numpy as np
 from repro.api import (
     build_method,
     Evaluator,
+    FaultPlan,
     HeteFedRecConfig,
     load_benchmark_dataset,
+    run_secure_round,
     SecureAggregationConfig,
-    SecureAggregationSession,
     SyntheticConfig,
     train_test_split_per_user,
 )
@@ -68,20 +69,37 @@ def main() -> None:
         " training, so trajectories drift while quality stays equal)"
     )
 
-    # What the server actually sees: one client's masked upload.
-    session = SecureAggregationSession(
-        participant_ids=[1, 2, 3], vector_size=8, round_id=0,
-        config=SecureAggregationConfig(),
+    # One protocol round by hand, over four real uploads: client `gone`
+    # advertises keys and shares its secrets, then drops before it
+    # delivers its masked input.
+    users = sorted(secure.runtimes)[:4]
+    uploads = [secure.train_client(secure.runtimes[user]) for user in users]
+    gone = users[2]
+    dims = {group: secure.config.dims[group] for group in secure.groups}
+    sums, _, report = run_secure_round(
+        uploads, dims, SecureAggregationConfig(), round_id=0,
+        faults=FaultPlan(drops={"masked_input": frozenset({gone})}),
     )
-    honest_vector = np.full(8, 0.25)
-    masked = session.mask(1, honest_vector)
-    print(f"\na client's true update : {honest_vector}")
-    print(f"what the server sees    : {masked}")
+    print(f"\ninvited {users}, client {gone} drops before uploading")
+    print(f"survivors               : {report.survivors}")
+    print(f"dropouts by phase       : {report.dropouts_by_phase}")
+    print(
+        f"wire per survivor       : {report.masked_vector_scalars} masked "
+        f"scalars + {report.protocol_overhead / len(users):.0f} of keys/shares"
+    )
 
-    # Dropout: client 3 masks but never delivers; survivors' seeds recover it.
-    uploads = {i: session.mask(i, honest_vector) for i in (1, 2)}
-    recovered = session.unmask(uploads, dropouts=[3])
-    print(f"sum after client-3 drop : {np.round(recovered, 4)} (= 2 × 0.25)")
+    # The survivors reveal shares of the dropout's key, the server strips
+    # its dangling masks, and the decoded sum is the survivors' plaintext
+    # sum — compared here on the columns every group trains.
+    narrowest = min(dims, key=dims.get)
+    expected = sum(
+        upload.embedding_delta.dense()[:, : dims[narrowest]]
+        for upload in uploads
+        if upload.user_id != gone
+    )
+    error = float(np.max(np.abs(sums[narrowest] - expected)))
+    print(f"max |secure − plain sum| : {error:.1e} (fixed-point precision)")
+    assert error < 1e-5
 
 
 if __name__ == "__main__":

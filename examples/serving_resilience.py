@@ -78,9 +78,9 @@ def main() -> None:
     print(f"admitted within budget: tier={answer.tier} "
           f"items={list(answer.items[:5])}")
     try:
-        service.query(user, deadline_ms=0.0)
+        service.query(user, deadline_ms=0.001)
     except DeadlineExceededError as exc:
-        print(f"zero-budget query refused before scoring: {exc}")
+        print(f"1µs-budget query refused: {exc}")
     # Fill the admission queue (two-phase tickets, no work yet): the
     # next budgeted arrival's estimated wait exceeds its budget -> shed.
     tickets = [service.try_admit() for _ in range(12)]

@@ -3,16 +3,18 @@
 ``.repro_cache/`` entries and checkpoints are read concurrently by grid
 workers, the serving watcher and resumed runs; a torn write is read as
 corruption at best (healed as a cache miss) and as silent wrong results
-at worst.  The repo's contract is tmp-file-plus-``os.replace`` — the
-``_atomic_write`` helper in :mod:`repro.federated.checkpoint` and the
-``_store_cached`` pattern in :mod:`repro.experiments.runner` (both build
-on ``tempfile.mkstemp`` + ``os.fdopen``, which this rule deliberately
-does not flag).
+at worst.  The repo's contract is tmp-file-plus-``os.replace``, and it
+has exactly one implementation: :func:`repro.io.atomic_write`.
 
-A plain write-mode ``open()`` whose target looks like a cache or
-checkpoint path is therefore a finding.  "Looks like" checks the path
-expression — and, for a bare variable, its most recent assignment in
-the enclosing function — for cache/checkpoint markers.
+Two things are therefore findings:
+
+* a plain write-mode ``open()`` whose target looks like a cache or
+  checkpoint path.  "Looks like" checks the path expression — and, for
+  a bare variable, its most recent assignment in the enclosing function
+  — for cache/checkpoint markers;
+* a ``tempfile.mkstemp`` call anywhere under ``repro/`` except
+  ``repro/io.py`` — the opening move of a second, hand-rolled copy of
+  the helper.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ import ast
 from typing import Iterable, List, Optional
 
 from repro.analysis.framework import FileContext, Finding, Rule, register
-from repro.analysis.rules._shared import call_text
+from repro.analysis.rules._shared import call_text, dotted_name
 
 _WRITE_MODES = ("w", "a", "x", "+")
+
+#: The one file allowed to build the tmp + ``os.replace`` pattern.
+_HELPER_FILE = "repro/io.py"
 
 #: Substrings marking a path expression as cache/checkpoint territory.
 _PROTECTED_MARKERS = (
@@ -76,8 +81,8 @@ def _resolved_path_text(node: ast.Call, func: Optional[ast.AST]) -> str:
 class AtomicWriteRule(Rule):
     name = "atomic-write"
     description = (
-        "write-mode open() on .repro_cache//checkpoint paths must go "
-        "through the tmp + os.replace helpers"
+        "cache/checkpoint files are written only through "
+        "repro.io.atomic_write (no write-mode open(), no second mkstemp helper)"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -97,6 +102,16 @@ class AtomicWriteRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
+            if (
+                dotted_name(node.func) in ("tempfile.mkstemp", "mkstemp")
+                and ctx.logical != _HELPER_FILE
+            ):
+                out.append(self.finding(
+                    ctx, node,
+                    "mkstemp() outside repro/io.py hand-rolls the tmp + "
+                    "os.replace pattern; call repro.io.atomic_write",
+                ))
+                continue
             if not (isinstance(node.func, ast.Name) and node.func.id == "open"):
                 continue
             mode = _mode_of(node)
@@ -108,7 +123,6 @@ class AtomicWriteRule(Rule):
             out.append(self.finding(
                 ctx, node,
                 f"open(..., {mode!r}) writes a cache/checkpoint path "
-                "non-atomically; use the tmp + os.replace helpers "
-                "(checkpoint._atomic_write / runner._store_cached pattern)",
+                "non-atomically; write it through repro.io.atomic_write",
             ))
         return out

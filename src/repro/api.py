@@ -23,10 +23,10 @@ subsystems import only when first touched — so
 
     >>> from repro.api import HeteFedRecConfig, build_method, fit
 
-is the one import line callers and all ``examples/*.py`` use.  The old
-deep-import paths (``repro.federated.checkpoint.save_checkpoint`` and
-friends) keep working for one release but raise ``DeprecationWarning``;
-this module is the stable surface.
+is the one import line callers and all ``examples/*.py`` use.  This
+module is the only door: the deprecated deep-import verbs
+(``repro.federated.checkpoint.save_checkpoint`` and friends) spent
+their one-release window and are gone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ _EXPORTS = {
     "AvailabilityConfig": "repro.federated.availability",
     "PrivacyConfig": "repro.federated.privacy",
     "SecureAggregationConfig": "repro.federated.secure_agg",
-    "SecureAggregationSession": "repro.federated.secure_agg",
+    "FaultPlan": "repro.federated.secure_protocol",
+    "run_secure_round": "repro.federated.secure_protocol",
     "SystemProfile": "repro.federated.systems",
     "round_time_summary": "repro.federated.systems",
     "simulate_round_times": "repro.federated.systems",
@@ -271,30 +272,23 @@ def serve(
     resilience_config = (
         resilience if isinstance(resilience, ResilienceConfig) else None
     )
-    if host is None:
-        if resilience:
-            resilient = ResilientService(service, resilience_config)
-            if watch:
-                resilient.watch(watch, interval_s=watch_interval_s)
-            return resilient
+    if host is None and not resilience:
         return service
+    resilient = ResilientService(service, resilience_config)
+    if watch:
+        resilient.watch(watch, interval_s=watch_interval_s)
+    if host is None:
+        return resilient
 
     from repro.serving.coalescer import RequestCoalescer
     from repro.serving.http_api import run_server
 
-    resilient = ResilientService(service, resilience_config)
-    if watch:
-        resilient.watch(watch, interval_s=watch_interval_s)
-    coalescer = RequestCoalescer(
-        resilient, max_batch=max_batch, max_wait_ms=max_wait_ms
-    )
     run_server(
-        service,
+        resilient,
+        RequestCoalescer(resilient, max_batch=max_batch, max_wait_ms=max_wait_ms),
         host=host,
         port=port,
-        coalescer=coalescer,
         verbose=verbose,
-        resilience=resilient,
         request_timeout_s=request_timeout_s,
     )
     return service

@@ -27,10 +27,11 @@ and hand them to :func:`run_grid`, which
    process may have finished the same key), and publish results with an
    atomic ``os.replace`` so concurrent writers can never tear an entry.
 
-Cache writes are atomic everywhere (tmp file in the cache directory +
-``os.replace``); a torn or corrupt entry is treated as a miss and is
-rewritten by the next run that needs it.  Point ``REPRO_CACHE_DIR`` at a
-shared location to reuse runs across working copies.
+Cache writes are atomic everywhere (:func:`repro.io.atomic_write`: tmp
+file in the cache directory + ``os.replace``); a torn or corrupt entry
+is treated as a miss and is rewritten by the next run that needs it.
+Point ``REPRO_CACHE_DIR`` at a shared location to reuse runs across
+working copies.
 
 Preemption tolerance
 --------------------
@@ -54,7 +55,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +69,7 @@ from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
 from repro.eval.evaluator import Evaluator
 from repro.eval.groups import per_group_metrics
 from repro.experiments.profiles import ExperimentProfile, get_profile
+from repro.io import atomic_write, quarantine
 
 #: Cache directory; co-located with the repository by default.
 CACHE_DIR = os.environ.get("REPRO_CACHE_DIR", os.path.join(os.getcwd(), ".repro_cache"))
@@ -202,22 +203,8 @@ def _load_cached(key: str) -> Optional[RunResult]:
 
 
 def _store_cached(key: str, result: RunResult) -> None:
-    """Publish a result atomically: concurrent readers see old/new, never torn.
-
-    The tmp file lives in the cache directory itself so ``os.replace`` is
-    a same-filesystem atomic rename even when ``REPRO_CACHE_DIR`` points
-    at a different mount than the default tmp location.
-    """
-    os.makedirs(CACHE_DIR, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=CACHE_DIR, prefix=f".{key}-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json())
-        os.replace(tmp_path, _cache_path(key))
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    """Publish a result atomically: concurrent readers see old/new, never torn."""
+    atomic_write(_cache_path(key), lambda handle: handle.write(result.to_json()))
 
 
 # ----------------------------------------------------------------------
@@ -266,33 +253,6 @@ def _spec_checkpoint_path(key: str) -> str:
     return os.path.join(CACHE_DIR, f"{key}.ckpt.npz")
 
 
-def _quarantine_checkpoint(ckpt_path: str, error: Exception) -> str:
-    """Move an unreadable checkpoint aside instead of deleting it.
-
-    A corrupt ``.ckpt.npz`` is evidence — a torn write, a stale format, a
-    bad disk — and silently restarting erases the trail.  The file moves
-    to ``{key}.ckpt.corrupt`` (overwriting any earlier quarantine for the
-    same key: the newest corpse is the interesting one) and a
-    ``RuntimeWarning`` records why it was set aside.
-    """
-    quarantine = ckpt_path[: -len(".npz")] + ".corrupt" if ckpt_path.endswith(
-        ".npz"
-    ) else ckpt_path + ".corrupt"
-    try:
-        os.replace(ckpt_path, quarantine)
-    except OSError:
-        # The checkpoint vanished under us (concurrent worker); nothing
-        # to preserve.
-        return quarantine
-    warnings.warn(
-        f"checkpoint {ckpt_path} could not be restored ({type(error).__name__}: "
-        f"{error}); quarantined as {quarantine} and restarting the run cleanly",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return quarantine
-
-
 def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
     """Train one spec (no cache involvement) — deterministic in the spec.
 
@@ -305,7 +265,7 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
     """
     from repro.federated.checkpoint import (
         CheckpointMismatchError,
-        load_checkpoint_impl as load_checkpoint,
+        load_checkpoint_impl,
         remove_checkpoint,
     )
 
@@ -318,7 +278,6 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
     ckpt_path = None
     if checkpoint:
         ckpt_path = _spec_checkpoint_path(spec.key())
-        os.makedirs(CACHE_DIR, exist_ok=True)
         config.checkpoint_path = ckpt_path
         # Cadence scales with the schedule (like eval_every): long runs
         # checkpoint often enough to bound lost work, short smoke runs
@@ -329,12 +288,21 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
     trainer = build_method(spec.method, data.num_items, clients, config)
     if ckpt_path is not None and os.path.exists(ckpt_path):
         try:
-            load_checkpoint(trainer, ckpt_path)
+            load_checkpoint_impl(trainer, ckpt_path)
         except (CheckpointMismatchError, KeyError, ValueError, OSError, zipfile.BadZipFile) as error:
             # Stale/corrupt/incompatible leftovers: quarantine the file
-            # (post-mortems need the evidence), warn, then discard the
-            # (possibly partially mutated) trainer and restart cleanly.
-            _quarantine_checkpoint(ckpt_path, error)
+            # (a torn write, a stale format, a bad disk — post-mortems
+            # need the evidence), warn, then discard the (possibly
+            # partially mutated) trainer and restart cleanly.
+            quarantined = quarantine(ckpt_path)
+            if quarantined is not None:
+                warnings.warn(
+                    f"checkpoint {ckpt_path} could not be restored "
+                    f"({type(error).__name__}: {error}); quarantined as "
+                    f"{quarantined} and restarting the run cleanly",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             remove_checkpoint(ckpt_path)  # sweeps the sidecar manifest
             trainer = build_method(spec.method, data.num_items, clients, config)
     evaluator = Evaluator(clients, k=config.eval_k)

@@ -43,11 +43,7 @@ from repro.federated.systems import (
 # builds on repro.core (HeteFedRec) and importing it from the package
 # __init__ would be circular.  Import it directly:
 #   from repro.federated.unlearning import UnlearningHeteFedRec
-from repro.federated.secure_agg import (
-    SecureAggregationConfig,
-    SecureAggregationSession,
-    secure_aggregate_updates,
-)
+from repro.federated.secure_agg import SecureAggregationConfig
 from repro.federated.secure_protocol import (
     FaultPlan,
     SecureAggregationClient,
@@ -71,12 +67,9 @@ from repro.federated.checkpoint import (
     CheckpointMismatchError,
     UnknownGroupError,
     checkpoint_groups,
-    load_checkpoint,
-    load_inference_model,
     load_user_embeddings,
     read_manifest,
     remove_checkpoint,
-    save_checkpoint,
     user_embedding_from_checkpoint,
 )
 
@@ -104,8 +97,6 @@ __all__ = [
     "time_to_accuracy",
     "round_time_summary",
     "SecureAggregationConfig",
-    "SecureAggregationSession",
-    "secure_aggregate_updates",
     "FaultPlan",
     "SecureAggregationClient",
     "SecureAggregationServer",
@@ -124,9 +115,6 @@ __all__ = [
     "CheckpointMismatchError",
     "UnknownGroupError",
     "checkpoint_groups",
-    "save_checkpoint",
-    "load_checkpoint",
-    "load_inference_model",
     "load_user_embeddings",
     "read_manifest",
     "remove_checkpoint",

@@ -21,36 +21,38 @@ that means:
   unlearning ledger, Standalone's per-client model copies).
 
 Layout: one ``.npz`` holding all arrays *and* an embedded JSON manifest
-(key ``__manifest__``), written atomically (tmp + ``os.replace``, the
-same discipline as ``.repro_cache/``) so a crash mid-save can never
+(key ``__manifest__``), written atomically (:func:`repro.io.atomic_write`,
+the same helper ``.repro_cache/`` uses) so a crash mid-save can never
 leave a torn checkpoint; a human-readable ``.meta.json`` sidecar is
 written alongside for inspection and single-group deploy tooling.
 
 The manifest is versioned and validated on load:
-:func:`load_checkpoint` raises :class:`CheckpointMismatchError` when the
+:func:`load_checkpoint_impl` raises :class:`CheckpointMismatchError` when the
 receiving trainer's architecture, dims, hidden sizes, catalogue size,
 dtype, feature set (availability / secure-agg / server-optimiser /
 compression / method) or group assignment does not match — never a
 silent truncation.
 
-Deploy-side, :func:`load_inference_model` restores one group's model for
-serving (in the dtype it was trained in) without reconstructing the
+Deploy-side, :func:`load_inference_model_impl` restores one group's model
+for serving (in the dtype it was trained in) without reconstructing the
 trainer.
+
+Callers outside the package use the :mod:`repro.api` verbs
+(``save_checkpoint`` / ``resume`` / ``load_model``); each verb has
+exactly one implementation here, under its ``*_impl`` name.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
-import tempfile
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.federated.payload import ClientUpdate, SparseRowDelta
+from repro.io import atomic_write
 from repro.models.factory import build_model
 
 #: Manifest schema version; bump on layout changes.  Loading any other
@@ -86,24 +88,6 @@ def _npz_path(path: str) -> str:
 
 def _meta_path(path: str) -> str:
     return path + ".meta.json"
-
-
-def _atomic_write(path: str, writer) -> None:
-    """Write ``path`` via tmp + ``os.replace`` (same-directory, atomic).
-
-    Creates the parent directory: an autosave must not train a whole
-    epoch only to crash on a missing ``--checkpoint`` target directory.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-", suffix=".tmp")
-    try:
-        writer(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def checkpoint_files(path: str) -> Tuple[str, str]:
@@ -382,22 +366,18 @@ def _collect(trainer) -> Tuple[Dict[str, np.ndarray], dict]:
 # ----------------------------------------------------------------------
 # Save / load
 # ----------------------------------------------------------------------
-def save_checkpoint(trainer, path: str) -> None:
+def save_checkpoint_impl(trainer, path: str) -> None:
     """Write a full-state checkpoint: ``path`` (.npz, manifest embedded)
     plus the ``path + '.meta.json'`` sidecar, both atomically."""
     arrays, meta = _collect(trainer)
     arrays["__manifest__"] = np.array(json.dumps(meta, sort_keys=True))
-
-    def write_npz(fd: int) -> None:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-
-    def write_meta(fd: int) -> None:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-
-    _atomic_write(_npz_path(path), write_npz)
-    _atomic_write(_meta_path(path), write_meta)
+    atomic_write(
+        _npz_path(path), lambda handle: np.savez_compressed(handle, **arrays), "wb"
+    )
+    atomic_write(
+        _meta_path(path),
+        lambda handle: json.dump(meta, handle, indent=2, sort_keys=True),
+    )
 
 
 def _validate(trainer, meta: dict) -> None:
@@ -453,7 +433,7 @@ def _validate(trainer, meta: dict) -> None:
         )
 
 
-def load_checkpoint(trainer, path: str) -> None:
+def load_checkpoint_impl(trainer, path: str) -> None:
     """Restore a trainer to the checkpointed state, in place.
 
     The trainer must have been constructed with a compatible config (same
@@ -463,13 +443,9 @@ def load_checkpoint(trainer, path: str) -> None:
     :meth:`~repro.federated.trainer.FederatedTrainer.fit` continues the
     original run bitwise-identically.
     """
+    meta = read_manifest(path)
+    _validate(trainer, meta)
     with np.load(_npz_path(path)) as archive:
-        if "__manifest__" in archive.files:
-            meta = json.loads(archive["__manifest__"].item())
-        else:
-            with open(_meta_path(path), encoding="utf-8") as handle:
-                meta = json.load(handle)
-        _validate(trainer, meta)
 
         # Public parameters and private user embeddings.
         for group, model in trainer.models.items():
@@ -552,7 +528,7 @@ def checkpoint_groups(path: str) -> List[str]:
     return sorted(read_manifest(path)["dims"])
 
 
-def load_inference_model(path: str, group: Optional[str] = None):
+def load_inference_model_impl(path: str, group: Optional[str] = None):
     """Rebuild one group's recommender from a checkpoint for serving.
 
     Returns ``(model, meta)``; score a user by passing their embedding
@@ -621,41 +597,3 @@ def load_user_embeddings(path: str) -> Dict[int, np.ndarray]:
             if key.startswith("user/"):
                 embeddings[int(key[len("user/"):])] = archive[key]
     return embeddings
-
-
-# ----------------------------------------------------------------------
-# Facade deprecation shims (PR 8)
-# ----------------------------------------------------------------------
-# The blessed import surface for the checkpoint verbs is ``repro.api``
-# (``save_checkpoint`` / ``resume`` / ``load_model``).  The deep paths
-# below keep working for one release but warn; the undecorated
-# implementations stay importable under ``*_impl`` names for internal
-# call sites (and for ``repro.api`` itself), which must not warn.
-save_checkpoint_impl = save_checkpoint
-load_checkpoint_impl = load_checkpoint
-load_inference_model_impl = load_inference_model
-
-
-def _deprecated_verb(impl, old: str, new: str):
-    @functools.wraps(impl)
-    def shim(*args, **kwargs):
-        warnings.warn(
-            f"importing {old} from repro.federated.checkpoint is deprecated "
-            f"and will be removed one release after 1.1; use {new} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    return shim
-
-
-save_checkpoint = _deprecated_verb(
-    save_checkpoint_impl, "save_checkpoint", "repro.api.save_checkpoint"
-)
-load_checkpoint = _deprecated_verb(
-    load_checkpoint_impl, "load_checkpoint", "repro.api.resume"
-)
-load_inference_model = _deprecated_verb(
-    load_inference_model_impl, "load_inference_model", "repro.api.load_model"
-)

@@ -1,39 +1,38 @@
-"""Secure aggregation: pairwise-masked sums the server cannot see through.
+"""Secure-aggregation building blocks: codec, mask PRG, flat wire layout.
 
 The paper's privacy argument rests on the server only ever needing the
 *sum* of client updates (Eq. 4/8/15).  Secure aggregation (Bonawitz et
 al., CCS 2017) realises that argument cryptographically: every pair of
 clients agrees on a mask; one adds it, the other subtracts it, so each
 individual upload looks uniformly random to the server while the sum of
-all uploads is exact.  This module simulates the protocol faithfully
-enough to exercise the same code path:
+all uploads is exact.  The protocol itself — key agreement, Shamir
+shares, double masking, dropout recovery — is
+:mod:`repro.federated.secure_protocol`, the one path every trainer and
+simulator round takes; this module holds the pieces it is built from:
 
 * **Fixed-point field encoding** — updates are quantised to integers and
   all arithmetic happens modulo 2^64 (:class:`FixedPointCodec`), so mask
   cancellation is *exact*, not approximate.
-* **Pairwise masks** — derived deterministically from the pair's shared
-  seed and the round id (:func:`pairwise_mask`), standing in for the
-  Diffie–Hellman key agreement of the real protocol.
-* **Dropout recovery** — if a client drops out after masking, the
-  surviving clients reveal their shared seeds with the dropout so the
-  server can subtract the dangling masks (the protocol's unmasking
-  phase), implemented in :meth:`SecureAggregationSession.unmask`.
+* **The mask PRG** — :func:`pairwise_mask` expands a seed and a round id
+  into a uniform field vector (pairwise masks from the DH-agreed pair
+  seed, self-masks from the client's own seed).
+* **The flat wire layout** — heterogeneous uploads are packed into one
+  maskable vector: embedding deltas zero-padded to the widest dimension
+  *before* masking, so the masked sum is exactly the padded sum of
+  Eq. 8 and the per-group prefixes slice out as usual, followed by the
+  per-head blocks of Eq. 15.
 
-Heterogeneity composes cleanly: embedding deltas are zero-padded to the
-widest dimension *before* masking, so the masked sum is exactly the
-padded sum of Eq. 8 and the per-group prefixes slice out as usual.
-
-Enable on a trainer by setting ``FederatedConfig.secure_aggregation``;
-the trainer then routes every round through
-:func:`secure_aggregate_updates` instead of summing raw deltas.
+Enable on a trainer by setting ``FederatedConfig.secure_aggregation`` to
+a :class:`SecureAggregationConfig`; the trainer then routes every round
+through :func:`repro.federated.secure_protocol.run_secure_round` instead
+of summing raw deltas.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +44,7 @@ _FIELD_DTYPE = np.uint64
 
 @dataclass
 class SecureAggregationConfig:
-    """Parameters of the simulated secure-aggregation protocol.
+    """Parameters of the secure-aggregation protocol.
 
     ``precision_bits``:
         Fractional bits of the fixed-point encoding; 24 bits keeps
@@ -56,8 +55,8 @@ class SecureAggregationConfig:
         ``2^63 / (clip_range · 2^precision_bits)`` clients — over 500
         at the defaults, far beyond the paper's 256 per round.
     ``seed``:
-        Root secret from which all pairwise seeds derive (stands in for
-        the key-agreement phase).
+        Root secret from which every client's per-round key material
+        derives (stands in for the clients' long-term keys).
     ``threshold_fraction``:
         Minimum fraction of the invited participants that must survive
         every phase of the full protocol
@@ -128,113 +127,10 @@ class FixedPointCodec:
         return 0.5 / self.scale
 
 
-def shared_pair_seed(root_seed: int, id_a: int, id_b: int) -> int:
-    """The seed two clients share (order-independent, round-independent).
-
-    Derived by hashing, which models the Diffie–Hellman agreement of the
-    real protocol: both endpoints can compute it, nobody else can.
-    """
-    low, high = sorted((int(id_a), int(id_b)))
-    digest = hashlib.sha256(f"{root_seed}:{low}:{high}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 def pairwise_mask(pair_seed: int, round_id: int, size: int) -> np.ndarray:
-    """The uniform field mask a pair uses in one round."""
+    """The uniform field mask one seed expands to in one round."""
     rng = np.random.default_rng((pair_seed, int(round_id)))
     return rng.integers(0, 2**64, size=size, dtype=_FIELD_DTYPE)
-
-
-class SecureAggregationSession:
-    """One masking round over a fixed participant set.
-
-    The session plays both sides of the protocol for the simulation:
-    clients call :meth:`mask` with their flat update vector; the server
-    calls :meth:`unmask` with the masked vectors it actually received.
-    """
-
-    def __init__(
-        self,
-        participant_ids: Sequence[int],
-        vector_size: int,
-        round_id: int,
-        config: Optional[SecureAggregationConfig] = None,
-    ) -> None:
-        self.config = config or SecureAggregationConfig()
-        self.participants = [int(p) for p in participant_ids]
-        if len(set(self.participants)) != len(self.participants):
-            raise ValueError("participant ids must be unique")
-        self.vector_size = int(vector_size)
-        self.round_id = int(round_id)
-        self.codec = FixedPointCodec(self.config.precision_bits, self.config.clip_range)
-
-    # ------------------------------------------------------------------
-    # Client side
-    # ------------------------------------------------------------------
-    def _net_mask(self, client_id: int, absent: Iterable[int] = ()) -> np.ndarray:
-        """Sum of this client's pairwise masks (signed by id ordering)."""
-        skip = set(int(a) for a in absent)
-        total = np.zeros(self.vector_size, dtype=_FIELD_DTYPE)
-        for other in self.participants:
-            if other == client_id or other in skip:
-                continue
-            seed = shared_pair_seed(self.config.seed, client_id, other)
-            mask = pairwise_mask(seed, self.round_id, self.vector_size)
-            if client_id < other:
-                total = total + mask
-            else:
-                total = total - mask
-        return total
-
-    def mask(self, client_id: int, vector: np.ndarray) -> np.ndarray:
-        """Encode and mask one client's flat update vector."""
-        if client_id not in self.participants:
-            raise KeyError(f"client {client_id} is not in this session")
-        if vector.size != self.vector_size:
-            raise ValueError(
-                f"vector has {vector.size} scalars, session expects {self.vector_size}"
-            )
-        encoded = self.codec.encode(np.asarray(vector, dtype=np.float64).ravel())
-        return encoded + self._net_mask(client_id)
-
-    # ------------------------------------------------------------------
-    # Server side
-    # ------------------------------------------------------------------
-    def unmask(
-        self,
-        masked_vectors: Mapping[int, np.ndarray],
-        dropouts: Iterable[int] = (),
-    ) -> np.ndarray:
-        """Decode the exact sum of the surviving clients' vectors.
-
-        ``dropouts`` are participants that masked their update but never
-        delivered it; survivors reveal the corresponding pair seeds, and
-        the server subtracts the dangling mask contributions — the
-        unmasking phase of the real protocol.
-        """
-        dropped = set(int(d) for d in dropouts)
-        alive = [p for p in self.participants if p not in dropped]
-        missing = [p for p in alive if p not in masked_vectors]
-        if missing:
-            raise KeyError(f"no masked vector received from clients {missing[:5]}")
-
-        total = np.zeros(self.vector_size, dtype=_FIELD_DTYPE)
-        for client_id in alive:
-            total = total + np.asarray(masked_vectors[client_id], dtype=_FIELD_DTYPE)
-
-        # Survivor ↔ survivor masks cancelled in the sum; survivor ↔
-        # dropout masks dangle and must be removed with revealed seeds.
-        for survivor in alive:
-            for gone in dropped:
-                if gone not in self.participants:
-                    continue
-                seed = shared_pair_seed(self.config.seed, survivor, gone)
-                mask = pairwise_mask(seed, self.round_id, self.vector_size)
-                if survivor < gone:
-                    total = total - mask
-                else:
-                    total = total + mask
-        return self.codec.decode(total)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +168,7 @@ def _round_layout(
 
 
 def _flatten_update(update: ClientUpdate, layout: _Layout) -> np.ndarray:
-    """Pad-and-pack one upload into the session's flat vector format.
+    """Pad-and-pack one upload into the round's flat vector format.
 
     Blocks the client did not train (wider embedding columns, heads of
     larger groups) are zero, so the masked sum equals the padded sum of
@@ -310,43 +206,4 @@ def _unflatten_sum(
         block = vector[cursor : cursor + size].reshape(shape).copy()
         heads.setdefault(head_group, {})[name] = block
         cursor += size
-    return embeddings, heads
-
-
-def secure_aggregate_updates(
-    updates: Sequence[ClientUpdate],
-    dims: Mapping[str, int],
-    config: SecureAggregationConfig,
-    round_id: int,
-    dropouts: Iterable[int] = (),
-    head_counts: Optional[Mapping[str, int]] = None,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Dict[str, np.ndarray]]]:
-    """Run one full secure round over heterogeneous uploads.
-
-    Returns ``(embedding_deltas, head_deltas)`` in the same format as the
-    plaintext aggregators — summed, up to fixed-point quantisation.  If
-    ``head_counts`` is provided, each head's sum is divided by its
-    contributor count (the server knows counts; this reproduces the
-    'mean' Θ mode without seeing individual values).
-    """
-    if not updates:
-        return {}, {}
-    layout = _round_layout(updates, dims)
-    ids = [update.user_id for update in updates]
-    session = SecureAggregationSession(ids, layout.total, round_id, config)
-
-    dropped = set(int(d) for d in dropouts)
-    masked = {
-        update.user_id: session.mask(update.user_id, _flatten_update(update, layout))
-        for update in updates
-        if update.user_id not in dropped
-    }
-    total = session.unmask(masked, dropouts=dropped)
-    embeddings, heads = _unflatten_sum(total, layout, dims)
-
-    if head_counts:
-        for head_group, state in heads.items():
-            divisor = float(max(head_counts.get(head_group, 1), 1))
-            for name in state:
-                state[name] = state[name] / divisor
     return embeddings, heads

@@ -1,12 +1,14 @@
 """Phased secure aggregation: explicit server/client state machines.
 
-The single-shot session in :mod:`repro.federated.secure_agg` plays both
-sides of the masking protocol and receives dropouts as a fait-accompli
-argument.  This module implements the protocol the paper's privacy
-argument actually needs — Bonawitz et al. (CCS 2017) — as four explicit
+The one secure-sum path: every trainer and simulator round that enables
+``FederatedConfig.secure_aggregation`` goes through
+:func:`run_secure_round`.  It implements the protocol the paper's
+privacy argument needs — Bonawitz et al. (CCS 2017) — as four explicit
 phases with separate :class:`SecureAggregationClient` and
-:class:`SecureAggregationServer` state machines, so clients can fail at
-*any* point and the server must resolve every case deterministically:
+:class:`SecureAggregationServer` state machines (built on the codec,
+mask PRG and flat wire layout of :mod:`repro.federated.secure_agg`), so
+clients can fail at *any* point and the server must resolve every case
+deterministically:
 
 ``advertise``
     Every invited client publishes its per-round public keys: a
@@ -45,9 +47,11 @@ secrets are hash-derived from ``(config.seed, round_id, client_id)`` —
 the protocol consumes **no** RNG streams, so enabling it leaves every
 checkpointed generator untouched and the bitwise-resume contract holds.
 
-Exactness: with zero dropouts the decoded sum is bitwise-identical to
-:func:`repro.federated.secure_agg.secure_aggregate_updates` — the same
-codec quantises, and every mask cancels exactly in the 2^64 field.
+Exactness: the decoded sum is bitwise-identical to the survivors' plain
+fixed-point sum (encode each flat update, add in uint64, decode) — the
+same codec quantises, and every mask cancels exactly in the 2^64 field.
+``tests/test_secure_protocol.py`` and the ``BENCH_secure_agg.json``
+exactness gate pin it against that oracle, with and without faults.
 """
 
 from __future__ import annotations

@@ -704,7 +704,7 @@ class FederatedTrainer:
 
         Resume-aware: epochs already completed (a freshly built trainer
         has none; one restored via
-        :func:`repro.federated.checkpoint.load_checkpoint` continues
+        :func:`repro.api.resume` continues
         where the checkpoint stopped) are skipped, and with
         ``config.checkpoint_path`` + ``checkpoint_every`` set, a
         full-state checkpoint is autosaved atomically every
@@ -735,11 +735,9 @@ class FederatedTrainer:
             if autosave and (
                 epoch % cfg.checkpoint_every == 0 or epoch == cfg.epochs
             ):
-                from repro.federated.checkpoint import (
-                    save_checkpoint_impl as save_checkpoint,
-                )
+                from repro.federated.checkpoint import save_checkpoint_impl
 
-                save_checkpoint(self, cfg.checkpoint_path)
+                save_checkpoint_impl(self, cfg.checkpoint_path)
         return self.history
 
     @property

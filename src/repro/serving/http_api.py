@@ -1,30 +1,45 @@
-"""Optional stdlib HTTP front end for the recommendation service.
+"""Optional stdlib HTTP front end for the resilient serving stack.
 
 Kept deliberately out of the core's import path: the batching / caching
-/ hot-swap machinery in :mod:`repro.serving.service` is plain python and
-fully usable (and tested) without a server; this module only adds a thin
-JSON transport over :mod:`http.server` for deployments that want one —
-no third-party dependency, started via ``python -m repro serve``.
+/ hot-swap / admission machinery in :mod:`repro.serving` is plain python
+and fully usable (and tested) without a server; this module only adds a
+thin JSON transport over :mod:`http.server` for deployments that want
+one — no third-party dependency, started via ``python -m repro serve``.
+
+The server fronts exactly one stack: a
+:class:`~repro.serving.resilience.ResilientService` plus the
+:class:`~repro.serving.coalescer.RequestCoalescer` that batches into
+it.  Handlers parse and validate, make one call, and translate the
+outcome through one exception → status table; every admission, deadline
+and metering decision lives in the resilient service.
 
 Routes
 ------
 ``GET /healthz``
-    Liveness + the serving model version.  With a resilience layer
-    attached the body also carries the health state machine's verdict
-    (``ok`` / ``degraded`` / ``unhealthy`` / ``draining``), the breaker
-    state and the active degradation-tier floor.
+    Liveness + the serving model version, the health state machine's
+    verdict (``ok`` / ``degraded`` / ``unhealthy`` / ``draining``; 200
+    only for ``ok``), the breaker state and the active degradation-tier
+    floor.
 ``GET /v1/recommend?user=ID[&k=K][&deadline_ms=MS][&priority=P]``
-    Top-k answer for one user, through the request coalescer (so
-    concurrent HTTP requests batch into one blocked matmul).  With a
-    resilience layer: admission-controlled — a shed request gets 503 +
-    ``Retry-After``, a deadline overrun gets 504 with the wasted work
-    metered.
+    Top-k answer for one user: admission-controlled, then through the
+    request coalescer (so concurrent HTTP requests batch into one
+    blocked matmul).  503 + ``Retry-After`` when shed (queue full,
+    budget un-meetable, draining), 504 on a deadline overrun (wasted
+    work metered), 404 for an unknown user, 400 for a malformed query
+    (missing / non-integer ``user``, ``k < 1``, a ``deadline_ms`` that
+    is not a finite number > 0).
 ``GET /v1/stats``
-    Service / cache / coalescer (/ resilience) counters.
+    Service / cache / coalescer / resilience counters.
 ``POST /v1/swap`` with body ``{"checkpoint": PATH}``
     Zero-downtime hot-swap to a newer checkpoint; 409 on a manifest
     mismatch (the old model keeps serving), 503 when the swap circuit
-    breaker is open.
+    breaker is open, 400 for an unreadable checkpoint or a malformed
+    request (body not a JSON object, ``checkpoint`` not a string,
+    ``Content-Length`` missing, negative or above
+    :data:`MAX_BODY_BYTES`).
+
+Every error reply is a JSON object ``{"error": MESSAGE}``; a malformed
+request is always answered, never a dropped connection.
 
 Shutdown
 --------
@@ -39,23 +54,53 @@ from __future__ import annotations
 import json
 import signal
 import threading
+import zipfile
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.federated.checkpoint import CheckpointMismatchError
 from repro.serving.coalescer import RequestCoalescer
-from repro.serving.resilience import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    ResilientService,
-    ShedError,
+from repro.serving.resilience import CircuitOpenError, ResilientService, ShedError
+from repro.serving.service import UnknownUserError
+
+#: Largest ``POST`` body the server will read (a swap request is one
+#: short JSON object; anything bigger is refused unread).
+MAX_BODY_BYTES = 64 * 1024
+
+#: The failures each route answers (anything else is a bug and may crash
+#: the handler).  The swap list is what an unreadable, corrupt or
+#: incompatible candidate can raise while it is loaded and validated.
+_QUERY_ERRORS = (ShedError, TimeoutError, UnknownUserError, ValueError)
+_SWAP_ERRORS = (
+    CircuitOpenError, ValueError, OSError, KeyError, EOFError, zipfile.BadZipFile,
 )
-from repro.serving.service import RecommendationService, UnknownUserError
+#: Failure → status, first match wins; whatever matches nothing above
+#: the last row is the client's mistake.  ``TimeoutError`` covers
+#: ``DeadlineExceededError``; ``UnknownUserError`` is a ``KeyError`` and
+#: ``CheckpointMismatchError`` a ``ValueError``, so both precede it.
+_STATUS_OF = (
+    (ShedError, 503),
+    (CircuitOpenError, 503),
+    (TimeoutError, 504),
+    (UnknownUserError, 404),
+    (CheckpointMismatchError, 409),
+    (Exception, 400),
+)
+
+_RECOMMEND_USAGE = (
+    "expected ?user=<int>[&k=<int >= 1>][&deadline_ms=<finite float > 0>]"
+    "[&priority=<int>]"
+)
+_SWAP_USAGE = (
+    'expected a JSON object body {"checkpoint": PATH} with a Content-Length '
+    f"of at most {MAX_BODY_BYTES} bytes"
+)
 
 
 class ServingHandler(BaseHTTPRequestHandler):
-    """Request handler bound to a service + coalescer via the server."""
+    """Request handler bound to the resilient front + coalescer via the
+    server."""
 
     server: "ServingHTTPServer"
     protocol_version = "HTTP/1.1"
@@ -91,13 +136,29 @@ class ServingHandler(BaseHTTPRequestHandler):
     ) -> None:
         self._reply(status, {"error": message}, headers=headers)
 
+    def _fail(self, error: BaseException, prefix: str = "") -> None:
+        """Answer one handled exception through the status table."""
+        status = next(code for kind, code in _STATUS_OF if isinstance(error, kind))
+        retry_after = getattr(error, "retry_after", None)
+        self._error(
+            status,
+            prefix + str(error),
+            headers=(
+                None if retry_after is None
+                else {"Retry-After": f"{max(1, round(retry_after))}"}
+            ),
+        )
+
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         url = urlparse(self.path)
         if url.path == "/healthz":
-            self._healthz()
+            body = self.server.front.healthz()
+            if body["status"] == "healthy":
+                body["status"] = "ok"  # the liveness contract callers probe
+            self._reply(200 if body["status"] == "ok" else 503, body)
         elif url.path == "/v1/recommend":
             self._recommend(parse_qs(url.query))
         elif url.path == "/v1/stats":
@@ -107,143 +168,69 @@ class ServingHandler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"no route {url.path!r}")
 
-    def _healthz(self) -> None:
-        resilience = self.server.resilience
-        if resilience is None:
-            service = self.server.service
-            self._reply(
-                200,
-                {
-                    "status": "ok",
-                    "model_version": service.model_version,
-                    "checkpoint": service.checkpoint_path,
-                },
-            )
-            return
-        body = resilience.healthz()
-        if body["status"] == "healthy":
-            body["status"] = "ok"  # the liveness contract callers probe
-        status = 200 if body["status"] == "ok" else 503
-        self._reply(status, body)
-
     def _recommend(self, query: dict) -> None:
         try:
-            user_id = int(query["user"][0])
-            k = int(query["k"][0]) if "k" in query else None
-            deadline_ms = (
-                float(query["deadline_ms"][0]) if "deadline_ms" in query else None
-            )
-            priority = int(query["priority"][0]) if "priority" in query else 0
-        except (KeyError, ValueError):
-            self._error(
-                400,
-                "expected ?user=<int>[&k=<int>][&deadline_ms=<float>]"
-                "[&priority=<int>]",
-            )
-            return
-        resilience = self.server.resilience
-        if resilience is None:
             try:
-                answer = self.server.coalescer.submit(user_id, k=k)
-            except UnknownUserError as error:
-                self._error(404, str(error))
-                return
+                user_id = int(query["user"][0])
+                k = int(query["k"][0]) if "k" in query else None
+                deadline_ms = (
+                    float(query["deadline_ms"][0]) if "deadline_ms" in query else None
+                )
+                priority = int(query["priority"][0]) if "priority" in query else 0
+            except (KeyError, ValueError) as error:
+                raise ValueError(_RECOMMEND_USAGE) from error
+            coalescer = self.server.coalescer
+            answer = self.server.front.run_admitted(
+                user_id,
+                lambda remaining: coalescer.submit(user_id, k=k, timeout=remaining),
+                deadline_ms=deadline_ms,
+                priority=priority,
+            )
+        except _QUERY_ERRORS as error:
+            self._fail(error)
+        else:
             self._reply(200, answer.to_json())
-            return
-        # Admission first: shed before any scoring work is spent.
-        try:
-            ticket = resilience.try_admit(deadline_ms, priority=priority)
-        except ShedError as error:
-            self._error(
-                503, str(error),
-                headers={"Retry-After": f"{max(1, round(error.retry_after))}"},
-            )
-            return
-        start = resilience.clock()
-        try:
-            if ticket.state != "executing":
-                budget = (
-                    None if ticket.deadline is None
-                    else max(0.0, ticket.deadline - start)
-                )
-                if not resilience.admission.wait(ticket, budget):
-                    resilience.note_overrun(0.0)
-                    self._error(
-                        504,
-                        f"user {user_id}: deadline spent waiting for admission",
-                    )
-                    return
-            timeout = (
-                None if ticket.deadline is None
-                else max(0.0, ticket.deadline - resilience.clock())
-            )
-            try:
-                answer = self.server.coalescer.submit(user_id, k=k, timeout=timeout)
-            except UnknownUserError as error:
-                self._error(404, str(error))
-                return
-            except (TimeoutError, DeadlineExceededError) as error:
-                wasted = (resilience.clock() - start) * 1000.0
-                resilience.note_overrun(wasted)
-                self._error(504, str(error))
-                return
-            except ShedError as error:
-                self._error(
-                    503, str(error),
-                    headers={"Retry-After": f"{max(1, round(error.retry_after))}"},
-                )
-                return
-            if ticket.deadline is not None and resilience.clock() > ticket.deadline:
-                wasted = (resilience.clock() - start) * 1000.0
-                resilience.note_overrun(wasted)
-                self._error(
-                    504,
-                    f"user {user_id}: answered past the "
-                    f"{deadline_ms:.0f}ms deadline ({wasted:.1f}ms spent)",
-                )
-                return
-            self._reply(200, answer.to_json())
-        finally:
-            resilience.admission.release(
-                ticket, service_seconds=resilience.clock() - start
-            )
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         url = urlparse(self.path)
+        # A request refused before its body is read cannot share its
+        # connection with a next one: "Connection: close" ends it.
         if url.path != "/v1/swap":
-            self._error(404, f"no route {url.path!r}")
+            self._error(404, f"no route {url.path!r}", headers={"Connection": "close"})
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            self._error(400, _SWAP_USAGE, headers={"Connection": "close"})
+            return
+        try:
+            payload = json.loads(self.rfile.read(length))
             checkpoint = payload["checkpoint"]
-        except (ValueError, KeyError):
-            self._error(400, 'expected JSON body {"checkpoint": PATH}')
+            if not isinstance(checkpoint, str):
+                raise TypeError(checkpoint)
+        except (ValueError, KeyError, TypeError):
+            self._error(400, _SWAP_USAGE)
             return
         try:
             version = self.server.front.swap(checkpoint)
-        except CircuitOpenError as error:
-            self._error(
-                503, str(error),
-                headers={"Retry-After": f"{max(1, round(error.retry_after))}"},
-            )
-            return
-        except CheckpointMismatchError as error:
-            self._error(409, str(error))
-            return
-        except (FileNotFoundError, OSError, ValueError, KeyError, EOFError) as error:
-            self._error(400, f"checkpoint unreadable: {error}")
-            return
-        self._reply(200, {"status": "swapped", "model_version": version})
+        except (CircuitOpenError, CheckpointMismatchError) as error:
+            self._fail(error)
+        except _SWAP_ERRORS as error:
+            self._fail(error, prefix="checkpoint unreadable: ")
+        else:
+            self._reply(200, {"status": "swapped", "model_version": version})
 
 
 class ServingHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server wired to one service + coalescer.
+    """A threading HTTP server wired to one resilient front + coalescer.
 
-    ``block_on_close`` keeps the stdlib contract explicit: after
-    ``shutdown()`` stops the accept loop, ``server_close()`` joins every
-    in-flight handler thread — the graceful drain's "answer what you
-    already admitted" step.
+    ``coalescer`` must batch into ``front`` (that is what keeps the
+    degradation ladder on the HTTP path).  ``block_on_close`` keeps the
+    stdlib contract explicit: after ``shutdown()`` stops the accept
+    loop, ``server_close()`` joins every in-flight handler thread — the
+    graceful drain's "answer what you already admitted" step.
     """
 
     daemon_threads = True
@@ -251,19 +238,15 @@ class ServingHTTPServer(ThreadingHTTPServer):
 
     def __init__(
         self,
-        service: RecommendationService,
+        front: ResilientService,
+        coalescer: RequestCoalescer,
         address: Tuple[str, int] = ("127.0.0.1", 8777),
-        coalescer: Optional[RequestCoalescer] = None,
         verbose: bool = False,
-        resilience: Optional[ResilientService] = None,
         request_timeout_s: Optional[float] = 30.0,
     ) -> None:
         super().__init__(address, ServingHandler)
-        self.service = service
-        self.resilience = resilience
-        # Queries and swaps go through the outermost layer available.
-        self.front = resilience if resilience is not None else service
-        self.coalescer = coalescer or RequestCoalescer(self.front)
+        self.front = front
+        self.coalescer = coalescer
         self.verbose = verbose
         self.request_timeout_s = request_timeout_s
 
@@ -282,13 +265,8 @@ class GracefulShutdown:
     from embedded/test contexts.
     """
 
-    def __init__(
-        self,
-        server: ServingHTTPServer,
-        resilience: Optional[ResilientService] = None,
-    ) -> None:
+    def __init__(self, server: ServingHTTPServer) -> None:
         self.server = server
-        self.resilience = resilience
         self.requested = threading.Event()
 
     def install(self) -> bool:
@@ -308,8 +286,7 @@ class GracefulShutdown:
         if self.requested.is_set():
             return
         self.requested.set()
-        if self.resilience is not None:
-            self.resilience.drain()
+        self.server.front.drain()
         # serve_forever() must be stopped from another thread — calling
         # shutdown() from the serving thread deadlocks by design.
         threading.Thread(
@@ -318,13 +295,12 @@ class GracefulShutdown:
 
 
 def run_server(
-    service: RecommendationService,
+    front: ResilientService,
+    coalescer: RequestCoalescer,
     host: str = "127.0.0.1",
     port: int = 8777,
-    coalescer: Optional[RequestCoalescer] = None,
     verbose: bool = True,
     ready: Optional[threading.Event] = None,
-    resilience: Optional[ResilientService] = None,
     request_timeout_s: Optional[float] = 30.0,
 ) -> None:
     """Serve until interrupted (the blocking entry ``repro serve`` uses).
@@ -335,21 +311,20 @@ def run_server(
     close.
     """
     server = ServingHTTPServer(
-        service,
+        front,
+        coalescer,
         (host, port),
-        coalescer=coalescer,
         verbose=verbose,
-        resilience=resilience,
         request_timeout_s=request_timeout_s,
     )
-    shutdown = GracefulShutdown(server, resilience=resilience)
+    shutdown = GracefulShutdown(server)
     installed = shutdown.install()
     if verbose:
         bound = server.server_address
         print(
-            f"serving checkpoint {service.checkpoint_path} "
-            f"(model version {service.model_version}, "
-            f"{service.stats()['users']} users) on http://{bound[0]}:{bound[1]}"
+            f"serving checkpoint {front.checkpoint_path} "
+            f"(model version {front.model_version}, "
+            f"{front.stats()['users']} users) on http://{bound[0]}:{bound[1]}"
             + (" [graceful drain armed]" if installed else "")
         )
     if ready is not None:

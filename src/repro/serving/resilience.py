@@ -35,17 +35,19 @@ harness (:mod:`repro.serving.chaos`) on a simulated clock.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 import zipfile
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.federated.checkpoint import CheckpointMismatchError
+from repro.io import quarantine
 from repro.serving.service import (
     QueryRequest,
     Recommendation,
@@ -60,6 +62,12 @@ HEALTHY, DEGRADED, UNHEALTHY = "healthy", "degraded", "unhealthy"
 
 #: Degradation-ladder tiers, in the order they are tried.
 TIERS = ("full", "cached", "stale", "fallback", "shed")
+
+#: Tiers that spent live scoring work.  Only these can *overrun* a
+#: deadline: a degraded answer (stale / fallback) costs nothing, exists
+#: precisely for when the budget cannot buy a fresh one, and is
+#: delivered even when late.
+LIVE_TIERS = frozenset(("full", "cached"))
 
 
 class ShedError(RuntimeError):
@@ -156,16 +164,6 @@ class AdmissionQueue:
     def waiting(self) -> int:
         return sum(len(q) for q in self._waiting.values())
 
-    @property
-    def depth(self) -> int:
-        with self._lock:
-            return self._executing + sum(len(q) for q in self._waiting.values())
-
-    def estimated_wait(self) -> float:
-        """Seconds a new arrival should expect to wait before executing."""
-        with self._lock:
-            return self._estimate_locked()
-
     def _estimate_locked(self) -> float:
         backlog = self._executing + sum(len(q) for q in self._waiting.values())
         waves = max(0.0, (backlog - self.capacity + 1)) / self.capacity
@@ -226,32 +224,24 @@ class AdmissionQueue:
     def cancel(self, ticket: AdmissionTicket) -> None:
         """Withdraw a still-waiting ticket (deadline gave out in the queue)."""
         with self._lock:
-            if ticket.state != "waiting":
-                return
-            queue = self._waiting.get(ticket.priority)
-            if queue is not None:
-                try:
-                    queue.remove(ticket)
-                except ValueError:
-                    pass
-                if not queue:
-                    del self._waiting[ticket.priority]
-            ticket.state = "cancelled"
-            self.cancelled += 1
-            self.shed_deadline += 1
+            if ticket.state == "waiting":
+                self._withdraw_locked(ticket)
+                self.shed_deadline += 1
+
+    def _withdraw_locked(self, ticket: AdmissionTicket) -> None:
+        queue = self._waiting[ticket.priority]
+        queue.remove(ticket)
+        if not queue:
+            del self._waiting[ticket.priority]
+        ticket.state = "cancelled"
+        self.cancelled += 1
 
     def release(self, ticket: AdmissionTicket, service_seconds: Optional[float] = None) -> None:
         """Finish one executing ticket and promote the next waiter."""
         with self._lock:
             if ticket.state == "waiting":
                 # Released without ever executing (caller gave up).
-                ticket.state = "cancelled"
-                queue = self._waiting.get(ticket.priority)
-                if queue is not None and ticket in queue:
-                    queue.remove(ticket)
-                    if not queue:
-                        del self._waiting[ticket.priority]
-                self.cancelled += 1
+                self._withdraw_locked(ticket)
                 return
             if ticket.state != "executing":
                 return
@@ -367,14 +357,6 @@ class HealthMonitor:
                 self.transitions.append((self._state, target))
                 self._state = target
             return self._state
-
-    def reset(self) -> None:
-        with self._lock:
-            self._outcomes.clear()
-            self._consecutive_ok = 0
-            if self._state != HEALTHY:
-                self.transitions.append((self._state, HEALTHY))
-            self._state = HEALTHY
 
     def stats(self) -> dict:
         with self._lock:
@@ -517,23 +499,6 @@ _PERMANENT_SWAP_ERRORS = (
 )
 
 
-def quarantine_checkpoint(path: str) -> str:
-    """Move a corrupt/mismatched checkpoint aside as ``*.corrupt``.
-
-    Same convention as the grid runner: evidence is preserved, never
-    deleted, and the quarantined file can no longer be offered for swap.
-    """
-    quarantine = (
-        path[: -len(".npz")] + ".corrupt" if path.endswith(".npz")
-        else path + ".corrupt"
-    )
-    try:
-        os.replace(path, quarantine)
-    except OSError:
-        pass  # vanished under us; nothing to preserve
-    return quarantine
-
-
 @dataclass
 class _SwapStats:
     attempts: int = 0
@@ -544,7 +509,6 @@ class _SwapStats:
     rollbacks: int = 0
     breaker_fast_fails: int = 0
     watcher_swaps: int = 0
-    quarantine_paths: List[str] = field(default_factory=list)
 
 
 class ResilientService:
@@ -553,8 +517,10 @@ class ResilientService:
 
     Duck-types the inner service (``query`` / ``query_batch`` / ``swap``
     / ``stats`` all exist, unknown attributes forward), so anything that
-    served a ``RecommendationService`` — the coalescer, the HTTP front
-    end, :func:`repro.api.recommend` — can serve a resilient one.
+    served a ``RecommendationService`` — the coalescer,
+    :func:`repro.api.recommend` — can serve a resilient one.  The HTTP
+    front end serves nothing else: its requests go through
+    :meth:`run_admitted`, the same driver :meth:`query` uses.
     """
 
     def __init__(
@@ -593,7 +559,6 @@ class ResilientService:
         self._wasted_ms = 0.0
         self._requests_since_probe = 0
         self._counter_lock = threading.Lock()
-        self._last_good_path = service.checkpoint_path
         self._version_paths: Dict[int, str] = {
             service.model_version: service.checkpoint_path
         }
@@ -610,14 +575,6 @@ class ResilientService:
     @property
     def service(self) -> RecommendationService:
         return self._service
-
-    @property
-    def model_version(self) -> int:
-        return self._service.model_version
-
-    @property
-    def checkpoint_path(self) -> str:
-        return self._service.checkpoint_path
 
     # -- popularity-prior fallback -------------------------------------
     def _build_fallback(self) -> None:
@@ -659,7 +616,7 @@ class ResilientService:
             tier="fallback",
         )
 
-    # -- the ladder ----------------------------------------------------
+    # -- admission → wait → score → deadline → release -------------------
     def query(
         self,
         user_id: int,
@@ -669,21 +626,33 @@ class ResilientService:
         priority: int = 0,
     ) -> Recommendation:
         """One admission-controlled, deadline-bounded, ladder-backed query."""
-        budget = self._budget_seconds(deadline_ms)
-        ticket = self.admission.try_admit(budget, priority=priority)
-        if ticket.state != "executing":
-            remaining = budget if budget is not None else None
-            if not self.admission.wait(ticket, remaining):
-                raise DeadlineExceededError(
-                    f"user {user_id}: deadline spent waiting for admission"
-                )
+        ticket = self.try_admit(deadline_ms, priority)
         return self.execute(ticket, user_id, k=k, exclude=exclude)
+
+    def run_admitted(
+        self,
+        user_id: int,
+        score: Callable[[Optional[float]], Recommendation],
+        deadline_ms: Optional[float] = None,
+        priority: int = 0,
+    ) -> Recommendation:
+        """:meth:`query` for a request somebody else scores.
+
+        Same admission, wait, deadline and metering rules; only the
+        scoring step differs: ``score(remaining_seconds)`` produces the
+        answer.  The HTTP front end passes the coalescer's ``submit``
+        (whose batches flush into :meth:`query_batch`, so the ladder
+        still applies — per batch instead of per request).
+        """
+        return self._run_ticket(self.try_admit(deadline_ms, priority), user_id, score)
 
     def try_admit(
         self, deadline_ms: Optional[float] = None, priority: int = 0
     ) -> AdmissionTicket:
-        """Phase 1 of the two-phase API (used by the chaos harness and
-        the HTTP path): admission only, no scoring work."""
+        """Phase 1 of the two-phase API (the chaos harness takes a whole
+        burst's tickets before running any): admission only, no scoring
+        work.  Raises :class:`ShedError`, or :class:`ValueError` for a
+        deadline that is not a finite positive number."""
         return self.admission.try_admit(self._budget_seconds(deadline_ms), priority)
 
     def execute(
@@ -694,74 +663,133 @@ class ResilientService:
         exclude: Optional[np.ndarray] = None,
     ) -> Recommendation:
         """Phase 2: run one admitted request down the degradation ladder."""
+        answer = self._run_ticket(
+            ticket,
+            user_id,
+            lambda remaining: self._laddered_answer(
+                QueryRequest(int(user_id), k, exclude), remaining
+            ),
+        )
+        self._count_tier(answer.tier)
+        return answer
+
+    def _run_ticket(
+        self,
+        ticket: AdmissionTicket,
+        user_id: int,
+        score: Callable[[Optional[float]], Recommendation],
+    ) -> Recommendation:
+        """The one driver every admitted request goes through.
+
+        Wait (within the budget) until the ticket executes, score it,
+        refuse a live answer that lands past the deadline, meter the
+        overrun, release the slot.  ``service_seconds`` — what feeds the
+        queue's wait estimate — runs from the moment the ticket
+        executes, never from before the wait.
+        """
+        deadline = ticket.deadline
+        if ticket.state != "executing" and not self.admission.wait(
+            ticket, self._remaining(deadline)
+        ):
+            # Never executed, so no scoring work was wasted: the queue
+            # has already metered it (``cancelled`` / ``shed_deadline``)
+            # and it is not a deadline *overrun*.
+            raise DeadlineExceededError(
+                f"user {user_id}: deadline spent waiting for admission"
+            )
         start = self.clock()
         try:
-            answer = self._laddered_answer(
-                QueryRequest(int(user_id), k, exclude), ticket.deadline, start
-            )
+            try:
+                answer = score(self._remaining(deadline))
+            except TimeoutError as error:
+                raise self._overrun(user_id, start) from error
+            if (
+                deadline is not None
+                and answer.tier in LIVE_TIERS
+                and self.clock() > deadline
+            ):
+                raise self._overrun(user_id, start)
             return answer
         finally:
             self.admission.release(ticket, service_seconds=self.clock() - start)
 
+    def _remaining(self, deadline: Optional[float]) -> Optional[float]:
+        return None if deadline is None else max(0.0, deadline - self.clock())
+
+    def _overrun(self, user_id: int, start: float) -> DeadlineExceededError:
+        """Meter one deadline overrun; returns the error to raise."""
+        wasted = (self.clock() - start) * 1000.0
+        with self._counter_lock:
+            self._deadline_overruns += 1
+            self._wasted_ms += wasted
+        return DeadlineExceededError(
+            f"user {user_id}: past its deadline ({wasted:.1f}ms of work wasted)",
+            wasted_ms=wasted,
+        )
+
     def _budget_seconds(self, deadline_ms: Optional[float]) -> Optional[float]:
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
-        return None if deadline_ms is None else float(deadline_ms) / 1000.0
+        if deadline_ms is None:
+            return None
+        budget = float(deadline_ms) / 1000.0
+        if not (math.isfinite(budget) and budget > 0.0):
+            raise ValueError(
+                f"deadline_ms must be a finite number > 0, got {deadline_ms}"
+            )
+        return budget
+
+    # -- the ladder ----------------------------------------------------
+    def _live_answers(
+        self, requests: Sequence[QueryRequest], remaining: Optional[float] = None
+    ) -> Optional[List[Recommendation]]:
+        """Tiers 1–2: one blocked scoring call (fresh cache hits ride
+        along).  ``None`` means degrade — scoring failed, or the service
+        is unhealthy and this request is not a probe turn."""
+        if self.health.state == UNHEALTHY and not self._take_probe_turn():
+            return None
+        if remaining is not None and remaining <= 0.0:
+            raise DeadlineExceededError("deadline expired before scoring")
+        try:
+            answers = self._service.query_batch(list(requests))
+        except (UnknownUserError, ValueError):
+            raise  # the caller's mistake (404 / 400), not a health event
+        except Exception:  # noqa: BLE001 - enters the ladder
+            self.health.record(False)
+            return None
+        self.health.record(True)
+        return answers
 
     def _laddered_answer(
-        self, request: QueryRequest, deadline: Optional[float], start: float
+        self, request: QueryRequest, remaining: Optional[float]
     ) -> Recommendation:
-        state = self.health.state
-        attempt_full = state != UNHEALTHY or self._take_probe_turn()
-        error: Optional[BaseException] = None
-        if attempt_full:
-            if deadline is not None and self.clock() >= deadline:
-                # The budget was spent before any scoring happened.
-                self._count_overrun(0.0)
-                raise DeadlineExceededError(
-                    f"user {request.user_id}: deadline expired before scoring"
-                )
-            try:
-                answer = self._service.query_batch([request])[0]
-            except UnknownUserError:
-                raise  # a 404, not a health event
-            except Exception as exc:  # noqa: BLE001 - enters the ladder
-                error = exc
-                self.health.record(False)
-            else:
-                self.health.record(True)
-                wasted = (self.clock() - start) * 1000.0
-                if deadline is not None and self.clock() > deadline:
-                    self._count_overrun(wasted)
-                    raise DeadlineExceededError(
-                        f"user {request.user_id}: scored but past deadline",
-                        wasted_ms=wasted,
-                    )
-                self._count_tier("cached" if answer.cached else "full")
-                return answer
-        # Tier 3: a stale answer from a retained previous snapshot.
-        stale = self._stale_answer(request)
-        if stale is not None:
-            self._count_tier("stale")
-            return stale
-        # Tier 4: the popularity prior.
+        """One request down the ladder (the caller counts the tier of
+        the answer it actually delivers)."""
+        answers = self._live_answers([request], remaining)
+        if answers is not None:
+            return answers[0]
         try:
+            return self._degraded_answer(request)
+        except Exception as error:  # noqa: BLE001 - ladder exhausted
+            # Tier 5: shed.
+            self._count_tier("shed")
+            raise ShedError(
+                f"user {request.user_id}: every degradation tier failed "
+                f"({type(error).__name__})",
+                retry_after=1.0,
+            ) from error
+
+    def _degraded_answer(self, request: QueryRequest) -> Recommendation:
+        """Tiers 3–4, for when live scoring failed or was skipped: a
+        stale answer from a retained previous snapshot, else the
+        popularity prior."""
+        answer = self._stale_answer(request)
+        if answer is None:
             answer = self.fallback_answer(
                 request.user_id,
                 request.k if request.k is not None else self._service.default_k,
             )
-        except Exception:  # noqa: BLE001 - ladder exhausted
-            answer = None
-        if answer is not None:
-            self._count_tier("fallback")
-            return answer
-        # Tier 5: shed.
-        self._count_tier("shed")
-        raise ShedError(
-            f"user {request.user_id}: every degradation tier failed "
-            f"({type(error).__name__ if error else 'no live scoring'})",
-            retry_after=1.0,
-        )
+        return answer
 
     def _stale_answer(self, request: QueryRequest) -> Optional[Recommendation]:
         if self.config.stale_versions < 1 or request.exclude is not None:
@@ -794,16 +822,6 @@ class ResilientService:
         with self._counter_lock:
             self._tier_counts[tier] += 1
 
-    def _count_overrun(self, wasted_ms: float) -> None:
-        with self._counter_lock:
-            self._deadline_overruns += 1
-            self._wasted_ms += wasted_ms
-
-    def note_overrun(self, wasted_ms: float) -> None:
-        """Meter a deadline overrun detected outside the ladder (the
-        HTTP front end uses this when an answer lands past its budget)."""
-        self._count_overrun(float(wasted_ms))
-
     # -- batch path (feeds the coalescer) ------------------------------
     def query_batch(self, requests: Sequence[QueryRequest]) -> List[Recommendation]:
         """Ladder-aware batch scoring (what the coalescer flushes into).
@@ -814,34 +832,12 @@ class ResilientService:
         """
         if not requests:
             return []
-        state = self.health.state
-        if state != UNHEALTHY or self._take_probe_turn():
-            try:
-                answers = self._service.query_batch(list(requests))
-            except UnknownUserError:
-                raise
-            except Exception:  # noqa: BLE001 - degrade per-request
-                self.health.record(False)
-            else:
-                self.health.record(True)
-                for answer in answers:
-                    self._count_tier("cached" if answer.cached else "full")
-                return answers
-        out: List[Recommendation] = []
-        for request in requests:
-            stale = self._stale_answer(request)
-            if stale is not None:
-                self._count_tier("stale")
-                out.append(stale)
-                continue
-            self._count_tier("fallback")
-            out.append(
-                self.fallback_answer(
-                    request.user_id,
-                    request.k if request.k is not None else self._service.default_k,
-                )
-            )
-        return out
+        answers = self._live_answers(requests)
+        if answers is None:
+            answers = [self._degraded_answer(request) for request in requests]
+        for answer in answers:
+            self._count_tier(answer.tier)
+        return answers
 
     # -- guarded hot-swap ----------------------------------------------
     def swap(self, checkpoint_path: str) -> int:
@@ -882,9 +878,8 @@ class ResilientService:
                 except _PERMANENT_SWAP_ERRORS:
                     self.breaker.record_failure()
                     self._swap_stats.rejected += 1
-                    quarantined = quarantine_checkpoint(checkpoint_path)
+                    quarantine(checkpoint_path)
                     self._swap_stats.quarantined += 1
-                    self._swap_stats.quarantine_paths.append(quarantined)
                     raise
                 except OSError:
                     self.breaker.record_failure()
@@ -905,7 +900,6 @@ class ResilientService:
                     f"{os.path.basename(previous_path)}"
                 )
             self.breaker.record_success()
-            self._last_good_path = checkpoint_path
             self._swap_stats.succeeded += 1
             self._build_fallback()
             return version
@@ -920,15 +914,6 @@ class ResilientService:
             return True
         except Exception:  # noqa: BLE001 - any probe failure rolls back
             return False
-
-    def rollback(self) -> int:
-        """Explicitly swap back to the last checkpoint that served well."""
-        with self._swap_lock:
-            version = self._service.swap(self._last_good_path)
-            self._version_paths[version] = self._last_good_path
-            self._swap_stats.rollbacks += 1
-            self._build_fallback()
-            return version
 
     def path_of_version(self, version: int) -> Optional[str]:
         """The checkpoint path a served model version was loaded from."""
@@ -990,10 +975,6 @@ class ResilientService:
         """Stop admitting new requests (graceful-shutdown step 1)."""
         self.admission.drain()
         self.stop_watching()
-
-    @property
-    def draining(self) -> bool:
-        return self.admission.draining
 
     def healthz(self) -> dict:
         """The ``/healthz`` body: liveness plus the degradation state."""

@@ -52,12 +52,18 @@ class QueryRequest:
 
     ``exclude`` masks item ids out of the ranking for this request only
     (on top of the service-level seen-item exclusion, if configured);
-    requests carrying it bypass the cache.
+    requests carrying it bypass the cache.  A ``k`` below 1 is a
+    malformed question and is refused here, as a :class:`ValueError`,
+    before it can reach (and crash) the scoring path.
     """
 
     user_id: int
     k: Optional[int] = None
     exclude: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Tests for the public API facade (``repro.api``) and deprecation shims.
+"""Tests for the public API facade (``repro.api``).
 
 The facade is the one blessed import surface: every name resolves, the
-six lifecycle verbs round-trip a real artefact, the old deep-import
-paths still work but warn, and the examples import only via the facade.
+six lifecycle verbs round-trip a real artefact, the deprecated
+deep-import verbs (their one-release window spent) are gone, and the
+examples import only via the facade.
 """
 
 import warnings
@@ -71,22 +72,17 @@ class TestDeprecationShims:
         trainer.run_epoch(1)
         return trainer
 
-    def test_deep_save_and_load_warn(self, trained, tmp_path):
-        from repro.federated.checkpoint import load_checkpoint, save_checkpoint
+    def test_old_deep_names_are_gone(self):
+        """PR 8's warning shims were kept "for one release"; each verb
+        now has one deep name (its ``*_impl``) and one public door."""
+        import repro.federated as federated
+        import repro.federated.checkpoint as checkpoint
 
-        path = str(tmp_path / "ckpt.npz")
-        with pytest.warns(DeprecationWarning, match="repro.api.save_checkpoint"):
-            save_checkpoint(trained, path)
-        with pytest.warns(DeprecationWarning, match="repro.api.resume"):
-            load_checkpoint(trained, path)
-
-    def test_deep_inference_load_warns(self, trained, tmp_path):
-        from repro.federated.checkpoint import load_inference_model
-
-        path = str(tmp_path / "ckpt.npz")
-        api.save_checkpoint(trained, path)
-        with pytest.warns(DeprecationWarning, match="repro.api.load_model"):
-            load_inference_model(path, "l")
+        for name in ("save_checkpoint", "load_checkpoint", "load_inference_model"):
+            assert not hasattr(checkpoint, name), name
+            assert not hasattr(federated, name), name
+            assert callable(getattr(checkpoint, name + "_impl"))
+        assert not hasattr(checkpoint, "_deprecated_verb")
 
     def test_facade_verbs_do_not_warn(self, trained, tmp_path):
         path = str(tmp_path / "ckpt.npz")

@@ -180,16 +180,31 @@ class TestAtomicWriteRule:
         src = 'with open("notes.txt", "w") as fh:\n    fh.write("hi")\n'
         assert rules_fired(src, SEEDED, "atomic-write") == []
 
+    MKSTEMP_HELPER = (
+        "import os, tempfile\n"
+        "def save(cache_path, blob):\n"
+        "    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cache_path))\n"
+        '    with os.fdopen(fd, "wb") as fh:\n'
+        "        fh.write(blob)\n"
+        "    os.replace(tmp, cache_path)\n"
+    )
+
     def test_mkstemp_fdopen_pattern_is_silent(self):
-        # The blessed helper: mkstemp + os.fdopen + os.replace never
-        # calls builtin open() on the final path.
+        # The blessed helper — mkstemp + os.fdopen + os.replace, never
+        # builtin open() on the final path — in the one file that owns it.
+        assert rules_fired(self.MKSTEMP_HELPER, "repro/io.py", "atomic-write") == []
+
+    def test_second_mkstemp_helper_fires(self):
+        # The same code anywhere else is a duplicate of repro.io.atomic_write.
+        assert rules_fired(self.MKSTEMP_HELPER, SEEDED, "atomic-write") == [
+            "atomic-write"
+        ]
+
+    def test_calling_the_helper_is_silent(self):
         src = (
-            "import os, tempfile\n"
+            "from repro.io import atomic_write\n"
             "def save(cache_path, blob):\n"
-            "    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(cache_path))\n"
-            '    with os.fdopen(fd, "wb") as fh:\n'
-            "        fh.write(blob)\n"
-            "    os.replace(tmp, cache_path)\n"
+            '    atomic_write(cache_path, lambda fh: fh.write(blob), "wb")\n'
         )
         assert rules_fired(src, SEEDED, "atomic-write") == []
 

@@ -15,10 +15,8 @@ from repro.federated.aggregation import padded_embedding_aggregate
 from repro.federated.availability import merge_duplicate_users
 from repro.federated.payload import ClientUpdate, SparseRowDelta, as_dense_delta
 from repro.federated.privacy import PrivacyConfig, protect_update
-from repro.federated.secure_agg import (
-    SecureAggregationConfig,
-    secure_aggregate_updates,
-)
+from repro.federated.secure_agg import SecureAggregationConfig
+from repro.federated.secure_protocol import run_secure_round
 from repro.robustness.attacks import AttackConfig, poison_update
 from repro.robustness.defenses import (
     robust_embedding_aggregate,
@@ -211,10 +209,10 @@ class TestSecureAggregationEquivalence:
     def test_masked_sum_matches_dense(self, rng):
         sparse, dense = paired_round(rng)
         config = SecureAggregationConfig(seed=3)
-        emb_sparse, heads_sparse = secure_aggregate_updates(
+        emb_sparse, heads_sparse, _ = run_secure_round(
             sparse, DIMS, config, round_id=1
         )
-        emb_dense, heads_dense = secure_aggregate_updates(
+        emb_dense, heads_dense, _ = run_secure_round(
             dense, DIMS, config, round_id=1
         )
         for group in DIMS:

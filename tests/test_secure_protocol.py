@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 
 from repro.federated.availability import AvailabilityConfig
 from repro.federated.payload import ClientUpdate, SparseRowDelta
-from repro.federated.secure_agg import (
-    FixedPointCodec,
-    SecureAggregationConfig,
-    secure_aggregate_updates,
-)
+from repro.federated.secure_agg import FixedPointCodec, SecureAggregationConfig
 from repro.federated.secure_protocol import (
     ADVERTISE,
     MASKED_INPUT,
@@ -228,16 +224,16 @@ class TestServerStateMachine:
 
 
 class TestRunSecureRound:
-    def test_zero_faults_matches_legacy_session_bitwise(self):
-        updates = make_updates([3, 7, 11, 19], seed=1)
-        legacy_emb, legacy_heads = secure_aggregate_updates(
-            updates, DIMS, CFG, round_id=1
-        )
+    def test_zero_faults_bitwise_equal_plain_fixed_point_sum(self):
+        """The zero-fault pin: every mask cancels, so the decoded sum is
+        the true oracle — encode, add in uint64, decode — bit for bit."""
+        ids = [3, 7, 11, 19]
+        updates = make_updates(ids, seed=1)
         emb, heads, report = run_secure_round(updates, DIMS, CFG, round_id=1)
         assert not report.aborted
-        assert report.survivors == [3, 7, 11, 19]
-        np.testing.assert_array_equal(emb["s"], legacy_emb["s"])
-        assert set(heads) == set(legacy_heads)
+        assert report.survivors == ids
+        np.testing.assert_array_equal(emb["s"], plain_fixed_point_sum(updates, ids))
+        assert heads == {}
 
     @pytest.mark.parametrize("phase", PHASES)
     def test_dropout_at_each_phase_conserves_survivor_sum(self, phase):

@@ -6,13 +6,18 @@ version-keyed and invalidated on swap, the coalescer's size and
 deadline triggers both fire, hot-swap is atomic under threaded
 concurrent queries (no dropped or mixed-model responses), an
 incompatible checkpoint is rejected *before* cutover, and the optional
-HTTP front end speaks the documented JSON routes.
+HTTP front end — driven as ``repro serve`` builds it, resilient service
+plus coalescer — speaks the documented JSON routes, sheds with 503 +
+``Retry-After``, answers every malformed request with a 400 instead of
+dropping the connection, and meters exactly like in-process ``query``.
 """
 
+import http.client
 import json
+import os
+import shutil
 import threading
-import urllib.error
-import urllib.request
+import time
 
 import numpy as np
 import pytest
@@ -28,13 +33,17 @@ from repro.federated.checkpoint import (
     save_checkpoint_impl,
 )
 from repro.serving import (
+    DeadlineExceededError,
     QueryRequest,
     RecommendationService,
     RequestCoalescer,
+    ResilienceConfig,
+    ResilientService,
     TopKCache,
     UnknownUserError,
     load_snapshot,
 )
+from repro.serving.chaos import ManualClock
 
 CONFIG = dict(dims={"s": 4, "m": 6, "l": 8}, epochs=2, local_epochs=1, lr=0.01)
 
@@ -319,70 +328,277 @@ class TestGroupOptional:
 
 
 # ----------------------------------------------------------------------
-# HTTP front end
+# HTTP front end (the production stack: ResilientService + coalescer)
 # ----------------------------------------------------------------------
+def http_stack(checkpoint, clock=None, **resilience):
+    """``(server, front)``: what ``repro serve`` stands up, on a free port."""
+    from repro.serving.http_api import ServingHTTPServer
+
+    service = RecommendationService(checkpoint, k=5)
+    kwargs = {} if clock is None else {"clock": clock, "sleep": clock.sleep}
+    front = ResilientService(service, ResilienceConfig(**resilience), **kwargs)
+    server = ServingHTTPServer(front, RequestCoalescer(front), ("127.0.0.1", 0))
+    # A short poll interval keeps shutdown() (fixture teardown) quick.
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    ).start()
+    return server, front
+
+
+def http_call(server, method, path, body=None, headers=None):
+    """One round trip on a fresh connection: ``(status, headers, json)``.
+
+    Never raises on an error status — and fails loudly if the server
+    drops the connection instead of answering.
+    """
+    conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+    try:
+        conn.putrequest(method, path)
+        headers = dict(headers or {})
+        if body is not None:
+            headers.setdefault("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, response.headers, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def swap_body(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
+#: Every malformed request the door must answer with a 400 (never a
+#: dropped connection, a hung handler or a health event).
+MALFORMED = {
+    "k=0": ("GET", "/v1/recommend?user={user}&k=0", None, None),
+    "k=-2": ("GET", "/v1/recommend?user={user}&k=-2", None, None),
+    "k=x": ("GET", "/v1/recommend?user={user}&k=x", None, None),
+    "user=x": ("GET", "/v1/recommend?user=x", None, None),
+    "no-user": ("GET", "/v1/recommend?k=3", None, None),
+    "priority=x": ("GET", "/v1/recommend?user={user}&priority=x", None, None),
+    "deadline=inf": ("GET", "/v1/recommend?user={user}&deadline_ms=inf", None, None),
+    "deadline=nan": ("GET", "/v1/recommend?user={user}&deadline_ms=nan", None, None),
+    "deadline=0": ("GET", "/v1/recommend?user={user}&deadline_ms=0", None, None),
+    "deadline=-5": ("GET", "/v1/recommend?user={user}&deadline_ms=-5", None, None),
+    "swap-list": ("POST", "/v1/swap", swap_body([]), None),
+    "swap-null": ("POST", "/v1/swap", swap_body(None), None),
+    "swap-string": ("POST", "/v1/swap", swap_body("x"), None),
+    "swap-no-key": ("POST", "/v1/swap", swap_body({}), None),
+    "swap-int-path": ("POST", "/v1/swap", swap_body({"checkpoint": 5}), None),
+    "swap-null-path": ("POST", "/v1/swap", swap_body({"checkpoint": None}), None),
+    "swap-not-json": ("POST", "/v1/swap", b"{", None),
+    "swap-empty": ("POST", "/v1/swap", b"", None),
+    "length=-1": ("POST", "/v1/swap", None, {"Content-Length": "-1"}),
+    "length=x": ("POST", "/v1/swap", None, {"Content-Length": "x"}),
+    "length=huge": ("POST", "/v1/swap", None, {"Content-Length": str(10**9)}),
+    "length-missing": ("POST", "/v1/swap", None, None),
+}
+
+
 class TestHTTP:
     @pytest.fixture()
     def server(self, checkpoints):
-        from repro.serving.http_api import ServingHTTPServer
-
-        service = RecommendationService(checkpoints["paths"]["v1"], k=5)
-        server = ServingHTTPServer(service, ("127.0.0.1", 0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server, _ = http_stack(
+            checkpoints["paths"]["v1"], admission_capacity=2, max_waiting=0
+        )
         yield server
         server.shutdown()
         server.server_close()
 
     def get(self, server, path):
-        port = server.server_address[1]
-        with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as response:
-            return json.loads(response.read())
-
-    def post(self, server, path, payload):
-        port = server.server_address[1]
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{port}{path}",
-            data=json.dumps(payload).encode(),
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request) as response:
-            return json.loads(response.read())
+        """Body of a GET that must succeed."""
+        status, _, body = http_call(server, "GET", path)
+        assert status == 200, body
+        return body
 
     def test_healthz(self, server):
         body = self.get(server, "/healthz")
         assert body["status"] == "ok" and body["model_version"] == 1
+        assert body["breaker"] == "closed" and body["active_tier_floor"] == "full"
 
     def test_recommend_roundtrip(self, server, checkpoints):
         user = checkpoints["clients"][0].user_id
         body = self.get(server, f"/v1/recommend?user={user}&k=3")
         assert len(body["items"]) == 3 and body["user"] == user
+        assert body["tier"] == "full"
         reference = top_ids(checkpoints["expected"]["v1"][user], 3)
         assert body["items"] == reference.tolist()
 
     def test_unknown_user_is_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self.get(server, "/v1/recommend?user=999999")
-        assert excinfo.value.code == 404
+        status, _, body = http_call(server, "GET", "/v1/recommend?user=999999")
+        assert status == 404 and "999999" in body["error"]
+        # A client error is not a health event.
+        assert self.get(server, "/healthz")["status"] == "ok"
 
     def test_missing_user_param_is_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self.get(server, "/v1/recommend?k=3")
-        assert excinfo.value.code == 400
+        status, _, _ = http_call(server, "GET", "/v1/recommend?k=3")
+        assert status == 400
 
     def test_stats_includes_coalescer(self, server):
         body = self.get(server, "/v1/stats")
         assert "coalescer" in body and body["model_version"] == 1
+        assert body["resilience"]["admission"]["capacity"] == 2
 
-    def test_swap_and_mismatch(self, server, checkpoints):
-        body = self.post(
-            server, "/v1/swap", {"checkpoint": checkpoints["paths"]["v2"]}
+    def test_swap_and_mismatch(self, server, checkpoints, tmp_path):
+        status, _, body = http_call(
+            server, "POST", "/v1/swap",
+            swap_body({"checkpoint": checkpoints["paths"]["v2"]}),
         )
-        assert body == {"status": "swapped", "model_version": 2}
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self.post(
-                server, "/v1/swap", {"checkpoint": checkpoints["paths"]["mf"]}
-            )
-        assert excinfo.value.code == 409
+        assert status == 200 and body == {"status": "swapped", "model_version": 2}
+        # The guarded swap quarantines a mismatched candidate: offer a copy.
+        mismatched = str(tmp_path / "mf.npz")
+        shutil.copyfile(checkpoints["paths"]["mf"], mismatched)
+        status, _, _ = http_call(
+            server, "POST", "/v1/swap", swap_body({"checkpoint": mismatched})
+        )
+        assert status == 409
+        assert os.path.exists(str(tmp_path / "mf.corrupt"))
         assert self.get(server, "/healthz")["model_version"] == 2
+
+    def test_missing_checkpoint_is_400(self, server, tmp_path):
+        status, _, body = http_call(
+            server, "POST", "/v1/swap",
+            swap_body({"checkpoint": str(tmp_path / "never.npz")}),
+        )
+        assert status == 400 and body["error"].startswith("checkpoint unreadable")
+
+    def test_full_admission_queue_is_503_with_retry_after(self, server, checkpoints):
+        user = checkpoints["clients"][0].user_id
+        held = [server.front.try_admit() for _ in range(2)]  # capacity, no wait room
+        status, headers, body = http_call(server, "GET", f"/v1/recommend?user={user}")
+        assert status == 503 and "queue full" in body["error"]
+        assert int(headers["Retry-After"]) >= 1
+        for ticket in held:
+            server.front.admission.release(ticket)
+        status, _, body = http_call(server, "GET", f"/v1/recommend?user={user}")
+        assert status == 200 and body["tier"] == "full"
+
+    def test_drain_is_503_with_retry_after(self, server, checkpoints):
+        user = checkpoints["clients"][0].user_id
+        server.front.drain()
+        status, headers, body = http_call(server, "GET", f"/v1/recommend?user={user}")
+        assert status == 503 and "draining" in body["error"]
+        assert int(headers["Retry-After"]) >= 1
+        status, _, body = http_call(server, "GET", "/healthz")
+        assert status == 503 and body["status"] == "draining"
+
+    def test_expired_deadline_is_504_and_metered(self, server, checkpoints):
+        user = checkpoints["clients"][0].user_id
+        # A 0.1µs budget is spent before the coalescer can flush.
+        status, _, body = http_call(
+            server, "GET", f"/v1/recommend?user={user}&deadline_ms=0.0001"
+        )
+        assert status == 504 and "deadline" in body["error"]
+        stats = self.get(server, "/v1/stats")["resilience"]
+        assert stats["deadline_overruns"] == 1
+        assert stats["admission"]["executing"] == 0  # the slot came back
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_request_is_400_and_harmless(self, server, checkpoints, case):
+        users = [c.user_id for c in checkpoints["clients"]]
+        method, path, body, headers = MALFORMED[case]
+        status, _, reply = http_call(
+            server, method, path.format(user=users[0]), body, headers
+        )
+        assert status == 400 and isinstance(reply["error"], str)
+        # The server shrugged it off: healthy, nothing recorded as a model
+        # failure, and the next well-formed request gets live scoring.
+        status, _, health = http_call(server, "GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
+        window = server.front.stats()["resilience"]["health"]
+        assert window["failures_in_window"] == 0
+        status, _, answer = http_call(server, "GET", f"/v1/recommend?user={users[1]}")
+        assert status == 200 and answer["tier"] == "full"
+        assert server.front.admission.executing == 0
+
+    def test_unknown_post_route_is_404(self, server):
+        status, _, body = http_call(server, "POST", "/v1/nope", b"{}")
+        assert status == 404 and "no route" in body["error"]
+
+
+class TestOneAdmissionDriver:
+    """``ResilientService.query`` and the HTTP path are the same driver:
+    for the same scripted wait and the same scripted scoring time they
+    feed the wait estimate the same ``service_seconds`` and meter the
+    same overruns."""
+
+    SCORING_S = 0.05
+    WAIT_S = 0.30
+
+    def drive(self, checkpoints, over_http: bool) -> dict:
+        clock = ManualClock()
+        server, front = http_stack(
+            checkpoints["paths"]["v1"], clock=clock,
+            admission_capacity=1, max_waiting=1,
+        )
+        users = [c.user_id for c in checkpoints["clients"]]
+        inner = front.service
+        score = inner.query_batch
+
+        def slow(requests):
+            clock.advance(self.SCORING_S)  # scoring costs scripted time
+            return score(requests)
+
+        inner.query_batch = slow
+        outcomes = []
+
+        def ask(user, deadline_ms):
+            if over_http:
+                status, _, _ = http_call(
+                    server, "GET",
+                    f"/v1/recommend?user={user}&deadline_ms={deadline_ms}",
+                )
+                outcomes.append(status)
+                return
+            try:
+                front.query(user, deadline_ms=deadline_ms)
+                outcomes.append(200)
+            except DeadlineExceededError:
+                outcomes.append(504)
+
+        try:
+            # 1. Waits WAIT_S behind a held slot, then scores in SCORING_S.
+            holder = front.try_admit()
+            waiter = threading.Thread(target=ask, args=(users[0], 1000.0))
+            waiter.start()
+            for _ in range(2000):
+                if front.admission.waiting == 1:
+                    break
+                time.sleep(0.001)
+            assert front.admission.waiting == 1
+            clock.advance(self.WAIT_S)
+            front.admission.release(holder)
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            # 2. Scores (SCORING_S) past a 10ms budget: one overrun.
+            ask(users[1], 10.0)
+            # 3. The budget runs out in the wait room: cancelled, not an overrun.
+            holder = front.try_admit()
+            ask(users[2], 100.0)
+            front.admission.release(holder)
+        finally:
+            server.shutdown()
+            server.server_close()
+        stats = front.stats()["resilience"]
+        return {
+            "outcomes": outcomes,
+            "ema_service_ms": round(stats["admission"]["ema_service_ms"], 6),
+            "deadline_overruns": stats["deadline_overruns"],
+            "wasted_ms": stats["wasted_ms"],
+            "cancelled": stats["admission"]["cancelled"],
+        }
+
+    def test_query_and_http_meter_identically(self, checkpoints):
+        in_process = self.drive(checkpoints, over_http=False)
+        over_http = self.drive(checkpoints, over_http=True)
+        assert in_process == over_http
+        assert in_process["outcomes"] == [200, 504, 504]
+        # service_seconds = SCORING_S both times, never WAIT_S + SCORING_S:
+        # two EMA steps of 0.2 from the 10ms seed towards 50ms.
+        assert in_process["ema_service_ms"] == pytest.approx(24.4)
+        assert in_process["deadline_overruns"] == 1
+        assert in_process["wasted_ms"] == pytest.approx(self.SCORING_S * 1000.0)
+        assert in_process["cancelled"] == 1
