@@ -17,6 +17,8 @@ import os
 
 import pytest
 
+from repro.experiments.reporting import write_artefact
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 #: Default architectures per artefact.  Table II / Fig. 6 / Fig. 7 cover
@@ -28,13 +30,6 @@ SWEEP_ARCHS = ("ncf",)
 GENERALISATION_ARCHS = ("lightgcn",)
 
 
-def save_artifact(name: str, text: str) -> None:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.txt")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-
-
 @pytest.fixture()
 def artifact():
     """Provide a writer that both prints and persists the artefact."""
@@ -42,7 +37,7 @@ def artifact():
     def write(name: str, text: str) -> str:
         print()
         print(text)
-        save_artifact(name, text)
+        write_artefact(RESULTS_DIR, name, text)
         return text
 
     return write

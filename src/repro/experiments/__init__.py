@@ -1,10 +1,13 @@
-"""Experiment harness: one runner per paper table/figure.
+"""Experiment harness: one module per paper table/figure.
 
 Every artefact of the paper's evaluation section has a module here that
-(1) runs the required training jobs through the shared
-:mod:`repro.experiments.runner`, (2) returns structured rows, and
-(3) formats them the way the paper prints them.  Benchmarks under
-``benchmarks/`` are thin wrappers over these runners.
+declares its training grid **once** (``*_grid``: a nested ``label → … →``
+:class:`RunSpec` mapping in the shape its formatter consumes), runs it
+through the shared :func:`repro.experiments.runner.run_tree` (``run_*``:
+same shape, a :class:`RunResult` per leaf) and formats it the way the
+paper prints it (``format_*``).  :mod:`repro.experiments.run_all`
+registers each as *(grid, run, format)* and derives the suite's deduped
+warm-up from the grids; ``benchmarks/`` wraps the ``run_*`` functions.
 
 Artefact index (see DESIGN.md §4):
 Table I → :mod:`table1`; Fig. 1 → :mod:`fig1`; Table II → :mod:`table2`;

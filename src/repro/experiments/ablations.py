@@ -4,9 +4,9 @@ DESIGN.md documents several decisions the paper leaves open (Θ
 aggregation mode, server update rule, distillation subset size) and the
 extensions this repo adds (compression, robustness).  Each runner here
 measures one of those choices the same way the paper's tables measure
-its components, declaring its grid as :class:`~repro.experiments.runner.
-RunSpec` lists and fetching results through the shared cached
-:func:`repro.experiments.runner.run_grid` executor where possible.
+its components, declaring its grid once as a label → :class:`~repro.
+experiments.runner.RunSpec` mapping and running it through the shared
+cached :func:`repro.experiments.runner.run_tree` where it trains.
 
 Runners (one per ablation bench):
 
@@ -30,7 +30,7 @@ Runners (one per ablation bench):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.compression.codecs import CompressionConfig
 from repro.core.distillation import DistillationConfig
@@ -39,7 +39,7 @@ from repro.data.synthetic import load_benchmark_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.profiles import get_profile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, build_config, run_grid
+from repro.experiments.runner import RunResult, RunSpec, build_config, run_tree
 from repro.federated.aggregation import AggregationConfig
 from repro.federated.privacy import PrivacyConfig
 from repro.federated.secure_agg import SecureAggregationConfig
@@ -51,18 +51,10 @@ from repro.robustness.harness import AdversarialHeteFedRec
 DATASET = "ml"  # ablations probe design choices; one dataset suffices
 
 
-def _labelled_grid(
-    specs: Dict[str, RunSpec], jobs: Optional[int]
-) -> Dict[str, RunResult]:
-    """Run a label→spec mapping through the grid executor, keeping labels."""
-    grid = run_grid(list(specs.values()), jobs=jobs)
-    return {label: grid[spec] for label, spec in specs.items()}
-
-
 # ----------------------------------------------------------------------
 # Θ aggregation mode
 # ----------------------------------------------------------------------
-def theta_mode_specs(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
+def theta_mode_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
     return {
         # No override for the default arm — it shares the Table II cache entry.
         "theta mean (default)": RunSpec(
@@ -79,7 +71,7 @@ def run_theta_mode(
     profile: str = "bench", arch: str = "ncf", jobs: Optional[int] = None
 ) -> Dict[str, RunResult]:
     """HeteFedRec with Θ averaged (default) vs summed (Eq. 15 verbatim)."""
-    return _labelled_grid(theta_mode_specs(profile, arch), jobs)
+    return run_tree(theta_mode_grid(profile, arch), jobs)
 
 
 def format_theta_mode(results: Dict[str, RunResult]) -> str:
@@ -102,7 +94,7 @@ _SERVER_RULES: Tuple[Tuple[str, object], ...] = (
 )
 
 
-def server_optimizer_specs(
+def server_optimizer_grid(
     profile: str = "bench", arch: str = "ncf"
 ) -> Dict[str, RunSpec]:
     return {
@@ -118,7 +110,7 @@ def run_server_optimizer(
     profile: str = "bench", arch: str = "ncf", jobs: Optional[int] = None
 ) -> Dict[str, RunResult]:
     """Aggregated deltas applied directly vs through adaptive server rules."""
-    return _labelled_grid(server_optimizer_specs(profile, arch), jobs)
+    return run_tree(server_optimizer_grid(profile, arch), jobs)
 
 
 def format_server_optimizer(results: Dict[str, RunResult]) -> str:
@@ -142,7 +134,7 @@ _CODECS: Tuple[Tuple[str, object], ...] = (
 )
 
 
-def compression_specs(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
+def compression_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
     return {
         label: RunSpec(
             DATASET, "hetefedrec", arch=arch, profile=profile,
@@ -156,7 +148,7 @@ def run_compression(
     profile: str = "bench", arch: str = "ncf", jobs: Optional[int] = None
 ) -> Dict[str, RunResult]:
     """Upload codecs: ranking quality vs bytes on the wire."""
-    return _labelled_grid(compression_specs(profile, arch), jobs)
+    return run_tree(compression_grid(profile, arch), jobs)
 
 
 def format_compression(results: Dict[str, RunResult]) -> str:
@@ -175,7 +167,7 @@ def format_compression(results: Dict[str, RunResult]) -> str:
 # ----------------------------------------------------------------------
 # RESKD subset size
 # ----------------------------------------------------------------------
-def kd_subset_specs(
+def kd_subset_grid(
     profile: str = "bench",
     arch: str = "ncf",
     sizes: Sequence[int] = (8, 32, 128),
@@ -201,7 +193,7 @@ def run_kd_subset(
     jobs: Optional[int] = None,
 ) -> Dict[str, RunResult]:
     """|V_kd| sweep: the paper subsamples 'to avoid heavy computation'."""
-    return _labelled_grid(kd_subset_specs(profile, arch, sizes), jobs)
+    return run_tree(kd_subset_grid(profile, arch, sizes), jobs)
 
 
 def format_kd_subset(results: Dict[str, RunResult]) -> str:
@@ -216,16 +208,18 @@ def format_kd_subset(results: Dict[str, RunResult]) -> str:
 # ----------------------------------------------------------------------
 # Architecture generality (NCF / LightGCN / GMF)
 # ----------------------------------------------------------------------
-def arch_comparison_specs(
+def arch_comparison_grid(
     profile: str = "bench",
     archs: Sequence[str] = ("ncf", "lightgcn", "mf"),
     dataset: str = "anime",
-) -> List[RunSpec]:
-    return [
-        RunSpec(dataset, method, arch=arch, profile=profile)
+) -> Dict[str, Dict[str, RunSpec]]:
+    return {
+        arch: {
+            method: RunSpec(dataset, method, arch=arch, profile=profile)
+            for method in ("all_small", "hetefedrec")
+        }
         for arch in archs
-        for method in ("all_small", "hetefedrec")
-    ]
+    }
 
 
 def run_arch_comparison(
@@ -241,14 +235,7 @@ def run_arch_comparison(
     architecture comparison is not confounded by differential
     overtraining (see EXPERIMENTS.md on the ML analogue).
     """
-    grid = run_grid(arch_comparison_specs(profile, archs, dataset), jobs=jobs)
-    return {
-        arch: {
-            method: grid[RunSpec(dataset, method, arch=arch, profile=profile)]
-            for method in ("all_small", "hetefedrec")
-        }
-        for arch in archs
-    }
+    return run_tree(arch_comparison_grid(profile, archs, dataset), jobs)
 
 
 def format_arch_comparison(results: Dict[str, Dict[str, RunResult]]) -> str:
@@ -279,7 +266,7 @@ _PRIVACY_ARMS: Tuple[Tuple[str, Optional[PrivacyConfig], bool], ...] = (
 )
 
 
-def privacy_specs(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
+def privacy_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
     specs: Dict[str, RunSpec] = {}
     for label, privacy, secure in _PRIVACY_ARMS:
         overrides: Dict[str, object] = {}
@@ -305,7 +292,7 @@ def run_privacy(
     secure-aggregation arm additionally pays the honest protocol wire
     cost, visible in the communication column.
     """
-    return _labelled_grid(privacy_specs(profile, arch), jobs)
+    return run_tree(privacy_grid(profile, arch), jobs)
 
 
 def format_privacy(results: Dict[str, RunResult]) -> str:
@@ -331,9 +318,9 @@ def run_robustness(
 ) -> Dict[str, Tuple[float, float]]:
     """{clean, attacked} × {undefended, defended} → (recall, ndcg).
 
-    Not routed through the run cache: the adversarial trainer is not a
-    registry method and the quadrants share one dataset instance anyway.
-    Metrics are measured over honest clients only.
+    Not routed through the run cache (the adversarial trainer is not a
+    registry method), but trained on the fused engine and scored blocked
+    like every other artefact; metrics cover honest clients only.
     """
     prof = get_profile(profile)
     data = load_benchmark_dataset(DATASET, prof.synthetic_config())
@@ -355,8 +342,8 @@ def run_robustness(
             data.num_items, clients, config, attack=atk, defense=dfs
         )
         trainer.fit()
-        evaluation = evaluator.evaluate(
-            trainer.score_all_items, user_subset=trainer.honest_clients()
+        evaluation = trainer.evaluate_with(
+            evaluator, user_subset=trainer.honest_clients()
         )
         results[label] = (evaluation.recall, evaluation.ndcg)
     return results

@@ -1,7 +1,8 @@
 """Fig. 6 — per-group NDCG breakdown (U_s / U_m / U_l).
 
-Reuses the Table II training runs (the runner cache makes this free) and
-prints the group-level NDCG@20 for the methods the paper highlights.
+A slice of the Table II grid (the focus methods' runs are the same cache
+entries); prints the group-level NDCG@20 for the methods the paper
+highlights.
 """
 
 from __future__ import annotations
@@ -11,26 +12,21 @@ from typing import Dict, List, Optional, Sequence
 from repro.baselines.registry import DISPLAY_NAMES
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_grid
+from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.table2 import DATASETS, table2_grid
 
 FOCUS_METHODS = ("all_small", "all_large", "hetefedrec")
-DATASETS = ("ml", "anime", "douban")
 
 
-def fig6_specs(
+def fig6_grid(
     profile: str | ExperimentProfile = "bench",
     datasets: Sequence[str] = DATASETS,
     archs: Sequence[str] = ("ncf", "lightgcn"),
     methods: Sequence[str] = FOCUS_METHODS,
     seed: int = 0,
-) -> List[RunSpec]:
-    """Fig. 6's runs as specs — a subset of the Table II grid."""
-    return [
-        RunSpec(dataset, method, arch=arch, profile=profile, seed=seed)
-        for arch in archs
-        for dataset in datasets
-        for method in methods
-    ]
+) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
+    """Table II's grid restricted to the focus methods."""
+    return table2_grid(profile, datasets, archs, methods, seed)
 
 
 def run_fig6(
@@ -42,21 +38,7 @@ def run_fig6(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][dataset][method]`` with per-group metrics inside."""
-    grid = run_grid(
-        fig6_specs(profile, datasets, archs, methods, seed), jobs=jobs
-    )
-    return {
-        arch: {
-            dataset: {
-                method: grid[
-                    RunSpec(dataset, method, arch=arch, profile=profile, seed=seed)
-                ]
-                for method in methods
-            }
-            for dataset in datasets
-        }
-        for arch in archs
-    }
+    return run_tree(fig6_grid(profile, datasets, archs, methods, seed), jobs)
 
 
 def format_fig6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:

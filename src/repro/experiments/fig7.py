@@ -2,7 +2,7 @@
 
 Compares All Small, All Large and HeteFedRec on one dataset (the paper
 shows MovieLens; other datasets behave alike).  The curves come straight
-from the trainers' evaluation history.
+from the trainers' evaluation history of Table II's runs.
 """
 
 from __future__ import annotations
@@ -12,24 +12,22 @@ from typing import Dict, List, Optional, Sequence
 from repro.baselines.registry import DISPLAY_NAMES
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_series
-from repro.experiments.runner import RunResult, RunSpec, run_grid
+from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.table2 import table2_grid
 
 CURVE_METHODS = ("all_small", "all_large", "hetefedrec")
 
 
-def fig7_specs(
+def fig7_grid(
     profile: str | ExperimentProfile = "bench",
     dataset: str = "ml",
     archs: Sequence[str] = ("ncf", "lightgcn"),
     methods: Sequence[str] = CURVE_METHODS,
     seed: int = 0,
-) -> List[RunSpec]:
-    """Fig. 7's runs as specs — Table II's MovieLens column."""
-    return [
-        RunSpec(dataset, method, arch=arch, profile=profile, seed=seed)
-        for arch in archs
-        for method in methods
-    ]
+) -> Dict[str, Dict[str, RunSpec]]:
+    """One dataset column of the Table II grid, ``grid[arch][method]``."""
+    columns = table2_grid(profile, (dataset,), archs, methods, seed)
+    return {arch: per_dataset[dataset] for arch, per_dataset in columns.items()}
 
 
 def run_fig7(
@@ -41,22 +39,14 @@ def run_fig7(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
     """``results[arch][method]`` with ndcg_curve populated."""
-    grid = run_grid(fig7_specs(profile, dataset, archs, methods, seed), jobs=jobs)
-    return {
-        arch: {
-            method: grid[
-                RunSpec(dataset, method, arch=arch, profile=profile, seed=seed)
-            ]
-            for method in methods
-        }
-        for arch in archs
-    }
+    return run_tree(fig7_grid(profile, dataset, archs, methods, seed), jobs)
 
 
 def format_fig7(results: Dict[str, Dict[str, RunResult]]) -> str:
     blocks: List[str] = []
     for arch, per_method in results.items():
-        blocks.append(f"Fig. 7 ({arch} on ml): NDCG@20 during training")
+        dataset = next(iter(per_method.values())).dataset
+        blocks.append(f"Fig. 7 ({arch} on {dataset}): NDCG@20 during training")
         for method, run in per_method.items():
             label = f"  {DISPLAY_NAMES.get(method, method)} (epoch → NDCG@20)"
             blocks.append(format_series(run.ndcg_curve, label=label))

@@ -11,37 +11,35 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_series
-from repro.experiments.runner import RunResult, RunSpec, run_grid
+from repro.experiments.runner import RunResult, RunSpec, run_tree
 
 #: The sweep includes the paper's grid (0.5–2.0) plus the small-scale
 #: operating region; the interior-peak *shape* is the reproduction target.
 DEFAULT_ALPHAS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0)
 
 
-def _alpha_spec(dataset: str, arch: str, profile, seed: int, alpha: float) -> RunSpec:
-    return RunSpec(
-        dataset,
-        "hetefedrec",
-        arch=arch,
-        profile=profile,
-        seed=seed,
-        config_overrides={"alpha": float(alpha)},
-    )
-
-
-def fig8_specs(
+def fig8_grid(
     profile: str | ExperimentProfile = "bench",
     dataset: str = "ml",
     archs: Sequence[str] = ("ncf", "lightgcn"),
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     seed: int = 0,
-) -> List[RunSpec]:
-    """The α sweep as run specs."""
-    return [
-        _alpha_spec(dataset, arch, profile, seed, alpha)
+) -> Dict[str, Dict[float, RunSpec]]:
+    """The α sweep, ``grid[arch][alpha]`` in ascending α."""
+    return {
+        arch: {
+            float(alpha): RunSpec(
+                dataset,
+                "hetefedrec",
+                arch=arch,
+                profile=profile,
+                seed=seed,
+                config_overrides={"alpha": float(alpha)},
+            )
+            for alpha in sorted(alphas)
+        }
         for arch in archs
-        for alpha in sorted(alphas)
-    ]
+    }
 
 
 def run_fig8(
@@ -53,14 +51,8 @@ def run_fig8(
     jobs: Optional[int] = None,
 ) -> Dict[str, List[Tuple[float, RunResult]]]:
     """``results[arch] = [(alpha, run), ...]`` sorted by alpha."""
-    grid = run_grid(fig8_specs(profile, dataset, archs, alphas, seed), jobs=jobs)
-    return {
-        arch: [
-            (float(alpha), grid[_alpha_spec(dataset, arch, profile, seed, alpha)])
-            for alpha in sorted(alphas)
-        ]
-        for arch in archs
-    }
+    runs = run_tree(fig8_grid(profile, dataset, archs, alphas, seed), jobs)
+    return {arch: list(per_alpha.items()) for arch, per_alpha in runs.items()}
 
 
 def format_fig8(results: Dict[str, List[Tuple[float, RunResult]]]) -> str:
@@ -69,7 +61,7 @@ def format_fig8(results: Dict[str, List[Tuple[float, RunResult]]]) -> str:
         blocks.append(
             format_series(
                 [(alpha, run.ndcg) for alpha, run in series],
-                label=f"Fig. 8 ({arch} on ml): α → NDCG@20",
+                label=f"Fig. 8 ({arch} on {series[0][1].dataset}): α → NDCG@20",
             )
         )
     return "\n\n".join(blocks)

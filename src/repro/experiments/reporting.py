@@ -7,7 +7,10 @@ ASCII bars), which is what a terminal-only reproduction can ship.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import os
+from typing import Callable, Iterable, List, Mapping, Sequence
+
+from repro.io import atomic_write
 
 
 def format_table(
@@ -42,6 +45,44 @@ def format_table(
     parts.append(line(["-" * w for w in widths]))
     parts.extend(line(row) for row in rendered_rows)
     return "\n".join(parts)
+
+
+def format_recall_ndcg_blocks(
+    results: Mapping[str, Mapping[str, Mapping[str, object]]],
+    row_header: str,
+    title: str,
+    row_label: Callable[[str], str] = str,
+) -> str:
+    """One table per architecture of ``results[arch][dataset][label]``.
+
+    A row per label (in the first dataset's order), a Recall/NDCG column
+    pair per dataset; ``title`` is formatted with ``arch``.  The layout
+    Tables II and IV share.
+    """
+    blocks: List[str] = []
+    for arch, per_dataset in results.items():
+        headers = [row_header]
+        for dataset in per_dataset:
+            headers += [f"{dataset}:Recall", f"{dataset}:NDCG"]
+        rows = []
+        for label in next(iter(per_dataset.values())):
+            row: List = [row_label(label)]
+            for runs in per_dataset.values():
+                row += [runs[label].recall, runs[label].ndcg]
+            rows.append(row)
+        blocks.append(format_table(headers, rows, title=title.format(arch=arch)))
+    return "\n\n".join(blocks)
+
+
+def write_artefact(out_dir: str, name: str, text: str) -> str:
+    """Write one rendered artefact to ``<out_dir>/<name>.txt``; returns the path.
+
+    Atomic, so a killed regeneration never leaves a half-written table
+    next to the committed ones.
+    """
+    path = os.path.join(out_dir, f"{name}.txt")
+    atomic_write(path, lambda handle: handle.write(text + "\n"))
+    return path
 
 
 def ascii_bar(value: float, maximum: float, width: int = 40) -> str:

@@ -12,9 +12,11 @@ training jobs) costs one training run, not three.
 
 Grid execution
 --------------
-Experiment modules declare their grids as lists of :class:`RunSpec`
-(a hashable run descriptor — the same parameters ``run_method`` takes)
-and hand them to :func:`run_grid`, which
+Experiment modules declare each grid once, as a nested ``label → … →``
+:class:`RunSpec` mapping (a hashable run descriptor — the same
+parameters ``run_method`` takes), and hand it to :func:`run_tree`, which
+runs the leaves through :func:`run_grid` and returns the same shape with
+results at the leaves.  ``run_grid``
 
 1. dedupes identical specs *before* dispatch (overlapping grids such as
    Table II / Fig. 6 / Fig. 7 collapse to one training job per unique
@@ -132,26 +134,20 @@ class RunSpec:
 
     def cache_params(self) -> Dict[str, Any]:
         """The exact parameter dict the cache key is derived from."""
-        prof = self.resolved_profile()
         overrides = dict(self.config_overrides or {})
         return dict(
             dataset=self.dataset,
             method=self.method,
             arch=self.arch,
-            profile=prof.name,
-            scale=prof.scale,
-            item_scale=prof.item_scale,
-            epochs=prof.epochs,
-            local_epochs=prof.local_epochs,
-            lr=prof.lr,
+            # Every profile field: profiles that differ anywhere (cohort
+            # size, dataset seed, ...) are different runs.
+            profile=asdict(self.resolved_profile()),
             seed=self.seed,
             overrides={k: repr(v) for k, v in sorted(overrides.items())},
-            # Bump to invalidate on semantic changes.  v4: PR 2 changed
-            # the training stream (DDR row subsets drawn once per round
-            # instead of per epoch) without bumping, so v3 caches could
-            # hold pre-change results that masked the drift — any v3
-            # entry is untrustworthy.
-            version=4,
+            # Bump to invalidate on semantic changes.  v5: v4 keys omitted
+            # ``clients_per_round`` and the profile's dataset seed, so a
+            # v4 entry may have been trained under another value of either.
+            version=5,
         )
 
     def key(self) -> str:
@@ -479,6 +475,31 @@ def run_grid(
                     results[key] = future.result()
 
     return {spec: results[key] for key, spec in unique.items()}
+
+
+def tree_specs(tree: "RunSpec | Mapping[Any, Any]") -> List[RunSpec]:
+    """The leaves of a nested ``label → … → RunSpec`` mapping, in order."""
+    if isinstance(tree, RunSpec):
+        return [tree]
+    return [spec for child in tree.values() for spec in tree_specs(child)]
+
+
+def run_tree(tree: Mapping[Any, Any], jobs: Optional[int] = None) -> Dict[Any, Any]:
+    """Run a nested ``label → … → RunSpec`` mapping through :func:`run_grid`.
+
+    An artefact declares its grid once, in the shape its formatter
+    consumes (``grid[arch][dataset][label]``); this executes the leaves
+    as one deduped grid and hands back the same shape with a
+    :class:`RunResult` in place of each :class:`RunSpec`.
+    """
+    grid = run_grid(tree_specs(tree), jobs=jobs)
+
+    def fill(node):
+        if isinstance(node, RunSpec):
+            return grid[node]
+        return {label: fill(child) for label, child in node.items()}
+
+    return fill(tree)
 
 
 def clear_cache() -> int:

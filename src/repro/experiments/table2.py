@@ -1,37 +1,41 @@
 """Table II — overall comparison of HeteFedRec against all six baselines.
 
 Seven methods × {Fed-NCF, Fed-LightGCN} × three datasets, reporting
-Recall@20 / NDCG@20.  The runs are shared (via the runner cache) with
-Fig. 6 and Fig. 7, which analyse the same training jobs.
+Recall@20 / NDCG@20.  Fig. 6 and Fig. 7 analyse slices of the same grid,
+so their runs are the same cache entries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.baselines.registry import DISPLAY_NAMES, TABLE2_ORDER
 from repro.experiments.profiles import ExperimentProfile
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_grid
+from repro.experiments.reporting import format_recall_ndcg_blocks
+from repro.experiments.runner import RunResult, RunSpec, run_tree
 
 DATASETS = ("ml", "anime", "douban")
 ARCHS = ("ncf", "lightgcn")
 
 
-def table2_specs(
+def table2_grid(
     profile: str | ExperimentProfile = "bench",
     datasets: Sequence[str] = DATASETS,
     archs: Sequence[str] = ARCHS,
     methods: Sequence[str] = TABLE2_ORDER,
     seed: int = 0,
-) -> List[RunSpec]:
-    """The full Table II grid as run specs (shared with Fig. 6 / Fig. 7)."""
-    return [
-        RunSpec(dataset, method, arch=arch, profile=profile, seed=seed)
+) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
+    """The Table II grid, ``grid[arch][dataset][method]``."""
+    return {
+        arch: {
+            dataset: {
+                method: RunSpec(dataset, method, arch=arch, profile=profile, seed=seed)
+                for method in methods
+            }
+            for dataset in datasets
+        }
         for arch in archs
-        for dataset in datasets
-        for method in methods
-    ]
+    }
 
 
 def run_table2(
@@ -43,43 +47,17 @@ def run_table2(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """Run the full grid; returns ``results[arch][dataset][method]``."""
-    grid = run_grid(
-        table2_specs(profile, datasets, archs, methods, seed), jobs=jobs
-    )
-    return {
-        arch: {
-            dataset: {
-                method: grid[
-                    RunSpec(dataset, method, arch=arch, profile=profile, seed=seed)
-                ]
-                for method in methods
-            }
-            for dataset in datasets
-        }
-        for arch in archs
-    }
+    return run_tree(table2_grid(profile, datasets, archs, methods, seed), jobs)
 
 
 def format_table2(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
     """Paper-layout rendering: one block per architecture."""
-    blocks: List[str] = []
-    for arch, per_dataset in results.items():
-        datasets = list(per_dataset)
-        headers = ["Method"]
-        for dataset in datasets:
-            headers += [f"{dataset}:Recall", f"{dataset}:NDCG"]
-        rows = []
-        methods = list(next(iter(per_dataset.values())))
-        for method in methods:
-            row: List = [DISPLAY_NAMES.get(method, method)]
-            for dataset in datasets:
-                run = per_dataset[dataset][method]
-                row += [run.recall, run.ndcg]
-            rows.append(row)
-        blocks.append(
-            format_table(headers, rows, title=f"Table II ({arch}): overall comparison")
-        )
-    return "\n\n".join(blocks)
+    return format_recall_ndcg_blocks(
+        results,
+        "Method",
+        "Table II ({arch}): overall comparison",
+        row_label=lambda method: DISPLAY_NAMES.get(method, method),
+    )
 
 
 def winner_per_dataset(

@@ -7,11 +7,11 @@ construction, the Directly Aggregate baseline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_grid
+from repro.experiments.reporting import format_recall_ndcg_blocks
+from repro.experiments.runner import RunResult, RunSpec, run_tree
 
 #: (label, config overrides) in the paper's row order.
 ABLATION_LADDER: Tuple[Tuple[str, dict], ...] = (
@@ -25,32 +25,31 @@ ABLATION_LADDER: Tuple[Tuple[str, dict], ...] = (
 )
 
 
-def _ladder_spec(
-    dataset: str, arch: str, profile, seed: int, overrides: dict
-) -> RunSpec:
-    return RunSpec(
-        dataset,
-        "hetefedrec",
-        arch=arch,
-        profile=profile,
-        seed=seed,
-        config_overrides=overrides,
-    )
-
-
-def table4_specs(
+def table4_grid(
     profile: str | ExperimentProfile = "bench",
     datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-) -> List[RunSpec]:
-    """The ablation ladder as run specs (Table V reuses two rungs)."""
-    return [
-        _ladder_spec(dataset, arch, profile, seed, overrides)
+    ladder: Sequence[Tuple[str, dict]] = ABLATION_LADDER,
+) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
+    """``grid[arch][dataset][rung_label]`` (Table V runs two of the rungs)."""
+    return {
+        arch: {
+            dataset: {
+                label: RunSpec(
+                    dataset,
+                    "hetefedrec",
+                    arch=arch,
+                    profile=profile,
+                    seed=seed,
+                    config_overrides=overrides,
+                )
+                for label, overrides in ladder
+            }
+            for dataset in datasets
+        }
         for arch in archs
-        for dataset in datasets
-        for _, overrides in ABLATION_LADDER
-    ]
+    }
 
 
 def run_table4(
@@ -61,35 +60,11 @@ def run_table4(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][dataset][variant_label]``."""
-    grid = run_grid(table4_specs(profile, datasets, archs, seed), jobs=jobs)
-    return {
-        arch: {
-            dataset: {
-                label: grid[_ladder_spec(dataset, arch, profile, seed, overrides)]
-                for label, overrides in ABLATION_LADDER
-            }
-            for dataset in datasets
-        }
-        for arch in archs
-    }
+    return run_tree(table4_grid(profile, datasets, archs, seed), jobs)
 
 
 def format_table4(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
-    blocks: List[str] = []
-    for arch, per_dataset in results.items():
-        datasets = list(per_dataset)
-        headers = ["Variant"]
-        for dataset in datasets:
-            headers += [f"{dataset}:Recall", f"{dataset}:NDCG"]
-        rows = []
-        for label, _ in ABLATION_LADDER:
-            row: List = [label]
-            for dataset in datasets:
-                run = per_dataset[dataset][label]
-                row += [run.recall, run.ndcg]
-            rows.append(row)
-        blocks.append(format_table(headers, rows, title=f"Table IV ({arch}): ablation"))
-    return "\n\n".join(blocks)
+    return format_recall_ndcg_blocks(results, "Variant", "Table IV ({arch}): ablation")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Compares the largest item table's covariance-spectrum spread with and
 without the decorrelation regulariser.  A higher value means the
 spectrum is dominated by few directions — the collapse DDR exists to
-prevent.  Reuses the Table IV runs (full vs −RESKD,DDR) via the cache.
+prevent.  The two arms are Table IV's middle rungs (same cache entries).
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunSpec, run_grid
+from repro.experiments.runner import RunSpec, run_tree
+from repro.experiments.table4 import table4_grid
 
 #: Both arms disable RESKD so the comparison isolates DDR; these are the
 #: same cache entries as Table IV's middle rungs.
@@ -22,30 +23,14 @@ ARMS = (
 )
 
 
-def _arm_spec(dataset: str, arch: str, profile, seed: int, overrides: dict) -> RunSpec:
-    return RunSpec(
-        dataset,
-        "hetefedrec",
-        arch=arch,
-        profile=profile,
-        seed=seed,
-        config_overrides=overrides,
-    )
-
-
-def table5_specs(
+def table5_grid(
     profile: str | ExperimentProfile = "bench",
     datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-) -> List[RunSpec]:
-    """Both DDR arms as run specs (shared with Table IV via the cache key)."""
-    return [
-        _arm_spec(dataset, arch, profile, seed, overrides)
-        for arch in archs
-        for dataset in datasets
-        for _, overrides in ARMS
-    ]
+) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
+    """``grid[arch][dataset][{'+ DDR', '- DDR'}]`` — a two-rung Table IV."""
+    return table4_grid(profile, datasets, archs, seed, ladder=ARMS)
 
 
 def run_table5(
@@ -60,18 +45,14 @@ def run_table5(
     RESKD is disabled in both arms so the comparison isolates DDR, which
     is also how the paper's Table V pairs with its ablation.
     """
-    grid = run_grid(table5_specs(profile, datasets, archs, seed), jobs=jobs)
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for arch in archs:
-        results[arch] = {}
-        for dataset in datasets:
-            results[arch][dataset] = {
-                label: grid[
-                    _arm_spec(dataset, arch, profile, seed, overrides)
-                ].collapse.get("l", 0.0)
-                for label, overrides in ARMS
-            }
-    return results
+    runs = run_tree(table5_grid(profile, datasets, archs, seed), jobs)
+    return {
+        arch: {
+            dataset: {label: run.collapse.get("l", 0.0) for label, run in arms.items()}
+            for dataset, arms in per_dataset.items()
+        }
+        for arch, per_dataset in runs.items()
+    }
 
 
 def format_table5(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:

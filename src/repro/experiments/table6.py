@@ -11,50 +11,43 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_grid
+from repro.experiments.runner import RunResult, RunSpec, run_tree
 
-RATIOS: Tuple[Tuple[str, tuple], ...] = (
-    ("5:3:2", (5, 3, 2)),
-    ("1:1:1", (1, 1, 1)),
-    ("2:3:5", (2, 3, 5)),
+#: The paper's five columns, in order: (label, method, config overrides).
+#: The two brackets carry no override, so they are Table II's cache entries.
+COLUMNS: Tuple[Tuple[str, str, Optional[dict]], ...] = (
+    ("All Small", "all_small", None),
+    ("5:3:2", "hetefedrec", {"ratios": (5, 3, 2)}),
+    ("1:1:1", "hetefedrec", {"ratios": (1, 1, 1)}),
+    ("2:3:5", "hetefedrec", {"ratios": (2, 3, 5)}),
+    ("All Large", "all_large", None),
 )
 
 
-def _column_specs(dataset: str, arch: str, profile, seed: int) -> Dict[str, RunSpec]:
-    """The five paper columns for one (arch, dataset) cell, in order."""
-    columns: Dict[str, RunSpec] = {
-        "All Small": RunSpec(
-            dataset, "all_small", arch=arch, profile=profile, seed=seed
-        )
-    }
-    for label, ratios in RATIOS:
-        columns[label] = RunSpec(
-            dataset,
-            "hetefedrec",
-            arch=arch,
-            profile=profile,
-            seed=seed,
-            config_overrides={"ratios": ratios},
-        )
-    columns["All Large"] = RunSpec(
-        dataset, "all_large", arch=arch, profile=profile, seed=seed
-    )
-    return columns
-
-
-def table6_specs(
+def table6_grid(
     profile: str | ExperimentProfile = "bench",
     datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-) -> List[RunSpec]:
-    """The division-ratio sweep as run specs (brackets shared with Table II)."""
-    return [
-        spec
+) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
+    """The division-ratio sweep, ``grid[arch][dataset][column]``."""
+    return {
+        arch: {
+            dataset: {
+                label: RunSpec(
+                    dataset,
+                    method,
+                    arch=arch,
+                    profile=profile,
+                    seed=seed,
+                    config_overrides=overrides,
+                )
+                for label, method, overrides in COLUMNS
+            }
+            for dataset in datasets
+        }
         for arch in archs
-        for dataset in datasets
-        for spec in _column_specs(dataset, arch, profile, seed).values()
-    ]
+    }
 
 
 def run_table6(
@@ -65,22 +58,12 @@ def run_table6(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][dataset][column]`` with the paper's five columns."""
-    grid = run_grid(table6_specs(profile, datasets, archs, seed), jobs=jobs)
-    return {
-        arch: {
-            dataset: {
-                label: grid[spec]
-                for label, spec in _column_specs(dataset, arch, profile, seed).items()
-            }
-            for dataset in datasets
-        }
-        for arch in archs
-    }
+    return run_tree(table6_grid(profile, datasets, archs, seed), jobs)
 
 
 def format_table6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
     blocks: List[str] = []
-    columns = ["All Small", "5:3:2", "1:1:1", "2:3:5", "All Large"]
+    columns = [label for label, _, _ in COLUMNS]
     for arch, per_dataset in results.items():
         headers = ["Dataset", "Metric"] + columns
         rows = []

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_grid
+from repro.experiments.runner import RunResult, RunSpec, run_tree
 
 SIZE_SETTINGS: Tuple[Tuple[str, dict], ...] = (
     ("{2,4,8}", {"s": 2, "m": 4, "l": 8}),
@@ -20,35 +20,34 @@ SIZE_SETTINGS: Tuple[Tuple[str, dict], ...] = (
     ("{32,64,128}", {"s": 32, "m": 64, "l": 128}),
 )
 
-METHODS = ("all_small", "all_large", "hetefedrec")
+#: method → row label, in the paper's row order.
+METHODS = {"all_small": "All Small", "all_large": "All Large", "hetefedrec": "HeteFedRec"}
 
 
-def _size_spec(
-    dataset: str, method: str, arch: str, profile, seed: int, dims: dict
-) -> RunSpec:
-    return RunSpec(
-        dataset,
-        method,
-        arch=arch,
-        profile=profile,
-        seed=seed,
-        config_overrides={"dims": dims},
-    )
-
-
-def table7_specs(
+def table7_grid(
     profile: str | ExperimentProfile = "bench",
     dataset: str = "ml",
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-) -> List[RunSpec]:
-    """The model-size sweep as run specs."""
-    return [
-        _size_spec(dataset, method, arch, profile, seed, dims)
+) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
+    """The model-size sweep, ``grid[arch][setting_label][method]``."""
+    return {
+        arch: {
+            label: {
+                method: RunSpec(
+                    dataset,
+                    method,
+                    arch=arch,
+                    profile=profile,
+                    seed=seed,
+                    config_overrides={"dims": dims},
+                )
+                for method in METHODS
+            }
+            for label, dims in SIZE_SETTINGS
+        }
         for arch in archs
-        for _, dims in SIZE_SETTINGS
-        for method in METHODS
-    ]
+    }
 
 
 def run_table7(
@@ -59,17 +58,7 @@ def run_table7(
     jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][setting_label][method]`` (NDCG is the paper's metric)."""
-    grid = run_grid(table7_specs(profile, dataset, archs, seed), jobs=jobs)
-    return {
-        arch: {
-            label: {
-                method: grid[_size_spec(dataset, method, arch, profile, seed, dims)]
-                for method in METHODS
-            }
-            for label, dims in SIZE_SETTINGS
-        }
-        for arch in archs
-    }
+    return run_tree(table7_grid(profile, dataset, archs, seed), jobs)
 
 
 def format_table7(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
@@ -78,18 +67,14 @@ def format_table7(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
     for arch, per_setting in results.items():
         headers = ["Method"] + labels
         rows = []
-        for method in METHODS:
-            display = {
-                "all_small": "All Small",
-                "all_large": "All Large",
-                "hetefedrec": "HeteFedRec",
-            }[method]
+        for method, display in METHODS.items():
             rows.append([display] + [per_setting[label][method].ndcg for label in labels])
+        dataset = next(iter(per_setting[labels[0]].values())).dataset
         blocks.append(
             format_table(
                 headers,
                 rows,
-                title=f"Table VII ({arch} on ml): NDCG@20 by model-size setting",
+                title=f"Table VII ({arch} on {dataset}): NDCG@20 by model-size setting",
             )
         )
     return "\n\n".join(blocks)

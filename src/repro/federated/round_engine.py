@@ -148,7 +148,9 @@ def engine_supports(trainer: "FederatedTrainer") -> bool:
     (dual-task on or off, with or without decorrelation; RESKD is
     server-side and irrelevant).  Subclasses that override
     ``train_client`` or whose hooks the engine cannot express
-    (``fused_objective`` returning ``None``) keep the reference path.
+    (``fused_objective`` returning ``None``) keep the reference path;
+    a subclass that only post-processes finished uploads overrides
+    ``_train_clients`` instead (the adversarial harness) and is fused.
     """
     from repro.federated.trainer import FederatedTrainer
 

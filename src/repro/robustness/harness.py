@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.config import HeteFedRecConfig
 from repro.core.hetefedrec import HeteFedRec
 from repro.data.dataset import ClientData
-from repro.federated.client import ClientRuntime
 from repro.federated.payload import ClientUpdate
 from repro.robustness.attacks import AttackConfig, choose_malicious, poison_update
 from repro.robustness.defenses import (
@@ -70,11 +69,17 @@ class AdversarialHeteFedRec(HeteFedRec):
     # ------------------------------------------------------------------
     # Client side: the malicious population swaps its upload
     # ------------------------------------------------------------------
-    def train_client(self, runtime: ClientRuntime) -> ClientUpdate:
-        update = super().train_client(runtime)
-        if self.attack is not None and runtime.user_id in self.malicious:
-            update = poison_update(update, self.attack, self._attack_rng)
-        return update
+    def _train_clients(self, users: Sequence[int]) -> List[ClientUpdate]:
+        # Poisoning is a pure post-transform of the finished upload, so it
+        # sits on the round hook and local training rides whichever path
+        # (fused engine or reference) the config selects.  List order
+        # fixes the ``_attack_rng`` draw order on both.
+        return [
+            poison_update(update, self.attack, self._attack_rng)
+            if update.user_id in self.malicious
+            else update
+            for update in super()._train_clients(users)
+        ]
 
     # ------------------------------------------------------------------
     # Server side: defence before aggregation

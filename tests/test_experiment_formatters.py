@@ -72,16 +72,25 @@ class TestFig7Formatter:
     def test_series_layout(self):
         results = {"ncf": {"all_small": fake_run("all_small")}}
         text = format_fig7(results)
-        assert "Fig. 7" in text
+        assert "Fig. 7 (ncf on ml)" in text
         assert "All Small" in text
+
+    def test_title_names_the_dataset_that_ran(self):
+        """Regression: the title hard-coded "on ml" whatever was run."""
+        results = {"ncf": {"all_small": fake_run("all_small", dataset="anime")}}
+        assert "Fig. 7 (ncf on anime)" in format_fig7(results)
 
 
 class TestFig8Formatter:
     def test_alpha_series(self):
         series = [(0.25, fake_run(ndcg=0.2)), (1.0, fake_run(ndcg=0.1))]
         text = format_fig8({"ncf": series})
-        assert "α → NDCG@20" in text
+        assert "Fig. 8 (ncf on ml): α → NDCG@20" in text
         assert "0.2000" in text
+
+    def test_title_names_the_dataset_that_ran(self):
+        series = [(0.25, fake_run(dataset="douban")), (1.0, fake_run(dataset="douban"))]
+        assert "Fig. 8 (ncf on douban)" in format_fig8({"ncf": series})
 
 
 class TestTable4Formatter:
@@ -128,3 +137,14 @@ class TestTable7Formatter:
         }
         text = format_table7({"ncf": per_setting})
         assert "{8,16,32}" in text and "{32,64,128}" in text
+        assert "Table VII (ncf on ml)" in text
+
+    def test_title_names_the_dataset_that_ran(self):
+        per_setting = {
+            label: {
+                m: fake_run(m, dataset="anime")
+                for m in ("all_small", "all_large", "hetefedrec")
+            }
+            for label, _ in SIZE_SETTINGS
+        }
+        assert "Table VII (ncf on anime)" in format_table7({"ncf": per_setting})

@@ -12,15 +12,17 @@ from dataclasses import asdict
 import pytest
 
 import repro.experiments.runner as runner
-from repro.experiments.fig6 import fig6_specs
-from repro.experiments.fig7 import fig7_specs
+from repro.experiments.fig6 import fig6_grid
+from repro.experiments.fig7 import fig7_grid
 from repro.experiments.runner import (
     RunSpec,
     run_grid,
     run_method,
     run_spec,
+    run_tree,
+    tree_specs,
 )
-from repro.experiments.table2 import table2_specs
+from repro.experiments.table2 import table2_grid
 
 
 @pytest.fixture(autouse=True)
@@ -81,9 +83,9 @@ class TestDedup:
         """Table II ∩ Fig. 6 ∩ Fig. 7: one training job, many consumers."""
         methods = ("all_small", "hetefedrec")
         specs = (
-            table2_specs("smoke", datasets=("ml",), archs=("ncf",), methods=methods)
-            + fig6_specs("smoke", datasets=("ml",), archs=("ncf",), methods=methods)
-            + fig7_specs("smoke", dataset="ml", archs=("ncf",), methods=methods)
+            tree_specs(table2_grid("smoke", datasets=("ml",), archs=("ncf",), methods=methods))
+            + tree_specs(fig6_grid("smoke", datasets=("ml",), archs=("ncf",), methods=methods))
+            + tree_specs(fig7_grid("smoke", dataset="ml", archs=("ncf",), methods=methods))
         )
         assert len(specs) == 6  # three consumers × two methods
         results = run_grid(specs)
@@ -100,6 +102,28 @@ class TestDedup:
         assert len(train_counter) == 1
         assert _cache_files() == []  # use_cache=False never writes
         assert results[spec].recall >= 0.0
+
+
+class TestRunTree:
+    def test_same_shape_back_from_one_grid_call(self, monkeypatch):
+        """A nested label → spec mapping executes as ONE grid (so dedup
+        spans the whole tree) and comes back in the same shape."""
+        calls = []
+
+        def fake_run_grid(specs, jobs=None):
+            calls.append((list(specs), jobs))
+            return {spec: f"{spec.dataset}/{spec.method}" for spec in specs}
+
+        monkeypatch.setattr(runner, "run_grid", fake_run_grid)
+        small = RunSpec("ml", "all_small", profile="smoke")
+        hete = RunSpec("anime", "hetefedrec", profile="smoke")
+        tree = {"ncf": {"a": small, "b": hete}, "other": {0.5: small}}
+        assert tree_specs(tree) == [small, hete, small]
+        assert run_tree(tree, jobs=3) == {
+            "ncf": {"a": "ml/all_small", "b": "anime/hetefedrec"},
+            "other": {0.5: "ml/all_small"},
+        }
+        assert calls == [([small, hete, small], 3)]
 
 
 class TestParallelExecution:

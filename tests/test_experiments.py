@@ -1,6 +1,7 @@
 """Tests for the experiment harness: profiles, runner, cache, formatters."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from repro.experiments.fig7 import convergence_epochs
 from repro.experiments.fig8 import has_interior_peak
 from repro.experiments.profiles import get_profile
 from repro.experiments.reporting import ascii_bar, format_series
-from repro.experiments.runner import RunResult, clear_cache
+from repro.experiments.runner import RunResult, RunSpec, clear_cache
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table3 import (
     format_table3,
@@ -61,6 +62,18 @@ class TestRunner:
 
         files = os.listdir(runner.CACHE_DIR)
         assert len(files) >= 2
+
+    @pytest.mark.parametrize("field,value", [("clients_per_round", 8), ("seed", 123)])
+    def test_every_profile_field_changes_cache_key(self, field, value):
+        """Regression: the key hand-picked six profile fields and forgot
+        the cohort size and the dataset seed, so a profile differing in
+        either was served the stock profile's cached result."""
+        stock = RunSpec("ml", "hetefedrec", profile="smoke")
+        varied = RunSpec(
+            "ml", "hetefedrec", profile=replace(get_profile("smoke"), **{field: value})
+        )
+        assert varied.key() != stock.key()
+        assert varied != stock
 
     def test_json_roundtrip(self):
         result = run_method("ml", "all_small", profile="smoke")

@@ -81,5 +81,7 @@ class TestRegistryIntegration:
             "ablation_arch",
             "ablation_robustness",
         ):
-            runner, formatter = ARTEFACTS[name]
+            grid, runner, formatter = ARTEFACTS[name]
             assert callable(runner) and callable(formatter)
+            # Only the robustness quadrants train outside the run cache.
+            assert (grid is None) == (name == "ablation_robustness")

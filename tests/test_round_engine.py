@@ -558,26 +558,54 @@ class TestDispatch:
         assert not engine_supports(trainer)
         assert trainer._engine is None
 
-    def test_adversarial_harness_falls_back(self, tiny_dataset, tiny_clients):
-        """AdversarialHeteFedRec wraps train_client to poison uploads —
-        the fused path would skip the poisoning, so it must not run."""
-        from repro.robustness.attacks import AttackConfig
-        from repro.robustness.harness import AdversarialHeteFedRec
+    def test_adversarial_harness_rides_engine(
+        self, tiny_dataset, tiny_clients, monkeypatch
+    ):
+        """AdversarialHeteFedRec poisons finished uploads on the round
+        hook (``_train_clients``), not by wrapping ``train_client`` — so
+        local training rides the fused engine, and an attacked run
+        matches the reference path with the same poisoned uploads in the
+        same order and the same final attack-stream state."""
+        from repro.robustness import harness
+        from repro.robustness.attacks import AttackConfig, poison_update
 
-        trainer = AdversarialHeteFedRec(
-            tiny_dataset.num_items,
-            tiny_clients,
-            HeteFedRecConfig(
-                arch="ncf",
-                dims={"s": 4, "m": 6, "l": 8},
-                epochs=1,
-                clients_per_round=8,
-                local_epochs=1,
-            ),
-            attack=AttackConfig(kind="signflip", fraction=0.2),
-        )
-        assert not engine_supports(trainer)
-        assert trainer._engine is None
+        assert "train_client" not in vars(harness.AdversarialHeteFedRec)
+        evaluator = Evaluator(tiny_clients, k=10)
+        for arch in ("ncf", "lightgcn", "mf"):
+            trainers = {}
+            poisoned = {"reference": [], "auto": []}
+            for engine, log in poisoned.items():
+
+                def recording(update, config, rng, log=log):
+                    log.append(update.user_id)
+                    return poison_update(update, config, rng)
+
+                monkeypatch.setattr(harness, "poison_update", recording)
+                trainers[engine] = harness.AdversarialHeteFedRec(
+                    tiny_dataset.num_items,
+                    tiny_clients,
+                    HeteFedRecConfig(
+                        arch=arch,
+                        dims={"s": 4, "m": 6, "l": 8},
+                        epochs=2,
+                        clients_per_round=8,
+                        local_epochs=2,
+                        engine=engine,
+                    ),
+                    attack=AttackConfig(kind="noise", fraction=0.2, scale=3.0),
+                )
+                trainers[engine].fit(evaluator)
+            reference, fused = trainers["reference"], trainers["auto"]
+            assert reference._engine is None
+            assert engine_supports(fused)
+            assert isinstance(fused._engine, VectorizedRoundEngine)
+            assert_equivalent(reference, fused)
+            assert poisoned["reference"] == poisoned["auto"]
+            assert len(poisoned["auto"]) == 2 * len(fused.malicious) > 0
+            assert (
+                reference._attack_rng.bit_generator.state
+                == fused._attack_rng.bit_generator.state
+            )
 
 
 class TestDtypeKnob:

@@ -1,18 +1,35 @@
-"""Tests for the regenerate-everything CLI (analytic artefacts only).
+"""Tests for the regenerate-everything CLI; none of them trains.
 
 Training-based artefacts are exercised by the benchmark suite; here we
-verify the orchestration: artefact registry completeness, file output,
-and the fast (no-training) artefacts end to end at smoke scale.
+verify the orchestration: artefact registry completeness, that the
+warm-up list is derived from (and covers) what the registered runners
+request, error propagation, file output, and the fast (no-training)
+artefacts end to end at smoke scale.
 """
 
 import os
 
 import pytest
 
-from repro.experiments.run_all import ARTEFACTS, run_all
+import repro.experiments.run_all as run_all_module
+import repro.experiments.runner as runner_module
+from repro.experiments.run_all import ARTEFACTS, collect_suite_specs, run_all
+from repro.experiments.runner import RunResult
 
 
 FAST_ARTEFACTS = {"table1_datasets", "fig1_distribution", "table3_communication"}
+
+
+def canned_result(spec) -> RunResult:
+    return RunResult(
+        dataset=spec.dataset, method=spec.method, arch=spec.arch, profile="smoke",
+        recall=0.2, ndcg=0.1,
+        group_recall={"s": 0.2, "m": 0.2, "l": 0.2},
+        group_ndcg={"s": 0.1, "m": 0.1, "l": 0.1},
+        ndcg_curve=[(1, 0.05), (2, 0.1)],
+        communication_total=1000, communication_per_round=10.0,
+        collapse={"s": 0.1, "m": 0.2, "l": 0.3},
+    )
 
 
 class TestRegistry:
@@ -43,17 +60,68 @@ class TestRegistry:
         assert set(ARTEFACTS) == expected | ablations
 
     def test_runners_and_formatters_callable(self):
-        for name, (runner, formatter) in ARTEFACTS.items():
+        for name, (grid, runner, formatter) in ARTEFACTS.items():
             assert callable(runner) and callable(formatter), name
+            assert grid is None or callable(grid), name
+        # Exactly the analytic artefacts and the robustness quadrants
+        # declare no cached training grid.
+        assert {name for name, (grid, _, _) in ARTEFACTS.items() if grid is None} == (
+            FAST_ARTEFACTS | {"ablation_robustness", "ablation_systems"}
+        )
+
+    @pytest.mark.parametrize("archs", [("ncf",), ("ncf", "lightgcn")])
+    def test_warmup_covers_every_spec_the_runners_request(self, monkeypatch, archs):
+        """The invariant the old hand-kept list only documented: after
+        warming ``collect_suite_specs``, every registered runner is a
+        pure cache hit."""
+        requested = []
+
+        def fake_run_grid(specs, jobs=None):
+            requested.extend(specs)
+            return {spec: canned_result(spec) for spec in specs}
+
+        monkeypatch.setattr(runner_module, "run_grid", fake_run_grid)
+        warmed = set(collect_suite_specs("smoke", archs))
+        for name, (grid, run, formatter) in ARTEFACTS.items():
+            if grid is None:
+                continue  # trains nothing through the cache
+            del requested[:]
+            text = formatter(run("smoke", archs=archs))
+            assert requested and set(requested) <= warmed, name
+            assert text, name
+
+    def test_runner_error_propagates(self, tmp_path, monkeypatch):
+        """Regression: a ``TypeError`` raised *inside* a runner was
+        swallowed, the runner silently re-run with its default archs,
+        and the file written as if nothing had happened."""
+        calls = []
+
+        def broken(profile, archs):
+            calls.append((profile, archs))
+            raise TypeError("bug inside the runner")
+
+        monkeypatch.setattr(
+            run_all_module, "ARTEFACTS", {"broken": (None, broken, str)}
+        )
+        with pytest.raises(TypeError, match="bug inside the runner"):
+            run_all(profile="smoke", out_dir=str(tmp_path), archs=("lightgcn",))
+        assert calls == [("smoke", ("lightgcn",))]
+        assert not os.path.exists(tmp_path / "broken.txt")
 
 
 class TestFastArtefacts:
     def test_run_subset_writes_files(self, tmp_path, monkeypatch):
-        import repro.experiments.run_all as run_all_module
-
         subset = {k: v for k, v in ARTEFACTS.items() if k in FAST_ARTEFACTS}
         monkeypatch.setattr(run_all_module, "ARTEFACTS", subset)
+        requested = []
+        monkeypatch.setattr(
+            run_all_module, "run_grid",
+            lambda specs, jobs=None: requested.extend(specs) or {},
+        )
         written = run_all(profile="smoke", out_dir=str(tmp_path))
+        # Regression: the warm-up ignored the registry and trained the
+        # whole 68-run suite to render three analytic artefacts.
+        assert requested == []
         assert len(written) == len(FAST_ARTEFACTS)
         for path in written:
             assert os.path.exists(path)
@@ -64,8 +132,6 @@ class TestFastArtefacts:
         """The progress display drives off an injected clock (PR 10): no
         wall-clock read sits on the artefact path, and a manual clock
         shows up verbatim in the [  Ns] progress prefixes."""
-        import repro.experiments.run_all as run_all_module
-
         subset = {k: v for k, v in ARTEFACTS.items() if k in FAST_ARTEFACTS}
         monkeypatch.setattr(run_all_module, "ARTEFACTS", subset)
         ticks = iter(range(0, 1000, 7))
