@@ -7,18 +7,12 @@ consumers where dense alignment is inherent.  Every new ``dense()``
 call site is a potential O(catalogue) regression on a per-client path,
 so this rule flags them all and carries the documented allowlist of
 legitimate sites.
-
-Compliant without an allowlist entry: the sparse-or-dense *dispatch*
-idiom — ``np.asarray(x)`` inside a function that also tests
-``isinstance(x, SparseRowDelta)`` is the documented way to consume the
-``EmbeddingDelta`` union (the asarray branch only ever sees an
-already-dense payload).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.analysis.framework import FileContext, Finding, Rule, register
 from repro.analysis.rules._shared import call_text, dotted_name
@@ -27,7 +21,7 @@ from repro.analysis.rules._shared import call_text, dotted_name
 DENSE_ALIGNMENT_ALLOWLIST: Dict[str, str] = {
     "repro/federated/payload.py":
         "defines SparseRowDelta and its documented escape hatches "
-        "(dense(), __array__, as_dense_delta)",
+        "(dense(), __array__, the ClientUpdate constructor's coercion)",
     "repro/compression/client.py":
         "CompressedTensor.dense() reconstructs the codec's value block, "
         "which is already the O(touched rows) sparse block",
@@ -36,42 +30,7 @@ DENSE_ALIGNMENT_ALLOWLIST: Dict[str, str] = {
     "repro/robustness/defenses.py":
         "median/trimmed-mean/Krum need aligned dense client stacks "
         "(documented dense-alignment consumer in payload.py)",
-    "repro/sim/secure.py":
-        "the conservation check compares fully decoded aggregate tables "
-        "by design — a verification path, not a per-client hot path",
 }
-
-
-def _enclosing_functions(tree: ast.AST) -> Dict[int, ast.AST]:
-    """Map every node id to its innermost enclosing function node."""
-    owners: Dict[int, ast.AST] = {}
-
-    def visit(node: ast.AST, owner: Optional[ast.AST]) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node
-        for child in ast.iter_child_nodes(node):
-            owners[id(child)] = owner
-            visit(child, owner)
-
-    visit(tree, None)
-    return owners
-
-
-def _has_sparse_dispatch(func: Optional[ast.AST], arg_text: str) -> bool:
-    """Does the enclosing function isinstance-test this value against
-    SparseRowDelta?  (The Union-dispatch idiom.)"""
-    if func is None:
-        return False
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and dotted_name(node.func) == "isinstance"
-            and len(node.args) == 2
-            and call_text(node.args[0]) == arg_text
-            and "SparseRowDelta" in call_text(node.args[1])
-        ):
-            return True
-    return False
 
 
 @register
@@ -88,7 +47,6 @@ class SparseContractRule(Rule):
         if ctx.logical in DENSE_ALIGNMENT_ALLOWLIST:
             return []
         out: List[Finding] = []
-        owners = _enclosing_functions(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -100,12 +58,6 @@ class SparseContractRule(Rule):
                     "paths must stay O(touched rows) on .rows/.values "
                     "(allowlist the file if dense alignment is inherent)",
                 ))
-            elif name == "as_dense_delta":
-                out.append(self.finding(
-                    ctx, node,
-                    "as_dense_delta() densifies the upload; consume "
-                    ".rows/.values or add a documented allowlist entry",
-                ))
             elif name in ("np.asarray", "numpy.asarray", "np.array", "numpy.array"):
                 if not node.args:
                     continue
@@ -113,12 +65,10 @@ class SparseContractRule(Rule):
                 lowered = arg_text.lower()
                 if "delta" not in lowered and "update" not in lowered:
                     continue
-                if _has_sparse_dispatch(owners.get(id(node)), arg_text):
-                    continue  # the documented Union-dispatch idiom
                 out.append(self.finding(
                     ctx, node,
                     f"np.asarray({arg_text}) densifies a sparse payload "
-                    "implicitly (SparseRowDelta.__array__); dispatch on "
-                    "isinstance(..., SparseRowDelta) or allowlist the file",
+                    "implicitly (SparseRowDelta.__array__); consume "
+                    ".rows/.values or allowlist the file",
                 ))
         return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.grouping import divide_clients
 from repro.data.dataset import ClientData
-from repro.federated.payload import ClientUpdate, SparseRowDelta
+from repro.federated.payload import ClientUpdate
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
 
 
@@ -53,10 +53,7 @@ class ClusteredTrainer(FederatedTrainer):
             total = np.zeros(group_updates[0].embedding_delta.shape, dtype=np.float64)
             for update in group_updates:
                 delta = update.embedding_delta
-                if isinstance(delta, SparseRowDelta):
-                    total[delta.rows] += delta.values
-                else:
-                    total += delta
+                total[delta.rows] += delta.values
             if mode == "mean":
                 total = total / float(len(group_updates))
             out[group] = total

@@ -79,14 +79,9 @@ class ClientCompressor:
 
     def apply(self, update: ClientUpdate) -> ClientUpdate:
         """Return the update as the server will receive it over the wire."""
-        if isinstance(update.embedding_delta, SparseRowDelta):
-            embedding, cost = self._compress_sparse(
-                update.user_id, update.embedding_delta
-            )
-        else:
-            embedding, cost = self._compress_block(
-                update.user_id, "embedding", update.embedding_delta
-            )
+        embedding, cost = self._compress_sparse(
+            update.user_id, update.embedding_delta
+        )
         heads: Dict[str, Dict[str, np.ndarray]] = {}
         for head_group, state in update.head_deltas.items():
             compressed_state: Dict[str, np.ndarray] = {}

@@ -16,7 +16,6 @@ from repro.core.decorrelation import decorrelation_penalty, singular_value_varia
 from repro.core.distillation import DistillationConfig, relation_distillation_step
 from repro.core.hetefedrec import HeteFedRec
 from repro.core.autodivision import (
-    auto_configure,
     search_division_ratio,
     search_model_sizes,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "DistillationConfig",
     "relation_distillation_step",
     "HeteFedRec",
-    "auto_configure",
     "search_division_ratio",
     "search_model_sizes",
     "Candidate",

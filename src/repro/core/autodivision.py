@@ -15,7 +15,7 @@ the test set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -113,26 +113,3 @@ def search_model_sizes(
         scores.append((tuple(sorted(dims.items())), validation_ndcg(trainer, clients, k=k)))
     best_key = max(scores, key=lambda pair: pair[1])[0]
     return SearchResult(best=dict(best_key), scores=scores)
-
-
-def auto_configure(
-    num_items: int,
-    clients: Sequence[ClientData],
-    config: Optional[HeteFedRecConfig] = None,
-    pilot_epochs: int = 4,
-) -> HeteFedRecConfig:
-    """End-to-end: search sizes then ratios, return the tuned config.
-
-    Sizes are searched first (they dominate capacity), then the division
-    ratio under the winning sizes — a greedy coordinate search, which the
-    Table VI/VII structure (roughly separable effects) justifies.
-    """
-    config = config or HeteFedRecConfig()
-    size_result = search_model_sizes(
-        num_items, clients, config, pilot_epochs=pilot_epochs
-    )
-    config = config.copy_with(dims=dict(size_result.best))
-    ratio_result = search_division_ratio(
-        num_items, clients, config, pilot_epochs=pilot_epochs
-    )
-    return config.copy_with(ratios=ratio_result.best)

@@ -13,7 +13,6 @@ parallel devices would.
 from repro.federated.payload import (
     ClientUpdate,
     SparseRowDelta,
-    as_dense_delta,
     state_delta,
     state_size,
 )
@@ -76,7 +75,6 @@ from repro.federated.checkpoint import (
 __all__ = [
     "ClientUpdate",
     "SparseRowDelta",
-    "as_dense_delta",
     "state_delta",
     "state_size",
     "AggregationConfig",

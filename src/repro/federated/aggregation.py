@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
-from repro.federated.payload import ClientUpdate, SparseRowDelta
+from repro.federated.payload import ClientUpdate
 
 
 @dataclass
@@ -72,10 +72,10 @@ def padded_embedding_aggregate(
     tables never touch the trailing columns, so a global mean would
     underweight them).
 
-    Sparse deltas scatter-add their touched rows into the accumulator —
-    O(rows touched) per upload instead of O(catalogue) — and the result
-    is numerically identical to the padded dense sum (untouched rows
-    contribute exact zeros either way).
+    Each upload scatter-adds its touched rows into the accumulator —
+    O(rows touched) instead of O(catalogue) — which is numerically
+    identical to the padded dense sum (untouched rows contribute exact
+    zeros either way).
     """
     if not updates:
         return {}
@@ -85,12 +85,8 @@ def padded_embedding_aggregate(
     contributors = np.zeros(widest, dtype=np.float64)
     for update in updates:
         delta = update.embedding_delta
-        if isinstance(delta, SparseRowDelta):
-            total[delta.rows, : delta.width] += delta.values
-            contributors[: delta.width] += 1.0
-        else:
-            total += pad_columns(delta, widest)
-            contributors[: delta.shape[1]] += 1.0
+        total[delta.rows, : delta.width] += delta.values
+        contributors[: delta.width] += 1.0
 
     if mode == "mean":
         safe = np.maximum(contributors, 1.0)

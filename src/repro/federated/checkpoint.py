@@ -194,7 +194,7 @@ def _training_signature(trainer) -> Dict[str, object]:
     }
 
 
-def pack_delta(delta, prefix: str, arrays: Dict[str, np.ndarray]) -> dict:
+def pack_delta(block, prefix: str, arrays: Dict[str, np.ndarray]) -> dict:
     """Serialise one sparse-or-dense block under ``prefix`` array keys.
 
     The single definition of the on-disk delta layout, shared by the
@@ -203,11 +203,11 @@ def pack_delta(delta, prefix: str, arrays: Dict[str, np.ndarray]) -> dict:
     ``{prefix}/values``), anything else stores dense (``{prefix}/dense``).
     Returns the JSON record :func:`unpack_delta` needs back.
     """
-    if isinstance(delta, SparseRowDelta):
-        arrays[f"{prefix}/rows"] = delta.rows
-        arrays[f"{prefix}/values"] = delta.values
-        return {"sparse": True, "num_rows": int(delta.num_rows)}
-    arrays[f"{prefix}/dense"] = np.asarray(delta)
+    if isinstance(block, SparseRowDelta):
+        arrays[f"{prefix}/rows"] = block.rows
+        arrays[f"{prefix}/values"] = block.values
+        return {"sparse": True, "num_rows": int(block.num_rows)}
+    arrays[f"{prefix}/dense"] = np.asarray(block)
     return {"sparse": False}
 
 

@@ -60,22 +60,6 @@ class ClientRuntime:
             )
         self.user_embedding = values.copy()
 
-    def resize_embedding(self, new_dim: int) -> None:
-        """Re-dimension the private embedding (used by division-ratio sweeps).
-
-        Keeps the prefix when shrinking and pads fresh noise when growing,
-        mirroring how the item tables nest.
-        """
-        if new_dim == self.embedding_dim:
-            return
-        fresh = self.rng.normal(0.0, 0.01, size=new_dim).astype(
-            self.user_embedding.dtype, copy=False
-        )
-        keep = min(new_dim, self.embedding_dim)
-        fresh[:keep] = self.user_embedding[:keep]
-        self.user_embedding = fresh
-        self.embedding_dim = new_dim
-
     def sample_batch(self, negative_ratio: int = 4) -> TrainingBatch:
         """Local positives + sampled negatives, shuffled (Section V-A)."""
         return build_training_batch(

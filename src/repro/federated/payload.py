@@ -18,6 +18,13 @@ updates is then O(touched rows), not O(catalogue), and ``upload_size``
 reports the true wire cost ``len(rows) * (1 + width)`` (each row ships
 its id plus ``width`` values).
 
+One upload format: ``ClientUpdate.embedding_delta`` is *always* a
+:class:`SparseRowDelta`.  The constructor is the single door — a 2-D
+``ndarray`` (hand-built updates, the standalone ``(0, 0)`` placeholder,
+synthetic per-group sums, checkpoints that stored a dense block) is
+encoded once by ``SparseRowDelta.from_dense`` — so no consumer
+dispatches on the encoding.
+
 Contract for consumers: the hot aggregation paths (padded/secure
 aggregation, privacy protection, availability merging, compression)
 operate on ``rows``/``values`` directly and never materialise the full
@@ -29,8 +36,8 @@ a per-client per-round path should not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -167,7 +174,11 @@ class SparseRowDelta:
             return SparseRowDelta(self.num_rows, rows, values)
         if isinstance(other, (int, float)) and other == 0:
             return self.copy()  # lets plain sum(...) start from 0
-        return self.dense() + np.asarray(other)
+        raise TypeError(
+            "SparseRowDelta adds only to another SparseRowDelta (or the "
+            f"literal 0), not {type(other).__name__}; call dense() to "
+            "materialise explicitly"
+        )
 
     __radd__ = __add__
 
@@ -175,24 +186,17 @@ class SparseRowDelta:
         return self.num_rows
 
 
-#: What an upload's embedding block may be: the row-sparse encoding (the
-#: default emitted by trainers) or a plain dense array (still accepted
-#: everywhere — hand-built updates, legacy paths, empty placeholders).
-EmbeddingDelta = Union[np.ndarray, SparseRowDelta]
-
-
-def as_dense_delta(delta: EmbeddingDelta) -> np.ndarray:
-    """Materialise either embedding-delta form as a dense array."""
-    return delta.dense() if isinstance(delta, SparseRowDelta) else delta
-
-
 @dataclass
 class ClientUpdate:
-    """One client's upload for one round."""
+    """One client's upload for one round.
+
+    ``embedding_delta`` is a :class:`SparseRowDelta`; a 2-D ``ndarray``
+    passed to the constructor is encoded by its nonzero rows.
+    """
 
     user_id: int
     group: str
-    embedding_delta: EmbeddingDelta
+    embedding_delta: SparseRowDelta
     head_deltas: Dict[str, Dict[str, np.ndarray]] = field(default_factory=dict)
     num_examples: int = 0
     train_loss: float = 0.0
@@ -201,37 +205,37 @@ class ClientUpdate:
     #: :mod:`repro.compression`.
     upload_size_override: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.embedding_delta, SparseRowDelta):
+            dense = np.asarray(self.embedding_delta)
+            if dense.ndim != 2:
+                raise ValueError(
+                    "embedding_delta must be a SparseRowDelta or a 2-D "
+                    f"array, got shape {dense.shape}"
+                )
+            self.embedding_delta = SparseRowDelta.from_dense(dense)
+
     @property
     def upload_size(self) -> float:
         """Scalar count of the upload (drives Table III accounting).
 
-        Sparse deltas charge the true wire cost ``len(rows) * (1 + d)``;
-        dense deltas charge every scalar of the table.
+        The embedding block charges the true wire cost
+        ``len(rows) * (1 + d)``.
         """
         if self.upload_size_override is not None:
             return float(self.upload_size_override)
-        if isinstance(self.embedding_delta, SparseRowDelta):
-            total = self.embedding_delta.wire_size
-        else:
-            total = float(self.embedding_delta.size)
+        total = self.embedding_delta.wire_size
         for head in self.head_deltas.values():
             total += state_size(head)
         return float(total)
 
     def scaled(self, factor: float) -> "ClientUpdate":
-        """Return a copy with all deltas multiplied by ``factor``.
-
-        The embedding delta keeps its sparse/dense form.
-        """
-        return ClientUpdate(
-            user_id=self.user_id,
-            group=self.group,
+        """Return a copy with all deltas multiplied by ``factor``."""
+        return replace(
+            self,
             embedding_delta=self.embedding_delta * factor,
             head_deltas={
                 group: {name: array * factor for name, array in head.items()}
                 for group, head in self.head_deltas.items()
             },
-            num_examples=self.num_examples,
-            train_loss=self.train_loss,
-            upload_size_override=self.upload_size_override,
         )

@@ -29,12 +29,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.federated.payload import (
-    ClientUpdate,
-    EmbeddingDelta,
-    SparseRowDelta,
-    touched_rows,
-)
+from repro.federated.payload import ClientUpdate, SparseRowDelta, touched_rows
 
 
 @dataclass
@@ -121,20 +116,21 @@ def gaussian_noise_like(
             for name, values in state.items()}
 
 
-def _protect_sparse_delta(
+def _protect_delta(
     delta: SparseRowDelta,
     config: PrivacyConfig,
     sigma: float,
     rng: np.random.Generator,
 ) -> SparseRowDelta:
-    """Sparse counterpart of the dense clip → pseudo → noise pipeline.
+    """The clip → pseudo → noise pipeline on an upload's touched rows.
 
-    Consumes the client RNG in exactly the dense order (pseudo-row
-    choice, fake directions, fake norms, then support noise) so a sparse
-    upload and its densified twin protect to the same values — the
-    sparse-vs-dense equivalence suite pins this.  Work is O(rows) in the
-    value blocks; only the pseudo-item *index* arithmetic touches the
-    catalogue range, with no ``width`` factor.
+    Consumes the client RNG in exactly the order of the dense oracle
+    (:func:`clip_rows` → :func:`add_pseudo_items` → support noise on
+    ``delta.dense()``: pseudo-row choice, fake directions, fake norms,
+    then noise) and protects to the same values — the payload
+    equivalence suite pins this.  Work is O(rows) in the value blocks;
+    only the pseudo-item *index* arithmetic touches the catalogue range,
+    with no ``width`` factor.
     """
     rows = delta.rows
     values = clip_rows(delta.values, config.clip_norm)
@@ -155,7 +151,7 @@ def _protect_sparse_delta(
             merged_rows = np.union1d(rows, chosen)
             merged = np.zeros((merged_rows.size, delta.width), dtype=values.dtype)
             merged[np.searchsorted(merged_rows, rows)] = values
-            # Assignment, not addition: the dense path overwrites the
+            # Assignment, not addition: the dense oracle overwrites the
             # chosen rows (they are untouched, hence zero, by selection).
             merged[np.searchsorted(merged_rows, chosen)] = fake
             rows, values = merged_rows, merged
@@ -181,22 +177,10 @@ def protect_update(
         return update
 
     sigma = config.noise_std * (config.clip_norm if config.clip_norm else 1.0)
-    delta: EmbeddingDelta = update.embedding_delta
-    if isinstance(delta, SparseRowDelta):
-        delta = _protect_sparse_delta(delta, config, sigma, rng)
-    elif delta.size:
-        delta = clip_rows(delta, config.clip_norm)
-        delta = add_pseudo_items(delta, config.pseudo_items, rng)
+    delta = _protect_delta(update.embedding_delta, config, sigma, rng)
 
     heads = update.head_deltas
     if sigma > 0:
-        if not isinstance(update.embedding_delta, SparseRowDelta) and delta.size:
-            # Noise only on uploaded (touched + pseudo) rows: untouched
-            # rows are structurally zero in the sparse upload encoding.
-            support = touched_rows(delta)
-            noisy = delta.copy()
-            noisy[support] += rng.normal(0.0, sigma, size=(support.size, delta.shape[1]))
-            delta = noisy
         heads = {
             group: gaussian_noise_like(state, sigma, rng)
             for group, state in heads.items()

@@ -36,8 +36,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.federated.aggregation import pad_columns
-from repro.federated.payload import ClientUpdate, SparseRowDelta
+from repro.federated.payload import ClientUpdate
 
 _FIELD_DTYPE = np.uint64
 
@@ -174,18 +173,15 @@ def _flatten_update(update: ClientUpdate, layout: _Layout) -> np.ndarray:
     larger groups) are zero, so the masked sum equals the padded sum of
     Eq. 8 plus the per-head sums of Eq. 15.
 
-    Sparse deltas scatter their touched rows into the (unavoidably
-    dense) masked vector directly — masking needs every coordinate, so
-    the flat vector is the one place the full catalogue extent appears.
+    The delta's touched rows scatter into the (unavoidably dense)
+    masked vector directly — masking needs every coordinate, so the flat
+    vector is the one place the full catalogue extent appears.
     """
     flat = np.zeros(layout.total, dtype=np.float64)
     cursor = layout.embedding_rows * layout.embedding_width
     delta = update.embedding_delta
-    if isinstance(delta, SparseRowDelta):
-        block = flat[:cursor].reshape(layout.embedding_rows, layout.embedding_width)
-        block[delta.rows, : delta.width] = delta.values
-    else:
-        flat[:cursor] = pad_columns(delta, layout.embedding_width).ravel()
+    block = flat[:cursor].reshape(layout.embedding_rows, layout.embedding_width)
+    block[delta.rows, : delta.width] = delta.values
     for head_group, name, shape in layout.head_slots:
         size = int(np.prod(shape))
         if head_group in update.head_deltas and name in update.head_deltas[head_group]:

@@ -38,10 +38,8 @@ from repro.federated.payload import ClientUpdate, SparseRowDelta
 class ContributionLedger:
     """Per-client record of applied public-parameter movements.
 
-    Embedding contributions accumulate in whatever form they arrive:
-    sparse applied deltas merge sparsely (a client's ledger entry then
-    covers only the rows it ever moved), dense ones accumulate dense,
-    and a mixed history densifies once on first contact.
+    Embedding contributions merge sparsely: a client's ledger entry
+    covers only the rows it ever moved.
     """
 
     def __init__(self) -> None:
@@ -55,12 +53,8 @@ class ContributionLedger:
         existing = per_group.get(group)
         if existing is None:
             per_group[group] = applied.copy()
-        elif isinstance(existing, SparseRowDelta) or isinstance(
-            applied, SparseRowDelta
-        ):
-            per_group[group] = existing + applied  # sparse merge / densify
         else:
-            existing += applied
+            per_group[group] = existing + applied
 
     def record_head(
         self, user_id: int, head_group: str, name: str, applied: np.ndarray
@@ -182,7 +176,7 @@ class UnlearningHeteFedRec(HeteFedRec):
         embedding_mode = cfg.aggregation.embedding_mode
         contributors = np.zeros(widest, dtype=np.float64)
         for update in accepted:
-            contributors[: update.embedding_delta.shape[1]] += 1.0  # sparse too
+            contributors[: update.embedding_delta.width] += 1.0
         column_scale = (
             1.0 / np.maximum(contributors, 1.0)
             if embedding_mode == "mean"
@@ -196,26 +190,19 @@ class UnlearningHeteFedRec(HeteFedRec):
 
         for update in accepted:
             delta = update.embedding_delta
-            if isinstance(delta, SparseRowDelta):
-                # Scale the touched-row block once at the widest width;
-                # each group's ledger entry keeps the same sparse rows.
-                scaled = (
-                    pad_columns(delta.values, widest)
-                    * column_scale[np.newaxis, :]
-                    * server_lr
+            # Scale the touched-row block once at the widest width;
+            # each group's ledger entry keeps the same sparse rows.
+            scaled = (
+                pad_columns(delta.values, widest)
+                * column_scale[np.newaxis, :]
+                * server_lr
+            )
+            for group, width in dims.items():
+                self.ledger.record_embedding(
+                    update.user_id,
+                    group,
+                    SparseRowDelta(delta.num_rows, delta.rows, scaled[:, :width]),
                 )
-                for group, width in dims.items():
-                    self.ledger.record_embedding(
-                        update.user_id,
-                        group,
-                        SparseRowDelta(delta.num_rows, delta.rows, scaled[:, :width]),
-                    )
-            else:
-                scaled = pad_columns(delta, widest) * column_scale[np.newaxis, :] * server_lr
-                for group, width in dims.items():
-                    self.ledger.record_embedding(
-                        update.user_id, group, scaled[:, :width]
-                    )
             for head_group, state in update.head_deltas.items():
                 divisor = (
                     float(head_counts[head_group])
@@ -257,10 +244,7 @@ class UnlearningHeteFedRec(HeteFedRec):
 
         for group, contribution in self.ledger.embedding_contribution(user_id).items():
             weight = self.models[group].item_embedding.weight.data
-            if isinstance(contribution, SparseRowDelta):
-                weight[contribution.rows] -= contribution.values
-            else:
-                weight -= contribution
+            weight[contribution.rows] -= contribution.values
         for head_group, state in self.ledger.head_contribution(user_id).items():
             head = self.models[head_group].head
             for name, param in head.named_parameters():

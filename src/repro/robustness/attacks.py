@@ -18,7 +18,7 @@ what it uploads, nothing else.  Three behaviours from the literature:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Set
 
 import numpy as np
@@ -73,30 +73,23 @@ def choose_malicious(
 def _noise_like(update: ClientUpdate, scale: float, rng: np.random.Generator) -> ClientUpdate:
     """Replace every uploaded block with scaled Gaussian noise.
 
-    The upload's sparse/dense form is preserved: a sparse honest update
-    becomes sparse garbage over the *same* touched rows (the attacker
-    controls its payload values, not its wire format, and an upload
-    suddenly spanning the whole catalogue would be trivially
+    An honest update becomes garbage over the *same* touched rows (the
+    attacker controls its payload values, not its wire format, and an
+    upload suddenly spanning the whole catalogue would be trivially
     fingerprintable server-side).  σ is referenced to the std of the
-    uploaded block — for sparse uploads that is the touched-row values,
-    not a catalogue-wide std diluted by structural zeros.
+    uploaded block — the touched-row values, not a catalogue-wide std
+    diluted by structural zeros.
     """
     delta = update.embedding_delta
-    if isinstance(delta, SparseRowDelta):
-        reference = float(np.std(delta.values)) if delta.values.size else 1.0
-        sigma = scale * (reference or 1.0)
-        poisoned = SparseRowDelta(
-            delta.num_rows,
-            delta.rows.copy(),
-            rng.normal(0.0, sigma, size=delta.values.shape),
-        )
-    else:
-        reference = float(np.std(delta)) or 1.0
-        sigma = scale * reference
-        poisoned = rng.normal(0.0, sigma, size=delta.shape)
-    return ClientUpdate(
-        user_id=update.user_id,
-        group=update.group,
+    reference = float(np.std(delta.values)) if delta.values.size else 1.0
+    sigma = scale * (reference or 1.0)
+    poisoned = SparseRowDelta(
+        delta.num_rows,
+        delta.rows.copy(),
+        rng.normal(0.0, sigma, size=delta.values.shape),
+    )
+    return replace(
+        update,
         embedding_delta=poisoned,
         head_deltas={
             head_group: {
@@ -105,8 +98,6 @@ def _noise_like(update: ClientUpdate, scale: float, rng: np.random.Generator) ->
             }
             for head_group, state in update.head_deltas.items()
         },
-        num_examples=update.num_examples,
-        train_loss=update.train_loss,
     )
 
 
@@ -118,66 +109,35 @@ def _promote_target(
     The attacker moves the target's embedding toward the centroid of the
     rows its honest training actually strengthened, amplified by
     ``scale`` — after aggregation the target looks like a universally
-    liked item.  A sparse upload stays sparse: the crafted row joins the
-    touched-row set (the target is one more "interacted" item).
+    liked item.  The crafted row joins the touched-row set (the target
+    is one more "interacted" item).
     """
     delta = update.embedding_delta
-    if isinstance(delta, SparseRowDelta):
-        values = delta.values
-        support_pos = touched_rows(values)
-        support_pos = support_pos[delta.rows[support_pos] != target_item]
-        width = delta.width
-        if support_pos.size:
-            centroid = values[support_pos].mean(axis=0)
-            norm = float(np.linalg.norm(centroid))
-            direction = centroid / norm if norm > 0 else np.ones(width) / np.sqrt(width)
-        else:
-            direction = np.ones(width) / np.sqrt(width)
-        row_norms = np.linalg.norm(values, axis=1)
-        typical = float(row_norms[row_norms > 0].mean()) if np.any(row_norms > 0) else 1.0
-        if target_item < delta.num_rows:
-            crafted = SparseRowDelta(
-                delta.num_rows,
-                np.array([target_item], dtype=np.int64),
-                np.zeros((1, width), dtype=values.dtype),
-            )
-            merged = delta + crafted  # ensures the target row exists
-            merged.values[np.searchsorted(merged.rows, target_item)] = (
-                scale * typical * direction
-            )
-            poisoned = merged
-        else:
-            poisoned = delta.copy()
-        return ClientUpdate(
-            user_id=update.user_id,
-            group=update.group,
-            embedding_delta=poisoned,
-            head_deltas=update.head_deltas,
-            num_examples=update.num_examples,
-            train_loss=update.train_loss,
-        )
-
-    delta = delta.copy()
-    support = touched_rows(delta)
-    support = support[support != target_item]
-    if support.size:
-        centroid = delta[support].mean(axis=0)
+    values = delta.values
+    support_pos = touched_rows(values)
+    support_pos = support_pos[delta.rows[support_pos] != target_item]
+    width = delta.width
+    if support_pos.size:
+        centroid = values[support_pos].mean(axis=0)
         norm = float(np.linalg.norm(centroid))
-        direction = centroid / norm if norm > 0 else np.ones(delta.shape[1]) / np.sqrt(delta.shape[1])
+        direction = centroid / norm if norm > 0 else np.ones(width) / np.sqrt(width)
     else:
-        direction = np.ones(delta.shape[1]) / np.sqrt(delta.shape[1])
-    row_norms = np.linalg.norm(delta, axis=1)
+        direction = np.ones(width) / np.sqrt(width)
+    row_norms = np.linalg.norm(values, axis=1)
     typical = float(row_norms[row_norms > 0].mean()) if np.any(row_norms > 0) else 1.0
-    if target_item < delta.shape[0]:
-        delta[target_item] = scale * typical * direction
-    return ClientUpdate(
-        user_id=update.user_id,
-        group=update.group,
-        embedding_delta=delta,
-        head_deltas=update.head_deltas,
-        num_examples=update.num_examples,
-        train_loss=update.train_loss,
-    )
+    if target_item < delta.num_rows:
+        crafted = SparseRowDelta(
+            delta.num_rows,
+            np.array([target_item], dtype=np.int64),
+            np.zeros((1, width), dtype=values.dtype),
+        )
+        poisoned = delta + crafted  # ensures the target row exists
+        poisoned.values[np.searchsorted(poisoned.rows, target_item)] = (
+            scale * typical * direction
+        )
+    else:
+        poisoned = delta.copy()
+    return replace(update, embedding_delta=poisoned)
 
 
 def poison_update(

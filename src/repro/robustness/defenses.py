@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from repro.federated.aggregation import pad_columns
-from repro.federated.payload import ClientUpdate, SparseRowDelta, as_dense_delta
+from repro.federated.payload import ClientUpdate
 
 _KINDS = ("none", "clip", "median", "trimmed_mean", "krum")
 
@@ -71,8 +71,10 @@ def server_clip_updates(
     """
     if not updates:
         return []
+    # Frobenius norm of each delta, in O(touched rows).
     norms = np.array(
-        [_delta_norm(u.embedding_delta) for u in updates], dtype=np.float64
+        [np.linalg.norm(u.embedding_delta.values) for u in updates],
+        dtype=np.float64,
     )
     bound = float(np.median(norms)) * headroom
     if bound <= 0:
@@ -86,13 +88,6 @@ def server_clip_updates(
     return clipped
 
 
-def _delta_norm(delta) -> float:
-    """Frobenius norm of either embedding-delta form, in O(touched rows)."""
-    if isinstance(delta, SparseRowDelta):
-        return float(np.linalg.norm(delta.values))
-    return float(np.linalg.norm(delta))
-
-
 def _padded_deltas(
     updates: Sequence[ClientUpdate], widest: int
 ) -> np.ndarray:
@@ -104,7 +99,7 @@ def _padded_deltas(
     here) via the payload escape hatch.
     """
     return np.stack(
-        [pad_columns(as_dense_delta(u.embedding_delta), widest) for u in updates],
+        [pad_columns(u.embedding_delta.dense(), widest) for u in updates],
         axis=0,
     )
 

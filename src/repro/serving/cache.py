@@ -73,15 +73,6 @@ class TopKCache:
             self.invalidations += 1
             return dropped
 
-    def evict_version(self, model_version: int) -> int:
-        """Eagerly drop every entry keyed to one dead model version.
-
-        Returns how many entries were evicted.  Keys are
-        ``(model_version, user_id, k)`` tuples; anything not shaped like
-        that is left alone.
-        """
-        return self._evict_if(lambda v: v == int(model_version))
-
     def evict_older_than(self, min_version: int) -> int:
         """Drop every entry whose model version is below ``min_version``.
 
@@ -89,14 +80,12 @@ class TopKCache:
         versions in ``[min_version, current]`` survive so the
         degradation ladder can still answer from them.
         """
-        return self._evict_if(lambda v: v < int(min_version))
-
-    def _evict_if(self, dead) -> int:
+        min_version = int(min_version)
         with self._lock:
             victims = [
                 key
                 for key in self._entries
-                if isinstance(key, tuple) and key and dead(key[0])
+                if isinstance(key, tuple) and key and key[0] < min_version
             ]
             for key in victims:
                 del self._entries[key]

@@ -131,10 +131,7 @@ class SurrogateFleet:
         lr = self.config.server_lr
         for update in updates:
             delta = update.embedding_delta
-            if isinstance(delta, SparseRowDelta):
-                self.item_table[delta.rows] += lr * delta.values
-            else:
-                self.item_table += lr * np.asarray(delta)
+            self.item_table[delta.rows] += lr * delta.values
 
     def end_epoch(self, epoch: int, losses: Sequence[float]) -> None:
         self.store.flush()

@@ -33,7 +33,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.federated.availability import merge_duplicate_users
-from repro.federated.payload import ClientUpdate, SparseRowDelta
+from repro.federated.payload import ClientUpdate
 from repro.federated.secure_agg import FixedPointCodec, SecureAggregationConfig
 from repro.federated.secure_protocol import PHASES, FaultPlan, run_secure_round
 
@@ -148,8 +148,8 @@ class SecureAggregatingBackend:
         self._check_conservation(embeddings, surviving)
 
         # Hand the inner backend the decoded sums as one synthetic
-        # dense update per group — additive application is what every
-        # backend's apply() implements.
+        # update per group (the constructor encodes the dense sum) —
+        # additive application is what every backend's apply() implements.
         synthetic = [
             ClientUpdate(
                 user_id=-1,
@@ -191,11 +191,8 @@ class SecureAggregatingBackend:
             plain = np.zeros_like(decoded)
             for update in surviving:
                 delta = update.embedding_delta
-                if isinstance(delta, SparseRowDelta):
-                    width = min(delta.width, plain.shape[1])
-                    np.add.at(plain, delta.rows, delta.values[:, :width])
-                else:
-                    plain += np.asarray(delta)[:, : plain.shape[1]]
+                width = min(delta.width, plain.shape[1])
+                np.add.at(plain, delta.rows, delta.values[:, :width])
             error = float(np.max(np.abs(decoded - plain))) if decoded.size else 0.0
             self.max_sum_error = max(self.max_sum_error, error)
             if error > bound:

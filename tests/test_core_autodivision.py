@@ -1,12 +1,10 @@
 """Tests for the automatic division/size search (future-work extension)."""
 
-import numpy as np
 import pytest
 
 from repro.core import HeteFedRec, HeteFedRecConfig
 from repro.core.autodivision import (
     SearchResult,
-    auto_configure,
     search_division_ratio,
     search_model_sizes,
     validation_ndcg,
@@ -75,16 +73,3 @@ class TestSizeSearch:
             pilot_epochs=1,
         )
         assert set(result.best) == {"s", "m", "l"}
-
-
-class TestAutoConfigure:
-    def test_end_to_end(self, tiny_dataset, tiny_clients):
-        tuned = auto_configure(
-            tiny_dataset.num_items, tiny_clients, config(), pilot_epochs=1
-        )
-        assert isinstance(tuned, HeteFedRecConfig)
-        assert set(tuned.dims) == {"s", "m", "l"}
-        assert len(tuned.ratios) == 3
-        # The tuned config trains.
-        trainer = HeteFedRec(tiny_dataset.num_items, tiny_clients, tuned)
-        assert np.isfinite(trainer.run_epoch(1))

@@ -63,40 +63,35 @@ class TestClipping:
 
 
 class TestPseudoItems:
+    """The dense helper (the payload suite's oracle) on a dense table."""
+
     def test_support_grows_with_untouched_rows(self):
-        update = sparse_update()
-        protected = add_pseudo_items(
-            update.embedding_delta, 5, np.random.default_rng(0)
-        )
-        before = set(touched_rows(update.embedding_delta))
+        delta = sparse_update().embedding_delta.dense()
+        protected = add_pseudo_items(delta, 5, np.random.default_rng(0))
+        before = set(touched_rows(delta))
         after = set(touched_rows(protected))
         assert before < after
         assert len(after) == len(before) + 5
 
     def test_fake_norms_within_real_range(self):
-        update = sparse_update()
-        protected = add_pseudo_items(
-            update.embedding_delta, 8, np.random.default_rng(1)
-        )
-        real = touched_rows(update.embedding_delta)
+        delta = sparse_update().embedding_delta.dense()
+        protected = add_pseudo_items(delta, 8, np.random.default_rng(1))
+        real = touched_rows(delta)
         fake = np.setdiff1d(touched_rows(protected), real)
-        real_norms = np.linalg.norm(update.embedding_delta[real], axis=1)
+        real_norms = np.linalg.norm(delta[real], axis=1)
         fake_norms = np.linalg.norm(protected[fake], axis=1)
         assert fake_norms.min() >= real_norms.min() - 1e-9
         assert fake_norms.max() <= real_norms.max() + 1e-9
 
     def test_real_rows_unchanged(self):
-        update = sparse_update()
-        protected = add_pseudo_items(
-            update.embedding_delta, 3, np.random.default_rng(2)
-        )
-        real = touched_rows(update.embedding_delta)
-        assert np.array_equal(protected[real], update.embedding_delta[real])
+        delta = sparse_update().embedding_delta.dense()
+        protected = add_pseudo_items(delta, 3, np.random.default_rng(2))
+        real = touched_rows(delta)
+        assert np.array_equal(protected[real], delta[real])
 
     def test_zero_count_is_identity(self):
-        update = sparse_update()
-        out = add_pseudo_items(update.embedding_delta, 0, np.random.default_rng(0))
-        assert out is update.embedding_delta
+        delta = sparse_update().embedding_delta.dense()
+        assert add_pseudo_items(delta, 0, np.random.default_rng(0)) is delta
 
 
 class TestProtectUpdate:
@@ -109,13 +104,11 @@ class TestProtectUpdate:
         update = sparse_update()
         config = PrivacyConfig(clip_norm=1.0, noise_std=0.1)
         out = protect_update(update, config, np.random.default_rng(0))
-        untouched = np.setdiff1d(
-            np.arange(20), touched_rows(update.embedding_delta)
-        )
-        assert np.allclose(out.embedding_delta[untouched], 0.0)
-        support = touched_rows(update.embedding_delta)
-        assert not np.allclose(out.embedding_delta[support],
-                               update.embedding_delta[support])
+        before, after = update.embedding_delta.dense(), out.embedding_delta.dense()
+        untouched = np.setdiff1d(np.arange(20), touched_rows(before))
+        assert np.allclose(after[untouched], 0.0)
+        support = touched_rows(before)
+        assert not np.allclose(after[support], before[support])
 
     def test_heads_also_noised(self):
         update = sparse_update()

@@ -32,13 +32,16 @@ class TestPayload:
         assert state_size({"a": np.zeros((2, 3)), "b": np.zeros(4)}) == 10
 
     def test_upload_size(self):
+        delta = np.zeros((5, 3))
+        delta[[1, 3]] = 1.0
         u = ClientUpdate(
             user_id=0,
             group="m",
-            embedding_delta=np.zeros((5, 3)),
+            embedding_delta=delta,
             head_deltas={"s": {"w": np.zeros(4)}, "m": {"w": np.zeros(6)}},
         )
-        assert u.upload_size == 15 + 4 + 6
+        # Two touched rows ship id + 3 values each; heads ship in full.
+        assert u.upload_size == 2 * (1 + 3) + 4 + 6
 
     def test_scaled(self):
         u = ClientUpdate(
@@ -163,15 +166,6 @@ class TestClientRuntime:
         runtime = self.make()
         with pytest.raises(ValueError):
             runtime.commit_user_embedding(np.zeros(5))
-
-    def test_resize_keeps_prefix(self):
-        runtime = self.make(dim=4)
-        original = runtime.user_embedding.copy()
-        runtime.resize_embedding(6)
-        assert runtime.embedding_dim == 6
-        assert np.allclose(runtime.user_embedding[:4], original)
-        runtime.resize_embedding(2)
-        assert np.allclose(runtime.user_embedding, original[:2])
 
     def test_sample_batch_ratio(self):
         runtime = self.make()

@@ -133,7 +133,8 @@ class TestSparseContractRule:
         src = "import numpy as np\ndef f(update):\n    return np.asarray(update)\n"
         assert rules_fired(src, SEEDED, "sparse-contract") == ["sparse-contract"]
 
-    def test_isinstance_dispatch_idiom_is_compliant(self):
+    def test_isinstance_dispatch_is_not_exempt(self):
+        """Uploads have one format, so a dense fallback arm is a finding."""
         src = (
             "import numpy as np\n"
             "def f(delta):\n"
@@ -141,7 +142,7 @@ class TestSparseContractRule:
             "        return delta.rows\n"
             "    return np.asarray(delta)\n"
         )
-        assert rules_fired(src, SEEDED, "sparse-contract") == []
+        assert rules_fired(src, SEEDED, "sparse-contract") == ["sparse-contract"]
 
     def test_asarray_on_unrelated_value_is_silent(self):
         src = "import numpy as np\ndef f(matrix):\n    return np.asarray(matrix)\n"

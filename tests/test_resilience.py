@@ -280,13 +280,12 @@ class TestHealthMonitor:
 # TopKCache version eviction + stale reads
 # ----------------------------------------------------------------------
 class TestCacheVersionEviction:
-    def test_evict_version_and_older_than(self):
+    def test_evict_older_than(self):
         cache = TopKCache()
         for version in (1, 2, 3):
             cache.put((version, 7, 10), f"v{version}")
-        assert cache.evict_version(2) == 1
+        assert cache.evict_older_than(3) == 2  # drops v1 and v2
         assert cache.get((2, 7, 10)) is None
-        assert cache.evict_older_than(3) == 1  # drops v1
         assert cache.get((3, 7, 10)) == "v3"
         assert cache.stats()["evictions"] == 2
 

@@ -80,17 +80,21 @@ class TestPoisonUpdate:
         update = honest_update(seed=2)
         poisoned = poison_update(update, AttackConfig(kind="noise", scale=10.0),
                                  np.random.default_rng(0))
-        # Noise is dense — untouched rows are no longer zero.
-        assert np.count_nonzero(poisoned.embedding_delta) > np.count_nonzero(
-            update.embedding_delta
+        # Garbage over the *same* touched rows: the attacker controls its
+        # values, not its wire format.
+        honest, garbage = update.embedding_delta, poisoned.embedding_delta
+        assert np.array_equal(garbage.rows, honest.rows)
+        assert np.abs(garbage.values).mean() > 3 * np.abs(honest.values).mean()
+        assert not np.allclose(
+            poisoned.head_deltas["s"]["w"], update.head_deltas["s"]["w"]
         )
 
     def test_promote_boosts_target_row(self):
         update = honest_update(seed=3, touched=(1, 2, 3))
         config = AttackConfig(kind="promote", target_item=7, scale=10.0)
         poisoned = poison_update(update, config, np.random.default_rng(0))
-        target_norm = np.linalg.norm(poisoned.embedding_delta[7])
-        honest_norms = np.linalg.norm(update.embedding_delta[[1, 2, 3]], axis=1)
+        target_norm = np.linalg.norm(poisoned.embedding_delta.dense()[7])
+        honest_norms = np.linalg.norm(update.embedding_delta.dense()[[1, 2, 3]], axis=1)
         # The crafted row is exactly scale × the typical honest row norm.
         assert np.isclose(target_norm, 10.0 * honest_norms.mean())
         assert target_norm > honest_norms.max()
@@ -104,6 +108,24 @@ class TestPoisonUpdate:
         assert poisoned.user_id == 42 and poisoned.group == "m"
         assert poisoned.embedding_delta.shape == update.embedding_delta.shape
 
+    @pytest.mark.parametrize("kind", ["noise", "signflip", "promote"])
+    def test_poisoning_keeps_the_metered_wire_cost(self, kind):
+        """Poisoning runs on the finished (compressed, metered) upload:
+        the compressed-size override must survive every attack."""
+        from repro.compression.client import ClientCompressor
+        from repro.compression.codecs import CompressionConfig
+
+        honest = honest_update(seed=5)
+        compressed = ClientCompressor(
+            CompressionConfig(kind="topk", ratio=0.25)
+        ).apply(honest)
+        assert compressed.upload_size < honest.upload_size
+        poisoned = poison_update(
+            compressed, AttackConfig(kind=kind, target_item=7),
+            np.random.default_rng(0),
+        )
+        assert poisoned.upload_size == compressed.upload_size
+
     def test_promote_with_empty_support_still_works(self):
         update = ClientUpdate(
             user_id=0, group="s", embedding_delta=np.zeros((5, 2)), head_deltas={}
@@ -112,7 +134,7 @@ class TestPoisonUpdate:
             update, AttackConfig(kind="promote", target_item=3),
             np.random.default_rng(0),
         )
-        assert np.linalg.norm(poisoned.embedding_delta[3]) > 0
+        assert np.linalg.norm(poisoned.embedding_delta.dense()[3]) > 0
 
 
 class TestServerClip:
