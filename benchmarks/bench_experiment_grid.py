@@ -17,30 +17,23 @@ brackets all request runs from one shared pool — through
 Each arm starts from a cold, private cache directory; the parallel
 results are asserted bitwise-identical to the serial ones (training is
 deterministic in the spec), and a warm-cache replay is timed to show the
-hit path.  Results go to ``BENCH_experiment_grid.json``:
+hit path.  Results go to ``BENCH_experiment_grid.json`` through the one
+benchmark CLI (``benchmarks/suite.py``: flags, gate rule, output files):
 
-    PYTHONPATH=src python benchmarks/bench_experiment_grid.py --jobs 4
+    PYTHONPATH=src python -m benchmarks.suite experiment_grid [--quick] [--check]
 
 The parallel speedup scales with cores (the grid is embarrassingly
 parallel across training runs); ``cpu_count`` is recorded alongside so a
 baseline from a small container is interpretable.  ``--quick`` shrinks
-the grid for CI; ``--check BASELINE`` compares the measured speedups
-against a committed baseline and exits non-zero when one falls below
-``--check-tolerance`` × its baseline value — on single-core machines the
-parallel floor is skipped (it cannot be expressed), while result
-equality is always enforced:
-
-    PYTHONPATH=src python benchmarks/bench_experiment_grid.py \
-        --quick --check BENCH_experiment_grid.json --out bench_grid_fresh.json
+the grid for CI.  What is gated is declared in :func:`metrics`: result
+equality on every run, the speedups as floors under ``--check`` — which
+single-core machines skip (parallelism cannot be expressed there).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import shutil
-import sys
 import tempfile
 import time
 from dataclasses import asdict
@@ -49,6 +42,8 @@ from typing import Dict, List, Tuple
 import repro.experiments.runner as runner
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.runner import RunSpec, run_grid, run_spec
+
+from benchmarks.suite import Metric
 
 #: Reduced-suite profiles: small enough for a bench run, big enough that
 #: a training run dominates process-pool dispatch overhead.
@@ -172,73 +167,26 @@ def run_benchmark(jobs: int, quick: bool = False) -> Dict:
     }
 
 
-def collect_speedups(report: Dict) -> List[Tuple[str, float]]:
+def measure(quick: bool = False) -> Dict:
+    return run_benchmark(jobs=4, quick=quick)
+
+
+def metrics(report: Dict) -> List[Metric]:
+    """Result equality is a hard requirement; the speedups are floors.
+
+    The floors mirror the round-engine gate but compare only when the
+    measuring machine has at least two cores — on one, process
+    parallelism cannot be expressed, so their scale matches nothing.
+    """
+    multi_core = "multi-core" if (os.cpu_count() or 1) >= 2 else None
     return [
-        ("parallel_vs_serial", float(report["speedup"])),
-        ("parallel_vs_legacy", float(report["suite_speedup"])),
+        Metric("bitwise_identical", report["bitwise_identical"], "hard"),
+        Metric("parallel_vs_serial", float(report["speedup"]), "floor", multi_core),
+        Metric("parallel_vs_legacy", float(report["suite_speedup"]), "floor", multi_core),
     ]
 
 
-def check_regression(report: Dict, baseline_path: str, tolerance: float) -> bool:
-    """Gate a fresh report against a committed baseline.
-
-    Result equality (``bitwise_identical``) is a hard requirement.  The
-    speedup floors mirror the round-engine gate — at least ``tolerance``
-    × the baseline value — but are skipped when the measuring machine
-    has a single core, where process parallelism cannot be expressed.
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    ok = True
-    if not report["bitwise_identical"]:
-        print("[check] bitwise_identical: FAILED — parallel results diverged")
-        ok = False
-    else:
-        print("[check] bitwise_identical: ok")
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        print(f"[check] {cores} core(s): parallel speedup floors skipped")
-        return ok
-    baseline_speedups = dict(collect_speedups(baseline))
-    for name, measured in collect_speedups(report):
-        expected = baseline_speedups.get(name)
-        if expected is None:
-            print(f"[check] {name}: {measured:.2f}x (no baseline entry, skipped)")
-            continue
-        floor = tolerance * expected
-        verdict = "ok" if measured >= floor else "REGRESSION"
-        if measured < floor:
-            ok = False
-        print(
-            f"[check] {name}: measured {measured:.2f}x vs baseline "
-            f"{expected:.2f}x (floor {floor:.2f}x) — {verdict}"
-        )
-    return ok
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=4)
-    parser.add_argument("--out", default="BENCH_experiment_grid.json")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized grid (one dataset, two epochs)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE_JSON",
-        help="compare measured speedups/equality against this committed "
-        "baseline and exit non-zero on a regression",
-    )
-    parser.add_argument(
-        "--check-tolerance", type=float, default=0.4,
-        help="fraction of the baseline speedup each measured speedup "
-        "must reach (default: 0.4)",
-    )
-    args = parser.parse_args()
-
-    report = run_benchmark(jobs=args.jobs, quick=args.quick)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
+def summary(report: Dict) -> None:
     grid = report["grid"]
     print(
         f"grid: {grid['requested_specs']} requested → {grid['unique_specs']} "
@@ -254,11 +202,5 @@ def main() -> None:
     print(
         f"speedup {report['speedup']:.2f}x vs serial executor, "
         f"{report['suite_speedup']:.2f}x vs legacy loop; bitwise identical: "
-        f"{report['bitwise_identical']}; wrote {args.out}"
+        f"{report['bitwise_identical']}"
     )
-    if args.check and not check_regression(report, args.check, args.check_tolerance):
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()

@@ -7,18 +7,14 @@ under both execution modes for three configurations — the base protocol
 objective) and the LightGCN backbone (batched local-graph propagation) —
 plus per-client vs. blocked full-ranking evaluation, and records the
 sparse-upload wire cost against the dense-table equivalent.  Results go
-to ``BENCH_round_engine.json``:
+to ``BENCH_round_engine.json`` through the one benchmark CLI
+(``benchmarks/suite.py``: flags, gate rule, output files):
 
-    PYTHONPATH=src python benchmarks/bench_round_engine.py
+    PYTHONPATH=src python -m benchmarks.suite round_engine [--quick] [--check]
 
 ``--quick`` shrinks the problem (48 clients, 400 items, 2 local epochs)
-for CI-speed runs; ``--check BENCH_round_engine.json`` compares the
-measured engine-vs-reference speedups against the committed baseline and
-exits non-zero when any falls below ``--check-tolerance`` × its baseline
-value — the CI benchmark-regression gate:
-
-    PYTHONPATH=src python benchmarks/bench_round_engine.py \
-        --quick --check BENCH_round_engine.json --out bench_fresh.json
+for CI-speed runs.  What ``--check`` gates is declared in
+:func:`metrics`: each section's engine-vs-reference speedup as a floor.
 
 CI hooks: ``benchmarks/test_bench_round_engine.py`` (marked ``slow``,
 excluded from tier-1 by ``pytest.ini``) runs a scaled-down full check;
@@ -28,11 +24,8 @@ script importable and runnable at toy scale.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -44,6 +37,8 @@ from repro.data.splitting import train_test_split_per_user
 from repro.data.synthetic import DATASET_SPECS, SyntheticConfig, load_benchmark_dataset
 from repro.eval.evaluator import Evaluator
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
+
+from benchmarks.suite import Metric
 
 
 def build_problem(num_clients: int, num_items: int, seed: int = 7):
@@ -290,113 +285,40 @@ def run_hetefedrec_benchmark(
     }
 
 
-def collect_speedups(report: Dict) -> List[Tuple[str, float]]:
-    """The engine-vs-reference speedups a report carries, by section.
+def measure(quick: bool = False) -> Dict:
+    """All three sections at paper scale, or the CI-sized problem."""
+    shape = dict(num_clients=48, num_items=400, local_epochs=2) if quick else {}
+    report = run_benchmark(**shape)
+    report["hetefedrec_dual_task"] = run_hetefedrec_benchmark(**shape)
+    # The architecture grid's remaining backbone: LightGCN rounds
+    # through the batched local-graph propagation path.
+    report["lightgcn"] = run_benchmark(arch="lightgcn", **shape)
+    return report
 
-    Section names carry the measured architecture (``base[ncf]``), so a
-    ``--check`` against a baseline produced with a different ``--arch``
-    skips the mismatched sections instead of gating one architecture's
-    speedup against another's floor.
+
+def metrics(report: Dict) -> List[Metric]:
+    """Each section's engine-vs-reference speedup, a floor per section.
+
+    Names and scale carry the measured architecture (``base[ncf]``), so
+    one architecture's speedup is never gated against another's floor,
+    and a section the baseline lacks is skipped.  The band is
+    deliberately wide: CI runs ``--quick`` problems on shared runners,
+    so this catches the engine *losing its win* (dispatch silently
+    falling back, a fused path regressing to reference-level cost), not
+    percent-level noise.
     """
     sections = [("base", report)]
     for key in ("hetefedrec_dual_task", "lightgcn"):
         if key in report:
             sections.append((key, report[key]))
-    return [
-        (
-            f"{name}[{section.get('config', {}).get('arch', 'ncf')}]",
-            float(section["speedup"]),
-        )
-        for name, section in sections
-    ]
+    found = []
+    for name, section in sections:
+        arch = section.get("config", {}).get("arch", "ncf")
+        found.append(Metric(f"{name}[{arch}]", float(section["speedup"]), "floor", arch))
+    return found
 
 
-def check_regression(report: Dict, baseline_path: str, tolerance: float) -> bool:
-    """Compare measured speedups against a committed baseline report.
-
-    Returns ``True`` when every section's measured engine-vs-reference
-    speedup stays within the tolerance band — at least ``tolerance`` ×
-    the baseline's value.  Sections absent from the baseline (a new
-    config without a regenerated baseline yet) are reported but never
-    fail the gate.  The band is deliberately wide: CI runs ``--quick``
-    problems on shared runners, so this catches the engine *losing its
-    win* (dispatch silently falling back, a fused path regressing to
-    reference-level cost), not percent-level noise.
-    """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    baseline_speedups = dict(collect_speedups(baseline))
-    ok = True
-    for name, measured in collect_speedups(report):
-        expected = baseline_speedups.get(name)
-        if expected is None:
-            print(f"[check] {name}: {measured:.2f}x (no baseline entry, skipped)")
-            continue
-        floor = tolerance * expected
-        verdict = "ok" if measured >= floor else "REGRESSION"
-        if measured < floor:
-            ok = False
-        print(
-            f"[check] {name}: measured {measured:.2f}x vs baseline "
-            f"{expected:.2f}x (floor {floor:.2f}x) — {verdict}"
-        )
-    return ok
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--clients", type=int, default=256)
-    parser.add_argument("--items", type=int, default=3706)
-    parser.add_argument("--local-epochs", type=int, default=4)
-    parser.add_argument("--arch", default="ncf", choices=["ncf", "mf", "lightgcn"])
-    parser.add_argument("--out", default="BENCH_round_engine.json")
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized problem (48 clients, 400 items, 2 local epochs)",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE_JSON",
-        help="compare measured speedups against this committed baseline "
-        "and exit non-zero on a regression",
-    )
-    parser.add_argument(
-        "--check-tolerance",
-        type=float,
-        default=0.4,
-        help="fraction of the baseline speedup each measured speedup "
-        "must reach (default: 0.4)",
-    )
-    args = parser.parse_args()
-    if args.quick:
-        args.clients = min(args.clients, 48)
-        args.items = min(args.items, 400)
-        args.local_epochs = min(args.local_epochs, 2)
-
-    report = run_benchmark(
-        num_clients=args.clients,
-        num_items=args.items,
-        local_epochs=args.local_epochs,
-        arch=args.arch,
-    )
-    report["hetefedrec_dual_task"] = run_hetefedrec_benchmark(
-        num_clients=args.clients,
-        num_items=args.items,
-        local_epochs=args.local_epochs,
-        arch=args.arch,
-    )
-    if args.arch == "ncf":
-        # The architecture grid's remaining backbone: LightGCN rounds
-        # through the batched local-graph propagation path.
-        report["lightgcn"] = run_benchmark(
-            num_clients=args.clients,
-            num_items=args.items,
-            local_epochs=args.local_epochs,
-            arch="lightgcn",
-        )
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
+def summary(report: Dict) -> None:
     dual = report["hetefedrec_dual_task"]
     evaluation = report["evaluation"]
     eval_note = f"; eval {evaluation['speedup']:.1f}x" if evaluation else ""
@@ -411,18 +333,11 @@ def main() -> None:
         f"{dual['vectorized']['round_seconds']:.2f}s ({dual['speedup']:.1f}x); "
         f"upload {dual['vectorized']['upload']['mean_scalars']:.0f} vs dense "
         f"{dual['vectorized']['upload']['mean_scalars_dense_equiv']:.0f} scalars "
-        f"(÷{dual['vectorized']['upload']['reduction']:.1f}); wrote {args.out}"
+        f"(÷{dual['vectorized']['upload']['reduction']:.1f})"
     )
-    if "lightgcn" in report:
-        gcn = report["lightgcn"]
-        print(
-            f"lightgcn round: {gcn['reference']['round_seconds']:.2f}s → "
-            f"{gcn['vectorized']['round_seconds']:.2f}s ({gcn['speedup']:.1f}x); "
-            f"tape nodes ÷{gcn['tape_node_reduction']:.0f}"
-        )
-    if args.check and not check_regression(report, args.check, args.check_tolerance):
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()
+    gcn = report["lightgcn"]
+    print(
+        f"lightgcn round: {gcn['reference']['round_seconds']:.2f}s → "
+        f"{gcn['vectorized']['round_seconds']:.2f}s ({gcn['speedup']:.1f}x); "
+        f"tape nodes ÷{gcn['tape_node_reduction']:.0f}"
+    )

@@ -18,24 +18,19 @@ O(n² · size) pairwise-masking cost) at paper-scale cohorts:
   **bitwise identical** to the survivors' plain fixed-point sum at
   every scale.
 
-Results go to ``BENCH_secure_agg.json``:
+Results go to ``BENCH_secure_agg.json`` through the one benchmark CLI
+(``benchmarks/suite.py``: flags, gate rule, output files):
 
-    PYTHONPATH=src python benchmarks/bench_secure_agg.py
+    PYTHONPATH=src python -m benchmarks.suite secure_agg [--quick] [--check]
 
-``--quick`` shrinks the cohorts for CI; ``--check BASELINE`` compares
-throughput against a committed baseline and exits non-zero when it
-falls below ``--check-tolerance`` × the baseline value or the wire
-accounting drifts — exactness is always enforced:
-
-    PYTHONPATH=src python benchmarks/bench_secure_agg.py \
-        --quick --check BENCH_secure_agg.json --out bench_secure_fresh.json
+``--quick`` shrinks the cohorts for CI.  What is gated is declared in
+:func:`metrics`: exactness on every run; under ``--check`` throughput as
+a floor and the wire accounting as an exact match, per cohort size the
+baseline also ran.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
 from typing import Dict, List
 
@@ -48,6 +43,8 @@ from repro.federated.secure_protocol import (
     FaultPlan,
     run_secure_round,
 )
+
+from benchmarks.suite import Metric
 
 FULL_COHORTS = (64, 128, 256)
 QUICK_COHORTS = (16, 32)
@@ -138,74 +135,28 @@ def run_benchmark(quick: bool = False) -> Dict:
     }
 
 
-def check_regression(report: Dict, baseline_path: str, tolerance: float) -> bool:
-    """Gate a fresh report against a committed baseline.
+measure = run_benchmark  # the suite's entry point: measure(quick)
 
-    Exactness is a hard requirement at every scale.  At scales the
-    baseline also ran, throughput must reach ``tolerance`` × the
-    baseline value, and the (deterministic) wire accounting must match
-    the baseline exactly — any drift is an accounting change that needs
-    a deliberate baseline regeneration.
+
+def metrics(report: Dict) -> List[Metric]:
+    """Exactness is a hard requirement at every scale.
+
+    At cohort sizes the baseline also ran, throughput is a floor and the
+    (deterministic) wire accounting must match exactly — any drift is an
+    accounting change that needs a deliberate baseline regeneration.
     """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    by_scale = {c["num_clients"]: c for c in baseline["cohorts"]}
-    ok = True
+    found = []
     for cohort in report["cohorts"]:
         n = cohort["num_clients"]
-        if not cohort["exact"]:
-            print(f"[check] n={n} exact: FAILED — masked sum != plain sum")
-            ok = False
-            continue
-        print(f"[check] n={n} exact: ok")
-        base = by_scale.get(n)
-        if base is None:
-            print(f"[check] n={n}: not in baseline — throughput floor skipped")
-            continue
-        floor = tolerance * base["clients_per_second"]
-        measured = cohort["clients_per_second"]
-        verdict = "ok" if measured >= floor else "REGRESSION"
-        if measured < floor:
-            ok = False
-        print(
-            f"[check] n={n} clients_per_second: measured {measured:,.1f} vs "
-            f"baseline {base['clients_per_second']:,.1f} "
-            f"(floor {floor:,.1f}) — {verdict}"
-        )
-        if abs(cohort["overhead_ratio"] - base["overhead_ratio"]) > 1e-9:
-            print(
-                f"[check] n={n} overhead_ratio: measured "
-                f"{cohort['overhead_ratio']:.6f} vs baseline "
-                f"{base['overhead_ratio']:.6f} — WIRE ACCOUNTING DRIFTED"
-            )
-            ok = False
-        else:
-            print(f"[check] n={n} overhead_ratio: ok")
-    return ok
+        found += [
+            Metric(f"n={n} exact", cohort["exact"], "hard"),
+            Metric(f"n={n} clients_per_second", cohort["clients_per_second"], "floor", n),
+            Metric(f"n={n} overhead_ratio", cohort["overhead_ratio"], "exact", n),
+        ]
+    return found
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_secure_agg.json")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"CI-sized cohorts {QUICK_COHORTS} instead of {FULL_COHORTS}",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE_JSON",
-        help="compare throughput/wire/exactness against this committed "
-        "baseline and exit non-zero on a regression",
-    )
-    parser.add_argument(
-        "--check-tolerance", type=float, default=0.4,
-        help="fraction of the baseline throughput the measured value must "
-        "reach (default: 0.4)",
-    )
-    args = parser.parse_args()
-
-    report = run_benchmark(quick=args.quick)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
+def summary(report: Dict) -> None:
     for cohort in report["cohorts"]:
         print(
             f"n={cohort['num_clients']:>4}: clean "
@@ -215,10 +166,3 @@ def main() -> None:
             f"({cohort['recovery_dropouts']} dropouts), overhead ratio "
             f"{cohort['overhead_ratio']:.3f}, exact: {cohort['exact']}"
         )
-    print(f"wrote {args.out}")
-    if args.check and not check_regression(report, args.check, args.check_tolerance):
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()

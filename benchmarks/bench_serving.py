@@ -18,30 +18,26 @@ would and measures what the serving design claims:
   zero stale-after-cutover responses (a query started after ``swap()``
   returned must carry the new model version).
 
-Results go to ``BENCH_serving.json``:
+Results go to ``BENCH_serving.json`` through the one benchmark CLI
+(``benchmarks/suite.py``: flags, gate rule, output files):
 
-    PYTHONPATH=src python benchmarks/bench_serving.py
+    PYTHONPATH=src python -m benchmarks.suite serving [--quick] [--check]
 
 ``--quick`` shrinks the dataset and client count for CI (the 3x gate is
-scale-gated: only enforced at ≥ 32 concurrent clients); ``--check
-BASELINE`` additionally compares QPS against a committed baseline and
-exits non-zero when it falls below ``--check-tolerance`` × the baseline
-— the swap gates are always enforced:
-
-    PYTHONPATH=src python benchmarks/bench_serving.py \
-        --quick --check BENCH_serving.json --out bench_serving_fresh.json
+scale-gated: only enforced at ≥ 32 concurrent clients).  What is gated
+is declared in :func:`metrics`: the report's own ``gates`` on every run;
+under ``--check`` both arms' QPS as floors, at the baseline's shape only.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import threading
 import time
 from typing import Dict, List
 
 import numpy as np
+
+from benchmarks.suite import Metric
 
 FULL = dict(scale=0.02, item_scale=0.02, epochs=2, clients=32,
             queries_per_client=50)
@@ -298,70 +294,25 @@ def run_benchmark(quick: bool = False) -> Dict:
     }
 
 
-def enforce_gates(report: Dict) -> bool:
-    """The benchmark's own hard gates — enforced on every run."""
-    gates = report["gates"]
-    ok = True
-    for name in ("batched_speedup_ok", "swap_zero_failed", "swap_zero_stale"):
-        verdict = "ok" if gates[name] else "FAILED"
-        print(f"[gate] {name}: {verdict}")
-        ok = ok and gates[name]
-    return ok
+measure = run_benchmark  # the suite's entry point: measure(quick)
 
 
-def check_regression(report: Dict, baseline_path: str, tolerance: float) -> bool:
-    """QPS floors vs a committed baseline (when shapes are comparable)."""
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    ok = True
-    same_shape = (
-        report["config"]["clients"] == baseline["config"]["clients"]
-        and report["config"]["scale"] == baseline["config"]["scale"]
-    )
-    if not same_shape:
-        print(
-            "[check] baseline ran at a different scale "
-            f"(clients={baseline['config']['clients']}, "
-            f"scale={baseline['config']['scale']}) — QPS floors skipped"
-        )
-        return ok
-    for arm in ("unbatched", "batched"):
-        measured = report["load"][arm]["qps"]
-        floor = tolerance * baseline["load"][arm]["qps"]
-        verdict = "ok" if measured >= floor else "REGRESSION"
-        if measured < floor:
-            ok = False
-        print(
-            f"[check] {arm} qps: measured {measured:,.1f} vs baseline "
-            f"{baseline['load'][arm]['qps']:,.1f} (floor {floor:,.1f}) "
-            f"— {verdict}"
-        )
-    return ok
+def metrics(report: Dict) -> List[Metric]:
+    """The benchmark's own hard gates, plus QPS floors vs a baseline of
+    the same shape (concurrent clients and dataset scale)."""
+    shape = (report["config"]["clients"], report["config"]["scale"])
+    gates = [
+        Metric(name, report["gates"][name], "hard")
+        for name in ("batched_speedup_ok", "swap_zero_failed", "swap_zero_stale")
+    ]
+    floors = [
+        Metric(f"{arm} qps", report["load"][arm]["qps"], "floor", shape)
+        for arm in ("unbatched", "batched")
+    ]
+    return gates + floors
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_serving.json")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"CI-sized run {QUICK} instead of {FULL}",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE_JSON",
-        help="compare QPS against this committed baseline and exit "
-        "non-zero on a regression (hard gates always enforced)",
-    )
-    parser.add_argument(
-        "--check-tolerance", type=float, default=0.4,
-        help="fraction of the baseline QPS the measured value must reach "
-        "(default: 0.4)",
-    )
-    args = parser.parse_args()
-
-    report = run_benchmark(quick=args.quick)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
+def summary(report: Dict) -> None:
     load = report["load"]
     print(
         f"load ({load['concurrent_clients']} clients): unbatched "
@@ -386,14 +337,3 @@ def main() -> None:
         f"queries ({swap['qps']:,.0f} qps), failed {swap['failed']}, "
         f"stale after cutover {swap['stale_after_cutover']}"
     )
-    print(f"wrote {args.out}")
-
-    ok = enforce_gates(report)
-    if args.check:
-        ok = check_regression(report, args.check, args.check_tolerance) and ok
-    if not ok:
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()

@@ -23,28 +23,26 @@ and gates the behaviour the resilience design claims:
   ones keep swapping in.
 
 The two chaos arms run entirely on the manual clock, so their outcome
-counters and answer digests are deterministic: ``--check BASELINE``
-re-asserts bitwise-identical digests against the committed
-``BENCH_serving_resilience.json`` (when the config shapes match), which
+counters and answer digests are deterministic: ``--check`` re-asserts
+bitwise-identical digests against the committed
+``BENCH_serving_resilience.json`` (when the request counts match), which
 is what makes the fingerprint reproducibility claim CI-enforceable.
+Run through the one benchmark CLI (``benchmarks/suite.py``: flags, gate
+rule, output files); what is gated is declared in :func:`metrics`:
 
-    PYTHONPATH=src python benchmarks/bench_serving_resilience.py
-    PYTHONPATH=src python benchmarks/bench_serving_resilience.py \
-        --quick --check BENCH_serving_resilience.json \
-        --out bench_serving_resilience_fresh.json
+    PYTHONPATH=src python -m benchmarks.suite serving_resilience [--quick] [--check]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import threading
 import time
 from dataclasses import replace
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
+
+from benchmarks.suite import Metric
 
 FULL = dict(requests=600, drain_threads=16, drain_seconds=0.5)
 QUICK = dict(requests=200, drain_threads=8, drain_seconds=0.2)
@@ -258,73 +256,33 @@ def run_benchmark(quick: bool = False) -> Dict:
     }
 
 
-def enforce_gates(report: Dict) -> bool:
-    """The benchmark's own hard gates — enforced on every run."""
-    ok = True
-    for name, value in report["gates"].items():
-        if not isinstance(value, bool):
-            continue
-        print(f"[gate] {name}: {'ok' if value else 'FAILED'}")
-        ok = ok and value
-    return ok
+measure = run_benchmark  # the suite's entry point: measure(quick)
 
 
-def check_regression(report: Dict, baseline_path: str, tolerance: float) -> bool:
-    """Determinism vs the committed baseline.
+def metrics(report: Dict) -> List[Metric]:
+    """The benchmark's own hard gates, plus the chaos digests.
 
-    The chaos arms run on the manual clock, so for a matching config the
-    outcome digests must be *bitwise identical* — any drift means the
-    seeded fault stream or the serving stack changed behaviour.
-    ``tolerance`` is unused here (kept for CLI uniformity with the other
-    bench harnesses).
+    The chaos arms run on the manual clock, so against a baseline of the
+    same request count the outcome digests must be *bitwise identical* —
+    any drift means the seeded fault stream or the serving stack changed
+    behaviour.
     """
-    del tolerance
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    if report["config"]["requests"] != baseline["config"]["requests"]:
-        print(
-            "[check] baseline ran at a different scale "
-            f"(requests={baseline['config']['requests']}) — digest "
-            "comparison skipped"
-        )
-        return True
-    ok = True
-    for arm, path in (
-        ("overload_burst", ("overload_burst", "shedding_on", "digest")),
-        ("swap_storm", ("swap_storm", "digest")),
-    ):
-        fresh, committed = report, baseline
-        for key in path:
-            fresh, committed = fresh[key], committed[key]
-        verdict = "ok" if fresh == committed else "DIGEST DRIFT"
-        if fresh != committed:
-            ok = False
-        print(f"[check] {arm} digest: {verdict}")
-    return ok
+    requests = report["config"]["requests"]
+    gates = [
+        Metric(name, value, "hard")
+        for name, value in report["gates"].items()
+        if isinstance(value, bool)
+    ]
+    return gates + [
+        Metric(
+            "overload_burst digest",
+            report["overload_burst"]["shedding_on"]["digest"], "exact", requests,
+        ),
+        Metric("swap_storm digest", report["swap_storm"]["digest"], "exact", requests),
+    ]
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_serving_resilience.json")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"CI-sized run {QUICK} instead of {FULL}",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE_JSON",
-        help="re-assert bitwise-identical chaos digests against this "
-        "committed baseline (hard gates always enforced)",
-    )
-    parser.add_argument(
-        "--check-tolerance", type=float, default=1.0,
-        help="unused (digests are exact); kept for CLI uniformity",
-    )
-    args = parser.parse_args()
-
-    report = run_benchmark(quick=args.quick)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
+def summary(report: Dict) -> None:
     drain = report["graceful_drain"]
     print(
         f"graceful drain ({drain['threads']} threads): {drain['answered']} "
@@ -349,14 +307,3 @@ def main() -> None:
         f"{storm['swaps_succeeded']} swapped, {storm['rollbacks']} rolled "
         f"back, bad snapshots served: {storm['bad_snapshots_served']}"
     )
-    print(f"wrote {args.out}")
-
-    ok = enforce_gates(report)
-    if args.check:
-        ok = check_regression(report, args.check, args.check_tolerance) and ok
-    if not ok:
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()

@@ -14,30 +14,26 @@ reports client throughput plus peak resident memory:
 * ``deterministic``      — two same-seed small-scale runs must produce
   identical :meth:`ScenarioResult.fingerprint` payloads (hard gate).
 
-Results go to ``BENCH_sim.json``:
+Results go to ``BENCH_sim.json`` through the one benchmark CLI
+(``benchmarks/suite.py``: flags, gate rule, output files):
 
-    PYTHONPATH=src python benchmarks/bench_sim.py
+    PYTHONPATH=src python -m benchmarks.suite sim [--quick] [--check]
 
-``--quick`` shrinks the population for CI; ``--check BASELINE`` compares
-throughput against a committed baseline and exits non-zero when it falls
-below ``--check-tolerance`` × the baseline value or the RSS ceiling is
-breached — determinism is always enforced:
-
-    PYTHONPATH=src python benchmarks/bench_sim.py \
-        --quick --check BENCH_sim.json --out bench_sim_fresh.json
+``--quick`` shrinks the population for CI.  What is gated is declared in
+:func:`metrics`: determinism on every run; under ``--check`` throughput
+as a floor and peak RSS as a ceiling, at the baseline's population only.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import resource
-import sys
 import time
-from typing import Dict
+from typing import Dict, List
 
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import run_scenario
+
+from benchmarks.suite import Metric
 
 FULL_CLIENTS = 100_000
 QUICK_CLIENTS = 5_000
@@ -92,74 +88,24 @@ def run_benchmark(quick: bool = False) -> Dict:
     }
 
 
-def check_regression(report: Dict, baseline_path: str, tolerance: float) -> bool:
-    """Gate a fresh report against a committed baseline.
+measure = run_benchmark  # the suite's entry point: measure(quick)
 
-    Determinism is a hard requirement.  Throughput must reach at least
-    ``tolerance`` × the baseline's ``clients_per_second``, and peak RSS
-    must stay under baseline ÷ ``tolerance`` — both only when the
-    baseline ran at the same population scale (a --quick run is not
-    comparable to the committed full-scale numbers).
+
+def metrics(report: Dict) -> List[Metric]:
+    """Determinism is a hard requirement; throughput a floor, RSS a ceiling.
+
+    Both compare only against a baseline of the same population (a
+    --quick run is not comparable to the committed full-scale numbers).
     """
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    ok = True
-    if not report["deterministic"]:
-        print("[check] deterministic: FAILED — same-seed fingerprints diverged")
-        ok = False
-    else:
-        print("[check] deterministic: ok")
-    if report["config"]["num_clients"] != baseline["config"]["num_clients"]:
-        print(
-            f"[check] scale mismatch ({report['config']['num_clients']:,} vs "
-            f"baseline {baseline['config']['num_clients']:,}): "
-            "throughput/RSS floors skipped"
-        )
-        return ok
-    floor = tolerance * baseline["clients_per_second"]
-    measured = report["clients_per_second"]
-    verdict = "ok" if measured >= floor else "REGRESSION"
-    if measured < floor:
-        ok = False
-    print(
-        f"[check] clients_per_second: measured {measured:,.0f} vs baseline "
-        f"{baseline['clients_per_second']:,.0f} (floor {floor:,.0f}) — {verdict}"
-    )
-    ceiling = baseline["peak_rss_mb"] / tolerance
-    verdict = "ok" if report["peak_rss_mb"] <= ceiling else "REGRESSION"
-    if report["peak_rss_mb"] > ceiling:
-        ok = False
-    print(
-        f"[check] peak_rss_mb: measured {report['peak_rss_mb']:.1f} vs "
-        f"baseline {baseline['peak_rss_mb']:.1f} (ceiling {ceiling:.1f}) "
-        f"— {verdict}"
-    )
-    return ok
+    population = report["config"]["num_clients"]
+    return [
+        Metric("deterministic", report["deterministic"], "hard"),
+        Metric("clients_per_second", report["clients_per_second"], "floor", population),
+        Metric("peak_rss_mb", report["peak_rss_mb"], "ceiling", population),
+    ]
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_sim.json")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"CI-sized population ({QUICK_CLIENTS:,} clients instead of "
-        f"{FULL_CLIENTS:,})",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE_JSON",
-        help="compare throughput/RSS/determinism against this committed "
-        "baseline and exit non-zero on a regression",
-    )
-    parser.add_argument(
-        "--check-tolerance", type=float, default=0.4,
-        help="fraction of the baseline throughput the measured value must "
-        "reach (and 1/fraction the RSS may grow to; default: 0.4)",
-    )
-    args = parser.parse_args()
-
-    report = run_benchmark(quick=args.quick)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
+def summary(report: Dict) -> None:
     print(
         f"simulated {report['clients_simulated']:,} clients "
         f"({report['events_processed']:,} events, "
@@ -167,11 +113,5 @@ def main() -> None:
         f"{report['wall_seconds']:.2f}s — "
         f"{report['clients_per_second']:,.0f} clients/sec, peak RSS "
         f"{report['peak_rss_mb']:.1f} MiB; deterministic: "
-        f"{report['deterministic']}; wrote {args.out}"
+        f"{report['deterministic']}"
     )
-    if args.check and not check_regression(report, args.check, args.check_tolerance):
-        sys.exit(1)
-
-
-if __name__ == "__main__":
-    main()

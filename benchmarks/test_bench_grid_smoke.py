@@ -3,15 +3,17 @@
 Runs the grid benchmark at quick scale with a 2-worker pool so
 ``bench_experiment_grid.py`` cannot silently rot between full runs:
 grid construction, all three execution arms, the bitwise-equality
-accounting and the ``--check`` gate all execute.  No timing assertions —
+accounting and the declared ``metrics`` under the suite's ``check``
+rule all execute.  No timing assertions —
 on small machines the pool need not win.
 """
 
 import json
 
+from benchmarks import suite
 from benchmarks.bench_experiment_grid import (
     build_grid,
-    check_regression,
+    metrics,
     run_benchmark,
     QUICK_PROFILE,
 )
@@ -24,7 +26,7 @@ def test_grid_has_cross_consumer_overlap():
     assert unique >= 2
 
 
-def test_quick_benchmark_runs(tmp_path):
+def test_quick_benchmark_runs():
     report = run_benchmark(jobs=2, quick=True)
     assert report["bitwise_identical"] is True
     assert report["grid"]["dedup_factor"] > 1.0
@@ -34,10 +36,9 @@ def test_quick_benchmark_runs(tmp_path):
     assert report["cache_replay_seconds"] < report["parallel_seconds"]
 
     # The gate clears its own baseline...
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(report))
-    assert check_regression(report, str(baseline), tolerance=0.4)
+    baseline = metrics(json.loads(json.dumps(report)))
+    assert suite.check(metrics(report), baseline, 0.4)
 
     # ...and result divergence always fails it, regardless of cores.
     broken = dict(report, bitwise_identical=False)
-    assert not check_regression(broken, str(baseline), tolerance=0.4)
+    assert not suite.check(metrics(broken), baseline, 0.4)

@@ -3,7 +3,8 @@
 Runs the benchmark at quick scale so ``bench_serving_resilience.py``
 cannot silently rot between full runs: the real-thread graceful-drain
 arm, both manual-clock chaos arms (overload with shedding on/off, the
-corrupt-swap storm) and the ``--check`` digest gate all execute.  The
+corrupt-swap storm) and the declared ``metrics`` under the suite's
+``check`` rule all execute.  The
 gates here are correctness properties — zero dropped in-flight, queue
 depth bounded, zero bad snapshots served — and hold at every scale, so
 unlike the throughput benches nothing is scale-gated away.
@@ -11,10 +12,10 @@ unlike the throughput benches nothing is scale-gated away.
 
 import json
 
+from benchmarks import suite
 from benchmarks.bench_serving_resilience import (
     DEADLINE_MET_GATE,
-    check_regression,
-    enforce_gates,
+    metrics,
     run_benchmark,
 )
 
@@ -44,23 +45,22 @@ def test_quick_benchmark_runs():
     assert storm["quarantined"] > 0
     assert storm["swaps_succeeded"] > 0
 
-    assert enforce_gates(report)
+    assert suite.check(metrics(report))
 
 
 def test_gates_fail_on_bad_report():
     report = run_benchmark(quick=True)
     broken = json.loads(json.dumps(report))
     broken["gates"]["storm_zero_bad_snapshots"] = False
-    assert not enforce_gates(broken)
+    assert not suite.check(metrics(broken))
 
 
-def test_check_gate_contract(tmp_path):
+def test_check_gate_contract():
     report = run_benchmark(quick=True)
 
     # The digest gate clears its own baseline...
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(report))
-    assert check_regression(report, str(baseline), tolerance=1.0)
+    baseline = metrics(json.loads(json.dumps(report)))
+    assert suite.check(metrics(report), baseline, 1.0)
 
     # ...a digest drift in either chaos arm fails it...
     for path in (
@@ -72,13 +72,11 @@ def test_check_gate_contract(tmp_path):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = "0" * 64
-        assert not check_regression(drifted, str(baseline), tolerance=1.0)
+        assert not suite.check(metrics(drifted), baseline, 1.0)
 
     # ...and a baseline from a different scale skips the comparison.
     full = json.loads(json.dumps(report))
     full["config"]["requests"] = report["config"]["requests"] * 3
-    full_path = tmp_path / "full.json"
-    full_path.write_text(json.dumps(full))
     drifted = json.loads(json.dumps(report))
     drifted["swap_storm"]["digest"] = "0" * 64
-    assert check_regression(drifted, str(full_path), tolerance=1.0)
+    assert suite.check(metrics(drifted), metrics(full), 1.0)

@@ -2,18 +2,19 @@
 
 Runs the benchmark at quick scale so ``bench_secure_agg.py`` cannot
 silently rot between full runs: the full four-phase protocol, the
-dropout-recovery round, the wire accounting and the ``--check`` gate
-all execute.  No timing assertions — small machines need not hit any
+dropout-recovery round, the wire accounting and the declared
+``metrics`` under the suite's ``check`` rule all execute.  No timing assertions — small machines need not hit any
 floor.
 """
 
 import json
 
-from benchmarks.bench_secure_agg import check_regression, run_benchmark
+from benchmarks import suite
+from benchmarks.bench_secure_agg import metrics, run_benchmark
 from repro.federated.secure_protocol import PHASES
 
 
-def test_quick_benchmark_runs(tmp_path):
+def test_quick_benchmark_runs():
     report = run_benchmark(quick=True)
     assert [c["num_clients"] for c in report["cohorts"]] == [16, 32]
     for cohort in report["cohorts"]:
@@ -32,25 +33,24 @@ def test_quick_benchmark_runs(tmp_path):
     assert ratios == sorted(ratios)
 
     # The gate clears its own baseline...
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(report))
-    assert check_regression(report, str(baseline), tolerance=0.4)
+    baseline = metrics(json.loads(json.dumps(report)))
+    assert suite.check(metrics(report), baseline, 0.4)
 
     # ...an exactness break always fails it...
     broken = json.loads(json.dumps(report))
     broken["cohorts"][0]["exact"] = False
-    assert not check_regression(broken, str(baseline), tolerance=0.4)
+    assert not suite.check(metrics(broken), baseline, 0.4)
 
     # ...as do a throughput collapse and wire-accounting drift.
     slow = json.loads(json.dumps(report))
     slow["cohorts"][1]["clients_per_second"] /= 100
-    assert not check_regression(slow, str(baseline), tolerance=0.4)
+    assert not suite.check(metrics(slow), baseline, 0.4)
     drifted = json.loads(json.dumps(report))
     drifted["cohorts"][0]["overhead_ratio"] += 0.5
-    assert not check_regression(drifted, str(baseline), tolerance=0.4)
+    assert not suite.check(metrics(drifted), baseline, 0.4)
 
 
-def test_scale_mismatch_skips_floors(tmp_path):
+def test_scale_mismatch_skips_floors():
     """A --quick report gated against the committed full-scale baseline
     must not compare throughput across cohort sizes — only exactness."""
     report = run_benchmark(quick=True)
@@ -62,6 +62,4 @@ def test_scale_mismatch_skips_floors(tmp_path):
             for c in report["cohorts"]
         ],
     }
-    baseline = tmp_path / "full.json"
-    baseline.write_text(json.dumps(full_baseline))
-    assert check_regression(report, str(baseline), tolerance=0.4)
+    assert suite.check(metrics(report), metrics(full_baseline), 0.4)

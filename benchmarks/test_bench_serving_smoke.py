@@ -3,7 +3,8 @@
 Runs the benchmark at quick scale so ``bench_serving.py`` cannot
 silently rot between full runs: checkpoint building, both load arms
 (direct queries and the coalescer), the cache sweep, hot-swap under
-load and the ``--check`` gate all execute.  No throughput assertions —
+load and the declared ``metrics`` under the suite's ``check`` rule all
+execute.  No throughput assertions —
 small machines need not hit any floor; the 3x speedup gate is
 scale-gated to ≥ 32 concurrent clients and quick runs stay below it.
 The swap gates (zero failed, zero stale-after-cutover) are correctness
@@ -12,15 +13,11 @@ properties and hold at every scale.
 
 import json
 
-from benchmarks.bench_serving import (
-    SPEEDUP_GATE_AT,
-    check_regression,
-    enforce_gates,
-    run_benchmark,
-)
+from benchmarks import suite
+from benchmarks.bench_serving import SPEEDUP_GATE_AT, metrics, run_benchmark
 
 
-def test_quick_benchmark_runs(tmp_path):
+def test_quick_benchmark_runs():
     report = run_benchmark(quick=True)
 
     load = report["load"]
@@ -47,35 +44,32 @@ def test_quick_benchmark_runs(tmp_path):
     gates = report["gates"]
     assert load["concurrent_clients"] < SPEEDUP_GATE_AT
     assert gates["batched_speedup_gate_applies"] is False
-    assert enforce_gates(report)
+    assert suite.check(metrics(report))
 
 
 def test_swap_gates_fail_on_bad_report():
     report = run_benchmark(quick=True)
     broken = json.loads(json.dumps(report))
     broken["gates"]["swap_zero_stale"] = False
-    assert not enforce_gates(broken)
+    assert not suite.check(metrics(broken))
 
 
-def test_check_gate_contract(tmp_path):
+def test_check_gate_contract():
     report = run_benchmark(quick=True)
 
     # The gate clears its own baseline...
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(report))
-    assert check_regression(report, str(baseline), tolerance=0.4)
+    baseline = metrics(json.loads(json.dumps(report)))
+    assert suite.check(metrics(report), baseline, 0.4)
 
     # ...a throughput collapse in either arm fails it...
     for arm in ("unbatched", "batched"):
         slow = json.loads(json.dumps(report))
         slow["load"][arm]["qps"] /= 100
-        assert not check_regression(slow, str(baseline), tolerance=0.4)
+        assert not suite.check(metrics(slow), baseline, 0.4)
 
     # ...and a baseline from a different scale skips the QPS floors.
     full = json.loads(json.dumps(report))
     full["config"]["clients"] = report["config"]["clients"] * 4
-    full_path = tmp_path / "full.json"
-    full_path.write_text(json.dumps(full))
     slow = json.loads(json.dumps(report))
     slow["load"]["batched"]["qps"] /= 100
-    assert check_regression(slow, str(full_path), tolerance=0.4)
+    assert suite.check(metrics(slow), metrics(full), 0.4)

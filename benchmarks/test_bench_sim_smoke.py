@@ -2,16 +2,18 @@
 
 Runs the sim benchmark at quick scale so ``bench_sim.py`` cannot
 silently rot between full runs: the scenario run, throughput/RSS
-accounting, the determinism probe and the ``--check`` gate all execute.
+accounting, the determinism probe and the declared ``metrics`` under
+the suite's ``check`` rule all execute.
 No timing assertions — small machines need not hit any floor.
 """
 
 import json
 
-from benchmarks.bench_sim import check_regression, run_benchmark
+from benchmarks import suite
+from benchmarks.bench_sim import metrics, run_benchmark
 
 
-def test_quick_benchmark_runs(tmp_path):
+def test_quick_benchmark_runs():
     report = run_benchmark(quick=True)
     assert report["deterministic"] is True
     assert report["clients_simulated"] == report["config"]["num_clients"]
@@ -20,20 +22,19 @@ def test_quick_benchmark_runs(tmp_path):
     assert report["events_processed"] > report["clients_simulated"]
 
     # The gate clears its own baseline...
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(report))
-    assert check_regression(report, str(baseline), tolerance=0.4)
+    baseline = metrics(json.loads(json.dumps(report)))
+    assert suite.check(metrics(report), baseline, 0.4)
 
     # ...a determinism break always fails it...
     broken = dict(report, deterministic=False)
-    assert not check_regression(broken, str(baseline), tolerance=0.4)
+    assert not suite.check(metrics(broken), baseline, 0.4)
 
     # ...and a throughput collapse at comparable scale fails it too.
     slow = dict(report, clients_per_second=report["clients_per_second"] / 100)
-    assert not check_regression(slow, str(baseline), tolerance=0.4)
+    assert not suite.check(metrics(slow), baseline, 0.4)
 
 
-def test_scale_mismatch_skips_floors(tmp_path):
+def test_scale_mismatch_skips_floors():
     """A --quick report gated against a full-scale baseline must not
     compare throughput across scales — only determinism is enforced."""
     report = run_benchmark(quick=True)
@@ -42,6 +43,4 @@ def test_scale_mismatch_skips_floors(tmp_path):
         config=dict(report["config"], num_clients=100_000),
         clients_per_second=report["clients_per_second"] * 1e6,
     )
-    baseline = tmp_path / "full.json"
-    baseline.write_text(json.dumps(full_baseline))
-    assert check_regression(report, str(baseline), tolerance=0.4)
+    assert suite.check(metrics(report), metrics(full_baseline), 0.4)

@@ -3,18 +3,18 @@
 Runs the benchmark entry points at toy scale (4 clients, 50 items, one
 local epoch) so ``bench_round_engine.py`` cannot silently rot between
 full (``-m slow``) runs: imports, trainer construction, both engines,
-the equivalence accounting, the upload stats and the ``--check``
-regression gate all execute.  No timing assertions — at this scale the
-vectorized engine need not win.
+the equivalence accounting, the upload stats and the declared
+``metrics`` under the suite's ``check`` rule all execute.  No timing
+assertions — at this scale the vectorized engine need not win.
 """
 
 import json
 
 import pytest
 
+from benchmarks import suite
 from benchmarks.bench_round_engine import (
-    check_regression,
-    collect_speedups,
+    metrics,
     run_benchmark,
     run_hetefedrec_benchmark,
 )
@@ -63,28 +63,26 @@ def test_lightgcn_benchmark_runs_at_toy_scale():
     )
 
 
-def test_check_gate_passes_and_fails(tmp_path):
+def test_check_gate_passes_and_fails():
     """The --check regression gate: a report always clears its own
     baseline, and fails one whose speedups it cannot reach."""
     report = run_benchmark(num_clients=4, num_items=50, local_epochs=1)
     report["lightgcn"] = run_benchmark(
         num_clients=4, num_items=50, local_epochs=1, arch="lightgcn"
     )
-    names = [name for name, _ in collect_speedups(report)]
+    names = [metric.name for metric in metrics(report)]
     assert names == ["base[ncf]", "lightgcn[lightgcn]"]
 
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(report))
-    assert check_regression(report, str(baseline), tolerance=0.99)
+    baseline = json.loads(json.dumps(report))
+    assert suite.check(metrics(report), metrics(baseline), 0.99)
 
     inflated = {
         **report,
         "speedup": report["speedup"] * 100.0,
         "lightgcn": {**report["lightgcn"], "speedup": 1e9},
     }
-    baseline.write_text(json.dumps(inflated))
-    assert not check_regression(report, str(baseline), tolerance=0.99)
+    assert not suite.check(metrics(report), metrics(inflated), 0.99)
 
     # Sections missing from the baseline are skipped, never failed.
-    baseline.write_text(json.dumps({"speedup": report["speedup"]}))
-    assert check_regression(report, str(baseline), tolerance=0.99)
+    partial = {"speedup": report["speedup"]}
+    assert suite.check(metrics(report), metrics(partial), 0.99)

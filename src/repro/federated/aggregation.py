@@ -82,15 +82,12 @@ def padded_embedding_aggregate(
     widest = max(dims.values())
     rows = updates[0].embedding_delta.shape[0]
     total = np.zeros((rows, widest), dtype=np.float64)
-    contributors = np.zeros(widest, dtype=np.float64)
     for update in updates:
         delta = update.embedding_delta
         total[delta.rows, : delta.width] += delta.values
-        contributors[: delta.width] += 1.0
 
     if mode == "mean":
-        safe = np.maximum(contributors, 1.0)
-        total = total / safe[np.newaxis, :]
+        total = mean_over_column_contributors(updates, total)
 
     return {group: total[:, :width].copy() for group, width in dims.items()}
 
@@ -106,11 +103,9 @@ def aggregate_head_updates(
     combined over all clients that sent it.
     """
     sums: Dict[str, Dict[str, np.ndarray]] = {}
-    counts: Dict[str, int] = {}
     for update in updates:
         for head_group, delta in update.head_deltas.items():
             bucket = sums.setdefault(head_group, {})
-            counts[head_group] = counts.get(head_group, 0) + 1
             for name, array in delta.items():
                 if name in bucket:
                     bucket[name] = bucket[name] + array
@@ -118,8 +113,31 @@ def aggregate_head_updates(
                     bucket[name] = array.copy()
 
     if mode == "mean":
-        for head_group, bucket in sums.items():
-            divisor = float(counts[head_group])
-            for name in bucket:
-                bucket[name] = bucket[name] / divisor
+        mean_over_head_contributors(updates, sums)
     return sums
+
+
+def mean_over_column_contributors(
+    updates: Sequence[ClientUpdate], summed: np.ndarray
+) -> np.ndarray:
+    """Eq. 8 'mean' mode: each column of a summed block over the number
+    of ``updates`` whose table reaches it."""
+    contributors = np.zeros(summed.shape[1], dtype=np.float64)
+    for update in updates:
+        contributors[: update.embedding_delta.width] += 1.0
+    return summed / np.maximum(contributors, 1.0)[np.newaxis, :]
+
+
+def mean_over_head_contributors(
+    updates: Sequence[ClientUpdate], summed: Dict[str, Dict[str, np.ndarray]]
+) -> None:
+    """Eq. 15 'mean' mode, in place: each head's sums over the number
+    of ``updates`` that sent it."""
+    counts: Dict[str, int] = {}
+    for update in updates:
+        for head_group in update.head_deltas:
+            counts[head_group] = counts.get(head_group, 0) + 1
+    for head_group, state in summed.items():
+        divisor = float(counts.get(head_group, 1))
+        for name in state:
+            state[name] = state[name] / divisor

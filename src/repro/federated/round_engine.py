@@ -98,7 +98,6 @@ from repro.federated.payload import (
     state_delta,
     touched_rows,
 )
-from repro.federated.privacy import protect_update
 from repro.nn.layers import Linear
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
@@ -275,7 +274,6 @@ class VectorizedRoundEngine:
     def train_round(self, user_ids: Sequence[int]) -> List[ClientUpdate]:
         """Train every listed client and return updates in input order."""
         trainer = self.trainer
-        cfg = trainer.config
         user_ids = [int(u) for u in user_ids]
 
         # DDR row subsets come from a trainer-shared RNG that the
@@ -297,20 +295,12 @@ class VectorizedRoundEngine:
         # reference branch of ``_train_clients``).
         trainer.presample_ddr_rows([])
 
-        # Client-side upload transforms run in the round's client order:
-        # the compressor may hold a shared codec RNG, so applying them in
-        # bucket order would diverge from the reference path.
-        updates: List[ClientUpdate] = []
-        for user in user_ids:
-            update = raw[user]
-            head_deltas = update.head_deltas
-            if cfg.privacy is not None and cfg.privacy.enabled:
-                update = protect_update(update, cfg.privacy, trainer.runtimes[user].rng)
-            if trainer._compressor is not None:
-                update = trainer._compressor.apply(update)
-            trainer._record_communication(update.group, head_deltas, update)
-            updates.append(update)
-        return updates
+        # In the round's client order, not bucket order: the compressor may
+        # hold a shared codec RNG and must match the reference path's draws.
+        return [
+            trainer._finish_upload(raw[user], trainer.runtimes[user].rng)
+            for user in user_ids
+        ]
 
     # ------------------------------------------------------------------
     # One dim-group

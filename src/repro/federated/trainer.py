@@ -38,6 +38,8 @@ from repro.eval.evaluator import Evaluator
 from repro.federated.aggregation import (
     AggregationConfig,
     aggregate_head_updates,
+    mean_over_column_contributors,
+    mean_over_head_contributors,
     padded_embedding_aggregate,
 )
 from repro.federated.client import ClientRuntime
@@ -431,29 +433,28 @@ class FederatedTrainer:
             num_examples=num_examples,
             train_loss=last_loss,
         )
+        return self._finish_upload(update, runtime.rng)
+
+    def _finish_upload(self, update: ClientUpdate, rng: np.random.Generator) -> ClientUpdate:
+        """Protect → compress → meter, the client-side tail of every upload;
+        applied in the round's client order (the codec RNG may be shared)."""
+        cfg = self.config
+        group = update.group
+        embedding_size = self.num_items * cfg.dims[group]
+        heads_size = sum(state_size(delta) for delta in update.head_deltas.values())
         if cfg.privacy is not None and cfg.privacy.enabled:
             # Protection happens on the client, before anything leaves it.
-            update = protect_update(update, cfg.privacy, runtime.rng)
+            update = protect_update(update, cfg.privacy, rng)
         if self._compressor is not None:
             # Compression is the last client-side transform; the server
             # aggregates the lossy reconstruction it would decode.
             update = self._compressor.apply(update)
-        self._record_communication(group, head_deltas, update)
-        return update
-
-    def _record_communication(
-        self,
-        group: str,
-        head_deltas: Mapping[str, Mapping[str, np.ndarray]],
-        update: ClientUpdate,
-    ) -> None:
-        embedding_size = self.num_items * self.config.dims[group]
-        heads_size = sum(state_size(delta) for delta in head_deltas.values())
         # The download always ships the dense public parameters; the upload
         # is whatever actually leaves the client (compressed if configured).
         self.meter.record(
             group, download=embedding_size + heads_size, upload=int(update.upload_size)
         )
+        return update
 
     # ------------------------------------------------------------------
     # Server-side aggregation
@@ -541,23 +542,11 @@ class FederatedTrainer:
         survivor_ids = set(report.survivors)
         surviving = [u for u in accepted if int(u.user_id) in survivor_ids]
         if cfg.aggregation.theta_mode == "mean":
-            head_counts: Dict[str, int] = {}
-            for update in surviving:
-                for head_group in update.head_deltas:
-                    head_counts[head_group] = head_counts.get(head_group, 0) + 1
-            for head_group, state in heads.items():
-                divisor = float(max(head_counts.get(head_group, 1), 1))
-                for name in state:
-                    state[name] = state[name] / divisor
+            mean_over_head_contributors(surviving, heads)
         if cfg.aggregation.embedding_mode == "mean":
-            widest = max(dims.values())
-            contributors = np.zeros(widest)
-            for update in surviving:
-                contributors[: cfg.dims[update.group]] += 1.0
-            safe = np.maximum(contributors, 1.0)
             embeddings = {
-                group: emb / safe[: emb.shape[1]][np.newaxis, :]
-                for group, emb in embeddings.items()
+                group: mean_over_column_contributors(surviving, summed)
+                for group, summed in embeddings.items()
             }
         return embeddings, heads
 

@@ -104,6 +104,9 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     server: "ServingHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave as one segment (the base class flushes per
+    # request); unbuffered, the body waits on the client's delayed ACK.
+    wbufsize = -1
 
     # ------------------------------------------------------------------
     # Plumbing

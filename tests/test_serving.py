@@ -427,6 +427,25 @@ class TestHTTP:
         reference = top_ids(checkpoints["expected"]["v1"][user], 3)
         assert body["items"] == reference.tolist()
 
+    def test_reply_leaves_in_one_segment(self, server, checkpoints):
+        """Headers and body go out as one buffered write.  Sent as two
+        small segments, the body waits on the client's delayed ACK and
+        every keep-alive round trip sits on a flat ~40 ms floor (Linux)."""
+        user = checkpoints["clients"][0].user_id
+        conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            round_trips = []
+            for _ in range(30):
+                start = time.perf_counter()
+                conn.request("GET", f"/v1/recommend?user={user}&k=3")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                round_trips.append(time.perf_counter() - start)
+                assert response.status == 200 and len(body["items"]) == 3
+        finally:
+            conn.close()
+        assert float(np.median(round_trips)) < 0.025
+
     def test_unknown_user_is_404(self, server):
         status, _, body = http_call(server, "GET", "/v1/recommend?user=999999")
         assert status == 404 and "999999" in body["error"]
