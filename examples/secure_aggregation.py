@@ -83,9 +83,18 @@ def main() -> None:
     print(f"\ninvited {users}, client {gone} drops before uploading")
     print(f"survivors               : {report.survivors}")
     print(f"dropouts by phase       : {report.dropouts_by_phase}")
+    # A client masks and uploads its own model's prefix of the round's
+    # vector, so the wire cost follows the model size it was assigned.
+    for upload in uploads:
+        note = ", dropped before sending" if upload.user_id == gone else ""
+        print(
+            f"masked vector, client {upload.user_id:<3} : "
+            f"{report.masked_lengths[upload.user_id]:>6} scalars "
+            f"(group {upload.group!r}, d={dims[upload.group]}{note})"
+        )
     print(
-        f"wire per survivor       : {report.masked_vector_scalars} masked "
-        f"scalars + {report.protocol_overhead / len(users):.0f} of keys/shares"
+        f"widest model's vector   : {report.masked_vector_scalars:>6} scalars; "
+        f"keys/shares add {report.protocol_overhead / len(users):.0f} per client"
     )
 
     # The survivors reveal shares of the dropout's key, the server strips

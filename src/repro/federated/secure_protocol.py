@@ -6,7 +6,7 @@ The one secure-sum path: every trainer and simulator round that enables
 privacy argument needs — Bonawitz et al. (CCS 2017) — as four explicit
 phases with separate :class:`SecureAggregationClient` and
 :class:`SecureAggregationServer` state machines (built on the codec,
-mask PRG and flat wire layout of :mod:`repro.federated.secure_agg`), so
+mask PRG and nested wire layout of :mod:`repro.federated.secure_agg`), so
 clients can fail at *any* point and the server must resolve every case
 deterministically:
 
@@ -21,13 +21,19 @@ deterministically:
     sends one pair of shares per fellow member through the server (the
     real protocol encrypts these; the server here relays them opaquely
     and only ever reconstructs through :meth:`~SecureAggregationServer.
-    finalize`, which enforces the reveal rules).
+    finalize`, which enforces the reveal rules).  With the shares the
+    server relays the share roster *and each member's vector length*.
 ``masked_input``
     Each client that received shares uploads its update as a
-    double-masked fixed-point vector over the sparse-delta wire layout:
+    double-masked fixed-point vector over its own prefix of the nested
+    wire layout (``len_u`` scalars):
     ``encode(x_u) + PRG(b_u) + Σ_{u<v} PRG(s_uv) − Σ_{v<u} PRG(s_uv)``
     with pairwise seeds ``s_uv`` from DH key agreement and a per-client
-    self-mask seed ``b_u``, plus an HMAC over the vector.
+    self-mask seed ``b_u``, plus an HMAC over the vector.  The self-mask
+    spans ``len_u`` words; the pair mask with ``v`` spans
+    ``min(len_u, len_v)`` — both endpoints expand the same prefix of the
+    same stream, so it still cancels.  The server accepts a vector only
+    at its sender's own length.
 ``unmask``
     The server announces the survivor set; each responding survivor
     signs it (consistency check) and reveals, per fellow participant,
@@ -47,9 +53,19 @@ secrets are hash-derived from ``(config.seed, round_id, client_id)`` —
 the protocol consumes **no** RNG streams, so enabling it leaves every
 checkpointed generator untouched and the bitwise-resume contract holds.
 
+Size-proportional cost: a client of a small model masks and uploads a
+small model's vector, not the widest one's.  Privacy is unchanged by the
+``min`` span rule: every coordinate of a segment is covered by the pair
+masks of *all* roster members whose model reaches that segment, plus the
+sender's self-mask — the members that do not reach it hold no value
+there to hide among.  Lengths leak nothing new, the server assigned the
+model sizes.  What Eq. 8's sum itself reveals is also unchanged: a
+segment only one survivor reaches decodes to that survivor's own value.
+
 Exactness: the decoded sum is bitwise-identical to the survivors' plain
-fixed-point sum (encode each flat update, add in uint64, decode) — the
-same codec quantises, and every mask cancels exactly in the 2^64 field.
+fixed-point sum (encode each flat update, add into ``total[:len]`` in
+uint64, decode) — the same codec quantises, and every mask cancels
+exactly in the 2^64 field over the span it was added on.
 ``tests/test_secure_protocol.py`` and the ``BENCH_secure_agg.json``
 exactness gate pin it against that oracle, with and without faults.
 """
@@ -59,6 +75,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -66,11 +84,11 @@ import numpy as np
 from repro.federated.payload import ClientUpdate
 from repro.federated.secure_agg import (
     FixedPointCodec,
+    MaskPRG,
     SecureAggregationConfig,
     _flatten_update,
     _round_layout,
     _unflatten_sum,
-    pairwise_mask,
 )
 
 _FIELD_DTYPE = np.uint64
@@ -126,8 +144,36 @@ def _digest_int(*parts: object, bits: int = 64) -> int:
 
 
 def _prg_seed(*parts: object) -> int:
-    """64-bit PRG seed from protocol material (feeds ``pairwise_mask``)."""
+    """64-bit PRG seed from protocol material (feeds ``MaskPRG.expand``)."""
     return _digest_int("prg", *parts, bits=64)
+
+
+@lru_cache(maxsize=1024)
+def _power_table(x: int, threshold: int) -> Tuple[int, ...]:
+    """``x^j mod p`` for ``j < threshold`` (one table per share holder)."""
+    powers = [1]
+    for _ in range(1, threshold):
+        powers.append(powers[-1] * x % SHAMIR_PRIME)
+    return tuple(powers)
+
+
+@lru_cache(maxsize=64)
+def _lagrange_at_zero(xs: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Lagrange basis values at 0 for one x-coordinate set.
+
+    Every survivor of a round reconstructs from the same responder
+    prefix, so the t² products and t inverses are paid once per set.
+    """
+    weights = []
+    for i, xi in enumerate(xs):
+        numerator = denominator = 1
+        for j, xj in enumerate(xs):
+            if i == j:
+                continue
+            numerator = (numerator * (-xj)) % SHAMIR_PRIME
+            denominator = (denominator * (xi - xj)) % SHAMIR_PRIME
+        weights.append(numerator * pow(denominator, -1, SHAMIR_PRIME) % SHAMIR_PRIME)
+    return tuple(weights)
 
 
 def shamir_share(
@@ -152,10 +198,8 @@ def shamir_share(
     for x in xs:
         if not 1 <= int(x) < SHAMIR_PRIME:
             raise ValueError(f"share x-coordinate must be in [1, p), got {x}")
-        value = 0
-        for coefficient in reversed(coefficients):  # Horner
-            value = (value * int(x) + coefficient) % SHAMIR_PRIME
-        shares[int(x)] = value
+        powers = _power_table(int(x), threshold)
+        shares[int(x)] = sum(map(mul, coefficients, powers)) % SHAMIR_PRIME
     return shares
 
 
@@ -163,19 +207,9 @@ def shamir_reconstruct(shares: Mapping[int, int]) -> int:
     """Lagrange interpolation at 0 over the prime field."""
     if not shares:
         raise ValueError("cannot reconstruct from zero shares")
-    points = sorted(shares.items())
-    total = 0
-    for i, (xi, yi) in enumerate(points):
-        numerator = denominator = 1
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            numerator = (numerator * (-xj)) % SHAMIR_PRIME
-            denominator = (denominator * (xi - xj)) % SHAMIR_PRIME
-        total = (
-            total + yi * numerator * pow(denominator, -1, SHAMIR_PRIME)
-        ) % SHAMIR_PRIME
-    return total
+    xs = tuple(sorted(shares))
+    weights = _lagrange_at_zero(xs)
+    return sum(shares[x] * weight for x, weight in zip(xs, weights)) % SHAMIR_PRIME
 
 
 # ----------------------------------------------------------------------
@@ -265,11 +299,12 @@ class SecureAggregationClient:
         self.self_seed = _digest_int(root, "self", round_id, client_id, bits=64)
         self.mac_key = _digest_int(root, "mac", round_id, client_id, bits=128)
         self.codec = FixedPointCodec(config.precision_bits, config.clip_range)
+        self._prg = MaskPRG(round_id)
         self.phase = ADVERTISE
         self._roster: List[int] = []
         self._threshold = 0
         self._x_of: Dict[int, int] = {}
-        self._share_roster: List[int] = []
+        self._share_roster: Dict[int, int] = {}  # member id → vector length
         self._received_shares: Dict[int, SeedShare] = {}
         self._dh_publics: Dict[int, int] = {}
 
@@ -326,9 +361,13 @@ class SecureAggregationClient:
         ]
 
     def receive_shares(
-        self, shares: Sequence[SeedShare], share_roster: Sequence[int]
+        self, shares: Sequence[SeedShare], share_roster: Mapping[int, int]
     ) -> None:
-        """Store the shares addressed to this client; learn who shared."""
+        """Store the shares addressed to this client; learn who shared.
+
+        ``share_roster`` maps each sharing member to the (public) length
+        of the vector the server expects from it.
+        """
         self._require_phase(SHARES)
         for share in shares:
             if share.receiver != self.client_id:
@@ -337,7 +376,7 @@ class SecureAggregationClient:
                     f"to {share.receiver}"
                 )
             self._received_shares[share.sender] = share
-        self._share_roster = sorted(int(u) for u in share_roster)
+        self._share_roster = {int(u): int(share_roster[u]) for u in sorted(share_roster)}
         self.phase = MASKED_INPUT
 
     # -- round 2 -------------------------------------------------------
@@ -350,18 +389,18 @@ class SecureAggregationClient:
         """Encode, double-mask and authenticate this client's flat update."""
         self._require_phase(MASKED_INPUT)
         flat = np.asarray(vector, dtype=np.float64).ravel()
-        encoded = self.codec.encode(flat)
-        total = encoded + pairwise_mask(
-            _prg_seed("selfmask", self.self_seed), self.round_id, flat.size
-        )
+        total = self.codec.encode(flat)
+        total += self._prg.expand(_prg_seed("selfmask", self.self_seed), flat.size)
         for other in self._share_roster:
             if other == self.client_id:
                 continue
-            mask = pairwise_mask(self.pair_seed(other), self.round_id, flat.size)
+            # A pair's mask covers the shorter endpoint's prefix only.
+            span = total[: min(flat.size, self._share_roster[other])]
+            mask = self._prg.expand(self.pair_seed(other), span.size)
             if self.client_id < other:
-                total = total + mask
+                np.add(span, mask, out=span)
             else:
-                total = total - mask
+                np.subtract(span, mask, out=span)
         self.phase = UNMASK
         return MaskedInput(
             client_id=self.client_id,
@@ -440,7 +479,7 @@ class SecureAggregationServer:
     def __init__(
         self,
         expected_ids: Sequence[int],
-        vector_size: int,
+        vector_sizes: Mapping[int, int],
         round_id: int,
         config: SecureAggregationConfig,
     ) -> None:
@@ -449,17 +488,19 @@ class SecureAggregationServer:
             raise ValueError("participant ids must be unique")
         if not self.expected:
             raise ValueError("a secure round needs at least one participant")
-        self.vector_size = int(vector_size)
+        # Public by construction: the server assigned every model size.
+        self.vector_sizes = {uid: int(vector_sizes[uid]) for uid in self.expected}
         self.round_id = int(round_id)
         self.config = config
-        fraction = getattr(config, "threshold_fraction", 0.5)
-        self.threshold = max(1, int(np.ceil(fraction * len(self.expected))))
+        self.threshold = max(
+            1, int(np.ceil(config.threshold_fraction * len(self.expected)))
+        )
         self.phase = ADVERTISE
         self.duplicates_ignored = 0
         self.late_rejected = 0
         self.rejected_inputs = 0
         self._advertisements: Dict[int, KeyAdvertisement] = {}
-        self._shares_by_sender: Dict[int, List[SeedShare]] = {}
+        self._shares_by_sender: Dict[int, Dict[int, SeedShare]] = {}
         self._masked: Dict[int, MaskedInput] = {}
         self._unmask: Dict[int, UnmaskShares] = {}
         self.roster: List[int] = []
@@ -503,36 +544,46 @@ class SecureAggregationServer:
     def receive_shares(self, sender: int, shares: Sequence[SeedShare]) -> bool:
         if any(s.sender != sender for s in shares):
             raise ProtocolError(f"share bundle from {sender} spoofs its sender")
-        return self._receive(SHARES, int(sender), self._shares_by_sender, list(shares))
+        return self._receive(
+            SHARES, int(sender), self._shares_by_sender,
+            {share.receiver: share for share in shares},
+        )
 
-    def close_shares(self) -> List[int]:
-        """Freeze the share roster (U2); relay targets become known."""
+    def close_shares(self) -> Dict[int, int]:
+        """Freeze the share roster (U2); relay targets become known.
+
+        Returns the roster as relayed to its members: each id with the
+        vector length expected of it, in id order.
+        """
         self._require_phase(SHARES)
         self.share_roster = sorted(self._shares_by_sender)
         if len(self.share_roster) < self.threshold:
             raise SecureRoundAbort(SHARES, len(self.share_roster), self.threshold)
         self.phase = MASKED_INPUT
-        return list(self.share_roster)
+        return {uid: self.vector_sizes[uid] for uid in self.share_roster}
 
     def shares_for(self, receiver: int) -> List[SeedShare]:
         """The relayed (opaque) shares addressed to one client."""
         return [
-            share
+            self._shares_by_sender[sender][receiver]
             for sender in self.share_roster
-            for share in self._shares_by_sender[sender]
-            if share.receiver == receiver
+            if receiver in self._shares_by_sender[sender]
         ]
 
     # -- round 2 -------------------------------------------------------
     def receive_masked_input(self, message: MaskedInput) -> bool:
         sender = int(message.client_id)
+        if message.round_id != self.round_id:
+            self.late_rejected += 1
+            return False
         if sender in self._advertisements and self.phase == MASKED_INPUT:
             advert = self._advertisements[sender]
-            if message.vector.size != self.vector_size or message.mac != _vector_mac(
+            wrong_size = message.vector.size != self.vector_sizes[sender]
+            if wrong_size or message.mac != _vector_mac(
                 advert.mac_key, self.round_id, message.vector
             ):
-                # Corrupted or mis-sized input: deterministically treat
-                # the client as a dropout for this round.
+                # Corrupted input, or one not of the sender's own length:
+                # deterministically treat the client as a dropout.
                 self.rejected_inputs += 1
                 return False
         return self._receive(MASKED_INPUT, sender, self._masked, message)
@@ -575,10 +626,13 @@ class SecureAggregationServer:
         if len(self.responders) < self.threshold:
             raise SecureRoundAbort(UNMASK, len(self.responders), self.threshold)
 
-        total = np.zeros(self.vector_size, dtype=_FIELD_DTYPE)
+        sizes = self.vector_sizes
+        prg = MaskPRG(self.round_id)
+        total = np.zeros(max(sizes.values()), dtype=_FIELD_DTYPE)
         for survivor in self.survivors:
-            total = total + np.asarray(
-                self._masked[survivor].vector, dtype=_FIELD_DTYPE
+            own = total[: sizes[survivor]]
+            np.add(
+                own, np.asarray(self._masked[survivor].vector, _FIELD_DTYPE), out=own
             )
 
         # Survivors' self-masks: reconstruct b_u from the revealed shares
@@ -593,9 +647,9 @@ class SecureAggregationServer:
                     f"reconstructed self-mask seed for {survivor} fails its "
                     "advertised commitment"
                 )
-            total = total - pairwise_mask(
-                _prg_seed("selfmask", seed), self.round_id, self.vector_size
-            )
+            own = total[: sizes[survivor]]
+            mask = prg.expand(_prg_seed("selfmask", seed), own.size)
+            np.subtract(own, mask, out=own)
 
         # Dropouts' dangling pairwise masks: reconstruct the DH secret,
         # verify against the advertised public key, re-derive every
@@ -613,15 +667,14 @@ class SecureAggregationServer:
                 shared = pow(
                     self._advertisements[survivor].dh_public, secret, SHAMIR_PRIME
                 )
-                mask = pairwise_mask(
-                    _prg_seed(shared), self.round_id, self.vector_size
-                )
+                span = total[: min(sizes[survivor], sizes[dropout])]
+                mask = prg.expand(_prg_seed(shared), span.size)
                 # The survivor added +mask when its id is the smaller of
                 # the pair, −mask otherwise; subtract what was added.
                 if survivor < dropout:
-                    total = total - mask
+                    np.subtract(span, mask, out=span)
                 else:
-                    total = total + mask
+                    np.add(span, mask, out=span)
 
         codec = FixedPointCodec(self.config.precision_bits, self.config.clip_range)
         return codec.decode(total)
@@ -711,7 +764,10 @@ class SecureRoundReport:
     aborted: bool = False
     abort_phase: Optional[str] = None
     saturated_scalars: int = 0
+    #: The round's full-layout length (the widest model's vector).
     masked_vector_scalars: int = 0
+    #: ``{client_id: scalars}`` — each invited client's own masked length.
+    masked_lengths: Dict[int, int] = field(default_factory=dict)
     phase_wire: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -732,6 +788,7 @@ class SecureRoundReport:
             "abort_phase": self.abort_phase,
             "saturated_scalars": int(self.saturated_scalars),
             "masked_vector_scalars": int(self.masked_vector_scalars),
+            "masked_lengths": dict(self.masked_lengths),
             "phase_wire": {k: float(v) for k, v in self.phase_wire.items()},
         }
 
@@ -769,13 +826,15 @@ def run_secure_round(
         )
     ids = sorted(by_id)
 
-    server = SecureAggregationServer(ids, layout.total, round_id, config)
+    lengths = {uid: layout.length_of(by_id[uid]) for uid in ids}
+    server = SecureAggregationServer(ids, lengths, round_id, config)
     clients = {uid: SecureAggregationClient(uid, round_id, config) for uid in ids}
     report = SecureRoundReport(
         round_id=round_id,
         expected=len(ids),
         threshold=server.threshold,
         masked_vector_scalars=layout.total,
+        masked_lengths=lengths,
         phase_wire={phase: 0.0 for phase in PHASES},
     )
 
@@ -824,12 +883,13 @@ def run_secure_round(
         report.dropouts_by_phase[SHARES] = sorted(
             set(roster) - set(share_roster) - faults.drops_at(ADVERTISE)
         )
-        # Relay: each member downloads its addressed shares + the roster.
+        # Relay: each member downloads its addressed shares + the roster
+        # with every member's vector length (id + length per entry).
         for uid in share_roster:
             clients[uid].receive_shares(server.shares_for(uid), share_roster)
             report.phase_wire[SHARES] += (
                 _WIRE_SHARE_PAIR * max(len(share_roster) - 1, 0)
-                + len(share_roster)
+                + 2 * len(share_roster)
             )
 
         # -- round 2: double-masked input ------------------------------
@@ -877,7 +937,7 @@ def run_secure_round(
         report.late_rejected = server.late_rejected
         # Masked vectors delivered before the abort are wasted wire.
         report.phase_wire[MASKED_INPUT] += float(
-            len(server._masked) * layout.total
+            sum(lengths[uid] for uid in server._masked)
         )
         return {}, {}, report
 

@@ -555,11 +555,12 @@ class FederatedTrainer:
     ) -> None:
         """True wire accounting for one secure round (Table III honesty).
 
-        Each survivor's upload is a *dense* masked vector over the full
-        round layout — the sparse ``upload_size`` recorded at training
-        time is a fiction under secure aggregation, so it is replaced by
-        the masked size.  Clients that dropped before delivering masked
-        input never uploaded at all; their sparse record is removed.
+        Each survivor's upload is a *dense* masked vector over its own
+        model's prefix of the round layout — the sparse ``upload_size``
+        recorded at training time is a fiction under secure aggregation,
+        so it is replaced by the client's masked length.  Clients that
+        dropped before delivering masked input never uploaded at all;
+        their sparse record is removed.
         Key/share/MAC/unmask traffic lands in the meter's per-phase
         protocol ledger.  Aborted rounds correct nothing: the buffered
         updates keep their sparse ``upload_size`` and the correction
@@ -576,7 +577,8 @@ class FederatedTrainer:
         for update in accepted:
             group = update.group
             if int(update.user_id) in survivor_ids:
-                correction = report.masked_vector_scalars - int(update.upload_size)
+                masked = report.masked_lengths[int(update.user_id)]
+                correction = masked - int(update.upload_size)
             else:
                 correction = -int(update.upload_size)
             self.meter.uploads[group] = (

@@ -24,8 +24,8 @@ from repro.federated.aggregation import (
 from repro.federated.payload import ClientUpdate
 from repro.federated.secure_agg import (
     FixedPointCodec,
+    MaskPRG,
     SecureAggregationConfig,
-    pairwise_mask,
 )
 from repro.federated.secure_protocol import (
     FaultPlan,
@@ -40,7 +40,7 @@ def keyed_clients(ids, seed=0, round_id=1, size=16):
     """Server + clients walked up to the masked-input phase: keys
     advertised, Shamir shares exchanged, pair seeds agreed."""
     config = SecureAggregationConfig(seed=seed)
-    server = SecureAggregationServer(ids, size, round_id, config)
+    server = SecureAggregationServer(ids, {u: size for u in ids}, round_id, config)
     clients = {u: SecureAggregationClient(u, round_id, config) for u in ids}
     for client in clients.values():
         server.receive_advertisement(client.advertise())
@@ -52,6 +52,11 @@ def keyed_clients(ids, seed=0, round_id=1, size=16):
     for u, client in clients.items():
         client.receive_shares(server.shares_for(u), share_roster)
     return server, clients
+
+
+def pairwise_mask(pair_seed, round_id, size):
+    """The mask ``pair_seed`` stands for in ``round_id`` (fresh endpoint)."""
+    return MaskPRG(round_id).expand(pair_seed, size)
 
 
 def flat_updates(vectors):
@@ -202,7 +207,9 @@ class TestSecureAggregationSession:
 
     def test_duplicate_participants_rejected(self):
         with pytest.raises(ValueError):
-            SecureAggregationServer([1, 1, 2], 4, 0, SecureAggregationConfig())
+            SecureAggregationServer(
+                [1, 1, 2], {1: 4, 2: 4}, 0, SecureAggregationConfig()
+            )
         twice = flat_updates({1: np.zeros(4)}) * 2
         with pytest.raises(ValueError, match="duplicate user ids"):
             run_secure_round(twice, {"s": 1}, SecureAggregationConfig(), 0)

@@ -470,18 +470,24 @@ class TestConsumersMatchNumpyOracle:
         for group, width in DIMS.items():
             np.testing.assert_array_equal(out[group], expected[:, :width])
 
-        # Secure flatten: padded table, then one head slot per group seen.
+        # Secure flatten: nested segments, narrowest group first — each
+        # group's new columns, then its head slot if the round saw that
+        # head — cut off after the uploader's own segment.
         layout = _round_layout(updates, DIMS)
-        head_groups = sorted({u.group for u in updates})
+        order = sorted(DIMS, key=DIMS.get)
+        seen_heads = {u.group for u in updates}
         for update, table in pairs:
-            slots = [
-                update.head_deltas[g]["b"] if g == update.group else np.zeros(2)
-                for g in head_groups
-            ]
-            np.testing.assert_array_equal(
-                _flatten_update(update, layout),
-                np.concatenate([pad_columns(table, WIDEST).ravel(), *slots]),
-            )
+            pieces, low = [], 0
+            for group in order[: order.index(update.group) + 1]:
+                pieces.append(table[:, low : DIMS[group]].ravel())
+                low = DIMS[group]
+                if group == update.group:
+                    pieces.append(update.head_deltas[group]["b"])
+                elif group in seen_heads:
+                    pieces.append(np.zeros(2))
+            flat = _flatten_update(update, layout)
+            assert flat.size == layout.length_of(update) <= layout.total
+            np.testing.assert_array_equal(flat, np.concatenate(pieces))
 
         per_user = {}
         for update, table in pairs:

@@ -11,12 +11,24 @@ per-phase wire metering.
 
 import numpy as np
 import pytest
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.federated.aggregation import (
+    AggregationConfig,
+    mean_over_column_contributors,
+    mean_over_head_contributors,
+)
 from repro.federated.availability import AvailabilityConfig
 from repro.federated.payload import ClientUpdate, SparseRowDelta
-from repro.federated.secure_agg import FixedPointCodec, SecureAggregationConfig
+from repro.federated.secure_agg import (
+    FixedPointCodec,
+    MaskPRG,
+    SecureAggregationConfig,
+    _round_layout,
+)
 from repro.federated.secure_protocol import (
     ADVERTISE,
     MASKED_INPUT,
@@ -29,10 +41,13 @@ from repro.federated.secure_protocol import (
     SecureAggregationClient,
     SecureAggregationServer,
     SecureRoundAbort,
+    _digest_int,
     run_secure_round,
     shamir_reconstruct,
     shamir_share,
 )
+from repro.core.config import HeteFedRecConfig
+from repro.core.hetefedrec import HeteFedRec
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
 
 NUM_ITEMS = 12
@@ -63,7 +78,169 @@ def plain_fixed_point_sum(updates, ids, dim=4):
     return codec.decode(total).reshape(NUM_ITEMS, dim)
 
 
+HET_DIMS = {"s": 2, "m": 4, "l": 8}
+HET_ORDER = ["s", "m", "l"]
+
+
+def het_updates(group_of, seed=0, num_items=NUM_ITEMS):
+    """One upload per ``{user_id: group}`` entry with HeteFedRec's nested
+    heads: a client trains the head of every group up to its own."""
+    rng = np.random.default_rng(seed)
+    updates = []
+    for uid, group in group_of.items():
+        heads = {
+            head_group: {
+                "w": rng.normal(0, 0.5, size=(2 * HET_DIMS[head_group], 3)),
+                "b": rng.normal(0, 0.5, size=3),
+            }
+            for head_group in HET_ORDER[: HET_ORDER.index(group) + 1]
+        }
+        updates.append(
+            ClientUpdate(
+                user_id=uid,
+                group=group,
+                embedding_delta=rng.normal(0, 0.5, size=(num_items, HET_DIMS[group])),
+                head_deltas=heads,
+            )
+        )
+    return updates
+
+
+def plain_padded_fixed_point_sums(updates, ids, dims=HET_DIMS):
+    """Eq. 8 / Eq. 15 on the fixed-point field: encode every chosen
+    upload, add it into the widest table's column prefix (and into its
+    heads' slots) in uint64, decode, slice per group."""
+    codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+    chosen = {int(uid) for uid in ids}
+    rows = updates[0].embedding_delta.num_rows
+    table = np.zeros((rows, max(dims.values())), dtype=np.uint64)
+    heads = {}
+    for update in updates:
+        survived = int(update.user_id) in chosen
+        if survived:
+            dense = np.asarray(update.embedding_delta.dense(), dtype=np.float64)
+            table[:, : dense.shape[1]] += codec.encode(dense)
+        # Slots exist for every head the round saw, survivor's or not.
+        for head_group, state in update.head_deltas.items():
+            for name, values in state.items():
+                slot = heads.setdefault(head_group, {}).setdefault(
+                    name, np.zeros(values.shape, dtype=np.uint64)
+                )
+                if survived:
+                    slot += codec.encode(values)
+    embeddings = {g: codec.decode(table[:, :w]) for g, w in dims.items()}
+    heads = {
+        g: {name: codec.decode(slot) for name, slot in state.items()}
+        for g, state in heads.items()
+    }
+    return embeddings, heads
+
+
+def assert_sums_bitwise(embeddings, heads, expected_embeddings, expected_heads):
+    assert set(embeddings) == set(expected_embeddings)
+    for group, expected in expected_embeddings.items():
+        np.testing.assert_array_equal(embeddings[group], expected, err_msg=group)
+    assert set(heads) == set(expected_heads)
+    for group, state in expected_heads.items():
+        assert set(heads[group]) == set(state)
+        for name, expected in state.items():
+            np.testing.assert_array_equal(
+                heads[group][name], expected, err_msg=f"{group}.{name}"
+            )
+
+
+def walk_to_masked_input(sizes, round_id=1, config=CFG):
+    """Server + clients walked up to the masked-input phase over the
+    given ``{client_id: vector length}`` table."""
+    ids = sorted(sizes)
+    server = SecureAggregationServer(ids, sizes, round_id, config)
+    clients = {u: SecureAggregationClient(u, round_id, config) for u in ids}
+    for client in clients.values():
+        server.receive_advertisement(client.advertise())
+    roster = server.close_advertise()
+    adverts = {u: server._advertisements[u] for u in roster}
+    for u, client in clients.items():
+        server.receive_shares(u, client.make_shares(roster, server.threshold, adverts))
+    share_roster = server.close_shares()
+    for u, client in clients.items():
+        client.receive_shares(server.shares_for(u), share_roster)
+    return server, clients
+
+
+def unmask_and_decode(server, clients):
+    """Close the masked-input phase and run the unmask phase cleanly."""
+    survivors, dropouts = server.close_masked_inputs()
+    for u in survivors:
+        server.receive_unmask(clients[u].unmask_response(survivors, dropouts))
+    return server.finalize()
+
+
+def plain_prefix_sum(vectors, ids):
+    """Each chosen vector encoded and added into ``total[:len]``."""
+    codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+    total = np.zeros(max(v.size for v in vectors.values()), dtype=np.uint64)
+    for uid in ids:
+        total[: vectors[uid].size] += codec.encode(vectors[uid])
+    return codec.decode(total)
+
+
+def _shamir_share_horner(secret, xs, threshold, salt):
+    """The pre-cache formula: one Horner chain per share holder."""
+    coefficients = [secret % SHAMIR_PRIME] + [
+        _digest_int(salt, secret, "coeff", index, bits=128) % SHAMIR_PRIME
+        for index in range(1, threshold)
+    ]
+    shares = {}
+    for x in xs:
+        value = 0
+        for coefficient in reversed(coefficients):
+            value = (value * int(x) + coefficient) % SHAMIR_PRIME
+        shares[int(x)] = value
+    return shares
+
+
+def _shamir_reconstruct_direct(shares):
+    """The pre-cache formula: Lagrange weights rebuilt for every call."""
+    points = sorted(shares.items())
+    total = 0
+    for i, (xi, yi) in enumerate(points):
+        numerator = denominator = 1
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                numerator = (numerator * (-xj)) % SHAMIR_PRIME
+                denominator = (denominator * (xi - xj)) % SHAMIR_PRIME
+        total = (
+            total + yi * numerator * pow(denominator, -1, SHAMIR_PRIME)
+        ) % SHAMIR_PRIME
+    return total
+
+
 class TestShamir:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        secret=st.integers(min_value=0, max_value=SHAMIR_PRIME - 1),
+        n=st.integers(min_value=1, max_value=9),
+        data=st.data(),
+    )
+    def test_cached_tables_reproduce_the_direct_formulas(self, secret, n, data):
+        """The power-table and Lagrange-weight caches are arithmetic
+        savings only: shares and reconstructed secrets are the values the
+        Horner chain and the per-call interpolation produced."""
+        threshold = data.draw(st.integers(min_value=1, max_value=n))
+        xs = data.draw(
+            st.lists(
+                st.integers(min_value=1, max_value=300),
+                min_size=n, max_size=n, unique=True,
+            )
+        )
+        shares = shamir_share(secret, xs, threshold, salt="pin")
+        assert shares == _shamir_share_horner(secret, xs, threshold, "pin")
+        subset = {x: shares[x] for x in xs[:threshold]}
+        assert shamir_reconstruct(subset) == _shamir_reconstruct_direct(subset)
+        assert shamir_reconstruct(subset) == secret
+        # A second call is served from the caches and must not differ.
+        assert shamir_share(secret, xs, threshold, salt="pin") == shares
+
     def test_round_trip_exactly_threshold_shares(self):
         secret = 0xDEADBEEFCAFE
         shares = shamir_share(secret, [1, 2, 3, 4, 5], threshold=3, salt="t")
@@ -133,7 +310,8 @@ def _client_at_unmask(uid, roster):
     bundles = {u: c.make_shares(roster, 2, adverts) for u, c in clients.items()}
     target = clients[uid]
     target.receive_shares(
-        [s for b in bundles.values() for s in b if s.receiver == uid], roster
+        [s for b in bundles.values() for s in b if s.receiver == uid],
+        {u: 4 for u in roster},
     )
     target.masked_input(np.zeros(4))
     return target
@@ -141,7 +319,9 @@ def _client_at_unmask(uid, roster):
 
 class TestServerStateMachine:
     def _server(self, ids=(1, 2, 3, 4), size=8):
-        return SecureAggregationServer(ids, size, round_id=1, config=CFG)
+        return SecureAggregationServer(
+            ids, {u: size for u in ids}, round_id=1, config=CFG
+        )
 
     def test_unknown_sender_raises(self):
         server = self._server()
@@ -173,7 +353,8 @@ class TestServerStateMachine:
 
     def test_below_threshold_roster_aborts(self):
         server = SecureAggregationServer(
-            range(6), 8, 1, SecureAggregationConfig(threshold_fraction=0.5)
+            range(6), {u: 8 for u in range(6)}, 1,
+            SecureAggregationConfig(threshold_fraction=0.5),
         )
         assert server.threshold == 3
         server.receive_advertisement(SecureAggregationClient(0, 1, CFG).advertise())
@@ -194,18 +375,7 @@ class TestServerStateMachine:
             server.receive_shares(2, bundle)
 
     def test_corrupted_masked_input_treated_as_dropout(self):
-        ids = [1, 2, 3]
-        server = SecureAggregationServer(ids, NUM_ITEMS * 4, 1, CFG)
-        clients = {u: SecureAggregationClient(u, 1, CFG) for u in ids}
-        for c in clients.values():
-            server.receive_advertisement(c.advertise())
-        roster = server.close_advertise()
-        adverts = {u: server._advertisements[u] for u in roster}
-        for u, c in clients.items():
-            server.receive_shares(u, c.make_shares(roster, server.threshold, adverts))
-        share_roster = server.close_shares()
-        for u, c in clients.items():
-            c.receive_shares(server.shares_for(u), share_roster)
+        server, clients = walk_to_masked_input({u: NUM_ITEMS * 4 for u in (1, 2, 3)})
         good = {
             u: c.masked_input(np.full(NUM_ITEMS * 4, 0.25))
             for u, c in clients.items()
@@ -330,6 +500,290 @@ class TestRunSecureRound:
         assert report.phase_wire[MASKED_INPUT] >= 6 * NUM_ITEMS * 4
 
 
+#: Eight clients over three model sizes, ids interleaved across groups.
+COHORT = {2: "s", 3: "l", 5: "m", 7: "s", 11: "l", 13: "m", 17: "s", 19: "m"}
+
+
+class TestHeterogeneousRounds:
+    """s/m/l cohorts with nested heads: every client masks only its own
+    model's prefix, and the decoded sums are still bitwise the survivors'
+    plain fixed-point padded sum (Eq. 8) and per-head sums (Eq. 15)."""
+
+    def test_zero_faults_bitwise_equal_plain_padded_sum(self):
+        updates = het_updates(COHORT, seed=1)
+        emb, heads, report = run_secure_round(updates, HET_DIMS, CFG, round_id=1)
+        assert report.survivors == sorted(COHORT)
+        assert_sums_bitwise(
+            emb, heads, *plain_padded_fixed_point_sums(updates, report.survivors)
+        )
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_dropout_at_each_phase_with_duplicates(self, phase, duplicated):
+        """One dropout per model size at the phase, optionally beside
+        duplicated messages from a small and a large client."""
+        updates = het_updates(COHORT, seed=2)
+        faults = FaultPlan(
+            drops={phase: frozenset({3, 5, 17})},
+            duplicates={phase: frozenset({2, 11})} if duplicated else {},
+        )
+        emb, heads, report = run_secure_round(updates, HET_DIMS, CFG, 1, faults)
+        assert not report.aborted
+        assert sorted(report.dropouts_by_phase[phase]) == [3, 5, 17]
+        assert report.duplicates_ignored == (2 if duplicated else 0)
+        expected = sorted(COHORT) if phase == UNMASK else [2, 7, 11, 13, 19]
+        assert report.survivors == expected
+        assert_sums_bitwise(
+            emb, heads, *plain_padded_fixed_point_sums(updates, report.survivors)
+        )
+
+    @pytest.mark.parametrize("dropped", [1, 2])
+    @pytest.mark.parametrize("first_two", [("s", "l"), ("l", "s"), ("m", "l")])
+    def test_dropout_and_survivor_of_different_sizes_in_both_id_orders(
+        self, first_two, dropped
+    ):
+        """The dangling pair mask spans ``min(len_survivor, len_dropout)``
+        and carries the sign of the id order: the shorter endpoint may be
+        the dropout or the survivor, the smaller or the larger id."""
+        group_of = {1: first_two[0], 2: first_two[1], 3: "m", 4: "s"}
+        updates = het_updates(group_of, seed=3)
+        faults = FaultPlan(drops={MASKED_INPUT: frozenset({dropped})})
+        emb, heads, report = run_secure_round(updates, HET_DIMS, CFG, 1, faults)
+        assert report.survivors == sorted(set(group_of) - {dropped})
+        assert_sums_bitwise(
+            emb, heads, *plain_padded_fixed_point_sums(updates, report.survivors)
+        )
+
+    def test_only_large_survivor_tail_decodes_to_its_own_value(self):
+        """When a single large client survives, the segment only it
+        reaches (columns d_m..d_l and the large head) decodes to exactly
+        its own encoded value.  That is not a leak of the span rule: it
+        is what Eq. 8's padded sum already reveals whenever one client
+        of the widest group is in the round — the sum over one
+        contributor *is* the contribution."""
+        group_of = {1: "s", 2: "s", 3: "m", 4: "l", 5: "l"}
+        updates = het_updates(group_of, seed=4)
+        faults = FaultPlan(drops={MASKED_INPUT: frozenset({5})})
+        emb, heads, report = run_secure_round(updates, HET_DIMS, CFG, 1, faults)
+        assert report.survivors == [1, 2, 3, 4]
+        codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+        lone = next(u for u in updates if u.user_id == 4)
+        own = lone.embedding_delta.dense()[:, HET_DIMS["m"] :]
+        np.testing.assert_array_equal(
+            emb["l"][:, HET_DIMS["m"] :], codec.decode(codec.encode(own))
+        )
+        for name, values in lone.head_deltas["l"].items():
+            np.testing.assert_array_equal(
+                heads["l"][name], codec.decode(codec.encode(values))
+            )
+        assert_sums_bitwise(
+            emb, heads, *plain_padded_fixed_point_sums(updates, report.survivors)
+        )
+
+    def test_round_without_the_widest_group_decodes_zero_tail(self):
+        updates = het_updates({1: "s", 2: "m", 3: "s"}, seed=5)
+        emb, heads, report = run_secure_round(updates, HET_DIMS, CFG, 1)
+        assert max(report.masked_lengths.values()) < report.masked_vector_scalars
+        assert not emb["l"][:, HET_DIMS["m"] :].any()
+        assert_sums_bitwise(
+            emb, heads, *plain_padded_fixed_point_sums(updates, report.survivors)
+        )
+
+    def test_report_carries_per_client_masked_lengths(self):
+        updates = het_updates(COHORT, seed=6)
+        _, _, report = run_secure_round(updates, HET_DIMS, CFG, 1)
+        layout = _round_layout(updates, HET_DIMS)
+        small, medium, large = layout.ends
+        assert small < medium < large == report.masked_vector_scalars
+        assert report.masked_lengths == {
+            uid: {"s": small, "m": medium, "l": large}[group]
+            for uid, group in COHORT.items()
+        }
+        assert report.as_dict()["masked_lengths"] == report.masked_lengths
+        # The size table rides the share relay: one more scalar per
+        # roster entry per member than ids alone.
+        n = len(COHORT)
+        assert report.phase_wire[SHARES] == n * 5.0 * (n - 1) * 2 + n * 2 * n
+
+    def test_aborted_round_charges_the_delivered_lengths(self):
+        updates = het_updates(COHORT, seed=7)
+        faults = FaultPlan(drops={UNMASK: frozenset(sorted(COHORT)[:6])})
+        _, _, report = run_secure_round(updates, HET_DIMS, CFG, 1, faults)
+        assert report.aborted and report.abort_phase == UNMASK
+        macs = 4.0 * len(COHORT)
+        assert report.phase_wire[MASKED_INPUT] == macs + sum(
+            report.masked_lengths.values()
+        )
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        groups=st.lists(st.sampled_from(HET_ORDER), min_size=2, max_size=7),
+        drop_bits=st.integers(min_value=0, max_value=127),
+        phase=st.sampled_from(PHASES),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_any_cohort_any_dropout_is_conservation_exact(
+        self, groups, drop_bits, phase, seed
+    ):
+        group_of = {uid + 1: group for uid, group in enumerate(groups)}
+        drops = frozenset(uid for uid in group_of if (drop_bits >> (uid - 1)) & 1)
+        updates = het_updates(group_of, seed=seed, num_items=5)
+        emb, heads, report = run_secure_round(
+            updates, HET_DIMS, CFG, 1, FaultPlan(drops={phase: drops})
+        )
+        if report.aborted:
+            assert len(group_of) - len(drops) < report.threshold
+            return
+        assert_sums_bitwise(
+            emb, heads, *plain_padded_fixed_point_sums(updates, report.survivors)
+        )
+
+
+class TestRoundLayoutValidation:
+    """``_round_layout`` checks every upload, not just the first."""
+
+    def test_catalogue_size_mismatch_names_the_user(self):
+        updates = make_updates([1, 2, 3], seed=0)
+        updates[2] = ClientUpdate(
+            user_id=3, group="s", embedding_delta=np.ones((NUM_ITEMS + 1, 4))
+        )
+        with pytest.raises(ValueError, match="user 3 covers 13 catalogue rows"):
+            run_secure_round(updates, DIMS, CFG, 1)
+
+    def test_unplaceable_embedding_width_names_the_user(self):
+        updates = het_updates({1: "s", 2: "m"}, seed=0)
+        updates.append(
+            ClientUpdate(user_id=9, group="m", embedding_delta=np.ones((NUM_ITEMS, 3)))
+        )
+        with pytest.raises(ValueError, match="user 9 has embedding width 3"):
+            run_secure_round(updates, HET_DIMS, CFG, 1)
+
+    def test_unknown_head_group_names_the_user(self):
+        updates = het_updates({1: "s", 2: "m"}, seed=0)
+        updates[1].head_deltas["xl"] = {"b": np.zeros(3)}
+        with pytest.raises(ValueError, match="user 2 carries head group 'xl'"):
+            run_secure_round(updates, HET_DIMS, CFG, 1)
+
+    def test_threshold_reads_the_config_field(self):
+        server = SecureAggregationServer(
+            range(10), {u: 4 for u in range(10)}, 1,
+            SecureAggregationConfig(threshold_fraction=0.75),
+        )
+        assert server.threshold == 8
+
+
+#: Three vector lengths over five clients, as a server would assign them.
+DOOR_SIZES = {1: 6, 2: 12, 3: 24, 4: 6, 5: 12}
+
+
+def door_vectors(seed=0):
+    rng = np.random.default_rng(seed)
+    return {u: rng.normal(0, 0.5, size=n) for u, n in DOOR_SIZES.items()}
+
+
+class TestMaskedInputDoor:
+    """The masked-input message is the one untrusted payload that reaches
+    the sum: anything but the sender's own vector, length and MAC for
+    this round is refused and the sender counts as a dropout."""
+
+    def test_another_groups_length_is_rejected_and_round_stays_exact(self):
+        vectors = door_vectors()
+        server, clients = walk_to_masked_input(DOOR_SIZES)
+        # Client 2 (a medium model) sends a validly MACed vector of a
+        # small client's length.
+        assert not server.receive_masked_input(
+            clients[2].masked_input(vectors[2][: DOOR_SIZES[1]])
+        )
+        assert server.rejected_inputs == 1
+        for u in (1, 3, 4, 5):
+            assert server.receive_masked_input(clients[u].masked_input(vectors[u]))
+        decoded = unmask_and_decode(server, clients)
+        assert server.survivors == [1, 3, 4, 5] and server.dropouts == [2]
+        np.testing.assert_array_equal(
+            decoded, plain_prefix_sum(vectors, [1, 3, 4, 5])
+        )
+
+    def test_stale_round_masked_input_rejected(self):
+        """Pinned from the fuzz pass below: the message's own round id
+        was never compared — a replayed field went unnoticed."""
+        server, clients = walk_to_masked_input(DOOR_SIZES)
+        genuine = clients[1].masked_input(door_vectors()[1])
+        assert not server.receive_masked_input(replace(genuine, round_id=2))
+        assert server.late_rejected == 1
+        assert server.receive_masked_input(genuine)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        victim=st.sampled_from(sorted(DOOR_SIZES)),
+        mutated_field=st.sampled_from(["client_id", "round_id", "mac", "length"]),
+        salt=st.integers(min_value=0, max_value=2**16),
+        redeliver=st.booleans(),
+    )
+    def test_mutated_masked_input_never_reaches_the_sum(
+        self, victim, mutated_field, salt, redeliver
+    ):
+        """Mutate one field of one genuine message: the server refuses
+        it (an unknown sender raises), a genuine retry is still accepted,
+        and the decoded sum is bitwise the plain sum of whoever delivered."""
+        vectors = door_vectors(seed=salt)
+        server, clients = walk_to_masked_input(DOOR_SIZES)
+        messages = {u: clients[u].masked_input(vectors[u]) for u in DOOR_SIZES}
+        genuine = messages[victim]
+        if mutated_field == "client_id":
+            others = [u for u in DOOR_SIZES if u != victim] + [99]
+            mutated = replace(genuine, client_id=others[salt % len(others)])
+        elif mutated_field == "round_id":
+            mutated = replace(genuine, round_id=genuine.round_id + 1 + salt % 7)
+        elif mutated_field == "mac":
+            at = salt % len(genuine.mac)
+            flipped = "0" if genuine.mac[at] != "0" else "1"
+            mutated = replace(genuine, mac=genuine.mac[:at] + flipped + genuine.mac[at + 1 :])
+        else:
+            lengths = sorted(
+                {*DOOR_SIZES.values(), genuine.vector.size - 1, genuine.vector.size + 1}
+                - {genuine.vector.size}
+            )
+            mutated = replace(
+                genuine, vector=np.resize(genuine.vector, lengths[salt % len(lengths)])
+            )
+
+        if mutated.client_id not in DOOR_SIZES:
+            with pytest.raises(ProtocolError, match="unknown client"):
+                server.receive_masked_input(mutated)
+        else:
+            assert not server.receive_masked_input(mutated)
+            assert server.rejected_inputs + server.late_rejected == 1
+
+        delivered = [u for u in sorted(DOOR_SIZES) if u != victim or redeliver]
+        for u in delivered:
+            assert server.receive_masked_input(messages[u])
+        decoded = unmask_and_decode(server, clients)
+        assert server.survivors == delivered
+        np.testing.assert_array_equal(decoded, plain_prefix_sum(vectors, delivered))
+
+
+class TestMaskPRG:
+    """The re-keyed expander behaves like a pure function of
+    ``(seed, round)``: uniformity and endpoint agreement are pinned in
+    ``TestMaskedSumProperties`` / ``TestClientStateMachine``."""
+
+    def test_shorter_mask_is_a_prefix_of_the_longer(self):
+        long, short = MaskPRG(3).expand(42, 64), MaskPRG(3).expand(42, 17)
+        assert long.dtype == np.uint64
+        np.testing.assert_array_equal(long[:17], short)
+
+    def test_rekeying_leaves_no_trace_of_earlier_seeds(self):
+        prg = MaskPRG(3)
+        prg.expand(7, 1000)
+        prg.expand(8, 3)
+        np.testing.assert_array_equal(prg.expand(42, 64), MaskPRG(3).expand(42, 64))
+
+    def test_seed_and_round_both_key_the_stream(self):
+        base = MaskPRG(3).expand(42, 64)
+        assert not np.array_equal(base, MaskPRG(4).expand(42, 64))
+        assert not np.array_equal(base, MaskPRG(3).expand(43, 64))
+
+
 class TestMaskedSumProperties:
     @settings(deadline=None, max_examples=25)
     @given(
@@ -365,7 +819,8 @@ class TestMaskedSumProperties:
         bundles = {u: c.make_shares(ids, 2, adverts) for u, c in clients.items()}
         target = clients[1]
         target.receive_shares(
-            [s for b in bundles.values() for s in b if s.receiver == 1], ids
+            [s for b in bundles.values() for s in b if s.receiver == 1],
+            {u: size for u in ids},
         )
         message = target.masked_input(np.full(size, 0.125))
         data = np.frombuffer(
@@ -389,7 +844,98 @@ class TestMaskedSumProperties:
         assert chi2 > 330.0
 
 
+TRAINER_DIMS = {"s": 4, "m": 6, "l": 8}
+
+
+def hetefedrec_round(dataset, clients, mode="sum", dtype="float64"):
+    """A HeteFedRec trainer (nested heads), its first round's uploads and
+    the survivor ids once one client per model size drops before
+    delivering masked input."""
+    config = HeteFedRecConfig(
+        dims=TRAINER_DIMS, epochs=1, clients_per_round=24, local_epochs=1,
+        lr=0.05, seed=0, dtype=dtype,
+        aggregation=AggregationConfig(embedding_mode=mode, theta_mode=mode),
+        secure_aggregation=SecureAggregationConfig(),
+    )
+    trainer = HeteFedRec(dataset.num_items, clients, config)
+    updates = trainer._train_clients(trainer.participation_rounds(1)[0])
+    victims = {
+        group: min(int(u.user_id) for u in updates if u.group == group)
+        for group in trainer.groups
+    }
+    assert len(victims) == 3, "the round must mix all three model sizes"
+    trainer._secure_fault_plan = lambda round_id, ids: FaultPlan(
+        drops={MASKED_INPUT: frozenset(victims.values())}
+    )
+    survivors = sorted({int(u.user_id) for u in updates} - set(victims.values()))
+    return trainer, updates, survivors
+
+
+def plain_round_deltas(updates, survivors, mode):
+    """What the trainer should step by: the survivors' plain fixed-point
+    padded sums, divided by the public contributor counts in mean mode."""
+    embeddings, heads = plain_padded_fixed_point_sums(updates, survivors, TRAINER_DIMS)
+    if mode == "mean":
+        surviving = [u for u in updates if int(u.user_id) in set(survivors)]
+        mean_over_head_contributors(surviving, heads)
+        embeddings = {
+            group: mean_over_column_contributors(surviving, summed)
+            for group, summed in embeddings.items()
+        }
+    return embeddings, heads
+
+
+class TestFloat32SecureRound:
+    """The float32 knob on the secure path (CI dtype step): uploads are
+    float32, the field arithmetic is not, and the decoded sums land in
+    float32 tables exactly as the plain fixed-point sums would."""
+
+    def test_decoded_sums_applied_to_float32_tables_bitwise(
+        self, tiny_dataset, tiny_clients
+    ):
+        trainer, updates, survivors = hetefedrec_round(
+            tiny_dataset, tiny_clients, dtype="float32"
+        )
+        assert all(u.embedding_delta.dtype == np.float32 for u in updates)
+        tables = {g: trainer.models[g].item_embedding.weight.data.copy()
+                  for g in trainer.groups}
+        heads = {g: {n: p.data.copy() for n, p in trainer.models[g].head.named_parameters()}
+                 for g in trainer.groups}
+        trainer.apply_updates(updates)
+        embedding_deltas, head_deltas = plain_round_deltas(updates, survivors, "sum")
+        lr = trainer.config.aggregation.server_lr
+        for group in trainer.groups:
+            tables[group] += lr * embedding_deltas[group]
+            after = trainer.models[group].item_embedding.weight.data
+            assert after.dtype == np.float32
+            np.testing.assert_array_equal(after, tables[group], err_msg=group)
+            for name, param in trainer.models[group].head.named_parameters():
+                heads[group][name] += lr * head_deltas[group][name]
+                assert param.data.dtype == np.float32
+                np.testing.assert_array_equal(param.data, heads[group][name])
+
+
 class TestTrainerIntegration:
+    @pytest.mark.parametrize("mode", ["sum", "mean"])
+    def test_hetefedrec_round_decodes_the_survivors_plain_sum(
+        self, tiny_dataset, tiny_clients, mode
+    ):
+        """s/m/l cohort with nested heads through the trainer, one
+        dropout per model size: sum and mean modes both rest on decoded
+        sums that are bitwise the survivors' plain fixed-point sums."""
+        trainer, updates, survivors = hetefedrec_round(
+            tiny_dataset, tiny_clients, mode=mode
+        )
+        embeddings, heads = trainer._secure_aggregate(updates)
+        assert_sums_bitwise(
+            embeddings, heads, *plain_round_deltas(updates, survivors, mode)
+        )
+        # Survivors were charged their own prefix; the dropouts nothing.
+        assert trainer.meter.total_upload == sum(
+            _round_layout(updates, TRAINER_DIMS).length_of(u)
+            for u in updates if int(u.user_id) in set(survivors)
+        )
+
     def _config(self, **overrides):
         base = dict(
             arch="ncf",
@@ -482,7 +1028,9 @@ class TestTrainerIntegration:
     ):
         """Satellite: Table III honesty — the secure run's wire cost is
         the dense masked vectors plus per-phase key/share traffic, which
-        must exceed the plain sparse-upload accounting."""
+        must exceed the plain sparse-upload accounting.  Each survivor is
+        charged its *own* model's masked length, so a small client's
+        metered upload sits strictly below a large client's."""
         plain = self._trainer(tiny_dataset, tiny_clients)
         secure = self._trainer(
             tiny_dataset, tiny_clients,
@@ -490,6 +1038,22 @@ class TestTrainerIntegration:
         )
         plain.fit()
         secure.fit()
+        # One epoch, no faults: every client delivered exactly one masked
+        # vector of its own prefix (columns up to its width, plus the
+        # head slots of the groups its round saw up to its own).
+        dims, items = secure.config.dims, tiny_dataset.num_items
+        head = {g: sum(p.data.size for p in secure.models[g].head.parameters())
+                for g in secure.groups}
+        members = {g: sum(1 for v in secure.group_of.values() if v == g)
+                   for g in secure.groups}
+        per_client = {g: secure.meter.uploads[g] / members[g] for g in secure.groups}
+        for group in secure.groups:
+            own_columns_and_head = items * dims[group] + head[group]
+            reachable_heads = sum(head[g] for g in secure.groups if dims[g] <= dims[group])
+            assert own_columns_and_head <= per_client[group] <= (
+                items * dims[group] + reachable_heads
+            ), group
+        assert per_client["s"] < per_client["m"] < per_client["l"]
         assert secure.meter.protocol, "per-phase protocol ledger missing"
         assert set(secure.meter.protocol) == set(PHASES)
         assert secure.meter.total_upload > plain.meter.total_upload
