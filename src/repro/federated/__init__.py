@@ -62,15 +62,6 @@ from repro.federated.round_engine import (
     VectorizedRoundEngine,
     engine_supports,
 )
-from repro.federated.checkpoint import (
-    CheckpointMismatchError,
-    UnknownGroupError,
-    checkpoint_groups,
-    load_user_embeddings,
-    read_manifest,
-    remove_checkpoint,
-    user_embedding_from_checkpoint,
-)
 
 __all__ = [
     "ClientUpdate",
@@ -110,11 +101,4 @@ __all__ = [
     "FusedObjective",
     "VectorizedRoundEngine",
     "engine_supports",
-    "CheckpointMismatchError",
-    "UnknownGroupError",
-    "checkpoint_groups",
-    "load_user_embeddings",
-    "read_manifest",
-    "remove_checkpoint",
-    "user_embedding_from_checkpoint",
 ]

@@ -5,8 +5,8 @@ the repo's bitwise-restart contract holds: *stop at epoch k, resume,
 finish → bitwise-identical to the uninterrupted run* (pinned by
 ``tests/test_checkpoint_resume.py`` the same way
 ``tests/test_round_engine.py`` pins engine-vs-reference).  Beyond the
-per-group public parameters and every client's private user embedding,
-that means:
+per-group public parameters and every dim-group's table of private
+user embeddings, that means:
 
 * server-optimiser first/second moments (FedAvgM / FedAdam / FedYogi);
 * the trainer's permutation RNG and any subclass streams (HeteFedRec's
@@ -20,11 +20,17 @@ that means:
 * subclass extras through the ``_checkpoint_extra_state`` hook (the
   unlearning ledger, Standalone's per-client model copies).
 
-Layout: one ``.npz`` holding all arrays *and* an embedded JSON manifest
-(key ``__manifest__``), written atomically (:func:`repro.io.atomic_write`,
-the same helper ``.repro_cache/`` uses) so a crash mid-save can never
-leave a torn checkpoint; a human-readable ``.meta.json`` sidecar is
-written alongside for inspection and single-group deploy tooling.
+Layout (format version 4): one ``.npz`` holding all arrays *and* an
+embedded JSON manifest (key ``__manifest__``), written atomically
+(:func:`repro.io.atomic_write`, the same helper ``.repro_cache/`` uses)
+so a crash mid-save can never leave a torn checkpoint; a human-readable
+``.meta.json`` sidecar is written alongside for inspection and
+single-group deploy tooling.  Members are ``model/<group>/<param>``,
+``users/<group>/ids`` + ``users/<group>/values`` (each dim-group's
+:class:`~repro.federated.user_table.UserTable` — two members per group
+however many users, and **the id arrays are the group assignment**: the
+manifest carries no user→group map), and ``sopt/…``, ``straggler/…``,
+``residual/…``, ``ledger/…``, ``standalone/…`` when the feature is on.
 
 The manifest is versioned and validated on load:
 :func:`load_checkpoint_impl` raises :class:`CheckpointMismatchError` when the
@@ -33,9 +39,10 @@ dtype, feature set (availability / secure-agg / server-optimiser /
 compression / method) or group assignment does not match — never a
 silent truncation.
 
-Deploy-side, :func:`load_inference_model_impl` restores one group's model
-for serving (in the dtype it was trained in) without reconstructing the
-trainer.
+Deploy-side, :func:`inference_model` restores one group's model (in the
+dtype it was trained in) and :func:`load_user_tables` the user tables
+from an archive the caller holds open, without reconstructing the
+trainer: a load is one open and one manifest parse.
 
 Callers outside the package use the :mod:`repro.api` verbs
 (``save_checkpoint`` / ``resume`` / ``load_model``); each verb has
@@ -52,14 +59,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.federated.payload import ClientUpdate, SparseRowDelta
+from repro.federated.user_table import UserTable
 from repro.io import atomic_write
 from repro.models.factory import build_model
 
 #: Manifest schema version; bump on layout changes.  Loading any other
 #: version raises :class:`CheckpointMismatchError` — resume correctness
 #: depends on every state section being present and understood.
-#: Version 3 added the privacy accountant's state (``accounting``).
-FORMAT_VERSION = 3
+#: Version 4 stores users as one ``(ids, values)`` table per dim-group.
+FORMAT_VERSION = 4
 
 
 class CheckpointMismatchError(ValueError):
@@ -104,15 +112,20 @@ def remove_checkpoint(path: str) -> None:
             pass
 
 
-def read_manifest(path: str) -> dict:
-    """A checkpoint's manifest: the npz-embedded copy (authoritative),
-    falling back to the ``.meta.json`` sidecar."""
-    npz = _npz_path(path)
+def read_manifest(source) -> dict:
+    """A checkpoint's manifest.  ``source`` is a checkpoint path (the
+    npz-embedded copy is authoritative, the ``.meta.json`` sidecar the
+    fallback) or the open archive itself."""
+    if not isinstance(source, str):
+        if "__manifest__" not in source.files:
+            raise CheckpointMismatchError("checkpoint archive carries no manifest")
+        return json.loads(source["__manifest__"].item())
+    npz = _npz_path(source)
     if os.path.exists(npz):
         with np.load(npz) as archive:
             if "__manifest__" in archive.files:
-                return json.loads(archive["__manifest__"].item())
-    with open(_meta_path(path), encoding="utf-8") as handle:
+                return read_manifest(archive)
+    with open(_meta_path(source), encoding="utf-8") as handle:
         return json.load(handle)
 
 
@@ -121,13 +134,14 @@ def read_manifest(path: str) -> dict:
 # ----------------------------------------------------------------------
 def _flatten_states(trainer) -> Dict[str, np.ndarray]:
     """All public parameters under ``model/{group}/{param}`` keys, plus
-    user embeddings under ``user/{id}``."""
+    each group's user table under ``users/{group}/ids|values``."""
     arrays: Dict[str, np.ndarray] = {}
     for group, model in trainer.models.items():
         for name, values in model.state_dict().items():
             arrays[f"model/{group}/{name}"] = values
-    for user_id, runtime in trainer.runtimes.items():
-        arrays[f"user/{user_id}"] = runtime.user_embedding
+    for group, table in trainer.user_tables.items():
+        arrays[f"users/{group}/ids"] = table.ids
+        arrays[f"users/{group}/values"] = table.values
     return arrays
 
 
@@ -209,6 +223,15 @@ def pack_delta(block, prefix: str, arrays: Dict[str, np.ndarray]) -> dict:
         return {"sparse": True, "num_rows": int(block.num_rows)}
     arrays[f"{prefix}/dense"] = np.asarray(block)
     return {"sparse": False}
+
+
+def members(archive, prefix: str) -> Dict[str, np.ndarray]:
+    """The archive's arrays under ``prefix``, keyed by the rest of their name."""
+    return {
+        key[len(prefix):]: archive[key]
+        for key in archive.files
+        if key.startswith(prefix)
+    }
 
 
 def unpack_delta(record: dict, prefix: str, archive):
@@ -316,7 +339,6 @@ def _collect(trainer) -> Tuple[Dict[str, np.ndarray], dict]:
         "num_items": int(trainer.num_items),
         "dtype": config.dtype,
         "seed": config.seed,
-        "group_of": {str(user): group for user, group in trainer.group_of.items()},
         "features": _feature_signature(trainer),
         "training": _training_signature(trainer),
         "data_digest": _data_digest(trainer),
@@ -380,15 +402,51 @@ def save_checkpoint_impl(trainer, path: str) -> None:
     )
 
 
-def _validate(trainer, meta: dict) -> None:
-    """Raise :class:`CheckpointMismatchError` unless ``meta`` describes a
-    run this trainer can continue."""
+def load_user_tables(archive, meta: dict) -> Dict[str, UserTable]:
+    """Every dim-group's user table an open checkpoint archive carries.
+
+    The one reader of ``users/<group>/…``, for resume and serving alike.
+    Any format version but this build's, a group ``dims`` does not name
+    or with half the pair, a matrix not ``(len(ids), dims[group])`` in
+    the manifest's dtype, unsorted or duplicate ids, or an id in two
+    groups raises :class:`CheckpointMismatchError` — at load, never at
+    first use.
+    """
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointMismatchError(
             f"unsupported checkpoint format version {version!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
+    tables: Dict[str, UserTable] = {}
+    stored = {key.split("/")[1] for key in archive.files if key.startswith("users/")}
+    for group in sorted(stored):
+        try:
+            tables[group] = UserTable(
+                archive[f"users/{group}/ids"],
+                archive[f"users/{group}/values"],
+                meta["dims"][group],
+                np.dtype(meta["dtype"]),
+            )
+        except (KeyError, ValueError) as error:
+            raise CheckpointMismatchError(
+                f"checkpoint's user table for group {group!r} is invalid: {error}"
+            ) from error
+    if tables:
+        ids, counts = np.unique(
+            np.concatenate([table.ids for table in tables.values()]),
+            return_counts=True,
+        )
+        if (counts > 1).any():
+            raise CheckpointMismatchError(
+                f"checkpoint holds user {int(ids[counts > 1][0])} in more than one group"
+            )
+    return tables
+
+
+def _validate(trainer, meta: dict, tables: Dict[str, UserTable]) -> None:
+    """Raise :class:`CheckpointMismatchError` unless ``meta`` and the
+    stored user ``tables`` describe a run this trainer can continue."""
     config = trainer.config
     problems: List[str] = []
 
@@ -409,18 +467,18 @@ def _validate(trainer, meta: dict) -> None:
     check("training", _training_signature(trainer), meta.get("training"))
     check("data split", _data_digest(trainer), meta.get("data_digest"))
 
-    want_groups = {str(user): group for user, group in trainer.group_of.items()}
-    got_groups = meta.get("group_of") or {}
+    # The stored id arrays are the checkpoint's group assignment.
+    want_groups = {user: trainer.group_of[user] for user in trainer.runtimes}
+    got_groups = {
+        int(user): group for group, table in tables.items() for user in table.ids
+    }
     if want_groups != got_groups:
-        missing = sorted(set(want_groups) - set(got_groups), key=int)
-        extra = sorted(set(got_groups) - set(want_groups), key=int)
+        missing = sorted(set(want_groups) - set(got_groups))
+        extra = sorted(set(got_groups) - set(want_groups))
         moved = sorted(
-            (
-                user
-                for user in set(want_groups) & set(got_groups)
-                if want_groups[user] != got_groups[user]
-            ),
-            key=int,
+            user
+            for user in set(want_groups) & set(got_groups)
+            if want_groups[user] != got_groups[user]
         )
         problems.append(
             "group assignment: "
@@ -443,29 +501,21 @@ def load_checkpoint_impl(trainer, path: str) -> None:
     :meth:`~repro.federated.trainer.FederatedTrainer.fit` continues the
     original run bitwise-identically.
     """
-    meta = read_manifest(path)
-    _validate(trainer, meta)
     with np.load(_npz_path(path)) as archive:
+        meta = read_manifest(archive)
+        tables = load_user_tables(archive, meta)
+        _validate(trainer, meta, tables)
 
         # Public parameters and private user embeddings.
         for group, model in trainer.models.items():
-            state = {}
-            prefix = f"model/{group}/"
-            for key in archive.files:
-                if key.startswith(prefix):
-                    state[key[len(prefix):]] = archive[key]
+            state = members(archive, f"model/{group}/")
             if not state:
                 raise CheckpointMismatchError(
                     f"checkpoint has no parameters for group {group!r}"
                 )
             model.load_state_dict(state)
-        for user_id, runtime in trainer.runtimes.items():
-            key = f"user/{user_id}"
-            if key not in archive.files:
-                raise CheckpointMismatchError(
-                    f"checkpoint has no embedding for user {user_id}"
-                )
-            runtime.commit_user_embedding(archive[key])
+        for group, table in tables.items():
+            trainer.user_tables[group].put(table.ids, table.values)
 
         # Progress counters.
         progress = meta["progress"]
@@ -499,14 +549,9 @@ def load_checkpoint_impl(trainer, path: str) -> None:
         # Optional protocol components (presence already validated via
         # the feature signature).
         if trainer._server_opt is not None:
-            momentum: Dict[str, np.ndarray] = {}
-            second: Dict[str, np.ndarray] = {}
-            for key in archive.files:
-                if key.startswith("sopt/m/"):
-                    momentum[key[len("sopt/m/"):]] = archive[key]
-                elif key.startswith("sopt/v/"):
-                    second[key[len("sopt/v/"):]] = archive[key]
-            trainer._server_opt.load_moments(momentum, second)
+            trainer._server_opt.load_moments(
+                members(archive, "sopt/m/"), members(archive, "sopt/v/")
+            )
         if trainer._straggler_buffer is not None:
             trainer._straggler_buffer.restore_pending(
                 _unpack_updates("straggler", meta.get("straggler", []), archive),
@@ -528,34 +573,9 @@ def checkpoint_groups(path: str) -> List[str]:
     return sorted(read_manifest(path)["dims"])
 
 
-def load_inference_model_impl(path: str, group: Optional[str] = None):
-    """Rebuild one group's recommender from a checkpoint for serving.
-
-    Returns ``(model, meta)``; score a user by passing their embedding
-    (also in the checkpoint, under ``user/{id}``) to ``model.logits``.
-    The model is rebuilt in the dtype it was trained in — the manifest
-    records ``config.dtype``, so a float32 run deploys as float32.
-
-    ``group`` may be omitted when the checkpoint carries exactly one
-    group (the homogeneous baselines); with several groups, or with a
-    name the manifest does not know, :class:`UnknownGroupError` names
-    the valid choices instead of failing bare.
-    """
-    meta = read_manifest(path)
-    groups = sorted(meta["dims"])
-    if group is None:
-        if len(groups) != 1:
-            raise UnknownGroupError(
-                f"checkpoint {path!r} holds models for groups {groups}; "
-                "pass group=<name> to choose one"
-            )
-        group = groups[0]
-    elif group not in meta["dims"]:
-        raise UnknownGroupError(
-            f"group {group!r} not in checkpoint {path!r} (valid groups: {groups})"
-        )
-
-    archive = np.load(_npz_path(path))
+def inference_model(archive, meta: dict, group: str):
+    """One group's recommender rebuilt from an open checkpoint archive,
+    in the dtype the manifest records."""
     model = build_model(
         meta["arch"],
         num_items=meta["num_items"],
@@ -566,34 +586,45 @@ def load_inference_model_impl(path: str, group: Optional[str] = None):
     target = np.dtype(meta.get("dtype", "float64"))
     for param in model.parameters():
         param.data = param.data.astype(target)
-    prefix = f"model/{group}/"
-    state = {
-        key[len(prefix):]: archive[key]
-        for key in archive.files
-        if key.startswith(prefix)
-    }
-    model.load_state_dict(state)
-    return model, meta
+    model.load_state_dict(members(archive, f"model/{group}/"))
+    return model
+
+
+def load_inference_model_impl(path: str, group: Optional[str] = None):
+    """Rebuild one group's recommender from a checkpoint for serving.
+
+    Returns ``(model, meta)``; score a user by passing their embedding
+    (:func:`user_embedding_from_checkpoint`) to ``model.logits``.
+    The model is rebuilt in the dtype it was trained in — the manifest
+    records ``config.dtype``, so a float32 run deploys as float32.
+
+    ``group`` may be omitted when the checkpoint carries exactly one
+    group (the homogeneous baselines); with several groups, or with a
+    name the manifest does not know, :class:`UnknownGroupError` names
+    the valid choices instead of failing bare.
+    """
+    with np.load(_npz_path(path)) as archive:
+        meta = read_manifest(archive)
+        groups = sorted(meta["dims"])
+        if group is None:
+            if len(groups) != 1:
+                raise UnknownGroupError(
+                    f"checkpoint {path!r} holds models for groups {groups}; "
+                    "pass group=<name> to choose one"
+                )
+            group = groups[0]
+        elif group not in meta["dims"]:
+            raise UnknownGroupError(
+                f"group {group!r} not in checkpoint {path!r} (valid groups: {groups})"
+            )
+        return inference_model(archive, meta, group), meta
 
 
 def user_embedding_from_checkpoint(path: str, user_id: int) -> np.ndarray:
     """Fetch one user's private embedding from a checkpoint."""
-    archive = np.load(_npz_path(path))
-    key = f"user/{user_id}"
-    if key not in archive.files:
-        raise KeyError(f"no embedding stored for user {user_id}")
-    return archive[key]
-
-
-def load_user_embeddings(path: str) -> Dict[int, np.ndarray]:
-    """Every user's private embedding from a checkpoint, keyed by id.
-
-    The serving layer's warm-load: one archive pass instead of a
-    :func:`user_embedding_from_checkpoint` round trip per user.
-    """
-    embeddings: Dict[int, np.ndarray] = {}
     with np.load(_npz_path(path)) as archive:
-        for key in archive.files:
-            if key.startswith("user/"):
-                embeddings[int(key[len("user/"):])] = archive[key]
-    return embeddings
+        meta = read_manifest(archive)
+        for table in load_user_tables(archive, meta).values():
+            if user_id in table.ids:
+                return table.take([user_id])[0]
+    raise KeyError(f"no embedding stored for user {user_id}")

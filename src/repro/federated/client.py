@@ -4,7 +4,10 @@ Holds exactly what the paper keeps private to a client: the user
 embedding ``u_i`` (Eq. 3 — updated locally, never uploaded) plus local
 utilities (negative sampler, RNG).  The model parameters a client trains
 are *borrowed* from the trainer for the duration of a local session; this
-runtime persists only across-round private state.
+runtime persists only across-round private state.  The embedding is a
+row of a :class:`~repro.federated.user_table.UserTable`, addressed by
+user id: a one-row table of its own until a trainer adopts the runtime
+into its dim-group's.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 
 from repro.data.dataset import ClientData
 from repro.data.sampling import NegativeSampler, TrainingBatch, build_training_batch
+from repro.federated.user_table import UserTable
 from repro.nn.module import Parameter
 
 
@@ -35,8 +39,11 @@ class ClientRuntime:
         self.sampler = NegativeSampler(num_items, seed=seed * 7_919 + data.user_id)
         # Drawn in float64 (keeps the RNG stream identical across dtypes),
         # then cast to the session precision.
-        self.user_embedding = self.rng.normal(0.0, init_std, size=embedding_dim).astype(
+        initial = self.rng.normal(0.0, init_std, size=embedding_dim).astype(
             dtype, copy=False
+        )
+        self.table = UserTable(
+            np.array([data.user_id]), initial[np.newaxis], embedding_dim, dtype
         )
 
     @property
@@ -44,21 +51,17 @@ class ClientRuntime:
         return self.data.user_id
 
     @property
-    def num_train(self) -> int:
-        return self.data.num_train
+    def user_embedding(self) -> np.ndarray:
+        """A copy of this client's row of :attr:`table`."""
+        return self.table.take([self.user_id])[0]
 
     def user_parameter(self) -> Parameter:
         """Wrap the private embedding as a trainable parameter for a session."""
-        return Parameter(self.user_embedding.copy(), name=f"user_{self.user_id}")
+        return Parameter(self.user_embedding, name=f"user_{self.user_id}")
 
     def commit_user_embedding(self, values: np.ndarray) -> None:
         """Persist the locally updated private embedding (Eq. 3)."""
-        if values.shape != self.user_embedding.shape:
-            raise ValueError(
-                f"user embedding shape changed: {values.shape} vs "
-                f"{self.user_embedding.shape}"
-            )
-        self.user_embedding = values.copy()
+        self.table.put([self.user_id], np.asarray(values)[np.newaxis])
 
     def sample_batch(self, negative_ratio: int = 4) -> TrainingBatch:
         """Local positives + sampled negatives, shuffled (Section V-A)."""

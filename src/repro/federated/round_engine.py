@@ -451,10 +451,7 @@ class VectorizedRoundEngine:
             work_table[b, : uniq.size] = table[uniq]
         table_param = Parameter(work_table, name=f"V[{group}]xB")
         user_param = Parameter(
-            np.stack([runtime.user_embedding for runtime in runtimes]).astype(
-                dtype, copy=False
-            ),
-            name=f"U[{group}]xB",
+            trainer.user_tables[group].take(users), name=f"U[{group}]xB"
         )
         task_groups = trainer.trained_head_groups(group)
         widths = [cfg.dims[tg] for tg in task_groups]
@@ -578,7 +575,6 @@ class VectorizedRoundEngine:
         return self._emit_updates(
             group,
             users,
-            runtimes,
             uniq_rows,
             table,
             table_param,
@@ -679,7 +675,6 @@ class VectorizedRoundEngine:
         self,
         group: str,
         users: List[int],
-        runtimes,
         uniq_rows: List[np.ndarray],
         table: np.ndarray,
         table_param: Parameter,
@@ -693,10 +688,9 @@ class VectorizedRoundEngine:
     ) -> List[ClientUpdate]:
         num_items = table.shape[0]
         dim = table.shape[1]
+        self.trainer.user_tables[group].put(users, user_param.data)
         updates: List[ClientUpdate] = []
-        for b, (user, runtime) in enumerate(zip(users, runtimes)):
-            runtime.commit_user_embedding(user_param.data[b])
-
+        for b, user in enumerate(users):
             # Row-sparse emission: O(touched rows), never O(catalogue).
             # Rows the session referenced but did not move (possible only
             # in degenerate cases) are dropped, matching the reference

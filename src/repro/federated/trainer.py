@@ -62,6 +62,7 @@ from repro.federated.privacy import PrivacyConfig, protect_update
 from repro.federated.secure_agg import SecureAggregationConfig
 from repro.federated.secure_protocol import SecureRoundReport, run_secure_round
 from repro.federated.server_optim import ServerOptimizer, ServerOptimizerConfig
+from repro.federated.user_table import UserTable
 from repro.compression.client import ClientCompressor
 from repro.compression.codecs import CompressionConfig
 from repro.models.factory import build_model
@@ -274,7 +275,12 @@ class FederatedTrainer:
                     param.data = param.data.astype(target)
 
     def _build_runtimes(self) -> None:
+        """One runtime per client, then one :class:`UserTable` per group,
+        assembled from the runtimes' own initial draws (their RNG streams
+        are untouched); every member is re-pointed at its group's table,
+        the only copy from here on."""
         cfg = self.config
+        dtype = np.dtype(cfg.dtype)
         self.runtimes: Dict[int, ClientRuntime] = {}
         for client in self.clients:
             group = self.group_of[client.user_id]
@@ -283,8 +289,22 @@ class FederatedTrainer:
                 embedding_dim=cfg.dims[group],
                 num_items=self.num_items,
                 seed=cfg.seed,
-                dtype=np.dtype(cfg.dtype),
+                dtype=dtype,
             )
+        self.user_tables: Dict[str, UserTable] = {}
+        for group in self.groups:
+            members = sorted(u for u in self.runtimes if self.group_of[u] == group)
+            dim = cfg.dims[group]
+            # ``group_of`` may name a group none of ``clients`` is in.
+            rows = [self.runtimes[u].table.values for u in members] or [
+                np.empty((0, dim), dtype)
+            ]
+            table = UserTable(
+                np.array(members, dtype=np.int64), np.concatenate(rows), dim, dtype
+            )
+            for user in members:
+                self.runtimes[user].table = table
+            self.user_tables[group] = table
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -779,8 +799,8 @@ class FederatedTrainer:
     def score_item_matrix(self, clients: Sequence[ClientData]) -> np.ndarray:
         """Scores of every catalogue item for a block of users at once.
 
-        Stacks each dim-group's user embeddings and runs the group model's
-        batched :meth:`~repro.models.base.BaseRecommender.score_matrix`
+        Gathers each dim-group's rows from its user table and runs the
+        group model's batched :meth:`~repro.models.base.BaseRecommender.score_matrix`
         once — the blocked counterpart of :meth:`score_all_items`, used by
         :meth:`Evaluator.evaluate_blocked`.  Each client's local graph
         rides along for architectures whose scoring propagates over it.
@@ -794,11 +814,8 @@ class FederatedTrainer:
             ]
             if not positions:
                 continue
-            user_mat = np.stack(
-                [self.runtimes[clients[i].user_id].user_embedding for i in positions]
-            )
             scores[positions] = self.models[group].score_matrix(
-                user_mat,
+                self.user_tables[group].take([clients[i].user_id for i in positions]),
                 train_items=[clients[i].train_items for i in positions],
             )
         return scores

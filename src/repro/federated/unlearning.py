@@ -253,7 +253,7 @@ class UnlearningHeteFedRec(HeteFedRec):
 
         self.clients = [c for c in self.clients if c.user_id != user_id]
         self.runtimes.pop(user_id, None)
-        self.group_of.pop(user_id, None)
+        self.user_tables[self.group_of.pop(user_id)].drop(user_id)
         self.excluded_uploaders.discard(user_id)
         if self._straggler_buffer is not None:
             self._straggler_buffer.discard_user(user_id)

@@ -587,19 +587,16 @@ class ResilientService:
         snap = self._service.snapshot
         totals = np.zeros(snap.num_items, dtype=np.float64)
         weight = 0
-        by_group: Dict[str, List[int]] = {}
-        for user in snap.user_ids():
-            by_group.setdefault(snap.group_of[user], []).append(user)
         for group in snap.groups:
-            users = by_group.get(group, [])[: self.config.fallback_users]
-            if not users:
+            # The table is id-sorted: its head is the deterministic sample.
+            user_mat = snap.users[group].values[: self.config.fallback_users]
+            if not len(user_mat):
                 continue
-            user_mat = np.stack([snap.embeddings[u] for u in users])
             scores = np.asarray(
                 snap.models[group].score_matrix(user_mat), dtype=np.float64
             )
             totals += scores.sum(axis=0)
-            weight += len(users)
+            weight += len(user_mat)
         prior = totals / max(1, weight)
         order = np.argsort(-prior, kind="stable").astype(np.int64)
         self._fallback[snap.version] = (order, prior[order])
@@ -905,12 +902,11 @@ class ResilientService:
             return version
 
     def _probe_new_snapshot(self) -> bool:
-        snap = self._service.snapshot
-        users = snap.user_ids()
-        if not users:
+        populated = [t for t in self._service.snapshot.users.values() if len(t)]
+        if not populated:
             return False
         try:
-            self._service.query_batch([QueryRequest(users[0], 1)])
+            self._service.query_batch([QueryRequest(int(populated[0].ids[0]), 1)])
             return True
         except Exception:  # noqa: BLE001 - any probe failure rolls back
             return False

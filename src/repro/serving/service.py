@@ -10,8 +10,8 @@ evaluator pins.
 
 Production shape, plain python:
 
-* **Immutable snapshots** — all per-checkpoint state (models, user
-  embeddings, group map, manifest) lives in one
+* **Immutable snapshots** — all per-checkpoint state (models, one
+  read-only user table per dim-group, manifest) lives in one
   :class:`ModelSnapshot`; a query reads ``self._snapshot`` once and
   never looks again, so model state can never mix mid-request.
 * **Zero-downtime hot-swap** — :meth:`RecommendationService.swap`
@@ -32,18 +32,21 @@ from __future__ import annotations
 
 import os
 import threading
+import zipfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.eval.metrics import blocked_top_k, mask_scored_items
 from repro.federated.checkpoint import (
     CheckpointMismatchError,
-    load_inference_model_impl,
-    load_user_embeddings,
+    checkpoint_files,
+    inference_model,
+    load_user_tables,
     read_manifest,
 )
+from repro.federated.user_table import UserTable
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,9 @@ class QueryRequest:
     (on top of the service-level seen-item exclusion, if configured);
     requests carrying it bypass the cache.  A ``k`` below 1 is a
     malformed question and is refused here, as a :class:`ValueError`,
-    before it can reach (and crash) the scoring path.
+    before it can reach (and crash) the scoring path; so is a
+    ``user_id`` outside int64, which no user table can hold and the
+    batch's vectorised lookup could not even represent.
     """
 
     user_id: int
@@ -64,6 +69,8 @@ class QueryRequest:
     def __post_init__(self) -> None:
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if not -(2**63) <= self.user_id < 2**63:
+            raise UnknownUserError(f"user {self.user_id} not in any checkpoint")
 
 
 @dataclass(frozen=True)
@@ -103,50 +110,70 @@ class ModelSnapshot:
 
     Queries hold a reference to the snapshot they started with; the
     service swaps snapshots by rebinding one attribute, so a snapshot is
-    never mutated after construction.
+    never mutated after construction (its user tables' arrays are marked
+    read-only: a stray write raises).  A user's group is the table
+    whose ``ids`` hold them.
     """
 
     version: int
     path: str
     meta: dict
     models: Mapping[str, object]
-    embeddings: Mapping[int, np.ndarray]
-    group_of: Mapping[int, str]
+    users: Mapping[str, UserTable]
     num_items: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "num_items", int(self.meta["num_items"]))
+        for table in self.users.values():
+            table.ids.flags.writeable = False
+            table.values.flags.writeable = False
 
     @property
     def groups(self) -> List[str]:
         return sorted(self.models)
 
+    @property
+    def num_users(self) -> int:
+        return sum(len(table) for table in self.users.values())
+
     def user_ids(self) -> List[int]:
-        return sorted(self.embeddings)
+        return np.sort(np.concatenate([t.ids for t in self.users.values()])).tolist()
 
 
 def load_snapshot(path: str, version: int = 1) -> ModelSnapshot:
     """Warm-load a checkpoint into an immutable serving snapshot.
 
-    Rebuilds every group's model (in its trained dtype), reads all user
-    embeddings in one archive pass and takes the user→group map from the
-    manifest.  Everything that can fail, fails here — before the
-    snapshot ever sees traffic.
+    One archive open, one manifest parse: reads every group's user
+    table (validated by :func:`~repro.federated.checkpoint.load_user_tables`)
+    and rebuilds every group's model in its trained dtype.  Everything
+    that can fail, fails here — before the snapshot ever sees traffic —
+    and fails typed: ``OSError`` only if the file cannot be opened; for
+    its content :class:`CheckpointMismatchError` (or the plain
+    ``ValueError`` / ``zipfile.BadZipFile`` / ``EOFError`` decoding it
+    raised), anything else re-raised as the former.
     """
-    meta = read_manifest(path)
-    models = {
-        group: load_inference_model_impl(path, group)[0]
-        for group in sorted(meta["dims"])
-    }
-    embeddings = load_user_embeddings(path)
-    group_of = {int(user): group for user, group in meta["group_of"].items()}
+    with open(checkpoint_files(path)[0], "rb") as handle:
+        try:
+            with np.load(handle) as archive:
+                meta = read_manifest(archive)
+                users = load_user_tables(archive, meta)
+                unpopulated = sorted(set(meta["dims"]) - set(users))
+                if unpopulated:
+                    raise CheckpointMismatchError(
+                        f"checkpoint has no user table for group(s) {unpopulated}"
+                    )
+                models = {
+                    group: inference_model(archive, meta, group)
+                    for group in sorted(meta["dims"])
+                }
+        except (ValueError, zipfile.BadZipFile, EOFError):
+            raise
+        except Exception as error:  # noqa: BLE001 - the door: nothing untyped gets out
+            raise CheckpointMismatchError(
+                f"checkpoint {os.path.basename(path)} is malformed: {error!r}"
+            ) from error
     return ModelSnapshot(
-        version=version,
-        path=path,
-        meta=meta,
-        models=models,
-        embeddings=embeddings,
-        group_of=group_of,
+        version=version, path=path, meta=meta, models=models, users=users
     )
 
 
@@ -247,7 +274,7 @@ class RecommendationService:
             "model_version": snap.version,
             "checkpoint": os.path.basename(snap.path),
             "groups": snap.groups,
-            "users": len(snap.embeddings),
+            "users": snap.num_users,
             "num_items": snap.num_items,
             "arch": snap.meta.get("arch"),
             "cache": self._cache.stats(),
@@ -311,23 +338,27 @@ class RecommendationService:
     ) -> None:
         """Score all cache misses, grouped into one matmul per dim-group."""
         use_cache = self._cache_enabled
-        group_of = snap.group_of
-        by_group: Dict[str, List[int]] = {}
-        for i in misses:
-            user = requests[i].user_id
-            group = group_of.get(user)
-            if group is None:
-                raise UnknownUserError(
-                    f"user {user} not in checkpoint "
-                    f"{os.path.basename(snap.path)} "
-                    f"({len(snap.embeddings)} users)"
-                )
-            by_group.setdefault(group, []).append(i)
+        misses = np.fromiter(misses, dtype=np.int64)
+        wanted = np.array([requests[i].user_id for i in misses], dtype=np.int64)
+        # Resolve the whole batch to (group, row) with one vectorised
+        # lookup per table; whoever no table holds is unknown.
+        unknown = np.ones(wanted.size, dtype=bool)
+        by_group: Dict[str, Tuple[List[int], np.ndarray]] = {}
+        for group, table in snap.users.items():
+            rows, held = table.find(wanted)
+            if held.any():
+                by_group[group] = (misses[held].tolist(), rows[held])
+                unknown &= ~held
+        if unknown.any():
+            raise UnknownUserError(
+                f"user {int(wanted[unknown][0])} not in checkpoint "
+                f"{os.path.basename(snap.path)} ({snap.num_users} users)"
+            )
 
-        for group, indices in by_group.items():
+        for group, (indices, rows) in by_group.items():
             model = snap.models[group]
             users = [requests[i].user_id for i in indices]
-            user_mat = np.stack([snap.embeddings[u] for u in users])
+            user_mat = snap.users[group].values[rows]
             train_items = (
                 [self._history.get(u) for u in users] if self._history else None
             )
@@ -425,7 +456,7 @@ class RecommendationService:
             want, got = current.meta.get(name), candidate.meta.get(name)
             if want != got:
                 problems.append(f"{name}: serving={want!r} vs candidate={got!r}")
-        if not candidate.embeddings:
+        if not candidate.num_users:
             problems.append("candidate carries no user embeddings")
         if problems:
             raise CheckpointMismatchError(

@@ -98,11 +98,10 @@ class TrainerBackend:
             for name, values in sorted(model.head.state_dict().items()):
                 digest.update(f"Theta:{group}:{name}".encode())
                 digest.update(np.ascontiguousarray(values).tobytes())
-        for user_id in sorted(trainer.runtimes):
-            digest.update(f"u:{user_id}".encode())
-            digest.update(
-                np.ascontiguousarray(trainer.runtimes[user_id].user_embedding).tobytes()
-            )
+            users = trainer.user_tables[group]
+            digest.update(f"U:{group}".encode())
+            digest.update(users.ids.tobytes())
+            digest.update(users.values.tobytes())
         return digest.hexdigest()
 
     def close(self) -> None:  # lifecycle parity with the surrogate fleet

@@ -9,10 +9,14 @@ restoration of the RNG/progress sections.  The bitwise resume pins live
 in ``tests/test_checkpoint_resume.py``.
 """
 
+import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repro.federated.checkpoint as checkpoint_module
 from repro.core import HeteFedRec, HeteFedRecConfig
@@ -25,6 +29,8 @@ from repro.federated.checkpoint import (
     save_checkpoint_impl as save_checkpoint,
     user_embedding_from_checkpoint,
 )
+
+from malformed_checkpoints import MALFORMED_CHECKPOINTS, forge
 
 
 @pytest.fixture()
@@ -129,6 +135,151 @@ class TestSaveLoad:
         assert meta["dims"] == {"s": 4, "m": 6, "l": 8}
 
 
+class TestUserTableLayout:
+    """Format v4: one ``(ids, values)`` pair per dim-group, and the id
+    arrays are the group assignment."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_per_group_arrays_are_the_live_tables(
+        self, tiny_dataset, tiny_clients, tmp_path, dtype
+    ):
+        trainer = fresh_trainer(tiny_dataset, tiny_clients, seed=0, dtype=dtype)
+        trainer.run_epoch(1)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(trainer, path)
+        with np.load(path) as archive:
+            members = [key for key in archive.files if key.startswith("user")]
+            assert sorted(members) == sorted(
+                f"users/{group}/{part}"
+                for group in trainer.groups
+                for part in ("ids", "values")
+            )
+            for group, table in trainer.user_tables.items():
+                ids, values = archive[f"users/{group}/ids"], archive[f"users/{group}/values"]
+                assert ids.dtype == np.int64 and values.dtype == np.dtype(dtype)
+                assert np.array_equal(ids, table.ids)
+                assert np.array_equal(values, table.values)
+                assert {int(u) for u in ids} == {
+                    u for u, g in trainer.group_of.items() if g == group
+                }
+
+    def test_no_group_of_in_manifest_or_sidecar(self, trained, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(trained, path)
+        assert "group_of" not in read_manifest(path)
+        with open(path + ".meta.json", encoding="utf-8") as handle:
+            assert "group_of" not in json.load(handle)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_is_refused_on_resume(
+        self, trained, tiny_dataset, tiny_clients, tmp_path, case
+    ):
+        """The v3 layout (``user/<id>`` members + ``group_of``) has no
+        reader; every forged v4 shape is refused before any state moves."""
+        good = str(tmp_path / "good.npz")
+        save_checkpoint(trained, good)
+        bad = forge(good, str(tmp_path / "bad.npz"), MALFORMED_CHECKPOINTS[case])
+        other = fresh_trainer(tiny_dataset, tiny_clients)
+        before = {g: t.values.copy() for g, t in other.user_tables.items()}
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(other, bad)
+        for group, values in before.items():
+            assert np.array_equal(other.user_tables[group].values, values)
+
+    def test_v3_file_is_refused_by_serve(self, trained, tmp_path):
+        from repro.api import serve
+
+        good = str(tmp_path / "good.npz")
+        save_checkpoint(trained, good)
+        bad = forge(good, str(tmp_path / "v3.npz"), MALFORMED_CHECKPOINTS["v3_layout"])
+        with pytest.raises(CheckpointMismatchError, match="format version 3"):
+            serve(bad)
+
+
+class TestCheckpointDoorFuzz:
+    """ROADMAP 9(2), checkpoint door: a damaged file either fails at
+    load with a typed error or serves exactly the untouched file's
+    answers — it is never accepted and then crashes at query time."""
+
+    LOAD_ERRORS = (CheckpointMismatchError, zipfile.BadZipFile, ValueError, EOFError)
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tiny_dataset, tiny_clients, tmp_path_factory):
+        from repro.api import serve
+
+        trainer = fresh_trainer(tiny_dataset, tiny_clients, seed=0)
+        trainer.run_epoch(1)
+        root = tmp_path_factory.mktemp("fuzz")
+        path = str(root / "good.npz")
+        save_checkpoint(trainer, path)
+        users = [client.user_id for client in tiny_clients]
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        return {
+            "path": path,
+            "blob": blob,
+            "meta": read_manifest(path),
+            "users": users,
+            "answers": self.answers(serve(path, cache_size=0), users),
+            "scratch": str(root / "damaged.npz"),
+        }
+
+    @staticmethod
+    def answers(service, users):
+        from repro.api import QueryRequest
+
+        return [a.items.tolist() for a in service.query_batch([QueryRequest(u, 5) for u in users])]
+
+    def check(self, pristine):
+        from repro.api import serve
+
+        try:
+            service = serve(pristine["scratch"], cache_size=0)
+        except self.LOAD_ERRORS:
+            return
+        # Accepted: it must answer, and answer what the untouched file does.
+        assert self.answers(service, pristine["users"]) == pristine["answers"]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_bit_flipped_archive(self, pristine, data):
+        blob = pristine["blob"]
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            position = data.draw(st.integers(0, len(blob) - 1), label="byte")
+            flipped = blob[position] ^ (1 << data.draw(st.integers(0, 7), label="bit"))
+            damaged = blob[:position] + bytes([flipped]) + blob[position + 1 :]
+        with open(pristine["scratch"], "wb") as handle:
+            handle.write(damaged)
+        self.check(pristine)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_one_swapped_manifest_field(self, pristine, data):
+        meta = pristine["meta"]
+        field = data.draw(st.sampled_from(sorted(meta)), label="field")
+        junk = st.one_of(
+            st.none(), st.integers(-3, 99), st.text(max_size=4),
+            st.sampled_from(["mf", "ncf", "lightgcn", "float32", "float64"]),
+            st.lists(st.integers(0, 9), max_size=3),
+            st.dictionaries(st.sampled_from(["s", "m", "l", "x"]), st.integers(0, 9), max_size=4),
+            st.sampled_from([meta[key] for key in sorted(meta) if key != field]),
+        )
+        value = data.draw(junk, label="value")
+        # The one swap no reader can see: all three architectures share
+        # a parameter layout, so the manifest is the only record of which
+        # scorer the weights belong to.  Another valid ``arch`` is a
+        # different, well-formed checkpoint, not a malformed one.
+        assume(not (field == "arch" and value in ("mf", "ncf", "lightgcn")))
+
+        def swap(arrays, manifest):
+            manifest[field] = value
+
+        forge(pristine["path"], pristine["scratch"], swap)
+        self.check(pristine)
+
+
 class TestMismatch:
     """Every incompatibility raises; nothing ever silently truncates."""
 
@@ -184,6 +335,24 @@ class TestMismatch:
         full = fresh_trainer(tiny_dataset, tiny_clients)
         with pytest.raises(CheckpointMismatchError, match="group assignment"):
             load_checkpoint(full, path)
+
+    def test_reassigned_users(self, saved, trained, tiny_dataset, tiny_clients):
+        """Same users, same data, two of them in each other's group."""
+        group_of = dict(trained.group_of)
+        small = next(u for u, g in group_of.items() if g == "s")
+        large = next(u for u, g in group_of.items() if g == "l")
+        group_of[small], group_of[large] = "l", "s"
+        config = HeteFedRecConfig(
+            dims={"s": 4, "m": 6, "l": 8}, epochs=1, local_epochs=1, lr=0.01
+        )
+        other = HeteFedRec(
+            tiny_dataset.num_items, tiny_clients, config, group_of=group_of
+        )
+        with pytest.raises(
+            CheckpointMismatchError,
+            match=rf"reassigned \[{min(small, large)}, {max(small, large)}\]",
+        ):
+            load_checkpoint(other, saved)
 
     def test_wrong_dtype(self, saved, tiny_dataset, tiny_clients):
         other = fresh_trainer(tiny_dataset, tiny_clients, dtype="float32")

@@ -168,3 +168,56 @@ class TestUnlearn:
             assert np.all(
                 np.isfinite(trainer.models[group].item_embedding.weight.data)
             )
+
+    def test_unlearned_user_leaves_table_checkpoint_and_serving(
+        self, tiny_dataset, tiny_clients, tmp_path
+    ):
+        """Deletion pin: the forgotten user's row is gone from the table,
+        from every later checkpoint and from serving, and dropping it
+        (which shifts every later row of the group) leaves each survivor
+        addressing its own row."""
+        from repro.api import UnknownUserError, save_checkpoint, serve
+
+        trainer = UnlearningHeteFedRec(tiny_dataset.num_items, tiny_clients, config())
+        trainer.fit()
+        # First id of its group: every other row of that table shifts.
+        group = trainer.groups[-1]
+        target = int(trainer.user_tables[group].ids[0])
+        before = {u: r.user_embedding for u, r in trainer.runtimes.items() if u != target}
+
+        trainer.unlearn(target)
+        assert target not in trainer.user_tables[group].ids
+        assert len(trainer.user_tables[group]) == len(trainer.user_tables[group].values)
+        for user, embedding in before.items():
+            assert np.array_equal(trainer.runtimes[user].user_embedding, embedding)
+
+        path = str(tmp_path / "after_unlearn.npz")
+        save_checkpoint(trainer, path)
+        with np.load(path) as archive:
+            stored = {g: archive[f"users/{g}/ids"] for g in trainer.groups}
+            for g in trainer.groups:
+                assert target not in stored[g]
+                assert len(archive[f"users/{g}/values"]) == len(stored[g])
+        assert sorted(int(u) for ids in stored.values() for u in ids) == sorted(before)
+        service = serve(path)
+        with pytest.raises(UnknownUserError, match=str(target)):
+            service.query(target)
+        assert service.query(next(iter(before))).items.size > 0
+
+        # One more epoch moves every survivor, each through its own row.
+        trainer.run_epoch(99)
+        for user, embedding in before.items():
+            runtime = trainer.runtimes[user]
+            table = trainer.user_tables[trainer.group_of[user]]
+            assert runtime.table is table
+            assert not np.array_equal(runtime.user_embedding, embedding)
+            assert np.array_equal(table.take([user])[0], runtime.user_embedding)
+        assert sorted(
+            int(u) for t in trainer.user_tables.values() for u in t.ids
+        ) == sorted(before)
+        # And a single commit writes one row, not its neighbour's.
+        survivor = int(trainer.user_tables[group].ids[0])
+        snapshot = trainer.user_tables[group].values.copy()
+        trainer.runtimes[survivor].commit_user_embedding(np.full(snapshot.shape[1], 7.0))
+        assert np.array_equal(trainer.user_tables[group].values[1:], snapshot[1:])
+        assert np.all(trainer.user_tables[group].values[0] == 7.0)

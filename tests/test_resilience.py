@@ -42,6 +42,8 @@ from repro.serving import (
 from repro.serving.chaos import ManualClock
 from repro.serving.resilience import DEGRADED, HEALTHY, UNHEALTHY
 
+from malformed_checkpoints import MALFORMED_CHECKPOINTS, forge
+
 CONFIG = dict(dims={"s": 4, "m": 6, "l": 8}, epochs=2, local_epochs=1, lr=0.01)
 
 
@@ -499,6 +501,28 @@ class TestGuardedSwap:
         assert os.path.exists(str(tmp_path / "mf.corrupt"))
         user = resilient.snapshot.user_ids()[0]
         assert resilient.query(user).model_version == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_quarantined_and_last_good_serves(
+        self, checkpoints, tmp_path, case
+    ):
+        """Each malformed shape the serving door refuses is refused at
+        swap time too: quarantined, never cut over to."""
+        resilient, _ = make_resilient(checkpoints, tmp_path)
+        user = resilient.snapshot.user_ids()[0]
+        before = resilient.query(user).items
+        bad = forge(
+            checkpoints["paths"]["v2"], str(tmp_path / "bad.npz"),
+            MALFORMED_CHECKPOINTS[case],
+        )
+        with pytest.raises(CheckpointMismatchError):
+            resilient.swap(bad)
+        assert not os.path.exists(bad)
+        assert os.path.exists(str(tmp_path / "bad.corrupt"))
+        assert resilient.stats()["resilience"]["swap"]["quarantined"] == 1
+        assert resilient.checkpoint_path.endswith("serve_v1.npz")
+        answer = resilient.query(user)
+        assert answer.model_version == 1 and np.array_equal(answer.items, before)
 
     def test_missing_file_retries_with_backoff_then_raises(
         self, checkpoints, tmp_path

@@ -45,6 +45,8 @@ from repro.serving import (
 )
 from repro.serving.chaos import ManualClock
 
+from malformed_checkpoints import MALFORMED_CHECKPOINTS, forge
+
 CONFIG = dict(dims={"s": 4, "m": 6, "l": 8}, epochs=2, local_epochs=1, lr=0.01)
 
 
@@ -177,7 +179,67 @@ class TestService:
     def test_snapshot_loads_every_group(self, checkpoints):
         snap = load_snapshot(checkpoints["paths"]["v1"])
         assert snap.groups == ["l", "m", "s"]
-        assert len(snap.embeddings) == len(checkpoints["clients"])
+        assert snap.num_users == len(checkpoints["clients"])
+
+
+# ----------------------------------------------------------------------
+# The serving door: a malformed checkpoint fails at load, typed
+# ----------------------------------------------------------------------
+class TestServingDoor:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_is_refused_at_load(self, checkpoints, tmp_path, case):
+        """Never at query time: at the parent ``format_version: 99`` was
+        served, a user without an embedding died with ``KeyError(0)`` on
+        its first query and a wrong-width vector raised a matmul
+        ``ValueError`` for every request batched with it."""
+        bad = forge(
+            checkpoints["paths"]["v1"], str(tmp_path / "bad.npz"),
+            MALFORMED_CHECKPOINTS[case],
+        )
+        with pytest.raises(CheckpointMismatchError):
+            load_snapshot(bad)
+        with pytest.raises(CheckpointMismatchError):
+            RecommendationService(bad)
+        service = RecommendationService(checkpoints["paths"]["v1"], k=5)
+        with pytest.raises(CheckpointMismatchError):
+            service.swap(bad)
+        assert service.model_version == 1
+
+    def test_load_is_one_archive_open_and_one_manifest_parse(
+        self, checkpoints, monkeypatch
+    ):
+        """At the parent: five opens and four parses per ``load_snapshot``."""
+        import repro.serving.service as service_module
+
+        calls = {"read_manifest": 0, "np.load": 0}
+        read_manifest, np_load = service_module.read_manifest, np.load
+
+        def counting_read_manifest(source):
+            calls["read_manifest"] += 1
+            return read_manifest(source)
+
+        def counting_load(*args, **kwargs):
+            calls["np.load"] += 1
+            return np_load(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "read_manifest", counting_read_manifest)
+        monkeypatch.setattr(np, "load", counting_load)
+        load_snapshot(checkpoints["paths"]["v1"])
+        assert calls == {"read_manifest": 1, "np.load": 1}
+
+    def test_snapshot_tables_are_read_only(self, checkpoints):
+        snap = load_snapshot(checkpoints["paths"]["v1"])
+        assert not hasattr(snap, "embeddings") and not hasattr(snap, "group_of")
+        for table in snap.users.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table.values[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                table.put([int(table.ids[0])], np.zeros((1, table.values.shape[1])))
+
+    def test_user_id_outside_int64_is_unknown_not_a_crash(self, checkpoints):
+        service = RecommendationService(checkpoints["paths"]["v1"], k=5)
+        with pytest.raises(UnknownUserError, match=str(2**70)):
+            service.query(2**70)
 
 
 # ----------------------------------------------------------------------
