@@ -33,7 +33,7 @@ _HELPER_FILE = "repro/io.py"
 #: Substrings marking a path expression as cache/checkpoint territory.
 _PROTECTED_MARKERS = (
     ".repro_cache", "repro_cache", "ckpt", "checkpoint", ".npz",
-    ".meta.json", "cache_dir", "cache_path", "npz_path", "meta_path",
+    "cache_dir", "cache_path", "npz_path",
 )
 
 

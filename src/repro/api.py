@@ -163,8 +163,8 @@ def fit(trainer, evaluator=None):
 
 def save_checkpoint(trainer, path: str) -> None:
     """Persist ``trainer``'s full state — models, user embeddings, RNG
-    streams, progress — to one ``.npz`` checkpoint (plus a readable
-    ``.meta.json`` sidecar)."""
+    streams, progress — to one ``.npz`` file at ``path``, manifest
+    embedded (:func:`read_manifest` reads it back), written atomically."""
     from repro.federated.checkpoint import save_checkpoint_impl
 
     save_checkpoint_impl(trainer, path)
@@ -174,7 +174,9 @@ def resume(trainer, path: str):
     """Restore ``trainer`` from ``path`` and return it, ready to
     :func:`fit` onward bitwise-identically to a never-interrupted run.
 
-    Raises :class:`CheckpointMismatchError` when the checkpoint was
+    Fails two ways, ``trainer`` left exactly as it was: ``OSError`` iff
+    the file cannot be opened, :class:`CheckpointMismatchError` for its
+    content — torn, another format version, a missing section, or
     produced under an incompatible configuration.
     """
     from repro.federated.checkpoint import load_checkpoint_impl
@@ -255,6 +257,9 @@ def serve(
     overrun → 504, ``/healthz`` surfaces the health state machine) and
     drains gracefully on SIGTERM/SIGINT.  ``watch`` polls a checkpoint
     path and hot-swaps when a new valid one lands.
+
+    The checkpoint is read and validated whole first, failing
+    :func:`resume`'s two ways (as does every later ``swap``).
     """
     from repro.serving import (
         RecommendationService,

@@ -15,6 +15,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core.grouping import divide_clients
 from repro.data.dataset import ClientData
+from repro.federated.checkpoint import CheckpointMismatchError
 from repro.federated.client import ClientRuntime
 from repro.federated.payload import ClientUpdate
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
@@ -99,20 +100,18 @@ class StandaloneTrainer(FederatedTrainer):
         return arrays, meta
 
     def _restore_checkpoint_extra_state(self, archive, meta) -> None:
-        super()._restore_checkpoint_extra_state(archive, meta)
         states: Dict[int, Dict[str, np.ndarray]] = {}
         prefix = "standalone/"
-        for key in archive.files:
+        for key in archive:
             if key.startswith(prefix):
                 user_str, _, name = key[len(prefix):].partition("/")
                 states.setdefault(int(user_str), {})[name] = archive[key]
         if set(states) != set(self._client_states):
-            from repro.federated.checkpoint import CheckpointMismatchError
-
             raise CheckpointMismatchError(
                 "checkpoint's standalone client models do not cover this "
                 "trainer's client population"
             )
+        super()._restore_checkpoint_extra_state(archive, meta)
         self._client_states = states
 
     # ------------------------------------------------------------------

@@ -58,7 +58,6 @@ import hashlib
 import json
 import os
 import warnings
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -259,11 +258,7 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
     results are bitwise-identical to uninterrupted ones, so the cache
     entry is the same either way.
     """
-    from repro.federated.checkpoint import (
-        CheckpointMismatchError,
-        load_checkpoint_impl,
-        remove_checkpoint,
-    )
+    from repro.federated.checkpoint import CheckpointMismatchError, load_checkpoint_impl
 
     prof = spec.resolved_profile()
     overrides = dict(spec.config_overrides or {})
@@ -285,11 +280,11 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
     if ckpt_path is not None and os.path.exists(ckpt_path):
         try:
             load_checkpoint_impl(trainer, ckpt_path)
-        except (CheckpointMismatchError, KeyError, ValueError, OSError, zipfile.BadZipFile) as error:
+        except (CheckpointMismatchError, OSError) as error:
             # Stale/corrupt/incompatible leftovers: quarantine the file
             # (a torn write, a stale format, a bad disk — post-mortems
-            # need the evidence), warn, then discard the (possibly
-            # partially mutated) trainer and restart cleanly.
+            # need the evidence), warn, and restart cleanly — a refused
+            # restore left the trainer as it was built.
             quarantined = quarantine(ckpt_path)
             if quarantined is not None:
                 warnings.warn(
@@ -299,8 +294,6 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            remove_checkpoint(ckpt_path)  # sweeps the sidecar manifest
-            trainer = build_method(spec.method, data.num_items, clients, config)
     evaluator = Evaluator(clients, k=config.eval_k)
 
     trainer.fit(evaluator)
@@ -508,7 +501,7 @@ def clear_cache() -> int:
         return 0
     removed = 0
     for name in os.listdir(CACHE_DIR):
-        if name.endswith((".ckpt.npz", ".ckpt.npz.meta.json", ".ckpt.corrupt")):
+        if name.endswith((".ckpt.npz", ".ckpt.corrupt")):
             # Resume checkpoints of killed runs (and quarantined corrupt
             # ones); not result entries.
             os.remove(os.path.join(CACHE_DIR, name))

@@ -20,29 +20,38 @@ user embeddings, that means:
 * subclass extras through the ``_checkpoint_extra_state`` hook (the
   unlearning ledger, Standalone's per-client model copies).
 
-Layout (format version 4): one ``.npz`` holding all arrays *and* an
-embedded JSON manifest (key ``__manifest__``), written atomically
-(:func:`repro.io.atomic_write`, the same helper ``.repro_cache/`` uses)
-so a crash mid-save can never leave a torn checkpoint; a human-readable
-``.meta.json`` sidecar is written alongside for inspection and
-single-group deploy tooling.  Members are ``model/<group>/<param>``,
+Layout (format version 4): **one file** — an ``.npz`` holding all
+arrays *and* the JSON manifest (member ``__manifest__``), written
+atomically (:func:`repro.io.atomic_write`, the same helper
+``.repro_cache/`` uses) so a crash mid-save can never leave a torn
+checkpoint.  Members are ``model/<group>/<param>``,
 ``users/<group>/ids`` + ``users/<group>/values`` (each dim-group's
 :class:`~repro.federated.user_table.UserTable` — two members per group
 however many users, and **the id arrays are the group assignment**: the
 manifest carries no user→group map), and ``sopt/…``, ``straggler/…``,
 ``residual/…``, ``ledger/…``, ``standalone/…`` when the feature is on.
 
-The manifest is versioned and validated on load:
-:func:`load_checkpoint_impl` raises :class:`CheckpointMismatchError` when the
-receiving trainer's architecture, dims, hidden sizes, catalogue size,
-dtype, feature set (availability / secure-agg / server-optimiser /
-compression / method) or group assignment does not match — never a
-silent truncation.
+One door, two outcomes.  :func:`read_checkpoint` is the only reader
+(the package's one ``np.load`` of a checkpoint, every member
+decompressed before it returns); it and everything built on it —
+resume, :func:`read_manifest`, :func:`load_inference_model_impl`,
+serving's ``load_snapshot`` / hot-swap — fail in exactly two ways:
 
-Deploy-side, :func:`inference_model` restores one group's model (in the
-dtype it was trained in) and :func:`load_user_tables` the user tables
-from an archive the caller holds open, without reconstructing the
-trainer: a load is one open and one manifest parse.
+* ``OSError`` **iff the file cannot be opened** (usually
+  ``FileNotFoundError``: it may not have landed yet, callers may retry);
+* :class:`CheckpointMismatchError` for everything about its *content*
+  (:func:`refusing`): a torn or bit-flipped archive
+  (``zipfile.BadZipFile`` / ``zlib.error`` / ``EOFError``, chained as
+  ``__cause__``), an unparsable manifest, another format version, a
+  section a v4 writer always writes but the manifest lacks, or a
+  manifest that does not describe the receiving trainer — never a
+  silent truncation, never a bare ``KeyError``.  Callers quarantine.
+
+:func:`load_checkpoint_impl` is all-or-nothing: everything that can
+refuse runs before the first write to the trainer.  Deploy-side,
+:func:`inference_model` and :func:`load_user_tables` rebuild one
+group's model and the user tables from the same arrays without
+reconstructing the trainer: a load is one open and one manifest parse.
 
 Callers outside the package use the :mod:`repro.api` verbs
 (``save_checkpoint`` / ``resume`` / ``load_model``); each verb has
@@ -51,9 +60,13 @@ exactly one implementation here, under its ``*_impl`` name.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
 import json
 import os
+import zipfile
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,7 +84,8 @@ FORMAT_VERSION = 4
 
 
 class CheckpointMismatchError(ValueError):
-    """The checkpoint does not describe the trainer it is being loaded into."""
+    """The checkpoint's content is refused: torn, malformed, or not
+    describing the trainer or serving snapshot it is offered to."""
 
 
 class UnknownGroupError(KeyError):
@@ -88,45 +102,59 @@ class UnknownGroupError(KeyError):
 
 
 # ----------------------------------------------------------------------
-# Path conventions (unchanged from the parameter-only format)
+# The door: one path convention, one reader, one error type
 # ----------------------------------------------------------------------
 def _npz_path(path: str) -> str:
     return path if path.endswith(".npz") else path + ".npz"
 
 
-def _meta_path(path: str) -> str:
-    return path + ".meta.json"
-
-
-def checkpoint_files(path: str) -> Tuple[str, str]:
-    """The ``(npz, sidecar)`` file pair a checkpoint at ``path`` occupies."""
-    return _npz_path(path), _meta_path(path)
-
-
 def remove_checkpoint(path: str) -> None:
-    """Delete a checkpoint's files if present (idempotent)."""
-    for name in checkpoint_files(path):
-        try:
-            os.remove(name)
-        except FileNotFoundError:
-            pass
+    """Delete a checkpoint's file if present (idempotent)."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(_npz_path(path))
 
 
-def read_manifest(source) -> dict:
-    """A checkpoint's manifest.  ``source`` is a checkpoint path (the
-    npz-embedded copy is authoritative, the ``.meta.json`` sidecar the
-    fallback) or the open archive itself."""
-    if not isinstance(source, str):
-        if "__manifest__" not in source.files:
-            raise CheckpointMismatchError("checkpoint archive carries no manifest")
-        return json.loads(source["__manifest__"].item())
-    npz = _npz_path(source)
-    if os.path.exists(npz):
-        with np.load(npz) as archive:
-            if "__manifest__" in archive.files:
-                return read_manifest(archive)
-    with open(_meta_path(source), encoding="utf-8") as handle:
-        return json.load(handle)
+@contextlib.contextmanager
+def refusing(path: str):
+    """Whatever the body raises about checkpoint ``path``'s content
+    leaves as :class:`CheckpointMismatchError`, chained and naming the
+    file — the one place that decides what a bad checkpoint raises."""
+    try:
+        yield
+    except CheckpointMismatchError:
+        raise
+    except Exception as error:  # noqa: BLE001 - the door: nothing untyped gets out
+        torn = isinstance(error, (zipfile.BadZipFile, zlib.error, EOFError))
+        raise CheckpointMismatchError(
+            f"checkpoint {os.path.basename(path)} is "
+            f"{'torn or corrupt' if torn else 'malformed'}: {error!r}"
+        ) from error
+
+
+def read_checkpoint(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``(manifest, arrays)`` of the checkpoint at ``path`` — the only
+    reader.  ``OSError`` iff the file cannot be opened; from there on
+    everything is :func:`refusing`'s, and every member is decompressed
+    here, so a consumer can meet no I/O or decode failure afterwards."""
+    try:
+        handle = open(_npz_path(path), "rb")
+    except ValueError as error:  # an embedded NUL: a name no file can have
+        raise OSError(f"checkpoint path {path!r} cannot be opened: {error}") from error
+    with handle, refusing(path), np.load(handle) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(arrays.pop("__manifest__").item())
+        version = meta.get("format_version")
+        if version != FORMAT_VERSION:
+            raise CheckpointMismatchError(
+                f"unsupported checkpoint format version {version!r} "
+                f"(this build reads version {FORMAT_VERSION})"
+            )
+    return meta, arrays
+
+
+def read_manifest(path: str) -> dict:
+    """A checkpoint's manifest, through the one reader."""
+    return read_checkpoint(path)[0]
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +257,7 @@ def members(archive, prefix: str) -> Dict[str, np.ndarray]:
     """The archive's arrays under ``prefix``, keyed by the rest of their name."""
     return {
         key[len(prefix):]: archive[key]
-        for key in archive.files
+        for key in archive
         if key.startswith(prefix)
     }
 
@@ -278,7 +306,7 @@ def _unpack_updates(prefix: str, entries: List[dict], archive) -> List[ClientUpd
     """Inverse of :func:`_pack_updates`."""
     head_keys: Dict[int, List[str]] = {}
     marker = f"{prefix}/"
-    for key in archive.files:
+    for key in archive:
         if key.startswith(marker):
             index_str, _, rest = key[len(marker):].partition("/")
             if rest.startswith("head/"):
@@ -389,37 +417,26 @@ def _collect(trainer) -> Tuple[Dict[str, np.ndarray], dict]:
 # Save / load
 # ----------------------------------------------------------------------
 def save_checkpoint_impl(trainer, path: str) -> None:
-    """Write a full-state checkpoint: ``path`` (.npz, manifest embedded)
-    plus the ``path + '.meta.json'`` sidecar, both atomically."""
+    """Write a full-state checkpoint: the one file ``path`` (.npz,
+    manifest embedded), atomically."""
     arrays, meta = _collect(trainer)
     arrays["__manifest__"] = np.array(json.dumps(meta, sort_keys=True))
     atomic_write(
         _npz_path(path), lambda handle: np.savez_compressed(handle, **arrays), "wb"
     )
-    atomic_write(
-        _meta_path(path),
-        lambda handle: json.dump(meta, handle, indent=2, sort_keys=True),
-    )
 
 
 def load_user_tables(archive, meta: dict) -> Dict[str, UserTable]:
-    """Every dim-group's user table an open checkpoint archive carries.
+    """Every dim-group's user table a checkpoint's arrays carry.
 
     The one reader of ``users/<group>/…``, for resume and serving alike.
-    Any format version but this build's, a group ``dims`` does not name
-    or with half the pair, a matrix not ``(len(ids), dims[group])`` in
-    the manifest's dtype, unsorted or duplicate ids, or an id in two
-    groups raises :class:`CheckpointMismatchError` — at load, never at
-    first use.
+    A group ``dims`` does not name or with half the pair, a matrix not
+    ``(len(ids), dims[group])`` in the manifest's dtype, unsorted or
+    duplicate ids, or an id in two groups raises
+    :class:`CheckpointMismatchError` — at load, never at first use.
     """
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointMismatchError(
-            f"unsupported checkpoint format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
     tables: Dict[str, UserTable] = {}
-    stored = {key.split("/")[1] for key in archive.files if key.startswith("users/")}
+    stored = {key.split("/")[1] for key in archive if key.startswith("users/")}
     for group in sorted(stored):
         try:
             tables[group] = UserTable(
@@ -497,72 +514,88 @@ def load_checkpoint_impl(trainer, path: str) -> None:
     The trainer must have been constructed with a compatible config (same
     arch/dims/hidden/catalogue/dtype, same feature set, same client→group
     assignment); anything else raises :class:`CheckpointMismatchError`
-    rather than silently truncating.  After a successful load, calling
+    rather than silently truncating.  All-or-nothing: whatever can
+    refuse runs before the first write, so a rejected checkpoint leaves
+    the trainer as it was.  After a successful load,
     :meth:`~repro.federated.trainer.FederatedTrainer.fit` continues the
     original run bitwise-identically.
     """
-    with np.load(_npz_path(path)) as archive:
-        meta = read_manifest(archive)
-        tables = load_user_tables(archive, meta)
+    meta, arrays = read_checkpoint(path)
+    with refusing(path):
+        tables = load_user_tables(arrays, meta)
         _validate(trainer, meta, tables)
+        epochs_done = int(meta["progress"]["epochs_completed"])
+        round_counter = int(meta["progress"]["round_counter"])
 
-        # Public parameters and private user embeddings.
-        for group, model in trainer.models.items():
-            state = members(archive, f"model/{group}/")
-            if not state:
-                raise CheckpointMismatchError(
-                    f"checkpoint has no parameters for group {group!r}"
-                )
-            model.load_state_dict(state)
-        for group, table in tables.items():
-            trainer.user_tables[group].put(table.ids, table.values)
-
-        # Progress counters.
-        progress = meta["progress"]
-        trainer._epochs_done = int(progress["epochs_completed"])
-        trainer._round_counter = int(progress["round_counter"])
-
-        # Server-side and per-client RNG streams.
+        # Server-side and per-client RNG streams, as (generator, state).
+        rng_states = []
         saved_rngs = meta["rng"]
         for name, generator in trainer._checkpoint_rngs().items():
             if name not in saved_rngs:
                 raise CheckpointMismatchError(
                     f"checkpoint carries no RNG state for stream {name!r}"
                 )
-            generator.bit_generator.state = saved_rngs[name]
+            rng_states.append((generator, saved_rngs[name]))
         client_rng = meta["client_rng"]
         for user_id, runtime in trainer.runtimes.items():
-            states = client_rng.get(str(user_id))
-            if states is None:
+            if str(user_id) not in client_rng:
                 raise CheckpointMismatchError(
                     f"checkpoint carries no RNG state for client {user_id}"
                 )
-            runtime.rng.bit_generator.state = states["rng"]
-            runtime.sampler._rng.bit_generator.state = states["sampler"]
+            saved = client_rng[str(user_id)]
+            rng_states += [(runtime.rng, saved["rng"]), (runtime.sampler._rng, saved["sampler"])]
+        scratch = {}
+        for generator, state in rng_states:
+            # A scratch bit generator of the same kind (one each: making
+            # one seeds from the OS) takes the state first: junk raises
+            # here, before a live stream moves.
+            kind = type(generator.bit_generator)
+            scratch[kind] = scratch.get(kind) or kind()
+            scratch[kind].state = state
 
-        # Accounting and history.
-        trainer.meter.load_state(meta["meter"])
-        trainer.history.restore_records(meta["history"])
-        if trainer._accountant is not None and "accounting" in meta:
-            trainer._accountant.load_state(meta["accounting"])
-
-        # Optional protocol components (presence already validated via
-        # the feature signature).
+        # Everything else, as (bound loader, arguments).  The trainer's
+        # feature signature equals the manifest's (validated above), so
+        # a component the trainer has is a section this checkpoint's
+        # writer wrote: each is a required read, its absence refused by
+        # name (``KeyError('residuals')`` under :func:`refusing`).
+        loads = [
+            (trainer.meter.load_state, (meta["meter"],)),
+            (trainer.history.restore_records, (meta["history"],)),
+        ]
+        for group, model in trainer.models.items():
+            # Strict: a group without parameters is refused as missing them.
+            loads.append((model.load_state_dict, (members(arrays, f"model/{group}/"),)))
+        for group, table in tables.items():
+            loads.append((trainer.user_tables[group].put, (table.ids, table.values)))
+        if trainer._accountant is not None:
+            loads.append((trainer._accountant.load_state, (meta["accounting"],)))
         if trainer._server_opt is not None:
-            trainer._server_opt.load_moments(
-                members(archive, "sopt/m/"), members(archive, "sopt/v/")
-            )
+            moments = members(arrays, "sopt/m/"), members(arrays, "sopt/v/")
+            loads.append((trainer._server_opt.load_moments, moments))
         if trainer._straggler_buffer is not None:
-            trainer._straggler_buffer.restore_pending(
-                _unpack_updates("straggler", meta.get("straggler", []), archive),
-                ages=meta.get("straggler_ages"),
-            )
+            pending = _unpack_updates("straggler", meta["straggler"], arrays)
+            loads.append((
+                trainer._straggler_buffer.restore_pending,
+                (pending, meta["straggler_ages"]),
+            ))
         if trainer._compressor is not None:
-            trainer._compressor.restore_residuals(
-                _unpack_residuals(meta.get("residuals", []), archive)
-            )
+            residuals = _unpack_residuals(meta["residuals"], arrays)
+            loads.append((trainer._compressor.restore_residuals, (residuals,)))
+        # Rehearsal: each loader first runs on a deep copy of its
+        # component, raising whatever the live load would.
+        for load, args in loads:
+            load.__func__(copy.deepcopy(load.__self__), *args)
 
-        trainer._restore_checkpoint_extra_state(archive, meta.get("extra", {}))
+        # The last thing that may refuse and the first that writes (the
+        # hook's own checks precede its own writes).
+        trainer._restore_checkpoint_extra_state(arrays, meta["extra"])
+
+    # Nothing below can refuse.
+    trainer._epochs_done, trainer._round_counter = epochs_done, round_counter
+    for generator, state in rng_states:
+        generator.bit_generator.state = state
+    for load, args in loads:
+        load(*args)
 
 
 # ----------------------------------------------------------------------
@@ -574,8 +607,8 @@ def checkpoint_groups(path: str) -> List[str]:
 
 
 def inference_model(archive, meta: dict, group: str):
-    """One group's recommender rebuilt from an open checkpoint archive,
-    in the dtype the manifest records."""
+    """One group's recommender rebuilt from a checkpoint's arrays, in
+    the dtype the manifest records."""
     model = build_model(
         meta["arch"],
         num_items=meta["num_items"],
@@ -583,7 +616,7 @@ def inference_model(archive, meta: dict, group: str):
         hidden=tuple(meta["hidden"]),
         rng=np.random.default_rng(meta["seed"]),
     )
-    target = np.dtype(meta.get("dtype", "float64"))
+    target = np.dtype(meta["dtype"])
     for param in model.parameters():
         param.data = param.data.astype(target)
     model.load_state_dict(members(archive, f"model/{group}/"))
@@ -603,28 +636,30 @@ def load_inference_model_impl(path: str, group: Optional[str] = None):
     name the manifest does not know, :class:`UnknownGroupError` names
     the valid choices instead of failing bare.
     """
-    with np.load(_npz_path(path)) as archive:
-        meta = read_manifest(archive)
+    meta, arrays = read_checkpoint(path)
+    with refusing(path):
         groups = sorted(meta["dims"])
-        if group is None:
-            if len(groups) != 1:
-                raise UnknownGroupError(
-                    f"checkpoint {path!r} holds models for groups {groups}; "
-                    "pass group=<name> to choose one"
-                )
+        if group is None and len(groups) == 1:
             group = groups[0]
-        elif group not in meta["dims"]:
-            raise UnknownGroupError(
-                f"group {group!r} not in checkpoint {path!r} (valid groups: {groups})"
-            )
-        return inference_model(archive, meta, group), meta
+        if group in groups:
+            return inference_model(arrays, meta, group), meta
+    # The caller's mistake, not the file's: outside the door's guard.
+    if group is None:
+        raise UnknownGroupError(
+            f"checkpoint {path!r} holds models for groups {groups}; "
+            "pass group=<name> to choose one"
+        )
+    raise UnknownGroupError(
+        f"group {group!r} not in checkpoint {path!r} (valid groups: {groups})"
+    )
 
 
 def user_embedding_from_checkpoint(path: str, user_id: int) -> np.ndarray:
     """Fetch one user's private embedding from a checkpoint."""
-    with np.load(_npz_path(path)) as archive:
-        meta = read_manifest(archive)
-        for table in load_user_tables(archive, meta).values():
-            if user_id in table.ids:
-                return table.take([user_id])[0]
+    meta, arrays = read_checkpoint(path)
+    with refusing(path):
+        tables = load_user_tables(arrays, meta)
+    for table in tables.values():
+        if user_id in table.ids:
+            return table.take([user_id])[0]
     raise KeyError(f"no embedding stored for user {user_id}")

@@ -148,14 +148,9 @@ class CommunicationMeter:
         self.downloads = {g: int(v) for g, v in dict(state["downloads"]).items()}
         self.uploads = {g: int(v) for g, v in dict(state["uploads"]).items()}
         self.client_rounds = int(state["client_rounds"])
-        # Checkpoints written before the eviction policy existed carry no
-        # drop counter; those runs never dropped anything.  Same story
-        # for the secure-protocol ledger and the saturation counter.
-        self.dropped_updates = int(state.get("dropped_updates", 0))
-        self.protocol = {
-            str(p): float(v) for p, v in dict(state.get("protocol", {})).items()
-        }
-        self.saturated_scalars = int(state.get("saturated_scalars", 0))
+        self.dropped_updates = int(state["dropped_updates"])
+        self.protocol = {str(p): float(v) for p, v in dict(state["protocol"]).items()}
+        self.saturated_scalars = int(state["saturated_scalars"])
 
     def summary(self) -> Dict[str, Tuple[int, int]]:
         """``{group: (download, upload)}`` totals."""

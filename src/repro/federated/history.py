@@ -84,18 +84,14 @@ class TrainingHistory:
 
     def restore_records(self, payload: List[dict]) -> None:
         """Replace the log with checkpointed records."""
-        # Older checkpoints predate the privacy accountant; ``.get``
-        # keeps them loadable (those runs tracked no budget).
         self.records = [
             EpochRecord(
                 epoch=int(r["epoch"]),
                 train_loss=float(r["train_loss"]),
                 recall=None if r["recall"] is None else float(r["recall"]),
                 ndcg=None if r["ndcg"] is None else float(r["ndcg"]),
-                epsilon=(
-                    None if r.get("epsilon") is None else float(r["epsilon"])
-                ),
-                delta=None if r.get("delta") is None else float(r["delta"]),
+                epsilon=None if r["epsilon"] is None else float(r["epsilon"]),
+                delta=None if r["delta"] is None else float(r["delta"]),
             )
             for r in payload
         ]

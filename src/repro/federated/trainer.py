@@ -850,7 +850,9 @@ class FederatedTrainer:
         return {}, {}
 
     def _restore_checkpoint_extra_state(self, archive, meta: dict) -> None:
-        """Inverse of :meth:`_checkpoint_extra_state` (no-op by default)."""
+        """Inverse of :meth:`_checkpoint_extra_state` (no-op by default).
+        ``archive`` maps member names to arrays.  Runs after every other
+        check and before any write: an override checks, then writes."""
 
     # ------------------------------------------------------------------
     # Introspection

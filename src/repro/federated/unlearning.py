@@ -32,6 +32,7 @@ from repro.core.config import HeteFedRecConfig
 from repro.core.hetefedrec import HeteFedRec
 from repro.data.dataset import ClientData
 from repro.federated.aggregation import pad_columns
+from repro.federated.checkpoint import pack_delta, unpack_delta
 from repro.federated.payload import ClientUpdate, SparseRowDelta
 
 
@@ -89,8 +90,6 @@ class ContributionLedger:
         """``(arrays, meta)`` — arrays under ``ledger/…`` keys plus a
         JSON index; sparse entries keep their sparse form (the shared
         :func:`repro.federated.checkpoint.pack_delta` layout)."""
-        from repro.federated.checkpoint import pack_delta
-
         arrays: Dict[str, np.ndarray] = {}
         meta = {"embeddings": [], "heads": []}
         index = 0
@@ -118,19 +117,18 @@ class ContributionLedger:
         return arrays, meta
 
     def load_state(self, archive, meta) -> None:
-        """Inverse of :meth:`export_state`; replaces all recorded state."""
-        from repro.federated.checkpoint import unpack_delta
-
-        self._embeddings = {}
-        self._heads = {}
-        for index, record in enumerate(meta.get("embeddings", [])):
-            self._embeddings.setdefault(int(record["user"]), {})[
+        """Inverse of :meth:`export_state`; replaces all recorded state
+        (built aside: an unreadable record raises with the ledger untouched)."""
+        embeddings, heads = {}, {}
+        for index, record in enumerate(meta["embeddings"]):
+            embeddings.setdefault(int(record["user"]), {})[
                 record["group"]
             ] = unpack_delta(record, f"ledger/emb/{index}", archive)
-        for index, record in enumerate(meta.get("heads", [])):
-            self._heads.setdefault(int(record["user"]), {}).setdefault(
+        for index, record in enumerate(meta["heads"]):
+            heads.setdefault(int(record["user"]), {}).setdefault(
                 record["head_group"], {}
             )[record["name"]] = archive[f"ledger/head/{index}"]
+        self._embeddings, self._heads = embeddings, heads
 
 
 class UnlearningHeteFedRec(HeteFedRec):
@@ -225,8 +223,8 @@ class UnlearningHeteFedRec(HeteFedRec):
         return arrays, {**meta, "ledger": ledger_meta}
 
     def _restore_checkpoint_extra_state(self, archive, meta) -> None:
+        self.ledger.load_state(archive, meta["ledger"])
         super()._restore_checkpoint_extra_state(archive, meta)
-        self.ledger.load_state(archive, meta.get("ledger", {}))
 
     # ------------------------------------------------------------------
     # Unlearning

@@ -31,9 +31,10 @@ Routes
 ``GET /v1/stats``
     Service / cache / coalescer / resilience counters.
 ``POST /v1/swap`` with body ``{"checkpoint": PATH}``
-    Zero-downtime hot-swap to a newer checkpoint; 409 on a manifest
-    mismatch (the old model keeps serving), 503 when the swap circuit
-    breaker is open, 400 for an unreadable checkpoint or a malformed
+    Zero-downtime hot-swap to a newer checkpoint; 409 for a candidate
+    whose content is refused — torn, corrupt or mismatched (quarantined;
+    the old model keeps serving), 503 when the swap circuit breaker is
+    open, 400 for a file that cannot be opened or a malformed
     request (body not a JSON object, ``checkpoint`` not a string,
     ``Content-Length`` missing, negative or above
     :data:`MAX_BODY_BYTES`).
@@ -54,7 +55,6 @@ from __future__ import annotations
 import json
 import signal
 import threading
-import zipfile
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -68,13 +68,10 @@ from repro.serving.service import UnknownUserError
 #: short JSON object; anything bigger is refused unread).
 MAX_BODY_BYTES = 64 * 1024
 
-#: The failures each route answers (anything else is a bug and may crash
-#: the handler).  The swap list is what an unreadable, corrupt or
-#: incompatible candidate can raise while it is loaded and validated.
+#: The failures a query answers (anything else is a bug and may crash
+#: the handler).  A swap answers the open breaker plus the checkpoint
+#: door's two outcomes: content refused, file cannot be opened.
 _QUERY_ERRORS = (ShedError, TimeoutError, UnknownUserError, ValueError)
-_SWAP_ERRORS = (
-    CircuitOpenError, ValueError, OSError, KeyError, EOFError, zipfile.BadZipFile,
-)
 #: Failure → status, first match wins; whatever matches nothing above
 #: the last row is the client's mistake.  ``TimeoutError`` covers
 #: ``DeadlineExceededError``; ``UnknownUserError`` is a ``KeyError`` and
@@ -220,7 +217,7 @@ class ServingHandler(BaseHTTPRequestHandler):
             version = self.server.front.swap(checkpoint)
         except (CircuitOpenError, CheckpointMismatchError) as error:
             self._fail(error)
-        except _SWAP_ERRORS as error:
+        except OSError as error:
             self._fail(error, prefix="checkpoint unreadable: ")
         else:
             self._reply(200, {"status": "swapped", "model_version": version})

@@ -39,7 +39,6 @@ import math
 import os
 import threading
 import time
-import zipfile
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -68,6 +67,12 @@ TIERS = ("full", "cached", "stale", "fallback", "shed")
 #: precisely for when the budget cannot buy a fresh one, and is
 #: delivered even when late.
 LIVE_TIERS = frozenset(("full", "cached"))
+
+#: Users per dim-group (the id-sorted head of each table) whose mean
+#: score is the popularity-prior fallback.
+FALLBACK_USERS = 32
+#: Ceiling on one backoff sleep between retries of a missing candidate.
+SWAP_BACKOFF_MAX_S = 1.0
 
 
 class ShedError(RuntimeError):
@@ -466,7 +471,6 @@ class ResilienceConfig:
     default_deadline_ms: Optional[float] = None
     # Degradation ladder.
     stale_versions: int = 1
-    fallback_users: int = 32
     probe_every: int = 8
     # Health state machine.
     health_window: int = 32
@@ -478,25 +482,12 @@ class ResilienceConfig:
     breaker_reset_s: float = 30.0
     swap_retries: int = 2
     swap_backoff_s: float = 0.05
-    swap_backoff_max_s: float = 1.0
-    probe_after_swap: bool = True
 
     def __post_init__(self) -> None:
         if self.stale_versions < 0:
             raise ValueError(f"stale_versions must be >= 0, got {self.stale_versions}")
         if self.probe_every < 1:
             raise ValueError(f"probe_every must be >= 1, got {self.probe_every}")
-
-
-#: Exceptions that mark a checkpoint as *corrupt or incompatible* —
-#: quarantined, never retried (mirrors the grid runner's catch list).
-_PERMANENT_SWAP_ERRORS = (
-    CheckpointMismatchError,
-    zipfile.BadZipFile,
-    KeyError,
-    ValueError,
-    EOFError,
-)
 
 
 @dataclass
@@ -589,7 +580,7 @@ class ResilientService:
         weight = 0
         for group in snap.groups:
             # The table is id-sorted: its head is the deterministic sample.
-            user_mat = snap.users[group].values[: self.config.fallback_users]
+            user_mat = snap.users[group].values[:FALLBACK_USERS]
             if not len(user_mat):
                 continue
             scores = np.asarray(
@@ -863,29 +854,26 @@ class ResilientService:
             while True:
                 try:
                     version = self._service.swap(checkpoint_path)
-                except FileNotFoundError:
-                    if attempt >= self.config.swap_retries:
-                        self.breaker.record_failure()
-                        self._swap_stats.rejected += 1
-                        raise
-                    attempt += 1
-                    self._swap_stats.retries += 1
-                    self._sleep(min(backoff, self.config.swap_backoff_max_s))
-                    backoff *= 2.0
-                except _PERMANENT_SWAP_ERRORS:
+                except CheckpointMismatchError:
                     self.breaker.record_failure()
                     self._swap_stats.rejected += 1
                     quarantine(checkpoint_path)
                     self._swap_stats.quarantined += 1
                     raise
-                except OSError:
-                    self.breaker.record_failure()
-                    self._swap_stats.rejected += 1
-                    raise
+                except OSError as error:
+                    missing = isinstance(error, FileNotFoundError)
+                    if not missing or attempt >= self.config.swap_retries:
+                        self.breaker.record_failure()
+                        self._swap_stats.rejected += 1
+                        raise
+                    attempt += 1
+                    self._swap_stats.retries += 1
+                    self._sleep(min(backoff, SWAP_BACKOFF_MAX_S))
+                    backoff *= 2.0
                 else:
                     break
             self._version_paths[version] = checkpoint_path
-            if self.config.probe_after_swap and not self._probe_new_snapshot():
+            if not self._probe_new_snapshot():
                 # The candidate validated but cannot answer: roll back.
                 rollback_version = self._service.swap(previous_path)
                 self._version_paths[rollback_version] = previous_path

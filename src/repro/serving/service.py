@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import threading
-import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,10 +40,10 @@ import numpy as np
 from repro.eval.metrics import blocked_top_k, mask_scored_items
 from repro.federated.checkpoint import (
     CheckpointMismatchError,
-    checkpoint_files,
     inference_model,
     load_user_tables,
-    read_manifest,
+    read_checkpoint,
+    refusing,
 )
 from repro.federated.user_table import UserTable
 
@@ -143,38 +142,28 @@ class ModelSnapshot:
 def load_snapshot(path: str, version: int = 1) -> ModelSnapshot:
     """Warm-load a checkpoint into an immutable serving snapshot.
 
-    One archive open, one manifest parse: reads every group's user
-    table (validated by :func:`~repro.federated.checkpoint.load_user_tables`)
-    and rebuilds every group's model in its trained dtype.  Everything
-    that can fail, fails here — before the snapshot ever sees traffic —
-    and fails typed: ``OSError`` only if the file cannot be opened; for
-    its content :class:`CheckpointMismatchError` (or the plain
-    ``ValueError`` / ``zipfile.BadZipFile`` / ``EOFError`` decoding it
-    raised), anything else re-raised as the former.
+    One archive open, one manifest parse
+    (:func:`~repro.federated.checkpoint.read_checkpoint`): every group's
+    user table, every group's model rebuilt in its trained dtype.  What
+    can fail, fails here — before the snapshot ever sees traffic — the
+    door's two ways: ``OSError`` iff the file cannot be opened,
+    :class:`CheckpointMismatchError` for anything about its content.
     """
-    with open(checkpoint_files(path)[0], "rb") as handle:
-        try:
-            with np.load(handle) as archive:
-                meta = read_manifest(archive)
-                users = load_user_tables(archive, meta)
-                unpopulated = sorted(set(meta["dims"]) - set(users))
-                if unpopulated:
-                    raise CheckpointMismatchError(
-                        f"checkpoint has no user table for group(s) {unpopulated}"
-                    )
-                models = {
-                    group: inference_model(archive, meta, group)
-                    for group in sorted(meta["dims"])
-                }
-        except (ValueError, zipfile.BadZipFile, EOFError):
-            raise
-        except Exception as error:  # noqa: BLE001 - the door: nothing untyped gets out
+    meta, arrays = read_checkpoint(path)
+    with refusing(path):
+        users = load_user_tables(arrays, meta)
+        unpopulated = sorted(set(meta["dims"]) - set(users))
+        if unpopulated:
             raise CheckpointMismatchError(
-                f"checkpoint {os.path.basename(path)} is malformed: {error!r}"
-            ) from error
-    return ModelSnapshot(
-        version=version, path=path, meta=meta, models=models, users=users
-    )
+                f"checkpoint has no user table for group(s) {unpopulated}"
+            )
+        models = {
+            group: inference_model(arrays, meta, group)
+            for group in sorted(meta["dims"])
+        }
+        return ModelSnapshot(
+            version=version, path=path, meta=meta, models=models, users=users
+        )
 
 
 class UnknownUserError(KeyError):

@@ -2,14 +2,40 @@
 
 ``forge(src, dst, edit)`` copies checkpoint ``src`` to ``dst`` after
 ``edit(arrays, meta)`` rewrote its ``.npz`` members and manifest in
-place — files a correct writer never produces.  ``MALFORMED_CHECKPOINTS``
+place — files a correct writer never produces; ``resume_state(trainer)``
+is what the resume door must leave untouched when it refuses one.  ``MALFORMED_CHECKPOINTS``
 names the ones both doors (``load_checkpoint`` / ``serve``) must refuse
-at load.
+at load; ``MISSING_SECTIONS`` the resume-door cases — a v4 manifest
+without a section its writer always writes (serving never reads them).
 """
 
 import json
 
 import numpy as np
+
+from repro.sim.async_server import TrainerBackend
+
+
+def resume_state(trainer) -> dict:
+    """Everything a resume may write, as one comparable value: a refused
+    checkpoint must leave it equal to what it was before the call."""
+    return {
+        "digest": TrainerBackend(trainer).digest(),
+        "rng": {
+            name: generator.bit_generator.state
+            for name, generator in trainer._checkpoint_rngs().items()
+        },
+        "client_rng": {
+            user: (
+                runtime.rng.bit_generator.state,
+                runtime.sampler._rng.bit_generator.state,
+            )
+            for user, runtime in trainer.runtimes.items()
+        },
+        "meter": trainer.meter.export_state(),
+        "history": trainer.history.export_records(),
+        "progress": (trainer.epochs_completed, trainer._round_counter),
+    }
 
 
 def forge(src: str, dst: str, edit) -> str:
@@ -20,8 +46,6 @@ def forge(src: str, dst: str, edit) -> str:
     arrays["__manifest__"] = np.array(json.dumps(meta, sort_keys=True))
     with open(dst, "wb") as handle:
         np.savez_compressed(handle, **arrays)
-    with open(dst + ".meta.json", "w", encoding="utf-8") as handle:
-        json.dump(meta, handle)
     return dst
 
 
@@ -90,4 +114,20 @@ MALFORMED_CHECKPOINTS = {
     "id_in_two_groups": _id_in_two_groups,
     "group_without_users": _group_without_users,
     "ids_without_values": _ids_without_values,
+}
+
+
+def _without(section):
+    def edit(arrays, meta):
+        del meta[section]
+
+    return edit
+
+
+#: Resume-door cases.  The source checkpoint must come from a run with
+#: availability and error-feedback compression on, so ``features``
+#: implies the first two; ``history`` and ``meter`` are unconditional.
+MISSING_SECTIONS = {
+    section: _without(section)
+    for section in ("residuals", "straggler_ages", "history", "meter")
 }

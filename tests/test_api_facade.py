@@ -6,6 +6,7 @@ deep-import verbs (their one-release window spent) are gone, and the
 examples import only via the facade.
 """
 
+import ast
 import warnings
 from pathlib import Path
 
@@ -57,6 +58,37 @@ class TestExamplesUseFacadeOnly:
                 rules=["facade-only"],
             )
         assert not offenders, "\n".join(f.render() for f in offenders)
+
+
+class TestOneCheckpointDoor:
+    def test_one_np_load_and_one_zipfile_import_under_src(self):
+        """What a bad checkpoint raises is decided in one module: the
+        only ``np.load`` of a checkpoint and the only ``import zipfile``
+        under ``src/repro`` live in ``federated/checkpoint.py`` (the
+        simulator's user store memory-maps its own shards — not a
+        checkpoint)."""
+        root = REPO_ROOT / "src" / "repro"
+        np_loads, zipfile_imports = [], []
+        for path in sorted(root.rglob("*.py")):
+            where = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "load"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and where != "sim/user_store.py"
+                ):
+                    np_loads.append(where)
+                elif isinstance(node, ast.Import):
+                    zipfile_imports += [
+                        where for alias in node.names if alias.name == "zipfile"
+                    ]
+                elif isinstance(node, ast.ImportFrom) and node.module == "zipfile":
+                    zipfile_imports.append(where)
+        assert np_loads == ["federated/checkpoint.py"]
+        assert zipfile_imports == ["federated/checkpoint.py"]
 
 
 class TestDeprecationShims:

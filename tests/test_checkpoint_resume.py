@@ -221,10 +221,9 @@ class TestAutosaveMechanics:
             tiny_dataset.num_items, tiny_clients, group_of, config
         )
         trainer.fit()
-        assert os.path.exists(path)
-        assert os.path.exists(path + ".meta.json")
-        # Atomic discipline: no torn temporaries left behind.
-        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+        # One file, and atomic discipline: nothing beside the ``.npz`` —
+        # no sidecar, no torn temporaries left behind.
+        assert os.listdir(tmp_path) == ["auto.ckpt.npz"]
 
     def test_final_epoch_always_saved(self, tiny_dataset, tiny_clients, tmp_path):
         """With checkpoint_every > 1, the last save must still hold the

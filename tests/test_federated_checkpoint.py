@@ -9,9 +9,7 @@ restoration of the RNG/progress sections.  The bitwise resume pins live
 in ``tests/test_checkpoint_resume.py``.
 """
 
-import json
 import os
-import zipfile
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.federated.checkpoint as checkpoint_module
+from repro.compression.codecs import CompressionConfig
 from repro.core import HeteFedRec, HeteFedRecConfig
 from repro.federated.availability import AvailabilityConfig
 from repro.federated.checkpoint import (
@@ -30,7 +29,12 @@ from repro.federated.checkpoint import (
     user_embedding_from_checkpoint,
 )
 
-from malformed_checkpoints import MALFORMED_CHECKPOINTS, forge
+from malformed_checkpoints import (
+    MALFORMED_CHECKPOINTS,
+    MISSING_SECTIONS,
+    forge,
+    resume_state,
+)
 
 
 @pytest.fixture()
@@ -82,9 +86,11 @@ class TestSaveLoad:
         )
 
     def test_meta_sidecar_written(self, trained, tmp_path):
+        """One file: the manifest rides inside the ``.npz`` and nothing
+        is written beside it (the ``.meta.json`` sidecar is gone)."""
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(trained, path)
-        assert os.path.exists(path + ".meta.json")
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
 
     def test_save_creates_parent_directories(self, trained, tmp_path):
         """An autosave target in a not-yet-existing directory must not
@@ -167,8 +173,7 @@ class TestUserTableLayout:
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(trained, path)
         assert "group_of" not in read_manifest(path)
-        with open(path + ".meta.json", encoding="utf-8") as handle:
-            assert "group_of" not in json.load(handle)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]  # and no second manifest
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_malformed_checkpoint_is_refused_on_resume(
@@ -180,11 +185,10 @@ class TestUserTableLayout:
         save_checkpoint(trained, good)
         bad = forge(good, str(tmp_path / "bad.npz"), MALFORMED_CHECKPOINTS[case])
         other = fresh_trainer(tiny_dataset, tiny_clients)
-        before = {g: t.values.copy() for g, t in other.user_tables.items()}
+        before = resume_state(other)
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(other, bad)
-        for group, values in before.items():
-            assert np.array_equal(other.user_tables[group].values, values)
+        assert resume_state(other) == before
 
     def test_v3_file_is_refused_by_serve(self, trained, tmp_path):
         from repro.api import serve
@@ -196,12 +200,68 @@ class TestUserTableLayout:
             serve(bad)
 
 
-class TestCheckpointDoorFuzz:
-    """ROADMAP 9(2), checkpoint door: a damaged file either fails at
-    load with a typed error or serves exactly the untouched file's
-    answers — it is never accepted and then crashes at query time."""
+class TestResumeIsAllOrNothing:
+    """A refused checkpoint leaves the trainer exactly as it was, and a
+    v4 manifest must carry what a v4 writer always writes."""
 
-    LOAD_ERRORS = (CheckpointMismatchError, zipfile.BadZipFile, ValueError, EOFError)
+    @pytest.mark.parametrize("section", sorted(MISSING_SECTIONS))
+    def test_missing_section_is_refused_by_name(
+        self, tiny_dataset, tiny_clients, tmp_path, section
+    ):
+        """At the parent: no ``residuals`` resumed with none of them, no
+        ``straggler_ages`` with every eviction clock reset, no
+        ``history`` / ``meter`` died with a bare ``KeyError`` part-way
+        through the restore."""
+        features = dict(
+            availability=AvailabilityConfig(
+                offline_rate=0.15, straggler_rate=0.3, seed=3
+            ),
+            compression=CompressionConfig(
+                kind="topk", ratio=0.1, error_feedback=True
+            ),
+        )
+        trainer = fresh_trainer(tiny_dataset, tiny_clients, seed=0, **features)
+        trainer.fit()
+        assert trainer._compressor.export_residuals()
+        good = str(tmp_path / "good.npz")
+        save_checkpoint(trainer, good)
+        bad = forge(good, str(tmp_path / "bad.npz"), MISSING_SECTIONS[section])
+        other = fresh_trainer(tiny_dataset, tiny_clients, **features)
+        before = resume_state(other)
+        with pytest.raises(CheckpointMismatchError, match=repr(section)):
+            load_checkpoint(other, bad)
+        assert resume_state(other) == before
+        load_checkpoint(other, good)  # the untouched file still resumes
+        assert resume_state(other) == resume_state(trainer)
+
+    def test_dropped_client_rng_entry_leaves_the_trainer_untouched(
+        self, trained, tiny_dataset, tiny_clients, tmp_path
+    ):
+        """At the parent the right error arrived after models and user
+        tables had already been replaced."""
+        good = str(tmp_path / "good.npz")
+        save_checkpoint(trained, good)
+        victim = str(tiny_clients[-1].user_id)
+
+        def drop(arrays, meta):
+            del meta["client_rng"][victim]
+
+        bad = forge(good, str(tmp_path / "bad.npz"), drop)
+        other = fresh_trainer(tiny_dataset, tiny_clients)
+        before = resume_state(other)
+        with pytest.raises(CheckpointMismatchError, match=f"client {victim}"):
+            load_checkpoint(other, bad)
+        assert resume_state(other) == before
+
+
+class TestCheckpointDoorFuzz:
+    """ROADMAP 9(2), both checkpoint doors: a damaged file is either
+    refused at load with :class:`CheckpointMismatchError` — and a
+    refused ``resume`` leaves the trainer untouched — or it behaves
+    exactly as the pristine file does.  Never accepted and then crashing
+    at query time, never half-restored, never another exception type."""
+
+    LOAD_ERRORS = (CheckpointMismatchError,)
 
     @pytest.fixture(scope="class")
     def pristine(self, tiny_dataset, tiny_clients, tmp_path_factory):
@@ -221,6 +281,8 @@ class TestCheckpointDoorFuzz:
             "meta": read_manifest(path),
             "users": users,
             "answers": self.answers(serve(path, cache_size=0), users),
+            "restored": resume_state(trainer),
+            "fresh": lambda: fresh_trainer(tiny_dataset, tiny_clients),
             "scratch": str(root / "damaged.npz"),
         }
 
@@ -231,14 +293,24 @@ class TestCheckpointDoorFuzz:
         return [a.items.tolist() for a in service.query_batch([QueryRequest(u, 5) for u in users])]
 
     def check(self, pristine):
-        from repro.api import serve
+        from repro.api import resume, serve
 
         try:
             service = serve(pristine["scratch"], cache_size=0)
         except self.LOAD_ERRORS:
-            return
-        # Accepted: it must answer, and answer what the untouched file does.
-        assert self.answers(service, pristine["users"]) == pristine["answers"]
+            pass
+        else:
+            # Accepted: it must answer, and answer what the untouched file does.
+            assert self.answers(service, pristine["users"]) == pristine["answers"]
+
+        trainer = pristine["fresh"]()
+        before = resume_state(trainer)
+        try:
+            resume(trainer, pristine["scratch"])
+        except self.LOAD_ERRORS:
+            assert resume_state(trainer) == before
+        else:
+            assert resume_state(trainer) == pristine["restored"]
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -433,7 +505,7 @@ class TestMismatch:
 
 
 class TestDtypePersistence:
-    """The meta sidecar records ``config.dtype``; deploy restores it."""
+    """The manifest records ``config.dtype``; deploy restores it."""
 
     @pytest.fixture()
     def float32_trained(self, tiny_dataset, tiny_clients):

@@ -483,7 +483,7 @@ class TestGuardedSwap:
         with open(bad, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         served_before = resilient.checkpoint_path
-        with pytest.raises(Exception):
+        with pytest.raises(CheckpointMismatchError, match="torn or corrupt"):
             resilient.swap(bad)
         assert not os.path.exists(bad)
         assert os.path.exists(str(tmp_path / "bad.corrupt"))
@@ -548,7 +548,7 @@ class TestGuardedSwap:
             bad = str(tmp_path / f"storm_{i}.npz")
             with open(bad, "wb") as fh:
                 fh.write(b"not a checkpoint")
-            with pytest.raises(Exception):
+            with pytest.raises(CheckpointMismatchError):
                 resilient.swap(bad)
         with pytest.raises(CircuitOpenError) as excinfo:
             resilient.swap(checkpoints["paths"]["v2"])

@@ -9,13 +9,23 @@ cleans its checkpoint up.
 """
 
 import os
+import struct
+import zipfile
+import zlib
 from dataclasses import asdict
 
 import pytest
 
 import repro.experiments.runner as runner
 from repro.experiments.runner import RunSpec, run_spec
+from repro.federated.checkpoint import (
+    CheckpointMismatchError,
+    read_checkpoint,
+    read_manifest,
+    remove_checkpoint,
+)
 from repro.federated.trainer import FederatedTrainer
+from repro.io import quarantine
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +55,33 @@ SPEC = RunSpec("ml", "hetefedrec", profile="smoke")
 
 def checkpoint_path():
     return runner._spec_checkpoint_path(SPEC.key())
+
+
+def flip_inside_member(path) -> bytes:
+    """Damage ``path`` where only decompression can notice: invert the
+    first byte of its largest member's deflate stream that makes the
+    inflater itself give up (``zlib.error``, before any CRC is compared
+    — the failure none of the parent's catch lists named).  Returns the
+    damaged file's bytes."""
+    with zipfile.ZipFile(path) as archive:
+        info = max(archive.infolist(), key=lambda member: member.compress_size)
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    stream = bytes(blob[start : start + info.compress_size])
+    for offset in range(len(stream)):
+        damaged = stream[:offset] + bytes([stream[offset] ^ 0xFF]) + stream[offset + 1 :]
+        try:
+            zlib.decompressobj(-15).decompress(damaged)
+        except zlib.error:
+            blob[start + offset] ^= 0xFF
+            break
+    else:  # pragma: no cover - a deflate stream always has such a byte
+        raise AssertionError("no byte of the member upsets the inflater")
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    return bytes(blob)
 
 
 class TestWorkerResume:
@@ -87,6 +124,49 @@ class TestWorkerResume:
         with open(quarantine, "rb") as handle:
             assert handle.read() == b"not a checkpoint"
 
+    def test_leftover_damaged_inside_a_member_restarts_cleanly(self, epoch_recorder):
+        """Damage that surfaces at member-decompression time crashed the
+        worker at the parent (``zlib.error`` was in no catch list)."""
+        truth = runner._train_spec(SPEC)
+        epoch_recorder["die_at"] = 2
+        with pytest.raises(KeyboardInterrupt):
+            run_spec(SPEC)
+        damaged = flip_inside_member(checkpoint_path())
+        with pytest.raises(CheckpointMismatchError, match="torn or corrupt") as refusal:
+            read_checkpoint(checkpoint_path())
+        assert isinstance(refusal.value.__cause__, zlib.error)
+
+        epoch_recorder["die_at"] = None
+        epoch_recorder["trained"].clear()
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            result = run_spec(SPEC)
+        assert epoch_recorder["trained"] == [1, 2]  # full restart
+        assert asdict(result) == asdict(truth)
+        corpse = checkpoint_path()[: -len(".npz")] + ".corrupt"
+        with open(corpse, "rb") as handle:
+            assert handle.read() == damaged
+        assert sorted(os.listdir(runner.CACHE_DIR)) == sorted(
+            [os.path.basename(corpse), f"{SPEC.key()}.json"]
+        )
+
+    def test_a_quarantined_or_removed_checkpoint_leaves_no_manifest_behind(
+        self, epoch_recorder
+    ):
+        """One file: at the parent the orphaned ``.meta.json`` sidecar
+        kept answering ``read_manifest`` for an ``.npz`` that was gone."""
+        epoch_recorder["die_at"] = 2
+        with pytest.raises(KeyboardInterrupt):
+            run_spec(SPEC)
+        assert read_manifest(checkpoint_path())["progress"]["epochs_completed"] == 1
+        corpse = quarantine(checkpoint_path())
+        with pytest.raises(FileNotFoundError):
+            read_manifest(checkpoint_path())
+        assert os.listdir(runner.CACHE_DIR) == [os.path.basename(corpse)]
+        os.replace(corpse, checkpoint_path())
+        remove_checkpoint(checkpoint_path())
+        assert os.listdir(runner.CACHE_DIR) == []
+        remove_checkpoint(checkpoint_path())  # idempotent
+
     def test_checkpoint_outlives_a_failed_publish(
         self, epoch_recorder, monkeypatch
     ):
@@ -121,5 +201,4 @@ class TestWorkerResume:
             run_spec(SPEC)
         assert os.path.exists(checkpoint_path())
         runner.clear_cache()
-        assert not os.path.exists(checkpoint_path())
-        assert not os.path.exists(checkpoint_path() + ".meta.json")
+        assert os.listdir(runner.CACHE_DIR) == []

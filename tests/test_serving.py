@@ -208,24 +208,23 @@ class TestServingDoor:
     def test_load_is_one_archive_open_and_one_manifest_parse(
         self, checkpoints, monkeypatch
     ):
-        """At the parent: five opens and four parses per ``load_snapshot``."""
-        import repro.serving.service as service_module
+        """At PR 21: five opens and four parses per ``load_snapshot``.
+        Now the one reader, ``checkpoint.read_checkpoint``, does both."""
+        calls = {"json.loads": 0, "np.load": 0}
+        json_loads, np_load = json.loads, np.load
 
-        calls = {"read_manifest": 0, "np.load": 0}
-        read_manifest, np_load = service_module.read_manifest, np.load
-
-        def counting_read_manifest(source):
-            calls["read_manifest"] += 1
-            return read_manifest(source)
+        def counting_loads(*args, **kwargs):
+            calls["json.loads"] += 1
+            return json_loads(*args, **kwargs)
 
         def counting_load(*args, **kwargs):
             calls["np.load"] += 1
             return np_load(*args, **kwargs)
 
-        monkeypatch.setattr(service_module, "read_manifest", counting_read_manifest)
+        monkeypatch.setattr(json, "loads", counting_loads)
         monkeypatch.setattr(np, "load", counting_load)
         load_snapshot(checkpoints["paths"]["v1"])
-        assert calls == {"read_manifest": 1, "np.load": 1}
+        assert calls == {"json.loads": 1, "np.load": 1}
 
     def test_snapshot_tables_are_read_only(self, checkpoints):
         snap = load_snapshot(checkpoints["paths"]["v1"])
@@ -451,6 +450,7 @@ MALFORMED = {
     "swap-no-key": ("POST", "/v1/swap", swap_body({}), None),
     "swap-int-path": ("POST", "/v1/swap", swap_body({"checkpoint": 5}), None),
     "swap-null-path": ("POST", "/v1/swap", swap_body({"checkpoint": None}), None),
+    "swap-nul-in-path": ("POST", "/v1/swap", swap_body({"checkpoint": "a\0b.npz"}), None),
     "swap-not-json": ("POST", "/v1/swap", b"{", None),
     "swap-empty": ("POST", "/v1/swap", b"", None),
     "length=-1": ("POST", "/v1/swap", None, {"Content-Length": "-1"}),
@@ -545,6 +545,27 @@ class TestHTTP:
             swap_body({"checkpoint": str(tmp_path / "never.npz")}),
         )
         assert status == 400 and body["error"].startswith("checkpoint unreadable")
+
+    def test_truncated_checkpoint_is_409_and_quarantined(
+        self, server, checkpoints, tmp_path
+    ):
+        """A torn candidate is refused like any other: the door's one
+        content error, not whatever the zip layer happened to raise."""
+        torn = str(tmp_path / "torn.npz")
+        with open(checkpoints["paths"]["v2"], "rb") as handle:
+            blob = handle.read()
+        with open(torn, "wb") as handle:
+            handle.write(blob[: len(blob) // 2])
+        status, _, body = http_call(
+            server, "POST", "/v1/swap", swap_body({"checkpoint": torn})
+        )
+        assert status == 409 and "torn or corrupt" in body["error"]
+        assert not os.path.exists(torn)
+        with open(str(tmp_path / "torn.corrupt"), "rb") as handle:
+            assert handle.read() == blob[: len(blob) // 2]
+        user = checkpoints["clients"][0].user_id
+        status, _, answer = http_call(server, "GET", f"/v1/recommend?user={user}")
+        assert status == 200 and answer["model_version"] == 1
 
     def test_full_admission_queue_is_503_with_retry_after(self, server, checkpoints):
         user = checkpoints["clients"][0].user_id
