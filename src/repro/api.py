@@ -105,6 +105,7 @@ _EXPORTS = {
     "load_snapshot": "repro.serving",
     "TopKCache": "repro.serving",
     "UnknownUserError": "repro.serving",
+    "delivered": "repro.serving",
     # serving resilience + chaos
     "ResilientService": "repro.serving",
     "ResilienceConfig": "repro.serving",
@@ -209,10 +210,14 @@ def recommend(
     call) or an existing :class:`RecommendationService` (reusing its
     cache and snapshot).  A scalar ``user_ids`` returns one
     :class:`Recommendation`; a sequence returns a list, scored as one
-    batch.  For sustained traffic build the service once via
-    :func:`serve` instead of re-loading per call.
+    batch.  A request the service refuses — an unknown user
+    (:class:`UnknownUserError`), an ``exclude`` id outside the catalogue
+    (:class:`ValueError`) — is raised; for a sequence, the first such
+    refusal in request order (``service.query_batch`` hands back every
+    slot instead, refusals included).  For sustained traffic build the
+    service once via :func:`serve` instead of re-loading per call.
     """
-    from repro.serving import QueryRequest, RecommendationService
+    from repro.serving import QueryRequest, RecommendationService, delivered
 
     service = (
         checkpoint
@@ -222,7 +227,7 @@ def recommend(
     if isinstance(user_ids, (int,)) or hasattr(user_ids, "__index__"):
         return service.query(int(user_ids), k=k, exclude=exclude)
     requests = [QueryRequest(int(user), k, exclude) for user in user_ids]
-    return service.query_batch(requests)
+    return [delivered(slot) for slot in service.query_batch(requests)]
 
 
 def serve(

@@ -29,28 +29,7 @@ class DirectAggregateTrainer(HeteFedRec):
         config: FederatedConfig,
         group_of: Optional[Mapping[int, str]] = None,
     ) -> None:
-        if not isinstance(config, HeteFedRecConfig):
-            config = HeteFedRecConfig(
-                **{
-                    field: getattr(config, field)
-                    for field in (
-                        "arch",
-                        "dims",
-                        "hidden",
-                        "epochs",
-                        "clients_per_round",
-                        "local_epochs",
-                        "lr",
-                        "negative_ratio",
-                        "aggregation",
-                        "seed",
-                        "eval_every",
-                        "eval_k",
-                        "embedding_init_std",
-                    )
-                }
-            )
-        config = config.copy_with(
+        config = HeteFedRecConfig.widen(config).copy_with(
             enable_udl=False, enable_ddr=False, enable_reskd=False
         )
         super().__init__(num_items, clients, config, group_of=group_of)

@@ -18,29 +18,8 @@ from repro.data.dataset import ClientData
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
 
 
-def _as_hete_config(config: FederatedConfig) -> HeteFedRecConfig:
-    """Widen a base config into a HeteFedRec config with default components."""
-    if isinstance(config, HeteFedRecConfig):
-        return config
-    return HeteFedRecConfig(
-        arch=config.arch,
-        dims=dict(config.dims),
-        hidden=config.hidden,
-        epochs=config.epochs,
-        clients_per_round=config.clients_per_round,
-        local_epochs=config.local_epochs,
-        lr=config.lr,
-        negative_ratio=config.negative_ratio,
-        aggregation=config.aggregation,
-        seed=config.seed,
-        eval_every=config.eval_every,
-        eval_k=config.eval_k,
-        embedding_init_std=config.embedding_init_std,
-    )
-
-
 def _build_hetefedrec(num_items, clients, config) -> HeteFedRec:
-    return HeteFedRec(num_items, clients, _as_hete_config(config))
+    return HeteFedRec(num_items, clients, HeteFedRecConfig.widen(config))
 
 
 def _build_standalone(num_items, clients, config) -> StandaloneTrainer:
@@ -54,8 +33,7 @@ def _build_clustered(num_items, clients, config) -> ClusteredTrainer:
 
 
 def _build_direct(num_items, clients, config) -> DirectAggregateTrainer:
-    hete = _as_hete_config(config)
-    return DirectAggregateTrainer(num_items, clients, hete)
+    return DirectAggregateTrainer(num_items, clients, config)
 
 
 def _build_all_large_exclusive(num_items, clients, config):

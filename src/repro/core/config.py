@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 from repro.core.distillation import DistillationConfig
@@ -27,6 +27,14 @@ class HeteFedRecConfig(FederatedConfig):
     enable_reskd: bool = True
     ddr_row_sample: int = 256
     distillation: DistillationConfig = field(default_factory=DistillationConfig)
+
+    @classmethod
+    def widen(cls, config: FederatedConfig) -> "HeteFedRecConfig":
+        """``config`` as a HeteFedRec config: every field it has carried
+        over, the paper's knobs at their defaults (itself if already one)."""
+        if isinstance(config, cls):
+            return config
+        return cls(**{f.name: getattr(config, f.name) for f in fields(config)})
 
     def ablation_name(self) -> str:
         """Human-readable variant label used in Table IV reports."""

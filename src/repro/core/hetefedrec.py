@@ -63,19 +63,6 @@ class HeteFedRec(FederatedTrainer):
             return widths_up_to(group, self.config.dims)
         return [group]
 
-    def local_training_is_base(self) -> bool:
-        """With UDL off and DDR inert, the overrides below reduce exactly
-        to the base protocol (the Directly Aggregate configuration);
-        RESKD is server-side and never affects this."""
-        cls = type(self)
-        if (
-            cls.client_loss is not HeteFedRec.client_loss
-            or cls.trained_head_groups is not HeteFedRec.trained_head_groups
-        ):
-            return False
-        cfg = self.config
-        return not cfg.enable_udl and not (cfg.enable_ddr and cfg.alpha > 0)
-
     def fused_objective(self):
         """Every stock HeteFedRec objective is engine-expressible.
 

@@ -184,8 +184,10 @@ class FederatedTrainer:
         #: Fault-injection seam for the secure-aggregation protocol: a
         #: callable ``(round_id, participant_ids) -> Optional[FaultPlan]``
         #: deciding which clients drop/duplicate at which phase.  ``None``
-        #: (the default) runs every secure round clean; the simulator's
-        #: ``secure_dropout`` scenario and the protocol tests plug in here.
+        #: (the default) runs every secure round clean; the protocol
+        #: tests plug in here (the simulator's ``secure_dropout`` scenario
+        #: does not: it drives the protocol through
+        #: :class:`repro.sim.secure.SecureAggregatingBackend`).
         self._secure_fault_plan = None
         #: Differential-privacy accountant — only meaningful when the
         #: clipped-noise mechanism is actually active (clip + noise).
@@ -317,21 +319,6 @@ class FederatedTrainer:
         """
         return [group]
 
-    def local_training_is_base(self) -> bool:
-        """Whether local sessions follow the stock protocol exactly.
-
-        "Base" means plain own-group BCE — the simplest objective the
-        vectorized round engine fuses.  The default is a structural
-        check; subclasses whose overrides are configuration-gated
-        (HeteFedRec with every component disabled is Directly Aggregate)
-        refine it.
-        """
-        cls = type(self)
-        return (
-            cls.client_loss is FederatedTrainer.client_loss
-            and cls.trained_head_groups is FederatedTrainer.trained_head_groups
-        )
-
     def fused_objective(self):
         """Declarative description of ``client_loss`` for the round engine.
 
@@ -340,14 +327,19 @@ class FederatedTrainer:
         to build as a fused batched graph — the per-width BCE tasks come
         from :meth:`trained_head_groups`, the optional decorrelation
         term from the returned spec — or ``None`` to force the
-        per-client reference path.  Subclasses with engine-expressible
-        custom losses (HeteFedRec's dual task) override this.
+        per-client reference path.  The base answer is structural: plain
+        own-group BCE — the simplest objective the engine fuses — iff no
+        local-training hook is overridden.  Subclasses with
+        engine-expressible custom losses (HeteFedRec's dual task)
+        override this.
         """
         from repro.federated.round_engine import FusedObjective
 
+        cls = type(self)
         if (
-            self.local_training_is_base()
-            and type(self).presample_ddr_rows is FederatedTrainer.presample_ddr_rows
+            cls.client_loss is FederatedTrainer.client_loss
+            and cls.trained_head_groups is FederatedTrainer.trained_head_groups
+            and cls.presample_ddr_rows is FederatedTrainer.presample_ddr_rows
         ):
             return FusedObjective()
         return None

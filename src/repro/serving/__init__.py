@@ -26,6 +26,7 @@ from repro.serving.service import (
     Recommendation,
     RecommendationService,
     UnknownUserError,
+    delivered,
     load_snapshot,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "RequestCoalescer",
     "TopKCache",
     "UnknownUserError",
+    "delivered",
     "ResilientService",
     "ResilienceConfig",
     "AdmissionQueue",

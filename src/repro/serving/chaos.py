@@ -42,7 +42,7 @@ from repro.serving.resilience import (
     ResilientService,
     ShedError,
 )
-from repro.serving.service import RecommendationService
+from repro.serving.service import QueryRequest, RecommendationService, delivered
 from repro.sim.config import LatencyModelConfig
 from repro.sim.engine import LatencyModel, spawn_streams
 
@@ -241,17 +241,6 @@ class ChaosWrappedService:
     def __getattr__(self, name: str):
         return getattr(self._service, name)
 
-    # The resilience layer sets this to retain a stale cache window;
-    # forward it to the real service (plain __setattr__ would land on
-    # the proxy and silently change nothing).
-    @property
-    def keep_stale_versions(self) -> int:
-        return self._service.keep_stale_versions
-
-    @keep_stale_versions.setter
-    def keep_stale_versions(self, value: int) -> None:
-        self._service.keep_stale_versions = value
-
     def query_batch(self, requests):
         self._clock.advance(self._policy.scoring_delay())
         if self._policy.scoring_error():
@@ -259,9 +248,7 @@ class ChaosWrappedService:
         return self._service.query_batch(requests)
 
     def query(self, user_id, k=None, exclude=None):
-        from repro.serving.service import QueryRequest
-
-        return self.query_batch([QueryRequest(int(user_id), k, exclude)])[0]
+        return delivered(self.query_batch([QueryRequest(int(user_id), k, exclude)])[0])
 
 
 def build_chaos_checkpoints(workdir: str, seed: int = 7) -> Dict[str, str]:
@@ -350,7 +337,6 @@ def run_chaos_scenario(
             admission_capacity=config.admission_capacity,
             max_waiting=config.max_waiting,
             default_deadline_ms=config.deadline_ms,
-            stale_versions=1,
             breaker_failures=3,
             breaker_reset_s=5.0,
             swap_retries=1,

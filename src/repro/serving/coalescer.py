@@ -18,6 +18,8 @@ flushes the whole batch through
 
 Every query in a flushed batch is answered from one snapshot read, so
 coalescing also inherits the service's hot-swap atomicity for free.
+Riders share a matmul, never an outcome: each waiter hears its own slot
+of the batch — its answer, or the refusal that is its own request's.
 The rendezvous is per *batch*, not per query — one ``Event`` wakes all
 of a batch's waiters in a single syscall, which is what keeps the
 coalesced path cheap at high concurrency.
@@ -27,25 +29,31 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from repro.serving.service import QueryRequest, Recommendation, RecommendationService
+from repro.serving.service import (
+    QueryRequest,
+    Recommendation,
+    RecommendationService,
+    delivered,
+)
 
 
 class _Batch:
     """One pending batch: its requests, and the rendezvous for answers.
 
     All waiters of a batch share a single :class:`threading.Event`; the
-    flusher fills ``answers`` (or ``error``) and sets it once.
+    flusher fills ``answers`` — one slot per request — or, when scoring
+    itself failed, ``error``, and sets it once.
     """
 
     __slots__ = ("requests", "answers", "error", "ready")
 
     def __init__(self) -> None:
         self.requests: List[QueryRequest] = []
-        self.answers: Optional[List[Recommendation]] = None
+        self.answers: Optional[List[Union[Recommendation, Exception]]] = None
         self.error: Optional[BaseException] = None
         self.ready = threading.Event()
 
@@ -108,7 +116,10 @@ class RequestCoalescer:
     ) -> Recommendation:
         """Park one query and block until its batch is scored.
 
-        Raises whatever the scoring raised for the batch, and
+        Returns — or raises — this query's own slot of the batch: an
+        unknown user or a bad ``exclude`` is raised to its sender only,
+        and the other riders get their answers.  A fault of the scoring
+        call itself is raised to every rider of the batch, and
         :class:`TimeoutError` if ``timeout`` (seconds) elapses first.
         """
         request = QueryRequest(int(user_id), k, exclude)
@@ -140,8 +151,7 @@ class RequestCoalescer:
             )
         if batch.error is not None:
             raise batch.error
-        assert batch.answers is not None
-        return batch.answers[index]
+        return delivered(batch.answers[index])
 
     def flush(self) -> int:
         """Force-flush the pending batch (returns how many were flushed)."""

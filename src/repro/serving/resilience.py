@@ -17,7 +17,14 @@ mirroring how the sim package (PR 6) removed them from training:
   snapshot generation) → popularity-prior fallback (precomputed per
   snapshot at load time) → shed.  The entry tier is driven by the
   :class:`HealthMonitor` state machine (healthy / degraded /
-  unhealthy), surfaced in ``/healthz`` and ``stats()``.
+  unhealthy), surfaced in ``/healthz`` and ``stats()``.  The ladder
+  exists once (:meth:`ResilientService._ladder`, over a request list):
+  a single query is a batch of one, the live tiers are one scoring call
+  for the whole batch, the degraded tiers and tier 5 are per rider — a
+  :class:`ShedError` in *that* rider's slot.  What the service *raises*
+  is a health event; what it *refuses* (an unknown user, a bad
+  ``exclude``) comes back in the request's own slot and is nobody
+  else's business, this module's included.
 * **Circuit-broken, self-healing hot-swap** —
   :meth:`ResilientService.swap` wraps the service's validated swap in
   retry-with-bounded-backoff plus a :class:`CircuitBreaker`;
@@ -40,8 +47,8 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +58,7 @@ from repro.serving.service import (
     QueryRequest,
     Recommendation,
     RecommendationService,
-    UnknownUserError,
+    delivered,
 )
 
 Clock = Callable[[], float]
@@ -61,6 +68,10 @@ HEALTHY, DEGRADED, UNHEALTHY = "healthy", "degraded", "unhealthy"
 
 #: Degradation-ladder tiers, in the order they are tried.
 TIERS = ("full", "cached", "stale", "fallback", "shed")
+
+#: Previous snapshot generations whose cached answers the service is
+#: asked to retain across a hot-swap, for the stale tier to serve.
+STALE_VERSIONS = 1
 
 #: Tiers that spent live scoring work.  Only these can *overrun* a
 #: deadline: a degraded answer (stale / fallback) costs nothing, exists
@@ -461,8 +472,7 @@ class CircuitBreaker:
 class ResilienceConfig:
     """Every knob of the resilience layer, in one place.
 
-    Defaults are transparent: generous capacity, no default deadline,
-    one stale snapshot generation retained for the ladder's stale tier.
+    Defaults are transparent: generous capacity, no default deadline.
     """
 
     # Admission.
@@ -470,7 +480,6 @@ class ResilienceConfig:
     max_waiting: int = 512
     default_deadline_ms: Optional[float] = None
     # Degradation ladder.
-    stale_versions: int = 1
     probe_every: int = 8
     # Health state machine.
     health_window: int = 32
@@ -484,8 +493,6 @@ class ResilienceConfig:
     swap_backoff_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.stale_versions < 0:
-            raise ValueError(f"stale_versions must be >= 0, got {self.stale_versions}")
         if self.probe_every < 1:
             raise ValueError(f"probe_every must be >= 1, got {self.probe_every}")
 
@@ -527,8 +534,7 @@ class ResilientService:
         self._sleep = sleep
         # The stale tier answers from previous cache generations, so the
         # inner service must retain that window across swaps.
-        if self.config.stale_versions > getattr(service, "keep_stale_versions", 0):
-            service.keep_stale_versions = self.config.stale_versions
+        service.retain_stale(STALE_VERSIONS)
         self.admission = AdmissionQueue(
             self.config.admission_capacity, self.config.max_waiting, clock=clock
         )
@@ -590,7 +596,11 @@ class ResilientService:
             weight += len(user_mat)
         prior = totals / max(1, weight)
         order = np.argsort(-prior, kind="stable").astype(np.int64)
-        self._fallback[snap.version] = (order, prior[order])
+        ranked = prior[order]
+        # Every fallback answer is a slice of these two: read-only once.
+        order.flags.writeable = False
+        ranked.flags.writeable = False
+        self._fallback[snap.version] = (order, ranked)
 
     def fallback_answer(self, user_id: int, k: int) -> Recommendation:
         """The popularity-prior answer (ladder tier 4)."""
@@ -629,8 +639,8 @@ class ResilientService:
         Same admission, wait, deadline and metering rules; only the
         scoring step differs: ``score(remaining_seconds)`` produces the
         answer.  The HTTP front end passes the coalescer's ``submit``
-        (whose batches flush into :meth:`query_batch`, so the ladder
-        still applies — per batch instead of per request).
+        (whose batches flush into :meth:`query_batch` — the same ladder,
+        over the whole batch).
         """
         return self._run_ticket(self.try_admit(deadline_ms, priority), user_id, score)
 
@@ -650,12 +660,13 @@ class ResilientService:
         k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
     ) -> Recommendation:
-        """Phase 2: run one admitted request down the degradation ladder."""
+        """Phase 2: run one admitted request — a batch of one — down the
+        degradation ladder; raises what its slot holds."""
         answer = self._run_ticket(
             ticket,
             user_id,
-            lambda remaining: self._laddered_answer(
-                QueryRequest(int(user_id), k, exclude), remaining
+            lambda remaining: delivered(
+                self._ladder([QueryRequest(int(user_id), k, exclude)], remaining)[0]
             ),
         )
         self._count_tier(answer.tier)
@@ -728,75 +739,52 @@ class ResilientService:
         return budget
 
     # -- the ladder ----------------------------------------------------
-    def _live_answers(
+    def _ladder(
         self, requests: Sequence[QueryRequest], remaining: Optional[float] = None
-    ) -> Optional[List[Recommendation]]:
-        """Tiers 1–2: one blocked scoring call (fresh cache hits ride
-        along).  ``None`` means degrade — scoring failed, or the service
-        is unhealthy and this request is not a probe turn."""
-        if self.health.state == UNHEALTHY and not self._take_probe_turn():
-            return None
-        if remaining is not None and remaining <= 0.0:
-            raise DeadlineExceededError("deadline expired before scoring")
-        try:
-            answers = self._service.query_batch(list(requests))
-        except (UnknownUserError, ValueError):
-            raise  # the caller's mistake (404 / 400), not a health event
-        except Exception:  # noqa: BLE001 - enters the ladder
-            self.health.record(False)
-            return None
-        self.health.record(True)
-        return answers
+    ) -> List[Union[Recommendation, Exception]]:
+        """The degradation ladder, once: one slot per request.
 
-    def _laddered_answer(
-        self, request: QueryRequest, remaining: Optional[float]
-    ) -> Recommendation:
-        """One request down the ladder (the caller counts the tier of
-        the answer it actually delivers)."""
-        answers = self._live_answers([request], remaining)
-        if answers is not None:
-            return answers[0]
+        Tiers 1–2 are one blocked scoring call for the whole batch
+        (fresh cache hits ride along; a slot the service refused is its
+        request's own and passes through).  When scoring raises — or the
+        service is unhealthy and this is not a probe turn — every rider
+        degrades on its own: tier 3 stale, tier 4 the popularity prior,
+        tier 5 a :class:`ShedError` in that rider's slot, counted here.
+        """
+        if self.health.state != UNHEALTHY or self._take_probe_turn():
+            if remaining is not None and remaining <= 0.0:
+                raise DeadlineExceededError("deadline expired before scoring")
+            try:
+                answers = self._service.query_batch(list(requests))
+            except Exception:  # noqa: BLE001 - enters the ladder
+                self.health.record(False)
+            else:
+                self.health.record(True)
+                return answers
+        return [self._degraded_slot(request) for request in requests]
+
+    def _degraded_slot(
+        self, request: QueryRequest
+    ) -> Union[Recommendation, ShedError]:
+        """Tiers 3–5 for one rider: a stale answer from a retained
+        previous snapshot, else the popularity prior, else shed."""
         try:
-            return self._degraded_answer(request)
+            answer = self._service.stale_answer(request)
+            if answer is None:
+                answer = self.fallback_answer(
+                    request.user_id,
+                    request.k if request.k is not None else self._service.default_k,
+                )
+            return answer
         except Exception as error:  # noqa: BLE001 - ladder exhausted
-            # Tier 5: shed.
             self._count_tier("shed")
-            raise ShedError(
+            shed = ShedError(
                 f"user {request.user_id}: every degradation tier failed "
                 f"({type(error).__name__})",
                 retry_after=1.0,
-            ) from error
-
-    def _degraded_answer(self, request: QueryRequest) -> Recommendation:
-        """Tiers 3–4, for when live scoring failed or was skipped: a
-        stale answer from a retained previous snapshot, else the
-        popularity prior."""
-        answer = self._stale_answer(request)
-        if answer is None:
-            answer = self.fallback_answer(
-                request.user_id,
-                request.k if request.k is not None else self._service.default_k,
             )
-        return answer
-
-    def _stale_answer(self, request: QueryRequest) -> Optional[Recommendation]:
-        if self.config.stale_versions < 1 or request.exclude is not None:
-            return None
-        cache = getattr(self._service, "_cache", None)
-        if cache is None or not hasattr(cache, "get_stale"):
-            return None
-        version = self._service.model_version
-        k = request.k if request.k is not None else self._service.default_k
-        hit = cache.get_stale(
-            request.user_id, k, version, max_back=self.config.stale_versions
-        )
-        if hit is None:
-            return None
-        stale_version, (items, scores) = hit
-        return Recommendation(
-            request.user_id, items, scores, stale_version, cached=True,
-            tier="stale",
-        )
+            shed.__cause__ = error
+            return shed
 
     def _take_probe_turn(self) -> bool:
         with self._counter_lock:
@@ -811,20 +799,25 @@ class ResilientService:
             self._tier_counts[tier] += 1
 
     # -- batch path (feeds the coalescer) ------------------------------
-    def query_batch(self, requests: Sequence[QueryRequest]) -> List[Recommendation]:
-        """Ladder-aware batch scoring (what the coalescer flushes into).
+    def query_batch(
+        self, requests: Sequence[QueryRequest]
+    ) -> List[Union[Recommendation, Exception]]:
+        """The ladder over a batch (what the coalescer flushes into).
 
-        A healthy batch is one blocked scoring call, exactly like the
-        raw service; a failing one degrades per-request so one poisoned
-        batch cannot take every rider down with it.
+        One slot per request, in request order: the answer of whichever
+        tier delivered it (counted in ``tiers``), the refusal the
+        service put there (that request's own — counted nowhere), or a
+        :class:`ShedError` for a rider every tier failed (counted
+        ``shed``).  A healthy batch is one blocked scoring call, exactly
+        like the raw service; a failing one degrades per rider.  Raises
+        nothing of a request's own.
         """
         if not requests:
             return []
-        answers = self._live_answers(requests)
-        if answers is None:
-            answers = [self._degraded_answer(request) for request in requests]
+        answers = self._ladder(requests)
         for answer in answers:
-            self._count_tier(answer.tier)
+            if isinstance(answer, Recommendation):
+                self._count_tier(answer.tier)
         return answers
 
     # -- guarded hot-swap ----------------------------------------------
@@ -893,10 +886,11 @@ class ResilientService:
         populated = [t for t in self._service.snapshot.users.values() if len(t)]
         if not populated:
             return False
+        probe = QueryRequest(int(populated[0].ids[0]), 1)
         try:
-            self._service.query_batch([QueryRequest(int(populated[0].ids[0]), 1)])
+            delivered(self._service.query_batch([probe])[0])
             return True
-        except Exception:  # noqa: BLE001 - any probe failure rolls back
+        except Exception:  # noqa: BLE001 - any probe failure (a refused slot too) rolls back
             return False
 
     def path_of_version(self, version: int) -> Optional[str]:
@@ -983,7 +977,6 @@ class ResilientService:
             return dict(self._tier_counts)
 
     def stats(self) -> dict:
-        swap = self._swap_stats
         with self._counter_lock:
             overruns = {
                 "deadline_overruns": self._deadline_overruns,
@@ -998,15 +991,6 @@ class ResilientService:
                 "breaker": self.breaker.stats(),
                 "tiers": tiers,
                 **overruns,
-                "swap": {
-                    "attempts": swap.attempts,
-                    "succeeded": swap.succeeded,
-                    "retries": swap.retries,
-                    "rejected": swap.rejected,
-                    "quarantined": swap.quarantined,
-                    "rollbacks": swap.rollbacks,
-                    "breaker_fast_fails": swap.breaker_fast_fails,
-                    "watcher_swaps": swap.watcher_swaps,
-                },
+                "swap": asdict(self._swap_stats),
             },
         }

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +54,9 @@ class QueryRequest:
 
     ``exclude`` masks item ids out of the ranking for this request only
     (on top of the service-level seen-item exclusion, if configured);
-    requests carrying it bypass the cache.  A ``k`` below 1 is a
+    requests carrying it bypass the cache, and an id outside the served
+    catalogue is refused when the batch is scored (the catalogue is the
+    snapshot's to know).  A ``k`` below 1 is a
     malformed question and is refused here, as a :class:`ValueError`,
     before it can reach (and crash) the scoring path; so is a
     ``user_id`` outside int64, which no user table can hold and the
@@ -74,7 +76,12 @@ class QueryRequest:
 
 @dataclass(frozen=True)
 class Recommendation:
-    """A served answer, tagged with the model version that produced it."""
+    """A served answer, tagged with the model version that produced it.
+
+    The ``items`` / ``scores`` arrays the serving stack hands out are
+    read-only: the cache and the stale tier serve the same arrays again,
+    so a write through an answer raises instead of rewriting them.
+    """
 
     user_id: int
     items: np.ndarray
@@ -173,6 +180,14 @@ class UnknownUserError(KeyError):
         return self.args[0] if self.args else ""
 
 
+def delivered(slot: Union[Recommendation, Exception]) -> Recommendation:
+    """One slot of a scored batch, as its own request hears it: the
+    answer — or, raised, the refusal the slot holds."""
+    if isinstance(slot, Exception):
+        raise slot
+    return slot
+
+
 class RecommendationService:
     """Top-k recommendation over a warm-loaded checkpoint.
 
@@ -193,13 +208,6 @@ class RecommendationService:
         their data), so this is the deployment's hook to supply it.
     exclude_seen:
         Mask each user's ``history`` items out of their answers.
-    keep_stale_versions:
-        How many *previous* snapshot generations to retain in the cache
-        across a hot-swap.  ``0`` (the default) drops everything, as
-        before; ``n > 0`` evicts only versions older than
-        ``new_version - n``, which is what lets the resilience layer's
-        degradation ladder answer from a stale-but-recent generation
-        when live scoring is down.
     """
 
     def __init__(
@@ -209,20 +217,15 @@ class RecommendationService:
         cache_size: int = 4096,
         history: Optional[Mapping[int, np.ndarray]] = None,
         exclude_seen: bool = False,
-        keep_stale_versions: int = 0,
     ) -> None:
         from repro.serving.cache import TopKCache
 
-        if keep_stale_versions < 0:
-            raise ValueError(
-                f"keep_stale_versions must be >= 0, got {keep_stale_versions}"
-            )
-        self.keep_stale_versions = int(keep_stale_versions)
         self.default_k = int(k)
         self._history = dict(history) if history is not None else {}
         self._exclude_seen = bool(exclude_seen) and bool(self._history)
         self._cache = TopKCache(cache_size)
         self._cache_enabled = int(cache_size) > 0
+        self._stale_versions = 0
         self._swap_lock = threading.Lock()
         self._snapshot = load_snapshot(checkpoint_path, version=1)
         self._queries = 0
@@ -278,11 +281,23 @@ class RecommendationService:
         k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
     ) -> Recommendation:
-        """Answer one user's top-k query (cache-aware)."""
-        return self.query_batch([QueryRequest(int(user_id), k, exclude)])[0]
+        """Answer one user's top-k query (cache-aware); raises the
+        request's refusal (see :meth:`query_batch`)."""
+        return delivered(self.query_batch([QueryRequest(int(user_id), k, exclude)])[0])
 
-    def query_batch(self, requests: Sequence[QueryRequest]) -> List[Recommendation]:
+    def query_batch(
+        self, requests: Sequence[QueryRequest]
+    ) -> List[Union[Recommendation, Exception]]:
         """Answer a batch of queries with one blocked matmul per dim-group.
+
+        Returns one slot per request, in request order: its
+        :class:`Recommendation`, or the refusal that is that request's
+        own — :class:`UnknownUserError` for an id no table of this
+        batch's snapshot holds, :class:`ValueError` for an ``exclude`` id
+        outside ``[0, num_items)``.  A refused request costs the others
+        nothing: riders share a matmul, never an outcome
+        (:func:`delivered` turns a slot back into return-or-raise).
+        Raises only when scoring itself fails.
 
         The snapshot is read **once** for the whole batch: every answer
         in it is produced by the same model version, which is what makes
@@ -293,7 +308,7 @@ class RecommendationService:
             self._queries += len(requests)
             self._batches += 1
 
-        answers: List[Optional[Recommendation]] = [None] * len(requests)
+        answers: List[Union[Recommendation, Exception, None]] = [None] * len(requests)
         if not self._cache_enabled:
             # Cache off: every request is a miss; skip the scan entirely
             # (unknown users are caught in the scoring group-up).
@@ -323,10 +338,23 @@ class RecommendationService:
         snap: ModelSnapshot,
         requests: Sequence[QueryRequest],
         misses: Sequence[int],
-        answers: List[Optional[Recommendation]],
+        answers: List[Union[Recommendation, Exception, None]],
     ) -> None:
-        """Score all cache misses, grouped into one matmul per dim-group."""
+        """Score all cache misses, grouped into one matmul per dim-group;
+        a request refused here fills its own slot and is left out."""
         use_cache = self._cache_enabled
+        # An ``exclude`` id indexes the score block: checked per request,
+        # before anything is scored, so one bad id is its sender's alone.
+        excluding = [i for i in misses if requests[i].exclude is not None]
+        for i in excluding:
+            ids = np.asarray(requests[i].exclude, dtype=np.int64)
+            if ids.size and not 0 <= ids.min() <= ids.max() < snap.num_items:
+                answers[i] = ValueError(
+                    f"exclude ids must lie in [0, {snap.num_items}), got "
+                    f"{int(ids.min())}..{int(ids.max())}"
+                )
+        if excluding:
+            misses = [i for i in misses if answers[i] is None]
         misses = np.fromiter(misses, dtype=np.int64)
         wanted = np.array([requests[i].user_id for i in misses], dtype=np.int64)
         # Resolve the whole batch to (group, row) with one vectorised
@@ -339,10 +367,11 @@ class RecommendationService:
                 by_group[group] = (misses[held].tolist(), rows[held])
                 unknown &= ~held
         if unknown.any():
-            raise UnknownUserError(
-                f"user {int(wanted[unknown][0])} not in checkpoint "
-                f"{os.path.basename(snap.path)} ({snap.num_users} users)"
-            )
+            for i in misses[unknown].tolist():
+                answers[i] = UnknownUserError(
+                    f"user {requests[i].user_id} not in checkpoint "
+                    f"{os.path.basename(snap.path)} ({snap.num_users} users)"
+                )
 
         for group, (indices, rows) in by_group.items():
             model = snap.models[group]
@@ -355,9 +384,7 @@ class RecommendationService:
                 model.score_matrix(user_mat, train_items=train_items),
                 dtype=np.float64,
             )
-            if self._exclude_seen or any(
-                requests[i].exclude is not None for i in indices
-            ):
+            if self._exclude_seen or excluding:
                 exclusions = [
                     self._exclusion_for(requests[i], requests[i].user_id)
                     for i in indices
@@ -371,6 +398,10 @@ class RecommendationService:
             block_k = min(block_k, snap.num_items)
             top = blocked_top_k(scores, block_k)
             top_scores = np.take_along_axis(scores, top, axis=1)
+            # Read-only, once per block: every answer below is a view of
+            # these two, and the cache serves the same views again.
+            top.flags.writeable = False
+            top_scores.flags.writeable = False
             for row, i in enumerate(indices):
                 request = requests[i]
                 k = request.k if request.k is not None else self.default_k
@@ -403,6 +434,32 @@ class RecommendationService:
         return np.concatenate([np.asarray(seen, dtype=np.int64), explicit])
 
     # ------------------------------------------------------------------
+    # Stale answers (the resilience layer's degradation tier)
+    # ------------------------------------------------------------------
+    def retain_stale(self, versions: int) -> None:
+        """Keep the cached answers of the last ``versions`` snapshot
+        generations across a hot-swap (by default a swap drops them
+        all), so :meth:`stale_answer` has something to serve."""
+        self._stale_versions = int(versions)
+
+    def stale_answer(self, request: QueryRequest) -> Optional[Recommendation]:
+        """A retained previous generation's cached answer to ``request``
+        (tier ``"stale"``, tagged with the version that scored it), or
+        ``None``.  Never consulted for a request carrying ``exclude``."""
+        if request.exclude is not None:
+            return None
+        k = request.k if request.k is not None else self.default_k
+        hit = self._cache.get_stale(
+            request.user_id, k, self._snapshot.version, max_back=self._stale_versions
+        )
+        if hit is None:
+            return None
+        version, (items, scores) = hit
+        return Recommendation(
+            request.user_id, items, scores, version, cached=True, tier="stale"
+        )
+
+    # ------------------------------------------------------------------
     # Hot swap
     # ------------------------------------------------------------------
     def swap(self, checkpoint_path: str) -> int:
@@ -429,10 +486,8 @@ class RecommendationService:
         # Old-version entries are unreachable for direct hits
         # (version-keyed); reclaim them eagerly instead of letting LRU
         # age them out — unless a stale window is kept for degradation.
-        if self.keep_stale_versions > 0:
-            self._cache.evict_older_than(
-                candidate.version - self.keep_stale_versions
-            )
+        if self._stale_versions:
+            self._cache.evict_older_than(candidate.version - self._stale_versions)
         else:
             self._cache.invalidate()
         return candidate.version

@@ -56,6 +56,85 @@ class TestRegistry:
         assert np.all(np.isfinite(scores))
 
 
+class TestBuildMethodKeepsTheConfig:
+    """Whatever ``FederatedConfig`` a caller hands ``build_method``, the
+    trainer it builds runs under *that* config — every field, for every
+    method — except what a method sets by definition."""
+
+    #: What a method overrides by being that method.
+    BY_DEFINITION = {
+        "all_small": {"dims"},
+        "all_large": {"dims"},
+        "all_large_exclusive": {"dims"},
+    }
+
+    @staticmethod
+    def every_field_set(tmp_path):
+        from repro.compression import CompressionConfig
+        from repro.federated.aggregation import AggregationConfig
+        from repro.federated.availability import AvailabilityConfig
+        from repro.federated.privacy import PrivacyConfig
+        from repro.federated.secure_agg import SecureAggregationConfig
+        from repro.federated.server_optim import ServerOptimizerConfig
+        from repro.federated.trainer import FederatedConfig
+
+        return FederatedConfig(
+            arch="mf",
+            dims={"s": 4, "m": 6, "l": 8},
+            hidden=(4, 4),
+            epochs=3,
+            clients_per_round=16,
+            local_epochs=2,
+            lr=0.02,
+            negative_ratio=2,
+            aggregation=AggregationConfig(embedding_mode="mean"),
+            seed=5,
+            eval_every=2,
+            eval_k=7,
+            embedding_init_std=0.02,
+            privacy=PrivacyConfig(clip_norm=1.0),
+            secure_aggregation=SecureAggregationConfig(),
+            compression=CompressionConfig(kind="topk", ratio=0.5),
+            server_optimizer=ServerOptimizerConfig(kind="fedavgm"),
+            availability=AvailabilityConfig(offline_rate=0.1),
+            engine="reference",
+            dtype="float32",
+            checkpoint_path=str(tmp_path / "autosave.npz"),
+            checkpoint_every=2,
+        )
+
+    def test_the_probe_config_sets_every_field(self, tmp_path):
+        from dataclasses import fields
+
+        from repro.federated.trainer import FederatedConfig
+
+        passed, default = self.every_field_set(tmp_path), FederatedConfig()
+        for f in fields(FederatedConfig):
+            assert getattr(passed, f.name) != getattr(default, f.name), f.name
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_every_field_reaches_the_trainer(
+        self, name, tiny_dataset, tiny_clients, tmp_path
+    ):
+        from dataclasses import fields
+
+        passed = self.every_field_set(tmp_path)
+        if name == "clustered":
+            # Documented refusal: its custom embedding aggregation cannot
+            # run under the padded-sum secure protocol.
+            with pytest.raises(ValueError, match="secure aggregation"):
+                build_method(name, tiny_dataset.num_items, tiny_clients, passed)
+            passed = passed.copy_with(secure_aggregation=None)
+        trainer = build_method(name, tiny_dataset.num_items, tiny_clients, passed)
+        for f in fields(passed):
+            if f.name not in self.BY_DEFINITION.get(name, ()):
+                assert getattr(trainer.config, f.name) == getattr(passed, f.name), f.name
+        if name == "directly_aggregate":
+            cfg = trainer.config
+            assert not (cfg.enable_udl or cfg.enable_ddr or cfg.enable_reskd)
+        assert trainer.models[trainer.groups[0]].item_embedding.weight.data.dtype == np.float32
+
+
 class TestHomogeneous:
     def test_all_small_uses_small_dim(self, tiny_dataset, tiny_clients):
         trainer = build_method("all_small", tiny_dataset.num_items, tiny_clients, config())

@@ -469,6 +469,113 @@ class TestDegradationLadder:
         assert resilient.admission.executing == 0
 
 
+    @pytest.mark.parametrize("bad", ["one-past-the-end", "negative"])
+    def test_bad_exclude_is_its_senders_alone(self, checkpoints, tmp_path, bad):
+        """An ``exclude`` id outside the catalogue is the caller's
+        mistake: told to the caller, not booked as a scoring failure."""
+        resilient, _ = make_resilient(checkpoints, tmp_path, health_window=4)
+        offender, stranger = resilient.snapshot.user_ids()[:2]
+        exclude = [resilient.num_items] if bad == "one-past-the-end" else [-1]
+        with pytest.raises(ValueError, match="exclude"):
+            resilient.query(offender, exclude=np.array(exclude))
+        assert resilient.health.state == HEALTHY
+        assert resilient.query(stranger).tier == "full"
+        assert resilient.tier_counts() == {
+            "full": 1, "cached": 0, "stale": 0, "fallback": 0, "shed": 0,
+        }
+        assert resilient.admission.executing == 0
+
+
+# ----------------------------------------------------------------------
+# One ladder: a single query is a batch of one
+# ----------------------------------------------------------------------
+def _scoring_down(requests):
+    raise MemoryError("scoring down")
+
+
+class TestOneLadder:
+    """``query`` (what in-process callers use) and ``query_batch`` (what
+    every HTTP request rides) are the same ladder: same tier, same
+    items, same counters, in every health state."""
+
+    STATES = ("healthy", "scoring-down", "unhealthy-not-probe-turn", "every-tier-down")
+
+    def stack_in(self, state, checkpoints, tmp_path):
+        resilient, _ = make_resilient(
+            checkpoints, tmp_path / state, probe_every=1000, unhealthy_at=0.5,
+            health_window=2,
+        )
+        user = resilient.snapshot.user_ids()[0]
+        if state == "unhealthy-not-probe-turn":
+            working = resilient.service.query_batch
+            resilient.service.query_batch = _scoring_down
+            for _ in range(2):
+                resilient.query(user)
+            assert resilient.health.state == UNHEALTHY
+            resilient.service.query_batch = working  # up again, but not asked
+        elif state != "healthy":
+            resilient.service.query_batch = _scoring_down
+        if state == "every-tier-down":
+            def no_prior(user_id, k):
+                raise RuntimeError("no prior either")
+
+            resilient.fallback_answer = no_prior
+        return resilient, user
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_single_and_batch_deliver_the_same(self, state, checkpoints, tmp_path):
+        outcomes = {}
+        for form in ("single", "batch"):
+            (tmp_path / form / state).mkdir(parents=True)
+            resilient, user = self.stack_in(state, checkpoints, tmp_path / form)
+            before = resilient.tier_counts()
+            if form == "single":
+                try:
+                    slot = resilient.query(user, k=5)
+                except ShedError as error:
+                    slot = error
+            else:
+                (slot,) = resilient.query_batch([QueryRequest(user, 5)])
+            counted = {
+                tier: n - before[tier]
+                for tier, n in resilient.tier_counts().items() if n != before[tier]
+            }
+            outcomes[form] = (
+                ("shed", str(slot)) if isinstance(slot, ShedError)
+                else (slot.tier, slot.items.tolist(), slot.model_version),
+                counted,
+                resilient.health.state,
+            )
+        assert outcomes["single"] == outcomes["batch"]
+        delivered, counted, _ = outcomes["single"]
+        expected = {
+            "healthy": "full", "scoring-down": "fallback",
+            "unhealthy-not-probe-turn": "fallback", "every-tier-down": "shed",
+        }[state]
+        assert delivered[0] == expected and counted == {expected: 1}
+
+    def test_only_the_rider_whose_tiers_fail_is_shed(self, checkpoints, tmp_path):
+        resilient, _ = make_resilient(checkpoints, tmp_path, probe_every=1000)
+        a, b, c = resilient.snapshot.user_ids()[:3]
+        resilient.service.query_batch = _scoring_down
+        prior = resilient.fallback_answer
+
+        def prior_but_not_for_b(user_id, k):
+            if user_id == b:
+                raise RuntimeError("b's prior is gone")
+            return prior(user_id, k)
+
+        resilient.fallback_answer = prior_but_not_for_b
+        slots = resilient.query_batch([QueryRequest(u, 5) for u in (a, b, c)])
+        assert [getattr(slot, "tier", "shed") for slot in slots] == [
+            "fallback", "shed", "fallback",
+        ]
+        assert isinstance(slots[1], ShedError) and str(b) in str(slots[1])
+        assert (slots[0].user_id, slots[2].user_id) == (a, c)
+        counts = resilient.tier_counts()
+        assert (counts["fallback"], counts["shed"]) == (2, 1)
+
+
 # ----------------------------------------------------------------------
 # Guarded hot-swap
 # ----------------------------------------------------------------------

@@ -163,6 +163,64 @@ class TestService:
         with pytest.raises(KeyError):  # subclass: old-style handling works
             service.query(999_999)
 
+    def test_mixed_batch_answers_each_request_in_its_own_slot(
+        self, service, checkpoints
+    ):
+        """Slots come back in request order: a refusal fills its own
+        request's slot and nobody else's."""
+        import repro.api as api
+
+        a, b, c = (client.user_id for client in checkpoints["clients"][:3])
+        num_items = service.num_items
+        requests = [
+            QueryRequest(a, 4),
+            QueryRequest(999_999, 4),
+            QueryRequest(b, 4, np.array([0, num_items])),  # one past the end
+            QueryRequest(c, 4, np.array([-1])),  # would mask the last item
+            QueryRequest(c, 3, np.array([1, 2])),
+        ]
+        slots = service.query_batch(requests)
+        assert [type(slot).__name__ for slot in slots] == [
+            "Recommendation", "UnknownUserError", "ValueError", "ValueError",
+            "Recommendation",
+        ]
+        assert "999999" in str(slots[1])
+        assert str(num_items) in str(slots[2]) and "-1" in str(slots[3])
+        fresh = RecommendationService(checkpoints["paths"]["v1"], k=5)
+        for i in (0, 4):
+            alone = fresh.query(requests[i].user_id, requests[i].k, requests[i].exclude)
+            assert slots[i].user_id == requests[i].user_id
+            assert np.array_equal(slots[i].items, alone.items)
+            # One row or five, BLAS may round the last bit differently.
+            assert np.allclose(slots[i].scores, alone.scores, rtol=0.0, atol=1e-12)
+        # Asked alone, a refused request hears its refusal raised.
+        for i, error in ((1, UnknownUserError), (2, ValueError), (3, ValueError)):
+            with pytest.raises(error):
+                service.query(requests[i].user_id, requests[i].k, requests[i].exclude)
+        with pytest.raises(UnknownUserError, match="999999"):
+            api.recommend(service, [a, 999_999, b, 888_888], k=4)
+        assert [r.user_id for r in api.recommend(service, [a, b], k=4)] == [a, b]
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_answers_are_read_only(self, checkpoints, cache_size):
+        """The cache hands the same arrays out again: a caller must not
+        be able to rewrite them through an answer."""
+        service = RecommendationService(
+            checkpoints["paths"]["v1"], k=5, cache_size=cache_size
+        )
+        user = checkpoints["clients"][0].user_id
+        fresh = service.query(user)
+        original = fresh.items.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            fresh.items[:] = -1
+        with pytest.raises(ValueError, match="read-only"):
+            fresh.scores[0] = 0.0
+        again = service.query(user)
+        assert again.cached == bool(cache_size)
+        with pytest.raises(ValueError, match="read-only"):
+            again.items[:] = -1
+        assert np.array_equal(service.query(user).items, original)
+
     def test_exclusion_masks_items(self, service, checkpoints):
         user = checkpoints["clients"][0].user_id
         base = service.query(user, k=5)
@@ -361,6 +419,38 @@ class TestCoalescer:
         with RequestCoalescer(service, max_batch=64, max_wait_ms=5.0) as co:
             with pytest.raises(UnknownUserError):
                 co.submit(999_999, timeout=30)
+
+    def test_riders_share_a_matmul_never_an_outcome(self, service, checkpoints):
+        """Four riders, one batch, one unknown id: the size trigger
+        flushes once, three get their own top-k, the fourth its own
+        refusal."""
+        users = [c.user_id for c in checkpoints["clients"][:3]] + [999_999]
+        expected = {u: service.query(u).items for u in users[:3]}
+        calls = []
+        score = service.query_batch
+        service.query_batch = lambda requests: calls.append(len(requests)) or score(requests)
+        outcomes = {}
+
+        def ride(co, user):
+            try:
+                outcomes[user] = co.submit(user, timeout=30)
+            except Exception as error:  # noqa: BLE001 - the outcome under test
+                outcomes[user] = error
+
+        with RequestCoalescer(service, max_batch=4, max_wait_ms=600_000) as co:
+            threads = [threading.Thread(target=ride, args=(co, u)) for u in users]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            stats = co.stats()
+        assert calls == [4] and stats["size_flushes"] == 1
+        for user in users[:3]:
+            assert outcomes[user].user_id == user
+            assert np.array_equal(outcomes[user].items, expected[user])
+        assert isinstance(outcomes[999_999], UnknownUserError)
+        assert "999999" in str(outcomes[999_999])
 
     def test_submit_after_close_raises(self, service, checkpoints):
         co = RequestCoalescer(service)
@@ -619,6 +709,58 @@ class TestHTTP:
     def test_unknown_post_route_is_404(self, server):
         status, _, body = http_call(server, "POST", "/v1/nope", b"{}")
         assert status == 404 and "no route" in body["error"]
+
+
+class TestPoisonedBatchOverHTTP:
+    """``repro serve``'s own wiring and defaults (``max_batch=32``,
+    ``max_wait_ms=5``): callers asking for a user nobody has, beside
+    callers asking for their own."""
+
+    GOOD, BAD, REQUESTS = 8, 2, 25
+
+    def test_a_bad_id_is_404_for_its_sender_only(self, checkpoints):
+        server, _ = http_stack(checkpoints["paths"]["v1"])
+        users = [c.user_id for c in checkpoints["clients"][: self.GOOD]]
+        replies = {user: [] for user in users + [999_999 + i for i in range(self.BAD)]}
+        start = threading.Barrier(len(replies))
+
+        def client(user):
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=30)
+            try:
+                start.wait(timeout=30)
+                for _ in range(self.REQUESTS):
+                    conn.request("GET", f"/v1/recommend?user={user}&k=3")
+                    response = conn.getresponse()
+                    replies[user].append((response.status, json.loads(response.read())))
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=client, args=(u,)) for u in replies]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            status, _, health = http_call(server, "GET", "/healthz")
+            _, _, stats = http_call(server, "GET", "/v1/stats")
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert (status, health["status"]) == (200, "ok")
+        # The scenario happened: offenders did ride with strangers.
+        flushes = stats["coalescer"]["size_flushes"] + stats["coalescer"]["deadline_flushes"]
+        assert flushes < len(replies) * self.REQUESTS
+        for user, answers in replies.items():
+            assert len(answers) == self.REQUESTS
+            if user in users:
+                assert [code for code, _ in answers] == [200] * self.REQUESTS, user
+                assert all(body["user"] == user for _, body in answers)
+            else:
+                assert [code for code, _ in answers] == [404] * self.REQUESTS
+                assert all(str(user) in body["error"] for _, body in answers)
+        # Delivered answers are counted, refusals are not.
+        assert sum(stats["resilience"]["tiers"].values()) == self.GOOD * self.REQUESTS
 
 
 class TestOneAdmissionDriver:
