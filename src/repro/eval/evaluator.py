@@ -55,6 +55,8 @@ class Evaluator:
     """
 
     def __init__(self, clients: Sequence[ClientData], k: int = 20) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         self.clients = list(clients)
         self.k = k
 

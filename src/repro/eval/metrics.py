@@ -66,12 +66,19 @@ def blocked_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     slice covers the common no-tie case; rows where ties could reorder the
     result (duplicate values inside the top-k, or the k-th value recurring
     beyond the boundary) are recomputed exactly, so every row equals
-    ``np.argsort(-row, kind="stable")[:k]``.
+    ``np.argsort(-row, kind="stable")[:k]``; a ``k`` below 1 yields (B, 0).
+    A floating block is ranked in its own dtype, anything else as float64
+    (negating an unsigned block would wrap); widening float32 to float64 is
+    exact and order-preserving, so every comparison, tie and NaN is float64's.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
+    if not np.issubdtype(scores.dtype, np.floating):
+        scores = scores.astype(np.float64)
     if scores.ndim != 2:
         raise ValueError(f"expected a (B, I) block, got shape {scores.shape}")
     num_rows, num_cols = scores.shape
+    if k <= 0:
+        return np.empty((num_rows, 0), dtype=np.int64)
     if k >= num_cols:
         return np.argsort(-scores, axis=1, kind="stable")
     candidates = np.argpartition(-scores, k - 1, axis=1)[:, :k]

@@ -89,25 +89,26 @@ class ScoringHead(Module):
         The first FFN layer acts on ``[u, v]`` concatenations, so its
         pre-activation splits into a user term and an item term: two small
         GEMMs plus a broadcast add replace B·I per-pair concatenations.
-        The remaining layers are pointwise or (h → h') matmuls over the
-        (B, I, h) activations.
+        Activations are hidden-major, (B, h, I): every elementwise step runs in
+        place along the long item axis, not an 8-wide hidden one, and each later
+        layer is one (h', h) @ (h, I) GEMM per user; per element as in :meth:`logits_pairs`.
         """
         layers = list(self.ffn)
         first = layers[0]
         split = user_mat.shape[1]
         user_part = user_mat @ first.weight.data[:split]
-        item_part = item_mat @ first.weight.data[split:]
-        z = user_part[:, None, :] + item_part[None, :, :]
+        item_part = np.ascontiguousarray((item_mat @ first.weight.data[split:]).T)
+        z = user_part[:, :, None] + item_part
         if first.has_bias:
-            z = z + first.bias.data
+            z += first.bias.data[:, None]
         for layer in layers[1:]:
             if isinstance(layer, ReLU):
-                z = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             else:
-                z = z @ layer.weight.data
+                z = layer.weight.data.T @ z
                 if layer.has_bias:
-                    z = z + layer.bias.data
-        return z[..., 0] + self.gmf_matrix(user_mat, item_mat)
+                    z += layer.bias.data[:, None]
+        return np.add(z[:, 0], self.gmf_matrix(user_mat, item_mat), out=z[:, 0])
 
     def logits_pairs(self, user_mat: np.ndarray, item_mat: np.ndarray) -> np.ndarray:
         """Full-head logits for *aligned* (P, d) user/item rows, (P,).

@@ -589,10 +589,7 @@ class ResilientService:
             user_mat = snap.users[group].values[:FALLBACK_USERS]
             if not len(user_mat):
                 continue
-            scores = np.asarray(
-                snap.models[group].score_matrix(user_mat), dtype=np.float64
-            )
-            totals += scores.sum(axis=0)
+            totals += snap.models[group].score_matrix(user_mat).sum(axis=0, dtype=np.float64)
             weight += len(user_mat)
         prior = totals / max(1, weight)
         order = np.argsort(-prior, kind="stable").astype(np.int64)

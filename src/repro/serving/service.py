@@ -380,10 +380,7 @@ class RecommendationService:
             train_items = (
                 [self._history.get(u) for u in users] if self._history else None
             )
-            scores = np.asarray(
-                model.score_matrix(user_mat, train_items=train_items),
-                dtype=np.float64,
-            )
+            scores = model.score_matrix(user_mat, train_items=train_items)
             if self._exclude_seen or excluding:
                 exclusions = [
                     self._exclusion_for(requests[i], requests[i].user_id)
@@ -397,9 +394,9 @@ class RecommendationService:
             )
             block_k = min(block_k, snap.num_items)
             top = blocked_top_k(scores, block_k)
-            top_scores = np.take_along_axis(scores, top, axis=1)
-            # Read-only, once per block: every answer below is a view of
-            # these two, and the cache serves the same views again.
+            # Selected as scored (float32 stays float32), widened once, read-only:
+            # every answer below is a view of these two, served again by the cache.
+            top_scores = np.take_along_axis(scores, top, axis=1).astype(np.float64)
             top.flags.writeable = False
             top_scores.flags.writeable = False
             for row, i in enumerate(indices):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.eval.metrics import ndcg_at_k, rank_items, recall_at_k
+from repro.eval import Evaluator
+from repro.eval.metrics import blocked_top_k, ndcg_at_k, rank_items, recall_at_k
 
 
 class TestRankItems:
@@ -132,3 +134,57 @@ class TestTopKWithNaN:
         scores = np.full(4, np.nan)
         ranked = rank_items(scores, k=2)
         assert ranked.size == 2
+
+
+@st.composite
+def float32_blocks(draw):
+    """(B, I) float32 blocks with forced ties, -inf-masked columns and NaN
+    rows, plus a k in [1, I]."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 30))
+    # A small palette forces duplicates inside the top-k and ties at the
+    # k-th value; free draws keep distinct values in the mix.
+    palette = draw(st.lists(st.floats(-1e3, 1e3, width=32), min_size=1, max_size=4))
+    free = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    elements = st.one_of(st.sampled_from(palette), free)
+    block = draw(hnp.arrays(np.float32, (rows, cols), elements=elements))
+    block[:, draw(st.lists(st.integers(0, cols - 1), max_size=3))] = -np.inf
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for row, col in draw(st.lists(cells, max_size=2)):
+        block[row, col] = np.nan
+    return block, draw(st.integers(1, cols))
+
+
+class TestSelectionDtype:
+    """``blocked_top_k`` ranks a floating block in its own dtype; widening
+    float32 to float64 is exact and order-preserving, so the selection is
+    the float64 one, bit for bit."""
+
+    @given(float32_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_float32_selection_equals_float64(self, case):
+        block, k = case
+        top = blocked_top_k(block, k)
+        assert top.dtype == np.int64
+        assert np.array_equal(top, blocked_top_k(block.astype(np.float64), k))
+        for row, expect in zip(block, top):
+            assert np.array_equal(expect, np.argsort(-row, kind="stable")[:k])
+
+    def test_unsigned_block_is_widened_before_negation(self):
+        block = np.array([[3, 250, 7, 250], [0, 1, 255, 2]], dtype=np.uint8)
+        assert blocked_top_k(block, 2).tolist() == [[1, 3], [2, 3]]
+
+
+class TestKBelowOne:
+    """A cut-off below 1 selects nothing in ``blocked_top_k`` (as in
+    ``partial_top_k``) and is refused by the evaluator up front."""
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_blocked_top_k_selects_nothing(self, k):
+        top = blocked_top_k(np.arange(15.0).reshape(3, 5), k)
+        assert top.shape == (3, 0) and top.dtype == np.int64
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_evaluator_refuses(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            Evaluator([], k=k)

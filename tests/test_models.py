@@ -200,6 +200,82 @@ class TestLightGCNBlockedScoring:
         assert LightGCN.batched_scoring is True
 
 
+class TestHeadLayout:
+    """``score_matrix`` (the hidden-major ``logits_matrix`` block, plus
+    LightGCN's edge correction) pinned row by row against the two
+    reference paths: ``logits_pairs`` over every item and the per-user
+    ``logits`` tape."""
+
+    NUM_ITEMS = 17
+
+    @staticmethod
+    def _randomise(module, dtype, rng):
+        # Non-zero biases and non-unit GMF weights: every term is exercised.
+        for param in module.parameters():
+            param.data = rng.normal(0, 0.5, param.data.shape).astype(dtype)
+
+    def _setup(self, arch, hidden, dtype, num_users, dim=6, seed=0):
+        rng = np.random.default_rng(seed)
+        model = build_model(arch, self.NUM_ITEMS, dim, hidden=hidden, rng=rng)
+        self._randomise(model, dtype, rng)
+        user_mat = rng.normal(0, 0.5, (num_users, dim)).astype(dtype)
+        train_items = [
+            np.sort(rng.choice(self.NUM_ITEMS, size=(3, 0, 5, 1)[row % 4], replace=False))
+            for row in range(num_users)
+        ]
+        return model, user_mat, train_items
+
+    @staticmethod
+    def _pairs_reference(model, head, width, user, train):
+        """One user's full row through ``logits_pairs``; LightGCN's star
+        propagation is applied by hand to the aligned rows."""
+        items = model.item_embedding.weight.data[:, :width]
+        user = user[:width]
+        if model.arch == "lightgcn" and train.size:
+            items = items.copy()
+            pulled = (user + items[train].mean(axis=0)) * 0.5
+            items[train] = (items[train] + user) * 0.5
+            user = pulled
+        return head.logits_pairs(np.tile(user, (len(items), 1)), items)
+
+    def _check(self, model, user_mat, train_items, dtype, width=None, head=None):
+        scores = model.score_matrix(user_mat, width=width, head=head, train_items=train_items)
+        assert scores.shape == (len(user_mat), self.NUM_ITEMS)
+        assert scores.dtype == dtype  # no silent upcast
+        width = width if width is not None else model.dim
+        head = head if head is not None else model.head
+        all_items = np.arange(self.NUM_ITEMS)
+        for row, (user, train) in enumerate(zip(user_mat, train_items)):
+            tape = model.logits(
+                Tensor(user), all_items, train_item_ids=train, width=width, head=head
+            ).data
+            pairs = self._pairs_reference(model, head, width, user, train)
+            for reference in (pairs, tape):
+                if dtype == np.float64:
+                    np.testing.assert_allclose(scores[row], reference, rtol=0, atol=1e-12)
+                else:
+                    # rtol=1e-5 of the row's scale: float32 cancellation
+                    # near zero is relative to the terms, not the result.
+                    atol = 1e-5 * np.abs(reference).max()
+                    np.testing.assert_allclose(scores[row], reference, rtol=1e-5, atol=atol)
+
+    @pytest.mark.parametrize("num_users", [1, 3, 11])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 8), (16, 8, 4)], ids=str)
+    @pytest.mark.parametrize("arch", ["ncf", "lightgcn"])
+    def test_block_matches_reference_paths(self, arch, hidden, dtype, num_users):
+        model, user_mat, train_items = self._setup(arch, hidden, dtype, num_users)
+        self._check(model, user_mat, train_items, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("arch", ["ncf", "lightgcn"])
+    def test_prefix_block_matches_reference_paths(self, arch, dtype):
+        model, user_mat, train_items = self._setup(arch, (8, 8), dtype, 5, dim=8)
+        head = ScoringHead(4, rng=np.random.default_rng(1))
+        self._randomise(head, dtype, np.random.default_rng(2))
+        self._check(model, user_mat, train_items, dtype, width=4, head=head)
+
+
 class TestFactory:
     def test_build_by_name(self):
         assert isinstance(build_model("ncf", 10, 4), NCF)

@@ -234,6 +234,33 @@ class TestService:
         answer = service.query(snap.user_ids()[0], k=snap.num_items + 50)
         assert len(answer.items) == snap.num_items
 
+    def test_float32_answers_are_the_scored_values_widened(
+        self, tiny_dataset, tiny_clients, tmp_path
+    ):
+        """A float32 checkpoint is masked and ranked in float32; its
+        answers carry float64, read-only ``scores`` equal to the scored
+        block's values at the answered items."""
+        trainer = HeteFedRec(
+            tiny_dataset.num_items, tiny_clients,
+            HeteFedRecConfig(seed=0, dtype="float32", **CONFIG),
+        )
+        trainer.run_epoch(1)
+        path = str(tmp_path / "f32.npz")
+        save_checkpoint_impl(trainer, path)
+        service = RecommendationService(path, k=5, cache_size=0)
+        snap = service.snapshot
+        for group, table in snap.users.items():
+            # One group per batch: the service scores exactly this block.
+            scored = snap.models[group].score_matrix(table.values[:6])
+            assert scored.dtype == np.float32
+            answers = service.query_batch([QueryRequest(int(u)) for u in table.ids[:6]])
+            for row, answer in enumerate(answers):
+                assert answer.scores.dtype == np.float64
+                assert not answer.scores.flags.writeable
+                expected = scored[row, answer.items].astype(np.float64)
+                assert np.array_equal(answer.scores, expected), (group, row)
+                assert np.array_equal(answer.items, top_ids(scored[row], 5))
+
     def test_snapshot_loads_every_group(self, checkpoints):
         snap = load_snapshot(checkpoints["paths"]["v1"])
         assert snap.groups == ["l", "m", "s"]
