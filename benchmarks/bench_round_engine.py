@@ -165,32 +165,34 @@ def run_benchmark(
         ),
     }
 
-    # Evaluation: per-client full ranking vs blocked.  All three stock
-    # archs support blocked scoring (LightGCN's local-graph propagation
-    # batches through score_matrix's train_items argument).
-    evaluation = None
+    # Evaluation: the same blocked evaluator fed per-client tape rows
+    # (score_all_items, one client at a time) vs the trainer's batched
+    # score_item_matrix.  All three stock archs score in blocks
+    # (LightGCN's local-graph propagation batches through score_matrix's
+    # train_items argument).
     trainer = trainers["vectorized"]
-    if trainer.supports_blocked_scoring():
-        evaluator = Evaluator(clients, k=20)
-        start = time.perf_counter()
-        per_client = evaluator.evaluate(trainer.score_all_items)
-        eval_reference_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        blocked = evaluator.evaluate_blocked(trainer.score_item_matrix)
-        eval_blocked_seconds = time.perf_counter() - start
-        evaluation = {
-            "per_client_seconds": eval_reference_seconds,
-            "blocked_seconds": eval_blocked_seconds,
-            "speedup": eval_reference_seconds / eval_blocked_seconds,
+    evaluator = Evaluator(clients, k=20)
+    start = time.perf_counter()
+    per_client = evaluator.evaluate(
+        lambda block: np.stack([trainer.score_all_items(c) for c in block])
+    )
+    eval_reference_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    blocked = trainer.evaluate_with(evaluator)
+    eval_blocked_seconds = time.perf_counter() - start
+    evaluation = {
+        "per_client_seconds": eval_reference_seconds,
+        "blocked_seconds": eval_blocked_seconds,
+        "speedup": eval_reference_seconds / eval_blocked_seconds,
+    }
+    equivalence.update(
+        {
+            "recall_per_client": per_client.recall,
+            "recall_blocked": blocked.recall,
+            "ndcg_per_client": per_client.ndcg,
+            "ndcg_blocked": blocked.ndcg,
         }
-        equivalence.update(
-            {
-                "recall_per_client": per_client.recall,
-                "recall_blocked": blocked.recall,
-                "ndcg_per_client": per_client.ndcg,
-                "ndcg_blocked": blocked.ndcg,
-            }
-        )
+    )
 
     return {
         "benchmark": "round_engine",

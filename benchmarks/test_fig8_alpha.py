@@ -35,5 +35,5 @@ def test_fig8_alpha_sensitivity(benchmark, artifact):
         else:
             print(
                 f"\n{arch}: no interior peak at bench horizon "
-                "(DDR's upside needs longer runs; see EXPERIMENTS.md)"
+                "(DDR's upside needs longer runs)"
             )

@@ -35,8 +35,9 @@ def test_table2_overall_comparison(benchmark, artifact):
                 clustered_wins += 1
         # HeteFedRec beats Clustered FedRec on a majority of datasets.  (On
         # the ML analogue at the 20-epoch bench budget every method is past
-        # its convergence peak and the margin inverts — see EXPERIMENTS.md;
-        # the longer `full` profile restores the paper's ordering there.)
+        # its convergence peak and the margin inverts — see
+        # results/fig7_convergence.txt, where every method peaks by epoch
+        # 4–8; the longer `full` profile restores the paper's ordering there.)
         assert clustered_wins * 2 > len(per_dataset), arch
 
     winners = winner_per_dataset(results)

@@ -6,7 +6,8 @@ the large model on everyone.  The paper's interior optimum sits at
 {8,16,32}; on the 1/25-scale synthetic analogue the optimum shifts left
 (less preference complexity to express), so the asserted shape is the
 scale-robust part: decline beyond the optimum, and HeteFedRec > All
-Large per setting.  See EXPERIMENTS.md.
+Large per setting.  Every table reports the final epoch of one seed,
+past most methods' convergence peak (``results/fig7_convergence.txt``).
 """
 
 from benchmarks.conftest import SWEEP_ARCHS

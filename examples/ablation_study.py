@@ -41,7 +41,7 @@ def main() -> None:
         config = HeteFedRecConfig(epochs=12, seed=0, **flags)
         trainer = HeteFedRec(dataset.num_items, clients, config)
         trainer.fit()
-        result = evaluator.evaluate(trainer.score_all_items)
+        result = trainer.evaluate_with(evaluator)
         collapse = trainer.collapse_diagnostics()["l"]
         rows.append([label, result.recall, result.ndcg, collapse])
         print(f"finished: {label}")

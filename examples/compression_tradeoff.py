@@ -44,7 +44,7 @@ def main() -> None:
         config = HeteFedRecConfig(epochs=6, seed=0, compression=compression)
         trainer = build_method("hetefedrec", dataset.num_items, clients, config)
         trainer.fit()
-        result = evaluator.evaluate(trainer.score_all_items)
+        result = trainer.evaluate_with(evaluator)
         upload = trainer.meter.total_upload
         if baseline_upload is None:
             baseline_upload = upload

@@ -57,7 +57,7 @@ def main() -> None:
     config = HeteFedRecConfig(epochs=8, seed=0)
     trainer = build_method("hetefedrec", dataset.num_items, clients, config)
     trainer.fit()
-    result = Evaluator(clients, k=20).evaluate(trainer.score_all_items)
+    result = trainer.evaluate_with(Evaluator(clients, k=20))
     print(f"\nHeteFedRec on custom data: {result}")
     print("group sizes:", trainer.group_sizes())
 

@@ -73,7 +73,7 @@ def main() -> None:
     )
     trainer = UnlearningHeteFedRec(dataset.num_items, clients, config)
     trainer.fit(evaluator)
-    result = evaluator.evaluate(trainer.score_all_items)
+    result = trainer.evaluate_with(evaluator)
     print(f"trained under 15% offline / 10% stragglers: {result}")
 
     # --- 2. Survive a preemption: kill mid-schedule, resume, finish -----
@@ -160,9 +160,8 @@ def main() -> None:
     )
     print(f"user {quitter} quits; recorded influence norm {norm:.4f}")
     trainer.unlearn(quitter, recovery_epochs=1)
-    after_unlearn = evaluator.evaluate(
-        trainer.score_all_items,
-        user_subset=[c.user_id for c in trainer.clients],
+    after_unlearn = trainer.evaluate_with(
+        evaluator, user_subset=[c.user_id for c in trainer.clients]
     )
     print(f"after exact unlearning + 1 recovery epoch: {after_unlearn}")
     print(f"population: {len(clients)} -> {len(trainer.clients)} clients")

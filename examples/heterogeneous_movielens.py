@@ -50,7 +50,7 @@ def main() -> None:
         config = HeteFedRecConfig(epochs=args.epochs, seed=0)
         trainer = build_method(method, dataset.num_items, clients, config)
         trainer.fit()
-        result = evaluator.evaluate(trainer.score_all_items)
+        result = trainer.evaluate_with(evaluator)
         groups = per_group_metrics(result, division)
         name = DISPLAY_NAMES[method]
         rows.append([name, result.recall, result.ndcg])

@@ -39,7 +39,7 @@ def main() -> None:
             config = HeteFedRecConfig(epochs=10, seed=0, dims=dims)
             trainer = build_method(method, dataset.num_items, clients, config)
             trainer.fit()
-            result = evaluator.evaluate(trainer.score_all_items)
+            result = trainer.evaluate_with(evaluator)
             table[method].append(result.ndcg)
         print(f"finished size setting {label}")
 

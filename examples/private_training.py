@@ -48,7 +48,7 @@ def main() -> None:
         config = HeteFedRecConfig(epochs=8, seed=0, privacy=privacy)
         trainer = build_method("hetefedrec", dataset.num_items, clients, config)
         trainer.fit()
-        result = evaluator.evaluate(trainer.score_all_items)
+        result = trainer.evaluate_with(evaluator)
         rows.append([label, result.recall, result.ndcg])
         print(f"finished: {label}")
 

@@ -51,13 +51,13 @@ def main() -> None:
     for epoch, ndcg in history.ndcg_curve():
         print(f"  epoch {epoch:>3}: NDCG@20 = {ndcg:.4f}")
 
-    result = evaluator.evaluate(trainer.score_all_items)
+    result = trainer.evaluate_with(evaluator)
     print(f"\nHeteFedRec final: {result}")
 
     # 4. Compare with the homogeneous status quo.
     baseline = build_method("all_small", dataset.num_items, clients, config)
     baseline.fit()
-    base_result = evaluator.evaluate(baseline.score_all_items)
+    base_result = baseline.evaluate_with(evaluator)
     print(f"All Small final:  {base_result}")
 
     verdict = "beats" if result.ndcg > base_result.ndcg else "trails"

@@ -49,7 +49,7 @@ def main() -> None:
         )
         trainer.fit()
         honest = trainer.honest_clients()
-        result = evaluator.evaluate(trainer.score_all_items, user_subset=honest)
+        result = trainer.evaluate_with(evaluator, user_subset=honest)
         rows.append([label, result.recall, result.ndcg])
         print(f"finished: {label}")
 

@@ -30,7 +30,7 @@ from repro.api import (
 def train(label: str, config: HeteFedRecConfig, dataset, clients, evaluator):
     trainer = build_method("hetefedrec", dataset.num_items, clients, config)
     trainer.fit()
-    result = evaluator.evaluate(trainer.score_all_items)
+    result = trainer.evaluate_with(evaluator)
     print(f"{label:<22} {result}")
     return trainer
 

@@ -57,7 +57,7 @@ def main() -> None:
     ]:
         trainer = build_method("hetefedrec", dataset.num_items, clients, config)
         trainer.fit()
-        evaluation = evaluator.evaluate(trainer.score_all_items)
+        evaluation = trainer.evaluate_with(evaluator)
         print(f"{label:<14} {evaluation}")
 
 

@@ -21,7 +21,7 @@ Recall@20=... NDCG@20=...
 """
 
 from repro.core import HeteFedRec, HeteFedRecConfig
-from repro.federated import FederatedConfig, FederatedTrainer
+from repro.federated.trainer import FederatedConfig, FederatedTrainer
 from repro.baselines import METHODS, build_method
 from repro.data import (
     InteractionDataset,

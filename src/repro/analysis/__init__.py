@@ -3,13 +3,12 @@
 ``python -m repro lint [paths]`` runs AST-based checks that encode the
 ROADMAP's standing contracts (determinism, sparse hot paths, atomic
 cache writes, lock discipline, RNG checkpoint completeness, facade-only
-examples).  See :mod:`repro.analysis.framework` for the rule registry,
-suppression pragmas and baseline semantics, and
-:mod:`repro.analysis.rules` for the built-in rules.
+examples).  See :mod:`repro.analysis.framework` for the rule registry
+and suppression pragmas, and :mod:`repro.analysis.rules` for the
+built-in rules.
 """
 
 from repro.analysis.framework import (
-    Baseline,
     FileContext,
     Finding,
     Report,
@@ -24,7 +23,6 @@ from repro.analysis.framework import (
 )
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "Report",

@@ -1,7 +1,7 @@
 """``repro lint`` — the command-line front end for the contract checks.
 
 Wired into the main ``repro`` CLI as a subcommand; exits non-zero on
-any non-baselined finding so CI can gate on it directly.
+any finding so CI can gate on it directly.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.framework import (
-    BASELINE_DEFAULT,
-    Baseline,
     lint_paths,
     render_json,
     render_text,
@@ -36,16 +34,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--json", action="store_true", help="machine-readable report on stdout",
     )
     parser.add_argument(
-        "--baseline", nargs="?", const=BASELINE_DEFAULT, default=None,
-        metavar="FILE",
-        help=f"grandfather findings recorded in FILE (default {BASELINE_DEFAULT})",
-    )
-    parser.add_argument(
-        "--write-baseline", nargs="?", const=BASELINE_DEFAULT, default=None,
-        metavar="FILE",
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit",
     )
 
@@ -55,25 +43,12 @@ def run_lint(ns: argparse.Namespace) -> int:
         for name, cls in sorted(rule_catalogue().items()):
             print(f"{name}: {cls.description}")
         return 0
-    baseline: Optional[Baseline] = None
-    if ns.baseline is not None:
-        if os.path.exists(ns.baseline):
-            baseline = Baseline.load(ns.baseline)
-        else:
-            baseline = Baseline()  # asked-for but absent: empty baseline
     paths: List[str] = [p for p in ns.paths if os.path.exists(p)]
     missing = [p for p in ns.paths if not os.path.exists(p)]
     if missing:
         print(f"repro lint: no such path(s): {missing}", file=sys.stderr)
         return 2
-    report = lint_paths(paths, rules=ns.rules, baseline=baseline)
-    if ns.write_baseline is not None:
-        merged = report.findings + report.grandfathered
-        Baseline.from_findings(merged).save(ns.write_baseline)
-        print(
-            f"repro lint: wrote {len(merged)} finding(s) to {ns.write_baseline}"
-        )
-        return 0
+    report = lint_paths(paths, rules=ns.rules)
     print(render_json(report) if ns.json else render_text(report))
     return report.exit_code
 

@@ -14,8 +14,8 @@ the runner parses each file once and hands every rule the same
 :class:`FileContext`.  Adding a rule is one module with one class and
 one decorator — nothing in the framework changes.
 
-Suppression and baselines
--------------------------
+Suppression
+-----------
 * Inline: ``# repro-lint: disable=RULE[,RULE...]`` (or ``disable=all``)
   on the offending line — or on a comment-only line directly above it —
   silences that line.  Suppressions should carry a justification in the
@@ -23,12 +23,6 @@ Suppression and baselines
   an undocumented suppression as a review defect.
 * File-level: ``# repro-lint: disable-file=RULE`` within the first ten
   lines silences a whole file for that rule.
-* Baseline: a committed JSON file of grandfathered findings.  Entries
-  are keyed by a fingerprint of ``(rule, logical path, source text)`` —
-  stable across unrelated line-number churn — with a count, so *new*
-  instances of an old pattern still fail.  ``repro lint
-  --write-baseline`` regenerates it; the merge bar is an empty (or
-  per-finding-justified) baseline.
 """
 
 from __future__ import annotations
@@ -51,13 +45,10 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "Baseline",
     "Report",
     "render_text",
     "render_json",
 ]
-
-BASELINE_DEFAULT = ".repro-lint-baseline.json"
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([\w\-,\s]+)")
 _SUPPRESS_FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([\w\-,\s]+)")
@@ -80,12 +71,12 @@ class Finding:
     source_line: str = ""
 
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
+        """Stable identity of a finding in the JSON report.
 
         Keyed on the rule, the logical path and the *text* of the
         offending line — so pure line-number churn (edits elsewhere in
-        the file) does not orphan a baselined finding, while moving the
-        pattern to a new file or writing a new instance of it does.
+        the file) keeps it, while moving the pattern to a new file or
+        writing a new instance of it changes it.
         """
         payload = f"{self.rule}|{self.logical}|{self.source_line.strip()}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -238,74 +229,6 @@ def _is_suppressed(
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-class Baseline:
-    """Grandfathered findings: fingerprint → allowed count.
-
-    The committed file additionally stores a human record (rule, path,
-    message, justification) per entry so review can audit what was
-    grandfathered and why; only the fingerprint and count participate
-    in matching.
-    """
-
-    VERSION = 1
-
-    def __init__(self, entries: Optional[Dict[str, dict]] = None) -> None:
-        self.entries: Dict[str, dict] = dict(entries or {})
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("version") != cls.VERSION:
-            raise ValueError(
-                f"baseline {path}: unsupported version {payload.get('version')!r}"
-            )
-        return cls(payload.get("findings", {}))
-
-    @classmethod
-    def from_findings(cls, findings: Sequence[Finding]) -> "Baseline":
-        entries: Dict[str, dict] = {}
-        for finding in findings:
-            entry = entries.setdefault(
-                finding.fingerprint(),
-                {
-                    "rule": finding.rule,
-                    "path": finding.logical,
-                    "message": finding.message,
-                    "count": 0,
-                    "justification": "TODO: justify or fix",
-                },
-            )
-            entry["count"] += 1
-        return cls(entries)
-
-    def save(self, path: str) -> None:
-        payload = {"version": self.VERSION, "findings": self.entries}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def split(
-        self, findings: Sequence[Finding]
-    ) -> Tuple[List[Finding], List[Finding]]:
-        """``(new, grandfathered)`` — per fingerprint, up to ``count``
-        occurrences are grandfathered; any excess is new."""
-        budget = {fp: int(entry.get("count", 0)) for fp, entry in self.entries.items()}
-        new: List[Finding] = []
-        old: List[Finding] = []
-        for finding in findings:
-            fp = finding.fingerprint()
-            if budget.get(fp, 0) > 0:
-                budget[fp] -= 1
-                old.append(finding)
-            else:
-                new.append(finding)
-        return new, old
-
-
-# ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
 def _logical_path(path: str) -> str:
@@ -330,7 +253,6 @@ def _logical_path(path: str) -> str:
 @dataclass
 class Report:
     findings: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     files: int = 0
 
@@ -419,20 +341,14 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> Report:
     """Lint every ``.py`` file under ``paths`` (files or directories)."""
     report = Report()
-    all_findings: List[Finding] = []
     for path in iter_python_files(paths):
         findings, suppressed = lint_file(path, rules=rules)
-        all_findings.extend(findings)
+        report.findings.extend(findings)
         report.suppressed += suppressed
         report.files += 1
-    if baseline is not None:
-        report.findings, report.grandfathered = baseline.split(all_findings)
-    else:
-        report.findings = all_findings
     return report
 
 
@@ -443,8 +359,7 @@ def render_text(report: Report) -> str:
     lines = [finding.render() for finding in report.findings]
     lines.append(
         f"repro lint: {len(report.findings)} finding(s) in {report.files} "
-        f"file(s) ({len(report.grandfathered)} baselined, "
-        f"{report.suppressed} suppressed inline)"
+        f"file(s) ({report.suppressed} suppressed inline)"
     )
     return "\n".join(lines)
 
@@ -453,7 +368,6 @@ def render_json(report: Report) -> str:
     return json.dumps(
         {
             "findings": [f.to_json() for f in report.findings],
-            "grandfathered": [f.to_json() for f in report.grandfathered],
             "suppressed": report.suppressed,
             "files": report.files,
             "exit_code": report.exit_code,

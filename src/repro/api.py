@@ -51,8 +51,8 @@ _EXPORTS = {
     "Candidate": "repro.core.size_search",
     "successive_halving": "repro.core.size_search",
     # federation
-    "FederatedConfig": "repro.federated",
-    "FederatedTrainer": "repro.federated",
+    "FederatedConfig": "repro.federated.trainer",
+    "FederatedTrainer": "repro.federated.trainer",
     "AvailabilityConfig": "repro.federated.availability",
     "PrivacyConfig": "repro.federated.privacy",
     "SecureAggregationConfig": "repro.federated.secure_agg",

@@ -133,3 +133,7 @@ class StandaloneTrainer(FederatedTrainer):
                 return logits.data.copy()
         finally:
             model.load_state_dict(global_state)
+
+    def score_item_matrix(self, clients: Sequence[ClientData]) -> np.ndarray:
+        """One row per client, each scored by that client's personal model."""
+        return np.stack([self.score_all_items(client) for client in clients])

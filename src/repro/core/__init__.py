@@ -15,10 +15,6 @@ from repro.core.dual_task import dual_task_loss
 from repro.core.decorrelation import decorrelation_penalty, singular_value_variance
 from repro.core.distillation import DistillationConfig, relation_distillation_step
 from repro.core.hetefedrec import HeteFedRec
-from repro.core.autodivision import (
-    search_division_ratio,
-    search_model_sizes,
-)
 from repro.core.size_search import (
     Candidate,
     HalvingResult,
@@ -38,8 +34,6 @@ __all__ = [
     "DistillationConfig",
     "relation_distillation_step",
     "HeteFedRec",
-    "search_division_ratio",
-    "search_model_sizes",
     "Candidate",
     "HalvingResult",
     "default_candidate_grid",

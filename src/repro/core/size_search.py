@@ -1,15 +1,21 @@
 """Successive-halving search over division ratios and model sizes.
 
-:mod:`repro.core.autodivision` searches each knob with fixed-length pilot
-runs.  This module searches the *joint* space (ratio × size grid) under a
-fixed epoch budget with successive halving (Jamieson & Talwalkar, 2016):
-every candidate trains a few epochs, the weaker half is dropped, the
-survivors train on — so the budget concentrates on promising settings.
-Trainers are stateful across rungs (training *continues*, it does not
-restart), which is what makes halving cheaper than the grid.
+The paper's conclusion names two open problems: HeteFedRec's performance
+is sensitive to (a) the client-division ratio and (b) the per-group model
+sizes, and leaves finding them to future work.  This module searches the
+*joint* space (ratio × size grid) under a fixed epoch budget with
+successive halving (Jamieson & Talwalkar, 2016): every candidate trains a
+few epochs, the weaker half is dropped, the survivors train on — so the
+budget concentrates on promising settings.  Trainers are stateful across
+rungs (training *continues*, it does not restart), which is what makes
+halving cheaper than the grid.  A one-rung halving
+(``eta=len(candidates)``, ``epochs_per_rung`` = the pilot length) is the
+plain grid of fixed-length pilot runs.
 
-Scoring uses validation NDCG only (:func:`repro.core.autodivision.
-validation_ndcg`); the test set is never touched during search.
+Every rung is scored by validation NDCG through one
+``Evaluator(clients, k=k, split="valid")``: each client's 10 % validation
+items are ranked with only its train items masked, so the search never
+touches the test set.
 """
 
 from __future__ import annotations
@@ -19,14 +25,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.autodivision import (
-    DEFAULT_RATIO_CANDIDATES,
-    DEFAULT_SIZE_CANDIDATES,
-    validation_ndcg,
-)
 from repro.core.config import HeteFedRecConfig
 from repro.core.hetefedrec import HeteFedRec
 from repro.data.dataset import ClientData
+from repro.eval.evaluator import Evaluator
+
+#: The paper's Table VI grid plus the homogeneous extremes.
+DEFAULT_RATIO_CANDIDATES: Tuple[Tuple[float, float, float], ...] = (
+    (5, 3, 2),
+    (1, 1, 1),
+    (2, 3, 5),
+    (7, 2, 1),
+)
+
+#: The paper's Table VII grid.
+DEFAULT_SIZE_CANDIDATES: Tuple[Dict[str, int], ...] = (
+    {"s": 2, "m": 4, "l": 8},
+    {"s": 8, "m": 16, "l": 32},
+    {"s": 32, "m": 64, "l": 128},
+)
 
 
 @dataclass(frozen=True)
@@ -117,15 +134,20 @@ def successive_halving(
     Every surviving candidate trains ``epochs_per_rung`` more epochs per
     rung; after scoring, the top ``1/eta`` fraction survives.  The
     returned audit trail records every (candidate, score) pair per rung.
+    A candidate listed twice is rejected: it would name one trainer, so
+    each rung would train and score it twice.
     """
     pool = list(candidates) if candidates is not None else default_candidate_grid()
     if not pool:
         raise ValueError("candidate pool is empty")
     if epochs_per_rung < 1:
         raise ValueError(f"epochs_per_rung must be ≥ 1, got {epochs_per_rung}")
+    evaluator = Evaluator(clients, k=k, split="valid")
 
     trainers: Dict[Candidate, HeteFedRec] = {}
     for candidate in pool:
+        if candidate in trainers:
+            raise ValueError(f"candidate listed twice: {candidate.describe()}")
         run_config = config.copy_with(
             ratios=candidate.ratios, dims=candidate.dims_dict()
         )
@@ -146,9 +168,8 @@ def successive_halving(
             for offset in range(epochs_per_rung):
                 trainer.run_epoch(epoch_cursor + offset + 1)
             total_epochs += epochs_per_rung
-            record.scores.append(
-                (candidate, validation_ndcg(trainer, clients, k=k))
-            )
+            score = trainer.evaluate_with(evaluator).ndcg
+            record.scores.append((candidate, score))
         epoch_cursor += epochs_per_rung
         rungs.append(record)
         alive = record.survivors(keep_next)

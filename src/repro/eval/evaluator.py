@@ -1,9 +1,9 @@
-"""The evaluator: turns a scoring function into Table II-style numbers.
+"""The evaluator: turns a block scoring function into Table II-style numbers.
 
-The federated trainers expose ``score_all_items(client) -> scores``; the
-evaluator runs the full-ranking protocol over every client and averages
-Recall@20 / NDCG@20, overall and (via :mod:`repro.eval.groups`) per client
-group for Fig. 6.
+The federated trainers expose ``score_item_matrix(clients) -> (B, I)``;
+the evaluator runs the full-ranking protocol over every client's test
+(or validation) items and averages Recall@20 / NDCG@20, overall and (via
+:mod:`repro.eval.groups`) per client group for Fig. 6.
 """
 
 from __future__ import annotations
@@ -14,15 +14,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import ClientData
-from repro.eval.metrics import (
-    blocked_top_k,
-    mask_scored_items,
-    ndcg_at_k,
-    rank_items,
-    recall_at_k,
-)
+from repro.eval.metrics import blocked_top_k, mask_scored_items
 
-ScoreFn = Callable[[ClientData], np.ndarray]
 #: Batched scoring hook: a block of clients → a (B, num_items) score matrix.
 ScoreBlockFn = Callable[[Sequence[ClientData]], np.ndarray]
 
@@ -48,57 +41,37 @@ class Evaluator:
     Parameters
     ----------
     clients:
-        Per-user splits; users with empty test sets are skipped (their
-        metrics are undefined), matching common practice.
+        Per-user splits; users with an empty held-out set are skipped
+        (their metrics are undefined), matching common practice.
     k:
         Cut-off for Recall@K / NDCG@K (paper: 20).
+    split:
+        Which held-out set is ranked.  ``"test"`` ranks ``test_items``
+        with every known (train + validation) item masked; ``"valid"``
+        ranks ``valid_items`` with only ``train_items`` masked, so the
+        test items stay unseen, exactly as at training time.
     """
 
-    def __init__(self, clients: Sequence[ClientData], k: int = 20) -> None:
+    SPLITS = ("test", "valid")
+
+    def __init__(
+        self, clients: Sequence[ClientData], k: int = 20, split: str = "test"
+    ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if split not in self.SPLITS:
+            raise ValueError(f"split must be one of {self.SPLITS}, got {split!r}")
         self.clients = list(clients)
         self.k = k
+        self.split = split
+
+    def _held_out(self, client: ClientData) -> np.ndarray:
+        return client.test_items if self.split == "test" else client.valid_items
+
+    def _masked(self, client: ClientData) -> np.ndarray:
+        return client.known_items() if self.split == "test" else client.train_items
 
     def evaluate(
-        self,
-        score_fn: ScoreFn,
-        user_subset: Optional[Sequence[int]] = None,
-    ) -> EvaluationResult:
-        """Evaluate ``score_fn`` over all (or a subset of) users."""
-        subset = (
-            set(int(u) for u in user_subset) if user_subset is not None else None
-        )
-        recalls: List[float] = []
-        ndcgs: List[float] = []
-        users: List[int] = []
-        for client in self.clients:
-            if subset is not None and client.user_id not in subset:
-                continue
-            if client.test_items.size == 0:
-                continue
-            scores = score_fn(client)
-            ranked = rank_items(scores, exclude=client.known_items(), k=self.k)
-            recalls.append(recall_at_k(ranked, client.test_items, k=self.k))
-            ndcgs.append(ndcg_at_k(ranked, client.test_items, k=self.k))
-            users.append(client.user_id)
-
-        if not recalls:
-            empty = np.empty(0)
-            return EvaluationResult(0.0, 0.0, self.k, empty, empty, np.empty(0, dtype=int))
-        return EvaluationResult(
-            recall=float(np.mean(recalls)),
-            ndcg=float(np.mean(ndcgs)),
-            k=self.k,
-            per_user_recall=np.asarray(recalls),
-            per_user_ndcg=np.asarray(ndcgs),
-            evaluated_users=np.asarray(users, dtype=int),
-        )
-
-    # ------------------------------------------------------------------
-    # Blocked fast path
-    # ------------------------------------------------------------------
-    def evaluate_blocked(
         self,
         score_block_fn: ScoreBlockFn,
         user_subset: Optional[Sequence[int]] = None,
@@ -109,9 +82,11 @@ class Evaluator:
         ``score_block_fn`` maps a list of clients to one (B, num_items)
         score matrix (e.g. :meth:`FederatedTrainer.score_item_matrix`);
         exclusion masking, top-k extraction and both metrics then run as
-        block-level array operations.  Produces the same numbers as
-        :meth:`evaluate` driven by the per-client scoring hook, up to
-        floating-point summation order.
+        block-level array operations.  Per user this equals ranking with
+        :func:`~repro.eval.metrics.rank_items` and scoring with
+        :func:`~repro.eval.metrics.recall_at_k` /
+        :func:`~repro.eval.metrics.ndcg_at_k`, up to floating-point
+        summation order.
         """
         subset = (
             set(int(u) for u in user_subset) if user_subset is not None else None
@@ -120,7 +95,7 @@ class Evaluator:
             client
             for client in self.clients
             if (subset is None or client.user_id in subset)
-            and client.test_items.size > 0
+            and self._held_out(client).size > 0
         ]
         if not eligible:
             empty = np.empty(0)
@@ -163,18 +138,19 @@ class Evaluator:
     ) -> tuple:
         """Recall@k / NDCG@k for one scored block, fully vectorized."""
         # Vectorized exclusion masking: one fancy assignment for the block.
-        mask_scored_items(scores, [c.known_items() for c in block])
+        mask_scored_items(scores, [self._masked(c) for c in block])
 
         top = blocked_top_k(scores, self.k)
 
         # Membership is only ever probed at the (B, k) top indices, so an
         # isin per row beats scattering a dense (B, num_items) indicator.
-        test_lengths = np.array([np.unique(c.test_items).size for c in block])
+        held_out = [self._held_out(c) for c in block]
+        lengths = np.array([np.unique(items).size for items in held_out])
         hits = np.zeros(top.shape, dtype=bool)
-        for row, client in enumerate(block):
-            hits[row] = np.isin(top[row], client.test_items)
+        for row, items in enumerate(held_out):
+            hits[row] = np.isin(top[row], items)
 
-        recall = hits.sum(axis=1) / test_lengths
+        recall = hits.sum(axis=1) / lengths
         dcg = (hits * discounts[: top.shape[1]]).sum(axis=1)
-        idcg = ideal_cum[np.minimum(test_lengths, self.k) - 1]
+        idcg = ideal_cum[np.minimum(lengths, self.k) - 1]
         return recall, dcg / idcg

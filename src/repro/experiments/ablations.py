@@ -233,7 +233,8 @@ def run_arch_comparison(
     Runs on Anime by default — the dataset where the bench profile's
     epoch budget sits at every method's convergence point, so the
     architecture comparison is not confounded by differential
-    overtraining (see EXPERIMENTS.md on the ML analogue).
+    overtraining (on the ML analogue every method peaks by epoch 4–8 and
+    decays after; see ``results/fig7_convergence.txt``).
     """
     return run_tree(arch_comparison_grid(profile, archs, dataset), jobs)
 

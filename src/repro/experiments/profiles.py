@@ -8,7 +8,8 @@ run at three sizes:
 * ``bench`` — the default for ``benchmarks/``; minutes per table; method
   orderings (the paper's *shape*) are stable.
 * ``full``  — the largest practical size; closest to the paper's relative
-  factors.  Used to produce the numbers recorded in EXPERIMENTS.md.
+  factors.  No committed artefact uses it: ``results/`` holds the
+  ``bench`` profile's output.
 """
 
 from __future__ import annotations

@@ -52,7 +52,8 @@ ARTEFACTS: Dict[str, Artefact] = {
     "table6_division": (table6.table6_grid, table6.run_table6, table6.format_table6),
     "table7_modelsize": (table7.table7_grid, table7.run_table7, table7.format_table7),
     "fig8_alpha": (fig8.fig8_grid, fig8.run_fig8, fig8.format_fig8),
-    # Design-choice ablations (no paper counterpart; see docs/extensions.md).
+    # Design-choice ablations (no paper counterpart; each module's docstring
+    # names the design choice it measures).
     "ablation_theta_mode": _fixed(
         ablations.theta_mode_grid, ablations.run_theta_mode, ablations.format_theta_mode
     ),

@@ -109,10 +109,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Architectures whose *training* graph the engine knows how to fuse
 #: (``_fused_logits`` reproduces the ScoringHead MLP+GMF structure, and
 #: LightGCN's local-graph propagation batches via the model's
-#: ``fused_propagation`` descriptor).  This is independent of
-#: ``BaseRecommender.batched_scoring``, which only promises
-#: inference-time ``score_matrix`` support: a new architecture needs an
-#: engine forward of its own, not just scoring.
+#: ``fused_propagation`` descriptor).  Inference-time ``score_matrix``
+#: support is not enough: a new architecture needs an engine forward of
+#: its own, not just scoring.
 BATCHABLE_ARCHS = ("ncf", "mf", "lightgcn")
 
 #: Marks a client with no DDR term this round (distinct from ``None``,

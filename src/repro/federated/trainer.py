@@ -748,34 +748,18 @@ class FederatedTrainer:
         """Epochs :meth:`fit` has finished (survives checkpoint/resume)."""
         return self._epochs_done
 
-    def supports_blocked_scoring(self) -> bool:
-        """Whether blocked full-ranking evaluation is valid for this trainer.
-
-        Independent of *training* eligibility: a trainer whose local
-        objective needs the reference path (HeteFedRec with UDL/DDR) still
-        scores with the stock hook, so its evaluation can be blocked.
-        Requires the inherited ``score_all_items`` and a batched-scoring
-        model for every group — true for all three stock architectures
-        (LightGCN's local-graph scoring is batched through the
-        ``train_items`` argument of ``score_matrix``).
-        """
-        return type(self).score_all_items is FederatedTrainer.score_all_items and all(
-            model.batched_scoring for model in self.models.values()
-        )
-
     def evaluate_with(self, evaluator: Evaluator, user_subset=None):
-        """Run ``evaluator`` over this trainer via the fastest valid path."""
-        if self.supports_blocked_scoring():
-            return evaluator.evaluate_blocked(
-                self.score_item_matrix, user_subset=user_subset
-            )
-        return evaluator.evaluate(self.score_all_items, user_subset=user_subset)
+        """Run ``evaluator`` over this trainer's block scorer."""
+        return evaluator.evaluate(self.score_item_matrix, user_subset=user_subset)
 
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
     def score_all_items(self, client: ClientData) -> np.ndarray:
-        """Scores of every catalogue item for one user (evaluation hook)."""
+        """Scores of every catalogue item for one user, through the tape.
+
+        The per-user reference :meth:`score_item_matrix` is pinned against.
+        """
         runtime = self.runtimes[client.user_id]
         group = self.group_of[client.user_id]
         model = self.models[group]
@@ -794,7 +778,7 @@ class FederatedTrainer:
         Gathers each dim-group's rows from its user table and runs the
         group model's batched :meth:`~repro.models.base.BaseRecommender.score_matrix`
         once — the blocked counterpart of :meth:`score_all_items`, used by
-        :meth:`Evaluator.evaluate_blocked`.  Each client's local graph
+        :meth:`Evaluator.evaluate`.  Each client's local graph
         rides along for architectures whose scoring propagates over it.
         """
         scores = np.empty((len(clients), self.num_items))

@@ -165,12 +165,6 @@ class BaseRecommender(Module):
 
     arch: str = "base"
 
-    #: Whether :meth:`score_matrix` is implemented for this architecture.
-    #: Per-user side information (LightGCN's local graph) arrives through
-    #: the ``train_items`` argument; an architecture that cannot score a
-    #: block even with it leaves this ``False`` and is evaluated per client.
-    batched_scoring: bool = False
-
     def __init__(
         self,
         num_items: int,
@@ -257,8 +251,8 @@ class BaseRecommender(Module):
         inference-only path.  ``train_items`` optionally carries each
         user's local graph (one id array per row, aligned with
         ``user_mat``) for architectures whose scoring propagates over it
-        (LightGCN); NCF/GMF ignore it.  Architectures that cannot score a
-        block keep ``batched_scoring = False`` and raise here.
+        (LightGCN); NCF/GMF ignore it.  Every architecture must implement
+        it: the evaluator and the serving layer only score blocks.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched scoring"

@@ -52,7 +52,6 @@ class LightGCN(BaseRecommender):
     """One-layer local-graph LightGCN propagation + FFN scoring head."""
 
     arch = "lightgcn"
-    batched_scoring = True
 
     def fused_propagation(self) -> LocalGraphPropagation:
         """The engine-executable form of this model's local propagation."""

@@ -34,7 +34,6 @@ class GMF(BaseRecommender):
     """
 
     arch = "mf"
-    batched_scoring = True
 
     def score_matrix(
         self,

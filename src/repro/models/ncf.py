@@ -19,7 +19,6 @@ class NCF(BaseRecommender):
     """NCF scoring: head over the plain embedding concatenation."""
 
     arch = "ncf"
-    batched_scoring = True
 
     def score_matrix(
         self,

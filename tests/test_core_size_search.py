@@ -38,7 +38,7 @@ class TestCandidate:
 
 class TestDefaultGrid:
     def test_is_cross_product(self):
-        from repro.core.autodivision import (
+        from repro.core.size_search import (
             DEFAULT_RATIO_CANDIDATES,
             DEFAULT_SIZE_CANDIDATES,
         )
@@ -152,6 +152,19 @@ class TestSuccessiveHalving:
                 HeteFedRecConfig(),
                 candidates=[Candidate.make((5, 3, 2), {"s": 2, "m": 4, "l": 8})],
                 epochs_per_rung=0,
+            )
+
+    def test_duplicate_candidate_rejected(self, tiny_dataset, tiny_clients):
+        """A repeated candidate names one trainer; searching it would train
+        and score that trainer twice per rung."""
+        a = Candidate.make((5, 3, 2), {"s": 2, "m": 4, "l": 8})
+        b = Candidate.make((1, 1, 1), {"s": 2, "m": 4, "l": 8})
+        with pytest.raises(ValueError, match="5:3:2"):
+            successive_halving(
+                tiny_dataset.num_items,
+                tiny_clients,
+                HeteFedRecConfig(epochs=1, clients_per_round=16, local_epochs=1),
+                candidates=[a, a, b],
             )
 
     def test_single_candidate_trains_once(self, tiny_dataset, tiny_clients):

@@ -33,7 +33,7 @@ def run(method, setting, epochs=6, **overrides):
     config = HeteFedRecConfig(epochs=epochs, seed=1, eval_every=100, **overrides)
     trainer = build_method(method, data.num_items, clients, config)
     trainer.fit()
-    return Evaluator(clients).evaluate(trainer.score_all_items)
+    return trainer.evaluate_with(Evaluator(clients))
 
 
 class TestQualitativeOrderings:
@@ -56,7 +56,7 @@ class TestQualitativeOrderings:
         result = run("all_small", setting)
         rng = np.random.default_rng(0)
         random_result = Evaluator(clients).evaluate(
-            lambda c: rng.normal(size=data.num_items)
+            lambda block: rng.normal(size=(len(block), data.num_items))
         )
         assert result.ndcg > random_result.ndcg
 

@@ -2,7 +2,7 @@
 
 Each rule gets a fixture pair: a violating snippet (the rule must fire)
 and a compliant twin (it must stay silent).  On top of the per-rule
-fixtures: suppression pragmas, baseline semantics, the CLI exit codes,
+fixtures: suppression pragmas, the CLI exit codes,
 and the meta-test that the real tree lints clean — plus red-on-injection,
 which proves the clean result is the linter passing, not the linter
 being inert.
@@ -16,12 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
     lint_paths,
     lint_source,
     rule_catalogue,
 )
-from repro.analysis.framework import BASELINE_DEFAULT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -409,59 +407,6 @@ class TestSuppression:
 
 
 # ---------------------------------------------------------------------------
-# Baseline semantics
-# ---------------------------------------------------------------------------
-class TestBaseline:
-    SRC = "import random\nt = time.time()\n"
-
-    def _findings(self):
-        return findings_for(self.SRC, SEEDED, "determinism")
-
-    def test_from_findings_grandfathers_exactly_those(self):
-        findings = self._findings()
-        baseline = Baseline.from_findings(findings)
-        new, old = baseline.split(findings)
-        assert new == [] and len(old) == len(findings)
-
-    def test_new_instance_of_old_pattern_still_fails(self):
-        findings = self._findings()
-        baseline = Baseline.from_findings(findings)
-        doubled = "import random\nt = time.time()\nu = time.time()\n"
-        new, old = baseline.split(
-            findings_for(doubled, SEEDED, "determinism")
-        )
-        # the import + one time.time() are grandfathered; the extra
-        # time.time() has a distinct source line, so it is new
-        assert len(new) == 1 and "u = time.time()" in new[0].source_line
-
-    def test_roundtrip_through_disk(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(str(path))
-        loaded = Baseline.load(str(path))
-        new, old = loaded.split(findings)
-        assert new == [] and len(old) == len(findings)
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 1
-        for entry in payload["findings"].values():
-            assert {"rule", "path", "message", "count", "justification"} <= set(entry)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "findings": {}}')
-        with pytest.raises(ValueError, match="unsupported version"):
-            Baseline.load(str(path))
-
-    def test_empty_baseline_grandfathers_nothing(self):
-        new, old = Baseline().split(self._findings())
-        assert old == [] and len(new) == 2
-
-    def test_committed_baseline_is_empty(self):
-        payload = json.loads((REPO_ROOT / BASELINE_DEFAULT).read_text())
-        assert payload == {"version": 1, "findings": {}}
-
-
-# ---------------------------------------------------------------------------
 # CLI + the merge bar
 # ---------------------------------------------------------------------------
 def run_cli(*argv, cwd=REPO_ROOT):
@@ -512,20 +457,6 @@ class TestCli:
     def test_missing_path_exits_2(self):
         proc = run_cli("no/such/dir")
         assert proc.returncode == 2
-
-    def test_write_baseline_then_clean(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "federated" / "planted.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nt = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-        proc = run_cli(str(bad), "--write-baseline", str(baseline))
-        assert proc.returncode == 0
-        proc = run_cli(str(bad), "--baseline", str(baseline))
-        assert proc.returncode == 0, proc.stdout
-        # a NEW violation on top of the baselined ones still fails
-        bad.write_text("import time\nt = time.time()\nu = time.time()\n")
-        proc = run_cli(str(bad), "--baseline", str(baseline))
-        assert proc.returncode == 1
 
 
 # ---------------------------------------------------------------------------

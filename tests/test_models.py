@@ -196,9 +196,6 @@ class TestLightGCNBlockedScoring:
         with pytest.raises(ValueError):
             model.score_matrix(user_mat, train_items=train_items[:-1])
 
-    def test_batched_scoring_flag(self):
-        assert LightGCN.batched_scoring is True
-
 
 class TestHeadLayout:
     """``score_matrix`` (the hidden-major ``logits_matrix`` block, plus

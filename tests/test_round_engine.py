@@ -9,6 +9,7 @@ blocked evaluator against the per-client protocol.
 
 import numpy as np
 import pytest
+from ranking_oracle import assert_matches_oracle, oracle_metrics
 
 from repro.autograd.tensor import Tensor
 from repro.core.config import HeteFedRecConfig
@@ -343,46 +344,34 @@ class TestBlockedEvaluation:
         return trainer
 
     def test_blocked_matches_per_client(self, trained, tiny_clients):
-        evaluator = Evaluator(tiny_clients, k=10)
-        per_client = evaluator.evaluate(trained.score_all_items)
-        blocked = evaluator.evaluate_blocked(trained.score_item_matrix)
-        assert blocked.evaluated_users.tolist() == per_client.evaluated_users.tolist()
-        np.testing.assert_allclose(
-            blocked.per_user_recall, per_client.per_user_recall, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            blocked.per_user_ndcg, per_client.per_user_ndcg, atol=ATOL
-        )
-        assert blocked.recall == pytest.approx(per_client.recall, abs=ATOL)
-        assert blocked.ndcg == pytest.approx(per_client.ndcg, abs=ATOL)
+        """The engine-trained trainer's blocked evaluation equals the
+        per-user oracle run on its per-client tape scores."""
+        result = trained.evaluate_with(Evaluator(tiny_clients, k=10))
+        oracle = oracle_metrics(tiny_clients, trained.score_all_items, k=10)
+        assert_matches_oracle(result, oracle, atol=ATOL)
+        assert result.ndcg == pytest.approx(oracle[2].mean(), abs=ATOL)
 
     def test_block_size_invariance(self, trained, tiny_clients):
         evaluator = Evaluator(tiny_clients, k=10)
-        small_blocks = evaluator.evaluate_blocked(
-            trained.score_item_matrix, block_size=7
-        )
-        one_block = evaluator.evaluate_blocked(
-            trained.score_item_matrix, block_size=10_000
-        )
+        small_blocks = evaluator.evaluate(trained.score_item_matrix, block_size=7)
+        one_block = evaluator.evaluate(trained.score_item_matrix, block_size=10_000)
         np.testing.assert_allclose(
             small_blocks.per_user_ndcg, one_block.per_user_ndcg, atol=ATOL
         )
 
     def test_user_subset(self, trained, tiny_clients):
-        evaluator = Evaluator(tiny_clients, k=10)
         subset = [c.user_id for c in tiny_clients[::3]]
-        per_client = evaluator.evaluate(trained.score_all_items, user_subset=subset)
-        blocked = evaluator.evaluate_blocked(
-            trained.score_item_matrix, user_subset=subset
+        result = trained.evaluate_with(
+            Evaluator(tiny_clients, k=10), user_subset=subset
         )
-        assert blocked.evaluated_users.tolist() == per_client.evaluated_users.tolist()
-        np.testing.assert_allclose(
-            blocked.per_user_ndcg, per_client.per_user_ndcg, atol=ATOL
+        oracle = oracle_metrics(
+            tiny_clients, trained.score_all_items, k=10, user_subset=subset
         )
+        assert_matches_oracle(result, oracle, atol=ATOL)
 
     def test_hetefedrec_blocked_eval(self, tiny_dataset, tiny_clients):
         """Full HeteFedRec rides the engine for training *and* evaluates
-        blocked; the blocked scores must match the per-client hook."""
+        blocked; the result must match the oracle on the per-client hook."""
         trainer = HeteFedRec(
             tiny_dataset.num_items,
             tiny_clients,
@@ -396,14 +385,9 @@ class TestBlockedEvaluation:
         )
         trainer.run_epoch(1)
         assert trainer._engine is not None
-        assert trainer.supports_blocked_scoring()
-        evaluator = Evaluator(tiny_clients, k=10)
-        per_client = evaluator.evaluate(trainer.score_all_items)
-        blocked = trainer.evaluate_with(evaluator)
-        assert blocked.evaluated_users.tolist() == per_client.evaluated_users.tolist()
-        np.testing.assert_allclose(
-            blocked.per_user_ndcg, per_client.per_user_ndcg, atol=ATOL
-        )
+        result = trainer.evaluate_with(Evaluator(tiny_clients, k=10))
+        oracle = oracle_metrics(tiny_clients, trainer.score_all_items, k=10)
+        assert_matches_oracle(result, oracle, atol=ATOL)
 
     def test_lightgcn_blocked_matches_per_client(self, tiny_dataset, tiny_clients):
         """LightGCN evaluates blocked too: the star-graph propagation is
@@ -415,7 +399,6 @@ class TestBlockedEvaluation:
             divide_clients(tiny_clients),
             small_config(arch="lightgcn"),
         )
-        assert trainer.supports_blocked_scoring()
         trainer.fit()
         blocked = trainer.score_item_matrix(tiny_clients)
         per_client = np.stack(
@@ -425,9 +408,7 @@ class TestBlockedEvaluation:
 
     def test_empty_subset(self, trained, tiny_clients):
         evaluator = Evaluator(tiny_clients, k=10)
-        result = evaluator.evaluate_blocked(
-            trained.score_item_matrix, user_subset=[]
-        )
+        result = evaluator.evaluate(trained.score_item_matrix, user_subset=[])
         assert result.recall == 0.0
         assert result.evaluated_users.size == 0
 
