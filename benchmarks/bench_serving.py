@@ -10,7 +10,9 @@ would and measures what the serving design claims:
   latency and aggregate QPS for both.  The coalescer's whole point is
   turning N python-dispatch-bound single queries into one blocked
   matmul, so ``batched_speedup`` (QPS ratio) is a **hard gate**: ≥ 3x
-  at 32 concurrent clients.
+  at 32 concurrent clients.  No timer forms those batches: they are the
+  queries that arrive while the coalescer's flusher scores the previous
+  one, so ``mean_batch`` reports how much company the load supplies.
 * ``cold`` vs ``cached`` — the same query stream against a cold and a
   hot top-k cache (p50/p99 and hit rate).
 * ``swap_under_load`` — checkpoint hot-swaps mid-traffic while client
@@ -141,7 +143,7 @@ def bench_concurrent_load(paths: Dict, settings: Dict) -> Dict:
     unbatched = _latency_summary(wall, latencies)
 
     service = RecommendationService(paths["v1"], k=20, cache_size=0)
-    with RequestCoalescer(service, max_batch=num_threads, max_wait_ms=2.0) as co:
+    with RequestCoalescer(service, max_batch=num_threads) as co:
         wall, latencies = _drive(
             num_threads, queries, users, lambda user: co.submit(user, timeout=60)
         )

@@ -22,6 +22,11 @@ What counts as guarded:
 The rule only fires on attributes with *both* guarded and unguarded
 writes: an attribute that is never locked is a deliberate
 single-threaded or immutable-after-init field, not a finding.
+
+It also fires on ``self.<condition>.wait()`` outside every ``while``
+loop of its own function: a wait can return with the state unchanged,
+and only ``while not <predicate>: wait()`` re-checks it — which also
+makes a notify sent while nobody waited harmless (no lost wakeup).
 """
 
 from __future__ import annotations
@@ -41,25 +46,45 @@ _LOCK_FACTORIES = {
 }
 
 
-def _lock_attrs(cls: ast.ClassDef) -> Set[str]:
-    """Attribute names on ``self`` that hold lock-like objects."""
+def _sync_attrs(cls: ast.ClassDef) -> Tuple[Set[str], Set[str]]:
+    """``(locks, conditions)``: the attribute names on ``self`` holding
+    lock-like objects, and those assigned a ``threading.Condition``."""
     locks: Set[str] = set()
+    conditions: Set[str] = set()
     for node in ast.walk(cls):
         if not isinstance(node, ast.Assign):
             continue
+        factory = dotted_name(node.value.func) if isinstance(node.value, ast.Call) else None
         for target in node.targets:
             attr = self_attribute_path(target)
             if attr is None or "." in attr:
                 continue
-            value = node.value
-            if isinstance(value, ast.Call):
-                name = dotted_name(value.func)
-                if name in _LOCK_FACTORIES:
-                    locks.add(attr)
-                    continue
-            if "lock" in attr.lower():
+            if factory in _LOCK_FACTORIES or "lock" in attr.lower():
                 locks.add(attr)
-    return locks
+            if factory in ("threading.Condition", "Condition"):
+                conditions.add(attr)
+    return locks, conditions
+
+
+def _bare_waits(node: ast.AST, conditions: Set[str], in_loop: bool = False):
+    """``(attr, call)`` for each ``self.<condition>.wait()`` under ``node``
+    outside every ``while`` loop of its own function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        in_loop = False
+    elif isinstance(node, ast.Call) and not in_loop:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "wait":
+            attr = self_attribute_path(func.value)
+            if attr in conditions:
+                yield attr, node
+    if isinstance(node, ast.While):
+        for child in (node.test, *node.body):
+            yield from _bare_waits(child, conditions, True)
+        for child in node.orelse:
+            yield from _bare_waits(child, conditions, in_loop)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _bare_waits(child, conditions, in_loop)
 
 
 class _WriteCollector(ast.NodeVisitor):
@@ -127,7 +152,7 @@ class LockDisciplineRule(Rule):
     description = (
         "serving/ attributes written both inside and outside `with "
         "self._lock:` blocks — every write to guarded state must hold "
-        "the lock"
+        "the lock; a Condition's wait() outside a `while` predicate loop"
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -137,7 +162,14 @@ class LockDisciplineRule(Rule):
         for cls in ast.walk(ctx.tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
-            locks = _lock_attrs(cls)
+            locks, conditions = _sync_attrs(cls)
+            for attr, node in _bare_waits(cls, conditions):
+                out.append(self.finding(
+                    ctx, node,
+                    f"self.{attr}.wait() is not inside a `while` loop; a "
+                    "condition wait can return with the state unchanged — "
+                    f"wait in `while not <predicate>: self.{attr}.wait()`",
+                ))
             if not locks:
                 continue
             # base attr -> (guarded writes exist?, unguarded write nodes)

@@ -237,7 +237,6 @@ def serve(
     k: int = 20,
     cache_size: int = 4096,
     max_batch: int = 32,
-    max_wait_ms: float = 5.0,
     history=None,
     exclude_seen: bool = False,
     verbose: bool = True,
@@ -257,10 +256,11 @@ def serve(
 
     With a ``host`` it *blocks*, running the stdlib JSON front end on
     ``host:port`` (the ``repro serve`` CLI entry) with concurrent HTTP
-    requests coalesced into blocked matmuls.  The HTTP path always
-    carries the resilience layer (shed → 503 + Retry-After, deadline
-    overrun → 504, ``/healthz`` surfaces the health state machine) and
-    drains gracefully on SIGTERM/SIGINT.  ``watch`` polls a checkpoint
+    requests coalesced into blocked matmuls (at most ``max_batch``; a
+    lone request is scored at once, never held for company).  The HTTP
+    path always carries the resilience layer (shed → 503 + Retry-After,
+    deadline overrun → 504, ``/healthz`` surfaces the health state
+    machine) and drains gracefully on SIGTERM/SIGINT.  ``watch`` polls a checkpoint
     path and hot-swaps when a new valid one lands.
 
     The checkpoint is read and validated whole first, failing
@@ -295,7 +295,7 @@ def serve(
 
     run_server(
         resilient,
-        RequestCoalescer(resilient, max_batch=max_batch, max_wait_ms=max_wait_ms),
+        RequestCoalescer(resilient, max_batch=max_batch),
         host=host,
         port=port,
         verbose=verbose,

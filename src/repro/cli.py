@@ -177,7 +177,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         k=args.k,
         cache_size=args.cache_size,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         resilience=resilience,
         watch=args.watch,
         watch_interval_s=args.watch_interval,
@@ -397,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=32, metavar="B",
         help="coalescer size trigger: flush once B queries are parked "
         "(default: 32)",
-    )
-    serve_parser.add_argument(
-        "--max-wait-ms", type=float, default=5.0, metavar="MS",
-        help="coalescer deadline trigger: a query never waits for company "
-        "longer than MS milliseconds (default: 5)",
     )
     serve_parser.add_argument(
         "--admission-capacity", type=int, default=256, metavar="N",

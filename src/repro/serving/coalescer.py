@@ -7,14 +7,14 @@ the serving side: concurrent callers hand their queries to
 :meth:`RequestCoalescer.submit`, which parks them in a pending batch and
 flushes the whole batch through
 :meth:`~repro.serving.service.RecommendationService.query_batch` — one
-``score_matrix`` block per dim-group — when either trigger fires:
+``score_matrix`` block per dim-group — as soon as either holds:
 
 * **size** — the batch reached ``max_batch`` queries; the submitting
-  thread flushes inline (no waiting for a timer that can only add
-  latency);
-* **deadline** — ``max_wait_ms`` elapsed since the batch's *first*
-  query; a background flusher thread fires so a lone query is never
-  parked longer than the deadline.
+  thread flushes inline;
+* **idle** — the background flusher is free: it takes whatever is
+  pending the moment it is done with the previous batch.  A query never
+  waits for company (a lone one is scored at once); batches are the
+  queries that arrive while a batch is being scored.  No timer.
 
 Every query in a flushed batch is answered from one snapshot read, so
 coalescing also inherits the service's hot-swap atomicity for free.
@@ -28,8 +28,7 @@ coalesced path cheap at high concurrency.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -67,33 +66,16 @@ class RequestCoalescer:
         The :class:`RecommendationService` flushes are scored against.
     max_batch:
         Size trigger: a batch never grows beyond this many queries.
-    max_wait_ms:
-        Deadline trigger: the longest a query waits for company before
-        its batch is flushed anyway.
-    clock:
-        Monotonic time source for the deadline trigger (default
-        :func:`time.monotonic`).  Injectable so deadline behaviour is
-        unit-testable — and chaos-drivable — without real sleeps; pair a
-        manual clock with :meth:`poll` instead of the flusher thread.
     """
 
-    def __init__(
-        self,
-        service: RecommendationService,
-        max_batch: int = 32,
-        max_wait_ms: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, service: RecommendationService, max_batch: int = 32) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.service = service
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1000.0
-        self.clock = clock
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._pending = _Batch()
-        self._deadline: Optional[float] = None
         self._closed = False
         self._size_flushes = 0
         self._deadline_flushes = 0
@@ -123,7 +105,6 @@ class RequestCoalescer:
         :class:`TimeoutError` if ``timeout`` (seconds) elapses first.
         """
         request = QueryRequest(int(user_id), k, exclude)
-        to_flush: Optional[_Batch] = None
         with self._wakeup:
             if self._closed:
                 raise RuntimeError("coalescer is closed")
@@ -131,20 +112,19 @@ class RequestCoalescer:
             index = len(batch.requests)
             batch.requests.append(request)
             self._queries += 1
-            if len(batch.requests) >= self.max_batch:
-                to_flush = self._take_pending_locked()
+            full = len(batch.requests) >= self.max_batch
+            if full:
+                self._pending = _Batch()
                 self._size_flushes += 1
-            elif self._deadline is None:
-                # First query of a fresh batch: arm the deadline and wake
-                # the flusher.  Later queries change nothing it watches,
-                # so they skip the notify (waking it per-submit costs a
-                # GIL round-trip each under concurrent load).
-                self._deadline = self.clock() + self.max_wait
-                self._wakeup.notify_all()
-        if to_flush is not None:
+            elif index == 0:
+                # First query of a fresh batch: wake the flusher.  Later
+                # ones skip the notify (a GIL round-trip each under load);
+                # a busy flusher re-checks ``pending`` before it waits.
+                self._wakeup.notify()
+        if full:
             # Size trigger: the thread that completed the batch scores it
             # inline — everyone else in the batch is already waiting.
-            self._flush(to_flush)
+            self._flush(batch)
         if not batch.ready.wait(timeout):
             raise TimeoutError(
                 f"query for user {user_id} not flushed within {timeout}s"
@@ -153,38 +133,13 @@ class RequestCoalescer:
             raise batch.error
         return delivered(batch.answers[index])
 
-    def flush(self) -> int:
-        """Force-flush the pending batch (returns how many were flushed)."""
-        with self._wakeup:
-            batch = self._take_pending_locked()
-            if batch.requests:
-                self._forced_flushes += 1
-        self._flush(batch)
-        return len(batch.requests)
-
-    def poll(self) -> int:
-        """Flush the pending batch iff its deadline (per ``clock``) passed.
-
-        Returns how many queries were flushed.  This is the deadline
-        trigger as a pull: with an injected manual clock the flusher
-        thread never fires (it waits on real time), so deterministic
-        drivers advance the clock and call ``poll()`` themselves.
-        """
-        with self._wakeup:
-            if self._deadline is None or self.clock() < self._deadline:
-                return 0
-            batch = self._take_pending_locked()
-            if batch.requests:
-                self._deadline_flushes += 1
-        self._flush(batch)
-        return len(batch.requests)
-
     def close(self) -> None:
         """Flush anything pending and stop the background flusher."""
         with self._wakeup:
             self._closed = True
-            batch = self._take_pending_locked()
-            self._wakeup.notify_all()
+            batch, self._pending = self._pending, _Batch()
+            self._forced_flushes += bool(batch.requests)
+            self._wakeup.notify()
         self._flush(batch)
         self._flusher.join(timeout=5.0)
 
@@ -195,6 +150,9 @@ class RequestCoalescer:
         self.close()
 
     def stats(self) -> dict:
+        """Counters.  ``deadline_flushes`` counts the flusher's idle flushes
+        (no deadline exists; the key keeps its name for its readers),
+        ``size_flushes`` the inline ones, ``forced_flushes`` close()'s."""
         with self._lock:
             return {
                 "queries": self._queries,
@@ -203,18 +161,11 @@ class RequestCoalescer:
                 "deadline_flushes": self._deadline_flushes,
                 "forced_flushes": self._forced_flushes,
                 "max_batch": self.max_batch,
-                "max_wait_ms": self.max_wait * 1000.0,
             }
 
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
-    def _take_pending_locked(self) -> _Batch:
-        """Detach the pending batch (caller holds the lock)."""
-        batch, self._pending = self._pending, _Batch()
-        self._deadline = None
-        return batch
-
     def _flush(self, batch: _Batch) -> None:
         """Score one detached batch and wake every waiter in it — once."""
         if not batch.requests:
@@ -226,18 +177,13 @@ class RequestCoalescer:
         batch.ready.set()
 
     def _flush_loop(self) -> None:
-        """Deadline watcher: flush batches whose first query waited long."""
+        """Idle flusher: score whatever is pending whenever it is free."""
         while True:
             with self._wakeup:
-                while not self._closed and self._deadline is None:
+                while not self._closed and not self._pending.requests:
                     self._wakeup.wait()
                 if self._closed:
                     return
-                remaining = self._deadline - self.clock()
-                if remaining > 0:
-                    self._wakeup.wait(remaining)
-                    continue
-                batch = self._take_pending_locked()
-                if batch.requests:
-                    self._deadline_flushes += 1
+                batch, self._pending = self._pending, _Batch()
+                self._deadline_flushes += 1
             self._flush(batch)

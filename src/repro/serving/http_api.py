@@ -22,12 +22,13 @@ Routes
     floor.
 ``GET /v1/recommend?user=ID[&k=K][&deadline_ms=MS][&priority=P]``
     Top-k answer for one user: admission-controlled, then through the
-    request coalescer (so concurrent HTTP requests batch into one
-    blocked matmul).  503 + ``Retry-After`` when shed (queue full,
-    budget un-meetable, draining), 504 on a deadline overrun (wasted
-    work metered), 404 for an unknown user, 400 for a malformed query
-    (missing / non-integer ``user``, ``k < 1``, a ``deadline_ms`` that
-    is not a finite number > 0).
+    request coalescer (a lone request is scored at once; requests that
+    arrive while a batch is scored share the next blocked matmul).
+    503 + ``Retry-After`` when shed (queue full, budget un-meetable,
+    draining), 504 on a deadline overrun (wasted work metered), 404 for
+    an unknown user, 400 for a malformed query (missing / non-integer
+    ``user``, ``k < 1``, a ``deadline_ms`` that is not a finite
+    number > 0).
 ``GET /v1/stats``
     Service / cache / coalescer / resilience counters.
 ``POST /v1/swap`` with body ``{"checkpoint": PATH}``
@@ -44,8 +45,8 @@ request is always answered, never a dropped connection.
 
 Shutdown
 --------
-SIGTERM / SIGINT trigger a graceful drain: stop admitting (503s), flush
-the coalescer, answer everything already in flight, then exit 0.  Each
+SIGTERM / SIGINT trigger a graceful drain: stop admitting (503s), answer
+everything already in flight, then close the coalescer and exit 0.  Each
 connection also carries a socket timeout so a stalled client cannot pin
 a handler thread forever.
 """
@@ -55,6 +56,7 @@ from __future__ import annotations
 import json
 import signal
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -101,8 +103,8 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     server: "ServingHTTPServer"
     protocol_version = "HTTP/1.1"
-    # Headers and body leave as one segment (the base class flushes per
-    # request); unbuffered, the body waits on the client's delayed ACK.
+    # Headers and body leave as one segment (``_reply`` flushes once);
+    # unbuffered, the body waits on the client's delayed ACK.
     wbufsize = -1
 
     # ------------------------------------------------------------------
@@ -130,6 +132,7 @@ class ServingHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _error(
         self, status: int, message: str, headers: Optional[dict] = None
@@ -160,7 +163,8 @@ class ServingHandler(BaseHTTPRequestHandler):
                 body["status"] = "ok"  # the liveness contract callers probe
             self._reply(200 if body["status"] == "ok" else 503, body)
         elif url.path == "/v1/recommend":
-            self._recommend(parse_qs(url.query))
+            with self.server.query_in_flight():
+                self._recommend(parse_qs(url.query))
         elif url.path == "/v1/stats":
             stats = dict(self.server.front.stats())
             stats["coalescer"] = self.server.coalescer.stats()
@@ -227,14 +231,15 @@ class ServingHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server wired to one resilient front + coalescer.
 
     ``coalescer`` must batch into ``front`` (that is what keeps the
-    degradation ladder on the HTTP path).  ``block_on_close`` keeps the
-    stdlib contract explicit: after ``shutdown()`` stops the accept
-    loop, ``server_close()`` joins every in-flight handler thread — the
-    graceful drain's "answer what you already admitted" step.
+    degradation ladder on the HTTP path).  After ``shutdown()`` stops
+    the accept loop, ``server_close()`` stops admission, waits until
+    every query in flight is answered, and only then closes the
+    coalescer (an admitted query may be about to enter it).  Handler
+    threads are daemons: an idle keep-alive connection never holds the
+    drain up.
     """
 
     daemon_threads = True
-    block_on_close = True
 
     def __init__(
         self,
@@ -249,9 +254,29 @@ class ServingHTTPServer(ThreadingHTTPServer):
         self.coalescer = coalescer
         self.verbose = verbose
         self.request_timeout_s = request_timeout_s
+        self._settled = threading.Condition()
+        self._in_flight = 0
 
-    def shutdown(self) -> None:  # noqa: D102 - inherited semantics
-        super().shutdown()
+    @contextmanager
+    def query_in_flight(self):
+        """Bracket one ``/v1/recommend`` from parse to flushed reply."""
+        with self._settled:
+            self._in_flight += 1
+        try:
+            yield
+        finally:
+            with self._settled:
+                self._in_flight -= 1
+                self._settled.notify_all()
+
+    def server_close(self) -> None:  # noqa: D102 - see the class docstring
+        # Drain first: a query that brackets in after the wait below saw
+        # zero is shed by admission and never reaches the coalescer.
+        self.front.drain()
+        with self._settled:
+            while self._in_flight:
+                self._settled.wait()
+        super().server_close()
         self.coalescer.close()
 
 
@@ -306,9 +331,8 @@ def run_server(
     """Serve until interrupted (the blocking entry ``repro serve`` uses).
 
     Returns normally — exit code 0 — after a SIGTERM/SIGINT graceful
-    drain: admission stops (new requests shed with 503), the coalescer
-    flushes, and every in-flight request is answered before the sockets
-    close.
+    drain: admission stops (new requests shed with 503), every in-flight
+    request is answered, and then the sockets and the coalescer close.
     """
     server = ServingHTTPServer(
         front,
@@ -336,6 +360,6 @@ def run_server(
     finally:
         if not shutdown.requested.is_set():
             server.shutdown()
-        server.server_close()  # joins in-flight handler threads
+        server.server_close()  # answers in-flight queries, then closes the coalescer
     if verbose and shutdown.requested.is_set():
         print("drained: in-flight requests answered, exiting 0")

@@ -287,6 +287,62 @@ class TestLockDisciplineRule:
         assert rules_fired(src, SEEDED, "lock-discipline") == []
 
 
+WAITING_CLASS = (
+    "import threading\n"
+    "class Flusher:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._wakeup = threading.Condition(self._lock)\n"
+    "        self._done = threading.Event()\n"
+    "        self._pending = []\n"
+    "    def take(self):\n"
+    "        with self._wakeup:\n"
+    "{body}"
+    "            return self._pending.pop()\n"
+)
+
+
+class TestConditionWaitInLoop:
+    def test_bare_condition_wait_fires(self):
+        src = WAITING_CLASS.format(body=(
+            "            if not self._pending:\n"
+            "                self._wakeup.wait()\n"
+        ))
+        found = findings_for(src, SERVING, "lock-discipline")
+        assert [f.rule for f in found] == ["lock-discipline"]
+        assert "self._wakeup.wait()" in found[0].message
+
+    def test_wait_in_a_for_loop_or_while_else_fires(self):
+        src = WAITING_CLASS.format(body=(
+            "            for _ in range(3):\n"
+            "                self._wakeup.wait(0.1)\n"
+            "            while not self._pending:\n"
+            "                break\n"
+            "            else:\n"
+            "                self._wakeup.wait()\n"
+        ))
+        assert rules_fired(src, SERVING, "lock-discipline") == ["lock-discipline"] * 2
+
+    def test_predicate_loop_is_silent(self):
+        src = WAITING_CLASS.format(body=(
+            "            while not self._pending:\n"
+            "                self._wakeup.wait()\n"
+        ))
+        assert rules_fired(src, SERVING, "lock-discipline") == []
+
+    def test_loop_does_not_cover_a_nested_function(self):
+        src = WAITING_CLASS.format(body=(
+            "            while not self._pending:\n"
+            "                hook = lambda: self._wakeup.wait()\n"
+            "                hook()\n"
+        ))
+        assert rules_fired(src, SERVING, "lock-discipline") == ["lock-discipline"]
+
+    def test_event_wait_is_silent(self):
+        src = WAITING_CLASS.format(body="            self._done.wait()\n")
+        assert rules_fired(src, SERVING, "lock-discipline") == []
+
+
 # ---------------------------------------------------------------------------
 # Rule: rng-registration
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ Everything runs on the injectable manual clock — no sleeps.
 
 import os
 import shutil
-import threading
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from repro.serving import (
     HealthMonitor,
     QueryRequest,
     RecommendationService,
-    RequestCoalescer,
     ResilienceConfig,
     ResilientService,
     ShedError,
@@ -302,47 +300,6 @@ class TestCacheVersionEviction:
         assert cache.stats()["stale_hits"] == 3
         # Regular hit/miss counters are untouched by stale probes.
         assert cache.stats()["hits"] == 0
-
-
-# ----------------------------------------------------------------------
-# Coalescer: injectable clock, no sleeps
-# ----------------------------------------------------------------------
-class _StubService:
-    def query_batch(self, requests):
-        from repro.serving.service import Recommendation
-
-        return [
-            Recommendation(r.user_id, np.arange(3), np.zeros(3), 1)
-            for r in requests
-        ]
-
-
-class TestCoalescerManualClock:
-    def test_poll_flushes_only_after_injected_deadline(self):
-        clock = ManualClock()
-        coalescer = RequestCoalescer(
-            _StubService(), max_batch=8, max_wait_ms=50.0, clock=clock
-        )
-        answers = []
-        worker = threading.Thread(
-            target=lambda: answers.append(coalescer.submit(3, k=3, timeout=10.0))
-        )
-        worker.start()
-        # Wait (real time) for the submit to park, then poll under the
-        # manual clock: before the deadline nothing flushes.
-        for _ in range(1000):
-            if coalescer.stats()["pending"]:
-                break
-            threading.Event().wait(0.001)
-        assert coalescer.poll() == 0
-        clock.advance(0.049)
-        assert coalescer.poll() == 0
-        clock.advance(0.002)  # now past the 50ms deadline
-        assert coalescer.poll() == 1
-        worker.join(timeout=5.0)
-        assert answers and answers[0].user_id == 3
-        assert coalescer.stats()["deadline_flushes"] == 1
-        coalescer.close()
 
 
 # ----------------------------------------------------------------------

@@ -2,20 +2,22 @@
 
 Pins the production contracts the tentpole claims: blocked scoring
 matches the trainer's reference path, the hot top-k cache is
-version-keyed and invalidated on swap, the coalescer's size and
-deadline triggers both fire, hot-swap is atomic under threaded
-concurrent queries (no dropped or mixed-model responses), an
-incompatible checkpoint is rejected *before* cutover, and the optional
-HTTP front end — driven as ``repro serve`` builds it, resilient service
-plus coalescer — speaks the documented JSON routes, sheds with 503 +
-``Retry-After``, answers every malformed request with a 400 instead of
-dropping the connection, and meters exactly like in-process ``query``.
+version-keyed and invalidated on swap, the coalescer flushes on its
+size trigger and whenever its flusher is idle, hot-swap is atomic
+under threaded concurrent queries (no dropped or mixed-model
+responses), an incompatible checkpoint is rejected *before* cutover,
+and the optional HTTP front end — driven as ``repro serve`` builds it,
+resilient service plus coalescer — speaks the documented JSON routes,
+sheds with 503 + ``Retry-After``, answers every malformed request with
+a 400 instead of dropping the connection, meters exactly like
+in-process ``query``, and drains without dropping an admitted request.
 """
 
 import http.client
 import json
 import os
 import shutil
+import sys
 import threading
 import time
 
@@ -35,6 +37,7 @@ from repro.federated.checkpoint import (
 from repro.serving import (
     DeadlineExceededError,
     QueryRequest,
+    Recommendation,
     RecommendationService,
     RequestCoalescer,
     ResilienceConfig,
@@ -414,36 +417,71 @@ class TestCoalescer:
         return RecommendationService(checkpoints["paths"]["v1"], k=5,
                                      cache_size=0)
 
+    @staticmethod
+    def plugged(service):
+        """Gate ``service.query_batch``: the first call (the plug) blocks
+        in scoring until ``release`` is set.  Returns ``(calls, scoring,
+        release)`` — the batch size of every call, and the two events."""
+        calls, scoring, release = [], threading.Event(), threading.Event()
+        score = service.query_batch
+
+        def gated(requests):
+            calls.append(len(requests))
+            if len(calls) == 1:
+                scoring.set()
+                assert release.wait(30)
+            return score(requests)
+
+        service.query_batch = gated
+        return calls, scoring, release
+
+    @staticmethod
+    def ride_behind_plug(co, plug_user, riders, submit, scoring, release):
+        """Park ``plug_user`` in the flusher, then run one ``submit(co,
+        user)`` thread per rider while it is still scoring."""
+        plug = threading.Thread(target=lambda: co.submit(plug_user, timeout=30))
+        plug.start()
+        assert scoring.wait(30)
+        threads = [threading.Thread(target=submit, args=(co, u)) for u in riders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        release.set()
+        plug.join(timeout=30.0)
+        assert not plug.is_alive()
+
     def test_size_trigger_flushes_full_batch(self, service, checkpoints):
-        users = [c.user_id for c in checkpoints["clients"][:4]]
+        """Four riders arrive while the flusher is busy with a plug: the
+        fourth completes the batch and scores all four inline."""
+        clients = checkpoints["clients"]
+        users = [c.user_id for c in clients[1:5]]
+        expected = {u: service.query(u).items for u in users}
+        calls, scoring, release = self.plugged(service)
         results = {}
-        with RequestCoalescer(service, max_batch=4, max_wait_ms=10_000) as co:
-            threads = [
-                threading.Thread(
-                    target=lambda u=u: results.update({u: co.submit(u, timeout=30)})
-                )
-                for u in users
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
+
+        def submit(co, user):
+            results[user] = co.submit(user, timeout=30)
+
+        with RequestCoalescer(service, max_batch=4) as co:
+            self.ride_behind_plug(co, clients[0].user_id, users, submit, scoring, release)
             stats = co.stats()
+        assert calls == [1, 4] and stats["size_flushes"] == 1
         assert set(results) == set(users)
-        assert stats["size_flushes"] >= 1
         for user, answer in results.items():
-            assert np.array_equal(answer.items, service.query(user).items)
+            assert np.array_equal(answer.items, expected[user])
 
     def test_deadline_trigger_flushes_lone_query(self, service, checkpoints):
         user = checkpoints["clients"][0].user_id
-        with RequestCoalescer(service, max_batch=64, max_wait_ms=20.0) as co:
+        with RequestCoalescer(service, max_batch=64) as co:
             answer = co.submit(user, timeout=30)
             stats = co.stats()
         assert answer.user_id == user
         assert stats["deadline_flushes"] == 1 and stats["size_flushes"] == 0
 
     def test_errors_propagate_to_submitter(self, service):
-        with RequestCoalescer(service, max_batch=64, max_wait_ms=5.0) as co:
+        with RequestCoalescer(service, max_batch=64) as co:
             with pytest.raises(UnknownUserError):
                 co.submit(999_999, timeout=30)
 
@@ -451,11 +489,10 @@ class TestCoalescer:
         """Four riders, one batch, one unknown id: the size trigger
         flushes once, three get their own top-k, the fourth its own
         refusal."""
-        users = [c.user_id for c in checkpoints["clients"][:3]] + [999_999]
+        clients = checkpoints["clients"]
+        users = [c.user_id for c in clients[1:4]] + [999_999]
         expected = {u: service.query(u).items for u in users[:3]}
-        calls = []
-        score = service.query_batch
-        service.query_batch = lambda requests: calls.append(len(requests)) or score(requests)
+        calls, scoring, release = self.plugged(service)
         outcomes = {}
 
         def ride(co, user):
@@ -464,15 +501,10 @@ class TestCoalescer:
             except Exception as error:  # noqa: BLE001 - the outcome under test
                 outcomes[user] = error
 
-        with RequestCoalescer(service, max_batch=4, max_wait_ms=600_000) as co:
-            threads = [threading.Thread(target=ride, args=(co, u)) for u in users]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert not any(thread.is_alive() for thread in threads)
+        with RequestCoalescer(service, max_batch=4) as co:
+            self.ride_behind_plug(co, clients[0].user_id, users, ride, scoring, release)
             stats = co.stats()
-        assert calls == [4] and stats["size_flushes"] == 1
+        assert calls == [1, 4] and stats["size_flushes"] == 1
         for user in users[:3]:
             assert outcomes[user].user_id == user
             assert np.array_equal(outcomes[user].items, expected[user])
@@ -484,6 +516,119 @@ class TestCoalescer:
         co.close()
         with pytest.raises(RuntimeError, match="closed"):
             co.submit(checkpoints["clients"][0].user_id)
+
+
+class _GatedStub:
+    """A scorer with no model: each query's answer is its own user id.
+
+    ``query_batch`` records every batch's size and, while ``gate`` is
+    clear, blocks in scoring (``scoring`` says a batch got that far);
+    ``delays_s`` (seeded) is the scoring cost of successive batches.
+    """
+
+    def __init__(self, gate_open=True, delays_s=(0.0,)):
+        self.batches = []
+        self.gate, self.scoring = threading.Event(), threading.Event()
+        if gate_open:
+            self.gate.set()
+        self.delays_s = list(delays_s)
+        self._lock = threading.Lock()
+
+    def query_batch(self, requests):
+        with self._lock:
+            delay = self.delays_s[len(self.batches) % len(self.delays_s)]
+            self.batches.append(len(requests))
+        self.scoring.set()
+        assert self.gate.wait(30)
+        time.sleep(delay)
+        return [
+            Recommendation(r.user_id, np.array([r.user_id]), np.zeros(1), 1)
+            for r in requests
+        ]
+
+
+class TestCoalescerIdleFlush:
+    """The coalescer is work-conserving: a query never waits for
+    company.  Batches form only out of queries that arrive while the
+    flusher is scoring."""
+
+    def test_lone_queries_return_at_once(self):
+        stub = _GatedStub()
+        waits = []
+        with RequestCoalescer(stub, max_batch=32) as co:
+            for user in range(20):
+                start = time.perf_counter()
+                assert co.submit(user, timeout=30).user_id == user
+                waits.append(time.perf_counter() - start)
+            stats = co.stats()
+        # A timed wait for company would put every lone query at its
+        # deadline; an idle flusher scores it at once.
+        assert np.median(waits) < 2e-3, waits
+        assert stub.batches == [1] * 20
+        assert stats["deadline_flushes"] == 20 and stats["size_flushes"] == 0
+
+    def test_queries_behind_a_busy_flusher_ride_together(self):
+        stub = _GatedStub(gate_open=False)
+        answers = {}
+
+        def submit(co, user):
+            answers[user] = co.submit(user, timeout=30).user_id
+
+        with RequestCoalescer(stub, max_batch=32) as co:
+            first = threading.Thread(target=submit, args=(co, 0))
+            first.start()
+            assert stub.scoring.wait(30)  # batch 1 is in scoring
+            riders = [threading.Thread(target=submit, args=(co, u)) for u in (1, 2, 3)]
+            for thread in riders:
+                thread.start()
+            for _ in range(3000):
+                if co.stats()["pending"] == 3:
+                    break
+                time.sleep(0.001)
+            assert co.stats()["pending"] == 3
+            stub.gate.set()
+            for thread in [first] + riders:
+                thread.join(timeout=30.0)
+            assert not any(t.is_alive() for t in [first] + riders)
+            stats = co.stats()
+        assert stub.batches == [1, 3]
+        assert answers == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert stats["deadline_flushes"] == 2 and stats["queries"] == 4
+
+    def test_conservation_under_real_threads(self):
+        threads_n, submits, max_batch = 16, 200, 8
+        rng = np.random.default_rng(11)
+        stub = _GatedStub(delays_s=rng.uniform(0.0, 300e-6, size=997))
+        wrong, errors = [], []
+        co = RequestCoalescer(stub, max_batch=max_batch)
+
+        def client(index):
+            try:
+                for j in range(submits):
+                    user = index * submits + j
+                    if co.submit(user, timeout=30).user_id != user:
+                        wrong.append(user)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=client, args=(i,)) for i in range(threads_n)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in workers)
+        finally:
+            sys.setswitchinterval(interval)
+            co.close()
+        assert not errors, errors[:1]
+        assert not wrong, wrong[:5]
+        stats = co.stats()
+        assert sum(stub.batches) == stats["queries"] == threads_n * submits
+        assert max(stub.batches) <= max_batch
+        assert stats["pending"] == 0 and not co._flusher.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -739,9 +884,9 @@ class TestHTTP:
 
 
 class TestPoisonedBatchOverHTTP:
-    """``repro serve``'s own wiring and defaults (``max_batch=32``,
-    ``max_wait_ms=5``): callers asking for a user nobody has, beside
-    callers asking for their own."""
+    """``repro serve``'s own wiring and defaults (``max_batch=32``):
+    callers asking for a user nobody has, beside callers asking for
+    their own."""
 
     GOOD, BAD, REQUESTS = 8, 2, 25
 
@@ -788,6 +933,44 @@ class TestPoisonedBatchOverHTTP:
                 assert all(str(user) in body["error"] for _, body in answers)
         # Delivered answers are counted, refusals are not.
         assert sum(stats["resilience"]["tiers"].values()) == self.GOOD * self.REQUESTS
+
+
+class TestDrainAnswersAdmitted:
+    """The graceful drain closes the coalescer only after the in-flight
+    handlers are joined: a request admitted before the drain that
+    reaches ``submit`` after ``shutdown()`` returned is still answered."""
+
+    def test_request_admitted_before_drain_is_answered(self, checkpoints):
+        server, front = http_stack(checkpoints["paths"]["v1"])
+        user = checkpoints["clients"][0].user_id
+        submit = server.coalescer.submit
+        entered, proceed = threading.Event(), threading.Event()
+
+        def late_submit(*args, **kwargs):
+            entered.set()
+            assert proceed.wait(30)
+            return submit(*args, **kwargs)
+
+        server.coalescer.submit = late_submit
+        replies = []
+        client = threading.Thread(target=lambda: replies.append(
+            http_call(server, "GET", f"/v1/recommend?user={user}&k=3")
+        ))
+        client.start()
+        assert entered.wait(30)  # admitted, not yet in the coalescer
+        front.drain()
+        server.shutdown()  # the accept loop is down; the handler is not
+        proceed.set()
+        closer = threading.Thread(target=server.server_close)
+        closer.start()
+        closer.join(timeout=30.0)
+        client.join(timeout=30.0)
+        assert not closer.is_alive() and not client.is_alive()
+        assert len(replies) == 1, "the admitted request was dropped"
+        status, _, body = replies[0]
+        assert status == 200 and body["user"] == user
+        with pytest.raises(RuntimeError, match="closed"):
+            submit(user)  # the drain did close the coalescer
 
 
 class TestOneAdmissionDriver:
