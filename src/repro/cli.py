@@ -254,7 +254,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         clients_per_round=args.clients_per_round,
         seed=args.seed,
     )
-    result = run_scenario(args.scenario, base, store_dir=args.store_dir)
+    result = run_scenario(args.scenario, base)
     if args.json:
         print(json.dumps(result.fingerprint(), indent=2, sort_keys=True))
     else:
@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--seed", type=int, default=0)
     sim_parser.add_argument(
         "--store-dir", default=None, metavar="DIR",
-        help="directory for the memmap user store (default: temporary)",
+        help="serving_chaos only: work directory for its checkpoints and "
+        "swap candidates (default: .repro_cache/serving_chaos)",
     )
     sim_parser.add_argument(
         "--json", action="store_true",

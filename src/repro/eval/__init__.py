@@ -8,16 +8,6 @@ from repro.eval.metrics import (
     rank_items,
     recall_at_k,
 )
-from repro.eval.extra_metrics import (
-    auc_score,
-    extended_user_metrics,
-    gini_coefficient,
-    hit_rate_at_k,
-    item_coverage_at_k,
-    mrr_at_k,
-    precision_at_k,
-    recommendation_counts_at_k,
-)
 from repro.eval.evaluator import EvaluationResult, Evaluator
 from repro.eval.groups import GroupMetrics, per_group_metrics
 from repro.eval.significance import (
@@ -34,14 +24,6 @@ __all__ = [
     "blocked_top_k",
     "partial_top_k",
     "mask_scored_items",
-    "hit_rate_at_k",
-    "precision_at_k",
-    "mrr_at_k",
-    "auc_score",
-    "item_coverage_at_k",
-    "recommendation_counts_at_k",
-    "gini_coefficient",
-    "extended_user_metrics",
     "Evaluator",
     "EvaluationResult",
     "GroupMetrics",

@@ -24,12 +24,10 @@ Layout
     The FedBuff-style buffered-aggregation server and the backends it
     drives (a real :class:`~repro.federated.trainer.FederatedTrainer`,
     or the population-scale surrogate fleet).
-``user_store``
-    Sharded memmap-backed user-state storage: only active clients'
-    embedding rows are resident, making :math:`10^4`–:math:`10^6`
-    simulated clients feasible.
 ``population``
-    The surrogate client fleet for population-scale scenarios.
+    The surrogate client fleet for population-scale scenarios; its
+    clients' private vectors live in one in-memory
+    :class:`~repro.federated.user_table.UserTable`.
 ``scenarios``
     The scenario catalogue: ``run_scenario(name, config)`` wraps the
     fault injectors and the :mod:`repro.robustness` attacks into

@@ -104,9 +104,6 @@ class TrainerBackend:
             digest.update(users.values.tobytes())
         return digest.hexdigest()
 
-    def close(self) -> None:  # lifecycle parity with the surrogate fleet
-        pass
-
 
 class AsyncFedServer:
     """Event-driven buffered-aggregation server over any backend."""

@@ -8,9 +8,7 @@ scenario seed via :class:`numpy.random.SeedSequence` — independent
 streams, no hidden global state, no draw-order coupling between models.
 Event ties (same timestamp) break on a monotonically increasing sequence
 number, so the processing order — and therefore every downstream draw —
-is a pure function of the configuration.  Generator streams are also
-checkpoint-compatible: ``bit_generator.state`` round-trips like the
-trainer's streams do.
+is a pure function of the configuration.
 """
 
 from __future__ import annotations
@@ -208,16 +206,6 @@ class SimStreams:
         self.attack = streams["attack"]
         self.population = streams["population"]
         self.secure = streams["secure"]
-
-    def export_state(self) -> Dict[str, dict]:
-        """Checkpoint-compatible snapshot of every stream."""
-        return {
-            name: getattr(self, name).bit_generator.state for name in self.NAMES
-        }
-
-    def load_state(self, state: Dict[str, dict]) -> None:
-        for name in self.NAMES:
-            getattr(self, name).bit_generator.state = state[name]
 
 
 def build_models(

@@ -6,13 +6,18 @@ Driving real :class:`~repro.federated.client.ClientRuntime` training for
 machinery only sees :class:`~repro.federated.payload.ClientUpdate`
 objects.  :class:`SurrogateFleet` produces structurally faithful updates
 — row-sparse embedding deltas over a handful of touched items, example
-counts, decaying losses — from cheap vectorised draws, with per-user
-state held in a :class:`~repro.sim.user_store.MemmapUserStore` so the
-resident footprint stays bounded no matter the population size.
+counts, decaying losses — from cheap vectorised draws.  Each client's
+private vector lives in one in-memory
+:class:`~repro.federated.user_table.UserTable`, the same form the
+trainer, checkpoint and serving use: at :math:`10^5` clients × dim 8
+in float32 the whole table is 3.2 MB.
 
-Every draw comes from the fleet's owned ``population`` stream (and the
-``attack`` stream for poisoning), so a scenario's updates are a pure
-function of its seed.  Malicious clients run the real
+Every training draw comes from the fleet's owned ``population`` stream
+(and the ``attack`` stream for poisoning), so a scenario's updates are
+a pure function of its seed.  The initial user rows are one draw from a
+generator keyed on the seed alone, never from a
+:class:`~repro.sim.engine.SimStreams` stream, so no owned stream
+shifts.  Malicious clients run the real
 :mod:`repro.robustness.attacks` transformations over their honest
 surrogate updates — spam/poisoning at population scale exercises the
 identical code path the robustness harness evaluates.
@@ -26,9 +31,9 @@ from typing import List, Optional, Sequence, Set
 import numpy as np
 
 from repro.federated.payload import ClientUpdate, SparseRowDelta
+from repro.federated.user_table import UserTable
 from repro.robustness.attacks import AttackConfig, poison_update
 from repro.sim.config import SimulationConfig
-from repro.sim.user_store import MemmapUserStore
 
 #: The single pseudo-group surrogate updates belong to.
 SURROGATE_GROUP = "s"
@@ -40,25 +45,23 @@ class SurrogateFleet:
     def __init__(
         self,
         config: SimulationConfig,
-        store_dir: str,
         rng: np.random.Generator,
         attack: Optional[AttackConfig] = None,
         attack_rng: Optional[np.random.Generator] = None,
-        shard_size: int = 4096,
-        max_open_shards: int = 8,
     ) -> None:
         self.config = config
         self._rng = rng
         self.item_table = np.zeros(
             (config.num_items, config.dim), dtype=np.float64
         )
-        self.store = MemmapUserStore(
-            store_dir,
-            num_users=config.num_clients,
-            dim=config.dim,
-            shard_size=shard_size,
-            max_open_shards=max_open_shards,
-            seed=config.seed,
+        initial = np.random.default_rng(config.seed).normal(
+            0.0, 0.01, size=(config.num_clients, config.dim)
+        )
+        self.users = UserTable(
+            np.arange(config.num_clients),
+            initial.astype(np.float32),
+            config.dim,
+            np.float32,
         )
         self.attack = attack
         self._attack_rng = attack_rng
@@ -105,8 +108,7 @@ class SurrogateFleet:
         user_moves = self._rng.normal(0.0, 0.005 * decay, size=(count, dim))
         loss_noise = self._rng.normal(0.0, 0.01, size=count)
 
-        rows_before = self.store.read(ids).astype(np.float64)
-        self.store.write(ids, rows_before + user_moves)
+        self.users.put(ids, self.users.take(ids) + user_moves)
 
         updates: List[ClientUpdate] = []
         for i in range(count):
@@ -134,7 +136,7 @@ class SurrogateFleet:
             self.item_table[delta.rows] += lr * delta.values
 
     def end_epoch(self, epoch: int, losses: Sequence[float]) -> None:
-        self.store.flush()
+        pass
 
     def download_size(self, user_id: int) -> float:
         return float(self.config.num_items * self.config.dim)
@@ -142,8 +144,6 @@ class SurrogateFleet:
     def digest(self) -> str:
         digest = hashlib.sha256(b"item_table")
         digest.update(np.ascontiguousarray(self.item_table).tobytes())
-        digest.update(self.store.digest().encode())
+        digest.update(b"users")
+        digest.update(self.users.values.tobytes())
         return digest.hexdigest()
-
-    def close(self) -> None:
-        self.store.close()

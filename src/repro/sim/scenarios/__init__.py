@@ -24,7 +24,6 @@ Fault families covered (each asserted by the test suite):
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Union
 
@@ -93,15 +92,14 @@ def build_scenario(
 def run_scenario(
     scenario: Union[str, SimulationConfig, ScenarioSpec],
     base: Optional[SimulationConfig] = None,
-    store_dir: Optional[str] = None,
     **overrides,
 ) -> ScenarioResult:
     """Run one scenario end to end against the surrogate fleet.
 
     ``scenario`` may be a catalogue name, a bare
     :class:`SimulationConfig` (run as-is, no attack), or a resolved
-    :class:`ScenarioSpec`.  ``store_dir`` hosts the memmap user store;
-    omitted, a temporary directory is used and cleaned up.
+    :class:`ScenarioSpec`.  Nothing touches disk: the fleet holds its
+    population in memory, so the result is a function of the spec alone.
     """
     if isinstance(scenario, SimulationConfig):
         spec = ScenarioSpec("custom", scenario)
@@ -116,17 +114,9 @@ def run_scenario(
     else:
         spec = build_scenario(scenario, base, **overrides)
 
-    if store_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro_sim_") as tmp:
-            return _run(spec, tmp)
-    return _run(spec, store_dir)
-
-
-def _run(spec: ScenarioSpec, store_dir: str) -> ScenarioResult:
     streams = SimStreams(spec.config.seed)
     fleet = SurrogateFleet(
         spec.config,
-        store_dir,
         streams.population,
         attack=spec.attack,
         attack_rng=streams.attack,
@@ -139,23 +129,20 @@ def _run(spec: ScenarioSpec, store_dir: str) -> ScenarioResult:
             config=spec.secure,
             rng=streams.secure,
         )
-    try:
-        server = AsyncFedServer(backend, spec.config, name=spec.name, streams=streams)
-        result = server.run()
-        result.poisoned_updates = fleet.poisoned_updates
-        if spec.secure is not None:
-            result.secure_rounds_applied = backend.rounds_applied
-            result.secure_rounds_aborted = backend.rounds_aborted
-            result.secure_dropouts_injected = dict(backend.dropouts_injected)
-            result.secure_phase_wire = dict(backend.phase_wire)
-            result.secure_max_sum_error = backend.max_sum_error
-            result.secure_saturated_scalars = backend.saturated_scalars
-            # Updates stranded in an aborted final round never reached
-            # the model — account them as dropped, not silently lost.
-            result.dropped_updates += backend.carried_unapplied
-        return result
-    finally:
-        fleet.close()
+    server = AsyncFedServer(backend, spec.config, name=spec.name, streams=streams)
+    result = server.run()
+    result.poisoned_updates = fleet.poisoned_updates
+    if spec.secure is not None:
+        result.secure_rounds_applied = backend.rounds_applied
+        result.secure_rounds_aborted = backend.rounds_aborted
+        result.secure_dropouts_injected = dict(backend.dropouts_injected)
+        result.secure_phase_wire = dict(backend.phase_wire)
+        result.secure_max_sum_error = backend.max_sum_error
+        result.secure_saturated_scalars = backend.saturated_scalars
+        # Updates stranded in an aborted final round never reached
+        # the model — account them as dropped, not silently lost.
+        result.dropped_updates += backend.carried_unapplied
+    return result
 
 
 __all__ = [

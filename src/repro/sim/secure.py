@@ -111,9 +111,6 @@ class SecureAggregatingBackend:
     def digest(self) -> str:
         return self.inner.digest()
 
-    def close(self) -> None:
-        self.inner.close()
-
     @property
     def carried_unapplied(self) -> int:
         """Updates still waiting on a successful round (end-of-run loss)."""

@@ -63,10 +63,8 @@ class TestExamplesUseFacadeOnly:
 class TestOneCheckpointDoor:
     def test_one_np_load_and_one_zipfile_import_under_src(self):
         """What a bad checkpoint raises is decided in one module: the
-        only ``np.load`` of a checkpoint and the only ``import zipfile``
-        under ``src/repro`` live in ``federated/checkpoint.py`` (the
-        simulator's user store memory-maps its own shards — not a
-        checkpoint)."""
+        only ``np.load`` and the only ``import zipfile`` under
+        ``src/repro`` live in ``federated/checkpoint.py``."""
         root = REPO_ROOT / "src" / "repro"
         np_loads, zipfile_imports = [], []
         for path in sorted(root.rglob("*.py")):
@@ -78,7 +76,6 @@ class TestOneCheckpointDoor:
                     and node.func.attr == "load"
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id in ("np", "numpy")
-                    and where != "sim/user_store.py"
                 ):
                     np_loads.append(where)
                 elif isinstance(node, ast.Import):

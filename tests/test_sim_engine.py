@@ -65,15 +65,6 @@ class TestStreams:
         one, two = SimStreams(7), SimStreams(7)
         assert np.allclose(one.latency.random(50), two.latency.random(50))
 
-    def test_state_roundtrip(self):
-        streams = SimStreams(3)
-        streams.latency.random(17)
-        state = streams.export_state()
-        expected = streams.latency.random(5)
-        fresh = SimStreams(3)
-        fresh.load_state(state)
-        assert np.allclose(fresh.latency.random(5), expected)
-
 
 class TestLatencyModel:
     def _model(self, **kwargs):

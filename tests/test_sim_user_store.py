@@ -1,109 +1,35 @@
-"""The sharded memmap user store: correctness, determinism, memory bound."""
+"""The surrogate fleet's user rows: one in-memory table, keyed on the seed."""
 
 import numpy as np
-import pytest
 
-from repro.sim.user_store import MemmapUserStore
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimStreams
+from repro.sim.population import SurrogateFleet
 
 
-class TestRoundTrip:
-    def test_read_write_roundtrip(self, tmp_path):
-        store = MemmapUserStore(str(tmp_path / "s"), num_users=100, dim=4,
-                                shard_size=16, seed=0)
-        ids = np.array([3, 17, 42, 99])
-        values = np.arange(16, dtype=np.float32).reshape(4, 4)
-        store.write(ids, values)
-        assert np.array_equal(store.read(ids), values)
-
-    def test_matches_dense_reference(self, tmp_path):
-        """Scattered writes through shards == the same ops on one array."""
-        rng = np.random.default_rng(0)
-        store = MemmapUserStore(str(tmp_path / "s"), num_users=200, dim=3,
-                                shard_size=32, max_open_shards=2, seed=5)
-        dense = store.read(np.arange(200)).copy()
-        for _ in range(20):
-            ids = rng.choice(200, size=rng.integers(1, 40), replace=False)
-            delta = rng.normal(size=(ids.size, 3)).astype(np.float32)
-            store.write(ids, store.read(ids) + delta)
-            dense[ids] += delta
-        assert np.allclose(store.read(np.arange(200)), dense, atol=1e-6)
-
-    def test_out_of_range_rejected(self, tmp_path):
-        store = MemmapUserStore(str(tmp_path / "s"), num_users=10, dim=2)
-        with pytest.raises(IndexError):
-            store.read([10])
-        with pytest.raises(ValueError):
-            store.write([0], np.zeros((2, 2), dtype=np.float32))
+def fleet(seed: int) -> SurrogateFleet:
+    config = SimulationConfig(
+        num_clients=64, num_items=20, dim=4, items_per_client=3,
+        clients_per_round=8, epochs=1, seed=seed,
+    )
+    return SurrogateFleet(config, SimStreams(seed).population)
 
 
 class TestDeterminism:
-    def test_initial_rows_deterministic_in_seed(self, tmp_path):
-        a = MemmapUserStore(str(tmp_path / "a"), num_users=64, dim=4,
-                            shard_size=16, seed=9)
-        b = MemmapUserStore(str(tmp_path / "b"), num_users=64, dim=4,
-                            shard_size=16, seed=9)
-        ids = np.arange(64)
-        assert np.array_equal(a.read(ids), b.read(ids))
+    def test_initial_rows_deterministic_in_seed(self):
+        a, b, other = fleet(9), fleet(9), fleet(10)
+        assert a.users.values.dtype == np.float32
+        assert np.array_equal(a.users.ids, np.arange(64))
+        assert np.array_equal(a.users.values, b.users.values)
+        assert not np.array_equal(a.users.values, other.users.values)
 
-    def test_touch_order_does_not_leak_into_content(self, tmp_path):
-        """Shard content is a function of (seed, shard) alone — two runs
-        touching shards in opposite orders read identical rows and hash
-        to the same digest."""
-        fwd = MemmapUserStore(str(tmp_path / "f"), num_users=100, dim=4,
-                              shard_size=10, max_open_shards=2, seed=3)
-        rev = MemmapUserStore(str(tmp_path / "r"), num_users=100, dim=4,
-                              shard_size=10, max_open_shards=2, seed=3)
-        for uid in range(0, 100, 7):
-            fwd.read([uid])
-        for uid in reversed(range(0, 100, 7)):
-            rev.read([uid])
-        assert fwd.digest() == rev.digest()
-
-    def test_digest_reflects_writes(self, tmp_path):
-        store = MemmapUserStore(str(tmp_path / "s"), num_users=20, dim=2,
-                                shard_size=8, seed=0)
-        before = store.digest()
-        store.write([5], np.ones((1, 2), dtype=np.float32))
-        assert store.digest() != before
-
-
-class TestMemoryBound:
-    def test_population_scale_resident_memory_is_pinned(self, tmp_path):
-        """10⁵ users: resident user-state stays under the configured
-        budget — a fixed number of shards — no matter how many rows the
-        run touches, while a dense table would be 100× larger."""
-        store = MemmapUserStore(
-            str(tmp_path / "s"), num_users=100_000, dim=32,
-            shard_size=1024, max_open_shards=4, seed=0,
-        )
-        budget = store.resident_budget_bytes
-        assert budget * 20 < store.dense_equivalent_bytes  # a real saving
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            ids = np.sort(rng.choice(100_000, size=256, replace=False))
-            rows = store.read(ids)
-            store.write(ids, rows + 1.0)
-            assert store.resident_bytes <= budget
-        assert store.peak_open_shards <= 4
-        assert store.shards_created > 4  # the LRU really evicted shards
-        stats = store.stats()
-        assert stats["resident_bytes"] <= stats["resident_budget_bytes"]
-
-    def test_eviction_persists_writes(self, tmp_path):
-        """A write that was LRU-evicted out of the open set must survive
-        (flushed to disk) and read back exactly."""
-        store = MemmapUserStore(str(tmp_path / "s"), num_users=64, dim=2,
-                                shard_size=8, max_open_shards=1, seed=0)
-        marker = np.full((1, 2), 7.5, dtype=np.float32)
-        store.write([3], marker)
-        for uid in range(8, 64, 8):  # cycle through every other shard
-            store.read([uid])
-        assert np.array_equal(store.read([3]), marker)
-
-    def test_lazy_shards_never_materialise_untouched(self, tmp_path):
-        store = MemmapUserStore(str(tmp_path / "s"), num_users=10_000, dim=4,
-                                shard_size=100, seed=0)
-        store.read([0])
-        store.read([9_999])
-        assert store.created_shard_indices() == [0, 99]
-        assert store.shards_created == 2
+    def test_digest_reflects_writes(self):
+        """User rows feed the digest: ``train`` moves the trained users'
+        rows (and nothing else, until ``apply``), so the digest moves."""
+        population = fleet(0)
+        before = population.users.values.copy()
+        digest = population.digest()
+        population.train([5, 17], version=0)
+        changed = np.flatnonzero((population.users.values != before).any(axis=1))
+        assert changed.tolist() == [5, 17]
+        assert population.digest() != digest
