@@ -203,7 +203,6 @@ def bench_swap_storm(paths: Dict[str, str], settings: Dict, tmp: str) -> Dict:
         "corrupt_rate": 0.3,
         "swaps_succeeded": result.swaps_succeeded,
         "quarantined": result.quarantined,
-        "rollbacks": result.rollbacks,
         "bad_snapshots_served": result.bad_snapshots_served,
         "answered": result.answered,
         "digest": result.answers_digest,
@@ -304,6 +303,6 @@ def summary(report: Dict) -> None:
     print(
         f"swap storm: {storm['corrupt_offered']}/{storm['swap_attempts']} "
         f"candidates corrupt -> {storm['quarantined']} quarantined, "
-        f"{storm['swaps_succeeded']} swapped, {storm['rollbacks']} rolled "
-        f"back, bad snapshots served: {storm['bad_snapshots_served']}"
+        f"{storm['swaps_succeeded']} swapped, bad snapshots served: "
+        f"{storm['bad_snapshots_served']}"
     )

@@ -1,8 +1,10 @@
 """Benchmarks: ablations of this repo's documented design choices.
 
-DESIGN.md §2 records deliberate deviations from the paper (Θ averaging,
-server update rule) and open hyper-parameters (RESKD subset size).
-These benches regenerate the evidence for each choice.
+The repo deviates from the paper on purpose in two places — Θ updates
+are averaged, not summed (see ``src/repro/federated/aggregation.py``),
+and the server update rule is selectable — and fixes one hyper-parameter
+the paper leaves open (RESKD's subset size).  These benches regenerate
+the evidence for each choice.
 """
 
 import numpy as np

@@ -9,8 +9,9 @@ full experiment harness for every table and figure.
 The stable public import surface is :mod:`repro.api` — one module,
 six lifecycle verbs (``fit``, ``save_checkpoint``, ``resume``,
 ``load_model``, ``recommend``, ``serve``) plus every public class and
-helper, re-exported lazily.  The names below stay importable from
-``repro`` directly for convenience.
+helper, re-exported lazily.  The names in ``__all__`` stay importable
+from ``repro`` directly for convenience, resolved through that same
+lazy facade, so ``import repro`` (and ``import repro.api``) stays light.
 
 Quickstart
 ----------
@@ -19,25 +20,6 @@ Quickstart
 >>> print(result)                                        # doctest: +SKIP
 Recall@20=... NDCG@20=...
 """
-
-from repro.core import HeteFedRec, HeteFedRecConfig
-from repro.federated.trainer import FederatedConfig, FederatedTrainer
-from repro.baselines import METHODS, build_method
-from repro.data import (
-    InteractionDataset,
-    SyntheticConfig,
-    load_benchmark_dataset,
-    train_test_split_per_user,
-)
-from repro.eval import Evaluator
-from repro.api import (
-    fit,
-    load_model,
-    recommend,
-    resume,
-    save_checkpoint,
-    serve,
-)
 
 __version__ = "1.1.0"
 
@@ -63,6 +45,14 @@ __all__ = [
 ]
 
 
+def __getattr__(name: str):
+    if name in __all__:
+        from repro import api
+
+        return getattr(api, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
+
 def quick_run(
     dataset: str = "ml",
     method: str = "hetefedrec",
@@ -76,6 +66,15 @@ def quick_run(
     A convenience wrapper for interactive use and the quickstart example;
     the experiment harness in :mod:`repro.experiments` offers full control.
     """
+    from repro.api import (
+        Evaluator,
+        HeteFedRecConfig,
+        SyntheticConfig,
+        build_method,
+        load_benchmark_dataset,
+        train_test_split_per_user,
+    )
+
     data = load_benchmark_dataset(dataset, SyntheticConfig(scale=scale, seed=seed))
     clients = train_test_split_per_user(data, seed=seed)
     config = HeteFedRecConfig(arch=arch, epochs=epochs, seed=seed)

@@ -128,7 +128,7 @@ class SyntheticConfig:
     # federated aggregation dynamics depend on.
     item_scale: float = 0.15
     avg_interactions: float = 32.0
-    # Calibration (see DESIGN.md): the latent dimensionality must exceed
+    # Calibration: the latent dimensionality must exceed
     # the small model width (8) so that All Small is capacity-limited,
     # while the *per-user expressed* complexity stays below each user's
     # interaction count so preferences remain statistically identifiable.

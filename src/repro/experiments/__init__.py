@@ -9,7 +9,7 @@ paper prints it (``format_*``).  :mod:`repro.experiments.run_all`
 registers each as *(grid, run, format)* and derives the suite's deduped
 warm-up from the grids; ``benchmarks/`` wraps the ``run_*`` functions.
 
-Artefact index (see DESIGN.md §4):
+Artefact index (each registered in :data:`repro.experiments.run_all.ARTEFACTS`):
 Table I → :mod:`table1`; Fig. 1 → :mod:`fig1`; Table II → :mod:`table2`;
 Fig. 6 → :mod:`fig6`; Fig. 7 → :mod:`fig7`; Table III → :mod:`table3`;
 Table IV → :mod:`table4`; Table V → :mod:`table5`; Table VI → :mod:`table6`;

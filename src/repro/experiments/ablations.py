@@ -1,8 +1,8 @@
 """Ablation experiments for the repo's own design choices.
 
-DESIGN.md documents several decisions the paper leaves open (Θ
-aggregation mode, server update rule, distillation subset size) and the
-extensions this repo adds (compression, robustness).  Each runner here
+The paper leaves several decisions open (Θ aggregation mode, server
+update rule, distillation subset size), and this repo adds extensions
+(compression, robustness).  Each runner here
 measures one of those choices the same way the paper's tables measure
 its components, declaring its grid once as a label → :class:`~repro.
 experiments.runner.RunSpec` mapping and running it through the shared
@@ -79,7 +79,7 @@ def format_theta_mode(results: Dict[str, RunResult]) -> str:
     return format_table(
         ["Θ aggregation", "Recall@20", "NDCG@20"],
         rows,
-        title="Ablation: Θ update combination (DESIGN.md deviation #1)",
+        title="Ablation: Θ update combination (mean vs the paper's Eq. 15 sum)",
     )
 
 

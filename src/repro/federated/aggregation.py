@@ -6,10 +6,11 @@ to the widest dimension, sum, and let each width class read back its
 column prefix.  With shared-prefix initialisation this preserves the
 nesting invariant ``V_s = V_m[:, :Ns] = V_l[:, :Ns]`` (Eq. 10).
 
-A deliberate, documented deviation (see DESIGN.md §2): head (Θ) updates
-default to *averaging* rather than the paper's summation because a dense
-sum over hundreds of clients diverges at small scale; both modes are
-selectable.
+A deliberate deviation from the paper: head (Θ) updates default to
+*averaging* rather than Eq. 15's summation because a dense sum over
+hundreds of clients diverges at small scale; both modes are selectable,
+and ``benchmarks/test_ablation_design.py`` regenerates the evidence
+(``results/ablation_theta_mode.txt``).
 """
 
 from __future__ import annotations

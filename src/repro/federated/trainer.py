@@ -175,12 +175,6 @@ class FederatedTrainer:
             if config.availability is not None and config.availability.enabled
             else None
         )
-        #: Pluggable client-participation source: when set, a callable
-        #: ``(trainer, epoch) -> iterable of per-round user-id lists``
-        #: replaces the built-in shuffled-queue traversal.  The
-        #: event-driven simulator uses this seam to drive cohorts from
-        #: arrival traces; ``None`` keeps the paper's schedule.
-        self.participation_source = None
         #: Fault-injection seam for the secure-aggregation protocol: a
         #: callable ``(round_id, participant_ids) -> Optional[FaultPlan]``
         #: deciding which clients drop/duplicate at which phase.  ``None``
@@ -633,16 +627,11 @@ class FederatedTrainer:
 
         The single site that consumes the permutation RNG: the default
         source shuffles the client queue once and chunks it into rounds
-        of ``clients_per_round`` (Section V-D).  A pluggable
-        ``participation_source`` replaces the schedule wholesale — the
-        simulator's arrival models plug in here — while any consumer
-        (``run_epoch`` or the async server) sees the same contract.
+        of ``clients_per_round`` (Section V-D).  Both consumers —
+        ``run_epoch`` and the simulator's
+        :class:`~repro.sim.async_server.TrainerBackend` — read the
+        schedule here.
         """
-        if self.participation_source is not None:
-            return [
-                [int(u) for u in cohort]
-                for cohort in self.participation_source(self, epoch)
-            ]
         queue = self._rng.permutation([c.user_id for c in self.clients])
         step = self.config.clients_per_round
         return [

@@ -143,7 +143,6 @@ class ServingChaosResult:
     swaps_succeeded: int = 0
     corrupt_offered: int = 0
     quarantined: int = 0
-    rollbacks: int = 0
     bad_snapshots_served: int = 0
     max_queue_depth: int = 0
     p99_admitted_ms: float = 0.0
@@ -170,8 +169,7 @@ class ServingChaosResult:
             f"  faults: {self.injected_errors} errors, "
             f"{self.injected_spikes} latency spikes, "
             f"{self.corrupt_offered}/{self.swap_attempts} swap candidates "
-            f"corrupt -> {self.quarantined} quarantined, "
-            f"{self.rollbacks} rollbacks",
+            f"corrupt -> {self.quarantined} quarantined",
             f"  served bad snapshots: {self.bad_snapshots_served} "
             f"(max queue depth {self.max_queue_depth}, "
             f"p99 admitted {self.p99_admitted_ms:.1f}ms)",
@@ -347,6 +345,9 @@ def run_chaos_scenario(
     )
 
     users = service.snapshot.user_ids()
+    # Which file each served model version came from: v1, then whatever
+    # swapped in.  A version that maps to a corrupt candidate is bad.
+    version_paths = {service.model_version: checkpoints["v1"]}
     valid_paths = {os.path.abspath(p) for p in checkpoints.values()}
     result = ServingChaosResult(config=config)
     latencies_ms: List[float] = []
@@ -373,7 +374,7 @@ def run_chaos_scenario(
             return
         result.answered += 1
         latencies_ms.append((clock() - start) * 1000.0)
-        served_path = resilience.path_of_version(answer.model_version)
+        served_path = version_paths.get(answer.model_version)
         if served_path is None or os.path.abspath(served_path) not in valid_paths:
             result.bad_snapshots_served += 1
         digest.update(
@@ -391,11 +392,12 @@ def run_chaos_scenario(
         if corrupt:
             result.corrupt_offered += 1
         try:
-            resilience.swap(path)
+            version_paths[resilience.swap(path)] = path
         except Exception:  # noqa: BLE001 - chaos: failures are the point
             return
-        # A pristine candidate that swapped in IS a valid serving source.
-        valid_paths.add(os.path.abspath(path))
+        if not corrupt:
+            # A pristine candidate that swapped in IS a valid serving source.
+            valid_paths.add(os.path.abspath(path))
         result.swaps_succeeded += 1
 
     for i in range(config.requests):
@@ -437,7 +439,6 @@ def run_chaos_scenario(
     result.injected_errors = policy.injected_errors
     result.injected_spikes = policy.injected_spikes
     result.quarantined = stats["swap"]["quarantined"]
-    result.rollbacks = stats["swap"]["rollbacks"]
     result.max_queue_depth = stats["admission"]["max_depth"]
     if latencies_ms:
         result.p99_admitted_ms = float(

@@ -14,10 +14,10 @@ mirroring how the sim package (PR 6) removed them from training:
   work metered.
 * **A degradation ladder** — full blocked scoring → fresh
   version-matched cache hit → stale-cache-allowed answer (previous
-  snapshot generation) → popularity-prior fallback (precomputed per
-  snapshot at load time) → shed.  The entry tier is driven by the
-  :class:`HealthMonitor` state machine (healthy / degraded /
-  unhealthy), surfaced in ``/healthz`` and ``stats()``.  The ladder
+  snapshot generation) → popularity-prior fallback (computed once per
+  snapshot, as soon as the service adopts it) → shed.  The entry tier
+  is driven by the :class:`HealthMonitor` state machine (healthy /
+  degraded / unhealthy), surfaced in ``/healthz`` and ``stats()``.  The ladder
   exists once (:meth:`ResilientService._ladder`, over a request list):
   a single query is a batch of one, the live tiers are one scoring call
   for the whole batch, the degraded tiers and tier 5 are per rider — a
@@ -30,9 +30,10 @@ mirroring how the sim package (PR 6) removed them from training:
   retry-with-bounded-backoff plus a :class:`CircuitBreaker`;
   corrupt/mismatched checkpoints are quarantined as ``*.corrupt``
   (the grid runner's convention) and the last-good snapshot keeps
-  serving; a failed post-swap probe rolls back automatically.  An
-  optional watcher polls a path and swaps when a new valid checkpoint
-  appears.
+  serving.  The door is the whole cutover: a candidate is refused at
+  load or served, and a later scoring fault takes the degradation
+  ladder like any other.  An optional watcher polls a path and swaps
+  when a new valid checkpoint appears.
 
 Every time source is an injectable monotonic clock (default
 :func:`time.monotonic`), so all deadline/shed/breaker logic is
@@ -79,9 +80,6 @@ STALE_VERSIONS = 1
 #: delivered even when late.
 LIVE_TIERS = frozenset(("full", "cached"))
 
-#: Users per dim-group (the id-sorted head of each table) whose mean
-#: score is the popularity-prior fallback.
-FALLBACK_USERS = 32
 #: Ceiling on one backoff sleep between retries of a missing candidate.
 SWAP_BACKOFF_MAX_S = 1.0
 
@@ -504,7 +502,6 @@ class _SwapStats:
     retries: int = 0
     rejected: int = 0
     quarantined: int = 0
-    rollbacks: int = 0
     breaker_fast_fails: int = 0
     watcher_swaps: int = 0
 
@@ -556,11 +553,8 @@ class ResilientService:
         self._wasted_ms = 0.0
         self._requests_since_probe = 0
         self._counter_lock = threading.Lock()
-        self._version_paths: Dict[int, str] = {
-            service.model_version: service.checkpoint_path
-        }
-        self._fallback: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._build_fallback()
+        # Warm the prior (cached on the snapshot) before scoring can fail.
+        service.snapshot.popularity_prior  # noqa: B018
         self._watcher: Optional[threading.Thread] = None
         self._watcher_stop = threading.Event()
         self._watched_mtime: Optional[float] = None
@@ -574,40 +568,14 @@ class ResilientService:
         return self._service
 
     # -- popularity-prior fallback -------------------------------------
-    def _build_fallback(self) -> None:
-        """Precompute the popularity prior for the current snapshot.
-
-        Mean score over a deterministic user sample, per dim-group, then
-        example-weighted across groups: a cheap, model-consistent "what
-        everyone likes" answer for when per-user scoring is unavailable.
-        """
-        snap = self._service.snapshot
-        totals = np.zeros(snap.num_items, dtype=np.float64)
-        weight = 0
-        for group in snap.groups:
-            # The table is id-sorted: its head is the deterministic sample.
-            user_mat = snap.users[group].values[:FALLBACK_USERS]
-            if not len(user_mat):
-                continue
-            totals += snap.models[group].score_matrix(user_mat).sum(axis=0, dtype=np.float64)
-            weight += len(user_mat)
-        prior = totals / max(1, weight)
-        order = np.argsort(-prior, kind="stable").astype(np.int64)
-        ranked = prior[order]
-        # Every fallback answer is a slice of these two: read-only once.
-        order.flags.writeable = False
-        ranked.flags.writeable = False
-        self._fallback[snap.version] = (order, ranked)
-
     def fallback_answer(self, user_id: int, k: int) -> Recommendation:
-        """The popularity-prior answer (ladder tier 4)."""
-        version = self._service.model_version
-        if version not in self._fallback:
-            self._build_fallback()
-        items, scores = self._fallback[version]
+        """The popularity-prior answer (ladder tier 4): a slice of the
+        current snapshot's :attr:`~ModelSnapshot.popularity_prior`."""
+        snap = self._service.snapshot
+        items, scores = snap.popularity_prior
         k = min(int(k), items.size)
         return Recommendation(
-            int(user_id), items[:k], scores[:k], version, cached=False,
+            int(user_id), items[:k], scores[:k], snap.version, cached=False,
             tier="fallback",
         )
 
@@ -825,9 +793,10 @@ class ResilientService:
         ``*.corrupt`` and the last-good snapshot keeps serving; missing
         files are retried with bounded backoff (a writer may still be
         mid-``os.replace``); repeated failures open the breaker so a
-        swap storm cannot monopolize the process.  After a successful
-        cutover one probe query runs — if the new snapshot cannot
-        answer it, the swap rolls back automatically.
+        swap storm cannot monopolize the process.  The inner service's
+        validated swap is the whole cutover: what it accepts is served.
+
+        Returns the new model version.
         """
         with self._swap_lock:
             self._swap_stats.attempts += 1
@@ -838,7 +807,6 @@ class ResilientService:
                     f"{self.breaker.retry_after():.1f}s",
                     retry_after=self.breaker.retry_after(),
                 )
-            previous_path = self._service.checkpoint_path
             backoff = self.config.swap_backoff_s
             attempt = 0
             while True:
@@ -862,37 +830,10 @@ class ResilientService:
                     backoff *= 2.0
                 else:
                     break
-            self._version_paths[version] = checkpoint_path
-            if not self._probe_new_snapshot():
-                # The candidate validated but cannot answer: roll back.
-                rollback_version = self._service.swap(previous_path)
-                self._version_paths[rollback_version] = previous_path
-                self._swap_stats.rollbacks += 1
-                self.breaker.record_failure()
-                raise CheckpointMismatchError(
-                    f"checkpoint {os.path.basename(checkpoint_path)} failed "
-                    f"the post-swap probe; rolled back to "
-                    f"{os.path.basename(previous_path)}"
-                )
+            self._service.snapshot.popularity_prior  # noqa: B018 - warm, as at start
             self.breaker.record_success()
             self._swap_stats.succeeded += 1
-            self._build_fallback()
             return version
-
-    def _probe_new_snapshot(self) -> bool:
-        populated = [t for t in self._service.snapshot.users.values() if len(t)]
-        if not populated:
-            return False
-        probe = QueryRequest(int(populated[0].ids[0]), 1)
-        try:
-            delivered(self._service.query_batch([probe])[0])
-            return True
-        except Exception:  # noqa: BLE001 - any probe failure (a refused slot too) rolls back
-            return False
-
-    def path_of_version(self, version: int) -> Optional[str]:
-        """The checkpoint path a served model version was loaded from."""
-        return self._version_paths.get(int(version))
 
     # -- checkpoint watcher --------------------------------------------
     def watch(self, path: str, interval_s: float = 2.0) -> None:

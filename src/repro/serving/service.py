@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,6 +47,10 @@ from repro.federated.checkpoint import (
     refusing,
 )
 from repro.federated.user_table import UserTable
+
+#: Users per dim-group (the id-sorted head of each table) whose mean
+#: score is a snapshot's popularity prior.
+PRIOR_USERS = 32
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,32 @@ class ModelSnapshot:
 
     def user_ids(self) -> List[int]:
         return np.sort(np.concatenate([t.ids for t in self.users.values()])).tolist()
+
+    @cached_property
+    def popularity_prior(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Item ids ranked by the popularity prior, and their scores.
+
+        Mean score over a deterministic user sample, per dim-group, then
+        example-weighted across groups: a cheap, model-consistent "what
+        everyone likes" answer for when per-user scoring is unavailable
+        (the resilience layer's fallback tier).  Computed once, freed
+        with the snapshot; both arrays are read-only.
+        """
+        totals = np.zeros(self.num_items, dtype=np.float64)
+        weight = 0
+        for group in self.groups:
+            # The table is id-sorted: its head is the deterministic sample.
+            user_mat = self.users[group].values[:PRIOR_USERS]
+            if not len(user_mat):
+                continue
+            totals += self.models[group].score_matrix(user_mat).sum(axis=0, dtype=np.float64)
+            weight += len(user_mat)
+        prior = totals / max(1, weight)
+        order = np.argsort(-prior, kind="stable").astype(np.int64)
+        ranked = prior[order]
+        order.flags.writeable = False
+        ranked.flags.writeable = False
+        return order, ranked
 
 
 def load_snapshot(path: str, version: int = 1) -> ModelSnapshot:

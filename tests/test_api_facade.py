@@ -7,6 +7,9 @@ examples import only via the facade.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -38,6 +41,24 @@ class TestSurface:
     def test_dir_lists_surface(self):
         assert set(VERBS) <= set(dir(api))
         assert "RecommendationService" in dir(api)
+
+    def test_import_repro_api_stays_light(self):
+        """``import repro.api`` (which imports the ``repro`` package
+        first) loads no trainer: the package's convenience names resolve
+        through the lazy facade — and every one of them still does."""
+        code = (
+            "import sys\n"
+            "import repro.api\n"
+            "assert 'repro.federated.trainer' not in sys.modules\n"
+            "import repro\n"
+            "missing = [n for n in repro.__all__ if getattr(repro, n, None) is None]\n"
+            "assert not missing, missing\n"
+        )
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestExamplesUseFacadeOnly:

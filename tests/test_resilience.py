@@ -6,8 +6,8 @@ requests never consume scoring work, FIFO holds within a priority
 class, deadline budgets shed up front and meter overruns, the health
 state machine degrades and recovers with hysteresis, the degradation
 ladder answers stale → fallback when live scoring fails, the guarded
-hot-swap quarantines corrupt checkpoints as ``*.corrupt`` and rolls
-back on a failed probe, and the circuit breaker stops a swap storm.
+hot-swap quarantines corrupt checkpoints as ``*.corrupt`` and serves
+whatever its door accepts, and the circuit breaker stops a swap storm.
 
 Everything runs on the injectable manual clock — no sleeps.
 """
@@ -571,10 +571,13 @@ class TestGuardedSwap:
         self, checkpoints, tmp_path, case
     ):
         """Each malformed shape the serving door refuses is refused at
-        swap time too: quarantined, never cut over to."""
+        swap time too, before cutover — the door covers everything a
+        post-swap probe query could have caught: quarantined, one
+        breaker failure, and the very same snapshot object serving."""
         resilient, _ = make_resilient(checkpoints, tmp_path)
         user = resilient.snapshot.user_ids()[0]
         before = resilient.query(user).items
+        snapshot = resilient.snapshot
         bad = forge(
             checkpoints["paths"]["v2"], str(tmp_path / "bad.npz"),
             MALFORMED_CHECKPOINTS[case],
@@ -584,7 +587,8 @@ class TestGuardedSwap:
         assert not os.path.exists(bad)
         assert os.path.exists(str(tmp_path / "bad.corrupt"))
         assert resilient.stats()["resilience"]["swap"]["quarantined"] == 1
-        assert resilient.checkpoint_path.endswith("serve_v1.npz")
+        assert resilient.breaker.stats()["consecutive_failures"] == 1
+        assert resilient.snapshot is snapshot and resilient.model_version == 1
         answer = resilient.query(user)
         assert answer.model_version == 1 and np.array_equal(answer.items, before)
 
@@ -624,17 +628,56 @@ class TestGuardedSwap:
         assert resilient.swap(v2) == 2
         assert resilient.breaker.state == "closed"
 
-    def test_failed_probe_rolls_back_to_last_good(self, checkpoints, tmp_path):
-        resilient, _ = make_resilient(checkpoints, tmp_path)
-        resilient._probe_new_snapshot = lambda: False
-        v2 = str(tmp_path / "probe_v2.npz")
-        shutil.copyfile(checkpoints["paths"]["v2"], v2)
-        with pytest.raises(CheckpointMismatchError, match="rolled back"):
-            resilient.swap(v2)
-        assert resilient.checkpoint_path.endswith("serve_v1.npz")
-        assert resilient.stats()["resilience"]["swap"]["rollbacks"] == 1
+    @pytest.mark.parametrize(
+        "where", ["own_path", "previous_deleted", "served_path"]
+    )
+    def test_scoring_fault_after_cutover_keeps_the_candidate(
+        self, checkpoints, tmp_path, where
+    ):
+        """A transient scoring fault right after cutover is the ladder's
+        business, not the swap's: the pristine candidate the door
+        accepted stays served — whether it has its own path, the file
+        served before it is gone, or it landed on the served (watched)
+        path itself."""
+        resilient, _ = make_resilient(checkpoints, tmp_path, probe_every=1000)
+        served = resilient.checkpoint_path
+        candidate = str(tmp_path / "cand_v2.npz")
+        if where == "previous_deleted":
+            os.remove(served)
+        elif where == "served_path":
+            candidate = served
+        shutil.copyfile(checkpoints["paths"]["v2"], candidate)
+
+        inner = resilient.service
+        working_query, working_swap = inner.query_batch, inner.swap
+        faults = []
+
+        def swap_then_fault(path):
+            version = working_swap(path)
+            faults.append("armed")
+            return version
+
+        def query_batch(requests):
+            if faults == ["armed"]:
+                faults.append("raised")
+                raise RuntimeError("transient scoring fault")
+            return working_query(requests)
+
+        inner.swap, inner.query_batch = swap_then_fault, query_batch
+        assert resilient.swap(candidate) == 2
+        assert resilient.breaker.stats()["consecutive_failures"] == 0
+        assert not list(tmp_path.glob("*.corrupt"))
+        assert resilient.checkpoint_path == candidate
+
         user = resilient.snapshot.user_ids()[0]
-        assert resilient.query(user).items.size > 0
+        degraded = resilient.query(user, k=5)
+        assert faults == ["armed", "raised"]
+        assert (degraded.tier, degraded.model_version) == ("fallback", 2)
+        expected = RecommendationService(checkpoints["paths"]["v2"]).query(user, k=5)
+        answer = inner.query(user, k=5)  # the fault is spent: live scoring
+        assert (answer.tier, answer.model_version) == ("full", 2)
+        assert np.array_equal(answer.items, expected.items)
+        assert np.array_equal(answer.scores, expected.scores)
 
     def test_watcher_swaps_new_valid_and_skips_corrupt(
         self, checkpoints, tmp_path
@@ -690,7 +733,7 @@ class TestLockDiscipline:
     """Pins for the PR 10 lock fixes in the serving layer.
 
     ``watch_once`` used to bump ``_swap_stats.watcher_swaps`` outside
-    ``_swap_lock`` while ``swap``/``rollback`` mutate the same stats
+    ``_swap_lock`` while ``swap`` mutates the same stats
     under it — a lost-update race under a real watcher thread.  The
     counter behaviour is pinned functionally here, and the structural
     fix (every ``_swap_stats`` write under the lock) is pinned by the

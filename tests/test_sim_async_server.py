@@ -73,13 +73,23 @@ class TestSyncMirror:
         assert digests[0] == digests[1]
 
     def test_participation_source_seam(self, tiny_dataset, tiny_clients):
-        """The trainer's pluggable participation source feeds both the
-        sync loop and the simulator through one contract."""
+        """The simulator takes its cohorts from the trainer's
+        ``participation_rounds``: override it with one fixed cohort and
+        the async server trains exactly those users, every epoch."""
         trainer = build_trainer(tiny_dataset, tiny_clients)
-        fixed = [[c.user_id for c in tiny_clients[:4]]]
-        trainer.participation_source = lambda t, epoch: fixed
-        assert trainer.participation_rounds(1) == fixed
-        assert trainer.participation_rounds(2) == fixed
+        fixed = [c.user_id for c in tiny_clients[:4]]
+        trainer.participation_rounds = lambda epoch: [list(fixed)]
+        trained = []
+        train_clients = trainer._train_clients
+
+        def recording(users):
+            trained.append(list(users))
+            return train_clients(users)
+
+        trainer._train_clients = recording
+        result = AsyncFedServer(TrainerBackend(trainer), mirror_config(trainer)).run()
+        assert trained == [fixed] * trainer.config.epochs
+        assert result.clients_simulated == len(fixed) * trainer.config.epochs
 
 
 class TestDeadlinePolicies:
