@@ -70,84 +70,6 @@ def gather(weight: Tensor, indices: Union[np.ndarray, Sequence[int]]) -> Tensor:
     )
 
 
-def batched_gather(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Per-batch row selection ``out[b, l] = weight[b, indices[b, l]]``.
-
-    The batched counterpart of :func:`gather` used by the vectorized round
-    engine: ``weight`` stacks one embedding table per client ``(B, S, d)``
-    and ``indices`` holds each client's item batch ``(B, L)``.
-
-    The backward pass scatter-adds into the touched ``(b, row)`` pairs of
-    the grad buffer with ``np.add.at`` so duplicate items within a batch
-    accumulate, exactly as the per-client ``gather`` does.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    if weight.data.ndim != 3 or indices.ndim != 2:
-        raise ValueError(
-            f"batched_gather expects (B, S, d) weights and (B, L) indices, "
-            f"got {weight.data.shape} and {indices.shape}"
-        )
-    batch_arange = np.arange(weight.data.shape[0])[:, None]
-    out_data = weight.data[batch_arange, indices]
-
-    def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            np.add.at(weight._grad_buffer(), (batch_arange, indices), grad)
-
-    return Tensor(
-        out_data,
-        requires_grad=weight.requires_grad,
-        parents=(weight,),
-        backward=backward,
-    )
-
-
-def batched_sparse_matmul(
-    weight: Tensor, indices: np.ndarray, coeffs: np.ndarray
-) -> Tensor:
-    """Padded-CSR sparse × dense product per batch slice: ``(B, S, d) → (B, d)``.
-
-    ``out[b] = Σ_l coeffs[b, l] · weight[b, indices[b, l]]`` — each batch
-    slice multiplies one sparse row vector (column indices ``indices[b]``,
-    values ``coeffs[b]``, right-padded with coefficient 0 so padded
-    entries may point anywhere) against that slice's dense ``(S, d)``
-    table.  This is the engine's batched local-graph propagation step:
-    one client's normalized adjacency row against its working item table.
-
-    ``coeffs`` is a constant (the normalized adjacency weights are data,
-    not parameters).  The backward pass scatter-adds
-    ``coeffs[b, l] · grad[b]`` into the touched ``(b, row)`` pairs with
-    ``np.add.at`` — the same duplicate-accumulating machinery as
-    :func:`batched_gather`.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    coeffs = np.asarray(coeffs, dtype=weight.data.dtype)
-    if weight.data.ndim != 3 or indices.ndim != 2 or coeffs.shape != indices.shape:
-        raise ValueError(
-            f"batched_sparse_matmul expects (B, S, d) weights and aligned "
-            f"(B, L) indices/coeffs, got {weight.data.shape}, "
-            f"{indices.shape} and {coeffs.shape}"
-        )
-    batch_arange = np.arange(weight.data.shape[0])[:, None]
-    gathered = weight.data[batch_arange, indices]
-    out_data = np.matmul(coeffs[:, None, :], gathered)[:, 0, :]
-
-    def backward(grad: np.ndarray) -> None:
-        if weight.requires_grad:
-            np.add.at(
-                weight._grad_buffer(),
-                (batch_arange, indices),
-                coeffs[:, :, None] * grad[:, None, :],
-            )
-
-    return Tensor(
-        out_data,
-        requires_grad=weight.requires_grad,
-        parents=(weight,),
-        backward=backward,
-    )
-
-
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable selection; ``condition`` is a constant boolean mask."""
     a = Tensor._lift(a)

@@ -463,7 +463,7 @@ class Tensor:
         # Basic indexing (ints/slices only) selects each element at most
         # once, so the gradient scatter is a plain sliced add — much
         # faster than the buffered ``np.add.at`` that duplicate-capable
-        # fancy indices need.  Prefix slices taken by the round engine's
+        # fancy indices need.  Prefix slices taken by the dual task's
         # multi-width forward live on this fast path.
         parts = key if isinstance(key, tuple) else (key,)
         basic = all(isinstance(part, (int, np.integer, slice)) for part in parts)

@@ -118,15 +118,22 @@ class Compressor:
         self._rng = np.random.default_rng(config.seed)
 
     def compress(self, values: np.ndarray) -> CompressedTensor:
+        """The codec's reconstruction, cast back to a float input's dtype
+        (the codecs compute in float64)."""
+        values = np.asarray(values)
         kind = self.config.kind
         if kind == "topk":
-            return topk_sparsify(values, self.config.ratio)
-        if kind == "randomk":
-            return randomk_sparsify(values, self.config.ratio, self._rng)
-        if kind == "quantize":
-            return quantize_uniform(values, self.config.bits)
-        dense = np.asarray(values, dtype=np.float64)
-        return CompressedTensor(dense.copy(), float(dense.size))
+            out = topk_sparsify(values, self.config.ratio)
+        elif kind == "randomk":
+            out = randomk_sparsify(values, self.config.ratio, self._rng)
+        elif kind == "quantize":
+            out = quantize_uniform(values, self.config.bits)
+        else:
+            dense = np.asarray(values, dtype=np.float64)
+            out = CompressedTensor(dense.copy(), float(dense.size))
+        if values.dtype == np.float32:
+            out.reconstruction = out.reconstruction.astype(np.float32)
+        return out
 
     def compression_error(self, values: np.ndarray) -> float:
         """Max absolute reconstruction error on one tensor (diagnostics)."""

@@ -10,6 +10,7 @@ needed (privacy constraint).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -19,9 +20,12 @@ from repro.data.dataset import ClientData
 class NegativeSampler:
     """Uniform negative sampler over a user's non-interacted items.
 
-    Rejection sampling against a hash set is O(ratio · positives) in the
-    common sparse case; when a user has interacted with most of the
-    catalogue we fall back to exact sampling from the complement.
+    Rejection sampling against a membership table is O(ratio · positives)
+    in the common sparse case; when a user has interacted with most of
+    the catalogue we fall back to exact sampling from the complement.
+    A client's positive set never changes, so its :meth:`exclusion` (the
+    sorted ids plus the membership table) is computed once and handed to
+    :meth:`sample_excluding` on every draw.
     """
 
     def __init__(self, num_items: int, seed: int = 0) -> None:
@@ -29,44 +33,38 @@ class NegativeSampler:
             raise ValueError("num_items must be positive")
         self.num_items = num_items
         self._rng = np.random.default_rng(seed)
-        #: Cached boolean membership table of the last positive set.  A
-        #: per-client sampler sees the same positives every round, so the
-        #: table is built once and rejection becomes one fancy-index —
-        #: the acceptance decisions (hence the RNG stream) are unchanged.
-        self._positive_mask: np.ndarray | None = None
 
-    def _membership_mask(self, positives: np.ndarray) -> np.ndarray:
-        mask = self._positive_mask
-        if (
-            mask is None
-            or int(mask.sum()) != positives.size
-            or not mask[positives].all()
-        ):
-            mask = np.zeros(self.num_items, dtype=bool)
-            mask[positives] = True
-            self._positive_mask = mask
-        return mask
+    def exclusion(self, positive_items: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted unique positives, boolean membership table)``."""
+        positives = np.unique(np.asarray(positive_items, dtype=np.int64))
+        membership = np.zeros(self.num_items, dtype=bool)
+        membership[positives] = True
+        return positives, membership
 
     def sample(self, positive_items: np.ndarray, count: int) -> np.ndarray:
         """Draw ``count`` item ids not present in ``positive_items``."""
         if count <= 0:
             return np.empty(0, dtype=np.int64)
-        positives = np.unique(np.asarray(positive_items, dtype=np.int64))
-        num_negative_pool = self.num_items - positives.size
-        if num_negative_pool <= 0:
+        return self.sample_excluding(self.exclusion(positive_items), count)
+
+    def sample_excluding(
+        self, exclusion: Tuple[np.ndarray, np.ndarray], count: int
+    ) -> np.ndarray:
+        """Draw ``count`` item ids outside a precomputed :meth:`exclusion`."""
+        if count <= 0:
+            return np.empty(0, dtype=np.int64)
+        positives, membership = exclusion
+        if self.num_items - positives.size <= 0:
             raise ValueError("user has interacted with every item; no negatives exist")
 
         # Dense fallback: the complement is small enough to materialise.
         if positives.size > 0.5 * self.num_items:
-            pool = np.setdiff1d(np.arange(self.num_items, dtype=np.int64), positives)
-            return self._rng.choice(pool, size=count, replace=True)
+            return self._rng.choice(np.flatnonzero(~membership), size=count, replace=True)
 
         # Batched rejection: draw 2× the outstanding need, mask out the
-        # positives via the cached membership table, and keep accepted
-        # draws in order.  Draw sizes and acceptance order match the
-        # historical per-item rejection loop, so seeded runs are
-        # unchanged.
-        membership = self._membership_mask(positives)
+        # positives via the membership table, and keep accepted draws in
+        # order.  Draw sizes and acceptance order match the historical
+        # per-item rejection loop, so seeded runs are unchanged.
         samples = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
@@ -104,11 +102,21 @@ def build_training_batch(
     """Positives + ``negative_ratio``× sampled negatives, shuffled together."""
     positives = client.train_items
     negatives = sampler.sample(client.known_items(), positives.size * negative_ratio)
+    return assemble_batch(positives, negatives, shuffle_rng)
+
+
+def assemble_batch(
+    positives: np.ndarray,
+    negatives: np.ndarray,
+    shuffle_rng: np.random.Generator | None = None,
+) -> TrainingBatch:
+    """Labelled ``positives`` then ``negatives``, optionally shuffled."""
     items = np.concatenate([positives, negatives])
-    labels = np.concatenate(
-        [np.ones(positives.size, dtype=np.float64), np.zeros(negatives.size, dtype=np.float64)]
-    )
-    if shuffle_rng is not None:
-        order = shuffle_rng.permutation(items.size)
-        items, labels = items[order], labels[order]
-    return TrainingBatch(items=items, labels=labels)
+    if shuffle_rng is None:
+        labels = np.concatenate(
+            [np.ones(positives.size, dtype=np.float64), np.zeros(negatives.size, dtype=np.float64)]
+        )
+        return TrainingBatch(items=items, labels=labels)
+    order = shuffle_rng.permutation(items.size)
+    # Positives fill the first slots: a shuffled label is 1 iff its source was one.
+    return TrainingBatch(items=items[order], labels=(order < positives.size).astype(np.float64))

@@ -245,7 +245,11 @@ def generate_dataset(
         num_signal = int(counts[user]) - num_noise
         signal = rng.choice(num_items, size=num_signal, replace=False, p=probs)
         if num_noise:
-            pool = np.setdiff1d(np.arange(num_items), signal)
+            # The sorted complement of the signal draw, without hashing
+            # the whole catalogue per user (same pool as ``setdiff1d``).
+            keep = np.ones(num_items, dtype=bool)
+            keep[signal] = False
+            pool = np.flatnonzero(keep)
             pool_probs = popularity_probs[pool] / popularity_probs[pool].sum()
             noise = rng.choice(
                 pool, size=min(num_noise, pool.size), replace=False, p=pool_probs

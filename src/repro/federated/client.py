@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import ClientData
-from repro.data.sampling import NegativeSampler, TrainingBatch, build_training_batch
+from repro.data.sampling import NegativeSampler, TrainingBatch, assemble_batch
 from repro.federated.user_table import UserTable
 from repro.nn.module import Parameter
 
@@ -37,6 +37,9 @@ class ClientRuntime:
         self.embedding_dim = embedding_dim
         self.rng = np.random.default_rng(seed * 1_000_003 + data.user_id)
         self.sampler = NegativeSampler(num_items, seed=seed * 7_919 + data.user_id)
+        #: The sampler's exclusion of this client's known items, built on
+        #: first use (a client's data never changes).
+        self._exclusion = None
         # Drawn in float64 (keeps the RNG stream identical across dtypes),
         # then cast to the session precision.
         initial = self.rng.normal(0.0, init_std, size=embedding_dim).astype(
@@ -65,9 +68,10 @@ class ClientRuntime:
 
     def sample_batch(self, negative_ratio: int = 4) -> TrainingBatch:
         """Local positives + sampled negatives, shuffled (Section V-A)."""
-        return build_training_batch(
-            self.data,
-            self.sampler,
-            negative_ratio=negative_ratio,
-            shuffle_rng=self.rng,
+        if self._exclusion is None:
+            self._exclusion = self.sampler.exclusion(self.data.known_items())
+        positives = self.data.train_items
+        negatives = self.sampler.sample_excluding(
+            self._exclusion, positives.size * negative_ratio
         )
+        return assemble_batch(positives, negatives, shuffle_rng=self.rng)

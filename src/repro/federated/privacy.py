@@ -111,9 +111,13 @@ def add_pseudo_items(
 def gaussian_noise_like(
     state: Dict[str, np.ndarray], std: float, rng: np.random.Generator
 ) -> Dict[str, np.ndarray]:
-    """A noisy copy of a head-delta state dict."""
-    return {name: values + rng.normal(0.0, std, size=values.shape)
-            for name, values in state.items()}
+    """A noisy copy of a head-delta state dict, in each delta's own dtype."""
+    return {
+        name: (values + rng.normal(0.0, std, size=values.shape)).astype(
+            values.dtype, copy=False
+        )
+        for name, values in state.items()
+    }
 
 
 def _protect_delta(

@@ -5,8 +5,22 @@ client's local session through its own small autodiff graph — correct,
 but a 256-client round then pays Python/tape overhead 256 times per local
 epoch.  Because every client in a round trains *from the same global
 snapshot* and the server only sees the resulting deltas, the sessions are
-mutually independent; this engine exploits that to run all of a
-dim-group's sessions as one fused batched graph per local epoch.
+mutually independent; this engine runs all of a dim-group's sessions as
+one stacked computation per local epoch.
+
+The objective is differentiated in closed form, not on the tape
+--------------------------------------------------------------------
+Every client the engine admits minimises one member of a closed family:
+BCE through every nested head width up to its own (the unified dual-task
+loss, Eq. 11), plus the optional α-weighted decorrelation penalty
+(Eq. 13), over {ncf, mf, lightgcn} heads in float32 or float64.  So the
+whole local objective of a bucket is one operation with one hand-derived
+backward (:class:`BucketObjective`): explicit numpy for the gathers, the
+padded-head logits, the BCE gradient, the MLP/GMF backward, LightGCN's
+star-graph propagation and the DDR penalty.  Its gradient buffers are
+allocated once per bucket, reused across local epochs and written
+straight into the stacked parameters' ``.grad``; the stock
+:class:`~repro.nn.optim.Adam` then steps them.  No tape node is built.
 
 Padding / mask scheme
 ---------------------
@@ -14,90 +28,59 @@ Clients of one group share an embedding width ``d`` but differ in batch
 length and in which item rows they touch, so both axes are padded:
 
 * **Item rows.**  Each client ``b`` only ever reads/writes the rows named
-  in its local batches (plus, under DDR, its sampled regulariser rows).
-  The union of those rows, ``uniq_b``, is copied out of the global table
-  into a per-client working table; the stacked working tables form ``W``
-  of shape ``(B, S, d)`` where ``S = max_b |uniq_b|``.  Rows past
-  ``|uniq_b|`` are zero padding that no index ever references, so they
-  receive zero gradient and never feed back.
+  in its local batches (plus its local graph's neighbours and its DDR
+  rows).  The union of those rows, ``uniq_b``, is copied out of the
+  global table into a per-client working table; the stacked working
+  tables form ``W`` of shape ``(B, S, d)`` where ``S = max_b |uniq_b|``.
+  Rows past ``|uniq_b|`` are zero padding that no index references.
 * **Batch positions.**  Per-epoch batches are right-padded to ``L = max_b
   L_b`` with local index 0 and label 0; a weight matrix carrying
   ``1/L_b`` on real positions and ``0`` on padding reproduces each
   client's *own* BCE mean while zeroing every padded position's gradient.
 * **Private/user state.**  User embeddings stack into ``(B, d)``; every
   head a client trains is replicated per client into ``(B, ...)``
-  stacks, because each reference session trains its own head copy before
-  the server aggregates the deltas.
+  stacks, because each reference session trains its own head copy.
+* **Head widths.**  The dual-task widths fuse into one ``(T, B, ...)``
+  head stack with narrower heads zero-padded to the group width (see
+  :func:`_pad_head_value`): a zero weight row annihilates the ``≥ w``
+  coordinates of the full-width operands, so every task's logits and
+  real-region gradients equal the per-width sliced computation.
 
-Multi-width dual-task fusion
-----------------------------
-HeteFedRec's unified dual-task loss (paper Eq. 11) scores the *same*
-batch through every nested width ``w ≤ d``: prefix slices of the stacked
-user/item tensors feed that width's replicated head, each width's
-per-client BCE mean lands in the same tape, and one backward pass pushes
-coherent gradients into every nested prefix at once — exactly the
-reference's ``dual_task_loss``, over all clients simultaneously.  The
-α-weighted decorrelation penalty (Eq. 13) batches the same way: the
-per-client DDR row sample becomes one more ``batched_gather`` and the
-column-standardised correlation norm is computed per batch slice
-(:func:`batched_decorrelation_penalty`).  The DDR row subsets are drawn
-*up front* through ``trainer.presample_ddr_rows`` in round order, so the
-shared DDR RNG stream matches the per-client reference exactly.
+Gradients reach the working tables through planned scatters
+(:class:`SegmentPlan`: one stable sort of the touched slots, then one
+fancy-index add per duplicate rank), planned once per epoch for the
+batch rows and once per round for the neighbour and DDR rows.
+The DDR row subsets are drawn *up front* through
+``trainer.presample_ddr_rows`` in round order, so the shared DDR RNG
+stream matches the per-client reference exactly.
 
-One shared :class:`~repro.nn.optim.Adam` instance over the stacked
-parameters is *exactly* B independent per-client Adams: the update is
-elementwise and every client steps at the same local-epoch boundaries.
-Likewise the dense per-row moments of the stacked working tables evolve
-exactly as the touched rows of the reference's full-table moments (rows
-with zero gradient keep zero moments).  The engine is therefore
-numerically equivalent to the per-client reference path up to
-floating-point summation order; ``tests/test_round_engine.py`` pins this
-to 1e-8 over multi-epoch runs, for base and full-HeteFedRec objectives.
+One shared Adam over the stacked parameters is *exactly* B independent
+per-client Adams: the update is elementwise and every client steps at the
+same local-epoch boundaries (rows with zero gradient keep zero moments).
+The engine is therefore numerically equivalent to the per-client
+reference path up to floating-point summation order;
+``tests/test_round_engine.py`` pins this to 1e-8 over multi-epoch runs.
+``tests/engine_oracle.py`` keeps the tape form of the bucket objective,
+which the closed form replays operation by operation: in float64 its
+gradients are bitwise the tape's (``tests/test_engine_closed_form.py``).
 
 Updates are emitted row-sparse (:class:`~repro.federated.payload.
-SparseRowDelta`): the engine already knows each client's touched row
-set, so the upload is built in O(touched rows) with no per-client
-full-table materialisation.
-
-LightGCN local-graph propagation
---------------------------------
-LightGCN's forward runs one star-graph propagation step before scoring:
-the user row absorbs the degree-normalized average of its interacted
-item rows, and interacted item rows mix with the user row.  Per client
-that is a sparse row vector (``1/|N(u)|`` over the neighbour rows)
-times its working table — so the bucket's propagation stacks the
-per-client normalized adjacency rows into one padded CSR layout
-(``(B, E)`` local indices + coefficients) and runs a single batched
-sparse–dense matmul (:func:`~repro.autograd.ops.batched_sparse_matmul`)
-per epoch, inside the tape.  The item-side mix is an ``ops.where`` over
-the precomputed interacted mask.  Propagation is coordinatewise in the
-embedding, so the full-width propagated tensors feed the zero-padded
-dual-task heads with the same exactness argument as NCF/MF
-(``model.fused_propagation()`` is the model-layer hook describing this
-stage; ``None`` means score the gathered embeddings directly).
-
-The reference path remains the correctness oracle and the fallback for
-subclasses that override the local-training hooks (``client_loss``,
-``trained_head_groups``, ``train_client``) without describing their
-objective via ``fused_objective``.
+SparseRowDelta`) in O(touched rows), with no per-client full-table
+materialisation.  The reference path remains the correctness oracle and
+the fallback for subclasses that override the local-training hooks
+(``client_loss``, ``trained_head_groups``, ``train_client``) without
+describing their objective via ``fused_objective``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor
 from repro.data.sampling import TrainingBatch
-from repro.federated.payload import (
-    ClientUpdate,
-    SparseRowDelta,
-    state_delta,
-    touched_rows,
-)
+from repro.federated.payload import ClientUpdate, SparseRowDelta, touched_rows
 from repro.nn.layers import Linear
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
@@ -106,12 +89,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federated.trainer import FederatedTrainer
 
 
-#: Architectures whose *training* graph the engine knows how to fuse
-#: (``_fused_logits`` reproduces the ScoringHead MLP+GMF structure, and
-#: LightGCN's local-graph propagation batches via the model's
+#: Architectures whose *training* objective the engine differentiates
+#: (:class:`BucketObjective` reproduces the ScoringHead MLP+GMF structure,
+#: and LightGCN's local-graph propagation batches via the model's
 #: ``fused_propagation`` descriptor).  Inference-time ``score_matrix``
-#: support is not enough: a new architecture needs an engine forward of
-#: its own, not just scoring.
+#: support is not enough: a new architecture needs an engine forward and
+#: backward of its own, not just scoring.
 BATCHABLE_ARCHS = ("ncf", "mf", "lightgcn")
 
 #: Marks a client with no DDR term this round (distinct from ``None``,
@@ -200,22 +183,6 @@ def _unpad_head_value(
     return padded
 
 
-def batched_decorrelation_penalty(stack: Tensor, eps: float = 1e-8) -> Tensor:
-    """Eq. 13 per batch slice: ``(B, M, d) → (B,)`` penalties.
-
-    Matches :func:`repro.core.decorrelation.decorrelation_penalty`
-    applied to each ``(M, d)`` slice — same standardisation, same
-    in-norm diagonal, same ``eps`` placement — so the fused dual-task
-    loss reproduces the reference DDR term to summation order.
-    """
-    _, m, d = stack.shape
-    centred = stack - stack.mean(axis=1, keepdims=True)
-    variance = (centred * centred).mean(axis=1, keepdims=True)
-    z = centred / ((variance + eps) ** 0.5)
-    corr = z.transpose((0, 2, 1)).matmul(z) / float(m)
-    return ((corr * corr).sum(axis=(1, 2)) + eps) ** 0.5 / float(d)
-
-
 def _length_buckets(
     lengths: np.ndarray,
     dim: int,
@@ -229,7 +196,7 @@ def _length_buckets(
     admitting the next client would push the bucket's *padded* area
     ``(B+1)·L_max`` beyond ``waste``× its real area ``Σ L_b`` — so padded
     positions stay under ~35% while near-uniform rounds fuse into a
-    single graph — or when the padded activation area ``B·L·d`` would
+    single bucket — or when the padded activation area ``B·L·d`` would
     pass ``area_cap`` elements (bounds peak memory for huge rounds).
     Interaction counts are heavy-tailed, so without this the whole
     group would pad to its one chattiest client.
@@ -255,6 +222,281 @@ def _length_buckets(
     return buckets
 
 
+class SegmentPlan:
+    """A scatter-add ``out[slots[i]] += rows[sources[i]]``, planned once.
+
+    ``np.add.at`` re-derives the duplicate structure of its index on
+    every call.  The plan sorts ``slots`` once (stably; pass ``order``
+    when a stable argsort is already at hand) and splits the sorted
+    entries by their rank within their slot: pass ``k`` adds every
+    slot's ``k``-th entry with one fancy-index add (its slots are
+    distinct).  Each slot therefore sums its entries in source order,
+    onto whatever ``out`` already holds — bitwise what ``np.add.at``
+    computes.  (``np.add.reduceat`` would not be: it does not sum a
+    segment of three or more rows in order.)
+    """
+
+    def __init__(
+        self,
+        slots: np.ndarray,
+        sources: np.ndarray,
+        order: Optional[np.ndarray] = None,
+    ) -> None:
+        if order is None:
+            order = np.argsort(slots, kind="stable")
+        sorted_slots = slots[order]
+        ordered_sources = sources[order]
+        head = np.ones(sorted_slots.size, dtype=bool)
+        head[1:] = sorted_slots[1:] != sorted_slots[:-1]
+        starts = np.flatnonzero(head)
+        rank = np.arange(sorted_slots.size) - np.repeat(
+            starts, np.diff(starts, append=sorted_slots.size)
+        )
+        self._passes = [
+            (sorted_slots[rank == k], ordered_sources[rank == k])
+            for k in range(int(rank.max(initial=-1)) + 1)
+        ]
+
+    def add_to(self, out: np.ndarray, rows: np.ndarray) -> None:
+        """Scatter-add ``rows`` (indexed by source) into ``out`` (by slot)."""
+        for slots, sources in self._passes:
+            out[slots] += rows[sources]
+
+
+def _sum_mid(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-2, keepdims=True)``, bitwise.
+
+    numpy reduces a middle axis row by row, in order, but slowly;
+    ``einsum`` runs the same in-order sum several times faster.  With a
+    trailing axis of one the reduced axis is contiguous and numpy sums
+    it pairwise, so ``sum`` stays there.
+    """
+    if x.shape[-1] == 1:
+        return x.sum(axis=-2, keepdims=True)
+    return np.einsum("...ij->...j", x)[..., None, :]
+
+
+def _decorrelation_backward(
+    stack: np.ndarray, alpha: float, eps: float = 1e-8
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 13 per batch slice and its gradient: ``(B, M, d) → (B,), (B, M, d)``.
+
+    The same standardisation, in-norm diagonal and ``eps`` placement as
+    :func:`repro.core.decorrelation.decorrelation_penalty` on each
+    ``(M, d)`` slice; returns the penalties and the gradient of
+    ``alpha · Σ_b penalty_b`` with respect to ``stack``.  Each step
+    replays the tape's arithmetic for the same expression (operands,
+    reductions and accumulation order), so float64 results are bitwise
+    the tape's.
+    """
+    _, rows, dim = stack.shape
+    centred = stack - _sum_mid(stack) / float(rows)
+    variance = _sum_mid(centred * centred) / float(rows) + eps
+    scale = variance**0.5
+    z = centred / scale
+    corr = np.matmul(z.transpose(0, 2, 1), z) / float(rows)
+    total = (corr * corr).sum(axis=(1, 2)) + eps
+    penalty = total**0.5 / float(dim)
+
+    d_square = (alpha / float(dim) * 0.5 * total ** (-0.5))[:, None, None]
+    d_corr = d_square * corr
+    d_corr += d_square * corr  # corr · corr: one term per operand
+    d_corr = d_corr / float(rows)
+    # zᵀz: z's own operand first, then its transpose's.
+    d_z = np.matmul(z, d_corr)
+    d_z += np.matmul(d_corr, z.swapaxes(-1, -2)).transpose(0, 2, 1)
+    d_scale = _sum_mid(-d_z * centred / (scale**2))
+    d_square_sum = d_scale * 0.5 * variance ** (-0.5) / float(rows)
+    d_centred = d_z / scale
+    d_centred += d_square_sum * centred  # centred · centred: twice
+    d_centred += d_square_sum * centred
+    return penalty, d_centred - _sum_mid(d_centred) / float(rows)
+
+
+class BucketObjective:
+    """One bucket's whole local objective as one operation.
+
+    ``params`` maps ``"U"`` (``(B, d)`` user rows), ``"V"`` (``(B, S, d)``
+    working tables) and the ``ScoringHead.state_dict`` names (``(T, B,
+    ...)`` padded head stacks) to the stacked parameters.  A call runs one
+    local epoch's forward — the padded-head logits of every task, the
+    BCE, the DDR penalty — and its hand-derived backward, writing the
+    gradient of ``Σ_tasks Σ_b mean_l BCE + α Σ_b penalty_b`` into each
+    trained parameter's ``.grad`` (allocated here, once per bucket, and
+    overwritten every epoch).  Untrained parameters (mf's FFN) keep
+    ``grad = None``.
+
+    ``ffn`` lists the head's FFN as ``("linear", position)`` /
+    ``("relu", None)`` steps (empty for mf).  ``graph`` is LightGCN's
+    padded star graph ``(indices, coeffs, has_neighbours, plan)`` and
+    ``ddr`` the round's ``(indices, plan, alpha)``; either may be ``None``.
+    """
+
+    def __init__(
+        self,
+        params: Dict[str, Parameter],
+        ffn: Sequence[Tuple[str, Optional[int]]],
+        graph=None,
+        ddr=None,
+    ) -> None:
+        self.params = params
+        self.ffn = list(ffn)
+        self.graph = graph
+        self.ddr = ddr
+        trained = {"U", "V", "gmf.weight"}
+        if self.ffn:  # mf scores around its FFN, which gets no gradient
+            trained.update(name for name in params if name.startswith("ffn."))
+        for name, param in params.items():
+            param.grad = np.zeros_like(param.data) if name in trained else None
+        self._rows = np.arange(params["U"].shape[0])[:, None]
+
+    def __call__(
+        self,
+        idx: np.ndarray,
+        labels: np.ndarray,
+        weights: np.ndarray,
+        plan: SegmentPlan,
+        interacted: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """One epoch: fill every ``.grad``; return each client's summed
+        BCE over its tasks and its α-weighted DDR penalty (or ``None``).
+
+        Every step replays the arithmetic the tape runs for the same
+        objective — the same operands and reductions, and the tape's
+        order wherever three or more gradient terms meet — so float64
+        gradients are bitwise the tape's, not merely close.
+        """
+        params, rows = self.params, self._rows
+        table, user = params["V"].data, params["U"].data
+        gmf = params["gmf.weight"].data
+        num_tasks, num_clients, dim = gmf.shape[:3]
+        length = idx.shape[1]
+
+        # ---- forward -------------------------------------------------
+        items = table[rows, idx]  # (B, L, d)
+        if self.graph is not None:
+            nbr_idx, coeffs, has_neighbours, nbr_plan = self.graph
+            nbr_mean = np.matmul(coeffs[:, None, :], table[rows, nbr_idx])[:, 0, :]
+            users = (user + nbr_mean) * 0.5
+            if has_neighbours is not None:
+                users = np.where(has_neighbours, users, user)
+            mixed = interacted[:, :, None]
+            items = np.where(mixed, (items + user[:, None, :]) * 0.5, items)
+        else:
+            users = user
+        user_col = users.reshape(1, num_clients, dim, 1)
+        gmf_weight = user_col * gmf  # (u ⊙ v)·w = v·(u ⊙ w)
+        logits = np.matmul(items, gmf_weight).reshape(num_tasks, num_clients, length)
+
+        # The first FFN layer's [u, v] GEMM splits into a user and an item
+        # term; each later Linear keeps its input, each ReLU its mask.
+        inputs: List[np.ndarray] = []
+        masks: List[np.ndarray] = []
+        z = None
+        for kind, position in self.ffn:
+            if kind == "relu":
+                masks.append(z > 0)
+                z *= masks[-1]
+                continue
+            weight = params[f"ffn.layer{position}.weight"].data
+            if z is None:
+                z = np.matmul(items, weight[:, :, dim:])
+                z += np.matmul(users.reshape(1, num_clients, 1, dim), weight[:, :, :dim])
+            else:
+                inputs.append(z)
+                z = np.matmul(z, weight)
+            bias = params.get(f"ffn.layer{position}.bias")
+            if bias is not None:
+                z += bias.data.reshape(num_tasks, num_clients, 1, -1)
+        if z is not None:
+            logits += z.reshape(num_tasks, num_clients, length)
+
+        bce = np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
+        loss = (bce * (weights > 0)).sum(axis=(0, 2))
+
+        # ---- backward: d loss / d logits = w · (σ(z) − r) --------------
+        grad = np.clip(logits, -500, 500)
+        np.negative(grad, out=grad)
+        np.exp(grad, out=grad)
+        grad += 1.0
+        np.divide(1.0, grad, out=grad)
+        grad -= labels
+        grad *= weights
+        upstream = grad.reshape(num_tasks, num_clients, length, 1)
+
+        items_t = items.swapaxes(1, 2)  # (B, d, L)
+        d_gmf_weight = np.matmul(items_t, upstream)  # (T, B, d, 1)
+        np.multiply(d_gmf_weight, user_col, out=params["gmf.weight"].grad)
+        d_users = (d_gmf_weight * gmf).sum(axis=0)[:, :, 0]
+        # Per-task terms summed over tasks in order (the tape's axis-0 sum).
+        gmf_weight_t = gmf_weight.swapaxes(-1, -2)
+        d_items = upstream[0] * gmf_weight_t[0]
+        for task in range(1, num_tasks):
+            d_items += upstream[task] * gmf_weight_t[task]
+
+        if self.ffn:
+            linears = [position for kind, position in self.ffn if kind == "linear"]
+            delta = upstream
+            for step in range(len(linears) - 1, 0, -1):
+                name = f"ffn.layer{linears[step]}"
+                layer = params[f"{name}.weight"]
+                np.matmul(inputs[step - 1].swapaxes(-1, -2), delta, out=layer.grad)
+                if f"{name}.bias" in params:
+                    params[f"{name}.bias"].grad[...] = _sum_mid(delta)[:, :, 0]
+                weight_t = layer.data.swapaxes(-1, -2)
+                # A one-wide layer's backward GEMM is an outer product.
+                delta = delta * weight_t if delta.shape[-1] == 1 else np.matmul(delta, weight_t)
+                delta *= masks[step - 1]
+            first = params["ffn.layer0.weight"]
+            d_user_term = _sum_mid(delta)  # (T, B, 1, h): also the first bias's grad
+            if "ffn.layer0.bias" in params:
+                params["ffn.layer0.bias"].grad[...] = d_user_term[:, :, 0]
+            first.grad[:, :, dim:] = np.matmul(items_t, delta)
+            np.multiply(user_col, d_user_term, out=first.grad[:, :, :dim])
+            d_users += np.matmul(d_user_term, first.data[:, :, :dim].swapaxes(-1, -2)).sum(
+                axis=0
+            )[:, 0, :]
+            item_weight_t = first.data[:, :, dim:].swapaxes(-1, -2)
+            d_ffn_items = np.matmul(delta[0], item_weight_t[0])
+            for task in range(1, num_tasks):
+                d_ffn_items += np.matmul(delta[task], item_weight_t[task])
+            d_items += d_ffn_items
+
+        table_grad = params["V"].grad
+        table_grad.fill(0.0)
+        flat_grad = table_grad.reshape(-1, dim)
+        user_grad = params["U"].grad
+        if self.graph is not None:
+            # Interacted positions took (item + user)/2, the user row
+            # (user + neighbourhood mean)/2 where a neighbourhood exists.
+            d_mix = d_items * mixed * 0.5
+            user_grad[...] = _sum_mid(d_mix)[:, 0, :]
+            d_items = d_items * ~mixed
+            d_items += d_mix
+            if has_neighbours is None:
+                d_mean = d_users * 0.5
+            else:
+                user_grad += d_users * ~has_neighbours
+                d_mean = d_users * has_neighbours * 0.5
+            user_grad += d_mean
+        else:
+            user_grad[...] = d_users
+        plan.add_to(flat_grad, d_items.reshape(-1, dim))
+        if self.graph is not None:
+            nbr_plan.add_to(flat_grad, (coeffs[:, :, None] * d_mean[:, None, :]).reshape(-1, dim))
+
+        if self.ddr is not None:
+            ddr_idx, ddr_plan, alpha = self.ddr
+            penalty, d_rows = _decorrelation_backward(table[rows, ddr_idx], alpha)
+            ddr_plan.add_to(flat_grad, d_rows.reshape(-1, dim))
+            return loss, alpha * penalty
+        return loss, None
+
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
 class VectorizedRoundEngine:
     """Batched executor for one round's local-training phase."""
 
@@ -266,6 +508,10 @@ class VectorizedRoundEngine:
             )
         self.trainer = trainer
         self.objective: FusedObjective = trainer.fused_objective()
+        # One set of stacked parameters, rebound per bucket: the engine
+        # builds no tape nodes while it trains.
+        names = ["U", "V", *trainer.models[trainer.groups[0]].head.state_dict()]
+        self._params = {name: Parameter(np.zeros(0), name=f"{name}xB") for name in names}
 
     # ------------------------------------------------------------------
     # Round execution
@@ -352,6 +598,7 @@ class VectorizedRoundEngine:
         table = model.item_embedding.weight.data  # global V, read-only here
         dtype = table.dtype
         num_items = table.shape[0]
+        local_epochs = cfg.local_epochs
 
         # DDR eligibility is uniform within a group: the stock trainers
         # (the only ones `fused_objective` admits — overriding
@@ -360,312 +607,181 @@ class VectorizedRoundEngine:
         # users carry the ``_NO_DDR`` sentinel, a drawn ``None`` means
         # the full table.
         eligible = [subset is not _NO_DDR for subset in ddr_rows]
-        ddr_active = self.objective.ddr_alpha > 0 and all(eligible)
         if any(eligible) != all(eligible):
             raise ValueError(
                 f"non-uniform DDR eligibility within group {group!r}: the "
                 "fused round engine requires presample_ddr_rows to cover "
                 "all of a group's clients or none"
             )
-        ddr_subsets = [
-            (
-                subset
-                if subset is not None
-                else np.arange(num_items, dtype=np.int64)
-            )
-            for subset in (ddr_rows if ddr_active else [])
-        ]
-        local_epochs = cfg.local_epochs
-
-        # Per-client local row sets: batch items, the local graph's
-        # neighbour rows when the model propagates, plus the round's
-        # DDR-sampled rows.
+        ddr_active = self.objective.ddr_alpha > 0 and all(eligible) and dim >= 2
         propagation = model.fused_propagation()
-        neighbour_ids: List[np.ndarray] = []
-        uniq_rows: List[np.ndarray] = []
-        local_idx: List[List[np.ndarray]] = []
-        ddr_local_idx: List[np.ndarray] = []
-        for b, batches in enumerate(epoch_batches):
-            parts = [batch.items for batch in batches]
-            if propagation is not None:
-                # Neighbour rows are read (and written, through the
-                # propagation gradient) every epoch; they are the batch
-                # positives, so this is normally a no-op union.
-                neighbour_ids.append(
-                    np.asarray(runtimes[b].data.train_items, dtype=np.int64)
-                )
-                parts.append(neighbour_ids[-1])
-            if ddr_active:
-                parts.append(ddr_subsets[b])
-            items = (
-                np.concatenate(parts) if parts else np.empty(0, np.int64)
-            )
-            uniq = np.unique(items)
-            if uniq.size == 0:
-                uniq = np.zeros(1, dtype=np.int64)
-            uniq_rows.append(uniq)
-            local_idx.append(
-                [np.searchsorted(uniq, batch.items) for batch in batches]
-            )
-            if ddr_active:
-                ddr_local_idx.append(np.searchsorted(uniq, ddr_subsets[b]))
 
-        batch_lengths = np.array(
-            [len(batches[0]) if batches else 0 for batches in epoch_batches]
-        )
-        max_len = max(int(batch_lengths.max()), 1)
-        max_rows = max(len(uniq) for uniq in uniq_rows)
+        # Every row a client touches this round, keyed ``b·|V| + item``:
+        # each epoch's batch, then the local graph's neighbours (read and
+        # written every epoch), then the round's DDR sample.  One stable
+        # sort of the keys yields the working-table layout and every
+        # scatter plan of the round.
+        clients = np.arange(num_clients)
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []  # (item ids, lengths)
+        for epoch in range(local_epochs):
+            parts.append(self._part([batches[epoch].items for batches in epoch_batches]))
+        if propagation is not None:
+            parts.append(self._part([runtime.data.train_items for runtime in runtimes]))
+        if ddr_active:
+            parts.append(self._part([
+                np.arange(num_items) if subset is None else subset for subset in ddr_rows
+            ]))
+        owners = [np.repeat(clients, sizes) for _, sizes in parts]
+        keys = _concat([owner * num_items + items for (items, _), owner in zip(parts, owners)])
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        head = np.ones(keys.size, dtype=bool)
+        head[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        uniq_keys = sorted_keys[head]
+        local = np.empty(keys.size, dtype=np.int64)
+        local[order] = np.cumsum(head) - 1
+        uniq_owner = uniq_keys // num_items
+        counts = np.bincount(uniq_owner, minlength=num_clients)
+        first = np.cumsum(counts) - counts
+        max_rows = max(int(counts.max(initial=0)), 1)
+        uniq_slots = uniq_owner * max_rows + np.arange(uniq_keys.size) - first[uniq_owner]
+        uniq_items = uniq_keys - uniq_owner * num_items
+        slots = uniq_slots[local]
+
+        work_table = np.zeros((num_clients * max_rows, dim), dtype=dtype)
+        work_table[uniq_slots] = table[uniq_items]
+        is_neighbour = None
+
+        def padded(part: int, width: int):
+            """A part's positions in its padded ``(B, width)`` layout, its
+            slots, and the stable order of those slots."""
+            lo = sum(items.size for items, _ in parts[:part])
+            hi = lo + parts[part][0].size
+            sizes = parts[part][1]
+            starts = np.cumsum(sizes) - sizes
+            owner = owners[part]
+            positions = owner * width + np.arange(hi - lo) - starts[owner]
+            within = order[(order >= lo) & (order < hi)] - lo
+            return positions, slots[lo:hi], within
 
         # Padded CSR layout of the stacked star graphs: one normalized
-        # adjacency row per client over its working table, shared by
-        # every epoch's propagation matmul.  Clients with empty local
-        # graphs get an all-zero coefficient row plus a ``where`` that
-        # keeps their user embedding unpropagated (the reference's
+        # adjacency row per client over its working table.  Clients with
+        # empty local graphs get an all-zero coefficient row and keep
+        # their user embedding unpropagated (the reference's
         # empty-neighbourhood limit).
-        nbr_idx = nbr_coeffs = has_neighbours = None
+        graph = None
         if propagation is not None:
-            nbr_counts = np.array([ids.size for ids in neighbour_ids])
-            max_nbr = max(int(nbr_counts.max()), 1)
-            nbr_idx = np.zeros((num_clients, max_nbr), dtype=np.int64)
-            nbr_coeffs = np.zeros((num_clients, max_nbr), dtype=dtype)
-            for b, ids in enumerate(neighbour_ids):
-                if ids.size:
-                    nbr_idx[b, : ids.size] = np.searchsorted(uniq_rows[b], ids)
-                    nbr_coeffs[b, : ids.size] = 1.0 / ids.size
-            if not nbr_counts.all():
-                has_neighbours = (nbr_counts > 0).reshape(num_clients, 1)
+            nbr_counts = parts[local_epochs][1]
+            width = max(int(nbr_counts.max(initial=0)), 1)
+            positions, nbr_slots, within = padded(local_epochs, width)
+            nbr_idx = np.zeros(num_clients * width, dtype=np.int64)
+            nbr_idx[positions] = nbr_slots - owners[local_epochs] * max_rows
+            coeffs = np.zeros(num_clients * width, dtype=dtype)
+            coeffs[positions] = (1.0 / np.maximum(nbr_counts, 1))[owners[local_epochs]]
+            has_neighbours = (nbr_counts > 0).reshape(num_clients, 1)
+            graph = (
+                nbr_idx.reshape(num_clients, width),
+                coeffs.reshape(num_clients, width),
+                None if has_neighbours.all() else has_neighbours,
+                SegmentPlan(nbr_slots, positions, within),
+            )
+            is_neighbour = np.zeros(num_clients * max_rows, dtype=bool)
+            is_neighbour[nbr_slots] = True
 
-        # Stacked working tables, user matrix and replicated heads.  The
-        # dual-task widths fuse into one (T, B, ...) head stack with
-        # narrower heads zero-padded to the group width: a zero weight
-        # row kills the >w coordinates of the full-width user/item
-        # operands exactly, so every task's logits — and the gradients
-        # into the real weight regions, the user prefix and the item
-        # prefix — are bit-equal to the per-width sliced computation,
-        # while the whole multi-width loss runs as single (T, B, L, ·)
-        # kernels.  The padded regions do accumulate (isolated,
-        # elementwise) Adam state; emission slices them away.
-        work_table = np.zeros((num_clients, max_rows, dim), dtype=dtype)
-        for b, uniq in enumerate(uniq_rows):
-            work_table[b, : uniq.size] = table[uniq]
-        table_param = Parameter(work_table, name=f"V[{group}]xB")
-        user_param = Parameter(
-            trainer.user_tables[group].take(users), name=f"U[{group}]xB"
-        )
+        ddr = None
+        if ddr_active:
+            part = len(parts) - 1
+            sample = int(parts[part][1][0])
+            positions, ddr_slots, within = padded(part, sample)
+            ddr_idx = (ddr_slots - owners[part] * max_rows).reshape(num_clients, sample)
+            ddr = (ddr_idx, SegmentPlan(ddr_slots, positions, within), self.objective.ddr_alpha)
+
+        # Stacked user rows and replicated, zero-padded head stacks.
         task_groups = trainer.trained_head_groups(group)
         widths = [cfg.dims[tg] for tg in task_groups]
         heads_before: Dict[str, Dict[str, np.ndarray]] = {
             tg: trainer.models[tg].head.state_dict() for tg in task_groups
         }
-        head_stacks: Dict[str, Parameter] = {
-            name: Parameter(
-                np.stack(
-                    [
-                        np.repeat(
-                            _pad_head_value(
-                                name, heads_before[tg][name], width, dim, dtype
-                            )[np.newaxis],
-                            num_clients,
-                            axis=0,
-                        )
-                        for tg, width in zip(task_groups, widths)
-                    ]
-                ),
-                name=f"{name}xTxB",
-            )
-            for name in heads_before[task_groups[0]]
-        }
+        params = self._params
+        params["U"].data = trainer.user_tables[group].take(users)
+        params["V"].data = work_table.reshape(num_clients, max_rows, dim)
+        padded_before: Dict[str, np.ndarray] = {}
+        for name in heads_before[task_groups[0]]:
+            padded_before[name] = np.stack([
+                _pad_head_value(name, heads_before[tg][name], width, dim, dtype)
+                for tg, width in zip(task_groups, widths)
+            ])
+            params[name].data = np.repeat(padded_before[name][:, None], num_clients, axis=1)
 
         # The padding invariant — padded head regions identically zero —
         # must survive every optimizer step, but those regions *receive*
         # gradient (the full-width operands are nonzero there).  Masking
         # the gradient to the real regions keeps their Adam moments and
-        # values at exact zero across epochs; the real regions see the
-        # same elementwise updates as unpadded training.
+        # values at exact zero across epochs.
         pad_masks: Dict[str, np.ndarray] = {}
         if any(width < dim for width in widths):
             for name in ("gmf.weight", "ffn.layer0.weight"):
-                if name not in head_stacks:
-                    continue
-                mask = np.ones_like(head_stacks[name].data[:, :1])
+                mask = np.ones_like(params[name].data[:, :1])
                 for ti, width in enumerate(widths):
-                    if width == dim:
-                        continue
-                    if name == "gmf.weight":
-                        mask[ti, :, width:] = 0.0
-                    else:
+                    if width < dim:
                         mask[ti, :, width:dim] = 0.0
                         mask[ti, :, dim + width :] = 0.0
                 pad_masks[name] = mask
 
+        ffn: List[Tuple[str, Optional[int]]] = []
+        if model.arch != "mf":
+            ffn = [
+                ("linear", position) if isinstance(layer, Linear) else ("relu", None)
+                for position, layer in enumerate(model.head.ffn)
+            ]
+        objective = BucketObjective(params, ffn, graph, ddr)
         optimizer = Adam(
-            [user_param, table_param, *head_stacks.values()], lr=cfg.lr
+            [param for param in params.values() if param.grad is not None], lr=cfg.lr
         )
 
-        # The round's DDR subset is fixed across epochs — one stacked
-        # index matrix serves every epoch's penalty gather.
-        ddr_idx = np.stack(ddr_local_idx) if ddr_active else None
-
-        # Padded per-epoch index / label / weight tensors.
+        batch_lengths = parts[0][1] if local_epochs else np.zeros(num_clients, np.int64)
+        max_len = max(int(batch_lengths.max(initial=0)), 1)
         per_client_loss = np.zeros(num_clients)
         for epoch in range(local_epochs):
-            idx = np.zeros((num_clients, max_len), dtype=np.int64)
-            labels = np.zeros((num_clients, max_len), dtype=dtype)
-            weights = np.zeros((num_clients, max_len), dtype=dtype)
-            interacted = (
-                np.zeros((num_clients, max_len), dtype=bool)
-                if propagation is not None
-                else None
+            positions, epoch_slots, within = padded(epoch, max_len)
+            owner = owners[epoch]
+            idx = np.zeros(num_clients * max_len, dtype=np.int64)
+            idx[positions] = epoch_slots - owner * max_rows
+            labels = np.zeros(num_clients * max_len, dtype=dtype)
+            labels[positions] = np.concatenate([batches[epoch].labels for batches in epoch_batches])
+            weights = np.zeros(num_clients * max_len, dtype=dtype)
+            weights[positions] = (1.0 / np.maximum(parts[epoch][1], 1)).astype(dtype)[owner]
+            interacted = None
+            if is_neighbour is not None:
+                interacted = np.zeros(num_clients * max_len, dtype=bool)
+                interacted[positions] = is_neighbour[epoch_slots]
+                interacted = interacted.reshape(num_clients, max_len)
+            shape = (num_clients, max_len)
+            loss, penalty = objective(
+                idx.reshape(shape),
+                labels.reshape(shape),
+                weights.reshape(shape),
+                SegmentPlan(epoch_slots, positions, within),
+                interacted,
             )
-            for b, batches in enumerate(epoch_batches):
-                if not batches:
-                    continue
-                length = len(batches[epoch])
-                idx[b, :length] = local_idx[b][epoch]
-                labels[b, :length] = batches[epoch].labels
-                weights[b, :length] = 1.0 / max(length, 1)
-                if interacted is not None:
-                    interacted[b, :length] = np.isin(
-                        batches[epoch].items, neighbour_ids[b]
-                    )
-
-            optimizer.zero_grad()
-            item_vecs = ops.batched_gather(table_param, idx)
-            mask = weights > 0
-            if propagation is not None:
-                user_vecs, item_vecs = self._propagate(
-                    table_param,
-                    user_param,
-                    item_vecs,
-                    nbr_idx,
-                    nbr_coeffs,
-                    has_neighbours,
-                    interacted,
-                )
-            else:
-                user_vecs = user_param
-
-            elementwise = ops.bce_with_logits(
-                self._fused_logits(model, user_vecs, item_vecs, head_stacks, dim),
-                labels,
-                reduction="none",
-            )
-            # weights broadcast over the task axis: summing every task's
-            # per-client BCE mean into one scalar tape output.
-            loss = (elementwise * weights).sum()
-            epoch_loss = (elementwise.data * mask).sum(axis=(0, 2)) / np.maximum(
-                batch_lengths, 1
-            )
-
-            if ddr_active and dim >= 2:
-                penalties = batched_decorrelation_penalty(
-                    ops.batched_gather(table_param, ddr_idx)
-                )
-                loss = loss + self.objective.ddr_alpha * penalties.sum()
-                epoch_loss += self.objective.ddr_alpha * penalties.data
-
-            loss.backward()
             for name, mask in pad_masks.items():
-                if head_stacks[name].grad is not None:  # mf trains no FFN
-                    head_stacks[name].grad *= mask
+                if params[name].grad is not None:  # mf trains no FFN
+                    params[name].grad *= mask
             optimizer.step()
-            per_client_loss = epoch_loss
+            per_client_loss = loss / np.maximum(batch_lengths, 1)
+            if penalty is not None:
+                per_client_loss += penalty
 
         return self._emit_updates(
-            group,
-            users,
-            uniq_rows,
-            table,
-            table_param,
-            user_param,
-            task_groups,
-            widths,
-            heads_before,
-            head_stacks,
-            batch_lengths,
+            group, users, uniq_slots, uniq_items, uniq_owner, table,
+            task_groups, widths, heads_before, padded_before, batch_lengths,
             per_client_loss,
         )
 
-    def _propagate(
-        self,
-        table_param: Parameter,
-        user_param: Parameter,
-        item_vecs,
-        nbr_idx: np.ndarray,
-        nbr_coeffs: np.ndarray,
-        has_neighbours: Optional[np.ndarray],
-        interacted: np.ndarray,
-    ):
-        """One star-graph propagation step for the whole bucket.
-
-        The batched form of ``LightGCN._score``'s local propagation:
-        every user row absorbs its degree-normalized neighbourhood
-        average through a single padded sparse–dense matmul over the
-        stacked working tables, and interacted batch positions mix with
-        their client's (un-propagated) user row.  Runs inside the tape,
-        so gradients flow back through the neighbourhood average into
-        the item rows exactly as in the per-client reference.
-        """
-        num_clients, dim = user_param.shape
-        nbr_mean = ops.batched_sparse_matmul(table_param, nbr_idx, nbr_coeffs)
-        user_vecs = (user_param + nbr_mean) * 0.5
-        if has_neighbours is not None:
-            user_vecs = ops.where(has_neighbours, user_vecs, user_param)
-        user_rows = user_param.reshape(num_clients, 1, dim)
-        item_prop = ops.where(
-            interacted[:, :, None], (item_vecs + user_rows) * 0.5, item_vecs
-        )
-        return user_vecs, item_prop
-
-    def _fused_logits(
-        self,
-        model,
-        user_vecs,
-        item_vecs,
-        head_stacks: Dict[str, Parameter],
-        dim: int,
-    ):
-        """All dual-task widths' logits at once → (T, B, L) for the bucket.
-
-        ``head_stacks`` replicates every task's head per client, zero-
-        padded to the group width ``dim`` (see ``_pad_head_value``), so
-        the full-width user/item operands drive every width's exact
-        logits through single broadcasted kernels.  ``user_vecs`` is the
-        stacked user parameter (or, for LightGCN, its propagated form);
-        it is kept as a (1, B, d, 1) operand throughout — the GMF weight
-        is folded into it (``(u⊙v)·w = v·(u⊙w)``) and the first FFN
-        layer's ``[u, v]`` GEMM is split into a user term and an item
-        term — so no (B, L, d) user broadcast or (B, L, 2d) concat is
-        ever materialised.
-        """
-        num_clients, max_len = item_vecs.shape[0], item_vecs.shape[1]
-        num_tasks = head_stacks["gmf.weight"].shape[0]
-        user_col = user_vecs.reshape(1, num_clients, dim, 1)
-
-        gmf_weight = user_col * head_stacks["gmf.weight"]
-        logits = item_vecs.matmul(gmf_weight).reshape(
-            num_tasks, num_clients, max_len
-        )
-        if model.arch == "mf":
-            return logits
-
-        z = None
-        for position, layer in enumerate(model.head.ffn):
-            if isinstance(layer, Linear):
-                weight = head_stacks[f"ffn.layer{position}.weight"]
-                if z is None:
-                    user_term = user_vecs.reshape(1, num_clients, 1, dim).matmul(
-                        weight[:, :, :dim, :]
-                    )
-                    z = item_vecs.matmul(weight[:, :, dim:, :]) + user_term
-                else:
-                    z = z.matmul(weight)
-                if layer.has_bias:
-                    bias = head_stacks[f"ffn.layer{position}.bias"]
-                    z = z + bias.reshape(num_tasks, num_clients, 1, -1)
-            else:
-                z = z.relu()
-        return logits + z.reshape(num_tasks, num_clients, max_len)
+    @staticmethod
+    def _part(arrays: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        sizes = np.array([array.size for array in arrays], dtype=np.int64)
+        return _concat([np.asarray(array, dtype=np.int64) for array in arrays]), sizes
 
     # ------------------------------------------------------------------
     # Update emission (mirrors the tail of ``train_client``)
@@ -674,49 +790,47 @@ class VectorizedRoundEngine:
         self,
         group: str,
         users: List[int],
-        uniq_rows: List[np.ndarray],
+        uniq_slots: np.ndarray,
+        uniq_items: np.ndarray,
+        uniq_owner: np.ndarray,
         table: np.ndarray,
-        table_param: Parameter,
-        user_param: Parameter,
         task_groups: List[str],
         widths: List[int],
         heads_before: Dict[str, Dict[str, np.ndarray]],
-        head_stacks: Dict[str, Parameter],
+        padded_before: Dict[str, np.ndarray],
         batch_lengths: np.ndarray,
         per_client_loss: np.ndarray,
     ) -> List[ClientUpdate]:
-        num_items = table.shape[0]
-        dim = table.shape[1]
-        self.trainer.user_tables[group].put(users, user_param.data)
+        params = self._params
+        num_items, dim = table.shape
+        self.trainer.user_tables[group].put(users, params["U"].data)
+
+        # Row-sparse emission: O(touched rows), never O(catalogue).  Rows
+        # the session referenced but did not move are dropped, matching
+        # the reference path's nonzero-row encoding.
+        values = params["V"].data.reshape(-1, dim)[uniq_slots] - table[uniq_items]
+        moved = touched_rows(values)
+        rows, values = uniq_items[moved], values[moved]
+        bounds = np.searchsorted(uniq_owner[moved], np.arange(len(users) + 1))
+        head_deltas = {
+            name: params[name].data - padded_before[name][:, None] for name in padded_before
+        }
+
         updates: List[ClientUpdate] = []
         for b, user in enumerate(users):
-            # Row-sparse emission: O(touched rows), never O(catalogue).
-            # Rows the session referenced but did not move (possible only
-            # in degenerate cases) are dropped, matching the reference
-            # path's nonzero-row encoding.
-            uniq = uniq_rows[b]
-            values = table_param.data[b, : uniq.size] - table[uniq]
-            moved = touched_rows(values)
-            embedding_delta = SparseRowDelta(num_items, uniq[moved], values[moved])
-
-            head_deltas = {
-                tg: state_delta(
-                    {
-                        name: _unpad_head_value(
-                            name, head_stacks[name].data[ti, b], width, dim
-                        )
-                        for name in heads_before[tg]
-                    },
-                    heads_before[tg],
-                )
-                for ti, (tg, width) in enumerate(zip(task_groups, widths))
-            }
+            lo, hi = bounds[b], bounds[b + 1]
             updates.append(
                 ClientUpdate(
                     user_id=user,
                     group=group,
-                    embedding_delta=embedding_delta,
-                    head_deltas=head_deltas,
+                    embedding_delta=SparseRowDelta(num_items, rows[lo:hi], values[lo:hi]),
+                    head_deltas={
+                        tg: {
+                            name: _unpad_head_value(name, head_deltas[name][ti, b], width, dim)
+                            for name in heads_before[tg]
+                        }
+                        for ti, (tg, width) in enumerate(zip(task_groups, widths))
+                    },
                     num_examples=int(batch_lengths[b]),
                     train_loss=float(per_client_loss[b]),
                 )

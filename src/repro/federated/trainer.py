@@ -318,7 +318,7 @@ class FederatedTrainer:
 
         Returns a :class:`~repro.federated.round_engine.FusedObjective`
         when this trainer's local objective is one the engine knows how
-        to build as a fused batched graph — the per-width BCE tasks come
+        to differentiate in closed form — the per-width BCE tasks come
         from :meth:`trained_head_groups`, the optional decorrelation
         term from the returned spec — or ``None`` to force the
         per-client reference path.  The base answer is structural: plain

@@ -38,7 +38,7 @@ class LocalGraphPropagation:
     * the user row is the degree-normalized neighbourhood average — a
       sparse row vector ``1/|N(u)|`` over the neighbour item rows, which
       the engine stacks across clients into one padded CSR layout and
-      applies as a single batched sparse–dense matmul;
+      applies as one padded sparse–dense product per epoch;
     * interacted item rows mix with the user row elementwise.
 
     Both steps are coordinatewise in the embedding, so running them at

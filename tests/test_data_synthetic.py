@@ -143,3 +143,37 @@ class TestActivityLinks:
         item_counts.sort()
         top_decile = item_counts[-max(data.num_items // 10, 1):].sum()
         assert top_decile / item_counts.sum() > 0.2
+
+
+def _interaction_digest(dataset) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    for items in dataset.user_items:
+        items = np.asarray(items, dtype=np.int64)
+        digest.update(np.int64(items.size).tobytes())
+        digest.update(items.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, config, expected",
+    [
+        (
+            "ml",
+            SyntheticConfig(scale=0.05, item_scale=0.2, seed=3),
+            "8808d0dcbfe7272f5de42e58c3f3acb75c2edc69f13c98753a7f472fa03ac6a4",
+        ),
+        (
+            "douban",
+            SyntheticConfig(scale=0.03, item_scale=0.05, avg_interactions=16.0, seed=11),
+            "6a1d53bd0f0a1292e3a77210811db23b5652e790c4116df87b02c7fdc716ecc6",
+        ),
+    ],
+)
+def test_generated_interactions_are_pinned(name, config, expected):
+    """The noise pool is the sorted complement of each user's signal draw;
+    building it by a boolean mask instead of ``np.setdiff1d`` must leave
+    every draw, hence every interaction list, unchanged (digests recorded
+    with the ``setdiff1d`` generator)."""
+    assert _interaction_digest(load_benchmark_dataset(name, config)) == expected

@@ -159,3 +159,33 @@ class TestTrainerIntegration:
             a.models["l"].item_embedding.weight.data,
             b.models["l"].item_embedding.weight.data,
         )
+
+
+@pytest.mark.parametrize("protection", ["clip", "noise", "pseudo-items", "topk", "quantize"])
+def test_float32_uploads_stay_float32(protection, tiny_dataset, tiny_clients):
+    """Protection and compression keep the trained dtype: every array a
+    float32 client uploads is float32, the Gaussian head noise and both
+    codecs (which compute in float64) included."""
+    from repro.compression.codecs import CompressionConfig
+
+    options = {
+        "clip": dict(privacy=PrivacyConfig(clip_norm=0.5)),
+        "noise": dict(privacy=PrivacyConfig(clip_norm=0.5, noise_std=0.1)),
+        "pseudo-items": dict(privacy=PrivacyConfig(pseudo_items=3)),
+        "topk": dict(compression=CompressionConfig(kind="topk", ratio=0.3)),
+        "quantize": dict(compression=CompressionConfig(kind="quantize", bits=4)),
+    }[protection]
+    trainer = HeteFedRec(
+        tiny_dataset.num_items,
+        tiny_clients,
+        HeteFedRecConfig(
+            dims={"s": 4, "m": 6, "l": 8}, epochs=1, clients_per_round=12,
+            local_epochs=1, dtype="float32", **options,
+        ),
+    )
+    updates = trainer._train_clients([client.user_id for client in tiny_clients[:12]])
+    for update in updates:
+        assert update.embedding_delta.values.dtype == np.float32
+        for state in update.head_deltas.values():
+            for name, values in state.items():
+                assert values.dtype == np.float32, (update.user_id, name)
