@@ -66,9 +66,7 @@ _EXPORTS = {
     # checkpoints
     "CheckpointMismatchError": "repro.federated.checkpoint",
     "UnknownGroupError": "repro.federated.checkpoint",
-    "checkpoint_groups": "repro.federated.checkpoint",
     "read_manifest": "repro.federated.checkpoint",
-    "user_embedding_from_checkpoint": "repro.federated.checkpoint",
     # baselines
     "METHODS": "repro.baselines",
     "build_method": "repro.baselines",
@@ -128,6 +126,7 @@ __all__ = sorted(
         "load_model",
         "recommend",
         "serve",
+        "user_embedding_from_checkpoint",
         *_EXPORTS,
     ]
 )
@@ -187,15 +186,37 @@ def resume(trainer, path: str):
 
 
 def load_model(path: str, group: Optional[str] = None):
-    """Rebuild one dim-group's inference model from a checkpoint.
+    """One dim-group's inference model, as serving loads it (:func:`load_snapshot`).
 
     Returns ``(model, meta)``.  ``group`` may be omitted when the
     checkpoint holds a single group; otherwise the raised
     :class:`UnknownGroupError` lists the valid choices.
     """
-    from repro.federated.checkpoint import load_inference_model_impl
+    from repro.federated.checkpoint import UnknownGroupError
+    from repro.serving import load_snapshot
 
-    return load_inference_model_impl(path, group)
+    snapshot = load_snapshot(path)
+    groups = snapshot.groups
+    if group is None and len(groups) == 1:
+        group = groups[0]
+    if group not in groups:
+        raise UnknownGroupError(
+            f"checkpoint {path!r} holds models for groups {groups}; pass group=<name> to choose one"
+            if group is None
+            else f"group {group!r} not in checkpoint {path!r} (valid groups: {groups})"
+        )
+    return snapshot.models[group], snapshot.meta
+
+
+def user_embedding_from_checkpoint(path: str, user_id: int) -> "np.ndarray":
+    """One user's private embedding, looked up in serving's user tables
+    (:func:`load_snapshot`); ``KeyError`` if no group holds the user."""
+    from repro.serving import load_snapshot
+
+    for table in load_snapshot(path).users.values():
+        if user_id in table.ids:
+            return table.take([user_id])[0]
+    raise KeyError(f"no embedding stored for user {user_id}")
 
 
 def recommend(

@@ -10,8 +10,9 @@ user embeddings, that means:
 
 * server-optimiser first/second moments (FedAvgM / FedAdam / FedYogi);
 * the trainer's permutation RNG and any subclass streams (HeteFedRec's
-  KD/DDR generators), plus each client runtime's private RNG and
-  negative-sampler stream (``bit_generator.state`` into the manifest);
+  KD/DDR generators, ``bit_generator.state`` into the manifest), plus
+  each client runtime's private RNG and negative-sampler stream (packed
+  into the ``client_rng/…`` members);
 * the :class:`~repro.federated.availability.StragglerBuffer`'s pending
   updates, sparse form preserved;
 * per-client compression residuals (error feedback);
@@ -20,22 +21,25 @@ user embeddings, that means:
 * subclass extras through the ``_checkpoint_extra_state`` hook (the
   unlearning ledger, Standalone's per-client model copies).
 
-Layout (format version 4): **one file** — an ``.npz`` holding all
-arrays *and* the JSON manifest (member ``__manifest__``), written
-atomically (:func:`repro.io.atomic_write`, the same helper
-``.repro_cache/`` uses) so a crash mid-save can never leave a torn
-checkpoint.  Members are ``model/<group>/<param>``,
-``users/<group>/ids`` + ``users/<group>/values`` (each dim-group's
+Layout (format version 5): **one file** — an ``.npz`` of stored (not
+deflated: float tables barely shrink) members, the JSON manifest among
+them as UTF-8 ``uint8`` bytes (``__manifest__``), written atomically
+(:func:`repro.io.atomic_write`, the same helper ``.repro_cache/`` uses)
+so a crash mid-save can never leave a torn checkpoint.  Members are
+``model/<group>/<param>``, ``users/<group>/ids`` +
+``users/<group>/values`` (each dim-group's
 :class:`~repro.federated.user_table.UserTable` — two members per group
 however many users, and **the id arrays are the group assignment**: the
-manifest carries no user→group map), and ``sopt/…``, ``straggler/…``,
-``residual/…``, ``ledger/…``, ``standalone/…`` when the feature is on.
+manifest carries no user→group map), ``client_rng/ids`` +
+``client_rng/state`` (:func:`_pack_client_rngs`), and ``sopt/…``,
+``straggler/…``, ``residual/…``, ``ledger/…``, ``standalone/…`` when
+the feature is on.
 
 One door, two outcomes.  :func:`read_checkpoint` is the only reader
-(the package's one ``np.load`` of a checkpoint, every member
-decompressed before it returns); it and everything built on it —
-resume, :func:`read_manifest`, :func:`load_inference_model_impl`,
-serving's ``load_snapshot`` / hot-swap — fail in exactly two ways:
+(the package's one ``np.load`` of a checkpoint, every member read and
+CRC-32-checked before it returns); it and everything built on it —
+resume, :func:`read_manifest`, serving's ``load_snapshot`` / hot-swap
+and the ``load_model`` verb over it — fail in exactly two ways:
 
 * ``OSError`` **iff the file cannot be opened** (usually
   ``FileNotFoundError``: it may not have landed yet, callers may retry);
@@ -43,7 +47,7 @@ serving's ``load_snapshot`` / hot-swap — fail in exactly two ways:
   (:func:`refusing`): a torn or bit-flipped archive
   (``zipfile.BadZipFile`` / ``zlib.error`` / ``EOFError``, chained as
   ``__cause__``), an unparsable manifest, another format version, a
-  section a v4 writer always writes but the manifest lacks, or a
+  section a v5 writer always writes but the manifest lacks, or a
   manifest that does not describe the receiving trainer — never a
   silent truncation, never a bare ``KeyError``.  Callers quarantine.
 
@@ -67,7 +71,7 @@ import json
 import os
 import zipfile
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -79,8 +83,13 @@ from repro.models.factory import build_model
 #: Manifest schema version; bump on layout changes.  Loading any other
 #: version raises :class:`CheckpointMismatchError` — resume correctness
 #: depends on every state section being present and understood.
-#: Version 4 stores users as one ``(ids, values)`` table per dim-group.
-FORMAT_VERSION = 4
+#: Version 5 stores members undeflated, the manifest as UTF-8 bytes and
+#: the client streams as ``uint64`` members.
+FORMAT_VERSION = 5
+
+#: The one bit-generator kind client streams are packed as.
+CLIENT_RNG_KIND = "PCG64"
+_WORD = (1 << 64) - 1
 
 
 class CheckpointMismatchError(ValueError):
@@ -134,15 +143,19 @@ def refusing(path: str):
 def read_checkpoint(path: str) -> Tuple[dict, Dict[str, np.ndarray]]:
     """``(manifest, arrays)`` of the checkpoint at ``path`` — the only
     reader.  ``OSError`` iff the file cannot be opened; from there on
-    everything is :func:`refusing`'s, and every member is decompressed
-    here, so a consumer can meet no I/O or decode failure afterwards."""
+    everything is :func:`refusing`'s, and every member is read here in
+    full (which checks its CRC-32, the only integrity check on member
+    bytes), so a consumer can meet no I/O or decode failure afterwards."""
     try:
         handle = open(_npz_path(path), "rb")
     except ValueError as error:  # an embedded NUL: a name no file can have
         raise OSError(f"checkpoint path {path!r} cannot be opened: {error}") from error
     with handle, refusing(path), np.load(handle) as archive:
         arrays = {key: archive[key] for key in archive.files}
-        meta = json.loads(arrays.pop("__manifest__").item())
+        # json.loads detects UTF-8 and UTF-32 alike, so an older file's
+        # manifest (a UTF-32 string) still parses and is refused below
+        # by the version it names.
+        meta = json.loads(arrays.pop("__manifest__").tobytes())
         version = meta.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointMismatchError(
@@ -160,19 +173,6 @@ def read_manifest(path: str) -> dict:
 # ----------------------------------------------------------------------
 # Collection
 # ----------------------------------------------------------------------
-def _flatten_states(trainer) -> Dict[str, np.ndarray]:
-    """All public parameters under ``model/{group}/{param}`` keys, plus
-    each group's user table under ``users/{group}/ids|values``."""
-    arrays: Dict[str, np.ndarray] = {}
-    for group, model in trainer.models.items():
-        for name, values in model.state_dict().items():
-            arrays[f"model/{group}/{name}"] = values
-    for group, table in trainer.user_tables.items():
-        arrays[f"users/{group}/ids"] = table.ids
-        arrays[f"users/{group}/values"] = table.values
-    return arrays
-
-
 def _feature_signature(trainer) -> Dict[str, object]:
     """The stream-shaping feature set two trainers must agree on to share
     a checkpoint — method and every optional protocol component."""
@@ -333,30 +333,63 @@ def _unpack_updates(prefix: str, entries: List[dict], archive) -> List[ClientUpd
     return updates
 
 
-def _pack_residuals(items, arrays: Dict[str, np.ndarray]) -> List[dict]:
-    """Serialise compressor error-feedback residuals (sparse preserved)."""
-    entries: List[dict] = []
-    for i, (user_id, key, residual) in enumerate(items):
-        entry = {"user_id": int(user_id), "key": key}
-        entry.update(pack_delta(residual, f"residual/{i}", arrays))
-        entries.append(entry)
-    return entries
+def _pack_client_rngs(trainer, arrays: Dict[str, np.ndarray]) -> str:
+    """Every client's private and sampler stream as ``client_rng/state``
+    rows of ``uint64`` words, ``(users, 2, 6)`` — state and increment
+    (128-bit: high word, low word), ``has_uint32``, ``uinteger`` —
+    beside the user ids ``client_rng/ids``; returns the kind to record."""
+    users = sorted(trainer.runtimes)
+    words = []
+    for user_id in users:
+        runtime = trainer.runtimes[user_id]
+        for generator in (runtime.rng, runtime.sampler._rng):
+            state = generator.bit_generator.state
+            if state["bit_generator"] != CLIENT_RNG_KIND:
+                raise TypeError(f"client streams must be {CLIENT_RNG_KIND}, not {state['bit_generator']}")
+            seq, inc = state["state"]["state"], state["state"]["inc"]
+            words += [seq >> 64, seq & _WORD, inc >> 64, inc & _WORD, state["has_uint32"], state["uinteger"]]
+    arrays["client_rng/ids"] = np.array(users, dtype=np.int64)
+    arrays["client_rng/state"] = np.array(words, dtype=np.uint64).reshape(len(users), 2, 6)
+    return CLIENT_RNG_KIND
 
 
-def _unpack_residuals(entries: List[dict], archive):
-    return [
-        (
-            int(entry["user_id"]),
-            entry["key"],
-            unpack_delta(entry, f"residual/{i}", archive),
+def _client_rng_states(trainer, meta: dict, archive) -> List[tuple]:
+    """``(generator, state)`` for both streams of every client of
+    ``trainer``, unpacked from :func:`_pack_client_rngs`'s members.  A
+    kind other than the one recorded, a misshapen member, or a client
+    with no row or two is refused."""
+    kind, ids, words = meta["client_rng_kind"], archive["client_rng/ids"], archive["client_rng/state"]
+    shaped = ids.dtype == np.int64 and ids.ndim == 1 and words.dtype == np.uint64
+    if kind != CLIENT_RNG_KIND or not shaped or words.shape != (len(ids), 2, 6):
+        raise CheckpointMismatchError(
+            f"checkpoint's client streams are not {CLIENT_RNG_KIND} rows: kind {kind!r}, "
+            f"ids {ids.dtype}{ids.shape}, states {words.dtype}{words.shape}"
         )
-        for i, entry in enumerate(entries)
-    ]
+    rows = dict(zip(ids.tolist(), words.tolist()))
+    states = []
+    for user_id, runtime in trainer.runtimes.items():
+        if user_id not in rows:
+            raise CheckpointMismatchError(f"checkpoint carries no RNG state for client {user_id}")
+        for generator, w in zip((runtime.rng, runtime.sampler._rng), rows[user_id]):
+            inner = {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3]}
+            state = {"bit_generator": CLIENT_RNG_KIND, "state": inner, "has_uint32": w[4], "uinteger": w[5]}
+            states.append((generator, state))
+    if len(ids) != len(trainer.runtimes):  # each client has a row: more is a repeat or a stranger
+        raise CheckpointMismatchError(
+            f"checkpoint carries {len(ids)} client RNG rows for {len(trainer.runtimes)} clients"
+        )
+    return states
 
 
 def _collect(trainer) -> Tuple[Dict[str, np.ndarray], dict]:
     """Everything a resume needs, as ``(npz arrays, JSON manifest)``."""
-    arrays = _flatten_states(trainer)
+    arrays = {
+        f"model/{group}/{name}": values
+        for group, model in trainer.models.items()
+        for name, values in model.state_dict().items()
+    }
+    for group, table in trainer.user_tables.items():
+        arrays[f"users/{group}/ids"], arrays[f"users/{group}/values"] = table.ids, table.values
     config = trainer.config
     meta = {
         "format_version": FORMAT_VERSION,
@@ -378,13 +411,7 @@ def _collect(trainer) -> Tuple[Dict[str, np.ndarray], dict]:
             name: generator.bit_generator.state
             for name, generator in trainer._checkpoint_rngs().items()
         },
-        "client_rng": {
-            str(user_id): {
-                "rng": runtime.rng.bit_generator.state,
-                "sampler": runtime.sampler._rng.bit_generator.state,
-            }
-            for user_id, runtime in trainer.runtimes.items()
-        },
+        "client_rng_kind": _pack_client_rngs(trainer, arrays),
         "meter": trainer.meter.export_state(),
         "history": trainer.history.export_records(),
     }
@@ -404,9 +431,10 @@ def _collect(trainer) -> Tuple[Dict[str, np.ndarray], dict]:
         # updates on the same round the uninterrupted run would have.
         meta["straggler_ages"] = trainer._straggler_buffer.export_ages()
     if trainer._compressor is not None:
-        meta["residuals"] = _pack_residuals(
-            trainer._compressor.export_residuals(), arrays
-        )
+        meta["residuals"] = [  # compressor error-feedback residuals, sparse kept
+            {"user_id": int(user_id), "key": key, **pack_delta(residual, f"residual/{i}", arrays)}
+            for i, (user_id, key, residual) in enumerate(trainer._compressor.export_residuals())
+        ]
     extra_arrays, extra_meta = trainer._checkpoint_extra_state()
     arrays.update(extra_arrays)
     meta["extra"] = extra_meta
@@ -420,10 +448,9 @@ def save_checkpoint_impl(trainer, path: str) -> None:
     """Write a full-state checkpoint: the one file ``path`` (.npz,
     manifest embedded), atomically."""
     arrays, meta = _collect(trainer)
-    arrays["__manifest__"] = np.array(json.dumps(meta, sort_keys=True))
-    atomic_write(
-        _npz_path(path), lambda handle: np.savez_compressed(handle, **arrays), "wb"
-    )
+    manifest = json.dumps(meta, sort_keys=True).encode("utf-8")
+    arrays["__manifest__"] = np.frombuffer(manifest, dtype=np.uint8)
+    atomic_write(_npz_path(path), lambda handle: np.savez(handle, **arrays), "wb")
 
 
 def load_user_tables(archive, meta: dict) -> Dict[str, UserTable]:
@@ -536,14 +563,7 @@ def load_checkpoint_impl(trainer, path: str) -> None:
                     f"checkpoint carries no RNG state for stream {name!r}"
                 )
             rng_states.append((generator, saved_rngs[name]))
-        client_rng = meta["client_rng"]
-        for user_id, runtime in trainer.runtimes.items():
-            if str(user_id) not in client_rng:
-                raise CheckpointMismatchError(
-                    f"checkpoint carries no RNG state for client {user_id}"
-                )
-            saved = client_rng[str(user_id)]
-            rng_states += [(runtime.rng, saved["rng"]), (runtime.sampler._rng, saved["sampler"])]
+        rng_states += _client_rng_states(trainer, meta, arrays)
         scratch = {}
         for generator, state in rng_states:
             # A scratch bit generator of the same kind (one each: making
@@ -579,7 +599,10 @@ def load_checkpoint_impl(trainer, path: str) -> None:
                 (pending, meta["straggler_ages"]),
             ))
         if trainer._compressor is not None:
-            residuals = _unpack_residuals(meta["residuals"], arrays)
+            residuals = [
+                (int(entry["user_id"]), entry["key"], unpack_delta(entry, f"residual/{i}", arrays))
+                for i, entry in enumerate(meta["residuals"])
+            ]
             loads.append((trainer._compressor.restore_residuals, (residuals,)))
         # Rehearsal: each loader first runs on a deep copy of its
         # component, raising whatever the live load would.
@@ -601,65 +624,20 @@ def load_checkpoint_impl(trainer, path: str) -> None:
 # ----------------------------------------------------------------------
 # Deploy-side loading
 # ----------------------------------------------------------------------
-def checkpoint_groups(path: str) -> List[str]:
-    """The dim-group names a checkpoint carries models for, sorted."""
-    return sorted(read_manifest(path)["dims"])
-
-
 def inference_model(archive, meta: dict, group: str):
     """One group's recommender rebuilt from a checkpoint's arrays, in
-    the dtype the manifest records."""
+    the dtype the manifest records; its item table is built from the
+    archive's own, not drawn and then overwritten."""
     model = build_model(
         meta["arch"],
         num_items=meta["num_items"],
         dim=meta["dims"][group],
         hidden=tuple(meta["hidden"]),
         rng=np.random.default_rng(meta["seed"]),
+        item_weight=archive[f"model/{group}/item_embedding.weight"],
     )
     target = np.dtype(meta["dtype"])
     for param in model.parameters():
-        param.data = param.data.astype(target)
+        param.data = param.data.astype(target, copy=False)
     model.load_state_dict(members(archive, f"model/{group}/"))
     return model
-
-
-def load_inference_model_impl(path: str, group: Optional[str] = None):
-    """Rebuild one group's recommender from a checkpoint for serving.
-
-    Returns ``(model, meta)``; score a user by passing their embedding
-    (:func:`user_embedding_from_checkpoint`) to ``model.logits``.
-    The model is rebuilt in the dtype it was trained in — the manifest
-    records ``config.dtype``, so a float32 run deploys as float32.
-
-    ``group`` may be omitted when the checkpoint carries exactly one
-    group (the homogeneous baselines); with several groups, or with a
-    name the manifest does not know, :class:`UnknownGroupError` names
-    the valid choices instead of failing bare.
-    """
-    meta, arrays = read_checkpoint(path)
-    with refusing(path):
-        groups = sorted(meta["dims"])
-        if group is None and len(groups) == 1:
-            group = groups[0]
-        if group in groups:
-            return inference_model(arrays, meta, group), meta
-    # The caller's mistake, not the file's: outside the door's guard.
-    if group is None:
-        raise UnknownGroupError(
-            f"checkpoint {path!r} holds models for groups {groups}; "
-            "pass group=<name> to choose one"
-        )
-    raise UnknownGroupError(
-        f"group {group!r} not in checkpoint {path!r} (valid groups: {groups})"
-    )
-
-
-def user_embedding_from_checkpoint(path: str, user_id: int) -> np.ndarray:
-    """Fetch one user's private embedding from a checkpoint."""
-    meta, arrays = read_checkpoint(path)
-    with refusing(path):
-        tables = load_user_tables(arrays, meta)
-    for table in tables.values():
-        if user_id in table.ids:
-            return table.take([user_id])[0]
-    raise KeyError(f"no embedding stored for user {user_id}")

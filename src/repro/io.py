@@ -15,7 +15,7 @@ writes them in place and nothing deletes a corrupt one:
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from typing import IO, Callable, Optional
 
 
@@ -25,14 +25,15 @@ def atomic_write(path: str, write: Callable[[IO], None], mode: str = "w") -> Non
     The tmp file lives in ``path``'s directory (created if missing), so
     the final ``os.replace`` is a same-filesystem atomic rename even
     when the target sits on a different mount than the default tmp
-    location.  Text modes are UTF-8.  On any failure the tmp file is
-    removed and ``path`` is left untouched.
+    location.  It is created ``0o666`` less the umask (applied by the
+    kernel), as a plain ``open()`` would be, so a serving process run as
+    another user can read it.  Text modes are UTF-8.  On any failure the
+    tmp file is removed and ``path`` is left untouched.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=f".{os.path.basename(path)}-", suffix=".tmp"
-    )
+    tmp = os.path.join(directory, f".{os.path.basename(path)}-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
             write(handle)

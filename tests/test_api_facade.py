@@ -123,15 +123,21 @@ class TestDeprecationShims:
         return trainer
 
     def test_old_deep_names_are_gone(self):
-        """PR 8's warning shims were kept "for one release"; each verb
-        now has one deep name (its ``*_impl``) and one public door."""
+        """The deprecated deep-import verbs spent their one-release
+        window; each checkpoint verb now has one deep name (its
+        ``*_impl``) and one public door, and ``load_model`` reads through
+        serving's ``load_snapshot``, with no deep name of its own."""
         import repro.federated as federated
         import repro.federated.checkpoint as checkpoint
 
         for name in ("save_checkpoint", "load_checkpoint", "load_inference_model"):
             assert not hasattr(checkpoint, name), name
             assert not hasattr(federated, name), name
+        for name in ("save_checkpoint", "load_checkpoint"):
             assert callable(getattr(checkpoint, name + "_impl"))
+        for name in ("load_inference_model_impl", "checkpoint_groups"):
+            assert not hasattr(checkpoint, name), name
+            assert name not in api.__all__, name
         assert not hasattr(checkpoint, "_deprecated_verb")
 
     def test_facade_verbs_do_not_warn(self, trained, tmp_path):

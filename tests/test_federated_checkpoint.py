@@ -9,7 +9,11 @@ restoration of the RNG/progress sections.  The bitwise resume pins live
 in ``tests/test_checkpoint_resume.py``.
 """
 
+import json
 import os
+import struct
+import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -20,16 +24,16 @@ import repro.federated.checkpoint as checkpoint_module
 from repro.compression.codecs import CompressionConfig
 from repro.core import HeteFedRec, HeteFedRecConfig
 from repro.federated.availability import AvailabilityConfig
+from repro.api import load_model, user_embedding_from_checkpoint
 from repro.federated.checkpoint import (
     CheckpointMismatchError,
     load_checkpoint_impl as load_checkpoint,
-    load_inference_model_impl as load_inference_model,
     read_manifest,
     save_checkpoint_impl as save_checkpoint,
-    user_embedding_from_checkpoint,
 )
 
 from malformed_checkpoints import (
+    BAD_CLIENT_RNG,
     MALFORMED_CHECKPOINTS,
     MISSING_SECTIONS,
     forge,
@@ -142,8 +146,8 @@ class TestSaveLoad:
 
 
 class TestUserTableLayout:
-    """Format v4: one ``(ids, values)`` pair per dim-group, and the id
-    arrays are the group assignment."""
+    """One ``(ids, values)`` pair per dim-group (since format v4), and
+    the id arrays are the group assignment."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_per_group_arrays_are_the_live_tables(
@@ -179,8 +183,8 @@ class TestUserTableLayout:
     def test_malformed_checkpoint_is_refused_on_resume(
         self, trained, tiny_dataset, tiny_clients, tmp_path, case
     ):
-        """The v3 layout (``user/<id>`` members + ``group_of``) has no
-        reader; every forged v4 shape is refused before any state moves."""
+        """The v3 and v4 layouts have no reader; every forged v5 shape is
+        refused before any state moves."""
         good = str(tmp_path / "good.npz")
         save_checkpoint(trained, good)
         bad = forge(good, str(tmp_path / "bad.npz"), MALFORMED_CHECKPOINTS[case])
@@ -202,7 +206,7 @@ class TestUserTableLayout:
 
 class TestResumeIsAllOrNothing:
     """A refused checkpoint leaves the trainer exactly as it was, and a
-    v4 manifest must carry what a v4 writer always writes."""
+    v5 checkpoint must carry what a v5 writer always writes."""
 
     @pytest.mark.parametrize("section", sorted(MISSING_SECTIONS))
     def test_missing_section_is_refused_by_name(
@@ -237,21 +241,138 @@ class TestResumeIsAllOrNothing:
     def test_dropped_client_rng_entry_leaves_the_trainer_untouched(
         self, trained, tiny_dataset, tiny_clients, tmp_path
     ):
-        """At the parent the right error arrived after models and user
-        tables had already been replaced."""
+        """Once the right error arrived after models and user tables had
+        already been replaced.  The dropped row is the last user's."""
         good = str(tmp_path / "good.npz")
         save_checkpoint(trained, good)
-        victim = str(tiny_clients[-1].user_id)
-
-        def drop(arrays, meta):
-            del meta["client_rng"][victim]
-
-        bad = forge(good, str(tmp_path / "bad.npz"), drop)
+        victim = max(client.user_id for client in tiny_clients)
+        bad = forge(good, str(tmp_path / "bad.npz"), BAD_CLIENT_RNG["missing_row"])
         other = fresh_trainer(tiny_dataset, tiny_clients)
         before = resume_state(other)
         with pytest.raises(CheckpointMismatchError, match=f"client {victim}"):
             load_checkpoint(other, bad)
         assert resume_state(other) == before
+
+    @pytest.mark.parametrize("case", sorted(BAD_CLIENT_RNG))
+    def test_bad_client_rng_member_leaves_the_trainer_untouched(
+        self, trained, tiny_dataset, tiny_clients, tmp_path, case
+    ):
+        """A missing, repeated or misshapen row, a wrong dtype or another
+        recorded bit-generator kind: refused before any stream moves."""
+        good = str(tmp_path / "good.npz")
+        save_checkpoint(trained, good)
+        bad = forge(good, str(tmp_path / "bad.npz"), BAD_CLIENT_RNG[case])
+        other = fresh_trainer(tiny_dataset, tiny_clients)
+        before = resume_state(other)
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(other, bad)
+        assert resume_state(other) == before
+        load_checkpoint(other, good)  # the untouched file still resumes
+        assert resume_state(other) == resume_state(trained)
+
+
+class TestFormatV5:
+    """Members stored, not deflated; the manifest as UTF-8 bytes with no
+    per-user section; the client streams in two ``uint64``/``int64``
+    members; the same trainer saves to the same bytes."""
+
+    def test_v4_file_is_refused_by_resume_and_serve(
+        self, trained, tiny_dataset, tiny_clients, tmp_path
+    ):
+        from repro.api import serve
+
+        good = str(tmp_path / "good.npz")
+        save_checkpoint(trained, good)
+        old = forge(
+            good, str(tmp_path / "v4.npz"), MALFORMED_CHECKPOINTS["v4_layout"],
+            savez=np.savez_compressed,
+        )
+        with pytest.raises(CheckpointMismatchError, match="format version 4"):
+            serve(old)
+        other = fresh_trainer(tiny_dataset, tiny_clients)
+        before = resume_state(other)
+        with pytest.raises(CheckpointMismatchError, match="format version 4"):
+            load_checkpoint(other, old)
+        assert resume_state(other) == before
+
+    def test_members_are_stored_and_the_manifest_is_utf8_bytes(self, trained, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(trained, path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as archive:
+            manifest = archive["__manifest__"]
+            ids, states = archive["client_rng/ids"], archive["client_rng/state"]
+        assert manifest.dtype == np.uint8 and manifest.ndim == 1
+        assert read_manifest(path) == json.loads(manifest.tobytes().decode("utf-8"))
+        assert ids.tolist() == sorted(trained.runtimes)
+        assert states.dtype == np.uint64 and states.shape == (len(ids), 2, 6)
+
+    def test_manifest_has_no_client_rng_and_does_not_grow_with_users(
+        self, tiny_dataset, tiny_clients, tmp_path
+    ):
+        sizes = []
+        for count in (len(tiny_clients) // 2, len(tiny_clients)):
+            config = HeteFedRecConfig(
+                dims={"s": 4, "m": 6, "l": 8}, epochs=1, local_epochs=1, lr=0.01, seed=0
+            )
+            trainer = HeteFedRec(tiny_dataset.num_items, tiny_clients[:count], config)
+            path = str(tmp_path / f"ckpt{count}.npz")
+            save_checkpoint(trainer, path)
+            meta = read_manifest(path)
+            assert "client_rng" not in meta
+            assert meta["client_rng_kind"] == "PCG64"
+            with np.load(path) as archive:
+                sizes.append(archive["__manifest__"].size)
+        assert sizes[1] == sizes[0], sizes
+
+    @pytest.mark.parametrize(
+        "member",
+        ["__manifest__", "model/l/item_embedding.weight", "users/l/values", "client_rng/state"],
+    )
+    def test_one_flipped_bit_in_a_stored_member_is_refused_at_both_doors(
+        self, trained, tiny_dataset, tiny_clients, tmp_path, member
+    ):
+        """CRC-32 is the only integrity check on member bytes now that
+        nothing is inflated: a flip in the middle of a member's data."""
+        from repro.api import serve
+
+        path = str(tmp_path / "good.npz")
+        save_checkpoint(trained, path)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo(member + ".npy")
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+        position = info.header_offset + 30 + name_len + extra_len + info.compress_size // 2
+        blob[position] ^= 0x10
+        bad = str(tmp_path / "flipped.npz")
+        with open(bad, "wb") as handle:
+            handle.write(bytes(blob))
+        with pytest.raises(CheckpointMismatchError, match="torn or corrupt"):
+            serve(bad)
+        other = fresh_trainer(tiny_dataset, tiny_clients)
+        before = resume_state(other)
+        with pytest.raises(CheckpointMismatchError, match="torn or corrupt"):
+            load_checkpoint(other, bad)
+        assert resume_state(other) == before
+
+    def test_saving_twice_seconds_apart_gives_identical_bytes(
+        self, trained, tmp_path, monkeypatch
+    ):
+        """The premise of a content hash: nothing in the archive depends
+        on when it was written (numpy stamps every entry 1980-01-01)."""
+        first, second = str(tmp_path / "first.npz"), str(tmp_path / "second.npz")
+        save_checkpoint(trained, first)
+        later, localtime = time.time() + 400 * 86_400, time.localtime
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(
+            time, "localtime", lambda secs=None: localtime(later if secs is None else secs)
+        )
+        save_checkpoint(trained, second)
+        monkeypatch.undo()
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 class TestCheckpointDoorFuzz:
@@ -520,7 +641,7 @@ class TestDtypePersistence:
     def test_float32_run_deploys_as_float32(self, float32_trained, tmp_path):
         path = str(tmp_path / "f32.npz")
         save_checkpoint(float32_trained, path)
-        model, meta = load_inference_model(path, "l")
+        model, meta = load_model(path, "l")
         assert meta["dtype"] == "float32"
         for _, param in model.named_parameters():
             assert param.data.dtype == np.float32
@@ -542,10 +663,13 @@ class TestDtypePersistence:
 
 
 class TestInferenceModel:
+    """``load_model`` and ``user_embedding_from_checkpoint`` read through
+    serving's ``load_snapshot``."""
+
     def test_load_single_group(self, trained, tmp_path):
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(trained, path)
-        model, meta = load_inference_model(path, "l")
+        model, meta = load_model(path, "l")
         assert model.dim == 8
         assert meta["num_items"] == trained.num_items
         assert np.array_equal(
@@ -557,7 +681,7 @@ class TestInferenceModel:
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(trained, path)
         with pytest.raises(KeyError):
-            load_inference_model(path, "xl")
+            load_model(path, "xl")
 
     def test_user_embedding_fetch(self, trained, tiny_clients, tmp_path):
         path = str(tmp_path / "ckpt.npz")
@@ -576,7 +700,7 @@ class TestInferenceModel:
         save_checkpoint(trained, path)
         client = tiny_clients[0]
         group = trained.group_of[client.user_id]
-        model, _ = load_inference_model(path, group)
+        model, _ = load_model(path, group)
         embedding = user_embedding_from_checkpoint(path, client.user_id)
         with no_grad():
             scores = model.logits(

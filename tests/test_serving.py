@@ -24,14 +24,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import load_model
 from repro.baselines import build_method
 from repro.core import HeteFedRec, HeteFedRecConfig
 from repro.eval.metrics import blocked_top_k
 from repro.federated.checkpoint import (
     CheckpointMismatchError,
     UnknownGroupError,
-    checkpoint_groups,
-    load_inference_model_impl,
     save_checkpoint_impl,
 )
 from repro.serving import (
@@ -632,22 +631,22 @@ class TestCoalescerIdleFlush:
 
 
 # ----------------------------------------------------------------------
-# load_inference_model ergonomics (group optional, helpful errors)
+# load_model ergonomics (group optional, helpful errors)
 # ----------------------------------------------------------------------
 class TestGroupOptional:
     def test_single_group_checkpoint_needs_no_group(self, checkpoints):
         path = checkpoints["paths"]["single"]
-        assert checkpoint_groups(path) == ["all"]
-        model, meta = load_inference_model_impl(path)
+        assert load_snapshot(path).groups == ["all"]
+        model, meta = load_model(path)
         assert model.dim == meta["dims"]["all"]
 
     def test_ambiguous_checkpoint_lists_groups(self, checkpoints):
         with pytest.raises(UnknownGroupError, match=r"\['l', 'm', 's'\]"):
-            load_inference_model_impl(checkpoints["paths"]["v1"])
+            load_model(checkpoints["paths"]["v1"])
 
     def test_unknown_group_lists_valid_groups(self, checkpoints):
         with pytest.raises(UnknownGroupError, match="valid groups"):
-            load_inference_model_impl(checkpoints["paths"]["v1"], "xl")
+            load_model(checkpoints["paths"]["v1"], "xl")
 
 
 # ----------------------------------------------------------------------
