@@ -626,18 +626,22 @@ def load_checkpoint_impl(trainer, path: str) -> None:
 # ----------------------------------------------------------------------
 def inference_model(archive, meta: dict, group: str):
     """One group's recommender rebuilt from a checkpoint's arrays, in
-    the dtype the manifest records; its item table is built from the
-    archive's own, not drawn and then overwritten."""
+    the dtype the manifest records; its item table is the archive's own,
+    copied once in that dtype, not drawn and then overwritten."""
+    target = np.dtype(meta["dtype"])
+    state = members(archive, f"model/{group}/")
     model = build_model(
         meta["arch"],
         num_items=meta["num_items"],
         dim=meta["dims"][group],
         hidden=tuple(meta["hidden"]),
         rng=np.random.default_rng(meta["seed"]),
-        item_weight=archive[f"model/{group}/item_embedding.weight"],
+        item_weight=state["item_embedding.weight"].astype(target, copy=False),
     )
-    target = np.dtype(meta["dtype"])
     for param in model.parameters():
         param.data = param.data.astype(target, copy=False)
-    model.load_state_dict(members(archive, f"model/{group}/"))
+    # The table is loaded already: hand it back as itself (a no-op write)
+    # so the state dict's name checks still see every member.
+    state["item_embedding.weight"] = model.item_embedding.weight.data
+    model.load_state_dict(state)
     return model

@@ -34,6 +34,18 @@ deterministically:
     ``min(len_u, len_v)`` — both endpoints expand the same prefix of the
     same stream, so it still cancels.  The server accepts a vector only
     at its sender's own length.
+
+    Each pair's agreement and mask are derived once per round, not once
+    per endpoint.  The round's :class:`PairMaskLedger`, bound to the
+    relayed share roster, holds for every client yet to mask the sum of
+    the pair masks its earlier peers derived, with the sign it must
+    apply: one ``uint64`` vector of at most ``len_v`` words per such
+    client, freed when it masks, so below ``Σ len_u`` words in all.  A
+    client that never masks leaves nothing, so its peers derive their
+    pair with it themselves.  The masked bytes are those of every
+    endpoint deriving every pair itself: each pair contributes the same
+    mask with the same sign, and addition in the 2^64 field does not
+    care who added it or in which order.
 ``unmask``
     The server announces the survivor set; each responding survivor
     signs it (consistency check) and reveals, per fellow participant,
@@ -76,7 +88,6 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -148,15 +159,6 @@ def _prg_seed(*parts: object) -> int:
     return _digest_int("prg", *parts, bits=64)
 
 
-@lru_cache(maxsize=1024)
-def _power_table(x: int, threshold: int) -> Tuple[int, ...]:
-    """``x^j mod p`` for ``j < threshold`` (one table per share holder)."""
-    powers = [1]
-    for _ in range(1, threshold):
-        powers.append(powers[-1] * x % SHAMIR_PRIME)
-    return tuple(powers)
-
-
 @lru_cache(maxsize=64)
 def _lagrange_at_zero(xs: Tuple[int, ...]) -> Tuple[int, ...]:
     """Lagrange basis values at 0 for one x-coordinate set.
@@ -189,17 +191,27 @@ def shamir_share(
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if len(set(xs)) != len(xs):
         raise ValueError("share x-coordinates must be unique")
-    coefficients = [secret % SHAMIR_PRIME]
-    for index in range(1, threshold):
-        coefficients.append(
-            _digest_int(salt, secret, "coeff", index, bits=128) % SHAMIR_PRIME
+    # Coefficient j is _digest_int(salt, secret, "coeff", j, bits=128):
+    # the shared label prefix is hashed once and extended per j.
+    prefix = hashlib.sha256(f"{salt}:{secret}:coeff:".encode())
+    highest_first = []
+    for index in range(threshold - 1, 0, -1):
+        digest = prefix.copy()
+        digest.update(str(index).encode())
+        highest_first.append(
+            int.from_bytes(digest.digest()[:16], "little") % SHAMIR_PRIME
         )
+    highest_first.append(secret % SHAMIR_PRIME)
     shares: Dict[int, int] = {}
-    for x in xs:
-        if not 1 <= int(x) < SHAMIR_PRIME:
+    for x in map(int, xs):
+        if not 1 <= x < SHAMIR_PRIME:
             raise ValueError(f"share x-coordinate must be in [1, p), got {x}")
-        powers = _power_table(int(x), threshold)
-        shares[int(x)] = sum(map(mul, coefficients, powers)) % SHAMIR_PRIME
+        # Horner at a small x: the value grows by log2(x) bits a step,
+        # far cheaper than a reduction per step, so reduce once.
+        value = 0
+        for coefficient in highest_first:
+            value = value * x + coefficient
+        shares[x] = value % SHAMIR_PRIME
     return shares
 
 
@@ -274,6 +286,43 @@ def _vector_mac(mac_key: int, round_id: int, vector: np.ndarray) -> str:
 
 
 # ----------------------------------------------------------------------
+# Pair masks, derived once per pair
+# ----------------------------------------------------------------------
+class PairMaskLedger:
+    """Each pair's mask of one round, derived by one endpoint only.
+
+    Bound to the relayed share roster (``{id: vector length}``); see the
+    module docstring's ``masked_input`` for what it holds and why the
+    masked bytes do not change.  The first endpoint of a pair to mask
+    deposits the opposite sign into the peer's pending prefix, which the
+    peer takes instead of deriving the pair again.
+    """
+
+    def __init__(self, share_roster: Mapping[int, int]) -> None:
+        self.roster = {int(u): int(share_roster[u]) for u in sorted(share_roster)}
+        self._masked: Set[int] = set()
+        self._pending: Dict[int, np.ndarray] = {}
+
+    def take(self, client_id: int) -> Optional[np.ndarray]:
+        """Mark ``client_id`` as masking; the masks earlier endpoints left
+        for it (None if none did)."""
+        self._masked.add(client_id)
+        return self._pending.pop(client_id, None)
+
+    def unmasked(self) -> List[int]:
+        """Roster members that have not masked yet."""
+        return [uid for uid in self.roster if uid not in self._masked]
+
+    def deposit(self, peer: int, mask: np.ndarray, negate: bool) -> None:
+        """Leave ``peer`` its half of a pair mask: ``−mask`` if ``negate``."""
+        pending = self._pending.get(peer)
+        if pending is None:
+            pending = self._pending[peer] = np.zeros(self.roster[peer], _FIELD_DTYPE)
+        span = pending[: mask.size]
+        (np.subtract if negate else np.add)(span, mask, out=span)
+
+
+# ----------------------------------------------------------------------
 # Client state machine
 # ----------------------------------------------------------------------
 class SecureAggregationClient:
@@ -307,18 +356,21 @@ class SecureAggregationClient:
         self._share_roster: Dict[int, int] = {}  # member id → vector length
         self._received_shares: Dict[int, SeedShare] = {}
         self._dh_publics: Dict[int, int] = {}
+        self._ledger: Optional[PairMaskLedger] = None
+        self._advertisement: Optional[KeyAdvertisement] = None
 
     # -- round 0 -------------------------------------------------------
     def advertise(self) -> KeyAdvertisement:
         self._require_phase(ADVERTISE)
         self.phase = SHARES
-        return KeyAdvertisement(
+        self._advertisement = KeyAdvertisement(
             client_id=self.client_id,
             round_id=self.round_id,
             dh_public=pow(DH_GENERATOR, self.dh_secret, SHAMIR_PRIME),
             self_commitment=_digest_int("commit", self.self_seed, bits=64),
             mac_key=self.mac_key,
         )
+        return self._advertisement
 
     # -- round 1 -------------------------------------------------------
     def make_shares(
@@ -332,6 +384,13 @@ class SecureAggregationClient:
         if self.client_id not in roster:
             raise ProtocolError(
                 f"client {self.client_id} asked to share outside its roster"
+            )
+        if advertisements.get(self.client_id) != self._advertisement:
+            # Peers would agree pair seeds with keys this client does not
+            # hold, and its masks would never cancel.
+            raise ProtocolError(
+                f"the roster relays an advertisement for client "
+                f"{self.client_id} that it did not send"
             )
         self._roster = sorted(int(r) for r in roster)
         self._threshold = int(threshold)
@@ -361,12 +420,17 @@ class SecureAggregationClient:
         ]
 
     def receive_shares(
-        self, shares: Sequence[SeedShare], share_roster: Mapping[int, int]
+        self,
+        shares: Sequence[SeedShare],
+        share_roster: Mapping[int, int],
+        ledger: Optional[PairMaskLedger] = None,
     ) -> None:
         """Store the shares addressed to this client; learn who shared.
 
         ``share_roster`` maps each sharing member to the (public) length
-        of the vector the server expects from it.
+        of the vector the server expects from it.  ``ledger`` is the
+        round's :class:`PairMaskLedger`; one bound to another roster view
+        (or none) leaves this client a private one, deriving every pair.
         """
         self._require_phase(SHARES)
         for share in shares:
@@ -377,6 +441,9 @@ class SecureAggregationClient:
                 )
             self._received_shares[share.sender] = share
         self._share_roster = {int(u): int(share_roster[u]) for u in sorted(share_roster)}
+        if ledger is None or ledger.roster != self._share_roster:
+            ledger = PairMaskLedger(self._share_roster)
+        self._ledger = ledger
         self.phase = MASKED_INPUT
 
     # -- round 2 -------------------------------------------------------
@@ -391,16 +458,21 @@ class SecureAggregationClient:
         flat = np.asarray(vector, dtype=np.float64).ravel()
         total = self.codec.encode(flat)
         total += self._prg.expand(_prg_seed("selfmask", self.self_seed), flat.size)
-        for other in self._share_roster:
-            if other == self.client_id:
-                continue
+        ledger = self._ledger
+        if flat.size != self._share_roster.get(self.client_id):
+            # Not the length the roster announced: the pending prefixes
+            # were cut for that length, so mask alone.
+            ledger = PairMaskLedger(self._share_roster)
+        pending = ledger.take(self.client_id)
+        if pending is not None:
+            np.add(total, pending, out=total)
+        for other in ledger.unmasked():
             # A pair's mask covers the shorter endpoint's prefix only.
             span = total[: min(flat.size, self._share_roster[other])]
             mask = self._prg.expand(self.pair_seed(other), span.size)
-            if self.client_id < other:
-                np.add(span, mask, out=span)
-            else:
-                np.subtract(span, mask, out=span)
+            smaller = self.client_id < other
+            (np.add if smaller else np.subtract)(span, mask, out=span)
+            ledger.deposit(other, mask, negate=smaller)
         self.phase = UNMASK
         return MaskedInput(
             client_id=self.client_id,
@@ -617,6 +689,16 @@ class SecureAggregationServer:
                 raise ProtocolError(
                     f"client {sender} revealed both share kinds for one id"
                 )
+            reveals = (*message.self_shares.values(), *message.key_shares.values())
+            if not all(
+                type(share) is tuple and len(share) == 2
+                and all(type(value) is int for value in share)
+                for share in reveals
+            ):
+                # Not an (x, y) pair of field integers: reconstruction
+                # would fail untyped, so the reveal is refused here.
+                self.rejected_inputs += 1
+                return False
         return self._receive(UNMASK, sender, self._unmask, message)
 
     def finalize(self) -> np.ndarray:
@@ -885,8 +967,9 @@ def run_secure_round(
         )
         # Relay: each member downloads its addressed shares + the roster
         # with every member's vector length (id + length per entry).
+        ledger = PairMaskLedger(share_roster)
         for uid in share_roster:
-            clients[uid].receive_shares(server.shares_for(uid), share_roster)
+            clients[uid].receive_shares(server.shares_for(uid), share_roster, ledger)
             report.phase_wire[SHARES] += (
                 _WIRE_SHARE_PAIR * max(len(share_roster) - 1, 0)
                 + 2 * len(share_roster)

@@ -67,7 +67,10 @@ class Embedding(Module):
                     f"explicit weight shape {weight.shape} does not match "
                     f"({num_embeddings}, {embedding_dim})"
                 )
-            values = np.array(weight, dtype=np.float64)
+            # One copy, in the table's own precision when it is a float
+            # the tape runs (a float32 table is not detoured via float64).
+            keep = weight.dtype in (np.float32, np.float64)
+            values = np.array(weight, dtype=weight.dtype if keep else np.float64)
         else:
             values = init.normal((num_embeddings, embedding_dim), std=std, rng=rng)
         self.weight = Parameter(values, name="embedding")

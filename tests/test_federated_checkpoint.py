@@ -650,6 +650,33 @@ class TestDtypePersistence:
             float32_trained.models["l"].item_embedding.weight.data,
         )
 
+    def test_served_item_table_is_copied_once(self):
+        """Rebuilding a served model costs one copy of its item table, in
+        the manifest dtype.  A detour through float64 and a state-dict
+        rewrite of the same table made three (about 3× the table's bytes
+        at peak)."""
+        import tracemalloc
+
+        from repro.models.factory import build_model
+
+        state = build_model("ncf", 20_000, 16, rng=np.random.default_rng(0)).state_dict()
+        archive = {f"model/l/{k}": v.astype(np.float32) for k, v in state.items()}
+        meta = {
+            "arch": "ncf", "num_items": 20_000, "dims": {"l": 16},
+            "hidden": [8, 8], "seed": 0, "dtype": "float32",
+        }
+        table = archive["model/l/item_embedding.weight"]
+        tracemalloc.start()
+        try:
+            model = checkpoint_module.inference_model(archive, meta, "l")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        served = model.item_embedding.weight.data
+        assert served.dtype == np.float32
+        np.testing.assert_array_equal(served, table)
+        assert peak < 1.5 * table.nbytes, peak / table.nbytes
+
     def test_float32_roundtrip_into_float32_trainer(
         self, float32_trained, tiny_dataset, tiny_clients, tmp_path
     ):

@@ -4,10 +4,13 @@ Covers the Shamir primitive, both state machines' fault handling
 (drops, duplicates, late and malformed messages at every phase), the
 never-both reveal rule, below-threshold aborts into the availability
 path, exactness of the masked sum under arbitrary fault plans
-(property-based), uniformity of the masked wire bytes, and the honest
-per-phase wire metering.
+(property-based), uniformity of the masked wire bytes, the honest
+per-phase wire metering, the pair-mask ledger against the per-endpoint
+derivation it replaced, and Hypothesis mutation of every message.
 """
 
+
+import builtins
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.federated.secure_agg import (
     SecureAggregationConfig,
     _round_layout,
 )
+from repro.federated import secure_protocol
 from repro.federated.secure_protocol import (
     ADVERTISE,
     MASKED_INPUT,
@@ -37,11 +41,15 @@ from repro.federated.secure_protocol import (
     SHARES,
     UNMASK,
     FaultPlan,
+    MaskedInput,
+    PairMaskLedger,
     ProtocolError,
     SecureAggregationClient,
     SecureAggregationServer,
     SecureRoundAbort,
     _digest_int,
+    _prg_seed,
+    _vector_mac,
     run_secure_round,
     shamir_reconstruct,
     shamir_share,
@@ -149,9 +157,11 @@ def assert_sums_bitwise(embeddings, heads, expected_embeddings, expected_heads):
             )
 
 
-def walk_to_masked_input(sizes, round_id=1, config=CFG):
+def walk_to_masked_input(sizes, round_id=1, config=CFG, ledger_of=None):
     """Server + clients walked up to the masked-input phase over the
-    given ``{client_id: vector length}`` table."""
+    given ``{client_id: vector length}`` table.  ``ledger_of(share_roster)``
+    is the pair-mask ledger handed to every client (``PairMaskLedger``
+    shares one as a round does); without it each client masks alone."""
     ids = sorted(sizes)
     server = SecureAggregationServer(ids, sizes, round_id, config)
     clients = {u: SecureAggregationClient(u, round_id, config) for u in ids}
@@ -162,8 +172,9 @@ def walk_to_masked_input(sizes, round_id=1, config=CFG):
     for u, client in clients.items():
         server.receive_shares(u, client.make_shares(roster, server.threshold, adverts))
     share_roster = server.close_shares()
+    ledger = ledger_of(share_roster) if ledger_of else None
     for u, client in clients.items():
-        client.receive_shares(server.shares_for(u), share_roster)
+        client.receive_shares(server.shares_for(u), share_roster, ledger)
     return server, clients
 
 
@@ -185,7 +196,8 @@ def plain_prefix_sum(vectors, ids):
 
 
 def _shamir_share_horner(secret, xs, threshold, salt):
-    """The pre-cache formula: one Horner chain per share holder."""
+    """The reference formula: one Horner chain per share holder, reduced
+    at every step."""
     coefficients = [secret % SHAMIR_PRIME] + [
         _digest_int(salt, secret, "coeff", index, bits=128) % SHAMIR_PRIME
         for index in range(1, threshold)
@@ -223,9 +235,10 @@ class TestShamir:
         data=st.data(),
     )
     def test_cached_tables_reproduce_the_direct_formulas(self, secret, n, data):
-        """The power-table and Lagrange-weight caches are arithmetic
-        savings only: shares and reconstructed secrets are the values the
-        Horner chain and the per-call interpolation produced."""
+        """Reducing once per Horner chain and caching Lagrange weights
+        are arithmetic savings only: shares and reconstructed secrets are
+        the values the step-reduced chain and the per-call interpolation
+        produce."""
         threshold = data.draw(st.integers(min_value=1, max_value=n))
         xs = data.draw(
             st.lists(
@@ -760,6 +773,426 @@ class TestMaskedInputDoor:
         decoded = unmask_and_decode(server, clients)
         assert server.survivors == delivered
         np.testing.assert_array_equal(decoded, plain_prefix_sum(vectors, delivered))
+
+
+def per_endpoint_masked_input(self, vector):
+    """The derivation :class:`PairMaskLedger` replaced: every endpoint
+    agrees on and expands every pair it belongs to, so each pair's
+    ``pow`` and mask are paid twice."""
+    self._require_phase(MASKED_INPUT)
+    flat = np.asarray(vector, dtype=np.float64).ravel()
+    total = self.codec.encode(flat)
+    total += self._prg.expand(_prg_seed("selfmask", self.self_seed), flat.size)
+    for other in self._share_roster:
+        if other == self.client_id:
+            continue
+        span = total[: min(flat.size, self._share_roster[other])]
+        mask = self._prg.expand(self.pair_seed(other), span.size)
+        if self.client_id < other:
+            np.add(span, mask, out=span)
+        else:
+            np.subtract(span, mask, out=span)
+    self.phase = UNMASK
+    return MaskedInput(
+        client_id=self.client_id,
+        round_id=self.round_id,
+        vector=total,
+        mac=_vector_mac(self.mac_key, self.round_id, total),
+    )
+
+
+def recorded_round(monkeypatch, masked_input, updates, faults):
+    """``run_secure_round`` with ``masked_input`` as every client's
+    phase-2 body; returns ``(messages by client, embeddings, heads,
+    report)``."""
+    sent = {}
+
+    def recording(self, vector):
+        message = masked_input(self, vector)
+        sent.setdefault(self.client_id, message)
+        return message
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SecureAggregationClient, "masked_input", recording)
+        embeddings, heads, report = run_secure_round(
+            updates, HET_DIMS, CFG, 1, faults
+        )
+    return sent, embeddings, heads, report
+
+
+#: The fault plans the oracle comparison covers: none, one dropout per
+#: model size at each phase, a small and a large duplicate at each phase.
+LEDGER_FAULTS = [None] + [
+    FaultPlan(drops={phase: frozenset({3, 5, 17})}) for phase in PHASES
+] + [
+    FaultPlan(duplicates={phase: frozenset({2, 11})}) for phase in PHASES
+]
+
+
+class TestPairMaskLedger:
+    """Each pair's agreement and mask are derived once per round, by the
+    endpoint that masks first; the peer adds the half left for it.  The
+    field is commutative, so nothing on the wire may change."""
+
+    @pytest.mark.parametrize(
+        "faults", LEDGER_FAULTS,
+        ids=["clean"] + [f"drop-{p}" for p in PHASES] + [f"dup-{p}" for p in PHASES],
+    )
+    def test_masked_inputs_match_the_per_endpoint_oracle(self, monkeypatch, faults):
+        updates = het_updates(COHORT, seed=12)
+        oracle = recorded_round(monkeypatch, per_endpoint_masked_input, updates, faults)
+        ledger = recorded_round(
+            monkeypatch, SecureAggregationClient.masked_input, updates, faults
+        )
+        sent, expected_sent = ledger[0], oracle[0]
+        assert sorted(sent) == sorted(expected_sent)
+        assert {m.vector.size for m in sent.values()} == set(
+            _round_layout(updates, HET_DIMS).ends
+        )
+        for uid, message in sent.items():
+            expected = expected_sent[uid]
+            assert message.vector.dtype == expected.vector.dtype == np.uint64
+            assert message.vector.tobytes() == expected.vector.tobytes(), uid
+            assert message.mac == expected.mac, uid
+        assert_sums_bitwise(ledger[1], ledger[2], oracle[1], oracle[2])
+        assert ledger[3].as_dict() == oracle[3].as_dict()
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_clean_round_derives_each_pair_once(self, monkeypatch, n):
+        """``n(n−1)/2`` pair agreements (one ``pow`` each) and
+        ``n(n−1)/2 + n`` client-side expansions — the per-endpoint
+        derivation paid ``n(n−1)`` and ``n(n−1) + n``."""
+        calls = {"pair_seed": 0, "pow": 0, "expand": 0}
+        masking = []
+        pair_seed = SecureAggregationClient.pair_seed
+        masked_input = SecureAggregationClient.masked_input
+        expand = MaskPRG.expand
+
+        def counted_pair_seed(self, other_id):
+            calls["pair_seed"] += 1
+            return pair_seed(self, other_id)
+
+        def counted_masked_input(self, vector):
+            masking.append(self.client_id)
+            try:
+                return masked_input(self, vector)
+            finally:
+                masking.pop()
+
+        def counted_expand(self, seed, size):
+            calls["expand"] += bool(masking)
+            return expand(self, seed, size)
+
+        def counted_pow(*args):
+            calls["pow"] += bool(masking)
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(SecureAggregationClient, "pair_seed", counted_pair_seed)
+        monkeypatch.setattr(SecureAggregationClient, "masked_input", counted_masked_input)
+        monkeypatch.setattr(MaskPRG, "expand", counted_expand)
+        monkeypatch.setattr(secure_protocol, "pow", counted_pow, raising=False)
+        ids = list(range(1, n + 1))
+        updates = make_updates(ids, seed=n)
+        emb, _, report = run_secure_round(updates, DIMS, CFG, round_id=1)
+        assert report.survivors == ids
+        np.testing.assert_array_equal(emb["s"], plain_fixed_point_sum(updates, ids))
+        pairs = n * (n - 1) // 2
+        assert calls == {"pair_seed": pairs, "pow": pairs, "expand": pairs + n}
+
+    def test_pending_memory_stays_below_the_roster_total(self):
+        """One pending vector per client still to mask, at most its own
+        length, freed when it masks: below ``Σ len_u`` words throughout,
+        and only the dropout's is left once everyone else has masked."""
+        vectors = door_vectors(seed=3)
+        server, clients = walk_to_masked_input(DOOR_SIZES, ledger_of=PairMaskLedger)
+        ledger = clients[1]._ledger
+        assert all(c._ledger is ledger for c in clients.values())
+        bound = sum(DOOR_SIZES.values())
+        for uid in (3, 1, 5, 2):  # client 4 drops before masking
+            assert server.receive_masked_input(clients[uid].masked_input(vectors[uid]))
+            held = ledger._pending
+            assert sum(p.size for p in held.values()) < bound
+            assert all(p.size <= DOOR_SIZES[v] for v, p in held.items())
+            assert uid not in held
+        assert sorted(ledger._pending) == [4]
+        decoded = unmask_and_decode(server, clients)
+        assert server.dropouts == [4]
+        np.testing.assert_array_equal(decoded, plain_prefix_sum(vectors, [1, 2, 3, 5]))
+
+    def test_wrong_length_input_masks_alone_and_round_stays_exact(self):
+        """A vector not of the sender's announced length masks with a
+        private ledger: its pair halves were cut for another length, so
+        depositing them would leave its peers a mask the server cannot
+        strip when it refuses the vector."""
+        vectors = door_vectors()
+        server, clients = walk_to_masked_input(DOOR_SIZES, ledger_of=PairMaskLedger)
+        assert not server.receive_masked_input(
+            clients[2].masked_input(vectors[2][: DOOR_SIZES[1]])
+        )
+        assert not clients[1]._ledger._pending
+        for u in (1, 3, 4, 5):
+            assert server.receive_masked_input(clients[u].masked_input(vectors[u]))
+        decoded = unmask_and_decode(server, clients)
+        assert server.dropouts == [2]
+        np.testing.assert_array_equal(decoded, plain_prefix_sum(vectors, [1, 3, 4, 5]))
+
+    def test_a_ledger_of_another_roster_view_is_not_shared(self):
+        """Clients whose relayed roster differs from the ledger's each
+        keep a private ledger and derive every pair: their vectors are the
+        oracle's, and the foreign ledger is never written."""
+        vectors = door_vectors(seed=5)
+        foreign = PairMaskLedger({1: 6, 2: 12})
+        foreign.take(1)  # would hide every pair with 1 if it were used
+        server, clients = walk_to_masked_input(
+            DOOR_SIZES, ledger_of=lambda roster: foreign
+        )
+        _, twins = walk_to_masked_input(DOOR_SIZES)
+        for uid in sorted(DOOR_SIZES):
+            assert clients[uid]._ledger is not foreign
+            message = clients[uid].masked_input(vectors[uid])
+            expected = per_endpoint_masked_input(twins[uid], vectors[uid])
+            assert message.vector.tobytes() == expected.vector.tobytes(), uid
+            assert message.mac == expected.mac, uid
+            assert server.receive_masked_input(message)
+        assert not foreign._pending
+        np.testing.assert_array_equal(
+            unmask_and_decode(server, clients),
+            plain_prefix_sum(vectors, sorted(DOOR_SIZES)),
+        )
+
+
+def _nudge(value, salt):
+    """An integer field value moved by a nonzero amount."""
+    return int(value) + 1 + salt % 997
+
+
+def mutate_advertisement(message, field_name, salt):
+    if field_name == "client_id":
+        others = [u for u in DOOR_SIZES if u != message.client_id] + [99]
+        return replace(message, client_id=others[salt % len(others)])
+    return replace(message, **{field_name: _nudge(getattr(message, field_name), salt)})
+
+
+def mutate_share_bundle(bundle, field_name, salt):
+    """One share of the bundle with one field moved."""
+    at = salt % len(bundle)
+    share = bundle[at]
+    if field_name in ("sender", "receiver"):
+        others = [u for u in DOOR_SIZES if u != getattr(share, field_name)] + [99]
+        value = others[salt % len(others)]
+    else:
+        value = _nudge(getattr(share, field_name), salt)
+    return bundle[:at] + [replace(share, **{field_name: value})] + bundle[at + 1 :]
+
+
+def mutate_unmask(message, field_name, salt):
+    if field_name == "client_id":
+        others = [u for u in DOOR_SIZES if u != message.client_id] + [99]
+        return replace(message, client_id=others[salt % len(others)])
+    if field_name == "survivor_signature":
+        at = salt % len(message.survivor_signature)
+        flipped = "0" if message.survivor_signature[at] != "0" else "1"
+        signature = message.survivor_signature
+        return replace(
+            message, survivor_signature=signature[:at] + flipped + signature[at + 1 :]
+        )
+    kind, part = field_name.split(".")  # e.g. "self_shares.y"
+    reveals = dict(getattr(message, kind))
+    if not reveals:
+        return None
+    target = sorted(reveals)[salt % len(reveals)]
+    x, y = reveals[target]
+    if part == "x":
+        reveals[target] = (_nudge(x, salt), y)
+    elif part == "y":
+        reveals[target] = (x, _nudge(y, salt))
+    elif part == "shape":
+        reveals[target] = [(x,), (x, y, salt), (str(x), y)][salt % 3]
+    elif part == "drop":
+        del reveals[target]
+    else:  # "swap": reveal the other kind of share for this id
+        del reveals[target]
+        other = "key_shares" if kind == "self_shares" else "self_shares"
+        moved = dict(getattr(message, other))
+        moved[target] = (x, y)
+        return replace(message, **{kind: reveals, other: moved})
+    return replace(message, **{kind: reveals})
+
+
+def fuzzed_round(
+    phase, victim, mutated_of, redeliver, late, drop=None, seed=0, shared=True
+):
+    """A DOOR_SIZES round walked by hand with a pair-mask ledger.
+
+    At ``phase`` the victim sends ``mutated_of(genuine)`` first (unless
+    ``late``), then its genuine message when ``redeliver``; with ``late``
+    the genuine message arrives only after the phase closed.  ``drop``
+    leaves one client out from the masked-input phase on, so dropout key
+    shares are revealed too.  With ``shared`` the clients hold one
+    pair-mask ledger, as in a round; without it each derives every pair.
+    Returns ``(server, decoded, refused)`` —
+    ``refused`` counts mutated messages the server turned away.
+    """
+    vectors = door_vectors(seed=seed)
+    ids = sorted(DOOR_SIZES)
+    server = SecureAggregationServer(ids, DOOR_SIZES, 1, CFG)
+    clients = {u: SecureAggregationClient(u, 1, CFG) for u in ids}
+    refused = 0
+
+    def deliver(current, uid, genuine, receive):
+        nonlocal refused
+        if uid != victim or current != phase:
+            receive(genuine)
+            return
+        if late:
+            return
+        mutated = mutated_of(genuine)
+        if mutated is not None and not receive(mutated):
+            refused += 1
+        if redeliver:
+            receive(genuine)
+
+    held = {}
+    for uid in ids:
+        advert = clients[uid].advertise()
+        held[uid] = advert
+        deliver(ADVERTISE, uid, advert, server.receive_advertisement)
+    roster = server.close_advertise()
+    if late and phase == ADVERTISE:
+        assert not server.receive_advertisement(held[victim])
+    adverts = {u: server._advertisements[u] for u in roster}
+    for uid in roster:
+        bundle = clients[uid].make_shares(roster, server.threshold, adverts)
+        held[uid] = bundle
+        deliver(SHARES, uid, bundle, lambda b, u=uid: server.receive_shares(u, b))
+    share_roster = server.close_shares()
+    if late and phase == SHARES and victim in roster:
+        assert not server.receive_shares(victim, held[victim])
+    ledger = PairMaskLedger(share_roster) if shared else None
+    for uid in share_roster:
+        clients[uid].receive_shares(server.shares_for(uid), share_roster, ledger)
+    for uid in share_roster:
+        if uid != drop:
+            server.receive_masked_input(clients[uid].masked_input(vectors[uid]))
+    survivors, dropouts = server.close_masked_inputs()
+    for uid in survivors:
+        response = clients[uid].unmask_response(survivors, dropouts)
+        deliver(UNMASK, uid, response, server.receive_unmask)
+    return server, server.finalize(), refused, vectors
+
+
+def assert_fails_closed(run, *args, **kwargs):
+    """A mutated message is refused and counted, raises ProtocolError
+    or aborts the round — it never decodes a wrong sum."""
+    try:
+        server, decoded, refused, vectors = run(*args, **kwargs)
+    except (ProtocolError, SecureRoundAbort):
+        return "raised"
+    counted = server.rejected_inputs + server.late_rejected + server.duplicates_ignored
+    assert counted >= refused
+    np.testing.assert_array_equal(decoded, plain_prefix_sum(vectors, server.survivors))
+    return "refused" if refused else "survived"
+
+
+FUZZ = dict(
+    victim=st.sampled_from(sorted(DOOR_SIZES)),
+    salt=st.integers(min_value=0, max_value=2**16),
+    redeliver=st.booleans(),
+    late=st.booleans(),
+    shared=st.booleans(),
+)
+
+
+class TestProtocolMessageFuzz:
+    """The three messages ``TestMaskedInputDoor`` does not mutate: the
+    key advertisement, the share bundle and the unmask reveal.  A bad
+    sender, phase, MAC or share field is refused and counted, raises
+    :class:`ProtocolError` or aborts; survivors stay conservation-exact."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        field_name=st.sampled_from(
+            ["client_id", "round_id", "dh_public", "self_commitment", "mac_key"]
+        ),
+        **FUZZ,
+    )
+    def test_mutated_advertisement(
+        self, field_name, victim, salt, redeliver, late, shared
+    ):
+        assert_fails_closed(
+            fuzzed_round, ADVERTISE, victim,
+            lambda m: mutate_advertisement(m, field_name, salt), redeliver, late,
+            seed=salt, shared=shared,
+        )
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_relayed_advertisement_with_another_key_is_refused(self, shared):
+        """Pinned from the fuzz pass above (``dh_public``, victim 1, salt
+        0, no redelivery): the server relayed a forged public key for a
+        client, its peers agreed pair seeds with a key it does not hold,
+        and the round decoded a sum off by ~10^11 with no error.  The
+        client now checks that the roster relays its own advertisement."""
+        with pytest.raises(ProtocolError, match="did not send"):
+            fuzzed_round(
+                ADVERTISE, 1, lambda m: replace(m, dh_public=m.dh_public + 1),
+                redeliver=False, late=False, shared=shared,
+            )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        field_name=st.sampled_from(["sender", "receiver", "x", "key_share", "self_share"]),
+        drop=st.sampled_from([None, 1, 3, 5]),
+        **FUZZ,
+    )
+    def test_mutated_share_bundle(
+        self, field_name, drop, victim, salt, redeliver, late, shared
+    ):
+        assert_fails_closed(
+            fuzzed_round, SHARES, victim,
+            lambda b: mutate_share_bundle(b, field_name, salt), redeliver, late,
+            drop=drop, seed=salt, shared=shared,
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        field_name=st.sampled_from([
+            "client_id", "survivor_signature",
+            "self_shares.x", "self_shares.y", "self_shares.shape",
+            "self_shares.drop", "self_shares.swap",
+            "key_shares.x", "key_shares.y", "key_shares.shape",
+            "key_shares.drop", "key_shares.swap",
+        ]),
+        drop=st.sampled_from([None, 1, 3, 5]),
+        victim=st.sampled_from(sorted(DOOR_SIZES)),
+        salt=st.integers(min_value=0, max_value=2**16),
+        redeliver=st.booleans(),
+        shared=st.booleans(),
+    )
+    def test_mutated_unmask_reveal(
+        self, field_name, drop, victim, salt, redeliver, shared
+    ):
+        assert_fails_closed(
+            fuzzed_round, UNMASK, victim,
+            lambda m: mutate_unmask(m, field_name, salt), redeliver, False,
+            drop=drop, seed=salt, shared=shared,
+        )
+
+    @pytest.mark.parametrize("shape", [0, 1, 2])
+    def test_malformed_reveal_is_refused_and_counted(self, shape):
+        """Pinned from the fuzz pass above (``self_shares.shape``, victim
+        1, salt 0, no redelivery): a reveal that is not an ``(x, y)`` pair
+        of integers was accepted and ``finalize`` died with a bare
+        ``ValueError``.  The server now refuses it at the door and counts
+        it; the round completes without that responder."""
+        server, decoded, refused, vectors = fuzzed_round(
+            UNMASK, 1, lambda m: mutate_unmask(m, "self_shares.shape", shape),
+            redeliver=False, late=False,
+        )
+        assert refused == 1 and server.rejected_inputs == 1
+        assert 1 not in server.responders
+        np.testing.assert_array_equal(
+            decoded, plain_prefix_sum(vectors, server.survivors)
+        )
 
 
 class TestMaskPRG:
