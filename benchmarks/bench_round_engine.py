@@ -1,7 +1,8 @@
 """Benchmark: per-client reference rounds vs. the vectorized round engine.
 
 Times one full local-training + aggregation cycle of a 256-client round
-under both execution modes for three configurations — the base protocol
+on the round engine and on the per-client tape oracle
+(``tests/reference_trainer.py``) for three configurations — the base protocol
 (ncf, dims {8, 16, 32}, 4 local epochs), the full HeteFedRec method
 (unified dual-task loss + DDR + RESKD, the paper's headline Eq. 11
 objective) and the LightGCN backbone (batched local-graph propagation) —
@@ -24,6 +25,8 @@ script importable and runnable at toy scale.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 from typing import Dict, List
 
@@ -52,6 +55,20 @@ def build_problem(num_clients: int, num_items: int, seed: int = 7):
     dataset = load_benchmark_dataset("ml", config)
     clients = train_test_split_per_user(dataset, seed=seed)
     return dataset, clients
+
+
+def on_reference(trainer: FederatedTrainer) -> FederatedTrainer:
+    """Put ``trainer``'s rounds on the per-client tape oracle.
+
+    The oracle is test code: ``tests/`` joins ``sys.path`` the way
+    pytest's rootdir-relative import puts it there for the tests.
+    """
+    tests = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
+    from reference_trainer import install
+
+    return install(trainer)
 
 
 def count_tape_nodes(fn) -> int:
@@ -143,12 +160,13 @@ def run_benchmark(
             local_epochs=local_epochs,
             lr=0.01,
             seed=0,
-            engine=engine,
         )
         trainer = FederatedTrainer(dataset.num_items, clients, group_of, config)
-        trainers[engine] = trainer
         # Tape-node census on a fresh trainer state, then the timed round.
         probe = FederatedTrainer(dataset.num_items, clients, group_of, config)
+        if engine == "reference":
+            trainer, probe = on_reference(trainer), on_reference(probe)
+        trainers[engine] = trainer
         nodes = count_tape_nodes(lambda: probe._train_clients(users_per_round))
         results[engine] = time_round(trainer, users_per_round)
         results[engine]["tape_nodes_per_round"] = nodes
@@ -223,11 +241,9 @@ def run_hetefedrec_benchmark(
     arch: str = "ncf",
     seed: int = 7,
 ) -> Dict:
-    """The paper's full method (UDL + DDR + RESKD) under both engines.
-
-    This is the configuration PR 1's engine could not fuse — the
-    dual-task objective forced the per-client reference path.  One timed
-    round per engine, plus the sparse-upload wire-cost accounting.
+    """The paper's full method (UDL + DDR + RESKD) on the engine and on
+    the per-client oracle: one timed round each, plus the sparse-upload
+    wire-cost accounting.
     """
     dataset, clients = build_problem(num_clients, num_items, seed=seed)
     group_of = divide_clients(clients)
@@ -244,11 +260,12 @@ def run_hetefedrec_benchmark(
             local_epochs=local_epochs,
             lr=0.01,
             seed=0,
-            engine=engine,
         )
         trainer = HeteFedRec(dataset.num_items, clients, config, group_of=group_of)
-        trainers[engine] = trainer
         probe = HeteFedRec(dataset.num_items, clients, config, group_of=group_of)
+        if engine == "reference":
+            trainer, probe = on_reference(trainer), on_reference(probe)
+        trainers[engine] = trainer
         nodes = count_tape_nodes(lambda: probe._train_clients(users_per_round))
         results[engine] = time_round(trainer, users_per_round)
         results[engine]["tape_nodes_per_round"] = nodes
@@ -305,9 +322,8 @@ def metrics(report: Dict) -> List[Metric]:
     one architecture's speedup is never gated against another's floor,
     and a section the baseline lacks is skipped.  The band is
     deliberately wide: CI runs ``--quick`` problems on shared runners,
-    so this catches the engine *losing its win* (dispatch silently
-    falling back, a fused path regressing to reference-level cost), not
-    percent-level noise.
+    so this catches the engine *losing its win* (a fused path regressing
+    to reference-level cost), not percent-level noise.
     """
     sections = [("base", report)]
     for key in ("hetefedrec_dual_task", "lightgcn"):

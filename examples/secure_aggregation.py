@@ -69,11 +69,11 @@ def main() -> None:
         " training, so trajectories drift while quality stays equal)"
     )
 
-    # One protocol round by hand, over four real uploads: client `gone`
-    # advertises keys and shares its secrets, then drops before it
-    # delivers its masked input.
+    # One protocol round by hand, over the four uploads of one training
+    # round: client `gone` advertises keys and shares its secrets, then
+    # drops before it delivers its masked input.
     users = sorted(secure.runtimes)[:4]
-    uploads = [secure.train_client(secure.runtimes[user]) for user in users]
+    uploads = secure._train_clients(users)
     gone = users[2]
     dims = {group: secure.config.dims[group] for group in secure.groups}
     sums, _, report = run_secure_round(

@@ -3,7 +3,9 @@
 Every client keeps a private copy of the full model (item table + head,
 sized for its group) and trains it locally each epoch.  Nothing is ever
 uploaded or aggregated — the paper's lower bound demonstrating that
-collaborative signal, not model capacity, is what FedRecs live on.
+collaborative signal, not model capacity, is what FedRecs live on.  The
+round engine trains the personal copies (``_client_states``) the same
+way it trains downloaded global models, and returns empty updates.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.core.grouping import divide_clients
 from repro.data.dataset import ClientData
 from repro.federated.checkpoint import CheckpointMismatchError
-from repro.federated.client import ClientRuntime
-from repro.federated.payload import ClientUpdate
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
-from repro.nn.optim import Adam
 
 
 class StandaloneTrainer(FederatedTrainer):
@@ -45,46 +44,6 @@ class StandaloneTrainer(FederatedTrainer):
         for client in self.clients:
             group = self.group_of[client.user_id]
             self._client_states[client.user_id] = self.models[group].state_dict()
-
-    # ------------------------------------------------------------------
-    # Local training without exchange
-    # ------------------------------------------------------------------
-    def train_client(self, runtime: ClientRuntime) -> ClientUpdate:
-        cfg = self.config
-        group = self.group_of[runtime.user_id]
-        model = self.models[group]
-
-        # Swap in this client's persistent personal model.
-        global_state = model.state_dict()
-        model.load_state_dict(self._client_states[runtime.user_id])
-
-        user_param = runtime.user_parameter()
-        params = [user_param, model.item_embedding.weight, *model.head.parameters()]
-        optimizer = Adam(params, lr=cfg.lr)
-        last_loss = 0.0
-        num_examples = 0
-        for _ in range(cfg.local_epochs):
-            batch = runtime.sample_batch(cfg.negative_ratio)
-            num_examples = len(batch)
-            optimizer.zero_grad()
-            loss = self.client_loss(runtime, user_param, batch)
-            loss.backward()
-            optimizer.step()
-            last_loss = float(loss.data)
-
-        runtime.commit_user_embedding(user_param.data)
-        self._client_states[runtime.user_id] = model.state_dict()
-        model.load_state_dict(global_state)
-
-        # An empty update: nothing travels in standalone training.
-        return ClientUpdate(
-            user_id=runtime.user_id,
-            group=group,
-            embedding_delta=np.zeros((0, 0)),
-            head_deltas={},
-            num_examples=num_examples,
-            train_loss=last_loss,
-        )
 
     def apply_updates(self, updates) -> None:
         """No server, no aggregation."""

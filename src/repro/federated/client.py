@@ -18,7 +18,6 @@ import numpy as np
 from repro.data.dataset import ClientData
 from repro.data.sampling import NegativeSampler, TrainingBatch, assemble_batch
 from repro.federated.user_table import UserTable
-from repro.nn.module import Parameter
 
 
 class ClientRuntime:
@@ -57,14 +56,6 @@ class ClientRuntime:
     def user_embedding(self) -> np.ndarray:
         """A copy of this client's row of :attr:`table`."""
         return self.table.take([self.user_id])[0]
-
-    def user_parameter(self) -> Parameter:
-        """Wrap the private embedding as a trainable parameter for a session."""
-        return Parameter(self.user_embedding, name=f"user_{self.user_id}")
-
-    def commit_user_embedding(self, values: np.ndarray) -> None:
-        """Persist the locally updated private embedding (Eq. 3)."""
-        self.table.put([self.user_id], np.asarray(values)[np.newaxis])
 
     def sample_batch(self, negative_ratio: int = 4) -> TrainingBatch:
         """Local positives + sampled negatives, shuffled (Section V-A)."""

@@ -1,12 +1,11 @@
 """Vectorized round execution: train every client of a dim-group at once.
 
-The reference protocol (``FederatedTrainer.train_client``) runs each
-client's local session through its own small autodiff graph — correct,
-but a 256-client round then pays Python/tape overhead 256 times per local
-epoch.  Because every client in a round trains *from the same global
-snapshot* and the server only sees the resulting deltas, the sessions are
-mutually independent; this engine runs all of a dim-group's sessions as
-one stacked computation per local epoch.
+This engine is the trainers' only local-training path.  Every client in
+a round trains *from the same global snapshot* and the server only sees
+the resulting deltas, so the sessions are mutually independent; instead
+of paying Python/autodiff overhead once per client per local epoch, the
+engine runs all of a dim-group's sessions as one stacked computation per
+local epoch.
 
 The objective is differentiated in closed form, not on the tape
 --------------------------------------------------------------------
@@ -52,29 +51,36 @@ fancy-index add per duplicate rank), planned once per epoch for the
 batch rows and once per round for the neighbour and DDR rows.
 The DDR row subsets are drawn *up front* through
 ``trainer.presample_ddr_rows`` in round order, so the shared DDR RNG
-stream matches the per-client reference exactly.
+stream is consumed as a per-client loop over the round would consume it.
 
 One shared Adam over the stacked parameters is *exactly* B independent
 per-client Adams: the update is elementwise and every client steps at the
 same local-epoch boundaries (rows with zero gradient keep zero moments).
-The engine is therefore numerically equivalent to the per-client
-reference path up to floating-point summation order;
-``tests/test_round_engine.py`` pins this to 1e-8 over multi-epoch runs.
-``tests/engine_oracle.py`` keeps the tape form of the bucket objective,
-which the closed form replays operation by operation: in float64 its
-gradients are bitwise the tape's (``tests/test_engine_closed_form.py``).
+The engine is therefore numerically equivalent to one tape session per
+client up to floating-point summation order; ``tests/reference_trainer.py``
+keeps that per-client session as the oracle and
+``tests/test_round_engine.py`` pins the two to 1e-8 over multi-epoch
+runs.  ``tests/engine_oracle.py`` keeps the tape form of the bucket
+objective, which the closed form replays operation by operation: in
+float64 its gradients are bitwise the tape's
+(``tests/test_engine_closed_form.py``).
 
 Updates are emitted row-sparse (:class:`~repro.federated.payload.
 SparseRowDelta`) in O(touched rows), with no per-client full-table
-materialisation.  The reference path remains the correctness oracle and
-the fallback for subclasses that override the local-training hooks
-(``client_loss``, ``trained_head_groups``, ``train_client``) without
-describing their objective via ``fused_objective``.
+materialisation.
+
+Personal models
+---------------
+A trainer whose clients never exchange parameters (Standalone) keeps
+one model copy per client in ``trainer._client_states``.  The engine
+then seeds each client's working rows and head from its own copy instead
+of the global models, writes the trained values back there, and returns
+empty updates that skip the upload tail: nothing is protected,
+compressed or metered, because nothing leaves the client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,46 +106,6 @@ BATCHABLE_ARCHS = ("ncf", "mf", "lightgcn")
 #: Marks a client with no DDR term this round (distinct from ``None``,
 #: which is a drawn full-table subset).
 _NO_DDR = object()
-
-
-@dataclass(frozen=True)
-class FusedObjective:
-    """What a trainer's ``client_loss`` looks like, engine-readably.
-
-    The per-width BCE task list always comes from
-    ``trainer.trained_head_groups`` (one task per head group, narrowest
-    first — a single own-group task for the base protocol); the only
-    extra degree of freedom the engine models is the decorrelation term.
-
-    ``ddr_alpha``:
-        Weight of the Eq. 13 penalty added to eligible clients' losses
-        (0 disables).  Which clients are eligible, and which rows each
-        samples per epoch, is answered by ``trainer.presample_ddr_rows``.
-    """
-
-    ddr_alpha: float = 0.0
-
-
-def engine_supports(trainer: "FederatedTrainer") -> bool:
-    """Whether ``trainer`` can be driven by the vectorized round engine.
-
-    True when the stock ``train_client`` body runs an objective the
-    trainer can describe as a :class:`FusedObjective` — the base
-    protocol's own-group BCE, and every HeteFedRec configuration
-    (dual-task on or off, with or without decorrelation; RESKD is
-    server-side and irrelevant).  Subclasses that override
-    ``train_client`` or whose hooks the engine cannot express
-    (``fused_objective`` returning ``None``) keep the reference path;
-    a subclass that only post-processes finished uploads overrides
-    ``_train_clients`` instead (the adversarial harness) and is fused.
-    """
-    from repro.federated.trainer import FederatedTrainer
-
-    return (
-        trainer.config.arch in BATCHABLE_ARCHS
-        and type(trainer).train_client is FederatedTrainer.train_client
-        and trainer.fused_objective() is not None
-    )
 
 
 def _pad_head_value(
@@ -497,17 +463,31 @@ def _concat(parts: List[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
+#: Per-client hooks the trainers no longer call.  A subclass defining one
+#: expects a training path that does not exist, so it is refused rather
+#: than silently ignored.
+REMOVED_HOOKS = ("train_client", "client_loss")
+
+
 class VectorizedRoundEngine:
     """Batched executor for one round's local-training phase."""
 
     def __init__(self, trainer: "FederatedTrainer") -> None:
-        if not engine_supports(trainer):
+        for hook in REMOVED_HOOKS:
+            if hasattr(type(trainer), hook):
+                raise ValueError(
+                    f"{type(trainer).__name__} defines {hook}(), which is never "
+                    "called: every client trains on the round engine, whose "
+                    "objective is set by trained_head_groups, fused_objective "
+                    "and presample_ddr_rows"
+                )
+        if trainer.config.arch not in BATCHABLE_ARCHS:
             raise ValueError(
-                f"{type(trainer).__name__} (arch={trainer.config.arch!r}) "
-                "is not supported by the vectorized round engine"
+                f"arch {trainer.config.arch!r} has no round-engine objective; "
+                f"the engine trains {', '.join(BATCHABLE_ARCHS)}"
             )
         self.trainer = trainer
-        self.objective: FusedObjective = trainer.fused_objective()
+        self.ddr_alpha = trainer.fused_objective()
         # One set of stacked parameters, rebound per bucket: the engine
         # builds no tape nodes while it trains.
         names = ["U", "V", *trainer.models[trainer.groups[0]].head.state_dict()]
@@ -521,8 +501,8 @@ class VectorizedRoundEngine:
         trainer = self.trainer
         user_ids = [int(u) for u in user_ids]
 
-        # DDR row subsets come from a trainer-shared RNG that the
-        # reference path consumes in round order; draw them all first.
+        # DDR row subsets come from a trainer-shared RNG that a per-client
+        # loop would consume in round order; draw them all first.
         ddr_rows = trainer.presample_ddr_rows(user_ids)
 
         by_group: Dict[str, List[int]] = {}
@@ -536,12 +516,10 @@ class VectorizedRoundEngine:
                 for update in self._train_group(group, members, ddr_rows):
                     raw[update.user_id] = update
 
-        # Scope the presampled subsets to this round (mirrors the
-        # reference branch of ``_train_clients``).
-        trainer.presample_ddr_rows([])
-
+        if trainer._client_states is not None:
+            return [raw[user] for user in user_ids]
         # In the round's client order, not bucket order: the compressor may
-        # hold a shared codec RNG and must match the reference path's draws.
+        # hold a shared codec RNG whose draws follow the round order.
         return [
             trainer._finish_upload(raw[user], trainer.runtimes[user].rng)
             for user in user_ids
@@ -596,16 +574,15 @@ class VectorizedRoundEngine:
         num_clients = len(users)
         dim = cfg.dims[group]
         table = model.item_embedding.weight.data  # global V, read-only here
+        personal = trainer._client_states
         dtype = table.dtype
         num_items = table.shape[0]
         local_epochs = cfg.local_epochs
 
-        # DDR eligibility is uniform within a group: the stock trainers
-        # (the only ones `fused_objective` admits — overriding
-        # presample_ddr_rows falls back to the reference path) pre-draw
-        # a subset for all of a group's clients or for none.  Ineligible
-        # users carry the ``_NO_DDR`` sentinel, a drawn ``None`` means
-        # the full table.
+        # DDR eligibility must be uniform within a group: the stock
+        # trainers pre-draw a subset for all of a group's clients or for
+        # none.  Ineligible users carry the ``_NO_DDR`` sentinel, a drawn
+        # ``None`` means the full table.
         eligible = [subset is not _NO_DDR for subset in ddr_rows]
         if any(eligible) != all(eligible):
             raise ValueError(
@@ -613,7 +590,7 @@ class VectorizedRoundEngine:
                 "fused round engine requires presample_ddr_rows to cover "
                 "all of a group's clients or none"
             )
-        ddr_active = self.objective.ddr_alpha > 0 and all(eligible) and dim >= 2
+        ddr_active = self.ddr_alpha > 0 and all(eligible) and dim >= 2
         propagation = model.fused_propagation()
 
         # Every row a client touches this round, keyed ``b·|V| + item``:
@@ -649,7 +626,16 @@ class VectorizedRoundEngine:
         slots = uniq_slots[local]
 
         work_table = np.zeros((num_clients * max_rows, dim), dtype=dtype)
-        work_table[uniq_slots] = table[uniq_items]
+        # Keys sort by owner, so client ``b``'s rows are ``bounds[b]:bounds[b+1]``.
+        bounds = np.searchsorted(uniq_owner, np.arange(num_clients + 1))
+        if personal is None:
+            work_table[uniq_slots] = table[uniq_items]
+        else:
+            for b, user in enumerate(users):
+                own = slice(bounds[b], bounds[b + 1])
+                work_table[uniq_slots[own]] = personal[user]["item_embedding.weight"][
+                    uniq_items[own]
+                ]
         is_neighbour = None
 
         def padded(part: int, width: int):
@@ -694,24 +680,31 @@ class VectorizedRoundEngine:
             sample = int(parts[part][1][0])
             positions, ddr_slots, within = padded(part, sample)
             ddr_idx = (ddr_slots - owners[part] * max_rows).reshape(num_clients, sample)
-            ddr = (ddr_idx, SegmentPlan(ddr_slots, positions, within), self.objective.ddr_alpha)
+            ddr = (ddr_idx, SegmentPlan(ddr_slots, positions, within), self.ddr_alpha)
 
-        # Stacked user rows and replicated, zero-padded head stacks.
+        # Stacked user rows and zero-padded ``(T, B, ...)`` head stacks:
+        # the global heads replicated per client, or each client's own.
         task_groups = trainer.trained_head_groups(group)
         widths = [cfg.dims[tg] for tg in task_groups]
-        heads_before: Dict[str, Dict[str, np.ndarray]] = {
-            tg: trainer.models[tg].head.state_dict() for tg in task_groups
-        }
         params = self._params
         params["U"].data = trainer.user_tables[group].take(users)
         params["V"].data = work_table.reshape(num_clients, max_rows, dim)
+        head_names = [name for name, _ in model.head.named_parameters()]
         padded_before: Dict[str, np.ndarray] = {}
-        for name in heads_before[task_groups[0]]:
-            padded_before[name] = np.stack([
-                _pad_head_value(name, heads_before[tg][name], width, dim, dtype)
-                for tg, width in zip(task_groups, widths)
-            ])
-            params[name].data = np.repeat(padded_before[name][:, None], num_clients, axis=1)
+        if personal is None:
+            heads = [trainer.models[tg].head.state_dict() for tg in task_groups]
+            for name in head_names:
+                padded_before[name] = np.stack([
+                    _pad_head_value(name, state[name], width, dim, dtype)
+                    for state, width in zip(heads, widths)
+                ])[:, None]
+        else:  # a personal model trains only its own head
+            for name in head_names:
+                padded_before[name] = np.stack(
+                    [personal[user][f"head.{name}"] for user in users]
+                )[None]
+        for name, before in padded_before.items():
+            params[name].data = np.repeat(before, num_clients // before.shape[1], axis=1)
 
         # The padding invariant — padded head regions identically zero —
         # must survive every optimizer step, but those regions *receive*
@@ -773,9 +766,8 @@ class VectorizedRoundEngine:
                 per_client_loss += penalty
 
         return self._emit_updates(
-            group, users, uniq_slots, uniq_items, uniq_owner, table,
-            task_groups, widths, heads_before, padded_before, batch_lengths,
-            per_client_loss,
+            group, users, uniq_slots, uniq_items, bounds, table,
+            task_groups, widths, padded_before, batch_lengths, per_client_loss,
         )
 
     @staticmethod
@@ -784,7 +776,7 @@ class VectorizedRoundEngine:
         return _concat([np.asarray(array, dtype=np.int64) for array in arrays]), sizes
 
     # ------------------------------------------------------------------
-    # Update emission (mirrors the tail of ``train_client``)
+    # Update emission
     # ------------------------------------------------------------------
     def _emit_updates(
         self,
@@ -792,11 +784,10 @@ class VectorizedRoundEngine:
         users: List[int],
         uniq_slots: np.ndarray,
         uniq_items: np.ndarray,
-        uniq_owner: np.ndarray,
+        bounds: np.ndarray,
         table: np.ndarray,
         task_groups: List[str],
         widths: List[int],
-        heads_before: Dict[str, Dict[str, np.ndarray]],
         padded_before: Dict[str, np.ndarray],
         batch_lengths: np.ndarray,
         per_client_loss: np.ndarray,
@@ -804,21 +795,41 @@ class VectorizedRoundEngine:
         params = self._params
         num_items, dim = table.shape
         self.trainer.user_tables[group].put(users, params["U"].data)
+        trained = params["V"].data.reshape(-1, dim)[uniq_slots]
+        personal = self.trainer._client_states
+        if personal is not None:
+            # The personal models keep the trained values; nothing travels.
+            kept = []
+            for b, user in enumerate(users):
+                own = slice(bounds[b], bounds[b + 1])
+                state = personal[user]
+                state["item_embedding.weight"][uniq_items[own]] = trained[own]
+                for name in padded_before:
+                    state[f"head.{name}"] = params[name].data[0, b].copy()
+                kept.append(
+                    ClientUpdate(
+                        user_id=user,
+                        group=group,
+                        embedding_delta=np.zeros((0, 0)),
+                        head_deltas={},
+                        num_examples=int(batch_lengths[b]),
+                        train_loss=float(per_client_loss[b]),
+                    )
+                )
+            return kept
 
         # Row-sparse emission: O(touched rows), never O(catalogue).  Rows
-        # the session referenced but did not move are dropped, matching
-        # the reference path's nonzero-row encoding.
-        values = params["V"].data.reshape(-1, dim)[uniq_slots] - table[uniq_items]
+        # the session referenced but did not move are dropped, as a dense
+        # delta's nonzero-row encoding would drop them.
+        values = trained - table[uniq_items]
         moved = touched_rows(values)
         rows, values = uniq_items[moved], values[moved]
-        bounds = np.searchsorted(uniq_owner[moved], np.arange(len(users) + 1))
-        head_deltas = {
-            name: params[name].data - padded_before[name][:, None] for name in padded_before
-        }
+        moved_bounds = np.searchsorted(moved, bounds)
+        head_deltas = {name: params[name].data - before for name, before in padded_before.items()}
 
         updates: List[ClientUpdate] = []
         for b, user in enumerate(users):
-            lo, hi = bounds[b], bounds[b + 1]
+            lo, hi = moved_bounds[b], moved_bounds[b + 1]
             updates.append(
                 ClientUpdate(
                     user_id=user,
@@ -827,7 +838,7 @@ class VectorizedRoundEngine:
                     head_deltas={
                         tg: {
                             name: _unpad_head_value(name, head_deltas[name][ti, b], width, dim)
-                            for name in heads_before[tg]
+                            for name in padded_before
                         }
                         for ti, (tg, width) in enumerate(zip(task_groups, widths))
                     },

@@ -616,6 +616,17 @@ class SecureAggregationServer:
     def receive_shares(self, sender: int, shares: Sequence[SeedShare]) -> bool:
         if any(s.sender != sender for s in shares):
             raise ProtocolError(f"share bundle from {sender} spoofs its sender")
+        if self.phase == SHARES and sender in self.expected:
+            # Receivers and x-coordinates are public: one share for each
+            # roster member, at its roster position + 1.  A bundle that
+            # does not match could not be reconstructed at ``finalize``;
+            # refused here, its sender leaves the share roster instead.
+            addressed = {uid: i + 1 for i, uid in enumerate(self.roster)}
+            if len(shares) != len(addressed) or {
+                share.receiver: share.x for share in shares
+            } != addressed:
+                self.rejected_inputs += 1
+                return False
         return self._receive(
             SHARES, int(sender), self._shares_by_sender,
             {share.receiver: share for share in shares},

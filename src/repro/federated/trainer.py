@@ -11,10 +11,15 @@ All Small / All Large       single group with dim N_s / N_l (``repro.baselines``
 All Large / Exclusive       + ``excluded_uploaders`` (updates dropped server-side)
 Directly Aggregate          heterogeneous groups + this base class unchanged
 Clustered FedRec            overrides embedding aggregation to within-group
-Standalone                  overrides persistence: no aggregation, local models
-HeteFedRec                  overrides ``client_loss`` (UDL + DDR) and
-                            ``post_aggregate`` (RESKD)
+Standalone                  per-client models (``_client_states``), no aggregation
+HeteFedRec                  overrides ``trained_head_groups`` (UDL),
+                            ``fused_objective`` + ``presample_ddr_rows`` (DDR)
+                            and ``post_aggregate`` (RESKD)
 ==========================  =====================================================
+
+Local training always runs on the vectorized round engine
+(:mod:`repro.federated.round_engine`): a subclass shapes the local
+objective only through the hooks above, never by replacing the session.
 
 Round semantics follow the paper (Section V-D): at the start of an epoch
 the server shuffles the client queue, then traverses it in rounds of
@@ -30,10 +35,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autograd import ops
 from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataset import ClientData
-from repro.data.sampling import TrainingBatch
 from repro.eval.evaluator import Evaluator
 from repro.federated.aggregation import (
     AggregationConfig,
@@ -51,14 +54,10 @@ from repro.federated.availability import (
     merge_duplicate_users,
     split_round,
 )
-from repro.federated.payload import (
-    ClientUpdate,
-    SparseRowDelta,
-    state_delta,
-    state_size,
-)
+from repro.federated.payload import ClientUpdate, state_size
 from repro.federated.accounting import PrivacyAccountant, PrivacySpent
 from repro.federated.privacy import PrivacyConfig, protect_update
+from repro.federated.round_engine import VectorizedRoundEngine
 from repro.federated.secure_agg import SecureAggregationConfig
 from repro.federated.secure_protocol import SecureRoundReport, run_secure_round
 from repro.federated.server_optim import ServerOptimizer, ServerOptimizerConfig
@@ -67,8 +66,6 @@ from repro.compression.client import ClientCompressor
 from repro.compression.codecs import CompressionConfig
 from repro.models.factory import build_model
 from repro.nn import init as nn_init
-from repro.nn.module import Parameter
-from repro.nn.optim import Adam
 
 
 @dataclass
@@ -109,11 +106,6 @@ class FederatedConfig:
     #: Optional offline/straggler simulation; see
     #: :mod:`repro.federated.availability`.  ``None`` = everyone on time.
     availability: Optional["AvailabilityConfig"] = None
-    #: Round execution mode: ``"auto"`` uses the vectorized round engine
-    #: (:mod:`repro.federated.round_engine`) whenever this trainer is
-    #: compatible, ``"vectorized"`` requires it (raising otherwise) and
-    #: ``"reference"`` forces the per-client oracle path.
-    engine: str = "auto"
     #: Floating dtype of model/user parameters (``"float64"`` or
     #: ``"float32"``).  Sweeps opt into float32 for speed/memory; the
     #: default stays float64 so gradient checking is unaffected.
@@ -138,6 +130,11 @@ class FederatedTrainer:
     """Simulated central server plus the fleet of client runtimes."""
 
     method_name = "federated"
+
+    #: Per-client personal models ``{user: model state_dict}`` of a trainer
+    #: whose clients never exchange parameters (Standalone).  ``None``: every
+    #: client trains from the shared global models and uploads deltas.
+    _client_states: Optional[Dict[int, Dict[str, np.ndarray]]] = None
 
     def __init__(
         self,
@@ -205,8 +202,6 @@ class FederatedTrainer:
         if missing:
             raise KeyError(f"clients without group assignment: {missing[:5]}...")
 
-        if config.engine not in ("auto", "vectorized", "reference"):
-            raise ValueError(f"unknown engine mode {config.engine!r}")
         if config.dtype not in ("float64", "float32"):
             raise ValueError(f"unsupported dtype {config.dtype!r}")
 
@@ -215,25 +210,7 @@ class FederatedTrainer:
         )
         self._build_models()
         self._build_runtimes()
-        self._engine = self._build_engine()
-
-    def _build_engine(self):
-        """Resolve the configured execution mode against this trainer."""
-        from repro.federated.round_engine import (
-            VectorizedRoundEngine,
-            engine_supports,
-        )
-
-        if self.config.engine == "reference":
-            return None
-        if engine_supports(self):
-            return VectorizedRoundEngine(self)
-        if self.config.engine == "vectorized":
-            raise ValueError(
-                f"engine='vectorized' requested but {type(self).__name__} "
-                f"(arch={self.config.arch!r}) requires the reference path"
-            )
-        return None
+        self._engine = VectorizedRoundEngine(self)
 
     # ------------------------------------------------------------------
     # Construction
@@ -313,52 +290,25 @@ class FederatedTrainer:
         """
         return [group]
 
-    def fused_objective(self):
-        """Declarative description of ``client_loss`` for the round engine.
+    def fused_objective(self) -> float:
+        """Weight α of the decorrelation term (Eq. 13) in the local objective.
 
-        Returns a :class:`~repro.federated.round_engine.FusedObjective`
-        when this trainer's local objective is one the engine knows how
-        to differentiate in closed form — the per-width BCE tasks come
-        from :meth:`trained_head_groups`, the optional decorrelation
-        term from the returned spec — or ``None`` to force the
-        per-client reference path.  The base answer is structural: plain
-        own-group BCE — the simplest objective the engine fuses — iff no
-        local-training hook is overridden.  Subclasses with
-        engine-expressible custom losses (HeteFedRec's dual task)
-        override this.
+        The round engine trains every client on the per-width BCE tasks
+        of :meth:`trained_head_groups` plus ``α ·`` the penalty over the
+        rows :meth:`presample_ddr_rows` draws.  The base protocol has no
+        such term; HeteFedRec returns its ``alpha`` when DDR is enabled.
         """
-        from repro.federated.round_engine import FusedObjective
-
-        cls = type(self)
-        if (
-            cls.client_loss is FederatedTrainer.client_loss
-            and cls.trained_head_groups is FederatedTrainer.trained_head_groups
-            and cls.presample_ddr_rows is FederatedTrainer.presample_ddr_rows
-        ):
-            return FusedObjective()
-        return None
+        return 0.0
 
     def presample_ddr_rows(self, user_ids: Sequence[int]):
         """Pre-draw each client's DDR row subset for one round.
 
-        Both execution paths call this once at the start of a round, in
+        The round engine calls this once at the start of a round, in
         round order, making it the single site that consumes the shared
-        DDR RNG — the vectorized engine's draws therefore replay the
-        reference stream exactly.  The base protocol has no
-        decorrelation term, hence no draws.
+        DDR RNG.  The base protocol has no decorrelation term, hence no
+        draws.
         """
         return {}
-
-    def client_loss(
-        self, runtime: ClientRuntime, user_param: Parameter, batch: TrainingBatch
-    ) -> Tensor:
-        """Local objective — base FedRec uses the plain BCE of Eq. 2."""
-        group = self.group_of[runtime.user_id]
-        model = self.models[group]
-        logits = model.logits(
-            user_param, batch.items, train_item_ids=runtime.data.train_items
-        )
-        return ops.bce_with_logits(logits, batch.labels)
 
     def accept_update(self, update: ClientUpdate) -> bool:
         """Server-side filter — All Large/Exclusive drops weak clients here."""
@@ -375,72 +325,8 @@ class FederatedTrainer:
         """Server-side step after aggregation — HeteFedRec runs RESKD here."""
 
     # ------------------------------------------------------------------
-    # Local training
+    # Upload tail
     # ------------------------------------------------------------------
-    def _session_parameters(self, group: str, user_param: Parameter) -> List[Parameter]:
-        params: List[Parameter] = [user_param, self.models[group].item_embedding.weight]
-        for head_group in self.trained_head_groups(group):
-            params.extend(self.models[head_group].head.parameters())
-        return params
-
-    def _snapshot(self, group: str) -> Dict[str, Dict[str, np.ndarray]]:
-        """Copy the public state a client of ``group`` is about to mutate."""
-        snap: Dict[str, Dict[str, np.ndarray]] = {
-            "embedding": {"V": self.models[group].item_embedding.weight.data.copy()}
-        }
-        for head_group in self.trained_head_groups(group):
-            snap[f"head:{head_group}"] = self.models[head_group].head.state_dict()
-        return snap
-
-    def _restore(self, group: str, snapshot: Dict[str, Dict[str, np.ndarray]]) -> None:
-        self.models[group].item_embedding.weight.data[...] = snapshot["embedding"]["V"]
-        for head_group in self.trained_head_groups(group):
-            self.models[head_group].head.load_state_dict(snapshot[f"head:{head_group}"])
-
-    def train_client(self, runtime: ClientRuntime) -> ClientUpdate:
-        """One client's local session: train on private data, emit deltas."""
-        cfg = self.config
-        group = self.group_of[runtime.user_id]
-        model = self.models[group]
-        snapshot = self._snapshot(group)
-
-        user_param = runtime.user_parameter()
-        optimizer = Adam(self._session_parameters(group, user_param), lr=cfg.lr)
-
-        last_loss = 0.0
-        num_examples = 0
-        for _ in range(cfg.local_epochs):
-            batch = runtime.sample_batch(cfg.negative_ratio)
-            num_examples = len(batch)
-            optimizer.zero_grad()
-            loss = self.client_loss(runtime, user_param, batch)
-            loss.backward()
-            optimizer.step()
-            last_loss = float(loss.data)
-
-        runtime.commit_user_embedding(user_param.data)
-
-        # Emit the delta row-sparse: only rows the session actually moved
-        # (batch items, plus DDR-sampled rows under HeteFedRec) travel.
-        embedding_delta = SparseRowDelta.from_dense(
-            model.item_embedding.weight.data - snapshot["embedding"]["V"]
-        )
-        head_deltas = {}
-        for head_group in self.trained_head_groups(group):
-            after = self.models[head_group].head.state_dict()
-            head_deltas[head_group] = state_delta(after, snapshot[f"head:{head_group}"])
-
-        self._restore(group, snapshot)
-        update = ClientUpdate(
-            user_id=runtime.user_id,
-            group=group,
-            embedding_delta=embedding_delta,
-            head_deltas=head_deltas,
-            num_examples=num_examples,
-            train_loss=last_loss,
-        )
-        return self._finish_upload(update, runtime.rng)
-
     def _finish_upload(self, update: ClientUpdate, rng: np.random.Generator) -> ClientUpdate:
         """Protect → compress → meter, the client-side tail of every upload;
         applied in the round's client order (the codec RNG may be shared)."""
@@ -673,23 +559,11 @@ class FederatedTrainer:
         return float(np.mean(losses)) if losses else 0.0
 
     def _train_clients(self, users: Sequence[int]) -> List[ClientUpdate]:
-        """Local-training phase for one round's client list.
-
-        Dispatches to the vectorized round engine when one is active; the
-        per-client :meth:`train_client` loop is the reference path and the
-        fallback.  Both produce the same update list (same order, same
-        values up to floating-point summation order).
-        """
+        """Local-training phase for one round's client list: every client's
+        upload, in list order, from the round engine."""
         if not users:
             return []
-        if self._engine is not None:
-            return self._engine.train_round(users)
-        self.presample_ddr_rows([int(u) for u in users])
-        updates = [self.train_client(self.runtimes[u]) for u in users]
-        # Scope the presampled subsets to this round: a later direct
-        # train_client call must fall back to drawing fresh rows.
-        self.presample_ddr_rows([])
-        return updates
+        return self._engine.train_round(users)
 
     def fit(self, evaluator: Optional[Evaluator] = None) -> TrainingHistory:
         """Run the full federated schedule, logging history per epoch.

@@ -71,9 +71,8 @@ class AdversarialHeteFedRec(HeteFedRec):
     # ------------------------------------------------------------------
     def _train_clients(self, users: Sequence[int]) -> List[ClientUpdate]:
         # Poisoning is a pure post-transform of the finished upload, so it
-        # sits on the round hook and local training rides whichever path
-        # (fused engine or reference) the config selects.  List order
-        # fixes the ``_attack_rng`` draw order on both.
+        # sits on the round hook and local training stays on the round
+        # engine.  List order fixes the ``_attack_rng`` draw order.
         return [
             poison_update(update, self.attack, self._attack_rng)
             if update.user_id in self.malicious

@@ -185,10 +185,18 @@ def load_snapshot(path: str, version: int = 1) -> ModelSnapshot:
     user table, every group's model rebuilt in its trained dtype.  What
     can fail, fails here — before the snapshot ever sees traffic — the
     door's two ways: ``OSError`` iff the file cannot be opened,
-    :class:`CheckpointMismatchError` for anything about its content.
+    :class:`CheckpointMismatchError` for anything about its content,
+    a Standalone run's per-client models included.
     """
     meta, arrays = read_checkpoint(path)
     with refusing(path):
+        if meta.get("method") == "standalone":
+            # Its clients train personal models; the archive's shared item
+            # tables and heads are the untrained initialisation.
+            raise CheckpointMismatchError(
+                "a standalone checkpoint holds one model per client and "
+                "cannot be served from a shared snapshot"
+            )
         users = load_user_tables(arrays, meta)
         unpopulated = sorted(set(meta["dims"]) - set(users))
         if unpopulated:

@@ -97,7 +97,6 @@ class TestBuildMethodKeepsTheConfig:
             compression=CompressionConfig(kind="topk", ratio=0.5),
             server_optimizer=ServerOptimizerConfig(kind="fedavgm"),
             availability=AvailabilityConfig(offline_rate=0.1),
-            engine="reference",
             dtype="float32",
             checkpoint_path=str(tmp_path / "autosave.npz"),
             checkpoint_every=2,
@@ -155,7 +154,7 @@ class TestHomogeneous:
         assert trainer.excluded_uploaders == expected_excluded
 
         small_user = next(iter(expected_excluded))
-        update = trainer.train_client(trainer.runtimes[small_user])
+        (update,) = trainer._train_clients([small_user])
         assert not trainer.accept_update(update)
 
 
@@ -207,7 +206,7 @@ class TestClustered:
         large_users = [u for u, g in trainer.group_of.items() if g == "l"][:3]
         before_s = trainer.models["s"].item_embedding.weight.data.copy()
         before_m = trainer.models["m"].item_embedding.weight.data.copy()
-        updates = [trainer.train_client(trainer.runtimes[u]) for u in large_users]
+        updates = trainer._train_clients(large_users)
         trainer.apply_updates(updates)
         assert np.array_equal(before_s, trainer.models["s"].item_embedding.weight.data)
         assert np.array_equal(before_m, trainer.models["m"].item_embedding.weight.data)
@@ -220,7 +219,7 @@ class TestClustered:
         trainer = ClusteredTrainer(tiny_dataset.num_items, tiny_clients, config())
         small_users = [u for u, g in trainer.group_of.items() if g == "s"][:3]
         before = trainer.models["s"].item_embedding.weight.data.copy()
-        updates = [trainer.train_client(trainer.runtimes[u]) for u in small_users]
+        updates = trainer._train_clients(small_users)
         trainer.apply_updates(updates)
         assert not np.allclose(before, trainer.models["s"].item_embedding.weight.data)
 

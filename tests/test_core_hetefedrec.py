@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import reference_trainer
 
 from repro.core import HeteFedRec, HeteFedRecConfig
 from repro.core.grouping import group_counts
+from repro.nn.module import Parameter
 
 
 def config(**overrides):
@@ -54,13 +56,28 @@ class TestUDLWiring:
 
     def test_large_client_uploads_all_heads(self, trainer):
         large_users = [u for u, g in trainer.group_of.items() if g == "l"]
-        update = trainer.train_client(trainer.runtimes[large_users[0]])
+        (update,) = trainer._train_clients(large_users[:1])
         assert set(update.head_deltas) == {"s", "m", "l"}
 
     def test_small_client_uploads_one_head(self, trainer):
         small_users = [u for u, g in trainer.group_of.items() if g == "s"]
-        update = trainer.train_client(trainer.runtimes[small_users[0]])
+        (update,) = trainer._train_clients(small_users[:1])
         assert set(update.head_deltas) == {"s"}
+
+
+def oracle_loss(trainer, user, negative_ratio=1):
+    """The per-client reference loss of ``user`` on a fresh batch, with
+    this round's DDR rows drawn the way the round engine draws them."""
+    runtime = trainer.runtimes[user]
+    batch = runtime.sample_batch(negative_ratio)
+    loss = reference_trainer.client_loss(
+        trainer,
+        runtime,
+        Parameter(runtime.user_embedding),
+        batch,
+        trainer.presample_ddr_rows([user]),
+    )
+    return float(loss.data)
 
 
 class TestDDRWiring:
@@ -70,32 +87,14 @@ class TestDDRWiring:
             tiny_dataset.num_items, tiny_clients, config(enable_ddr=False)
         )
         user = next(u for u, g in with_ddr.group_of.items() if g == "l")
-
-        def loss_of(trainer):
-            runtime = trainer.runtimes[user]
-            batch = runtime.sample_batch(1)
-            return float(
-                trainer.client_loss(runtime, runtime.user_parameter(), batch).data
-            )
-
-        assert loss_of(with_ddr) > loss_of(without)
+        assert oracle_loss(with_ddr, user) > oracle_loss(without, user)
 
     def test_ddr_not_applied_to_small_clients(self, trainer):
         """Paper Eq. 14 adds the penalty to L_m and L_l only."""
         user = next(u for u, g in trainer.group_of.items() if g == "s")
-        runtime = trainer.runtimes[user]
-        batch = runtime.sample_batch(1)
-        base_cfg = config(enable_ddr=False)
-        base = HeteFedRec(trainer.num_items, trainer.clients, base_cfg)
-        loss_with = float(
-            trainer.client_loss(runtime, runtime.user_parameter(), batch).data
-        )
-        base_runtime = base.runtimes[user]
-        base_batch = base_runtime.sample_batch(1)
-        loss_without = float(
-            base.client_loss(base_runtime, base_runtime.user_parameter(), base_batch).data
-        )
-        assert loss_with == pytest.approx(loss_without)
+        base = HeteFedRec(trainer.num_items, trainer.clients, config(enable_ddr=False))
+        assert user not in trainer.presample_ddr_rows([user])
+        assert oracle_loss(trainer, user) == pytest.approx(oracle_loss(base, user))
 
     def test_collapse_diagnostics_keys(self, trainer):
         diag = trainer.collapse_diagnostics()

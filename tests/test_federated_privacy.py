@@ -138,8 +138,7 @@ class TestTrainerIntegration:
             privacy=PrivacyConfig(clip_norm=0.5, noise_std=0.05, pseudo_items=4),
         )
         trainer = HeteFedRec(tiny_dataset.num_items, tiny_clients, config)
-        runtime = next(iter(trainer.runtimes.values()))
-        update = trainer.train_client(runtime)
+        (update,) = trainer._train_clients([next(iter(trainer.runtimes))])
         support = touched_rows(update.embedding_delta)
         # Support must exceed the client's true item exposure by the
         # pseudo count (batch = train items + sampled negatives).

@@ -151,21 +151,21 @@ class TestClientRuntime:
         )
         return ClientRuntime(data, embedding_dim=dim, num_items=20, seed=0)
 
-    def test_user_parameter_is_a_copy(self):
+    def test_user_embedding_is_a_copy(self):
         runtime = self.make()
-        param = runtime.user_parameter()
-        param.data[...] = 99.0
+        embedding = runtime.user_embedding
+        embedding[...] = 99.0
         assert not np.allclose(runtime.user_embedding, 99.0)
 
     def test_commit(self):
         runtime = self.make()
-        runtime.commit_user_embedding(np.full(4, 7.0))
+        runtime.table.put([runtime.user_id], np.full((1, 4), 7.0))
         assert np.allclose(runtime.user_embedding, 7.0)
 
     def test_commit_shape_check(self):
         runtime = self.make()
         with pytest.raises(ValueError):
-            runtime.commit_user_embedding(np.zeros(5))
+            runtime.table.put([runtime.user_id], np.zeros((1, 5)))
 
     def test_sample_batch_ratio(self):
         runtime = self.make()

@@ -64,7 +64,7 @@ class TestLocalTraining:
         aggregation — all clients in a round start from one snapshot."""
         before = {g: m.state_dict() for g, m in homog_trainer.models.items()}
         runtime = next(iter(homog_trainer.runtimes.values()))
-        homog_trainer.train_client(runtime)
+        homog_trainer._train_clients([runtime.user_id])
         for group, state in before.items():
             after = homog_trainer.models[group].state_dict()
             for key in state:
@@ -72,7 +72,7 @@ class TestLocalTraining:
 
     def test_update_has_movement(self, homog_trainer):
         runtime = next(iter(homog_trainer.runtimes.values()))
-        update = homog_trainer.train_client(runtime)
+        (update,) = homog_trainer._train_clients([runtime.user_id])
         assert np.abs(update.embedding_delta).sum() > 0
         assert update.train_loss > 0
         assert update.num_examples > 0
@@ -80,13 +80,13 @@ class TestLocalTraining:
     def test_user_embedding_updated_locally(self, homog_trainer):
         runtime = next(iter(homog_trainer.runtimes.values()))
         before = runtime.user_embedding.copy()
-        homog_trainer.train_client(runtime)
+        homog_trainer._train_clients([runtime.user_id])
         assert not np.allclose(runtime.user_embedding, before)
 
     def test_embedding_delta_sparse_on_untouched_items(self, homog_trainer):
         """Only items in the client's batch can receive updates."""
         runtime = next(iter(homog_trainer.runtimes.values()))
-        update = homog_trainer.train_client(runtime)
+        (update,) = homog_trainer._train_clients([runtime.user_id])
         moved_rows = np.abs(update.embedding_delta).sum(axis=1) > 0
         # Strictly fewer rows moved than the catalogue (client data sparse).
         assert moved_rows.sum() < homog_trainer.num_items
@@ -94,16 +94,16 @@ class TestLocalTraining:
 
 class TestAggregation:
     def test_apply_updates_moves_globals(self, homog_trainer):
-        runtimes = list(homog_trainer.runtimes.values())[:4]
+        users = list(homog_trainer.runtimes)[:4]
         before = homog_trainer.models["all"].item_embedding.weight.data.copy()
-        updates = [homog_trainer.train_client(r) for r in runtimes]
+        updates = homog_trainer._train_clients(users)
         homog_trainer.apply_updates(updates)
         after = homog_trainer.models["all"].item_embedding.weight.data
         assert not np.allclose(before, after)
 
     def test_sum_mode_is_additive(self, homog_trainer):
-        runtimes = list(homog_trainer.runtimes.values())[:2]
-        updates = [homog_trainer.train_client(r) for r in runtimes]
+        users = list(homog_trainer.runtimes)[:2]
+        updates = homog_trainer._train_clients(users)
         before = homog_trainer.models["all"].item_embedding.weight.data.copy()
         homog_trainer.apply_updates(updates)
         after = homog_trainer.models["all"].item_embedding.weight.data

@@ -218,6 +218,6 @@ class TestUnlearn:
         # And a single commit writes one row, not its neighbour's.
         survivor = int(trainer.user_tables[group].ids[0])
         snapshot = trainer.user_tables[group].values.copy()
-        trainer.runtimes[survivor].commit_user_embedding(np.full(snapshot.shape[1], 7.0))
+        trainer.runtimes[survivor].table.put([survivor], np.full((1, snapshot.shape[1]), 7.0))
         assert np.array_equal(trainer.user_tables[group].values[1:], snapshot[1:])
         assert np.all(trainer.user_tables[group].values[0] == 7.0)

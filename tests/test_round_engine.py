@@ -1,15 +1,18 @@
 """Equivalence suite: vectorized round engine vs. per-client reference.
 
 The engine's contract (see ``repro/federated/round_engine.py``) is
-numerical equivalence with the reference path up to floating-point
-summation order; everything here pins that to 1e-8 after multi-epoch
-runs, for homogeneous and heterogeneous group configurations, plus the
+numerical equivalence with one tape session per client
+(``tests/reference_trainer.py``) up to floating-point summation order;
+everything here pins that to 1e-8 after multi-epoch runs, for
+homogeneous, heterogeneous and Standalone configurations, plus the
 blocked evaluator against the per-client protocol.
 """
 
 import numpy as np
 import pytest
+import reference_trainer
 from ranking_oracle import assert_matches_oracle, oracle_metrics
+from reference_trainer import ReferenceTrainer
 
 from repro.autograd.tensor import Tensor
 from repro.core.config import HeteFedRecConfig
@@ -19,7 +22,7 @@ from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
 from repro.data.splitting import train_test_split_per_user
 from repro.eval.evaluator import Evaluator
 from repro.federated.privacy import PrivacyConfig
-from repro.federated.round_engine import VectorizedRoundEngine, engine_supports
+from repro.federated.round_engine import VectorizedRoundEngine
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
 
 ATOL = 1e-8
@@ -39,19 +42,22 @@ def small_config(**overrides):
     return FederatedConfig(**base)
 
 
-def fitted_pair(dataset, clients, group_of, evaluator=None, **overrides):
-    """Train one reference and one vectorized trainer on identical configs."""
-    trainers = []
-    for engine in ("reference", "vectorized"):
-        trainer = FederatedTrainer(
-            dataset.num_items,
-            clients,
-            group_of,
-            small_config(engine=engine, **overrides),
-        )
+def fitted_pair(make, evaluator=None):
+    """Fit ``make()`` twice: once on the oracle, once on the engine."""
+    reference, vectorized = reference_trainer.install(make()), make()
+    for trainer in (reference, vectorized):
         trainer.fit(evaluator)
-        trainers.append(trainer)
-    return trainers
+    return reference, vectorized
+
+
+def federated_pair(dataset, clients, group_of, evaluator=None, **overrides):
+    """Train one reference and one vectorized trainer on identical configs."""
+    return fitted_pair(
+        lambda: FederatedTrainer(
+            dataset.num_items, clients, group_of, small_config(**overrides)
+        ),
+        evaluator,
+    )
 
 
 def assert_equivalent(reference, vectorized):
@@ -76,13 +82,22 @@ def assert_equivalent(reference, vectorized):
             atol=ATOL,
             err_msg=f"user {user}",
         )
+    if reference._client_states is not None:
+        for user, ref_state in reference._client_states.items():
+            for key, value in ref_state.items():
+                np.testing.assert_allclose(
+                    value,
+                    vectorized._client_states[user][key],
+                    atol=ATOL,
+                    err_msg=f"user {user}:{key}",
+                )
 
 
 class TestEngineEquivalence:
     def test_heterogeneous_ncf(self, tiny_dataset, tiny_clients):
         group_of = divide_clients(tiny_clients)
         evaluator = Evaluator(tiny_clients, k=10)
-        reference, vectorized = fitted_pair(
+        reference, vectorized = federated_pair(
             tiny_dataset, tiny_clients, group_of, evaluator
         )
         assert vectorized._engine is not None
@@ -90,7 +105,7 @@ class TestEngineEquivalence:
 
     def test_homogeneous_ncf(self, tiny_dataset, tiny_clients):
         group_of = homogeneous_assignment(tiny_clients, group="all")
-        reference, vectorized = fitted_pair(
+        reference, vectorized = federated_pair(
             tiny_dataset, tiny_clients, group_of, dims={"all": 6}
         )
         assert_equivalent(reference, vectorized)
@@ -98,7 +113,7 @@ class TestEngineEquivalence:
     def test_heterogeneous_mf(self, tiny_dataset, tiny_clients):
         group_of = divide_clients(tiny_clients)
         evaluator = Evaluator(tiny_clients, k=10)
-        reference, vectorized = fitted_pair(
+        reference, vectorized = federated_pair(
             tiny_dataset, tiny_clients, group_of, evaluator, arch="mf"
         )
         assert_equivalent(reference, vectorized)
@@ -109,7 +124,7 @@ class TestEngineEquivalence:
         eval metrics must match the reference to 1e-8."""
         group_of = divide_clients(tiny_clients)
         evaluator = Evaluator(tiny_clients, k=10)
-        reference, vectorized = fitted_pair(
+        reference, vectorized = federated_pair(
             tiny_dataset, tiny_clients, group_of, evaluator, arch="lightgcn"
         )
         assert vectorized._engine is not None
@@ -119,13 +134,13 @@ class TestEngineEquivalence:
         """Per-upload equality for one LightGCN round: sparse embedding
         deltas (which include the propagated neighbour rows) and heads."""
         group_of = divide_clients(tiny_clients)
-        make = lambda engine: FederatedTrainer(
+        make = lambda: FederatedTrainer(
             tiny_dataset.num_items,
             tiny_clients,
             group_of,
-            small_config(engine=engine, arch="lightgcn"),
+            small_config(arch="lightgcn"),
         )
-        reference, vectorized = make("reference"), make("vectorized")
+        reference, vectorized = reference_trainer.install(make()), make()
         users = [c.user_id for c in tiny_clients[:10]]
         ref_updates = reference._train_clients(users)
         vec_updates = vectorized._train_clients(users)
@@ -143,7 +158,7 @@ class TestEngineEquivalence:
         """Client-side clipping/noise runs after training on the client's
         own RNG, so the protected uploads must also match."""
         group_of = divide_clients(tiny_clients)
-        reference, vectorized = fitted_pair(
+        reference, vectorized = federated_pair(
             tiny_dataset,
             tiny_clients,
             group_of,
@@ -155,13 +170,13 @@ class TestEngineEquivalence:
         """Beyond end-state equality: the per-client uploads of a single
         round match field by field, in round order."""
         group_of = divide_clients(tiny_clients)
-        make = lambda engine: FederatedTrainer(
+        make = lambda: FederatedTrainer(
             tiny_dataset.num_items,
             tiny_clients,
             group_of,
-            small_config(engine=engine),
+            small_config(),
         )
-        reference, vectorized = make("reference"), make("vectorized")
+        reference, vectorized = reference_trainer.install(make()), make()
         users = [c.user_id for c in tiny_clients[:10]]
         ref_updates = reference._train_clients(users)
         vec_updates = vectorized._train_clients(users)
@@ -190,8 +205,10 @@ class TestEngineEquivalence:
                 tiny_dataset.num_items,
                 tiny_clients,
                 group_of,
-                small_config(engine=engine),
+                small_config(),
             )
+            if engine == "reference":
+                reference_trainer.install(trainer)
             users = [c.user_id for c in tiny_clients]
             counter = {"n": 0}
 
@@ -206,6 +223,26 @@ class TestEngineEquivalence:
                 Tensor.__init__ = original_init
             counts[engine] = counter["n"]
         assert counts["reference"] >= 5 * counts["vectorized"], counts
+
+
+class TestStandaloneEngineEquivalence:
+    """Standalone trains each client's personal model on the engine:
+    personal tables and heads, user embeddings, losses and eval metrics
+    must match the per-client personal session, and nothing is metered."""
+
+    @pytest.mark.parametrize("arch", ["ncf", "mf", "lightgcn"])
+    def test_personal_models(self, arch, tiny_dataset, tiny_clients):
+        from repro.baselines.standalone import StandaloneTrainer
+
+        reference, vectorized = fitted_pair(
+            lambda: StandaloneTrainer(
+                tiny_dataset.num_items, tiny_clients, small_config(arch=arch)
+            ),
+            Evaluator(tiny_clients, k=10),
+        )
+        assert isinstance(vectorized._engine, VectorizedRoundEngine)
+        assert_equivalent(reference, vectorized)
+        assert reference.meter.total == vectorized.meter.total == 0
 
 
 class TestDualTaskEngineEquivalence:
@@ -225,16 +262,10 @@ class TestDualTaskEngineEquivalence:
             seed=0,
         )
         base.update(overrides)
-        trainers = []
-        for engine in ("reference", "vectorized"):
-            trainer = HeteFedRec(
-                dataset.num_items,
-                clients,
-                HeteFedRecConfig(engine=engine, **base),
-            )
-            trainer.fit(evaluator)
-            trainers.append(trainer)
-        return trainers
+        return fitted_pair(
+            lambda: HeteFedRec(dataset.num_items, clients, HeteFedRecConfig(**base)),
+            evaluator,
+        )
 
     def test_full_hetefedrec(self, tiny_dataset, tiny_clients):
         """UDL + DDR + RESKD, the paper's headline configuration, on the
@@ -243,7 +274,8 @@ class TestDualTaskEngineEquivalence:
         reference, vectorized = self.hetefedrec_pair(
             tiny_dataset, tiny_clients, evaluator
         )
-        assert reference._engine is None and vectorized._engine is not None
+        assert isinstance(reference._engine, ReferenceTrainer)
+        assert isinstance(vectorized._engine, VectorizedRoundEngine)
         assert_equivalent(reference, vectorized)
 
     def test_udl_without_ddr(self, tiny_dataset, tiny_clients):
@@ -284,7 +316,8 @@ class TestDualTaskEngineEquivalence:
         reference, vectorized = self.hetefedrec_pair(
             tiny_dataset, tiny_clients, evaluator, arch="lightgcn"
         )
-        assert reference._engine is None and vectorized._engine is not None
+        assert isinstance(reference._engine, ReferenceTrainer)
+        assert isinstance(vectorized._engine, VectorizedRoundEngine)
         assert_equivalent(reference, vectorized)
 
     def test_lightgcn_udl_without_ddr(self, tiny_dataset, tiny_clients):
@@ -298,7 +331,7 @@ class TestDualTaskEngineEquivalence:
         """Per-upload equality for one dual-task round: every head a
         client trained (Θ_s through its own width) and its sparse
         embedding delta."""
-        make = lambda engine: HeteFedRec(
+        make = lambda: HeteFedRec(
             tiny_dataset.num_items,
             tiny_clients,
             HeteFedRecConfig(
@@ -307,10 +340,9 @@ class TestDualTaskEngineEquivalence:
                 epochs=1,
                 clients_per_round=16,
                 local_epochs=2,
-                engine=engine,
             ),
         )
-        reference, vectorized = make("reference"), make("vectorized")
+        reference, vectorized = reference_trainer.install(make()), make()
         users = [c.user_id for c in tiny_clients[:12]]
         ref_updates = reference._train_clients(users)
         vec_updates = vectorized._train_clients(users)
@@ -447,28 +479,36 @@ class TestDispatch:
         assert isinstance(hete._engine, VectorizedRoundEngine)
 
     def test_vectorized_on_custom_loss_raises(self, tiny_dataset, tiny_clients):
-        """engine='vectorized' must refuse trainers whose objective the
-        engine cannot express, instead of silently falling back."""
+        """A trainer whose objective the engine cannot express is refused
+        at construction, naming the hook, instead of silently ignored."""
 
         class CustomLoss(FederatedTrainer):
             def client_loss(self, runtime, user_param, batch):
                 return super().client_loss(runtime, user_param, batch) * 2.0
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="CustomLoss defines client_loss"):
             CustomLoss(
                 tiny_dataset.num_items,
                 tiny_clients,
                 divide_clients(tiny_clients),
-                small_config(engine="vectorized"),
+                small_config(),
             )
 
-    def test_unknown_engine_mode_rejected(self, tiny_dataset, tiny_clients):
-        with pytest.raises(ValueError):
+    def test_arch_without_engine_objective_is_refused(
+        self, tiny_dataset, tiny_clients, monkeypatch
+    ):
+        """A registered architecture the engine has no forward and
+        backward for cannot train: refused at construction, by name."""
+        from repro.models.factory import MODEL_REGISTRY
+        from repro.models.ncf import NCF
+
+        monkeypatch.setitem(MODEL_REGISTRY, "ncf_variant", NCF)
+        with pytest.raises(ValueError, match="ncf_variant"):
             FederatedTrainer(
                 tiny_dataset.num_items,
                 tiny_clients,
                 divide_clients(tiny_clients),
-                small_config(engine="warp"),
+                small_config(arch="ncf_variant"),
             )
 
     def test_directly_aggregate_uses_engine(self, tiny_dataset, tiny_clients):
@@ -477,9 +517,8 @@ class TestDispatch:
         reference path."""
         from repro.baselines.direct import DirectAggregateTrainer
 
-        trainers = []
-        for engine in ("reference", "vectorized"):
-            trainer = DirectAggregateTrainer(
+        reference, vectorized = fitted_pair(
+            lambda: DirectAggregateTrainer(
                 tiny_dataset.num_items,
                 tiny_clients,
                 HeteFedRecConfig(
@@ -488,18 +527,15 @@ class TestDispatch:
                     epochs=2,
                     clients_per_round=16,
                     local_epochs=2,
-                    engine=engine,
                 ),
             )
-            trainer.fit()
-            trainers.append(trainer)
-        reference, vectorized = trainers
-        assert vectorized._engine is not None
+        )
+        assert isinstance(vectorized._engine, VectorizedRoundEngine)
         assert_equivalent(reference, vectorized)
 
     def test_full_hetefedrec_uses_engine(self, tiny_dataset, tiny_clients):
-        """The widened dispatch: every stock HeteFedRec configuration —
-        dual-task on, with or without DDR — now rides the engine."""
+        """Every stock HeteFedRec configuration — dual-task on, with or
+        without DDR — rides the engine."""
         for overrides in ({}, {"enable_ddr": False}, {"enable_udl": False}):
             trainer = HeteFedRec(
                 tiny_dataset.num_items,
@@ -513,44 +549,40 @@ class TestDispatch:
                     **overrides,
                 ),
             )
-            assert engine_supports(trainer), overrides
             assert isinstance(trainer._engine, VectorizedRoundEngine), overrides
 
-    def test_custom_loss_subclass_falls_back(self, tiny_dataset, tiny_clients):
-        """A subclass whose loss the engine cannot express (overridden
-        client_loss / train_client) must keep the reference path."""
-
-        class CustomLoss(HeteFedRec):
-            def client_loss(self, runtime, user_param, batch):
-                return super().client_loss(runtime, user_param, batch) * 2.0
-
-        trainer = CustomLoss(
-            tiny_dataset.num_items,
-            tiny_clients,
-            HeteFedRecConfig(
-                arch="ncf",
-                dims={"s": 4, "m": 6, "l": 8},
-                epochs=1,
-                clients_per_round=8,
-                local_epochs=1,
-            ),
+    def test_subclass_defining_a_removed_hook_is_refused(self, tiny_dataset, tiny_clients):
+        """A subclass that defines ``train_client`` or ``client_loss``
+        expects a per-client path that no longer exists: construction
+        raises a ``ValueError`` naming the hook, for base-protocol and
+        HeteFedRec subclasses alike."""
+        config = HeteFedRecConfig(
+            arch="ncf",
+            dims={"s": 4, "m": 6, "l": 8},
+            epochs=1,
+            clients_per_round=8,
+            local_epochs=1,
         )
-        assert trainer.fused_objective() is None
-        assert not engine_supports(trainer)
-        assert trainer._engine is None
+        for parent in (FederatedTrainer, HeteFedRec):
+            for hook in ("train_client", "client_loss"):
+                custom = type("Custom", (parent,), {hook: lambda self, *args: None})
+                args = (tiny_dataset.num_items, tiny_clients)
+                if parent is FederatedTrainer:
+                    args += (divide_clients(tiny_clients),)
+                with pytest.raises(ValueError, match=f"Custom defines {hook}"):
+                    custom(*args, config)
 
     def test_adversarial_harness_rides_engine(
         self, tiny_dataset, tiny_clients, monkeypatch
     ):
         """AdversarialHeteFedRec poisons finished uploads on the round
-        hook (``_train_clients``), not by wrapping ``train_client`` — so
-        local training rides the fused engine, and an attacked run
-        matches the reference path with the same poisoned uploads in the
-        same order and the same final attack-stream state."""
+        hook (``_train_clients``), so local training rides the fused
+        engine, and an attacked run matches the reference path with the
+        same poisoned uploads in the same order and the same final
+        attack-stream state."""
         from repro.robustness import harness
         from repro.robustness.attacks import AttackConfig, poison_update
 
-        assert "train_client" not in vars(harness.AdversarialHeteFedRec)
         evaluator = Evaluator(tiny_clients, k=10)
         for arch in ("ncf", "lightgcn", "mf"):
             trainers = {}
@@ -571,14 +603,14 @@ class TestDispatch:
                         epochs=2,
                         clients_per_round=8,
                         local_epochs=2,
-                        engine=engine,
                     ),
                     attack=AttackConfig(kind="noise", fraction=0.2, scale=3.0),
                 )
+                if engine == "reference":
+                    reference_trainer.install(trainers[engine])
                 trainers[engine].fit(evaluator)
             reference, fused = trainers["reference"], trainers["auto"]
-            assert reference._engine is None
-            assert engine_supports(fused)
+            assert isinstance(reference._engine, ReferenceTrainer)
             assert isinstance(fused._engine, VectorizedRoundEngine)
             assert_equivalent(reference, fused)
             assert poisoned["reference"] == poisoned["auto"]
@@ -607,7 +639,7 @@ class TestDtypeKnob:
 
     def test_float32_reference_and_vectorized_agree(self, tiny_dataset, tiny_clients):
         group_of = divide_clients(tiny_clients)
-        reference, vectorized = fitted_pair(
+        reference, vectorized = federated_pair(
             tiny_dataset, tiny_clients, group_of, dtype="float32", epochs=1
         )
         for group in reference.groups:

@@ -1153,6 +1153,26 @@ class TestProtocolMessageFuzz:
             drop=drop, seed=salt, shared=shared,
         )
 
+    @pytest.mark.parametrize("field_name", ["x", "receiver"])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_misaddressed_share_bundle_is_refused_and_counted(self, field_name, shared):
+        """Pinned from the fuzz pass above (``x``, victim 1, salt 1, no
+        redelivery): a bundle whose x-coordinates do not match the roster
+        was accepted, and ``finalize`` ended the whole round with a
+        ``ProtocolError``.  Receivers and x-coordinates are public, so the
+        server refuses such a bundle on arrival and counts it; its sender
+        leaves the share roster like a shares-phase dropout, and the round
+        decodes the survivors' exact sum."""
+        server, decoded, refused, vectors = fuzzed_round(
+            SHARES, 1, lambda b: mutate_share_bundle(b, field_name, 1),
+            redeliver=False, late=False, seed=1, shared=shared,
+        )
+        assert refused == 1 and server.rejected_inputs == 1
+        assert server.share_roster == [2, 3, 4, 5] and 1 not in server.survivors
+        np.testing.assert_array_equal(
+            decoded, plain_prefix_sum(vectors, server.survivors)
+        )
+
     @settings(deadline=None, max_examples=60)
     @given(
         field_name=st.sampled_from([
