@@ -16,6 +16,12 @@ to ``BENCH_round_engine.json`` through the one benchmark CLI
 ``--quick`` shrinks the problem (48 clients, 400 items, 2 local epochs)
 for CI-speed runs.  What ``--check`` gates is declared in
 :func:`metrics`: each section's engine-vs-reference speedup as a floor.
+That ``speedup`` times the engine on one thread, so it measures the
+fused computation's win over the per-client oracle wherever it runs;
+the engine's default round, its buckets on every core, is reported
+beside it as ``threaded_speedup`` (``vectorized.threaded``).  The
+threads' gain grows with the number of length buckets in a round, so a
+``--quick`` round gains less from them than a full-scale one.
 
 CI hooks: ``benchmarks/test_bench_round_engine.py`` (marked ``slow``,
 excluded from tier-1 by ``pytest.ini``) runs a scaled-down full check;
@@ -25,6 +31,7 @@ script importable and runnable at toy scale.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import time
@@ -39,6 +46,7 @@ from repro.core.hetefedrec import HeteFedRec
 from repro.data.splitting import train_test_split_per_user
 from repro.data.synthetic import DATASET_SPECS, SyntheticConfig, load_benchmark_dataset
 from repro.eval.evaluator import Evaluator
+from repro.federated import round_engine
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
 
 from benchmarks.suite import Metric
@@ -88,18 +96,48 @@ def count_tape_nodes(fn) -> int:
     return counter["n"]
 
 
+@contextlib.contextmanager
+def one_thread():
+    """The engine trains a round's buckets on the calling thread only."""
+    cpu_count = round_engine._cpu_count
+    round_engine._cpu_count = lambda: 1
+    try:
+        yield
+    finally:
+        round_engine._cpu_count = cpu_count
+
+
+def time_engines(trainer, probe, users) -> Dict:
+    """The engine's round on one thread (``trainer``), with the threaded
+    round's timing (``probe``, a second trainer) under ``threaded``."""
+    with one_thread():
+        result = time_round(trainer, users)
+    threaded = time_round(probe, users)
+    result["threaded"] = {
+        "cpus": round_engine._cpu_count(),
+        "round_seconds": threaded["round_seconds"],
+        "train_seconds": threaded["train_seconds"],
+    }
+    return result
+
+
 def time_round(trainer: FederatedTrainer, users, repeats: int = 3) -> Dict[str, float]:
     """Best-of-``repeats`` measurement of train-all-clients + aggregate.
 
     Consecutive rounds on one trainer do identical work (state advances,
     cost does not), so repeating on the same instance and keeping the
     fastest pass filters scheduler noise out of the reported speedups.
+    The ``upload`` stats describe the first round, which starts from the
+    freshly built state, so both engines' stats describe the same round.
     """
     best = None
+    upload = None
     for _ in range(max(repeats, 1)):
         start = time.perf_counter()
         updates = trainer._train_clients(users)
         train_seconds = time.perf_counter() - start
+        if upload is None:
+            upload = upload_stats(trainer, updates)
         start = time.perf_counter()
         trainer.apply_updates(updates)
         aggregate_seconds = time.perf_counter() - start
@@ -110,8 +148,8 @@ def time_round(trainer: FederatedTrainer, users, repeats: int = 3) -> Dict[str, 
                 "aggregate_seconds": aggregate_seconds,
                 "round_seconds": total,
                 "rounds_per_sec": 1.0 / total,
-                "upload": upload_stats(trainer, updates),
             }
+    best["upload"] = upload
     return best
 
 
@@ -168,7 +206,10 @@ def run_benchmark(
             trainer, probe = on_reference(trainer), on_reference(probe)
         trainers[engine] = trainer
         nodes = count_tape_nodes(lambda: probe._train_clients(users_per_round))
-        results[engine] = time_round(trainer, users_per_round)
+        if engine == "reference":
+            results[engine] = time_round(trainer, users_per_round)
+        else:
+            results[engine] = time_engines(trainer, probe, users_per_round)
         results[engine]["tape_nodes_per_round"] = nodes
 
     equivalence = {
@@ -227,6 +268,8 @@ def run_benchmark(
         "vectorized": results["vectorized"],
         "speedup": results["reference"]["round_seconds"]
         / results["vectorized"]["round_seconds"],
+        "threaded_speedup": results["reference"]["round_seconds"]
+        / results["vectorized"]["threaded"]["round_seconds"],
         "tape_node_reduction": results["reference"]["tape_nodes_per_round"]
         / max(results["vectorized"]["tape_nodes_per_round"], 1),
         "evaluation": evaluation,
@@ -267,7 +310,10 @@ def run_hetefedrec_benchmark(
             trainer, probe = on_reference(trainer), on_reference(probe)
         trainers[engine] = trainer
         nodes = count_tape_nodes(lambda: probe._train_clients(users_per_round))
-        results[engine] = time_round(trainer, users_per_round)
+        if engine == "reference":
+            results[engine] = time_round(trainer, users_per_round)
+        else:
+            results[engine] = time_engines(trainer, probe, users_per_round)
         results[engine]["tape_nodes_per_round"] = nodes
 
     equivalence = {
@@ -298,6 +344,8 @@ def run_hetefedrec_benchmark(
         "vectorized": results["vectorized"],
         "speedup": results["reference"]["round_seconds"]
         / results["vectorized"]["round_seconds"],
+        "threaded_speedup": results["reference"]["round_seconds"]
+        / results["vectorized"]["threaded"]["round_seconds"],
         "tape_node_reduction": results["reference"]["tape_nodes_per_round"]
         / max(results["vectorized"]["tape_nodes_per_round"], 1),
         "equivalence": equivalence,
@@ -338,24 +386,28 @@ def metrics(report: Dict) -> List[Metric]:
 
 def summary(report: Dict) -> None:
     dual = report["hetefedrec_dual_task"]
+    gcn = report["lightgcn"]
     evaluation = report["evaluation"]
     eval_note = f"; eval {evaluation['speedup']:.1f}x" if evaluation else ""
+
+    def rounds(section: Dict) -> str:
+        vectorized = section["vectorized"]
+        threaded = vectorized["threaded"]
+        return (
+            f"{section['reference']['round_seconds']:.2f}s → "
+            f"{vectorized['round_seconds']:.2f}s on one thread "
+            f"({section['speedup']:.1f}x), {threaded['round_seconds']:.2f}s on "
+            f"{threaded['cpus']} cpus ({section['threaded_speedup']:.1f}x)"
+        )
+
     print(
-        f"base round: {report['reference']['round_seconds']:.2f}s → "
-        f"{report['vectorized']['round_seconds']:.2f}s "
-        f"({report['speedup']:.1f}x); tape nodes "
+        f"base round: {rounds(report)}; tape nodes "
         f"÷{report['tape_node_reduction']:.0f}{eval_note}"
     )
     print(
-        f"hetefedrec dual-task round: {dual['reference']['round_seconds']:.2f}s → "
-        f"{dual['vectorized']['round_seconds']:.2f}s ({dual['speedup']:.1f}x); "
+        f"hetefedrec dual-task round: {rounds(dual)}; "
         f"upload {dual['vectorized']['upload']['mean_scalars']:.0f} vs dense "
         f"{dual['vectorized']['upload']['mean_scalars_dense_equiv']:.0f} scalars "
         f"(÷{dual['vectorized']['upload']['reduction']:.1f})"
     )
-    gcn = report["lightgcn"]
-    print(
-        f"lightgcn round: {gcn['reference']['round_seconds']:.2f}s → "
-        f"{gcn['vectorized']['round_seconds']:.2f}s ({gcn['speedup']:.1f}x); "
-        f"tape nodes ÷{gcn['tape_node_reduction']:.0f}"
-    )
+    print(f"lightgcn round: {rounds(gcn)}; tape nodes ÷{gcn['tape_node_reduction']:.0f}")

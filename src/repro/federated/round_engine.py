@@ -53,10 +53,18 @@ The DDR row subsets are drawn *up front* through
 ``trainer.presample_ddr_rows`` in round order, so the shared DDR RNG
 stream is consumed as a per-client loop over the round would consume it.
 
-One shared Adam over the stacked parameters is *exactly* B independent
-per-client Adams: the update is elementwise and every client steps at the
-same local-epoch boundaries (rows with zero gradient keep zero moments).
-The engine is therefore numerically equivalent to one tape session per
+Each bucket has its own stacked parameters and its own Adam, and one
+Adam over a bucket's stacks is *exactly* B independent per-client Adams:
+the update is elementwise and every client steps at the same local-epoch
+boundaries (rows with zero gradient keep zero moments).  Buckets share
+nothing mutable — each reads the round's global snapshot and writes only
+its own clients' user rows, uploads or personal models — so a round's
+buckets train concurrently, one thread per core (the calling thread and
+workers that live for the call; see :meth:`VectorizedRoundEngine.
+_run_buckets`), and the round is bitwise the same whichever thread
+trains which bucket.  Batches are all drawn on the calling thread, in
+group order, before any bucket trains.
+The engine is numerically equivalent to one tape session per
 client up to floating-point summation order; ``tests/reference_trainer.py``
 keeps that per-client session as the oracle and
 ``tests/test_round_engine.py`` pins the two to 1e-8 over multi-epoch
@@ -81,6 +89,9 @@ compressed or metered, because nothing leaves the client.
 
 from __future__ import annotations
 
+import collections
+import os
+import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,6 +117,17 @@ BATCHABLE_ARCHS = ("ncf", "mf", "lightgcn")
 #: Marks a client with no DDR term this round (distinct from ``None``,
 #: which is a drawn full-table subset).
 _NO_DDR = object()
+
+#: What a stacked parameter holds between buckets.
+_EMPTY = np.zeros(0)
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on: how many buckets train at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _pad_head_value(
@@ -488,10 +510,17 @@ class VectorizedRoundEngine:
             )
         self.trainer = trainer
         self.ddr_alpha = trainer.fused_objective()
-        # One set of stacked parameters, rebound per bucket: the engine
-        # builds no tape nodes while it trains.
-        names = ["U", "V", *trainer.models[trainer.groups[0]].head.state_dict()]
-        self._params = {name: Parameter(np.zeros(0), name=f"{name}xB") for name in names}
+        # One set of stacked parameters per bucket thread, rebound to each
+        # bucket it trains: the engine builds no tape nodes while it trains.
+        self._names = ["U", "V", *trainer.models[trainer.groups[0]].head.state_dict()]
+        self._param_sets: List[Dict[str, Parameter]] = []
+        self._ensure_param_sets(_cpu_count())
+
+    def _ensure_param_sets(self, count: int) -> None:
+        while len(self._param_sets) < count:
+            self._param_sets.append(
+                {name: Parameter(np.zeros(0), name=f"{name}xB") for name in self._names}
+            )
 
     # ------------------------------------------------------------------
     # Round execution
@@ -509,12 +538,18 @@ class VectorizedRoundEngine:
         for user in user_ids:
             by_group.setdefault(trainer.group_of[user], []).append(user)
 
-        raw: Dict[int, ClientUpdate] = {}
+        # Every group's batches are drawn here, on this thread and in
+        # group order, before any bucket trains.
+        buckets: List[Tuple[int, tuple]] = []
         for group in trainer.groups:
             members = by_group.get(group)
             if members:
-                for update in self._train_group(group, members, ddr_rows):
-                    raw[update.user_id] = update
+                buckets.extend(self._group_buckets(group, members, ddr_rows))
+
+        raw: Dict[int, ClientUpdate] = {}
+        for updates in self._run_buckets(buckets):
+            for update in updates:
+                raw[update.user_id] = update
 
         if trainer._client_states is not None:
             return [raw[user] for user in user_ids]
@@ -525,14 +560,75 @@ class VectorizedRoundEngine:
             for user in user_ids
         ]
 
+    def _run_buckets(self, buckets: List[Tuple[int, tuple]]) -> List[List[ClientUpdate]]:
+        """Train every ``(padded size, arguments)`` bucket; results in
+        bucket order.
+
+        The buckets share no mutable state — each reads the global
+        snapshot and writes its own clients' rows — so they train
+        concurrently: this thread and up to one worker per further core
+        pull buckets off one queue, this thread from the largest padded
+        size down and the workers from the smallest up, so the largest
+        buckets rarely train side by side.  numpy releases the GIL in the
+        array work.  The workers live for this call only.  After all have
+        joined, the first failing bucket's exception (in bucket order) is
+        raised.  On one core this is a plain loop that starts no thread.
+        """
+        threads = min(_cpu_count(), len(buckets))
+        if threads <= 1:
+            params = self._param_sets[0]
+            return [self._train_bucket(params, *args) for _, args in buckets]
+
+        self._ensure_param_sets(threads)
+        results: List[Optional[List[ClientUpdate]]] = [None] * len(buckets)
+        errors: List[Optional[Exception]] = [None] * len(buckets)
+        queue = collections.deque(
+            sorted(range(len(buckets)), key=lambda index: buckets[index][0])
+        )
+
+        def drain(params: Dict[str, Parameter], take) -> None:
+            while True:
+                try:
+                    index = take()
+                except IndexError:  # the queue is empty
+                    return
+                try:
+                    results[index] = self._train_bucket(params, *buckets[index][1])
+                except Exception as error:
+                    errors[index] = error
+
+        workers = [
+            threading.Thread(
+                target=drain,
+                args=(self._param_sets[slot], queue.popleft),
+                name=f"round-engine-{slot}",
+            )
+            for slot in range(1, threads)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            drain(self._param_sets[0], queue.pop)
+        finally:
+            queue.clear()  # an interrupted caller stops the workers early
+            for worker in workers:
+                worker.join()
+        for error in errors:
+            if error is not None:
+                raise error
+        return results
+
     # ------------------------------------------------------------------
     # One dim-group
     # ------------------------------------------------------------------
-    def _train_group(
+    def _group_buckets(
         self, group: str, users: List[int], ddr_rows: Dict[int, Optional[np.ndarray]]
-    ) -> List[ClientUpdate]:
+    ) -> List[Tuple[int, tuple]]:
+        """Draw a group's batches and split its clients into length
+        buckets: ``(padded size, _train_bucket arguments)`` per bucket."""
         trainer = self.trainer
         cfg = trainer.config
+        dim = cfg.dims[group]
         runtimes = [trainer.runtimes[user] for user in users]
 
         # Pre-draw every local epoch's batch.  Each client's sampler and
@@ -547,21 +643,21 @@ class VectorizedRoundEngine:
         # to its longest batch would drown the win in padded work; bucket
         # clients by batch length and fuse each bucket separately.
         lengths = np.array([len(batches[0]) if batches else 0 for batches in epoch_batches])
-        updates: List[ClientUpdate] = []
-        for bucket in _length_buckets(lengths, cfg.dims[group]):
-            updates.extend(
-                self._train_bucket(
-                    group,
-                    [users[i] for i in bucket],
-                    [runtimes[i] for i in bucket],
-                    [epoch_batches[i] for i in bucket],
-                    [ddr_rows.get(users[i], _NO_DDR) for i in bucket],
-                )
-            )
-        return updates
+        buckets = []
+        for bucket in _length_buckets(lengths, dim):
+            size = bucket.size * max(int(lengths[bucket].max()), 1) * dim
+            buckets.append((size, (
+                group,
+                [users[i] for i in bucket],
+                [runtimes[i] for i in bucket],
+                [epoch_batches[i] for i in bucket],
+                [ddr_rows.get(users[i], _NO_DDR) for i in bucket],
+            )))
+        return buckets
 
     def _train_bucket(
         self,
+        params: Dict[str, Parameter],
         group: str,
         users: List[int],
         runtimes,
@@ -686,7 +782,6 @@ class VectorizedRoundEngine:
         # the global heads replicated per client, or each client's own.
         task_groups = trainer.trained_head_groups(group)
         widths = [cfg.dims[tg] for tg in task_groups]
-        params = self._params
         params["U"].data = trainer.user_tables[group].take(users)
         params["V"].data = work_table.reshape(num_clients, max_rows, dim)
         head_names = [name for name, _ in model.head.named_parameters()]
@@ -765,10 +860,14 @@ class VectorizedRoundEngine:
             if penalty is not None:
                 per_client_loss += penalty
 
-        return self._emit_updates(
-            group, users, uniq_slots, uniq_items, bounds, table,
+        updates = self._emit_updates(
+            params, group, users, uniq_slots, uniq_items, bounds, table,
             task_groups, widths, padded_before, batch_lengths, per_client_loss,
         )
+        # Let go of this bucket's arrays before the thread's next one.
+        for param in params.values():
+            param.data, param.grad = _EMPTY, None
+        return updates
 
     @staticmethod
     def _part(arrays: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -780,6 +879,7 @@ class VectorizedRoundEngine:
     # ------------------------------------------------------------------
     def _emit_updates(
         self,
+        params: Dict[str, Parameter],
         group: str,
         users: List[int],
         uniq_slots: np.ndarray,
@@ -792,7 +892,6 @@ class VectorizedRoundEngine:
         batch_lengths: np.ndarray,
         per_client_loss: np.ndarray,
     ) -> List[ClientUpdate]:
-        params = self._params
         num_items, dim = table.shape
         self.trainer.user_tables[group].put(users, params["U"].data)
         trained = params["V"].data.reshape(-1, dim)[uniq_slots]

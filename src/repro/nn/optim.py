@@ -65,7 +65,20 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2014)."""
+    """Adam with bias correction (Kingma & Ba, 2014).
+
+    A step walks each parameter in blocks of :attr:`BLOCK` elements of
+    its flat view, running the whole update on one block before the
+    next: the block's slices of the parameter, gradient and moments stay
+    in cache while the update reads them, and the temporaries live in one
+    block-sized scratch pair per dtype instead of two parameter-sized
+    arrays per parameter.  The update is elementwise and every element
+    sees the same operations in the same order as an unblocked step, so
+    the result is bitwise the same.
+    """
+
+    #: Elements per block (2^15: a float64 block is 256 KiB).
+    BLOCK = 1 << 15
 
     def __init__(
         self,
@@ -82,42 +95,60 @@ class Adam(Optimizer):
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t: Dict[int, int] = {}
-        #: Two per-parameter scratch arrays: a step allocates nothing.
-        self._scratch: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: One block-sized scratch pair per dtype: without weight decay a
+        #: step allocates nothing, with it only block-sized temporaries.
+        self._scratch: Dict[np.dtype, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _scratch_for(self, dtype: np.dtype, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        size = min(size, self.BLOCK)
+        pair = self._scratch.get(dtype)
+        if pair is None or pair[0].size < size:
+            pair = self._scratch[dtype] = (np.empty(size, dtype), np.empty(size, dtype))
+        return pair
 
     def step(self) -> None:
         for param in self.parameters:
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+            data = param.data
             key = id(param)
             if key not in self._m:
-                self._m[key] = np.zeros_like(param.data)
-                self._v[key] = np.zeros_like(param.data)
-                self._scratch[key] = (np.empty_like(param.data), np.empty_like(param.data))
-            m, v = self._m[key], self._v[key]
-            work, step = self._scratch[key]
+                # C order, so ``reshape(-1)`` below is a view.
+                self._m[key] = np.zeros(data.shape, data.dtype)
+                self._v[key] = np.zeros(data.shape, data.dtype)
             t = self._t.get(key, 0) + 1
             self._t[key] = t
-            # In place, with the per-element operation order of the
-            # textbook update: m ← β1·m + (1−β1)·g, v ← β2·v + (1−β2)·g²,
-            # θ ← θ − lr · (m / (1−β1ᵗ)) / (√(v / (1−β2ᵗ)) + ε).
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=work)
-            m += work
-            v *= self.beta2
-            np.multiply(grad, grad, out=work)
-            work *= 1.0 - self.beta2
-            v += work
-            np.divide(v, 1.0 - self.beta2**t, out=work)
-            np.sqrt(work, out=work)
-            work += self.eps
-            np.divide(m, 1.0 - self.beta1**t, out=step)
-            step /= work
-            step *= self.lr
-            param.data -= step
+            flat = data.reshape(-1)  # a copy only if ``data`` is not C-contiguous
+            grads = param.grad.reshape(-1)
+            ms, vs = self._m[key].reshape(-1), self._v[key].reshape(-1)
+            works, steps = self._scratch_for(data.dtype, flat.size)
+            bias1, bias2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
+            for lo in range(0, flat.size, self.BLOCK):
+                hi = min(lo + self.BLOCK, flat.size)
+                theta, m, v = flat[lo:hi], ms[lo:hi], vs[lo:hi]
+                work, step = works[: hi - lo], steps[: hi - lo]
+                grad = grads[lo:hi]
+                if self.weight_decay:
+                    grad = grad + self.weight_decay * theta
+                # In place, with the per-element operation order of the
+                # textbook update: m ← β1·m + (1−β1)·g, v ← β2·v + (1−β2)·g²,
+                # θ ← θ − lr · (m / (1−β1ᵗ)) / (√(v / (1−β2ᵗ)) + ε).
+                m *= self.beta1
+                np.multiply(grad, 1.0 - self.beta1, out=work)
+                m += work
+                v *= self.beta2
+                np.multiply(grad, grad, out=work)
+                work *= 1.0 - self.beta2
+                v += work
+                np.divide(v, bias2, out=work)
+                np.sqrt(work, out=work)
+                work += self.eps
+                np.divide(m, bias1, out=step)
+                step /= work
+                step *= self.lr
+                theta -= step
+            if not np.may_share_memory(flat, data):
+                data[...] = flat.reshape(data.shape)
 
     def reset_state(self) -> None:
         """Forget moment estimates (used when a client re-joins a round)."""

@@ -1,5 +1,7 @@
 """Tests for SGD and Adam: exact step math and convergence behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,116 @@ class TestAdam:
             p.grad = np.zeros(1)
             opt.step()
         assert abs(p.data[0]) < 1.0
+
+
+class UnblockedAdam(Adam):
+    """The whole-parameter in-place step Adam took before it walked
+    blocks: two parameter-sized scratch arrays per parameter."""
+
+    def step(self):
+        for param in self.parameters:
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            key = id(param)
+            if key not in self._m:
+                self._m[key] = np.zeros_like(param.data)
+                self._v[key] = np.zeros_like(param.data)
+                self._scratch[key] = (np.empty_like(param.data), np.empty_like(param.data))
+            m, v = self._m[key], self._v[key]
+            work, step = self._scratch[key]
+            t = self._t.get(key, 0) + 1
+            self._t[key] = t
+            m *= self.beta1
+            np.multiply(grad, 1.0 - self.beta1, out=work)
+            m += work
+            v *= self.beta2
+            np.multiply(grad, grad, out=work)
+            work *= 1.0 - self.beta2
+            v += work
+            np.divide(v, 1.0 - self.beta2**t, out=work)
+            np.sqrt(work, out=work)
+            work += self.eps
+            np.divide(m, 1.0 - self.beta1**t, out=step)
+            step /= work
+            step *= self.lr
+            param.data -= step
+
+
+BLOCK = Adam.BLOCK
+
+
+class TestBlockedAdam:
+    """Adam walks each parameter in ``Adam.BLOCK``-element blocks; every
+    element must see exactly the unblocked step's arithmetic."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1000,), (BLOCK,), (3 * BLOCK + 5,),
+            (8, 125), (256, BLOCK // 256), (3, BLOCK + 7),
+            (10, 10, 10), (32, 32, BLOCK // 1024), (5, 7, 1000),
+        ],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_bitwise_equal_to_the_unblocked_step(self, shape, dtype, weight_decay):
+        rng = np.random.default_rng(0)
+        start = rng.normal(size=shape).astype(dtype)
+        blocked, unblocked = Parameter(start.copy()), Parameter(start.copy())
+        # A second, small parameter shares each optimizer's scratch.
+        small = [Parameter(np.ones(3, dtype=dtype)) for _ in range(2)]
+        optimizers = [
+            cls([param, extra], lr=0.01, weight_decay=weight_decay)
+            for cls, param, extra in ((Adam, blocked, small[0]), (UnblockedAdam, unblocked, small[1]))
+        ]
+        for _ in range(5):
+            grad = rng.normal(size=shape).astype(dtype)
+            grad.flat[::7] = 0.0  # untouched coordinates, as in a sparse step
+            extra = rng.normal(size=3).astype(dtype)
+            for optimizer, param, other in zip(optimizers, (blocked, unblocked), small):
+                param.grad, other.grad = grad.copy(), extra.copy()
+                optimizer.step()
+            assert blocked.data.dtype == dtype
+            np.testing.assert_array_equal(blocked.data, unblocked.data)
+            np.testing.assert_array_equal(small[0].data, small[1].data)
+
+    def test_non_contiguous_parameter_is_updated_in_place(self):
+        rng = np.random.default_rng(1)
+        start = rng.normal(size=(300, 200)).T  # F-ordered data
+        blocked, unblocked = Parameter(start), Parameter(start.copy(order="F"))
+        held = blocked.data
+        opt_blocked, opt_unblocked = Adam([blocked], lr=0.1), UnblockedAdam([unblocked], lr=0.1)
+        for _ in range(3):
+            grad = rng.normal(size=start.shape)
+            blocked.grad, unblocked.grad = grad, grad.copy()
+            opt_blocked.step()
+            opt_unblocked.step()
+        assert blocked.data is held
+        np.testing.assert_array_equal(blocked.data, unblocked.data)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_a_step_allocates_nothing_parameter_sized(self, weight_decay):
+        param = Parameter(np.zeros(1_000_000))
+        param.grad = np.full(param.data.shape, 0.5)
+        optimizer = Adam([param], lr=0.01, weight_decay=weight_decay)
+        tracemalloc.start()
+        try:
+            optimizer.step()  # allocates the two moment arrays and the scratch
+            held, first = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            optimizer.step()
+            later = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        nbytes = param.data.nbytes
+        assert first < 2 * nbytes + nbytes // 4, first
+        assert later < nbytes // 4, later
+        scratch = sum(a.nbytes for pair in optimizer._scratch.values() for a in pair)
+        assert scratch == 2 * BLOCK * param.data.itemsize
 
 
 class TestOptimizerValidation:

@@ -8,6 +8,9 @@ homogeneous, heterogeneous and Standalone configurations, plus the
 blocked evaluator against the per-client protocol.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import reference_trainer
@@ -21,6 +24,8 @@ from repro.core.hetefedrec import HeteFedRec
 from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
 from repro.data.splitting import train_test_split_per_user
 from repro.eval.evaluator import Evaluator
+from repro.federated import round_engine
+from repro.federated.payload import SparseRowDelta
 from repro.federated.privacy import PrivacyConfig
 from repro.federated.round_engine import VectorizedRoundEngine
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
@@ -673,3 +678,130 @@ class TestDtypeKnob:
                 divide_clients(tiny_clients),
                 small_config(dtype="float16"),
             )
+
+
+class TestConcurrentBuckets:
+    """A round's buckets train on up to one thread per core.  The bucket
+    a thread trains, and which thread trains it, must not matter: one and
+    three threads give bitwise-equal rounds, a failing bucket's exception
+    surfaces unchanged, and no thread outlives the round."""
+
+    ROUNDS = (slice(0, 24), slice(20, 44), slice(36, 60))
+
+    def run_rounds(self, make, cpus, monkeypatch, tiny_clients):
+        monkeypatch.setattr(round_engine, "_cpu_count", lambda: cpus)
+        trainer = make()
+        calls = []
+        train_bucket = VectorizedRoundEngine._train_bucket
+
+        def counting(engine, *args):
+            calls.append(args[1])
+            return train_bucket(engine, *args)
+
+        monkeypatch.setattr(VectorizedRoundEngine, "_train_bucket", counting)
+        users = [c.user_id for c in tiny_clients]
+        rounds = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for chosen in self.ROUNDS:
+                calls.clear()
+                updates = trainer._train_clients(users[chosen])
+                assert len(calls) >= 2  # more than one bucket: threads are used
+                trainer.apply_updates(updates)
+                rounds.append(updates)
+        finally:
+            sys.setswitchinterval(interval)
+        return trainer, rounds
+
+    def assert_bitwise(self, serial, threaded):
+        (one, one_rounds), (three, three_rounds) = serial, threaded
+        for updates_1, updates_3 in zip(one_rounds, three_rounds):
+            assert [u.user_id for u in updates_1] == [u.user_id for u in updates_3]
+            for a, b in zip(updates_1, updates_3):
+                assert a.train_loss == b.train_loss
+                assert a.num_examples == b.num_examples
+                delta_a, delta_b = a.embedding_delta, b.embedding_delta
+                if isinstance(delta_a, SparseRowDelta):
+                    np.testing.assert_array_equal(delta_a.rows, delta_b.rows)
+                    delta_a, delta_b = delta_a.values, delta_b.values
+                np.testing.assert_array_equal(delta_a, delta_b)
+                assert a.head_deltas.keys() == b.head_deltas.keys()
+                for group, heads in a.head_deltas.items():
+                    for name, value in heads.items():
+                        np.testing.assert_array_equal(value, b.head_deltas[group][name])
+        for group in one.groups:
+            np.testing.assert_array_equal(
+                one.user_tables[group].values, three.user_tables[group].values
+            )
+            for key, value in one.models[group].state_dict().items():
+                np.testing.assert_array_equal(value, three.models[group].state_dict()[key])
+        if one._client_states is not None:
+            for user, state in one._client_states.items():
+                for key, value in state.items():
+                    np.testing.assert_array_equal(value, three._client_states[user][key])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("arch", ["ncf", "mf", "lightgcn"])
+    def test_hetefedrec_rounds_are_bitwise_equal(
+        self, arch, dtype, tiny_dataset, tiny_clients, monkeypatch
+    ):
+        def make():
+            trainer = HeteFedRec(
+                tiny_dataset.num_items,
+                tiny_clients,
+                HeteFedRecConfig(
+                    arch=arch, dims={"s": 8, "m": 16, "l": 32}, local_epochs=2,
+                    lr=0.01, seed=0, dtype=dtype,
+                ),
+            )
+            assert trainer.fused_objective() > 0  # DDR is on
+            return trainer
+
+        serial = self.run_rounds(make, 1, monkeypatch, tiny_clients)
+        threaded = self.run_rounds(make, 3, monkeypatch, tiny_clients)
+        self.assert_bitwise(serial, threaded)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("arch", ["ncf", "mf", "lightgcn"])
+    def test_standalone_rounds_are_bitwise_equal(
+        self, arch, dtype, tiny_dataset, tiny_clients, monkeypatch
+    ):
+        from repro.baselines.standalone import StandaloneTrainer
+
+        def make():
+            return StandaloneTrainer(
+                tiny_dataset.num_items, tiny_clients, small_config(arch=arch, dtype=dtype)
+            )
+
+        serial = self.run_rounds(make, 1, monkeypatch, tiny_clients)
+        threaded = self.run_rounds(make, 3, monkeypatch, tiny_clients)
+        self.assert_bitwise(serial, threaded)
+
+    def test_first_failing_bucket_surfaces_after_every_thread_joined(
+        self, tiny_dataset, tiny_clients, monkeypatch
+    ):
+        monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        trainer = FederatedTrainer(
+            tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
+            small_config(),
+        )
+        users = [c.user_id for c in tiny_clients]
+        victim = next(u for u in users if trainer.group_of[u] == "m")
+        raised = []
+        train_bucket = VectorizedRoundEngine._train_bucket
+
+        def failing(engine, params, group, bucket_users, *args):
+            if victim in bucket_users:
+                raised.append(ValueError(f"bucket of user {victim} failed"))
+                raise raised[-1]
+            if group == "l":  # later in bucket order: must not win
+                raise RuntimeError("a later bucket failed too")
+            return train_bucket(engine, params, group, bucket_users, *args)
+
+        monkeypatch.setattr(VectorizedRoundEngine, "_train_bucket", failing)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            trainer._train_clients(users)
+        assert caught.value is raised[0]
+        assert threading.active_count() == threads_before
