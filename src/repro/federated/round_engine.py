@@ -62,8 +62,8 @@ its own clients' user rows, uploads or personal models — so a round's
 buckets train concurrently, one thread per core (the calling thread and
 workers that live for the call; see :meth:`VectorizedRoundEngine.
 _run_buckets`), and the round is bitwise the same whichever thread
-trains which bucket.  Batches are all drawn on the calling thread, in
-group order, before any bucket trains.
+advances which bucket.  Batches are all drawn, and every Adam step is
+taken, on the calling thread.
 The engine is numerically equivalent to one tape session per
 client up to floating-point summation order; ``tests/reference_trainer.py``
 keeps that per-client session as the oracle and
@@ -92,7 +92,7 @@ from __future__ import annotations
 import collections
 import os
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,6 +128,17 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         return os.cpu_count() or 1
+
+
+def _drive(bucket: Generator[Adam, None, List[ClientUpdate]]) -> List[ClientUpdate]:
+    """Train a bucket to its end on this thread, taking each step it asks
+    for; returns its updates."""
+    while True:
+        try:
+            optimizer = next(bucket)
+        except StopIteration as done:
+            return done.value
+        optimizer.step()
 
 
 def _pad_head_value(
@@ -510,14 +521,18 @@ class VectorizedRoundEngine:
             )
         self.trainer = trainer
         self.ddr_alpha = trainer.fused_objective()
-        # One set of stacked parameters per bucket thread, rebound to each
-        # bucket it trains: the engine builds no tape nodes while it trains.
+        # One set of stacked parameters per bucket in flight, rebound to
+        # each bucket it holds: the engine builds no tape nodes while it
+        # trains.
         self._names = ["U", "V", *trainer.models[trainer.groups[0]].head.state_dict()]
         self._param_sets: List[Dict[str, Parameter]] = []
         self._ensure_param_sets(_cpu_count())
 
-    def _ensure_param_sets(self, count: int) -> None:
-        while len(self._param_sets) < count:
+    def _ensure_param_sets(self, threads: int) -> None:
+        """Enough stacked-parameter sets for ``threads`` bucket threads:
+        one bucket in flight per thread, and one more when there are
+        several (see :meth:`_run_buckets`)."""
+        while len(self._param_sets) < (threads + 1 if threads > 1 else 1):
             self._param_sets.append(
                 {name: Parameter(np.zeros(0), name=f"{name}xB") for name in self._names}
             )
@@ -566,51 +581,106 @@ class VectorizedRoundEngine:
 
         The buckets share no mutable state — each reads the global
         snapshot and writes its own clients' rows — so they train
-        concurrently: this thread and up to one worker per further core
-        pull buckets off one queue, this thread from the largest padded
-        size down and the workers from the smallest up, so the largest
-        buckets rarely train side by side.  numpy releases the GIL in the
-        array work.  The workers live for this call only.  After all have
-        joined, the first failing bucket's exception (in bucket order) is
-        raised.  On one core this is a plain loop that starts no thread.
+        concurrently, on this thread and up to one worker per further
+        core; numpy releases the GIL in the array work.  A bucket is a
+        generator (:meth:`_train_bucket`) that any thread may advance
+        through its array work up to its next Adam step, but only this
+        thread takes the steps, so every optimizer step of a round runs
+        on the thread that called :meth:`train_round`, where a per-thread
+        profile of a fit (cProfile, a span tracer) sees it inside the
+        round.  This thread takes a due step before anything else.  A
+        thread with nothing due advances a bucket already in flight, or
+        starts the next one: this thread from the smallest padded size
+        up, so it is soon free for the next step, and the workers from
+        the largest down.  At most one more bucket is in flight than
+        there are threads, so a bucket waiting on its step rarely leaves
+        a core idle.  The workers live for this call only.  After all
+        have joined, the first failing bucket's exception (in bucket
+        order) is raised.  On one core this is a plain loop that starts
+        no thread.
         """
         threads = min(_cpu_count(), len(buckets))
         if threads <= 1:
             params = self._param_sets[0]
-            return [self._train_bucket(params, *args) for _, args in buckets]
+            return [_drive(self._train_bucket(params, *args)) for _, args in buckets]
 
         self._ensure_param_sets(threads)
+        free_sets = self._param_sets[: threads + 1]
         results: List[Optional[List[ClientUpdate]]] = [None] * len(buckets)
         errors: List[Optional[Exception]] = [None] * len(buckets)
-        queue = collections.deque(
+        unstarted = collections.deque(
             sorted(range(len(buckets)), key=lambda index: buckets[index][0])
         )
+        # A bucket in flight is ``[index, params, generator, optimizer]``:
+        # ``ready`` ones are due array work (the generator is None until
+        # started), ``due`` ones a step of their optimizer.
+        ready: collections.deque = collections.deque()
+        due: collections.deque = collections.deque()
+        state = threading.Condition(threading.Lock())
+        unfinished = len(buckets)
 
-        def drain(params: Dict[str, Parameter], take) -> None:
-            while True:
-                try:
-                    index = take()
-                except IndexError:  # the queue is empty
-                    return
-                try:
-                    results[index] = self._train_bucket(params, *buckets[index][1])
-                except Exception as error:
-                    errors[index] = error
+        def turn(entry: list) -> None:
+            """Outside ``state``: one turn of one bucket — its due step,
+            or its array work up to the next step or its end."""
+            nonlocal unfinished
+            index, params, bucket, optimizer = entry
+            entry[3] = None
+            then: Optional[collections.deque] = None  # None: the bucket is done
+            try:
+                if optimizer is not None:
+                    optimizer.step()
+                    then = ready
+                else:
+                    if bucket is None:
+                        bucket = entry[2] = self._train_bucket(params, *buckets[index][1])
+                    entry[3] = next(bucket)
+                    then = due
+            except StopIteration as done:
+                results[index] = done.value
+            except Exception as error:
+                errors[index] = error
+            with state:
+                if then is None:
+                    free_sets.append(params)
+                    unfinished -= 1
+                else:
+                    then.append(entry)
+                state.notify_all()
+
+        def serve(steps: bool, take) -> None:
+            """Take turns until every bucket has finished; ``steps`` on
+            the calling thread only."""
+            with state:
+                while unfinished > 0:
+                    if steps and due:
+                        entry = due.popleft()
+                    elif ready:
+                        entry = ready.popleft()
+                    elif unstarted and free_sets:
+                        entry = [take(), free_sets.pop(), None, None]
+                    else:
+                        state.wait()
+                        continue
+                    state.release()
+                    try:
+                        turn(entry)
+                    finally:
+                        state.acquire()
 
         workers = [
             threading.Thread(
-                target=drain,
-                args=(self._param_sets[slot], queue.popleft),
-                name=f"round-engine-{slot}",
+                target=serve, args=(False, unstarted.pop), name=f"round-engine-{slot}"
             )
             for slot in range(1, threads)
         ]
         for worker in workers:
             worker.start()
         try:
-            drain(self._param_sets[0], queue.pop)
+            serve(True, unstarted.popleft)
         finally:
-            queue.clear()  # an interrupted caller stops the workers early
+            with state:  # an interrupted caller stops the workers early
+                unfinished = 0
+                state.notify_all()
             for worker in workers:
                 worker.join()
         for error in errors:
@@ -663,7 +733,10 @@ class VectorizedRoundEngine:
         runtimes,
         epoch_batches: List[List[TrainingBatch]],
         ddr_rows: List[object],
-    ) -> List[ClientUpdate]:
+    ) -> Generator[Adam, None, List[ClientUpdate]]:
+        """Train one bucket: a generator that yields its Adam whenever a
+        step is due and returns the bucket's updates (see
+        :func:`_drive`)."""
         trainer = self.trainer
         cfg = trainer.config
         model = trainer.models[group]
@@ -855,7 +928,7 @@ class VectorizedRoundEngine:
             for name, mask in pad_masks.items():
                 if params[name].grad is not None:  # mf trains no FFN
                     params[name].grad *= mask
-            optimizer.step()
+            yield optimizer
             per_client_loss = loss / np.maximum(batch_lengths, 1)
             if penalty is not None:
                 per_client_loss += penalty

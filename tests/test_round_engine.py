@@ -29,6 +29,7 @@ from repro.federated.payload import SparseRowDelta
 from repro.federated.privacy import PrivacyConfig
 from repro.federated.round_engine import VectorizedRoundEngine
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
+from repro.nn.optim import Adam
 
 ATOL = 1e-8
 
@@ -805,3 +806,34 @@ class TestConcurrentBuckets:
             trainer._train_clients(users)
         assert caught.value is raised[0]
         assert threading.active_count() == threads_before
+
+    def test_every_step_is_taken_on_the_calling_thread(
+        self, tiny_dataset, tiny_clients, monkeypatch
+    ):
+        # Workers only advance buckets' array work: a step on a worker
+        # would escape a per-thread profile of the round.
+        monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        trainer = FederatedTrainer(
+            tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
+            small_config(),
+        )
+        stepped_on = []
+        step = Adam.step
+
+        def recording(optimizer):
+            stepped_on.append(threading.get_ident())
+            return step(optimizer)
+
+        monkeypatch.setattr(Adam, "step", recording)
+        groups = []
+        train_bucket = VectorizedRoundEngine._train_bucket
+
+        def counting(engine, *args):
+            groups.append(args[1])
+            return train_bucket(engine, *args)
+
+        monkeypatch.setattr(VectorizedRoundEngine, "_train_bucket", counting)
+        trainer._train_clients([c.user_id for c in tiny_clients])
+        assert len(groups) >= 2
+        assert len(stepped_on) == len(groups) * trainer.config.local_epochs
+        assert set(stepped_on) == {threading.get_ident()}
