@@ -15,13 +15,15 @@ to ``BENCH_round_engine.json`` through the one benchmark CLI
 
 ``--quick`` shrinks the problem (48 clients, 400 items, 2 local epochs)
 for CI-speed runs.  What ``--check`` gates is declared in
-:func:`metrics`: each section's engine-vs-reference speedup as a floor.
-That ``speedup`` times the engine on one thread, so it measures the
-fused computation's win over the per-client oracle wherever it runs;
-the engine's default round, its buckets on every core, is reported
-beside it as ``threaded_speedup`` (``vectorized.threaded``).  The
-threads' gain grows with the number of length buckets in a round, so a
-``--quick`` round gains less from them than a full-scale one.
+:func:`metrics`, two floors per section.  ``speedup`` times the engine
+on one thread, so it measures the fused computation's win over the
+per-client oracle wherever it runs.  The engine's default round, its
+buckets on every core, is reported as ``threaded_speedup``
+(``vectorized.threaded``) and gated through the threads' own gain over
+the one-thread round: that gain grows with the number of length buckets
+in a round, so a ``--quick`` round gains less from the threads than a
+full-scale one, but a threaded round much slower than one thread is a
+regression at any scale.
 
 CI hooks: ``benchmarks/test_bench_round_engine.py`` (marked ``slow``,
 excluded from tier-1 by ``pytest.ini``) runs a scaled-down full check;
@@ -364,14 +366,17 @@ def measure(quick: bool = False) -> Dict:
 
 
 def metrics(report: Dict) -> List[Metric]:
-    """Each section's engine-vs-reference speedup, a floor per section.
+    """Per section, two floors: the one-thread engine's speedup over the
+    reference (``base[ncf]``) and the default, threaded round's gain over
+    the one-thread round (``base.threads[ncf]``).
 
-    Names and scale carry the measured architecture (``base[ncf]``), so
-    one architecture's speedup is never gated against another's floor,
-    and a section the baseline lacks is skipped.  The band is
-    deliberately wide: CI runs ``--quick`` problems on shared runners,
-    so this catches the engine *losing its win* (a fused path regressing
-    to reference-level cost), not percent-level noise.
+    Names and scale carry the measured architecture, so one
+    architecture's speedup is never gated against another's floor, and a
+    section the baseline lacks is skipped.  The band is deliberately
+    wide: CI runs ``--quick`` problems on shared runners, so this
+    catches the engine *losing its win* (a fused path regressing to
+    reference-level cost, or its threads serialising), not percent-level
+    noise.
     """
     sections = [("base", report)]
     for key in ("hetefedrec_dual_task", "lightgcn"):
@@ -381,6 +386,9 @@ def metrics(report: Dict) -> List[Metric]:
     for name, section in sections:
         arch = section.get("config", {}).get("arch", "ncf")
         found.append(Metric(f"{name}[{arch}]", float(section["speedup"]), "floor", arch))
+        if "threaded_speedup" in section:
+            gain = section["threaded_speedup"] / section["speedup"]
+            found.append(Metric(f"{name}.threads[{arch}]", float(gain), "floor", arch))
     return found
 
 

@@ -65,13 +65,16 @@ def test_lightgcn_benchmark_runs_at_toy_scale():
 
 def test_check_gate_passes_and_fails():
     """The --check regression gate: a report always clears its own
-    baseline, and fails one whose speedups it cannot reach."""
+    baseline, and fails one whose speedups, or whose threads' gain, it
+    cannot reach."""
     report = run_benchmark(num_clients=4, num_items=50, local_epochs=1)
     report["lightgcn"] = run_benchmark(
         num_clients=4, num_items=50, local_epochs=1, arch="lightgcn"
     )
     names = [metric.name for metric in metrics(report)]
-    assert names == ["base[ncf]", "lightgcn[lightgcn]"]
+    assert names == [
+        "base[ncf]", "base.threads[ncf]", "lightgcn[lightgcn]", "lightgcn.threads[lightgcn]"
+    ]
 
     baseline = json.loads(json.dumps(report))
     assert suite.check(metrics(report), metrics(baseline), 0.99)
@@ -82,6 +85,8 @@ def test_check_gate_passes_and_fails():
         "lightgcn": {**report["lightgcn"], "speedup": 1e9},
     }
     assert not suite.check(metrics(report), metrics(inflated), 0.99)
+    faster_threads = {**report, "threaded_speedup": report["threaded_speedup"] * 100.0}
+    assert not suite.check(metrics(report), metrics(faster_threads), 0.99)
 
     # Sections missing from the baseline are skipped, never failed.
     partial = {"speedup": report["speedup"]}

@@ -130,17 +130,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _drive(bucket: Generator[Adam, None, List[ClientUpdate]]) -> List[ClientUpdate]:
-    """Train a bucket to its end on this thread, taking each step it asks
-    for; returns its updates."""
-    while True:
-        try:
-            optimizer = next(bucket)
-        except StopIteration as done:
-            return done.value
-        optimizer.step()
-
-
 def _pad_head_value(
     name: str, value: np.ndarray, width: int, dim: int, dtype
 ) -> np.ndarray:
@@ -460,6 +449,10 @@ class BucketObjective:
             for task in range(1, num_tasks):
                 d_ffn_items += np.matmul(delta[task], item_weight_t[task])
             d_items += d_ffn_items
+            del delta, d_ffn_items
+        # Only d_items and d_users go on: let the forward's activations go
+        # before the scatters and the DDR term allocate their own.
+        del items, items_t, inputs, masks
 
         table_grad = params["V"].grad
         table_grad.fill(0.0)
@@ -521,21 +514,22 @@ class VectorizedRoundEngine:
             )
         self.trainer = trainer
         self.ddr_alpha = trainer.fused_objective()
-        # One set of stacked parameters per bucket in flight, rebound to
-        # each bucket it holds: the engine builds no tape nodes while it
-        # trains.
+        # One set of stacked parameters per thread, rebound to each bucket
+        # the thread holds: the engine builds no tape nodes while it trains.
         self._names = ["U", "V", *trainer.models[trainer.groups[0]].head.state_dict()]
         self._param_sets: List[Dict[str, Parameter]] = []
-        self._ensure_param_sets(_cpu_count())
+        self._free_sets(_cpu_count())
 
-    def _ensure_param_sets(self, threads: int) -> None:
-        """Enough stacked-parameter sets for ``threads`` bucket threads:
-        one bucket in flight per thread, and one more when there are
-        several (see :meth:`_run_buckets`)."""
-        while len(self._param_sets) < (threads + 1 if threads > 1 else 1):
+    def _free_sets(self, threads: int) -> List[Dict[str, Parameter]]:
+        """One stacked-parameter set per thread, built on first need: a
+        round has at most one bucket in flight per thread (see
+        :meth:`_run_buckets`)."""
+        count = max(threads, 1)
+        while len(self._param_sets) < count:
             self._param_sets.append(
                 {name: Parameter(np.zeros(0), name=f"{name}xB") for name in self._names}
             )
+        return self._param_sets[:count]
 
     # ------------------------------------------------------------------
     # Round execution
@@ -592,20 +586,17 @@ class VectorizedRoundEngine:
         thread with nothing due advances a bucket already in flight, or
         starts the next one: this thread from the smallest padded size
         up, so it is soon free for the next step, and the workers from
-        the largest down.  At most one more bucket is in flight than
-        there are threads, so a bucket waiting on its step rarely leaves
-        a core idle.  The workers live for this call only.  After all
-        have joined, the first failing bucket's exception (in bucket
-        order) is raised.  On one core this is a plain loop that starts
-        no thread.
+        the largest down.  At most one bucket per thread is in flight: a
+        worker whose bucket waits on its step waits with it, because a
+        further bucket's stacks, moments and activations would raise the
+        round's peak memory more than the wait costs in time.  The
+        workers live for this call only.  After all have joined, the
+        first failing bucket's exception (in bucket order) is raised.  On
+        one core no worker starts: this thread trains the buckets one
+        after another.
         """
         threads = min(_cpu_count(), len(buckets))
-        if threads <= 1:
-            params = self._param_sets[0]
-            return [_drive(self._train_bucket(params, *args)) for _, args in buckets]
-
-        self._ensure_param_sets(threads)
-        free_sets = self._param_sets[: threads + 1]
+        free_sets = self._free_sets(threads)
         results: List[Optional[List[ClientUpdate]]] = [None] * len(buckets)
         errors: List[Optional[Exception]] = [None] * len(buckets)
         unstarted = collections.deque(
@@ -736,7 +727,7 @@ class VectorizedRoundEngine:
     ) -> Generator[Adam, None, List[ClientUpdate]]:
         """Train one bucket: a generator that yields its Adam whenever a
         step is due and returns the bucket's updates (see
-        :func:`_drive`)."""
+        :meth:`_run_buckets`)."""
         trainer = self.trainer
         cfg = trainer.config
         model = trainer.models[group]
@@ -793,6 +784,8 @@ class VectorizedRoundEngine:
         uniq_slots = uniq_owner * max_rows + np.arange(uniq_keys.size) - first[uniq_owner]
         uniq_items = uniq_keys - uniq_owner * num_items
         slots = uniq_slots[local]
+        # The bucket's frame lives across its steps: keep only the layout.
+        del keys, sorted_keys, head, local, uniq_keys
 
         work_table = np.zeros((num_clients * max_rows, dim), dtype=dtype)
         # Keys sort by owner, so client ``b``'s rows are ``bounds[b]:bounds[b+1]``.
