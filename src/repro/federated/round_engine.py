@@ -121,6 +121,14 @@ _NO_DDR = object()
 #: What a stacked parameter holds between buckets.
 _EMPTY = np.zeros(0)
 
+#: Summed padded size (clients x longest batch x width) from which a
+#: round's buckets train on worker threads too.  A smaller round is
+#: mostly Python under the GIL, which a worker only contends for.  On a
+#: 2-core box, rounds under 6e4 took 14-37 % longer on two threads than on
+#: one and rounds over 3e5 took 7-22 % less; in between, the change ran
+#: from 8 % slower to 22 % faster, and the gate sits there.
+_THREADED_SIZE = 1 << 17
+
 
 def _cpu_count() -> int:
     """Cores this process may run on: how many buckets train at once."""
@@ -592,10 +600,12 @@ class VectorizedRoundEngine:
         round's peak memory more than the wait costs in time.  The
         workers live for this call only.  After all have joined, the
         first failing bucket's exception (in bucket order) is raised.  On
-        one core no worker starts: this thread trains the buckets one
-        after another.
+        one core, or for a round smaller than :data:`_THREADED_SIZE`, no
+        worker starts: this thread trains the buckets one after another.
         """
         threads = min(_cpu_count(), len(buckets))
+        if sum(size for size, _ in buckets) < _THREADED_SIZE:
+            threads = 1
         free_sets = self._free_sets(threads)
         results: List[Optional[List[ClientUpdate]]] = [None] * len(buckets)
         errors: List[Optional[Exception]] = [None] * len(buckets)

@@ -691,6 +691,7 @@ class TestConcurrentBuckets:
 
     def run_rounds(self, make, cpus, monkeypatch, tiny_clients):
         monkeypatch.setattr(round_engine, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)  # tiny rounds too
         trainer = make()
         calls = []
         train_bucket = VectorizedRoundEngine._train_bucket
@@ -783,6 +784,7 @@ class TestConcurrentBuckets:
         self, tiny_dataset, tiny_clients, monkeypatch
     ):
         monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)
         trainer = FederatedTrainer(
             tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
             small_config(),
@@ -807,12 +809,35 @@ class TestConcurrentBuckets:
         assert caught.value is raised[0]
         assert threading.active_count() == threads_before
 
+    def test_a_small_round_starts_no_worker(self, tiny_dataset, tiny_clients, monkeypatch):
+        monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        trainer = FederatedTrainer(
+            tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
+            small_config(),
+        )
+        started = []
+        thread_class = threading.Thread
+
+        class Recording(thread_class):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(round_engine.threading, "Thread", Recording)
+        users = [c.user_id for c in tiny_clients]
+        trainer._train_clients(users)  # far below the gate's size
+        assert not [name for name in started if name.startswith("round-engine")]
+        monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)
+        trainer._train_clients(users)
+        assert [name for name in started if name.startswith("round-engine")]
+
     def test_every_step_is_taken_on_the_calling_thread(
         self, tiny_dataset, tiny_clients, monkeypatch
     ):
         # Workers only advance buckets' array work: a step on a worker
         # would escape a per-thread profile of the round.
         monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)
         trainer = FederatedTrainer(
             tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
             small_config(),
