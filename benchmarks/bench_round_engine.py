@@ -67,8 +67,8 @@ def build_problem(num_clients: int, num_items: int, seed: int = 7):
     return dataset, clients
 
 
-def on_reference(trainer: FederatedTrainer) -> FederatedTrainer:
-    """Put ``trainer``'s rounds on the per-client tape oracle.
+def oracle():
+    """The per-client tape oracle module, ``tests/reference_trainer.py``.
 
     The oracle is test code: ``tests/`` joins ``sys.path`` the way
     pytest's rootdir-relative import puts it there for the tests.
@@ -76,9 +76,14 @@ def on_reference(trainer: FederatedTrainer) -> FederatedTrainer:
     tests = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
     if tests not in sys.path:
         sys.path.insert(0, tests)
-    from reference_trainer import install
+    import reference_trainer
 
-    return install(trainer)
+    return reference_trainer
+
+
+def on_reference(trainer: FederatedTrainer) -> FederatedTrainer:
+    """Put ``trainer``'s rounds on the per-client tape oracle."""
+    return oracle().install(trainer)
 
 
 def count_tape_nodes(fn) -> int:
@@ -227,15 +232,16 @@ def run_benchmark(
     }
 
     # Evaluation: the same blocked evaluator fed per-client tape rows
-    # (score_all_items, one client at a time) vs the trainer's batched
+    # (the oracle's tape_scores, one client at a time) vs the trainer's batched
     # score_item_matrix.  All three stock archs score in blocks
     # (LightGCN's local-graph propagation batches through score_matrix's
     # train_items argument).
     trainer = trainers["vectorized"]
+    tape_scores = oracle().tape_scores
     evaluator = Evaluator(clients, k=20)
     start = time.perf_counter()
     per_client = evaluator.evaluate(
-        lambda block: np.stack([trainer.score_all_items(c) for c in block])
+        lambda block: np.stack([tape_scores(trainer, c) for c in block])
     )
     eval_reference_seconds = time.perf_counter() - start
     start = time.perf_counter()

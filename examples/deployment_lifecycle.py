@@ -95,7 +95,7 @@ def main() -> None:
     resume(resumed, ckpt)
     resumed.fit(evaluator)  # continues past the kill, finishes the schedule
     bitwise = all(
-        np.array_equal(resumed.score_all_items(c), trainer.score_all_items(c))
+        np.array_equal(resumed.score_item_matrix([c]), trainer.score_item_matrix([c]))
         for c in clients[:5]
     )
     print(

@@ -14,7 +14,6 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad
 from repro.core.grouping import divide_clients
 from repro.data.dataset import ClientData
 from repro.federated.checkpoint import CheckpointMismatchError
@@ -76,23 +75,27 @@ class StandaloneTrainer(FederatedTrainer):
     # ------------------------------------------------------------------
     # Inference against the personal model
     # ------------------------------------------------------------------
-    def score_all_items(self, client: ClientData) -> np.ndarray:
-        runtime = self.runtimes[client.user_id]
-        group = self.group_of[client.user_id]
-        model = self.models[group]
-        global_state = model.state_dict()
-        model.load_state_dict(self._client_states[client.user_id])
-        try:
-            with no_grad():
-                logits = model.logits(
-                    Tensor(runtime.user_embedding),
-                    np.arange(self.num_items, dtype=np.int64),
-                    train_item_ids=client.train_items,
-                )
-                return logits.data.copy()
-        finally:
-            model.load_state_dict(global_state)
-
     def score_item_matrix(self, clients: Sequence[ClientData]) -> np.ndarray:
-        """One row per client, each scored by that client's personal model."""
-        return np.stack([self.score_all_items(client) for client in clients])
+        """One row per client, each scored by that client's personal model.
+
+        Each personal table and head is loaded into its group's model in
+        turn and scored through ``score_matrix``; the global models are
+        restored before returning.
+        """
+        scores = np.empty((len(clients), self.num_items))
+        global_states: Dict[str, Dict[str, np.ndarray]] = {}
+        try:
+            for row, client in enumerate(clients):
+                group = self.group_of[client.user_id]
+                model = self.models[group]
+                if group not in global_states:
+                    global_states[group] = model.state_dict()
+                model.load_state_dict(self._client_states[client.user_id])
+                scores[row] = model.score_matrix(
+                    self.user_tables[group].take([client.user_id]),
+                    train_items=[client.train_items],
+                )[0]
+        finally:
+            for group, state in global_states.items():
+                self.models[group].load_state_dict(state)
+        return scores

@@ -11,8 +11,7 @@ Four pieces compose the framework:
 
 from repro.core.config import HeteFedRecConfig
 from repro.core.grouping import GROUP_ORDER, divide_clients, group_boundaries
-from repro.core.dual_task import dual_task_loss
-from repro.core.decorrelation import decorrelation_penalty, singular_value_variance
+from repro.core.decorrelation import singular_value_variance
 from repro.core.distillation import DistillationConfig, relation_distillation_step
 from repro.core.hetefedrec import HeteFedRec
 from repro.core.size_search import (
@@ -28,8 +27,6 @@ __all__ = [
     "GROUP_ORDER",
     "divide_clients",
     "group_boundaries",
-    "dual_task_loss",
-    "decorrelation_penalty",
     "singular_value_variance",
     "DistillationConfig",
     "relation_distillation_step",

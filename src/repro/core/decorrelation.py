@@ -9,38 +9,15 @@ matrix of the column-standardised table has the same effect as directly
 penalising the variance of the covariance spectrum (Eq. 12) at a fraction
 of the cost.
 
-This module provides both: the differentiable penalty used in training
-(Eq. 13) and the singular-value-variance diagnostic reported in Table V.
+The penalty used in training (Eq. 13) is differentiated in closed form
+by the round engine (:mod:`repro.federated.round_engine`); this module
+holds the collapse diagnostics: the singular-value variance reported in
+Table V and the effective rank.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.autograd.tensor import Tensor
-from repro.nn.functional import standardize_columns
-
-
-def decorrelation_penalty(embedding: Tensor, eps: float = 1e-8) -> Tensor:
-    """Eq. 13 verbatim: ``(1/N) ‖corr((V - V̄)/√var(V))‖_F``.
-
-    The correlation matrix of a column-standardised matrix is
-    ``Z^T Z / M``.  Its diagonal is identically ~1 regardless of ``V``, and
-    the paper keeps it inside the norm.  That is not a cosmetic detail:
-    with off-diagonal mass ``s`` the penalty is ``√(s + N)/N``, whose
-    gradient carries a ``1/(2√(s+N))`` factor — the constant diagonal
-    *damps* the regulariser when the table is already decorrelated, which
-    is what makes α ≈ 1 a stable operating point (Fig. 8).  Dropping the
-    diagonal (a tempting "optimisation") makes the gradient explode near
-    zero and the penalty dominate the recommendation loss.
-    """
-    rows, cols = embedding.shape
-    if cols < 2:
-        # A single dimension cannot be correlated with anything.
-        return (embedding * 0.0).sum()
-    z = standardize_columns(embedding, eps=eps)
-    corr = z.T.matmul(z) / float(rows)
-    return ((corr * corr).sum() + eps) ** 0.5 / float(cols)
 
 
 def singular_value_variance(embedding: np.ndarray) -> float:

@@ -7,19 +7,25 @@ relation* (Eq. 16), and nudges every table so its own relation matrix
 moves toward the ensemble (Eq. 17).  Knowledge flows across width classes
 through shared spatial structure rather than through shared parameters —
 the piece padding aggregation alone cannot provide.
+
+The relation step is closed-form numpy: the forward, its hand-derived
+backward and an SGD update of the subset rows, which are the only rows
+with a non-zero gradient.  Every expression replays the arithmetic order
+and the dtypes of the tape form it replaced (``tests/engine_oracle.py``
+keeps that form as the oracle), so a table takes bitwise the same step,
+in float32 as in float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor, no_grad
-from repro.nn.module import Parameter
-from repro.nn.optim import SGD
+#: Added to each row's squared norm.  A float64 scalar, so a float32
+#: table's relation is float64 from the norms on, as RESKD always had it.
+_NORM_EPS = np.float64(1e-12)
 
 
 @dataclass
@@ -43,59 +49,73 @@ class DistillationConfig:
             raise ValueError("steps must be non-negative")
 
 
+def _unit_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(squared norms + eps, unit rows)`` of a (n, d) row block."""
+    norm_sq = (rows * rows).sum(axis=-1, keepdims=True) + _NORM_EPS
+    return norm_sq, rows / norm_sq**0.5
+
+
 def ensemble_relation(
     tables: Mapping[str, np.ndarray], subset: np.ndarray
 ) -> np.ndarray:
     """Eq. 16: mean pairwise-cosine matrix of ``subset`` across tables."""
     matrices = []
-    with no_grad():
-        for values in tables.values():
-            rows = Tensor(values[subset])
-            matrices.append(ops.cosine_similarity_matrix(rows).data)
+    for table in tables.values():
+        unit = _unit_rows(table[subset])[1]
+        matrices.append(unit @ unit.T)
     return np.mean(matrices, axis=0)
 
 
-def relation_distillation_loss(
-    embedding: Parameter, subset: np.ndarray, target_relation: np.ndarray
-) -> Tensor:
-    """Eq. 17: squared distance between a table's relation and the ensemble."""
-    rows = ops.gather(embedding, subset)
-    relation = ops.cosine_similarity_matrix(rows)
-    diff = relation - Tensor(target_relation)
-    return (diff * diff).sum()
+def _relation_loss_and_grad(
+    rows: np.ndarray, target_relation: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """Eq. 17 on a row block: ``(‖cos(rows) − target‖², ∂loss/∂rows)``.
+
+    With ``u = x / ‖x‖`` row-wise, ``R = u uᵀ`` and ``D = R − T``, the
+    loss is ``Σ D²``; ``∂/∂R = 2D``, ``∂/∂u = 2D u + (uᵀ 2D)ᵀ``, and the
+    normalisation's backward folds the norm's gradient back into ``x``.
+    The gradient is in the rows' dtype: the two terms that land on ``x``
+    and on its squared norms are rounded to it, as a gradient buffer of
+    that dtype holds them.
+    """
+    norm_sq, unit = _unit_rows(rows)
+    norm = norm_sq**0.5
+    diff = unit @ unit.T - target_relation
+    d_relation = diff + diff
+    d_unit = d_relation @ unit
+    d_unit += (unit.T @ d_relation).T
+    d_norm = (-d_unit * rows / norm**2).sum(axis=1, keepdims=True)
+    d_sq = (d_norm * 0.5 * norm_sq**-0.5).astype(rows.dtype)
+    d_rows = (d_unit / norm).astype(rows.dtype)
+    d_rows += d_sq * rows
+    d_rows += d_sq * rows
+    return float((diff * diff).sum()), d_rows
 
 
 def relation_distillation_step(
-    embeddings: Mapping[str, Parameter],
+    tables: Mapping[str, np.ndarray],
     config: DistillationConfig,
     rng: np.random.Generator,
 ) -> Dict[str, float]:
-    """One full RESKD pass over all tables; returns per-table final losses.
+    """One full RESKD pass over all tables, in place; per-table final losses.
 
     The ensemble target is computed once from the pre-step tables (a fixed
     target, as in the paper — each table distils *toward* the ensemble, it
     does not chase the other tables mid-step), then each table descends
-    the relation loss for ``config.steps`` SGD steps.
+    the relation loss for ``config.steps`` SGD steps.  ``subset`` is drawn
+    without replacement, so each step updates exactly its rows; a table
+    keeps its dtype.
     """
-    any_table = next(iter(embeddings.values()))
-    catalogue = any_table.data.shape[0]
+    catalogue = next(iter(tables.values())).shape[0]
     size = min(config.num_items, catalogue)
     subset = rng.choice(catalogue, size=size, replace=False)
-
-    target = ensemble_relation(
-        {name: param.data for name, param in embeddings.items()}, subset
-    )
+    target = ensemble_relation(tables, subset)
 
     losses: Dict[str, float] = {}
-    for name, param in embeddings.items():
+    for name, table in tables.items():
         final = 0.0
-        if config.steps:
-            optimizer = SGD([param], lr=config.lr)
-            for _ in range(config.steps):
-                optimizer.zero_grad()
-                loss = relation_distillation_loss(param, subset, target)
-                loss.backward()
-                optimizer.step()
-                final = float(loss.data)
+        for _ in range(config.steps):
+            final, grad = _relation_loss_and_grad(table[subset], target)
+            table[subset] -= config.lr * grad
         losses[name] = final
     return losses

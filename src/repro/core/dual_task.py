@@ -11,21 +11,16 @@ fixes this by having every client optimise the recommendation loss of
 * ``L_l = L(u[:Ns], V_l[:, :Ns], Θ_s) + L(u[:Nm], V_l[:, :Nm], Θ_m) + L(u, V_l, Θ_l)``
 
 The prefix terms slice the *same* tensors, so one backward pass pushes
-coherent gradients into every nested width at once.
+coherent gradients into every nested width at once.  The round engine
+computes all of a client's terms as one fused multi-width objective
+(:mod:`repro.federated.round_engine`); this module names the tasks.
 """
 
 from __future__ import annotations
 
 from typing import List, Mapping
 
-import numpy as np
-
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor
 from repro.core.grouping import GROUP_ORDER
-from repro.data.sampling import TrainingBatch
-from repro.models.base import BaseRecommender
-from repro.nn.module import Parameter
 
 
 def widths_up_to(group: str, dims: Mapping[str, int]) -> List[str]:
@@ -38,42 +33,3 @@ def widths_up_to(group: str, dims: Mapping[str, int]) -> List[str]:
         raise KeyError(f"group {group!r} has no dimension assignment")
     own = dims[group]
     return [g for g in GROUP_ORDER if g in dims and dims[g] <= own]
-
-
-def dual_task_loss(
-    model: BaseRecommender,
-    group: str,
-    dims: Mapping[str, int],
-    heads: Mapping[str, object],
-    user_param: Parameter,
-    batch: TrainingBatch,
-    train_item_ids: np.ndarray,
-) -> Tensor:
-    """Build the Eq. 11 multi-width loss graph for one client.
-
-    Parameters
-    ----------
-    model:
-        The client's own model (it owns the item table ``V_group``).
-    heads:
-        ``{group: ScoringHead}`` — the Θ of every width class; a client
-        only uses the heads of widths ≤ its own.
-    user_param:
-        The client's private embedding at its full width; prefix slices
-        are taken inside the graph so all terms update the same tensor.
-    """
-    terms: List[Tensor] = []
-    for task_group in widths_up_to(group, dims):
-        width = dims[task_group]
-        logits = model.logits(
-            user_param,
-            batch.items,
-            train_item_ids=train_item_ids,
-            width=width,
-            head=heads[task_group],
-        )
-        terms.append(ops.bce_with_logits(logits, batch.labels))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total

@@ -113,10 +113,10 @@ class HeteFedRec(FederatedTrainer):
     def post_aggregate(self, epoch: int) -> None:
         if not self.config.enable_reskd:
             return
-        embeddings = {
-            group: self.models[group].item_embedding.weight for group in self.groups
+        tables = {
+            group: self.models[group].item_embedding.weight.data for group in self.groups
         }
-        relation_distillation_step(embeddings, self.config.distillation, self._kd_rng)
+        relation_distillation_step(tables, self.config.distillation, self._kd_rng)
 
     # ------------------------------------------------------------------
     # Diagnostics

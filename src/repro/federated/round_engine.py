@@ -107,11 +107,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 #: Architectures whose *training* objective the engine differentiates
-#: (:class:`BucketObjective` reproduces the ScoringHead MLP+GMF structure,
-#: and LightGCN's local-graph propagation batches via the model's
-#: ``fused_propagation`` descriptor).  Inference-time ``score_matrix``
-#: support is not enough: a new architecture needs an engine forward and
-#: backward of its own, not just scoring.
+#: (:class:`BucketObjective` reproduces the ScoringHead MLP+GMF structure;
+#: for ``lightgcn`` it also runs the star-graph propagation over each
+#: client's local graph).  Inference-time ``score_matrix`` support is not
+#: enough: a new architecture needs an engine forward and backward of its
+#: own, not just scoring.
 BATCHABLE_ARCHS = ("ncf", "mf", "lightgcn")
 
 #: Marks a client with no DDR term this round (distinct from ``None``,
@@ -278,9 +278,10 @@ def _decorrelation_backward(
     """Eq. 13 per batch slice and its gradient: ``(B, M, d) → (B,), (B, M, d)``.
 
     The same standardisation, in-norm diagonal and ``eps`` placement as
-    :func:`repro.core.decorrelation.decorrelation_penalty` on each
-    ``(M, d)`` slice; returns the penalties and the gradient of
-    ``alpha · Σ_b penalty_b`` with respect to ``stack``.  Each step
+    Eq. 13's tape form (``decorrelation_penalty`` in
+    ``tests/engine_oracle.py``) on each ``(M, d)`` slice; returns the
+    penalties and the gradient of ``alpha · Σ_b penalty_b`` with respect
+    to ``stack``.  Each step
     replays the tape's arithmetic for the same expression (operands,
     reductions and accumulation order), so float64 results are bitwise
     the tape's.
@@ -761,7 +762,7 @@ class VectorizedRoundEngine:
                 "all of a group's clients or none"
             )
         ddr_active = self.ddr_alpha > 0 and all(eligible) and dim >= 2
-        propagation = model.fused_propagation()
+        propagates = model.arch == "lightgcn"
 
         # Every row a client touches this round, keyed ``b·|V| + item``:
         # each epoch's batch, then the local graph's neighbours (read and
@@ -772,7 +773,7 @@ class VectorizedRoundEngine:
         parts: List[Tuple[np.ndarray, np.ndarray]] = []  # (item ids, lengths)
         for epoch in range(local_epochs):
             parts.append(self._part([batches[epoch].items for batches in epoch_batches]))
-        if propagation is not None:
+        if propagates:
             parts.append(self._part([runtime.data.train_items for runtime in runtimes]))
         if ddr_active:
             parts.append(self._part([
@@ -828,7 +829,7 @@ class VectorizedRoundEngine:
         # their user embedding unpropagated (the reference's
         # empty-neighbourhood limit).
         graph = None
-        if propagation is not None:
+        if propagates:
             nbr_counts = parts[local_epochs][1]
             width = max(int(nbr_counts.max(initial=0)), 1)
             positions, nbr_slots, within = padded(local_epochs, width)

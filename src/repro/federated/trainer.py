@@ -35,7 +35,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataset import ClientData
 from repro.eval.evaluator import Evaluator
 from repro.federated.aggregation import (
@@ -618,31 +617,14 @@ class FederatedTrainer:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def score_all_items(self, client: ClientData) -> np.ndarray:
-        """Scores of every catalogue item for one user, through the tape.
-
-        The per-user reference :meth:`score_item_matrix` is pinned against.
-        """
-        runtime = self.runtimes[client.user_id]
-        group = self.group_of[client.user_id]
-        model = self.models[group]
-        with no_grad():
-            user_vec = Tensor(runtime.user_embedding)
-            logits = model.logits(
-                user_vec,
-                np.arange(self.num_items, dtype=np.int64),
-                train_item_ids=client.train_items,
-            )
-        return logits.data.copy()
-
     def score_item_matrix(self, clients: Sequence[ClientData]) -> np.ndarray:
         """Scores of every catalogue item for a block of users at once.
 
         Gathers each dim-group's rows from its user table and runs the
         group model's batched :meth:`~repro.models.base.BaseRecommender.score_matrix`
-        once — the blocked counterpart of :meth:`score_all_items`, used by
-        :meth:`Evaluator.evaluate`.  Each client's local graph
-        rides along for architectures whose scoring propagates over it.
+        once; :meth:`Evaluator.evaluate` and the checkpoint's served
+        scores read it.  Each client's local graph rides along for
+        architectures whose scoring propagates over it.
         """
         scores = np.empty((len(clients), self.num_items))
         for group in self.groups:

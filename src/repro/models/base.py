@@ -8,13 +8,18 @@ splits parameters:
 * ``head`` — the predictor Θ (feed-forward layers over the concatenated
   user/item vectors, Eq. 5);
 * the user embedding ``u_i`` is *not* part of the model: it is each
-  client's private parameter and is passed into :meth:`logits` by the
-  federated layer.
+  client's private parameter and is passed into :meth:`score_matrix` by
+  the federated layer.
 
 Prefix scoring (``width`` < N) is first-class because HeteFedRec's unified
 dual-task learning (Eq. 11) scores items with column-prefixes of a larger
 table through a smaller head; gradients then flow into exactly those
 prefix columns, which is what makes the padded aggregation sound.
+
+A model has one forward pass, the plain-numpy :meth:`score_matrix`;
+training differentiates the same scoring in the round engine's closed
+form (:mod:`repro.federated.round_engine`).  The tape forms of both live
+with the tests, as their gradient-checking oracle.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor
 from repro.nn.layers import Embedding, Linear, ReLU, Sequential
 from repro.nn.module import Module
 
@@ -64,15 +67,8 @@ class ScoringHead(Module):
         # model a useful collaborative-filtering prior from step one.
         self.gmf.weight.data[...] = 1.0
 
-    def forward(self, user_vecs: Tensor, item_vecs: Tensor) -> Tensor:
-        """Logits for aligned batches of user and item vectors (B × d each)."""
-        x = ops.concat([user_vecs, item_vecs], axis=1)
-        mlp_logit = self.ffn(x).reshape(-1)
-        gmf_logit = self.gmf(user_vecs * item_vecs).reshape(-1)
-        return mlp_logit + gmf_logit
-
     # ------------------------------------------------------------------
-    # Batched all-pairs scoring (evaluation fast path, plain numpy)
+    # Batched scoring (plain numpy)
     # ------------------------------------------------------------------
     def gmf_matrix(self, user_mat: np.ndarray, item_mat: np.ndarray) -> np.ndarray:
         """GMF logits for every user×item pair as one BLAS call.
@@ -113,8 +109,7 @@ class ScoringHead(Module):
     def logits_pairs(self, user_mat: np.ndarray, item_mat: np.ndarray) -> np.ndarray:
         """Full-head logits for *aligned* (P, d) user/item rows, (P,).
 
-        The plain-numpy counterpart of :meth:`forward` for inference:
-        pair ``p`` scores ``user_mat[p]`` against ``item_mat[p]``.  Used
+        Pair ``p`` scores ``user_mat[p]`` against ``item_mat[p]``.  Used
         where the all-pairs :meth:`logits_matrix` block does not apply —
         LightGCN's interacted items propagate per (user, item) edge, so
         their corrected scores are a sparse set of aligned pairs.
@@ -134,16 +129,6 @@ class ScoringHead(Module):
                     z = z + layer.bias.data
         gmf = ((user_mat * self.gmf.weight.data[:, 0]) * item_mat).sum(axis=1)
         return z[:, 0] + gmf
-
-
-def tile_user(user_vec: Tensor, batch: int) -> Tensor:
-    """Broadcast a (d,) user vector into a (batch, d) matrix, differentiably.
-
-    Implemented as ``ones(batch, 1) @ u.reshape(1, d)`` so the gradient of
-    every row accumulates back into the single private user embedding.
-    """
-    ones = Tensor(np.ones((batch, 1)))
-    return ones.matmul(user_vec.reshape(1, -1))
 
 
 class BaseRecommender(Module):
@@ -182,60 +167,6 @@ class BaseRecommender(Module):
     # ------------------------------------------------------------------
     # Scoring API
     # ------------------------------------------------------------------
-    def item_vectors(self, item_ids: np.ndarray, width: Optional[int] = None) -> Tensor:
-        """Gather item rows, optionally truncated to a column prefix."""
-        vecs = self.item_embedding(item_ids)
-        if width is not None and width < self.dim:
-            vecs = vecs[:, :width]
-        return vecs
-
-    def logits(
-        self,
-        user_vec: Tensor,
-        item_ids: np.ndarray,
-        train_item_ids: Optional[np.ndarray] = None,
-        width: Optional[int] = None,
-        head: Optional[ScoringHead] = None,
-    ) -> Tensor:
-        """Preference logits of one user for ``item_ids``.
-
-        ``width``/``head`` select a prefix sub-model: item vectors are the
-        first ``width`` columns of this model's table, the user vector is
-        truncated to match, and ``head`` (a smaller Θ) scores them.  With
-        the defaults this is ordinary full-width scoring.
-
-        ``train_item_ids`` carries the client's local graph for models
-        whose scoring uses it (LightGCN); NCF ignores it.
-        """
-        effective, head = self._validate_prefix(width, head)
-        item_vecs = self.item_vectors(np.asarray(item_ids, dtype=np.int64), width=effective)
-        if effective < user_vec.shape[-1]:
-            user_vec = user_vec[:effective]
-        return self._score(user_vec, item_vecs, np.asarray(item_ids), train_item_ids, head, effective)
-
-    def _score(
-        self,
-        user_vec: Tensor,
-        item_vecs: Tensor,
-        item_ids: np.ndarray,
-        train_item_ids: Optional[np.ndarray],
-        head: ScoringHead,
-        width: int,
-    ) -> Tensor:
-        raise NotImplementedError
-
-    def fused_propagation(self):
-        """Engine hook: batchable description of any pre-scoring propagation.
-
-        The counterpart of ``FederatedTrainer.fused_objective`` at the
-        model layer: architectures whose ``_score`` runs a message-passing
-        stage over per-client local graphs (LightGCN) return a descriptor
-        the vectorized round engine can execute as one padded multi-client
-        operation; ``None`` (the default) means scoring consumes the
-        gathered embeddings directly and no propagation stage is needed.
-        """
-        return None
-
     def score_matrix(
         self,
         user_mat: np.ndarray,
@@ -246,13 +177,12 @@ class BaseRecommender(Module):
         """Scores of *every* catalogue item for a stacked block of users.
 
         ``user_mat`` is (B, N); the result is (B, |V|) — one full-ranking
-        score row per user, computed as blocked matrix products instead of
-        B separate :meth:`logits` calls.  Plain numpy (no tape): this is an
-        inference-only path.  ``train_items`` optionally carries each
-        user's local graph (one id array per row, aligned with
-        ``user_mat``) for architectures whose scoring propagates over it
-        (LightGCN); NCF/GMF ignore it.  Every architecture must implement
-        it: the evaluator and the serving layer only score blocks.
+        score row per user, computed as blocked matrix products.
+        ``train_items`` optionally carries each user's local graph (one id
+        array per row, aligned with ``user_mat``) for architectures whose
+        scoring propagates over it (LightGCN); NCF/GMF ignore it.  Every
+        architecture must implement it: training evaluation, Standalone's
+        personal models and the serving layer all score blocks.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched scoring"
@@ -263,9 +193,8 @@ class BaseRecommender(Module):
     ) -> Tuple[int, ScoringHead]:
         """Resolve and validate a (width, head) prefix-submodel selection.
 
-        Shared by the per-user :meth:`logits` path and the blocked
-        :meth:`score_matrix` path so both accept exactly the same
-        combinations.
+        ``width`` defaults to the full table and ``head`` to this model's
+        own; the head must be exactly ``width`` wide.
         """
         head = head if head is not None else self.head
         effective = width if width is not None else self.dim

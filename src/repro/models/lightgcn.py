@@ -11,51 +11,25 @@ that star-shaped local graph a single propagation step gives:
   (their only local neighbour is the user), ``e_j' = e_j`` otherwise.
 
 The propagated embeddings are then scored with the same FFN head as NCF
-(Eq. 5).  Propagation happens inside the autodiff graph, so gradients flow
-back through the neighbourhood average into the item table.
+(Eq. 5).  Both steps are coordinatewise in the embedding, so
+:meth:`LightGCN.score_matrix` batches them over a block of users, and the
+round engine differentiates them in closed form: gradients flow back
+through the neighbourhood average into the item table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor
-from repro.models.base import BaseRecommender, ScoringHead, tile_user
-
-
-@dataclass(frozen=True)
-class LocalGraphPropagation:
-    """Batchable description of the star-graph propagation in ``_score``.
-
-    The client-local graph is star-shaped (the user node joined to its
-    ``train_item_ids``), so each of the ``layers`` propagation steps is
-    fully described by the normalized adjacency of that star:
-
-    * the user row is the degree-normalized neighbourhood average — a
-      sparse row vector ``1/|N(u)|`` over the neighbour item rows, which
-      the engine stacks across clients into one padded CSR layout and
-      applies as one padded sparse–dense product per epoch;
-    * interacted item rows mix with the user row elementwise.
-
-    Both steps are coordinatewise in the embedding, so running them at
-    the full group width and letting the zero-padded heads annihilate
-    the ``≥ w`` coordinates reproduces every dual-task width's
-    propagation exactly (same argument as the padded-head logits).
-    """
+from repro.models.base import BaseRecommender, ScoringHead
 
 
 class LightGCN(BaseRecommender):
     """One-layer local-graph LightGCN propagation + FFN scoring head."""
 
     arch = "lightgcn"
-
-    def fused_propagation(self) -> LocalGraphPropagation:
-        """The engine-executable form of this model's local propagation."""
-        return LocalGraphPropagation()
 
     def score_matrix(
         self,
@@ -74,7 +48,7 @@ class LightGCN(BaseRecommender):
         user row, a sparse set of aligned (user, item) pairs corrected
         in place via :meth:`ScoringHead.logits_pairs`.  ``train_items``
         omitted (or empty per user) degenerates to the un-propagated
-        limit, matching :meth:`_score`.
+        limit: an empty neighbourhood leaves the embeddings as they are.
         """
         user_mat, item_mat, head = self._prefix_block(user_mat, width, head)
         num_users = user_mat.shape[0]
@@ -118,33 +92,3 @@ class LightGCN(BaseRecommender):
             user_prop[edge_users], pair_items
         )
         return scores
-
-    def _score(
-        self,
-        user_vec: Tensor,
-        item_vecs: Tensor,
-        item_ids: np.ndarray,
-        train_item_ids: Optional[np.ndarray],
-        head: ScoringHead,
-        width: int,
-    ) -> Tensor:
-        batch = item_vecs.shape[0]
-
-        if train_item_ids is None or len(train_item_ids) == 0:
-            # No local graph available (e.g. cold evaluation): degenerate to
-            # the un-propagated embeddings, which is the correct limit of
-            # the propagation when the neighbourhood is empty.
-            user_prop = user_vec
-            item_prop = item_vecs
-        else:
-            train_item_ids = np.asarray(train_item_ids, dtype=np.int64)
-            neighbour_vecs = self.item_vectors(train_item_ids, width=width)
-            user_prop = (user_vec + neighbour_vecs.mean(axis=0)) * 0.5
-
-            interacted = np.isin(item_ids, train_item_ids).reshape(batch, 1)
-            user_row = user_vec.reshape(1, -1)
-            propagated = (item_vecs + user_row) * 0.5
-            item_prop = ops.where(interacted, propagated, item_vecs)
-
-        user_mat = tile_user(user_prop, batch)
-        return head(user_mat, item_prop)

@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
-from repro.models.base import BaseRecommender, ScoringHead, tile_user
+from repro.models.base import BaseRecommender, ScoringHead
 
 
 class NCF(BaseRecommender):
@@ -29,16 +28,3 @@ class NCF(BaseRecommender):
     ) -> np.ndarray:
         user_mat, item_mat, head = self._prefix_block(user_mat, width, head)
         return head.logits_matrix(user_mat, item_mat)
-
-    def _score(
-        self,
-        user_vec: Tensor,
-        item_vecs: Tensor,
-        item_ids: np.ndarray,
-        train_item_ids: Optional[np.ndarray],
-        head: ScoringHead,
-        width: int,
-    ) -> Tensor:
-        batch = item_vecs.shape[0]
-        user_mat = tile_user(user_vec, batch)
-        return head(user_mat, item_vecs)

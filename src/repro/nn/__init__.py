@@ -1,14 +1,15 @@
-"""Minimal neural-network library on top of :mod:`repro.autograd`.
+"""Minimal neural-network containers: modules, initialisers, optimisers.
 
-Provides the modules, initialisers and optimisers used by the base
-recommenders (NCF, LightGCN) and the HeteFedRec losses.
+Provides the parameter containers of the base recommenders (NCF,
+LightGCN, GMF) and the optimisers the round engine and RESKD step with.
+Forward passes are plain numpy on the models themselves
+(``score_matrix``) and in the round engine's closed form.
 """
 
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Embedding, Linear, ReLU, Sequential, Sigmoid, Tanh
+from repro.nn.layers import Embedding, Linear, ReLU, Sequential
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn import init
-from repro.nn import functional
 
 __all__ = [
     "Module",
@@ -17,11 +18,8 @@ __all__ = [
     "Embedding",
     "Sequential",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Optimizer",
     "SGD",
     "Adam",
     "init",
-    "functional",
 ]

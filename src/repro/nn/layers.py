@@ -1,13 +1,15 @@
-"""Layers: Linear, Embedding, Sequential and pointwise activations."""
+"""Layers: Linear, Embedding, Sequential and ReLU.
+
+Parameter containers only: the models read their weights in plain numpy
+(``ScoringHead.logits_matrix``, the round engine's closed form).
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.autograd import ops
-from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -32,23 +34,12 @@ class Linear(Module):
         if bias:
             self.bias = Parameter(init.zeros((out_features,)), name="bias")
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
-        if self.has_bias:
-            out = out + self.bias
-        return out
-
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features}, bias={self.has_bias})"
 
 
 class Embedding(Module):
-    """Lookup table with sparse-aware gradients.
-
-    ``forward`` takes integer indices and returns the selected rows; the
-    backward pass accumulates only into the touched rows (via
-    :func:`repro.autograd.ops.gather`).
-    """
+    """An item table: one row per id."""
 
     def __init__(
         self,
@@ -67,43 +58,23 @@ class Embedding(Module):
                     f"explicit weight shape {weight.shape} does not match "
                     f"({num_embeddings}, {embedding_dim})"
                 )
-            # One copy, in the table's own precision when it is a float
-            # the tape runs (a float32 table is not detoured via float64).
+            # One copy, in the table's own precision when it is float32
+            # or float64 (a float32 table is not detoured via float64).
             keep = weight.dtype in (np.float32, np.float64)
             values = np.array(weight, dtype=weight.dtype if keep else np.float64)
         else:
             values = init.normal((num_embeddings, embedding_dim), std=std, rng=rng)
         self.weight = Parameter(values, name="embedding")
 
-    def forward(self, indices: Union[np.ndarray, Sequence[int]]) -> Tensor:
-        return ops.gather(self.weight, indices)
-
     def __repr__(self) -> str:
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"
 
 
 class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
+    """Marks a rectifier between two :class:`Linear` layers."""
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def __repr__(self) -> str:
-        return "Tanh()"
 
 
 class Sequential(Module):
@@ -116,11 +87,6 @@ class Sequential(Module):
             name = f"layer{index}"
             setattr(self, name, module)
             self._order.append(name)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for name in self._order:
-            x = getattr(self, name)(x)
-        return x
 
     def __iter__(self) -> Iterable[Module]:
         return iter(getattr(self, name) for name in self._order)

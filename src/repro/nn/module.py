@@ -33,7 +33,7 @@ class Module:
     """Base class for layers and models.
 
     Subclasses assign :class:`Parameter` and sub-:class:`Module` attributes
-    in ``__init__`` and implement :meth:`forward`.
+    in ``__init__``; a module holds parameters, it has no forward pass.
     """
 
     def __init__(self) -> None:
@@ -95,12 +95,3 @@ class Module:
                     f"model {param.data.shape} vs state {values.shape}"
                 )
             param.data[...] = values
-
-    # ------------------------------------------------------------------
-    # Invocation
-    # ------------------------------------------------------------------
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)

@@ -7,6 +7,11 @@ form that objective used to be built from — the two batched tape ops
 decorrelation penalty and the fused multi-width logits with LightGCN's
 star-graph propagation — so tests can check the closed form's loss and
 gradients against reverse-mode autodiff on identical inputs.
+
+It also keeps the tape forms of the two other hand-differentiated
+objectives: the per-table decorrelation penalty (Eq. 13) and the
+server-side RESKD relation step (``repro/core/distillation.py``,
+Eq. 16–17).
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autograd import ops
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.nn.module import Parameter
+from repro.nn.optim import SGD
+from tape_functional import standardize_columns
 
 
 def batched_gather(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -90,11 +97,32 @@ def batched_sparse_matmul(
     )
 
 
+def decorrelation_penalty(embedding: Tensor, eps: float = 1e-8) -> Tensor:
+    """Eq. 13 verbatim: ``(1/N) ‖corr((V - V̄)/√var(V))‖_F``.
+
+    The correlation matrix of a column-standardised matrix is
+    ``Z^T Z / M``.  Its diagonal is identically ~1 regardless of ``V``, and
+    the paper keeps it inside the norm.  That is not a cosmetic detail:
+    with off-diagonal mass ``s`` the penalty is ``√(s + N)/N``, whose
+    gradient carries a ``1/(2√(s+N))`` factor — the constant diagonal
+    *damps* the regulariser when the table is already decorrelated, which
+    is what makes α ≈ 1 a stable operating point (Fig. 8).  Dropping the
+    diagonal (a tempting "optimisation") makes the gradient explode near
+    zero and the penalty dominate the recommendation loss.
+    """
+    rows, cols = embedding.shape
+    if cols < 2:
+        # A single dimension cannot be correlated with anything.
+        return (embedding * 0.0).sum()
+    z = standardize_columns(embedding, eps=eps)
+    corr = z.T.matmul(z) / float(rows)
+    return ((corr * corr).sum() + eps) ** 0.5 / float(cols)
+
+
 def batched_decorrelation_penalty(stack: Tensor, eps: float = 1e-8) -> Tensor:
     """Eq. 13 per batch slice: ``(B, M, d) → (B,)`` penalties.
 
-    Matches :func:`repro.core.decorrelation.decorrelation_penalty`
-    applied to each ``(M, d)`` slice — same standardisation, same
+    Matches :func:`decorrelation_penalty` applied to each ``(M, d)`` slice — same standardisation, same
     in-norm diagonal, same ``eps`` placement.
     """
     _, m, d = stack.shape
@@ -184,3 +212,53 @@ def tape_objective(
             batched_gather(table, ddr_idx)
         ).sum()
     return loss, params
+
+
+# ----------------------------------------------------------------------
+# RESKD (Eq. 16–17) on the tape
+# ----------------------------------------------------------------------
+def ensemble_relation(tables: Dict[str, np.ndarray], subset: np.ndarray) -> np.ndarray:
+    """Eq. 16: mean pairwise-cosine matrix of ``subset`` across tables."""
+    matrices = []
+    with no_grad():
+        for values in tables.values():
+            rows = Tensor(values[subset])
+            matrices.append(ops.cosine_similarity_matrix(rows).data)
+    return np.mean(matrices, axis=0)
+
+
+def relation_distillation_loss(
+    embedding: Parameter, subset: np.ndarray, target_relation: np.ndarray
+) -> Tensor:
+    """Eq. 17: squared distance between a table's relation and the ensemble."""
+    rows = ops.gather(embedding, subset)
+    relation = ops.cosine_similarity_matrix(rows)
+    diff = relation - Tensor(target_relation)
+    return (diff * diff).sum()
+
+
+def relation_distillation_step(
+    embeddings: Dict[str, Parameter], config, rng: np.random.Generator
+) -> Dict[str, float]:
+    """The tape form of :func:`repro.core.distillation.relation_distillation_step`:
+    one SGD optimiser per table over the full-table ``.grad`` the gather
+    scatters into."""
+    catalogue = next(iter(embeddings.values())).data.shape[0]
+    size = min(config.num_items, catalogue)
+    subset = rng.choice(catalogue, size=size, replace=False)
+    target = ensemble_relation(
+        {name: param.data for name, param in embeddings.items()}, subset
+    )
+    losses: Dict[str, float] = {}
+    for name, param in embeddings.items():
+        final = 0.0
+        if config.steps:
+            optimizer = SGD([param], lr=config.lr)
+            for _ in range(config.steps):
+                optimizer.zero_grad()
+                loss = relation_distillation_loss(param, subset, target)
+                loss.backward()
+                optimizer.step()
+                final = float(loss.data)
+        losses[name] = final
+    return losses

@@ -12,6 +12,10 @@ parameters it downloaded, steps its own Adam, and emits its deltas.
   decorrelation penalty (Eq. 13/14) on the round's pre-drawn DDR rows;
 * Standalone's personal-model session (no upload, no meter).
 
+:func:`tape_scores` is the per-user tape scorer that the blocked
+``score_item_matrix`` of every trainer (Standalone's personal models
+included) is pinned against.
+
 :func:`install` puts the oracle in a trainer's ``_engine`` slot, so the
 trainer's own round hook (``_train_clients``, which the adversarial
 harness extends) runs unchanged on top of it.  Tests then train one
@@ -20,19 +24,22 @@ trainer on the engine and one on the oracle and compare.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
+from engine_oracle import decorrelation_penalty
+from tape_models import logits
 
 from repro.autograd import ops
-from repro.autograd.tensor import Tensor
-from repro.core.decorrelation import decorrelation_penalty
-from repro.core.dual_task import dual_task_loss
+from repro.autograd.tensor import Tensor, no_grad
+from repro.core.dual_task import widths_up_to
 from repro.core.hetefedrec import HeteFedRec
+from repro.data.dataset import ClientData
 from repro.data.sampling import TrainingBatch
 from repro.federated.client import ClientRuntime
 from repro.federated.payload import ClientUpdate, SparseRowDelta, state_delta
 from repro.federated.trainer import FederatedTrainer
+from repro.models.base import BaseRecommender
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
 
@@ -41,6 +48,72 @@ def install(trainer: FederatedTrainer) -> FederatedTrainer:
     """Make ``trainer`` run every round's local training on the oracle."""
     trainer._engine = ReferenceTrainer(trainer)
     return trainer
+
+
+def tape_scores(trainer: FederatedTrainer, client: ClientData) -> np.ndarray:
+    """Scores of every catalogue item for one user, through the tape.
+
+    The user's group model scores them; under Standalone the user's
+    personal table and head are loaded into it first and the global
+    state is restored after.
+    """
+    model = trainer.models[trainer.group_of[client.user_id]]
+    personal = trainer._client_states
+    global_state = model.state_dict() if personal is not None else None
+    if personal is not None:
+        model.load_state_dict(personal[client.user_id])
+    try:
+        with no_grad():
+            scores = logits(
+                model,
+                Tensor(trainer.runtimes[client.user_id].user_embedding),
+                np.arange(trainer.num_items, dtype=np.int64),
+                train_item_ids=client.train_items,
+            )
+        return scores.data.copy()
+    finally:
+        if global_state is not None:
+            model.load_state_dict(global_state)
+
+
+def dual_task_loss(
+    model: BaseRecommender,
+    group: str,
+    dims: Mapping[str, int],
+    heads: Mapping[str, object],
+    user_param: Parameter,
+    batch: TrainingBatch,
+    train_item_ids: np.ndarray,
+) -> Tensor:
+    """Build the Eq. 11 multi-width loss graph for one client.
+
+    Parameters
+    ----------
+    model:
+        The client's own model (it owns the item table ``V_group``).
+    heads:
+        ``{group: ScoringHead}`` — the Θ of every width class; a client
+        only uses the heads of widths ≤ its own.
+    user_param:
+        The client's private embedding at its full width; prefix slices
+        are taken inside the graph so all terms update the same tensor.
+    """
+    terms: List[Tensor] = []
+    for task_group in widths_up_to(group, dims):
+        width = dims[task_group]
+        task_logits = logits(
+            model,
+            user_param,
+            batch.items,
+            train_item_ids=train_item_ids,
+            width=width,
+            head=heads[task_group],
+        )
+        terms.append(ops.bce_with_logits(task_logits, batch.labels))
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def client_loss(
@@ -66,8 +139,8 @@ def client_loss(
             model, group, trainer.config.dims, heads, user_param, batch, train_items
         )
     else:
-        logits = model.logits(user_param, batch.items, train_item_ids=train_items)
-        loss = ops.bce_with_logits(logits, batch.labels)
+        scores = logits(model, user_param, batch.items, train_item_ids=train_items)
+        loss = ops.bce_with_logits(scores, batch.labels)
     if runtime.user_id in ddr_rows:
         weight = model.item_embedding.weight
         subset = ddr_rows[runtime.user_id]

@@ -1,8 +1,8 @@
-"""Functional interface: losses and similarity utilities.
+"""Tape functional helpers: losses and similarity utilities.
 
-Thin, documented re-exports of the composite ops plus the regularisers
-HeteFedRec defines on raw matrices (the decorrelation penalty lives in
-:mod:`repro.core.decorrelation`; here are the generic pieces).
+Thin, documented re-exports of the composite ops plus the generic pieces
+of the regularisers HeteFedRec defines on raw matrices (the decorrelation
+penalty built from them lives in ``engine_oracle.py``).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_trainer import tape_scores
 
 import repro
 import repro.api as api
@@ -170,8 +171,8 @@ class TestVerbRoundTrip:
         assert api.resume(other, path) is other
         user = tiny_clients[0].user_id
         assert np.allclose(
-            trainer.score_all_items(tiny_clients[0]),
-            other.score_all_items(tiny_clients[0]),
+            tape_scores(trainer, tiny_clients[0]),
+            tape_scores(other, tiny_clients[0]),
         )
 
         answer = api.recommend(path, user, k=5)

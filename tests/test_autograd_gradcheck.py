@@ -6,12 +6,11 @@ the losses and models built on top compute exact gradients.
 
 import numpy as np
 import pytest
-from engine_oracle import batched_sparse_matmul
+from engine_oracle import batched_sparse_matmul, decorrelation_penalty
+from tape_functional import standardize_columns
 
 from repro.autograd import Tensor, gradcheck, ops
 from repro.autograd.gradcheck import numerical_gradient
-from repro.nn.functional import standardize_columns
-from repro.core.decorrelation import decorrelation_penalty
 
 
 def make(shape, seed=0, scale=1.0):

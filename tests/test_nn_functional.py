@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import tape_functional as F
 
 from repro.autograd import Tensor, gradcheck
-from repro.nn import functional as F
 
 
 class TestMSE:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import reference_trainer
 from ranking_oracle import assert_matches_oracle, oracle_metrics
-from reference_trainer import ReferenceTrainer
+from reference_trainer import ReferenceTrainer, tape_scores
 
 from repro.autograd.tensor import Tensor
 from repro.core.config import HeteFedRecConfig
@@ -385,7 +385,7 @@ class TestBlockedEvaluation:
         """The engine-trained trainer's blocked evaluation equals the
         per-user oracle run on its per-client tape scores."""
         result = trained.evaluate_with(Evaluator(tiny_clients, k=10))
-        oracle = oracle_metrics(tiny_clients, trained.score_all_items, k=10)
+        oracle = oracle_metrics(tiny_clients, lambda c: tape_scores(trained, c), k=10)
         assert_matches_oracle(result, oracle, atol=ATOL)
         assert result.ndcg == pytest.approx(oracle[2].mean(), abs=ATOL)
 
@@ -403,7 +403,7 @@ class TestBlockedEvaluation:
             Evaluator(tiny_clients, k=10), user_subset=subset
         )
         oracle = oracle_metrics(
-            tiny_clients, trained.score_all_items, k=10, user_subset=subset
+            tiny_clients, lambda c: tape_scores(trained, c), k=10, user_subset=subset
         )
         assert_matches_oracle(result, oracle, atol=ATOL)
 
@@ -424,7 +424,7 @@ class TestBlockedEvaluation:
         trainer.run_epoch(1)
         assert trainer._engine is not None
         result = trainer.evaluate_with(Evaluator(tiny_clients, k=10))
-        oracle = oracle_metrics(tiny_clients, trainer.score_all_items, k=10)
+        oracle = oracle_metrics(tiny_clients, lambda c: tape_scores(trainer, c), k=10)
         assert_matches_oracle(result, oracle, atol=ATOL)
 
     def test_lightgcn_blocked_matches_per_client(self, tiny_dataset, tiny_clients):
@@ -440,7 +440,7 @@ class TestBlockedEvaluation:
         trainer.fit()
         blocked = trainer.score_item_matrix(tiny_clients)
         per_client = np.stack(
-            [trainer.score_all_items(client) for client in tiny_clients]
+            [tape_scores(trainer, client) for client in tiny_clients]
         )
         np.testing.assert_allclose(blocked, per_client, atol=1e-10)
 

@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 import pytest
+from reference_trainer import tape_scores
 
 from repro.api import load_model
 from repro.baselines import build_method
@@ -70,11 +71,11 @@ def checkpoints(tmp_path_factory):
     trainer.run_epoch(1)
     paths["v1"] = str(root / "v1.npz")
     save_checkpoint_impl(trainer, paths["v1"])
-    expected["v1"] = {c.user_id: trainer.score_all_items(c).copy() for c in clients}
+    expected["v1"] = {c.user_id: tape_scores(trainer, c).copy() for c in clients}
     trainer.run_epoch(2)
     paths["v2"] = str(root / "v2.npz")
     save_checkpoint_impl(trainer, paths["v2"])
-    expected["v2"] = {c.user_id: trainer.score_all_items(c).copy() for c in clients}
+    expected["v2"] = {c.user_id: tape_scores(trainer, c).copy() for c in clients}
 
     mismatched = HeteFedRec(
         dataset.num_items, clients,
