@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -65,6 +66,7 @@ from repro.compression.client import ClientCompressor
 from repro.compression.codecs import CompressionConfig
 from repro.models.factory import build_model
 from repro.nn import init as nn_init
+from repro.parallel import run_groups
 
 
 @dataclass
@@ -624,21 +626,27 @@ class FederatedTrainer:
         group model's batched :meth:`~repro.models.base.BaseRecommender.score_matrix`
         once; :meth:`Evaluator.evaluate` and the checkpoint's served
         scores read it.  Each client's local graph rides along for
-        architectures whose scoring propagates over it.
+        architectures whose scoring propagates over it.  The groups are
+        scored concurrently (:func:`~repro.parallel.run_groups`), each
+        writing its own rows; a group's call is the serial one, so the
+        block is bitwise the same on any number of cores.
         """
         scores = np.empty((len(clients), self.num_items))
-        for group in self.groups:
-            positions = [
-                i
-                for i, client in enumerate(clients)
-                if self.group_of[client.user_id] == group
-            ]
-            if not positions:
-                continue
+
+        def score_rows(group: str, positions: List[int]) -> None:
             scores[positions] = self.models[group].score_matrix(
                 self.user_tables[group].take([clients[i].user_id for i in positions]),
                 train_items=[clients[i].train_items for i in positions],
             )
+
+        by_group: Dict[str, List[int]] = {}
+        for i, client in enumerate(clients):
+            by_group.setdefault(self.group_of[client.user_id], []).append(i)
+        present = [group for group in self.groups if group in by_group]
+        run_groups(
+            [partial(score_rows, group, by_group[group]) for group in present],
+            [len(by_group[group]) * self.num_items for group in present],
+        )
         return scores
 
     # ------------------------------------------------------------------

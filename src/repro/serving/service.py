@@ -25,7 +25,11 @@ Production shape, plain python:
   hatch.
 * **Batched scoring** — :meth:`query_batch` coalesces many users into
   one blocked matmul per dim-group; :mod:`repro.serving.coalescer`
-  feeds it from concurrent callers.
+  feeds it from concurrent callers.  A batch's groups are scored on
+  every core (:func:`~repro.parallel.run_groups`: each group's
+  full-catalogue block is the serial call, so answers are bitwise the
+  same), and each group's top-k runs on the calling thread as soon as
+  the group is scored.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,6 +51,7 @@ from repro.federated.checkpoint import (
     refusing,
 )
 from repro.federated.user_table import UserTable
+from repro.parallel import run_groups
 
 #: Users per dim-group (the id-sorted head of each table) whose mean
 #: score is a snapshot's popularity prior.
@@ -341,6 +346,14 @@ class RecommendationService:
         The snapshot is read **once** for the whole batch: every answer
         in it is produced by the same model version, which is what makes
         hot-swap atomic from a caller's point of view.
+
+        The dim-groups' score blocks are computed concurrently, up to one
+        thread per core (:func:`~repro.parallel.run_groups`; a batch under
+        :data:`~repro.parallel.SERIAL_CELLS` score cells starts no
+        thread); each group's :func:`~repro.eval.metrics.blocked_top_k`
+        runs on the calling thread, and the answers and cache entries are
+        built afterwards, in group order.  A batch's answers are bitwise
+        the same on any number of cores.
         """
         snap = self._snapshot
         with self._stats_lock:
@@ -379,8 +392,9 @@ class RecommendationService:
         misses: Sequence[int],
         answers: List[Union[Recommendation, Exception, None]],
     ) -> None:
-        """Score all cache misses, grouped into one matmul per dim-group;
-        a request refused here fills its own slot and is left out."""
+        """Score all cache misses, grouped into one matmul per dim-group
+        (the groups concurrently); a request refused here fills its own
+        slot and is left out."""
         use_cache = self._cache_enabled
         # An ``exclude`` id indexes the score block: checked per request,
         # before anything is scored, so one bad id is its sender's alone.
@@ -412,32 +426,22 @@ class RecommendationService:
                     f"{os.path.basename(snap.path)} ({snap.num_users} users)"
                 )
 
-        for group, (indices, rows) in by_group.items():
-            model = snap.models[group]
-            users = [requests[i].user_id for i in indices]
-            user_mat = snap.users[group].values[rows]
-            train_items = (
-                [self._history.get(u) for u in users] if self._history else None
-            )
-            scores = model.score_matrix(user_mat, train_items=train_items)
-            if self._exclude_seen or excluding:
-                exclusions = [
-                    self._exclusion_for(requests[i], requests[i].user_id)
-                    for i in indices
-                ]
-                mask_scored_items(scores, exclusions)
-
-            block_k = max(
-                (requests[i].k if requests[i].k is not None else self.default_k)
-                for i in indices
-            )
-            block_k = min(block_k, snap.num_items)
-            top = blocked_top_k(scores, block_k)
-            # Selected as scored (float32 stays float32), widened once, read-only:
-            # every answer below is a view of these two, served again by the cache.
-            top_scores = np.take_along_axis(scores, top, axis=1).astype(np.float64)
-            top.flags.writeable = False
-            top_scores.flags.writeable = False
+        # Each group's scoring runs wherever run_groups puts it; its top-k
+        # runs on this thread as soon as it is scored, and the answers are
+        # built below, in group order.
+        plans = list(by_group.values())
+        masking = self._exclude_seen or bool(excluding)
+        selected = run_groups(
+            [
+                partial(self._score_group, snap, group, requests, indices, rows, masking)
+                for group, (indices, rows) in by_group.items()
+            ],
+            [len(indices) * snap.num_items for indices, _ in plans],
+            then=lambda position, scores: self._select(
+                snap, requests, plans[position][0], scores
+            ),
+        )
+        for (indices, _), (block_k, top, top_scores) in zip(plans, selected):
             for row, i in enumerate(indices):
                 request = requests[i]
                 k = request.k if request.k is not None else self.default_k
@@ -457,6 +461,50 @@ class RecommendationService:
                     self._cache.put(
                         (snap.version, request.user_id, k), (items, item_scores)
                     )
+
+    def _score_group(
+        self,
+        snap: ModelSnapshot,
+        group: str,
+        requests: Sequence[QueryRequest],
+        indices: List[int],
+        rows: np.ndarray,
+        masking: bool,
+    ) -> np.ndarray:
+        """One dim-group's masked (B, num_items) score block."""
+        users = [requests[i].user_id for i in indices]
+        train_items = [self._history.get(u) for u in users] if self._history else None
+        scores = snap.models[group].score_matrix(
+            snap.users[group].values[rows], train_items=train_items
+        )
+        if masking:
+            exclusions = [
+                self._exclusion_for(requests[i], requests[i].user_id) for i in indices
+            ]
+            mask_scored_items(scores, exclusions)
+        return scores
+
+    def _select(
+        self,
+        snap: ModelSnapshot,
+        requests: Sequence[QueryRequest],
+        indices: List[int],
+        scores: np.ndarray,
+    ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``(block_k, top, top_scores)`` of one scored group, at the
+        largest ``k`` its requests ask for."""
+        block_k = max(
+            (requests[i].k if requests[i].k is not None else self.default_k)
+            for i in indices
+        )
+        block_k = min(block_k, snap.num_items)
+        top = blocked_top_k(scores, block_k)
+        # Selected as scored (float32 stays float32), widened once, read-only:
+        # every answer is a view of these two, served again by the cache.
+        top_scores = np.take_along_axis(scores, top, axis=1).astype(np.float64)
+        top.flags.writeable = False
+        top_scores.flags.writeable = False
+        return block_k, top, top_scores
 
     def _exclusion_for(
         self, request: QueryRequest, user_id: int

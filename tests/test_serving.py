@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from reference_trainer import tape_scores
 
+import repro.parallel as parallel
 from repro.api import load_model
 from repro.baselines import build_method
 from repro.core import HeteFedRec, HeteFedRecConfig
@@ -648,6 +649,232 @@ class TestGroupOptional:
     def test_unknown_group_lists_valid_groups(self, checkpoints):
         with pytest.raises(UnknownGroupError, match="valid groups"):
             load_model(checkpoints["paths"]["v1"], "xl")
+
+
+# ----------------------------------------------------------------------
+# Dim-groups scored concurrently (repro.parallel.run_groups)
+# ----------------------------------------------------------------------
+@pytest.fixture(
+    scope="module",
+    params=[
+        (arch, dtype) for arch in ("ncf", "mf", "lightgcn") for dtype in ("float32", "float64")
+    ],
+    ids="-".join,
+)
+def group_run(request, tmp_path_factory, tiny_dataset, tiny_clients):
+    """A trained HeteFedRec of one arch and dtype, and its checkpoint."""
+    arch, dtype = request.param
+    trainer = HeteFedRec(
+        tiny_dataset.num_items, tiny_clients,
+        HeteFedRecConfig(seed=0, arch=arch, dtype=dtype, **CONFIG),
+    )
+    trainer.run_epoch(1)
+    path = str(tmp_path_factory.mktemp("groups") / f"{arch}-{dtype}.npz")
+    save_checkpoint_impl(trainer, path)
+    return trainer, path
+
+
+class TestConcurrentGroups:
+    """A query batch and an evaluation block score their dim-groups on up
+    to one thread per core.  Which thread scores which group must not
+    matter: one and three cores give bitwise-equal answers, scores,
+    versions, cache contents and score blocks; a failing group's exception
+    surfaces unchanged after every thread has joined; a small call starts
+    no thread; and every top-k runs on the calling thread."""
+
+    @pytest.fixture()
+    def cores(self, monkeypatch):
+        """``cores(n)`` runs every call on up to ``n`` threads, however
+        small; returns the names of the threads run_groups starts."""
+        started = []
+
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        def use(count):
+            monkeypatch.setattr(parallel, "cpu_count", lambda: count)
+            monkeypatch.setattr(parallel, "SERIAL_CELLS", 0)
+            return started
+
+        monkeypatch.setattr(parallel.threading, "Thread", Recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        yield use
+        sys.setswitchinterval(interval)
+
+    @staticmethod
+    def workers(started):
+        return [name for name in started if name.startswith("groups-")]
+
+    @staticmethod
+    def mixed_batches(clients, num_items):
+        """Two batches over every user: mixed ``k``, per-request
+        exclusions, an unknown user, an out-of-range exclude id; the
+        second batch is partly answered from the cache."""
+        users = [client.user_id for client in clients]
+        first = [
+            QueryRequest(
+                user, (None, 3, 7)[n % 3],
+                np.array([n % num_items, (5 * n) % num_items]) if n % 4 == 1 else None,
+            )
+            for n, user in enumerate(users)
+        ]
+        first.insert(3, QueryRequest(999_999, 4))
+        first.insert(8, QueryRequest(users[0], 4, np.array([0, num_items])))
+        second = [QueryRequest(user, (None, 7)[n % 2]) for n, user in enumerate(users[::2])]
+        return [first, second]
+
+    @staticmethod
+    def served(service, batches):
+        slots = []
+        for batch in batches:
+            for slot in service.query_batch(batch):
+                if isinstance(slot, Exception):
+                    slots.append((type(slot), str(slot)))
+                else:
+                    slots.append((
+                        slot.user_id, slot.items.dtype, slot.items.tobytes(),
+                        slot.scores.dtype, slot.scores.tobytes(),
+                        slot.model_version, slot.cached,
+                    ))
+        cache = [
+            (key, items.tobytes(), scores.tobytes())
+            for key, (items, scores) in service._cache._entries.items()
+        ]
+        return slots, cache
+
+    def test_query_batch_is_bitwise_equal_on_one_and_three_cores(
+        self, group_run, tiny_clients, cores
+    ):
+        _, path = group_run
+        history = {client.user_id: client.train_items for client in tiny_clients}
+        runs = []
+        for count in (1, 3):
+            started = cores(count)
+            service = RecommendationService(path, k=5, history=history, exclude_seen=True)
+            batches = self.mixed_batches(tiny_clients, service.num_items)
+            runs.append(self.served(service, batches))
+        assert self.workers(started)  # three cores: workers took groups
+        (slots_1, cache_1), (slots_3, cache_3) = runs
+        assert slots_1 == slots_3
+        assert cache_1 == cache_3
+        assert any(slot[-1] for slot in slots_1 if len(slot) == 7)  # cache hits
+        assert {slot[0] for slot in slots_1 if len(slot) == 2} == {
+            UnknownUserError, ValueError,
+        }
+
+    def test_score_item_matrix_is_bitwise_equal_on_one_and_three_cores(
+        self, group_run, tiny_clients, cores
+    ):
+        trainer, _ = group_run
+        blocks = []
+        for count in (1, 3):
+            started = cores(count)
+            blocks.append(trainer.score_item_matrix(tiny_clients))
+        assert self.workers(started)
+        assert blocks[0].dtype == blocks[1].dtype
+        assert blocks[0].tobytes() == blocks[1].tobytes()
+
+    def test_first_failing_group_surfaces_after_every_thread_joined(
+        self, checkpoints, cores, monkeypatch
+    ):
+        cores(3)
+        service = RecommendationService(checkpoints["paths"]["v1"], k=5, cache_size=0)
+        snap = service.snapshot
+        first, *_, last = list(snap.users)  # the order groups are scored in
+        raised = []
+
+        def failing(*args, **kwargs):
+            raised.append(ValueError("first group failed"))
+            raise raised[-1]
+
+        def failing_later(*args, **kwargs):  # later in group order: must not win
+            raise RuntimeError("a later group failed too")
+
+        monkeypatch.setattr(snap.models[first], "score_matrix", failing)
+        monkeypatch.setattr(snap.models[last], "score_matrix", failing_later)
+        batch = [QueryRequest(client.user_id) for client in checkpoints["clients"]]
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            service.query_batch(batch)
+        assert caught.value is raised[0]
+        assert threading.active_count() == threads_before
+
+    def test_first_failing_group_of_an_evaluation_block_surfaces(
+        self, group_run, tiny_clients, cores, monkeypatch
+    ):
+        trainer, _ = group_run
+        cores(3)
+        first, *_, last = trainer.groups
+        raised = []
+
+        def failing(*args, **kwargs):
+            raised.append(ValueError("first group failed"))
+            raise raised[-1]
+
+        def failing_later(*args, **kwargs):
+            raise RuntimeError("a later group failed too")
+
+        monkeypatch.setattr(trainer.models[first], "score_matrix", failing)
+        monkeypatch.setattr(trainer.models[last], "score_matrix", failing_later)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            trainer.score_item_matrix(tiny_clients)
+        assert caught.value is raised[0]
+        assert threading.active_count() == threads_before
+
+    def test_a_call_under_the_gate_starts_no_thread(self, checkpoints, cores, monkeypatch):
+        started = cores(3)
+        monkeypatch.setattr(parallel, "SERIAL_CELLS", 1 << 16)
+        service = RecommendationService(checkpoints["paths"]["v1"], k=5, cache_size=0)
+        clients = checkpoints["clients"]
+        by_group = {}
+        for client in clients:
+            for group, table in service.snapshot.users.items():
+                if table.find(np.array([client.user_id]))[1].any():
+                    by_group.setdefault(group, client.user_id)
+        pair = [QueryRequest(user) for user in list(by_group.values())[:2]]
+        assert len(pair) * service.num_items < parallel.SERIAL_CELLS
+        service.query_batch(pair)  # two groups, far below the gate
+        assert not self.workers(started)
+        monkeypatch.setattr(parallel, "SERIAL_CELLS", 0)
+        service.query_batch(pair)
+        assert self.workers(started)
+
+    def test_every_top_k_runs_on_the_calling_thread(
+        self, checkpoints, cores, monkeypatch
+    ):
+        # The lifecycle tracer wraps these names, and its span stacks are
+        # per thread: a top-k on a worker would open a parentless span.
+        import repro.eval.evaluator as evaluator_module
+        import repro.serving.service as service_module
+        from repro.eval.evaluator import Evaluator
+
+        started = cores(3)
+        selected_on = []
+        for module in (service_module, evaluator_module):
+            top_k = module.blocked_top_k
+
+            def recording(scores, k, top_k=top_k):
+                selected_on.append(threading.get_ident())
+                return top_k(scores, k)
+
+            monkeypatch.setattr(module, "blocked_top_k", recording)
+
+        clients = checkpoints["clients"]
+        service = RecommendationService(checkpoints["paths"]["v1"], k=5, cache_size=0)
+        service.query_batch([QueryRequest(client.user_id) for client in clients])
+        served_calls = len(selected_on)
+        assert served_calls == len(service.snapshot.groups)
+        trainer = HeteFedRec(
+            service.num_items, clients, HeteFedRecConfig(seed=0, **CONFIG)
+        )
+        Evaluator(clients, k=5).evaluate(trainer.score_item_matrix, block_size=16)
+        assert len(selected_on) > served_calls
+        assert self.workers(started)
+        assert set(selected_on) == {threading.get_ident()}
 
 
 # ----------------------------------------------------------------------
