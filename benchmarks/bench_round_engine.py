@@ -41,6 +41,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro import parallel
 from repro.autograd.tensor import Tensor
 from repro.core.config import HeteFedRecConfig
 from repro.core.grouping import divide_clients
@@ -48,7 +49,6 @@ from repro.core.hetefedrec import HeteFedRec
 from repro.data.splitting import train_test_split_per_user
 from repro.data.synthetic import DATASET_SPECS, SyntheticConfig, load_benchmark_dataset
 from repro.eval.evaluator import Evaluator
-from repro.federated import round_engine
 from repro.federated.trainer import FederatedConfig, FederatedTrainer
 
 from benchmarks.suite import Metric
@@ -106,12 +106,12 @@ def count_tape_nodes(fn) -> int:
 @contextlib.contextmanager
 def one_thread():
     """The engine trains a round's buckets on the calling thread only."""
-    cpu_count = round_engine._cpu_count
-    round_engine._cpu_count = lambda: 1
+    cpu_count = parallel.cpu_count
+    parallel.cpu_count = lambda: 1
     try:
         yield
     finally:
-        round_engine._cpu_count = cpu_count
+        parallel.cpu_count = cpu_count
 
 
 def time_engines(trainer, probe, users) -> Dict:
@@ -121,7 +121,7 @@ def time_engines(trainer, probe, users) -> Dict:
         result = time_round(trainer, users)
     threaded = time_round(probe, users)
     result["threaded"] = {
-        "cpus": round_engine._cpu_count(),
+        "cpus": parallel.cpu_count(),
         "round_seconds": threaded["round_seconds"],
         "train_seconds": threaded["train_seconds"],
     }

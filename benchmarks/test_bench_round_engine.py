@@ -1,15 +1,54 @@
-"""CI hook for the round-engine benchmark (``-m slow`` only).
+"""CI hook for the round-engine benchmark.
 
-Runs a scaled-down version of ``bench_round_engine.py`` and asserts the
-vectorized engine actually wins.  Excluded from tier-1 by the ``slow``
-marker (see ``pytest.ini``); select it explicitly:
+The ``slow`` tests run a scaled-down version of ``bench_round_engine.py``
+and assert the vectorized engine actually wins.  They are excluded from
+tier-1 by the ``slow`` marker (see ``pytest.ini``); select them
+explicitly:
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_round_engine.py -m slow
+
+The one fast test pins what the gated one-thread ``speedup`` rests on.
 """
+
+import threading
 
 import pytest
 
-from benchmarks.bench_round_engine import run_benchmark, run_hetefedrec_benchmark
+from benchmarks.bench_round_engine import (
+    build_problem,
+    one_thread,
+    run_benchmark,
+    run_hetefedrec_benchmark,
+)
+from repro import parallel
+from repro.core.grouping import divide_clients
+from repro.federated import round_engine
+from repro.federated.trainer import FederatedConfig, FederatedTrainer
+
+
+def test_one_thread_rounds_start_no_worker(monkeypatch):
+    """Inside ``one_thread()`` a round starts no worker thread: a patch
+    that missed the name the engine reads would time the threaded round
+    as the one-thread one."""
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 3)
+    monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)  # tiny rounds too
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(parallel.threading, "Thread", Recording)
+    dataset, clients = build_problem(24, 60)
+    config = FederatedConfig(dims={"s": 8, "m": 16, "l": 32}, local_epochs=1, seed=0)
+    trainer = FederatedTrainer(dataset.num_items, clients, divide_clients(clients), config)
+    users = [client.user_id for client in clients]
+    with one_thread():
+        trainer._train_clients(users)
+    assert started == []
+    trainer._train_clients(users)  # outside it, the same round is threaded
+    assert started
 
 
 @pytest.mark.slow

@@ -59,11 +59,11 @@ the update is elementwise and every client steps at the same local-epoch
 boundaries (rows with zero gradient keep zero moments).  Buckets share
 nothing mutable — each reads the round's global snapshot and writes only
 its own clients' user rows, uploads or personal models — so a round's
-buckets train concurrently, one thread per core (the calling thread and
-workers that live for the call; see :meth:`VectorizedRoundEngine.
-_run_buckets`), and the round is bitwise the same whichever thread
-advances which bucket.  Batches are all drawn, and every Adam step is
-taken, on the calling thread.
+buckets are :func:`~repro.parallel.run_groups` tasks, trained one thread
+per core, and the round is bitwise the same whichever thread advances
+which bucket.  A bucket trains on the stacked parameters of the slot
+``run_groups`` hands it, and yields each Adam step back to the calling
+thread.  Batches are all drawn, and every Adam step is taken, there.
 The engine is numerically equivalent to one tape session per
 client up to floating-point summation order; ``tests/reference_trainer.py``
 keeps that per-client session as the oracle and
@@ -89,9 +89,7 @@ compressed or metered, because nothing leaves the client.
 
 from __future__ import annotations
 
-import collections
-import threading
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +98,7 @@ from repro.federated.payload import ClientUpdate, SparseRowDelta, touched_rows
 from repro.nn.layers import Linear
 from repro.nn.module import Parameter
 from repro.nn.optim import Adam
-from repro.parallel import cpu_count as _cpu_count  # how many buckets train at once
+from repro import parallel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federated.trainer import FederatedTrainer
@@ -515,22 +513,20 @@ class VectorizedRoundEngine:
             )
         self.trainer = trainer
         self.ddr_alpha = trainer.fused_objective()
-        # One set of stacked parameters per thread, rebound to each bucket
-        # the thread holds: the engine builds no tape nodes while it trains.
+        # One set of stacked parameters per run_groups slot, rebound to each
+        # bucket holding the slot: training builds no tape nodes.
         self._names = ["U", "V", *trainer.models[trainer.groups[0]].head.state_dict()]
-        self._param_sets: List[Dict[str, Parameter]] = []
-        self._free_sets(_cpu_count())
+        self._param_sets: Dict[int, Dict[str, Parameter]] = {}
+        for slot in range(parallel.cpu_count()):
+            self._slot_params(slot)
 
-    def _free_sets(self, threads: int) -> List[Dict[str, Parameter]]:
-        """One stacked-parameter set per thread, built on first need: a
-        round has at most one bucket in flight per thread (see
-        :meth:`_run_buckets`)."""
-        count = max(threads, 1)
-        while len(self._param_sets) < count:
-            self._param_sets.append(
-                {name: Parameter(np.zeros(0), name=f"{name}xB") for name in self._names}
-            )
-        return self._param_sets[:count]
+    def _slot_params(self, slot: int) -> Dict[str, Parameter]:
+        """``slot``'s stacked parameters; no two buckets in flight share it."""
+        if slot not in self._param_sets:
+            self._param_sets[slot] = {
+                name: Parameter(np.zeros(0), name=f"{name}xB") for name in self._names
+            }
+        return self._param_sets[slot]
 
     # ------------------------------------------------------------------
     # Round execution
@@ -557,7 +553,11 @@ class VectorizedRoundEngine:
                 buckets.extend(self._group_buckets(group, members, ddr_rows))
 
         raw: Dict[int, ClientUpdate] = {}
-        for updates in self._run_buckets(buckets):
+        for updates in parallel.run_groups(
+            [self._bucket_task(arguments) for _, arguments in buckets],
+            [size for size, _ in buckets],
+            _THREADED_SIZE,
+        ):
             for update in updates:
                 raw[update.user_id] = update
 
@@ -570,117 +570,9 @@ class VectorizedRoundEngine:
             for user in user_ids
         ]
 
-    def _run_buckets(self, buckets: List[Tuple[int, tuple]]) -> List[List[ClientUpdate]]:
-        """Train every ``(padded size, arguments)`` bucket; results in
-        bucket order.
-
-        The buckets share no mutable state — each reads the global
-        snapshot and writes its own clients' rows — so they train
-        concurrently, on this thread and up to one worker per further
-        core; numpy releases the GIL in the array work.  A bucket is a
-        generator (:meth:`_train_bucket`) that any thread may advance
-        through its array work up to its next Adam step, but only this
-        thread takes the steps, so every optimizer step of a round runs
-        on the thread that called :meth:`train_round`, where a per-thread
-        profile of a fit (cProfile, a span tracer) sees it inside the
-        round.  This thread takes a due step before anything else.  A
-        thread with nothing due advances a bucket already in flight, or
-        starts the next one: this thread from the smallest padded size
-        up, so it is soon free for the next step, and the workers from
-        the largest down.  At most one bucket per thread is in flight: a
-        worker whose bucket waits on its step waits with it, because a
-        further bucket's stacks, moments and activations would raise the
-        round's peak memory more than the wait costs in time.  The
-        workers live for this call only.  After all have joined, the
-        first failing bucket's exception (in bucket order) is raised.  On
-        one core, or for a round smaller than :data:`_THREADED_SIZE`, no
-        worker starts: this thread trains the buckets one after another.
-        """
-        threads = min(_cpu_count(), len(buckets))
-        if sum(size for size, _ in buckets) < _THREADED_SIZE:
-            threads = 1
-        free_sets = self._free_sets(threads)
-        results: List[Optional[List[ClientUpdate]]] = [None] * len(buckets)
-        errors: List[Optional[Exception]] = [None] * len(buckets)
-        unstarted = collections.deque(
-            sorted(range(len(buckets)), key=lambda index: buckets[index][0])
-        )
-        # A bucket in flight is ``[index, params, generator, optimizer]``:
-        # ``ready`` ones are due array work (the generator is None until
-        # started), ``due`` ones a step of their optimizer.
-        ready: collections.deque = collections.deque()
-        due: collections.deque = collections.deque()
-        state = threading.Condition(threading.Lock())
-        unfinished = len(buckets)
-
-        def turn(entry: list) -> None:
-            """Outside ``state``: one turn of one bucket — its due step,
-            or its array work up to the next step or its end."""
-            nonlocal unfinished
-            index, params, bucket, optimizer = entry
-            entry[3] = None
-            then: Optional[collections.deque] = None  # None: the bucket is done
-            try:
-                if optimizer is not None:
-                    optimizer.step()
-                    then = ready
-                else:
-                    if bucket is None:
-                        bucket = entry[2] = self._train_bucket(params, *buckets[index][1])
-                    entry[3] = next(bucket)
-                    then = due
-            except StopIteration as done:
-                results[index] = done.value
-            except Exception as error:
-                errors[index] = error
-            with state:
-                if then is None:
-                    free_sets.append(params)
-                    unfinished -= 1
-                else:
-                    then.append(entry)
-                state.notify_all()
-
-        def serve(steps: bool, take) -> None:
-            """Take turns until every bucket has finished; ``steps`` on
-            the calling thread only."""
-            with state:
-                while unfinished > 0:
-                    if steps and due:
-                        entry = due.popleft()
-                    elif ready:
-                        entry = ready.popleft()
-                    elif unstarted and free_sets:
-                        entry = [take(), free_sets.pop(), None, None]
-                    else:
-                        state.wait()
-                        continue
-                    state.release()
-                    try:
-                        turn(entry)
-                    finally:
-                        state.acquire()
-
-        workers = [
-            threading.Thread(
-                target=serve, args=(False, unstarted.pop), name=f"round-engine-{slot}"
-            )
-            for slot in range(1, threads)
-        ]
-        for worker in workers:
-            worker.start()
-        try:
-            serve(True, unstarted.popleft)
-        finally:
-            with state:  # an interrupted caller stops the workers early
-                unfinished = 0
-                state.notify_all()
-            for worker in workers:
-                worker.join()
-        for error in errors:
-            if error is not None:
-                raise error
-        return results
+    def _bucket_task(self, arguments: tuple) -> Callable[[int], Generator]:
+        """A bucket as a run_groups task, on its slot's stacked parameters."""
+        return lambda slot: self._train_bucket(self._slot_params(slot), *arguments)
 
     # ------------------------------------------------------------------
     # One dim-group
@@ -727,10 +619,10 @@ class VectorizedRoundEngine:
         runtimes,
         epoch_batches: List[List[TrainingBatch]],
         ddr_rows: List[object],
-    ) -> Generator[Adam, None, List[ClientUpdate]]:
-        """Train one bucket: a generator that yields its Adam whenever a
-        step is due and returns the bucket's updates (see
-        :meth:`_run_buckets`)."""
+    ) -> Generator[Callable[[], None], None, List[ClientUpdate]]:
+        """Train one bucket: a generator that yields its Adam's ``step``
+        whenever a step is due, for :func:`~repro.parallel.run_groups` to
+        take on the calling thread, and returns the bucket's updates."""
         trainer = self.trainer
         cfg = trainer.config
         model = trainer.models[group]
@@ -924,7 +816,7 @@ class VectorizedRoundEngine:
             for name, mask in pad_masks.items():
                 if params[name].grad is not None:  # mf trains no FFN
                     params[name].grad *= mask
-            yield optimizer
+            yield optimizer.step
             per_client_loss = loss / np.maximum(batch_lengths, 1)
             if penalty is not None:
                 per_client_loss += penalty

@@ -66,7 +66,7 @@ from repro.compression.client import ClientCompressor
 from repro.compression.codecs import CompressionConfig
 from repro.models.factory import build_model
 from repro.nn import init as nn_init
-from repro.parallel import run_groups
+from repro import parallel
 
 
 @dataclass
@@ -628,12 +628,12 @@ class FederatedTrainer:
         scores read it.  Each client's local graph rides along for
         architectures whose scoring propagates over it.  The groups are
         scored concurrently (:func:`~repro.parallel.run_groups`), each
-        writing its own rows; a group's call is the serial one, so the
-        block is bitwise the same on any number of cores.
+        task writing its own rows; a group's call is the serial one, so
+        the block is bitwise the same on any number of cores.
         """
         scores = np.empty((len(clients), self.num_items))
 
-        def score_rows(group: str, positions: List[int]) -> None:
+        def score_rows(group: str, positions: List[int], slot: int) -> None:
             scores[positions] = self.models[group].score_matrix(
                 self.user_tables[group].take([clients[i].user_id for i in positions]),
                 train_items=[clients[i].train_items for i in positions],
@@ -643,9 +643,10 @@ class FederatedTrainer:
         for i, client in enumerate(clients):
             by_group.setdefault(self.group_of[client.user_id], []).append(i)
         present = [group for group in self.groups if group in by_group]
-        run_groups(
+        parallel.run_groups(
             [partial(score_rows, group, by_group[group]) for group in present],
             [len(by_group[group]) * self.num_items for group in present],
+            parallel.SERIAL_CELLS,
         )
         return scores
 

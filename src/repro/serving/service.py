@@ -28,8 +28,8 @@ Production shape, plain python:
   feeds it from concurrent callers.  A batch's groups are scored on
   every core (:func:`~repro.parallel.run_groups`: each group's
   full-catalogue block is the serial call, so answers are bitwise the
-  same), and each group's top-k runs on the calling thread as soon as
-  the group is scored.
+  same), and each group's task yields its top-k back to the calling
+  thread as soon as the group is scored.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.federated.checkpoint import (
     refusing,
 )
 from repro.federated.user_table import UserTable
-from repro.parallel import run_groups
+from repro import parallel
 
 #: Users per dim-group (the id-sorted head of each table) whose mean
 #: score is a snapshot's popularity prior.
@@ -350,8 +350,8 @@ class RecommendationService:
         The dim-groups' score blocks are computed concurrently, up to one
         thread per core (:func:`~repro.parallel.run_groups`; a batch under
         :data:`~repro.parallel.SERIAL_CELLS` score cells starts no
-        thread); each group's :func:`~repro.eval.metrics.blocked_top_k`
-        runs on the calling thread, and the answers and cache entries are
+        thread); each group yields its :func:`~repro.eval.metrics.blocked_top_k`
+        back to the calling thread, and the answers and cache entries are
         built afterwards, in group order.  A batch's answers are bitwise
         the same on any number of cores.
         """
@@ -426,20 +426,17 @@ class RecommendationService:
                     f"{os.path.basename(snap.path)} ({snap.num_users} users)"
                 )
 
-        # Each group's scoring runs wherever run_groups puts it; its top-k
-        # runs on this thread as soon as it is scored, and the answers are
-        # built below, in group order.
+        # Each group is scored wherever run_groups puts it, its top-k on
+        # this thread; the answers are built below, in group order.
         plans = list(by_group.values())
         masking = self._exclude_seen or bool(excluding)
-        selected = run_groups(
+        selected = parallel.run_groups(
             [
                 partial(self._score_group, snap, group, requests, indices, rows, masking)
                 for group, (indices, rows) in by_group.items()
             ],
             [len(indices) * snap.num_items for indices, _ in plans],
-            then=lambda position, scores: self._select(
-                snap, requests, plans[position][0], scores
-            ),
+            parallel.SERIAL_CELLS,
         )
         for (indices, _), (block_k, top, top_scores) in zip(plans, selected):
             for row, i in enumerate(indices):
@@ -470,8 +467,10 @@ class RecommendationService:
         indices: List[int],
         rows: np.ndarray,
         masking: bool,
-    ) -> np.ndarray:
-        """One dim-group's masked (B, num_items) score block."""
+        slot: int,
+    ) -> Generator[Callable, object, Tuple[int, np.ndarray, np.ndarray]]:
+        """Score one dim-group's masked (B, num_items) block; its top-k
+        selection is yielded to the calling thread, then returned."""
         users = [requests[i].user_id for i in indices]
         train_items = [self._history.get(u) for u in users] if self._history else None
         scores = snap.models[group].score_matrix(
@@ -482,7 +481,7 @@ class RecommendationService:
                 self._exclusion_for(requests[i], requests[i].user_id) for i in indices
             ]
             mask_scored_items(scores, exclusions)
-        return scores
+        return (yield partial(self._select, snap, requests, indices, scores))
 
     def _select(
         self,

@@ -24,6 +24,7 @@ from repro.core.hetefedrec import HeteFedRec
 from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
 from repro.data.splitting import train_test_split_per_user
 from repro.eval.evaluator import Evaluator
+from repro import parallel
 from repro.federated import round_engine
 from repro.federated.payload import SparseRowDelta
 from repro.federated.privacy import PrivacyConfig
@@ -690,7 +691,7 @@ class TestConcurrentBuckets:
     ROUNDS = (slice(0, 24), slice(20, 44), slice(36, 60))
 
     def run_rounds(self, make, cpus, monkeypatch, tiny_clients):
-        monkeypatch.setattr(round_engine, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
         monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)  # tiny rounds too
         trainer = make()
         calls = []
@@ -783,7 +784,7 @@ class TestConcurrentBuckets:
     def test_first_failing_bucket_surfaces_after_every_thread_joined(
         self, tiny_dataset, tiny_clients, monkeypatch
     ):
-        monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 3)
         monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)
         trainer = FederatedTrainer(
             tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
@@ -810,7 +811,7 @@ class TestConcurrentBuckets:
         assert threading.active_count() == threads_before
 
     def test_a_small_round_starts_no_worker(self, tiny_dataset, tiny_clients, monkeypatch):
-        monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 3)
         trainer = FederatedTrainer(
             tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
             small_config(),
@@ -823,20 +824,20 @@ class TestConcurrentBuckets:
                 started.append(self.name)
                 super().start()
 
-        monkeypatch.setattr(round_engine.threading, "Thread", Recording)
+        monkeypatch.setattr(parallel.threading, "Thread", Recording)
         users = [c.user_id for c in tiny_clients]
         trainer._train_clients(users)  # far below the gate's size
-        assert not [name for name in started if name.startswith("round-engine")]
+        assert not [name for name in started if name.startswith("groups-")]
         monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)
         trainer._train_clients(users)
-        assert [name for name in started if name.startswith("round-engine")]
+        assert [name for name in started if name.startswith("groups-")]
 
     def test_every_step_is_taken_on_the_calling_thread(
         self, tiny_dataset, tiny_clients, monkeypatch
     ):
         # Workers only advance buckets' array work: a step on a worker
         # would escape a per-thread profile of the round.
-        monkeypatch.setattr(round_engine, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 3)
         monkeypatch.setattr(round_engine, "_THREADED_SIZE", 0)
         trainer = FederatedTrainer(
             tiny_dataset.num_items, tiny_clients, divide_clients(tiny_clients),
