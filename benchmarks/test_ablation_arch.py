@@ -7,14 +7,11 @@ strongest homogeneous baseline under *every* architecture.
 
 import numpy as np
 
-from repro.experiments.ablations import format_arch_comparison, run_arch_comparison
+from repro.experiments.run_all import render
 
 
-def test_ablation_arch_comparison(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_arch_comparison("bench"), rounds=1, iterations=1
-    )
-    artifact("ablation_arch", format_arch_comparison(results))
+def test_ablation_arch_comparison():
+    results = render("ablation_arch", "bench")
 
     for arch, methods in results.items():
         for method, result in methods.items():

@@ -7,12 +7,11 @@ actually reduce the measured upload volume.
 
 import numpy as np
 
-from repro.experiments.ablations import format_compression, run_compression
+from repro.experiments.run_all import render
 
 
-def test_ablation_compression(benchmark, artifact):
-    results = benchmark.pedantic(lambda: run_compression("bench"), rounds=1, iterations=1)
-    artifact("ablation_compression", format_compression(results))
+def test_ablation_compression():
+    results = render("ablation_compression", "bench")
 
     dense = results["dense"]
     assert np.isfinite(dense.ndcg)

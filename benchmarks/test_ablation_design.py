@@ -9,19 +9,11 @@ the evidence for each choice.
 
 import numpy as np
 
-from repro.experiments.ablations import (
-    format_kd_subset,
-    format_server_optimizer,
-    format_theta_mode,
-    run_kd_subset,
-    run_server_optimizer,
-    run_theta_mode,
-)
+from repro.experiments.run_all import render
 
 
-def test_ablation_theta_mode(benchmark, artifact):
-    results = benchmark.pedantic(lambda: run_theta_mode("bench"), rounds=1, iterations=1)
-    artifact("ablation_theta_mode", format_theta_mode(results))
+def test_ablation_theta_mode():
+    results = render("ablation_theta_mode", "bench")
 
     for result in results.values():
         assert np.isfinite(result.ndcg) and result.ndcg >= 0.0
@@ -33,11 +25,8 @@ def test_ablation_theta_mode(benchmark, artifact):
     )
 
 
-def test_ablation_server_optimizer(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_server_optimizer("bench"), rounds=1, iterations=1
-    )
-    artifact("ablation_server_optimizer", format_server_optimizer(results))
+def test_ablation_server_optimizer():
+    results = render("ablation_server_optimizer", "bench")
 
     for result in results.values():
         assert np.isfinite(result.ndcg)
@@ -47,9 +36,8 @@ def test_ablation_server_optimizer(benchmark, artifact):
     assert all(result.ndcg <= 10 * max(direct, 1e-6) for result in results.values())
 
 
-def test_ablation_kd_subset(benchmark, artifact):
-    results = benchmark.pedantic(lambda: run_kd_subset("bench"), rounds=1, iterations=1)
-    artifact("ablation_kd_subset", format_kd_subset(results))
+def test_ablation_kd_subset():
+    results = render("ablation_kd_subset", "bench")
 
     values = [result.ndcg for result in results.values()]
     assert all(np.isfinite(v) for v in values)

@@ -8,12 +8,11 @@ loss while costing (almost) nothing when clean.
 
 import numpy as np
 
-from repro.experiments.ablations import format_robustness, run_robustness
+from repro.experiments.run_all import render
 
 
-def test_ablation_robustness_quadrants(benchmark, artifact):
-    results = benchmark.pedantic(lambda: run_robustness("bench"), rounds=1, iterations=1)
-    artifact("ablation_robustness", format_robustness(results))
+def test_ablation_robustness_quadrants():
+    results = render("ablation_robustness", "bench")
 
     clean_u = results["clean / undefended"][1]
     clean_d = results["clean / defended"][1]

@@ -6,12 +6,11 @@ expensive, and HeteFedRec sits in between — substantially cheaper than
 All Large because only the data-rich minority moves large tables.
 """
 
-from repro.experiments.ablations import format_systems, run_systems
+from repro.experiments.run_all import render
 
 
-def test_ablation_systems_round_times(benchmark, artifact):
-    results = benchmark.pedantic(lambda: run_systems("bench"), rounds=1, iterations=1)
-    artifact("ablation_systems", format_systems(results))
+def test_ablation_systems_round_times():
+    results = render("ablation_systems", "bench")
 
     small = results["all_small"]["median"]
     large = results["all_large"]["median"]

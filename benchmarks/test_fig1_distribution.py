@@ -1,13 +1,10 @@
 """Benchmark: Fig. 1 — per-user interaction-count distributions."""
 
-from repro.experiments.fig1 import format_fig1, run_fig1
+from repro.experiments.run_all import render
 
 
-def test_fig1_interaction_distribution(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_fig1("bench"), rounds=1, iterations=1
-    )
-    artifact("fig1_distribution", format_fig1(results))
+def test_fig1_interaction_distribution():
+    results = render("fig1_distribution", "bench")
 
     for name, result in results.items():
         # The paper's motivating observation: most users sit below the

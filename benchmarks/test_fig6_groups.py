@@ -7,17 +7,11 @@ so its group means are noisy), and HeteFedRec's data-poor majority (U_s)
 is served at least as well as All Large would serve it.
 """
 
-from benchmarks.conftest import HEADLINE_ARCHS
-from repro.experiments.fig6 import format_fig6, run_fig6
+from repro.experiments.run_all import render
 
 
-def test_fig6_per_group_ndcg(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_fig6("bench", archs=HEADLINE_ARCHS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("fig6_groups", format_fig6(results))
+def test_fig6_per_group_ndcg():
+    results = render("fig6_groups", "bench")
 
     for arch, per_dataset in results.items():
         for dataset, per_method in per_dataset.items():

@@ -6,17 +6,12 @@ competitive with the homogeneous baselines.  This benchmark also covers
 the Fed-LightGCN generalisation check.
 """
 
-from benchmarks.conftest import GENERALISATION_ARCHS, HEADLINE_ARCHS
-from repro.experiments.fig7 import convergence_epochs, format_fig7, run_fig7
+from repro.experiments.fig7 import convergence_epochs
+from repro.experiments.run_all import render
 
 
-def test_fig7_convergence_ncf(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_fig7("bench", archs=HEADLINE_ARCHS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("fig7_convergence", format_fig7(results))
+def test_fig7_convergence_ncf():
+    results = render("fig7_convergence", "bench")
 
     epochs = convergence_epochs(results, fraction=0.9)
     print("\nepochs to reach 90% of final NDCG:", epochs)
@@ -28,18 +23,9 @@ def test_fig7_convergence_ncf(benchmark, artifact):
             assert abs(tail[1] - tail[0]) < 0.5 * max(tail[1], 1e-9), (arch, method)
 
 
-def test_fig7_lightgcn_generalisation(benchmark, artifact):
+def test_fig7_lightgcn_generalisation():
     """The paper's trends hold for the second base model as well."""
-    results = benchmark.pedantic(
-        lambda: run_fig7(
-            "bench",
-            archs=GENERALISATION_ARCHS,
-            methods=("all_small", "hetefedrec"),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("fig7_lightgcn", format_fig7(results))
+    results = render("fig7_lightgcn", "bench")
     for per_method in results.values():
         for method, run in per_method.items():
             assert run.ndcg > 0, method

@@ -5,19 +5,12 @@ little regularisation permits collapse, too much drowns the
 recommendation loss.
 """
 
-from benchmarks.conftest import SWEEP_ARCHS
-from repro.experiments.fig8 import format_fig8, has_interior_peak, run_fig8
-
-ALPHAS = (0.05, 0.25, 1.0, 4.0)
+from repro.experiments.fig8 import has_interior_peak
+from repro.experiments.run_all import render
 
 
-def test_fig8_alpha_sensitivity(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_fig8("bench", archs=SWEEP_ARCHS, alphas=ALPHAS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("fig8_alpha", format_fig8(results))
+def test_fig8_alpha_sensitivity():
+    results = render("fig8_alpha", "bench")
 
     for arch, series in results.items():
         values = [run.ndcg for _, run in series]

@@ -1,14 +1,11 @@
 """Benchmark: Table I — dataset statistics of the three benchmarks."""
 
 from repro.data.synthetic import DATASET_SPECS
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.run_all import render
 
 
-def test_table1_dataset_statistics(benchmark, artifact):
-    stats = benchmark.pedantic(
-        lambda: run_table1("bench"), rounds=1, iterations=1
-    )
-    artifact("table1_datasets", format_table1(stats))
+def test_table1_dataset_statistics():
+    stats = render("table1_datasets", "bench")
 
     # Shape checks against the paper's Table I.
     assert set(stats) == {"ml", "anime", "douban"}

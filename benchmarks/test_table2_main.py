@@ -8,17 +8,12 @@ The headline experiment.  Shape targets (paper):
   not beat HeteFedRec.
 """
 
-from benchmarks.conftest import HEADLINE_ARCHS
-from repro.experiments.table2 import format_table2, run_table2, winner_per_dataset
+from repro.experiments.run_all import render
+from repro.experiments.table2 import winner_per_dataset
 
 
-def test_table2_overall_comparison(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_table2("bench", archs=HEADLINE_ARCHS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("table2_main", format_table2(results))
+def test_table2_overall_comparison():
+    results = render("table2_main", "bench")
 
     for arch, per_dataset in results.items():
         clustered_wins = 0

@@ -6,24 +6,11 @@ deployment of the same width is the extra smaller heads — negligible
 next to the item table.
 """
 
-from repro.experiments.table3 import (
-    format_table3,
-    hetefedrec_extra_head_cost,
-    run_table3,
-)
+from repro.experiments.run_all import render
 
 
-def test_table3_transmission_costs(benchmark, artifact):
-    costs = benchmark.pedantic(
-        lambda: run_table3("bench"), rounds=1, iterations=1
-    )
-    text = format_table3(costs)
-    extra = hetefedrec_extra_head_cost()
-    text += (
-        f"\n\nHeteFedRec extra head cost: U_m +{extra['m']} params, "
-        f"U_l +{extra['l']} params (the paper's 'negligible' overhead)"
-    )
-    artifact("table3_communication", text)
+def test_table3_transmission_costs():
+    costs = render("table3_communication", "bench")
 
     # U_s clients pay exactly the All Small price.
     assert costs["s"]["hetefedrec"] == costs["s"]["all_small"]

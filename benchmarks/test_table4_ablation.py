@@ -7,17 +7,12 @@ the intermediate rungs degrade gracefully.
 
 import numpy as np
 
-from benchmarks.conftest import SWEEP_ARCHS
-from repro.experiments.table4 import ABLATION_LADDER, format_table4, run_table4
+from repro.experiments.run_all import render
+from repro.experiments.table4 import ABLATION_LADDER
 
 
-def test_table4_ablation(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_table4("bench", archs=SWEEP_ARCHS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("table4_ablation", format_table4(results))
+def test_table4_ablation():
+    results = render("table4_ablation", "bench")
 
     labels = [label for label, _ in ABLATION_LADDER]
     for arch, per_dataset in results.items():

@@ -4,17 +4,11 @@ Shape target (paper): on every dataset the singular-value variance of
 cov(V_l) drops when DDR is enabled (reusing the Table IV runs).
 """
 
-from benchmarks.conftest import SWEEP_ARCHS
-from repro.experiments.table5 import format_table5, run_table5
+from repro.experiments.run_all import render
 
 
-def test_table5_singular_value_variance(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_table5("bench", archs=SWEEP_ARCHS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("table5_collapse", format_table5(results))
+def test_table5_singular_value_variance():
+    results = render("table5_collapse", "bench")
 
     for arch, per_dataset in results.items():
         for dataset, variants in per_dataset.items():

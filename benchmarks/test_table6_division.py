@@ -5,17 +5,11 @@ the three ratios on long-tailed data, and performance deteriorates as
 more clients are pushed into larger models (toward All Large).
 """
 
-from benchmarks.conftest import SWEEP_ARCHS
-from repro.experiments.table6 import format_table6, run_table6
+from repro.experiments.run_all import render
 
 
-def test_table6_client_division(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_table6("bench", archs=SWEEP_ARCHS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("table6_division", format_table6(results))
+def test_table6_client_division():
+    results = render("table6_division", "bench")
 
     for arch, per_dataset in results.items():
         for dataset, row in per_dataset.items():

@@ -10,17 +10,12 @@ Large per setting.  Every table reports the final epoch of one seed,
 past most methods' convergence peak (``results/fig7_convergence.txt``).
 """
 
-from benchmarks.conftest import SWEEP_ARCHS
-from repro.experiments.table7 import SIZE_SETTINGS, format_table7, run_table7
+from repro.experiments.run_all import render
+from repro.experiments.table7 import SIZE_SETTINGS
 
 
-def test_table7_model_sizes(benchmark, artifact):
-    results = benchmark.pedantic(
-        lambda: run_table7("bench", archs=SWEEP_ARCHS),
-        rounds=1,
-        iterations=1,
-    )
-    artifact("table7_modelsize", format_table7(results))
+def test_table7_model_sizes():
+    results = render("table7_modelsize", "bench")
 
     labels = [label for label, _ in SIZE_SETTINGS]
     for arch, per_setting in results.items():

@@ -12,7 +12,6 @@ over All Large (small clients move small payloads).
 from repro.api import (
     build_method,
     format_table3,
-    hetefedrec_extra_head_cost,
     HeteFedRecConfig,
     load_benchmark_dataset,
     run_table3,
@@ -24,13 +23,9 @@ from repro.api import (
 def main() -> None:
     # --- analytic view (Table III) ----------------------------------------
     costs = run_table3("bench", dataset="ml")
+    # The table ends with HeteFedRec's only overhead vs a homogeneous
+    # deployment of the same width: Θ_s for U_m clients, Θ_s + Θ_m for U_l.
     print(format_table3(costs))
-    extra = hetefedrec_extra_head_cost()
-    print(
-        f"\nHeteFedRec's only overhead vs a homogeneous deployment of the same\n"
-        f"width: +{extra['m']} parameters for U_m clients (Θ_s) and "
-        f"+{extra['l']} for U_l (Θ_s + Θ_m)."
-    )
 
     # --- measured view ------------------------------------------------------
     dataset = load_benchmark_dataset("ml", SyntheticConfig(scale=0.03, seed=0))

@@ -3,11 +3,12 @@
 Metadata lives here (``pyproject.toml`` carries only the build-system
 pin and tool config) so legacy editable installs keep working in offline
 environments: run ``pip install -e . --no-build-isolation`` when the
-index is unreachable.  CI installs with plain ``pip install -e .``.
+index is unreachable.
 
 Floors declared here are the single source of truth: Python >= 3.10
 (CI exercises 3.10–3.12) and numpy >= 1.23 (the only runtime
-dependency; the test/benchmark suites need nothing else).
+dependency).  The test and benchmark suites also need pytest and
+hypothesis: every CI job that runs pytest installs ``.[test]``.
 """
 from setuptools import setup, find_packages
 
@@ -21,5 +22,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.23"],
+    extras_require={"test": ["pytest", "hypothesis"]},
     python_requires=">=3.10",
 )

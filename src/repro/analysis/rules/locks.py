@@ -1,7 +1,7 @@
 """Rule: serving-layer shared state is written under one lock discipline.
 
-The serving layer is the only multithreaded part of the repo (flush
-threads, the hot-swap watcher, concurrent lookups).  Its convention:
+The serving layer runs its own threads (flush threads, the hot-swap
+watcher, concurrent lookups).  Its convention:
 any ``self.<attr>`` that is ever written inside a ``with self._lock:``
 block is lock-guarded state, and *every* write to it must be guarded.
 A write to the same attribute outside any lock is the classic
@@ -27,6 +27,13 @@ It also fires on ``self.<condition>.wait()`` outside every ``while``
 loop of its own function: a wait can return with the state unchanged,
 and only ``while not <predicate>: wait()`` re-checks it — which also
 makes a notify sent while nobody waited harmless (no lost wakeup).
+
+What it cannot see: :func:`repro.parallel.run_groups`, the scheduler
+that runs a round's buckets and a query batch's dim-groups on worker
+threads, shares function-local state across them (the ``nonlocal``
+count of unfinished tasks, the free-slot list and the task deques under
+one local ``Condition``), not ``self.<attr>`` writes.  No static check
+covers it; only ``tests/test_parallel.py`` does.
 """
 
 from __future__ import annotations

@@ -319,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_parser.add_argument("--profile", default="bench")
     exp_parser.add_argument("--out", default="results")
-    exp_parser.add_argument("--archs", nargs="+", default=["ncf"])
+    exp_parser.add_argument(
+        "--archs", nargs="+", default=["ncf"],
+        help="base models of the artefacts that sweep them (the ablations "
+        "and fig7_lightgcn fix their own; the committed results/ use ncf)",
+    )
     exp_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for the deduped training grid "

@@ -6,14 +6,16 @@ declares its training grid **once** (``*_grid``: a nested ``label → … →``
 through the shared :func:`repro.experiments.runner.run_tree` (``run_*``:
 same shape, a :class:`RunResult` per leaf) and formats it the way the
 paper prints it (``format_*``).  :mod:`repro.experiments.run_all`
-registers each as *(grid, run, format)* and derives the suite's deduped
-warm-up from the grids; ``benchmarks/`` wraps the ``run_*`` functions.
+registers each as *(grid, run, format)*, derives the suite's deduped
+warm-up from the grids, and writes every ``results/`` file through its
+one ``render``; ``benchmarks/`` asserts on what ``render`` returns.
 
 Artefact index (each registered in :data:`repro.experiments.run_all.ARTEFACTS`):
 Table I → :mod:`table1`; Fig. 1 → :mod:`fig1`; Table II → :mod:`table2`;
-Fig. 6 → :mod:`fig6`; Fig. 7 → :mod:`fig7`; Table III → :mod:`table3`;
-Table IV → :mod:`table4`; Table V → :mod:`table5`; Table VI → :mod:`table6`;
-Table VII → :mod:`table7`; Fig. 8 → :mod:`fig8`.
+Fig. 6 → :mod:`fig6`; Fig. 7 → :mod:`fig7` (NCF and LightGCN);
+Table III → :mod:`table3`; Table IV → :mod:`table4`; Table V → :mod:`table5`;
+Table VI → :mod:`table6`; Table VII → :mod:`table7`; Fig. 8 → :mod:`fig8`;
+the design-choice ablations → :mod:`ablations`.
 """
 
 from repro.experiments.profiles import PROFILES, ExperimentProfile

@@ -1,25 +1,35 @@
-"""Regenerate every paper artefact in one command.
+"""Regenerate every paper artefact in one command: the one driver of ``results/``.
 
 Usage:
-    python -m repro.experiments.run_all --profile bench --out results/ --jobs 4
+    python -m repro experiments --profile bench --out results --jobs 2
 
-``ARTEFACTS`` registers each artefact once as *(grid, run, format)*.
-The grid is the artefact's one declaration of what it trains — a nested
-``label → … → RunSpec`` mapping (``None`` for the artefacts that train
-nothing through the run cache) — so the suite's warm-up is *derived*:
-:func:`collect_suite_specs` is the leaves of every registered grid,
+``ARTEFACTS`` declares each artefact once as *(grid, run, format)*, with
+everything that fixes the bytes of its file: which runner, which
+arguments, which formatter.  The grid is the artefact's one declaration
+of what it trains — a nested ``label → … → RunSpec`` mapping (``None``
+for the artefacts that train nothing through the run cache).  Only the
+profile and, for the artefacts that sweep base models, ``archs`` (default
+``ncf``) come from the caller.
+
+:func:`render` is the one code path that writes an artefact: it runs the
+entry, writes ``<out>/<name>.txt`` through
+:func:`~repro.experiments.reporting.write_artefact` and returns the
+results tree.  :func:`run_all` first warms the run cache with
+:func:`collect_suite_specs` — the leaves of every registered grid,
 deduped *across artefacts* by :func:`repro.experiments.runner.run_grid`
 (Fig. 6 and Fig. 7 are slices of Table II's grid, Table V two rungs of
-Table IV's; ``--jobs N`` fans the misses out over N worker processes).
-Each artefact is then rendered from the warmed cache and written to
-``<out>/<name>.txt``.
+Table IV's; ``--jobs N`` fans the misses out over N worker processes) —
+then renders every artefact.  The ``benchmarks/test_*`` artefact tests
+call :func:`render` at ``bench`` and only assert, so
+``python -m repro experiments --profile bench --out results`` writes the
+committed ``results/`` byte for byte.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import ablations, fig1, fig6, fig7, fig8
 from repro.experiments import table1, table2, table3, table4, table5, table6, table7
@@ -29,13 +39,17 @@ from repro.experiments.runner import RunSpec, run_grid, tree_specs
 #: (grid or None, run, format); grid and run are called ``(profile, archs=archs)``.
 Artefact = Tuple[Optional[Callable], Callable, Callable]
 
+#: The base models the arch-sweeping artefacts cover unless told otherwise.
+DEFAULT_ARCHS = ("ncf",)
 
-def _fixed(grid: Optional[Callable], run: Callable, fmt: Callable) -> Artefact:
-    """An artefact that does not sweep ``archs``: the analytic ones, and the
-    ablations, each of which probes one design choice on its default arch."""
+
+def _fixed(grid: Optional[Callable], run: Callable, fmt: Callable, **fixed: Any) -> Artefact:
+    """An artefact that does not sweep ``archs``: the analytic ones, the
+    ablations, each of which probes one design choice on its own archs,
+    and the LightGCN convergence check.  ``fixed`` goes to grid and run."""
     return (
-        None if grid is None else lambda profile, archs: grid(profile),
-        lambda profile, archs: run(profile),
+        None if grid is None else lambda profile, archs: grid(profile, **fixed),
+        lambda profile, archs: run(profile, **fixed),
         fmt,
     )
 
@@ -46,6 +60,11 @@ ARTEFACTS: Dict[str, Artefact] = {
     "table2_main": (table2.table2_grid, table2.run_table2, table2.format_table2),
     "fig6_groups": (fig6.fig6_grid, fig6.run_fig6, fig6.format_fig6),
     "fig7_convergence": (fig7.fig7_grid, fig7.run_fig7, fig7.format_fig7),
+    # The paper's trends on the second base model.
+    "fig7_lightgcn": _fixed(
+        fig7.fig7_grid, fig7.run_fig7, fig7.format_fig7,
+        archs=("lightgcn",), methods=("all_small", "hetefedrec"),
+    ),
     "table3_communication": _fixed(None, table3.run_table3, table3.format_table3),
     "table4_ablation": (table4.table4_grid, table4.run_table4, table4.format_table4),
     "table5_collapse": (table5.table5_grid, table5.run_table5, table5.format_table5),
@@ -68,10 +87,11 @@ ARTEFACTS: Dict[str, Artefact] = {
     "ablation_kd_subset": _fixed(
         ablations.kd_subset_grid, ablations.run_kd_subset, ablations.format_kd_subset
     ),
-    "ablation_arch": (
+    "ablation_arch": _fixed(
         ablations.arch_comparison_grid,
         ablations.run_arch_comparison,
         ablations.format_arch_comparison,
+        archs=("ncf", "lightgcn", "mf"),
     ),
     # Trains the adversarial harness directly (not a registry method).
     "ablation_robustness": _fixed(
@@ -85,7 +105,7 @@ ARTEFACTS: Dict[str, Artefact] = {
 
 
 def collect_suite_specs(
-    profile: str = "bench", archs: Tuple[str, ...] = ("ncf",)
+    profile: str = "bench", archs: Tuple[str, ...] = DEFAULT_ARCHS
 ) -> List[RunSpec]:
     """Every cached training run the registry will request, with duplicates:
     the leaves of every registered grid."""
@@ -97,11 +117,22 @@ def collect_suite_specs(
     ]
 
 
+def render(name: str, profile: str = "bench", out_dir: str = "results",
+           archs: Tuple[str, ...] = DEFAULT_ARCHS) -> Any:
+    """Run artefact ``name``, write ``<out_dir>/<name>.txt``; returns the
+    results tree its formatter rendered.  Nothing is written if the
+    runner raises."""
+    _, run, fmt = ARTEFACTS[name]
+    results = run(profile, archs=archs)
+    write_artefact(out_dir, name, fmt(results))
+    return results
+
+
 def run_all(profile: str = "bench", out_dir: str = "results",
-            archs: Tuple[str, ...] = ("ncf",),
+            archs: Tuple[str, ...] = DEFAULT_ARCHS,
             jobs: Optional[int] = None,
             clock: Callable[[], float] = time.perf_counter) -> List[str]:
-    """Run every artefact; returns the list of files written.
+    """Render every artefact; returns the list of files written.
 
     ``clock`` feeds only the progress display and is injectable so tests
     can drive it deterministically; nothing cached or fingerprinted
@@ -118,28 +149,9 @@ def run_all(profile: str = "bench", out_dir: str = "results",
     )
 
     written = []
-    for name, (_, run, fmt) in ARTEFACTS.items():
+    for name in ARTEFACTS:
         start = clock()
-        path = write_artefact(out_dir, name, fmt(run(profile, archs=archs)))
-        written.append(path)
-        print(f"[{clock() - start:7.1f}s] {name} -> {path}")
+        render(name, profile, out_dir, archs)
+        written.append(os.path.join(out_dir, f"{name}.txt"))
+        print(f"[{clock() - start:7.1f}s] {name} -> {written[-1]}")
     return written
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--profile", default="bench",
-                        choices=["smoke", "bench", "full"])
-    parser.add_argument("--out", default="results")
-    parser.add_argument("--archs", nargs="+", default=["ncf"],
-                        choices=["ncf", "lightgcn"])
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the training grid "
-                        "(default: serial)")
-    args = parser.parse_args()
-    run_all(profile=args.profile, out_dir=args.out, archs=tuple(args.archs),
-            jobs=args.jobs)
-
-
-if __name__ == "__main__":
-    main()

@@ -57,10 +57,15 @@ def format_table3(costs: Dict[str, Dict[str, int]]) -> str:
                 f"+{overhead} params vs All Small" if overhead >= 0 else "n/a",
             ]
         )
-    return format_table(
+    table = format_table(
         headers,
         rows,
         title="Table III: one-time client⇄server transmission cost (scalar parameters)",
+    )
+    extra = hetefedrec_extra_head_cost()
+    return (
+        f"{table}\n\nHeteFedRec extra head cost: U_m +{extra['m']} params, "
+        f"U_l +{extra['l']} params (the paper's 'negligible' overhead)"
     )
 
 

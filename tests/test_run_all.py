@@ -3,21 +3,24 @@
 Training-based artefacts are exercised by the benchmark suite; here we
 verify the orchestration: artefact registry completeness, that the
 warm-up list is derived from (and covers) what the registered runners
-request, error propagation, file output, and the fast (no-training)
-artefacts end to end at smoke scale.
+request, error propagation, file output, the fast (no-training)
+artefacts end to end at smoke scale, and that the registry and the
+committed ``results/`` have not drifted apart.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 import repro.experiments.run_all as run_all_module
 import repro.experiments.runner as runner_module
-from repro.experiments.run_all import ARTEFACTS, collect_suite_specs, run_all
+from repro.experiments.run_all import ARTEFACTS, collect_suite_specs, render, run_all
 from repro.experiments.runner import RunResult
 
 
 FAST_ARTEFACTS = {"table1_datasets", "fig1_distribution", "table3_communication"}
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def canned_result(spec) -> RunResult:
@@ -40,6 +43,7 @@ class TestRegistry:
             "table2_main",
             "fig6_groups",
             "fig7_convergence",
+            "fig7_lightgcn",
             "table3_communication",
             "table4_ablation",
             "table5_collapse",
@@ -142,3 +146,16 @@ class TestFastArtefacts:
         assert len(written) == len(FAST_ARTEFACTS)
         out = capsys.readouterr().out
         assert "[    7.0s]" in out  # every interval is exactly one 7-tick step
+
+
+class TestCommittedResults:
+    """``results/`` is what the registry renders: one driver, no drift."""
+
+    def test_every_committed_file_is_registered_and_vice_versa(self):
+        assert set(ARTEFACTS) == {path.stem for path in RESULTS_DIR.glob("*.txt")}
+
+    @pytest.mark.parametrize("name", sorted(FAST_ARTEFACTS))
+    def test_untrained_artefact_renders_its_committed_bytes(self, name, tmp_path):
+        render(name, "bench", out_dir=str(tmp_path))
+        rendered = (tmp_path / f"{name}.txt").read_bytes()
+        assert rendered == (RESULTS_DIR / f"{name}.txt").read_bytes()
