@@ -37,9 +37,14 @@ from typing import Dict, List
 import numpy as np
 
 from repro.federated.payload import ClientUpdate
-from repro.federated.secure_agg import FixedPointCodec, SecureAggregationConfig
+from repro.federated.secure_agg import (
+    PRECISION_BITS,
+    FixedPointCodec,
+    SecureAggregationConfig,
+)
 from repro.federated.secure_protocol import (
     MASKED_INPUT,
+    THRESHOLD_FRACTION,
     FaultPlan,
     run_secure_round,
 )
@@ -70,7 +75,7 @@ def plain_fixed_point_sum(
     updates: List[ClientUpdate], config: SecureAggregationConfig
 ) -> np.ndarray:
     """The reference the decoded masked sum must match bitwise."""
-    codec = FixedPointCodec(config.precision_bits, config.clip_range)
+    codec = FixedPointCodec()
     total = np.zeros((NUM_ITEMS, DIM), dtype=np.uint64)
     for update in updates:
         total += codec.encode(np.asarray(update.embedding_delta))
@@ -127,8 +132,8 @@ def run_benchmark(quick: bool = False) -> Dict:
             "cohorts": list(cohorts),
             "num_items": NUM_ITEMS,
             "dim": DIM,
-            "precision_bits": config.precision_bits,
-            "threshold_fraction": config.threshold_fraction,
+            "precision_bits": PRECISION_BITS,
+            "threshold_fraction": THRESHOLD_FRACTION,
             "quick": quick,
         },
         "cohorts": [bench_cohort(n, config) for n in cohorts],

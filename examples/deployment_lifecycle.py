@@ -68,7 +68,7 @@ def main() -> None:
         seed=0,
         enable_reskd=False,  # keeps unlearning subtraction exact
         availability=AvailabilityConfig(
-            offline_rate=0.15, straggler_rate=0.10, staleness_weight=0.5, seed=1
+            offline_rate=0.15, straggler_rate=0.10, seed=1
         ),
     )
     trainer = UnlearningHeteFedRec(dataset.num_items, clients, config)

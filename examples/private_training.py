@@ -1,12 +1,11 @@
-"""Privacy-protected uploads: the utility cost of clipping, noise and
-pseudo-items.
+"""Privacy-protected uploads: the utility cost of clipping and noise.
 
 Run:
     python examples/private_training.py
 
 The paper's threat model keeps user embeddings on-device, but uploaded
 item-embedding deltas still expose the client's interaction support.
-This example trains HeteFedRec with the three standard counter-measures
+This example trains HeteFedRec with row clipping and local DP noise
 (`repro.federated.privacy`) at increasing strength and reports the
 privacy-utility trade-off.
 """
@@ -25,15 +24,8 @@ from repro.api import (
 LEVELS = [
     ("no protection", None),
     ("clip only", PrivacyConfig(clip_norm=0.5)),
-    ("clip + pseudo-items", PrivacyConfig(clip_norm=0.5, pseudo_items=16)),
-    (
-        "clip + pseudo + LDP noise",
-        PrivacyConfig(clip_norm=0.5, pseudo_items=16, noise_std=0.05),
-    ),
-    (
-        "strong LDP",
-        PrivacyConfig(clip_norm=0.25, pseudo_items=32, noise_std=0.2),
-    ),
+    ("clip + LDP noise", PrivacyConfig(clip_norm=0.5, noise_std=0.05)),
+    ("strong LDP", PrivacyConfig(clip_norm=0.25, noise_std=0.2)),
 ]
 
 
@@ -61,7 +53,7 @@ def main() -> None:
         )
     )
     print(
-        "\nClipping and pseudo-items are nearly free; aggressive LDP noise\n"
+        "\nClipping is nearly free; aggressive LDP noise\n"
         "costs accuracy — the standard trade-off, now measurable per level."
     )
 

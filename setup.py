@@ -1,9 +1,10 @@
 """Packaging shim for ``pip install -e .`` — the supported install path.
 
 Metadata lives here (``pyproject.toml`` carries only the build-system
-pin and tool config) so legacy editable installs keep working in offline
-environments: run ``pip install -e . --no-build-isolation`` when the
-index is unreachable.
+pin and tool config).  When the index is unreachable, run
+``pip install -e . --no-build-isolation``; it builds with the installed
+setuptools *and* ``wheel``, so ``wheel`` must already be installed
+(without it pip stops with ``invalid command 'bdist_wheel'``).
 
 Floors declared here are the single source of truth: Python >= 3.10
 (CI exercises 3.10–3.12) and numpy >= 1.23 (the only runtime
@@ -14,7 +15,7 @@ from setuptools import setup, find_packages
 
 setup(
     name="repro",
-    version="1.1.0",
+    version="1.2.0",
     description=(
         "HeteFedRec reproduction: heterogeneous federated recommendation "
         "with a vectorized round engine (NCF / MF / LightGCN)"

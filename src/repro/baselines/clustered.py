@@ -44,7 +44,6 @@ class ClusteredTrainer(FederatedTrainer):
         Identical arithmetic to the homogeneous aggregator, applied three
         times — each group's table only ever sees deltas of its own width.
         """
-        mode = self.config.aggregation.embedding_mode
         out: Dict[str, np.ndarray] = {}
         for group in self.groups:
             group_updates = [u for u in updates if u.group == group]
@@ -54,7 +53,5 @@ class ClusteredTrainer(FederatedTrainer):
             for update in group_updates:
                 delta = update.embedding_delta
                 total[delta.rows] += delta.values
-            if mode == "mean":
-                total = total / float(len(group_updates))
             out[group] = total
         return out

@@ -25,7 +25,6 @@ class HeteFedRecConfig(FederatedConfig):
     enable_udl: bool = True
     enable_ddr: bool = True
     enable_reskd: bool = True
-    ddr_row_sample: int = 256
     distillation: DistillationConfig = field(default_factory=DistillationConfig)
 
     @classmethod

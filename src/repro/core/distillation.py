@@ -34,19 +34,19 @@ class DistillationConfig:
 
     ``num_items``: size of the sampled distillation subset ``V_kd`` (the
     paper subsamples "to avoid heavy computation costs").
-    ``steps`` / ``lr``: how many SGD steps each table takes toward the
-    ensemble relation per federation round.
     """
 
     num_items: int = 32
-    steps: int = 1
-    lr: float = 0.002
 
     def __post_init__(self) -> None:
         if self.num_items < 2:
             raise ValueError("distillation needs at least 2 items for a relation")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
+
+
+#: How many SGD steps each table takes toward the ensemble relation per
+#: federation round, and their learning rate.
+STEPS = 1
+LR = 0.002
 
 
 def _unit_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -102,7 +102,7 @@ def relation_distillation_step(
     The ensemble target is computed once from the pre-step tables (a fixed
     target, as in the paper — each table distils *toward* the ensemble, it
     does not chase the other tables mid-step), then each table descends
-    the relation loss for ``config.steps`` SGD steps.  ``subset`` is drawn
+    the relation loss for ``STEPS`` SGD steps.  ``subset`` is drawn
     without replacement, so each step updates exactly its rows; a table
     keeps its dtype.
     """
@@ -114,8 +114,8 @@ def relation_distillation_step(
     losses: Dict[str, float] = {}
     for name, table in tables.items():
         final = 0.0
-        for _ in range(config.steps):
+        for _ in range(STEPS):
             final, grad = _relation_loss_and_grad(table[subset], target)
-            table[subset] -= config.lr * grad
+            table[subset] -= LR * grad
         losses[name] = final
     return losses

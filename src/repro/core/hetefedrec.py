@@ -31,6 +31,10 @@ from repro.core.grouping import divide_clients
 from repro.data.dataset import ClientData
 from repro.federated.trainer import FederatedTrainer
 
+#: Rows of the catalogue each medium/large client's DDR penalty samples per
+#: round (0, or a catalogue no larger, regularises the whole table).
+DDR_ROW_SAMPLE = 256
+
 
 class HeteFedRec(FederatedTrainer):
     """Federated recommendation with heterogeneous model sizes."""
@@ -85,7 +89,7 @@ class HeteFedRec(FederatedTrainer):
         if not (cfg.enable_ddr and cfg.alpha > 0):
             return {}
         rows = self.num_items
-        sample = cfg.ddr_row_sample
+        sample = DDR_ROW_SAMPLE
         subsets = {}
         for user in user_ids:
             if self.group_of[user] == "s":

@@ -11,31 +11,32 @@ that recommendation quality differences between methods are meaningful.
 Generative model
 ----------------
 1. Draw user latent vectors ``p_u`` and item latent vectors ``q_i`` from a
-   Gaussian with ``latent_dim`` factors; draw item popularity biases from a
+   Gaussian with ``LATENT_DIM`` factors; draw item popularity biases from a
    Zipf-like power law (real catalogues are popularity-skewed).
 2. Draw per-user interaction counts from a lognormal fitted to the target
-   mean and coefficient of variation, clipped to ``[min_interactions,
+   mean and coefficient of variation, clipped to ``[MIN_INTERACTIONS,
    max fraction of catalogue]``.
 3. Link *preference complexity* to activity: a user at activity percentile
-   ``p`` expresses only the first ``min_factors + p·(k - min_factors)``
+   ``p`` expresses only the first ``MIN_FACTORS + p·(k - MIN_FACTORS)``
    latent factors.  Casual users follow a few broad tastes; heavy users
    have multi-faceted preferences.  This is what makes a *small* model
    sufficient for data-poor clients and a *large* model necessary for
    data-rich ones — the premise of the paper's Fig. 6 / Table VII.
 4. Link *interaction noise* to activity: a fraction of each user's
-   interactions (``max_noise`` for the least active, falling linearly to
-   ``min_noise`` for the most active) is drawn from the popularity prior
+   interactions (``MAX_NOISE`` for the least active, falling linearly to
+   ``MIN_NOISE`` for the most active) is drawn from the popularity prior
    instead of the user's own preference distribution — casual users
    browse charts.  Big embedding tables memorise this noise where small
    ones underfit it, producing the paper's All-Small > All-Large ordering
    and the harm data-poor clients inflict on a shared large model.
 5. For each user, sample the signal portion with probability
-   ``softmax(p_u · q_i / sqrt(k) * affinity_scale + popularity_i)`` and
+   ``softmax(p_u · q_i / sqrt(k) * AFFINITY_SCALE + popularity_i)`` and
    the noise portion from the popularity prior.
 
 Steps 3–4 are the calibration that lets a scaled-down synthetic dataset
-exhibit the paper's *mechanisms*, not just its marginal statistics; both
-links can be disabled to get a plain homogeneous latent-factor dataset.
+exhibit the paper's *mechanisms*, not just its marginal statistics.  The
+generative constants (``LATENT_DIM`` … ``MIN_NOISE``) are fixed module
+constants; :class:`SyntheticConfig` sets only the size and the seed.
 """
 
 from __future__ import annotations
@@ -128,22 +129,22 @@ class SyntheticConfig:
     # federated aggregation dynamics depend on.
     item_scale: float = 0.15
     avg_interactions: float = 32.0
-    # Calibration: the latent dimensionality must exceed
-    # the small model width (8) so that All Small is capacity-limited,
-    # while the *per-user expressed* complexity stays below each user's
-    # interaction count so preferences remain statistically identifiable.
-    latent_dim: int = 24
-    affinity_scale: float = 4.0
-    popularity_exponent: float = 1.0
-    min_interactions: int = 6
-    # Activity-linked preference complexity (generative step 3).
-    complexity_link: bool = True
-    min_factors: int = 4
-    # Activity-linked interaction noise (generative step 4).
-    noise_link: bool = True
-    max_noise: float = 0.55
-    min_noise: float = 0.10
     seed: int = 0
+
+
+# Calibration: the latent dimensionality must exceed the small model width
+# (8) so that All Small is capacity-limited, while the *per-user expressed*
+# complexity stays below each user's interaction count so preferences
+# remain statistically identifiable.
+LATENT_DIM = 24
+AFFINITY_SCALE = 4.0
+POPULARITY_EXPONENT = 1.0
+MIN_INTERACTIONS = 6
+# Activity-linked preference complexity (generative step 3).
+MIN_FACTORS = 4
+# Activity-linked interaction noise (generative step 4).
+MAX_NOISE = 0.55
+MIN_NOISE = 0.10
 
 
 def _universe_sizes(spec: DatasetSpec, config: SyntheticConfig) -> tuple:
@@ -196,38 +197,30 @@ def generate_dataset(
     num_users, num_items = _universe_sizes(spec, config)
 
     # --- latent preference structure -------------------------------------
-    k = config.latent_dim
+    k = LATENT_DIM
     user_latent = rng.normal(0.0, 1.0, size=(num_users, k))
     item_latent = rng.normal(0.0, 1.0, size=(num_items, k))
     # Zipf-ish popularity bias: item ranked r gets log-popularity ∝ -a log r.
     ranks = np.arange(1, num_items + 1, dtype=np.float64)
-    popularity = -config.popularity_exponent * np.log(ranks)
+    popularity = -POPULARITY_EXPONENT * np.log(ranks)
     popularity = rng.permutation(popularity)  # decouple popularity from id order
 
     # --- heavy-tailed per-user activity ----------------------------------
     counts = _lognormal_counts(rng, num_users, config.avg_interactions, spec.cv)
     cap = int(0.6 * num_items)
-    counts = np.clip(np.round(counts), config.min_interactions, cap).astype(np.int64)
+    counts = np.clip(np.round(counts), MIN_INTERACTIONS, cap).astype(np.int64)
 
     # --- activity-linked complexity and noise (steps 3–4) -----------------
     activity_pct = np.argsort(np.argsort(counts)) / max(num_users - 1, 1)
-    if config.complexity_link:
-        factor_support = np.ceil(
-            config.min_factors + (k - config.min_factors) * activity_pct
-        ).astype(np.int64)
-    else:
-        factor_support = np.full(num_users, k, dtype=np.int64)
-    if config.noise_link:
-        noise_fraction = config.max_noise - (config.max_noise - config.min_noise) * activity_pct
-    else:
-        noise_fraction = np.zeros(num_users)
+    factor_support = np.ceil(MIN_FACTORS + (k - MIN_FACTORS) * activity_pct).astype(np.int64)
+    noise_fraction = MAX_NOISE - (MAX_NOISE - MIN_NOISE) * activity_pct
 
     popularity_probs = np.exp(popularity - popularity.max())
     popularity_probs /= popularity_probs.sum()
 
     # --- sample interactions ----------------------------------------------
     user_items = []
-    scores_scale = config.affinity_scale / np.sqrt(k)
+    scores_scale = AFFINITY_SCALE / np.sqrt(k)
     for user in range(num_users):
         vec = user_latent[user].copy()
         support = int(factor_support[user])

@@ -294,7 +294,7 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-    evaluator = Evaluator(clients, k=config.eval_k)
+    evaluator = Evaluator(clients)
 
     trainer.fit(evaluator)
     final = trainer.evaluate_with(evaluator)

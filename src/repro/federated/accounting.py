@@ -93,6 +93,11 @@ def compose_advanced(
     return epsilon, target_delta
 
 
+#: δ budget a trainer's accountant composes against when both clipping
+#: and noise are active.
+TARGET_DELTA = 1e-5
+
+
 class PrivacyAccountant:
     """Running (ε, δ) over the training run's aggregation rounds.
 
@@ -103,7 +108,7 @@ class PrivacyAccountant:
     ``ε = inf`` to make "no noise, no privacy" impossible to misread.
     """
 
-    def __init__(self, noise_multiplier: float, target_delta: float = 1e-5) -> None:
+    def __init__(self, noise_multiplier: float, target_delta: float = TARGET_DELTA) -> None:
         if noise_multiplier < 0:
             raise ValueError(
                 f"noise_multiplier must be >= 0, got {noise_multiplier}"

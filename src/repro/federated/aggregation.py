@@ -27,24 +27,19 @@ from repro.federated.payload import ClientUpdate
 class AggregationConfig:
     """How client deltas combine into global parameter movements.
 
-    ``embedding_mode``:
-        'sum' (paper Eq. 8 — stable because per-client embedding updates
-        touch nearly disjoint item rows) or 'mean'.
+    Item-embedding deltas always sum (paper Eq. 8 — stable because
+    per-client embedding updates touch nearly disjoint item rows), and
+    the server applies the aggregate unscaled.
+
     ``theta_mode``:
         'mean' (default, stable) or 'sum' (paper Eq. 15 verbatim).
-    ``server_lr``:
-        Scale applied to aggregated deltas before updating globals.
     """
 
-    embedding_mode: str = "sum"
     theta_mode: str = "mean"
-    server_lr: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, mode in (("embedding_mode", self.embedding_mode),
-                           ("theta_mode", self.theta_mode)):
-            if mode not in ("sum", "mean"):
-                raise ValueError(f"{name} must be 'sum' or 'mean', got {mode!r}")
+        if self.theta_mode not in ("sum", "mean"):
+            raise ValueError(f"theta_mode must be 'sum' or 'mean', got {self.theta_mode!r}")
 
 
 def pad_columns(delta: np.ndarray, target_width: int) -> np.ndarray:

@@ -37,22 +37,13 @@ class AvailabilityConfig:
     """Probabilities of the three per-round client fates.
 
     ``offline_rate`` + ``straggler_rate`` must stay below 1; whatever
-    remains is the on-time probability.  ``staleness_weight`` scales a
-    straggler's update when it is finally applied (1.0 = apply as-is;
-    the FedBuff-style discount is < 1).
-
-    ``buffer_max_age_rounds`` bounds how many aggregation rounds a
-    buffered update may wait before it is evicted unapplied (counted in
-    ``CommunicationMeter.dropped_updates``): ``None`` keeps updates
-    forever (the historical behaviour), ``0`` discards stragglers
-    outright, ``1`` is the sync trainer's natural cadence (buffered this
-    round, applied the next).
+    remains is the on-time probability.  Stragglers wait in a
+    :class:`StragglerBuffer` at its defaults: discounted by 0.5 when
+    finally applied, and kept until then.
     """
 
     offline_rate: float = 0.1
     straggler_rate: float = 0.1
-    staleness_weight: float = 0.5
-    buffer_max_age_rounds: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,15 +55,6 @@ class AvailabilityConfig:
             raise ValueError(
                 "offline_rate + straggler_rate must leave room for on-time "
                 f"clients, got {self.offline_rate} + {self.straggler_rate}"
-            )
-        if not 0.0 <= self.staleness_weight <= 1.0:
-            raise ValueError(
-                f"staleness_weight must be in [0, 1], got {self.staleness_weight}"
-            )
-        if self.buffer_max_age_rounds is not None and self.buffer_max_age_rounds < 0:
-            raise ValueError(
-                "buffer_max_age_rounds must be None or >= 0, got "
-                f"{self.buffer_max_age_rounds}"
             )
 
     @property

@@ -5,7 +5,7 @@ FedRec attack literature it cites shows ([48], [49]: interaction-level
 membership inference) — the *sparsity pattern* of an uploaded
 item-embedding delta still reveals which items a client interacted with,
 and raw delta values can leak rating signals.  This module implements the
-three standard counter-measures, composable and individually optional:
+three standard counter-measures, composable:
 
 * **Norm clipping**: bound each item row's delta norm (a prerequisite for
   any DP guarantee, and a robustness measure against poisoning scale).
@@ -15,6 +15,7 @@ three standard counter-measures, composable and individually optional:
 * **Pseudo-items**: the client also uploads plausible (noise) updates for
   a random set of items it never touched, hiding the true interaction
   support — the mechanism used by the FedNCF line of work ([44], [49]).
+  Its count is the module constant ``PSEUDO_ITEMS``, 0 (off).
 
 Enable by setting ``FederatedConfig.privacy`` to a :class:`PrivacyConfig`;
 the trainer applies :func:`protect_update` to every upload.  Protection
@@ -42,34 +43,28 @@ class PrivacyConfig:
         Gaussian noise std *relative to clip_norm* added to every
         uploaded scalar (0 disables).  Requires ``clip_norm`` > 0 to be
         meaningful as DP; applied as absolute std if clipping is off.
-    ``pseudo_items``:
-        Number of untouched items per upload that receive fabricated
-        deltas (0 disables).  Fabricated rows are Gaussian with the same
-        per-row norm distribution as the client's real rows, so they are
-        statistically indistinguishable to the server.
-    ``target_delta``:
-        δ budget the privacy accountant composes against when both
-        ``clip_norm`` and ``noise_std`` are active — see
-        :mod:`repro.federated.accounting`.  Has no effect on the
-        mechanism itself.
+
+    The pseudo-item count is the module constant ``PSEUDO_ITEMS``, and the
+    accountant's δ budget is ``accounting.TARGET_DELTA``.
     """
 
     clip_norm: float = 0.0
     noise_std: float = 0.0
-    pseudo_items: int = 0
-    target_delta: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.clip_norm < 0 or self.noise_std < 0 or self.pseudo_items < 0:
+        if self.clip_norm < 0 or self.noise_std < 0:
             raise ValueError("privacy parameters must be non-negative")
-        if not 0 < self.target_delta < 1:
-            raise ValueError(
-                f"target_delta must be in (0, 1), got {self.target_delta}"
-            )
 
     @property
     def enabled(self) -> bool:
-        return bool(self.clip_norm or self.noise_std or self.pseudo_items)
+        return bool(self.clip_norm or self.noise_std or PSEUDO_ITEMS)
+
+
+#: Number of untouched items per upload that receive fabricated deltas
+#: (0 disables).  Fabricated rows are Gaussian with the same per-row norm
+#: distribution as the client's real rows, so they are statistically
+#: indistinguishable to the server.
+PSEUDO_ITEMS = 0
 
 
 def clip_rows(delta: np.ndarray, max_norm: float) -> np.ndarray:
@@ -139,13 +134,13 @@ def _protect_delta(
     rows = delta.rows
     values = clip_rows(delta.values, config.clip_norm)
 
-    if config.pseudo_items > 0:
+    if PSEUDO_ITEMS > 0:
         real_pos = touched_rows(values)
         real = rows[real_pos]
         untouched = np.setdiff1d(np.arange(delta.num_rows), real)
         if untouched.size and real.size:
             chosen = rng.choice(
-                untouched, size=min(config.pseudo_items, untouched.size), replace=False
+                untouched, size=min(PSEUDO_ITEMS, untouched.size), replace=False
             )
             real_norms = np.linalg.norm(values[real_pos], axis=1)
             fake = rng.normal(size=(chosen.size, delta.width))

@@ -55,39 +55,26 @@ _FIELD_DTYPE = np.uint64
 class SecureAggregationConfig:
     """Parameters of the secure-aggregation protocol.
 
-    ``precision_bits``:
-        Fractional bits of the fixed-point encoding; 24 bits keeps
-        quantisation error below 1e-7 per scalar.
-    ``clip_range``:
-        Symmetric clamp applied to every scalar before encoding.  The
-        field has 64 bits, so the head-room for summation is
-        ``2^63 / (clip_range · 2^precision_bits)`` clients — over 500
-        at the defaults, far beyond the paper's 256 per round.
     ``seed``:
         Root secret from which every client's per-round key material
         derives (stands in for the clients' long-term keys).
-    ``threshold_fraction``:
-        Minimum fraction of the invited participants that must survive
-        every phase of the full protocol
-        (:mod:`repro.federated.secure_protocol`); rounds falling below
-        ``max(1, ceil(threshold_fraction · n))`` survivors abort into
-        the availability path instead of unmasking.
+
+    The fixed-point encoding (``PRECISION_BITS``, ``CLIP_RANGE``) and the
+    survival threshold (``secure_protocol.THRESHOLD_FRACTION``) are
+    module constants.
     """
 
-    precision_bits: int = 24
-    clip_range: float = 64.0
     seed: int = 0
-    threshold_fraction: float = 0.5
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.precision_bits <= 40:
-            raise ValueError(f"precision_bits must be in [1, 40], got {self.precision_bits}")
-        if self.clip_range <= 0:
-            raise ValueError(f"clip_range must be positive, got {self.clip_range}")
-        if not 0 < self.threshold_fraction <= 1:
-            raise ValueError(
-                f"threshold_fraction must be in (0, 1], got {self.threshold_fraction}"
-            )
+
+#: Fractional bits of the fixed-point encoding; 24 bits keeps
+#: quantisation error below 1e-7 per scalar.
+PRECISION_BITS = 24
+#: Symmetric clamp applied to every scalar before encoding.  The field has
+#: 64 bits, so the head-room for summation is
+#: ``2^63 / (CLIP_RANGE · 2^PRECISION_BITS)`` clients — over 500, far
+#: beyond the paper's 256 per round.
+CLIP_RANGE = 64.0
 
 
 class FixedPointCodec:
@@ -105,7 +92,13 @@ class FixedPointCodec:
     instead of corrupting Table II numbers invisibly.
     """
 
-    def __init__(self, precision_bits: int = 24, clip_range: float = 64.0) -> None:
+    def __init__(
+        self, precision_bits: int = PRECISION_BITS, clip_range: float = CLIP_RANGE
+    ) -> None:
+        if not 1 <= precision_bits <= 40:
+            raise ValueError(f"precision_bits must be in [1, 40], got {precision_bits}")
+        if clip_range <= 0:
+            raise ValueError(f"clip_range must be positive, got {clip_range}")
         self.precision_bits = precision_bits
         self.clip_range = clip_range
         self.scale = float(2**precision_bits)

@@ -110,6 +110,11 @@ ADVERTISE, SHARES, MASKED_INPUT, UNMASK = (
 )
 PHASES = (ADVERTISE, SHARES, MASKED_INPUT, UNMASK)
 
+#: Minimum fraction of the invited participants that must survive every
+#: phase: a round below ``max(1, ceil(THRESHOLD_FRACTION · n))`` survivors
+#: aborts into the availability path instead of unmasking.
+THRESHOLD_FRACTION = 0.5
+
 #: Shamir/DH field: the 12th Mersenne prime.  Big enough to hold any
 #: 64-bit secret, small enough that pure-python modexp stays cheap.
 SHAMIR_PRIME = 2**127 - 1
@@ -140,6 +145,21 @@ class SecureRoundAbort(RuntimeError):
             f"{survivors} survivors < threshold {threshold}"
         )
         self.phase = phase
+        self.survivors = survivors
+        self.threshold = threshold
+
+
+class TamperedRevealAbort(SecureRoundAbort):
+    """A secret reconstructed at unmask fails its advertised commitment.
+
+    Some revealed share was tampered with, so the masks cannot be
+    stripped: the round aborts like one short of survivors, and its
+    updates take the same availability path instead of ending the run.
+    """
+
+    def __init__(self, reason: str, survivors: int, threshold: int) -> None:
+        RuntimeError.__init__(self, f"secure round aborted at phase {UNMASK!r}: {reason}")
+        self.phase = UNMASK
         self.survivors = survivors
         self.threshold = threshold
 
@@ -347,7 +367,7 @@ class SecureAggregationClient:
         ) + 1
         self.self_seed = _digest_int(root, "self", round_id, client_id, bits=64)
         self.mac_key = _digest_int(root, "mac", round_id, client_id, bits=128)
-        self.codec = FixedPointCodec(config.precision_bits, config.clip_range)
+        self.codec = FixedPointCodec()
         self._prg = MaskPRG(round_id)
         self.phase = ADVERTISE
         self._roster: List[int] = []
@@ -545,7 +565,8 @@ class SecureAggregationServer:
     rejected and counted (``duplicates_ignored`` / ``late_rejected``),
     unknown senders raise :class:`ProtocolError`.  Every ``close_*``
     enforces the survivor threshold and raises :class:`SecureRoundAbort`
-    below it — the server never limps into an unreconstructable state.
+    below it, and :meth:`finalize` aborts on a tampered reveal — the
+    server never limps into an unreconstructable state.
     """
 
     def __init__(
@@ -564,9 +585,7 @@ class SecureAggregationServer:
         self.vector_sizes = {uid: int(vector_sizes[uid]) for uid in self.expected}
         self.round_id = int(round_id)
         self.config = config
-        self.threshold = max(
-            1, int(np.ceil(config.threshold_fraction * len(self.expected)))
-        )
+        self.threshold = max(1, int(np.ceil(THRESHOLD_FRACTION * len(self.expected))))
         self.phase = ADVERTISE
         self.duplicates_ignored = 0
         self.late_rejected = 0
@@ -713,7 +732,11 @@ class SecureAggregationServer:
         return self._receive(UNMASK, sender, self._unmask, message)
 
     def finalize(self) -> np.ndarray:
-        """Reconstruct, strip masks, decode — the protocol's payoff."""
+        """Reconstruct, strip masks, decode — the protocol's payoff.
+
+        A reconstructed secret that fails its advertised commitment (a
+        tampered share) aborts the round with :class:`TamperedRevealAbort`.
+        """
         self._require_phase(UNMASK)
         self.responders = sorted(self._unmask)
         if len(self.responders) < self.threshold:
@@ -736,9 +759,9 @@ class SecureAggregationServer:
             if _digest_int("commit", seed, bits=64) != self._advertisements[
                 survivor
             ].self_commitment:
-                raise ProtocolError(
+                raise TamperedRevealAbort(
                     f"reconstructed self-mask seed for {survivor} fails its "
-                    "advertised commitment"
+                    "advertised commitment", len(self.responders), self.threshold,
                 )
             own = total[: sizes[survivor]]
             mask = prg.expand(_prg_seed("selfmask", seed), own.size)
@@ -752,9 +775,9 @@ class SecureAggregationServer:
             secret = shamir_reconstruct(shares)
             advert = self._advertisements[dropout]
             if pow(DH_GENERATOR, secret, SHAMIR_PRIME) != advert.dh_public:
-                raise ProtocolError(
+                raise TamperedRevealAbort(
                     f"reconstructed DH secret for {dropout} fails its "
-                    "advertised public key"
+                    "advertised public key", len(self.responders), self.threshold,
                 )
             for survivor in self.survivors:
                 shared = pow(
@@ -769,7 +792,7 @@ class SecureAggregationServer:
                 else:
                     np.add(span, mask, out=span)
 
-        codec = FixedPointCodec(self.config.precision_bits, self.config.clip_range)
+        codec = FixedPointCodec()
         return codec.decode(total)
 
     def _collect_shares(self, target: int, kind: str) -> Dict[int, int]:

@@ -27,16 +27,13 @@ class ServerOptimizerConfig:
     ``kind``:
         'sgd' (plain scaling — identical to the paper's rule at
         ``lr=1``), 'fedavgm' (server momentum), 'fedadam' or 'fedyogi'
-        (adaptive; ``eps`` follows the large defaults of the FedOpt
-        paper, not Adam's 1e-8, because pseudo-gradients are large).
+        (adaptive, with the moment constants ``BETA1`` / ``BETA2`` /
+        ``EPS`` below).
     """
 
     kind: str = "fedavgm"
     lr: float = 1.0
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-3
 
     _KINDS = ("sgd", "fedavgm", "fedadam", "fedyogi")
 
@@ -47,9 +44,14 @@ class ServerOptimizerConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {beta}")
+
+
+#: FedAdam / FedYogi moment decay rates.
+BETA1 = 0.9
+BETA2 = 0.99
+#: Adaptive-step denominator floor: the large default of the FedOpt paper,
+#: not Adam's 1e-8, because pseudo-gradients are large.
+EPS = 1e-3
 
 
 class ServerOptimizer:
@@ -86,15 +88,15 @@ class ServerOptimizer:
         if v is None or v.shape != delta.shape:
             v = np.zeros_like(delta)
 
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * delta
+        m = BETA1 * m + (1.0 - BETA1) * delta
         squared = delta**2
         if cfg.kind == "fedadam":
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * squared
+            v = BETA2 * v + (1.0 - BETA2) * squared
         else:  # fedyogi — additive, sign-controlled second-moment update
-            v = v - (1.0 - cfg.beta2) * squared * np.sign(v - squared)
+            v = v - (1.0 - BETA2) * squared * np.sign(v - squared)
         self._momentum[key] = m
         self._second[key] = v
-        return cfg.lr * m / (np.sqrt(v) + cfg.eps)
+        return cfg.lr * m / (np.sqrt(v) + EPS)
 
     def reset(self) -> None:
         self._momentum.clear()

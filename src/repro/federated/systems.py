@@ -29,6 +29,10 @@ import numpy as np
 
 #: Scalar size on the wire, bytes (float32).
 BYTES_PER_SCALAR = 4
+#: Every fleet's on-device training speed, examples/second: the median and
+#: the log-normal shape of its spread.
+MEDIAN_COMPUTE = 2000.0
+COMPUTE_SIGMA = 0.75
 
 
 @dataclass
@@ -38,20 +42,19 @@ class SystemProfile:
     Bandwidths are in bytes/second, compute in training-examples/second;
     ``*_sigma`` are the log-normal shape parameters (0 = homogeneous
     fleet).  Defaults sketch a mid-range mobile population: ~2 MB/s
-    median uplink, ~2000 examples/s median on-device training.
+    median uplink, ~2000 examples/s median on-device training
+    (``MEDIAN_COMPUTE`` / ``COMPUTE_SIGMA``).
     """
 
     median_bandwidth: float = 2e6
     bandwidth_sigma: float = 1.0
-    median_compute: float = 2000.0
-    compute_sigma: float = 0.75
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.median_bandwidth <= 0 or self.median_compute <= 0:
-            raise ValueError("medians must be positive")
-        if self.bandwidth_sigma < 0 or self.compute_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
+        if self.median_bandwidth <= 0:
+            raise ValueError("median_bandwidth must be positive")
+        if self.bandwidth_sigma < 0:
+            raise ValueError("bandwidth_sigma must be non-negative")
 
     def sample_devices(self, user_ids: Sequence[int]) -> Dict[int, "Device"]:
         """One fixed (bandwidth, compute) pair per user, seeded per user."""
@@ -61,9 +64,7 @@ class SystemProfile:
             bandwidth = self.median_bandwidth * float(
                 np.exp(rng.normal(0.0, self.bandwidth_sigma))
             )
-            compute = self.median_compute * float(
-                np.exp(rng.normal(0.0, self.compute_sigma))
-            )
+            compute = MEDIAN_COMPUTE * float(np.exp(rng.normal(0.0, COMPUTE_SIGMA)))
             devices[int(user_id)] = Device(bandwidth=bandwidth, compute=compute)
         return devices
 

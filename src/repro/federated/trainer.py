@@ -41,7 +41,6 @@ from repro.eval.evaluator import Evaluator
 from repro.federated.aggregation import (
     AggregationConfig,
     aggregate_head_updates,
-    mean_over_column_contributors,
     mean_over_head_contributors,
     padded_embedding_aggregate,
 )
@@ -88,9 +87,7 @@ class FederatedConfig:
     aggregation: AggregationConfig = field(default_factory=AggregationConfig)
     seed: int = 0
     eval_every: int = 1
-    eval_k: int = 20
-    embedding_init_std: float = 0.01
-    #: Optional upload protection (clipping / LDP noise / pseudo-items);
+    #: Optional upload protection (clipping / LDP noise);
     #: see :mod:`repro.federated.privacy`.  ``None`` = no protection.
     privacy: Optional["PrivacyConfig"] = None
     #: Optional secure aggregation: every round runs the full phased
@@ -102,7 +99,7 @@ class FederatedConfig:
     #: :mod:`repro.compression`.  ``None`` = dense uploads.
     compression: Optional["CompressionConfig"] = None
     #: Optional server-side optimiser for applying aggregated deltas
-    #: (FedAvgM / FedAdam / FedYogi); ``None`` = plain ``server_lr`` scaling.
+    #: (FedAvgM / FedAdam / FedYogi); ``None`` = the aggregate is applied unscaled.
     server_optimizer: Optional["ServerOptimizerConfig"] = None
     #: Optional offline/straggler simulation; see
     #: :mod:`repro.federated.availability`.  ``None`` = everyone on time.
@@ -166,10 +163,7 @@ class FederatedTrainer:
             else None
         )
         self._straggler_buffer = (
-            StragglerBuffer(
-                config.availability.staleness_weight,
-                max_age_rounds=config.availability.buffer_max_age_rounds,
-            )
+            StragglerBuffer()
             if config.availability is not None and config.availability.enabled
             else None
         )
@@ -184,7 +178,7 @@ class FederatedTrainer:
         #: Differential-privacy accountant — only meaningful when the
         #: clipped-noise mechanism is actually active (clip + noise).
         self._accountant = (
-            PrivacyAccountant(config.privacy.noise_std, config.privacy.target_delta)
+            PrivacyAccountant(config.privacy.noise_std)
             if config.privacy is not None
             and config.privacy.clip_norm > 0
             and config.privacy.noise_std > 0
@@ -226,9 +220,7 @@ class FederatedTrainer:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + 1)
         dims = {g: cfg.dims[g] for g in self.groups}
-        tables = nn_init.nested_embedding_tables(
-            self.num_items, list(dims.values()), std=cfg.embedding_init_std, rng=rng
-        )
+        tables = nn_init.nested_embedding_tables(self.num_items, list(dims.values()), rng=rng)
         self.models = {}
         for group in self.groups:
             self.models[group] = build_model(
@@ -318,9 +310,7 @@ class FederatedTrainer:
     def aggregate_embeddings(self, updates: Sequence[ClientUpdate]) -> Dict[str, np.ndarray]:
         """Default: the paper's padding aggregation (Eq. 8)."""
         dims = {g: self.config.dims[g] for g in self.groups}
-        return padded_embedding_aggregate(
-            updates, dims, mode=self.config.aggregation.embedding_mode
-        )
+        return padded_embedding_aggregate(updates, dims)
 
     def post_aggregate(self, epoch: int) -> None:
         """Server-side step after aggregation — HeteFedRec runs RESKD here."""
@@ -394,7 +384,7 @@ class FederatedTrainer:
         """
         if self._server_opt is not None:
             return self._server_opt.step(key, delta)
-        return self.config.aggregation.server_lr * delta
+        return delta
 
     def _secure_aggregate(
         self, accepted: Sequence[ClientUpdate]
@@ -436,11 +426,6 @@ class FederatedTrainer:
         surviving = [u for u in accepted if int(u.user_id) in survivor_ids]
         if cfg.aggregation.theta_mode == "mean":
             mean_over_head_contributors(surviving, heads)
-        if cfg.aggregation.embedding_mode == "mean":
-            embeddings = {
-                group: mean_over_column_contributors(surviving, summed)
-                for group, summed in embeddings.items()
-            }
         return embeddings, heads
 
     def _meter_secure_round(

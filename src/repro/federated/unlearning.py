@@ -167,19 +167,8 @@ class UnlearningHeteFedRec(HeteFedRec):
 
     def _record_contributions(self, accepted: Sequence[ClientUpdate]) -> None:
         cfg = self.config
-        server_lr = cfg.aggregation.server_lr
         dims = {g: cfg.dims[g] for g in self.groups}
         widest = max(dims.values())
-
-        embedding_mode = cfg.aggregation.embedding_mode
-        contributors = np.zeros(widest, dtype=np.float64)
-        for update in accepted:
-            contributors[: update.embedding_delta.width] += 1.0
-        column_scale = (
-            1.0 / np.maximum(contributors, 1.0)
-            if embedding_mode == "mean"
-            else np.ones(widest)
-        )
 
         head_counts: Dict[str, int] = {}
         for update in accepted:
@@ -188,13 +177,9 @@ class UnlearningHeteFedRec(HeteFedRec):
 
         for update in accepted:
             delta = update.embedding_delta
-            # Scale the touched-row block once at the widest width;
-            # each group's ledger entry keeps the same sparse rows.
-            scaled = (
-                pad_columns(delta.values, widest)
-                * column_scale[np.newaxis, :]
-                * server_lr
-            )
+            # Pad the touched-row block once at the widest width (a fresh
+            # float64 copy); each group's ledger entry keeps the same rows.
+            scaled = pad_columns(delta.values, widest).astype(np.float64)
             for group, width in dims.items():
                 self.ledger.record_embedding(
                     update.user_id,
@@ -210,7 +195,7 @@ class UnlearningHeteFedRec(HeteFedRec):
                 for name, values in state.items():
                     self.ledger.record_head(
                         update.user_id, head_group, name,
-                        values * (server_lr / divisor),
+                        values * (1.0 / divisor),
                     )
 
     # ------------------------------------------------------------------

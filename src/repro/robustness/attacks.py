@@ -35,14 +35,13 @@ class AttackConfig:
 
     ``fraction`` of clients are malicious (chosen uniformly at random,
     per PipAttack's setting of injected/compromised users).  ``scale``
-    amplifies the poisoned payload; ``target_item`` is only used by the
-    ``promote`` attack.
+    amplifies the poisoned payload; the ``promote`` attack pushes item
+    ``TARGET_ITEM``.
     """
 
     kind: str = "signflip"
     fraction: float = 0.1
     scale: float = 10.0
-    target_item: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -52,8 +51,10 @@ class AttackConfig:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.target_item < 0:
-            raise ValueError(f"target_item must be non-negative, got {self.target_item}")
+
+
+#: The item the ``promote`` attack pushes into every user's top-K.
+TARGET_ITEM = 0
 
 
 def choose_malicious(
@@ -148,4 +149,4 @@ def poison_update(
         return _noise_like(update, config.scale, rng)
     if config.kind == "signflip":
         return update.scaled(-config.scale)
-    return _promote_target(update, config.target_item, config.scale)
+    return _promote_target(update, TARGET_ITEM, config.scale)

@@ -39,26 +39,25 @@ class RobustAggregationConfig:
 
     ``clip_headroom``:
         Multiplier over the round's median upload norm for 'clip'.
-    ``trim_fraction``:
-        Fraction trimmed from each tail for 'trimmed_mean'.
-    ``krum_keep``:
-        Fraction of uploads multi-Krum keeps.
+
+    'trimmed_mean' trims ``TRIM_FRACTION`` from each tail and multi-Krum
+    keeps ``KRUM_KEEP`` of the uploads.
     """
 
     kind: str = "clip"
     clip_headroom: float = 3.0
-    trim_fraction: float = 0.2
-    krum_keep: float = 0.7
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.clip_headroom <= 0:
             raise ValueError(f"clip_headroom must be positive, got {self.clip_headroom}")
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ValueError(f"trim_fraction must be in [0, 0.5), got {self.trim_fraction}")
-        if not 0.0 < self.krum_keep <= 1.0:
-            raise ValueError(f"krum_keep must be in (0, 1], got {self.krum_keep}")
+
+
+#: Fraction trimmed from each tail by 'trimmed_mean'.
+TRIM_FRACTION = 0.2
+#: Fraction of uploads multi-Krum keeps.
+KRUM_KEEP = 0.7
 
 
 def server_clip_updates(
@@ -113,7 +112,7 @@ def robust_embedding_aggregate(
     updates: Sequence[ClientUpdate],
     dims: Mapping[str, int],
     kind: str = "median",
-    trim_fraction: float = 0.2,
+    trim_fraction: float = TRIM_FRACTION,
 ) -> Dict[str, np.ndarray]:
     """Per-row robust combination, rescaled to sum semantics.
 
@@ -155,7 +154,7 @@ def robust_embedding_aggregate(
 def krum_select(
     updates: Sequence[ClientUpdate],
     dims: Mapping[str, int],
-    keep_fraction: float = 0.7,
+    keep_fraction: float = KRUM_KEEP,
 ) -> List[ClientUpdate]:
     """Multi-Krum: keep the uploads closest to their nearest peers.
 

@@ -88,7 +88,7 @@ class AdversarialHeteFedRec(HeteFedRec):
             updates = server_clip_updates(updates, self.defense.clip_headroom)
         elif self.defense is not None and self.defense.kind == "krum":
             dims = {g: self.config.dims[g] for g in self.groups}
-            updates = krum_select(updates, dims, self.defense.krum_keep)
+            updates = krum_select(updates, dims)
         super().apply_updates(updates)
 
     def aggregate_embeddings(
@@ -96,10 +96,7 @@ class AdversarialHeteFedRec(HeteFedRec):
     ) -> Dict[str, np.ndarray]:
         if self.defense is not None and self.defense.kind in ("median", "trimmed_mean"):
             dims = {g: self.config.dims[g] for g in self.groups}
-            return robust_embedding_aggregate(
-                updates, dims, kind=self.defense.kind,
-                trim_fraction=self.defense.trim_fraction,
-            )
+            return robust_embedding_aggregate(updates, dims, kind=self.defense.kind)
         return super().aggregate_embeddings(updates)
 
     # ------------------------------------------------------------------

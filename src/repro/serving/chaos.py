@@ -71,6 +71,13 @@ class ManualClock:
         self.advance(max(0.0, seconds))
 
 
+#: What one scoring call costs, in simulated seconds: a fixed part plus a
+#: lognormal jitter, and a spike multiplies the sum.
+SCORE_COST_S = 0.002
+SCORING_LATENCY = LatencyModelConfig(kind="lognormal", scale=0.002, sigma=1.0)
+SPIKE_MULTIPLIER = 40.0
+
+
 @dataclass
 class ServingChaosConfig:
     """One seeded chaos scenario, fully specified.
@@ -85,15 +92,8 @@ class ServingChaosConfig:
     fault_start: int = 50
     fault_end: int = 250
 
-    # Scoring cost and latency-spike model (simulated seconds).
-    score_cost_s: float = 0.002
-    latency: LatencyModelConfig = field(
-        default_factory=lambda: LatencyModelConfig(
-            kind="lognormal", scale=0.002, sigma=1.0
-        )
-    )
+    # Latency spikes (inside the fault window; see SPIKE_MULTIPLIER).
     latency_spike_rate: float = 0.2
-    spike_multiplier: float = 40.0
 
     # Injected scoring exceptions (inside the fault window).
     error_rate: float = 0.15
@@ -186,7 +186,7 @@ class ChaosPolicy:
     def __init__(self, config: ServingChaosConfig) -> None:
         self.config = config
         streams = spawn_streams(config.seed, self.STREAMS)
-        self._latency = LatencyModel(config.latency, streams["latency"])
+        self._latency = LatencyModel(SCORING_LATENCY, streams["latency"])
         self._faults = streams["faults"]
         self.traffic = streams["traffic"]
         self._swap = streams["swap"]
@@ -196,10 +196,10 @@ class ChaosPolicy:
 
     def scoring_delay(self) -> float:
         """Simulated seconds one scoring call costs right now."""
-        delay = self.config.score_cost_s + self._latency.sample()
+        delay = SCORE_COST_S + self._latency.sample()
         if self.active and self._faults.random() < self.config.latency_spike_rate:
             self.injected_spikes += 1
-            delay *= self.config.spike_multiplier
+            delay *= SPIKE_MULTIPLIER
         return delay
 
     def scoring_error(self) -> bool:

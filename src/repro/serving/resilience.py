@@ -468,31 +468,22 @@ class CircuitBreaker:
 # ----------------------------------------------------------------------
 @dataclass
 class ResilienceConfig:
-    """Every knob of the resilience layer, in one place.
+    """The admission and hot-swap knobs of the resilience layer.
 
-    Defaults are transparent: generous capacity, no default deadline.
+    Defaults are transparent: generous capacity, no default deadline.  The
+    health state machine runs at :class:`HealthMonitor`'s defaults and the
+    ladder probes at :attr:`ResilientService.PROBE_EVERY`.
     """
 
     # Admission.
     admission_capacity: int = 256
     max_waiting: int = 512
     default_deadline_ms: Optional[float] = None
-    # Degradation ladder.
-    probe_every: int = 8
-    # Health state machine.
-    health_window: int = 32
-    degraded_at: float = 0.1
-    unhealthy_at: float = 0.5
-    recovery_successes: int = 3
     # Hot-swap guard.
     breaker_failures: int = 3
     breaker_reset_s: float = 30.0
     swap_retries: int = 2
     swap_backoff_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.probe_every < 1:
-            raise ValueError(f"probe_every must be >= 1, got {self.probe_every}")
 
 
 @dataclass
@@ -518,6 +509,10 @@ class ResilientService:
     :meth:`run_admitted`, the same driver :meth:`query` uses.
     """
 
+    #: While unhealthy, every ``PROBE_EVERY``-th request probes the full
+    #: tier instead of stepping down the ladder.
+    PROBE_EVERY = 8
+
     def __init__(
         self,
         service: RecommendationService,
@@ -535,12 +530,7 @@ class ResilientService:
         self.admission = AdmissionQueue(
             self.config.admission_capacity, self.config.max_waiting, clock=clock
         )
-        self.health = HealthMonitor(
-            window=self.config.health_window,
-            degraded_at=self.config.degraded_at,
-            unhealthy_at=self.config.unhealthy_at,
-            recovery_successes=self.config.recovery_successes,
-        )
+        self.health = HealthMonitor()
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failures,
             reset_after=self.config.breaker_reset_s,
@@ -754,7 +744,7 @@ class ResilientService:
     def _take_probe_turn(self) -> bool:
         with self._counter_lock:
             self._requests_since_probe += 1
-            if self._requests_since_probe >= self.config.probe_every:
+            if self._requests_since_probe >= self.PROBE_EVERY:
                 self._requests_since_probe = 0
                 return True
             return False

@@ -5,7 +5,8 @@
 buffered aggregation: uploads arrive whenever the network delivers
 them, land in the buffer scaled by a *per-update* staleness discount
 (``staleness_weight ** (server_version - version_trained_at)``), and an
-aggregation window closes when ``quorum`` uploads are buffered — or
+aggregation window closes when ``clients_per_round`` uploads (its
+quorum) are buffered — or
 when its deadline expires, at which point an explicit policy decides
 between applying short (``apply``), extending the deadline once or more
 (``extend``), and carrying the buffer into the next window (``skip``,
@@ -13,8 +14,8 @@ with max-age eviction so stale updates are dropped *accountably*).
 
 Synchronous-mirror contract
 ---------------------------
-With ``arrival.kind="rounds"``, zero latency, no dropout and
-``quorum == clients_per_round``, the event order degenerates to the
+With ``arrival.kind="rounds"``, zero latency and no dropout, the event
+order degenerates to the
 synchronous schedule: every cohort trains as one batch against the same
 snapshot, uploads arrive in dispatch order with staleness 0 (weight
 exactly 1.0 — updates are buffered untouched), and each window closes
@@ -35,8 +36,12 @@ import numpy as np
 
 from repro.federated.availability import StragglerBuffer, merge_duplicate_users
 from repro.federated.communication import head_parameter_count
-from repro.sim.config import APPLY, EXTEND, SKIP, ScenarioResult, SimulationConfig
+from repro.sim.config import APPLY, EXTEND, ScenarioResult, SimulationConfig
 from repro.sim.engine import DEADLINE, DISPATCH, UPLOAD, EventQueue, build_models
+
+#: A failed upload's *n*-th retry waits ``RETRY_BACKOFF ** n`` sim-seconds
+#: on top of its latency (exponential backoff).
+RETRY_BACKOFF = 1.5
 
 
 class TrainerBackend:
@@ -247,7 +252,7 @@ class AsyncFedServer:
                 # already trained, only the transfer repeats.
                 self._schedule_upload(
                     queue, update, attempt + 1,
-                    extra_delay=cfg.retry_backoff ** attempt,
+                    extra_delay=RETRY_BACKOFF ** attempt,
                 )
             else:
                 self.result.dropped_updates += 1
@@ -278,7 +283,7 @@ class AsyncFedServer:
             )
             self._inflight += 1
 
-        if len(self._buffer) >= cfg.effective_quorum:
+        if len(self._buffer) >= cfg.clients_per_round:
             self._close_round(queue, short=False)
 
     def _handle_deadline(self, queue: EventQueue, event) -> None:

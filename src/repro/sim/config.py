@@ -90,22 +90,19 @@ class ArrivalModelConfig:
 
     ``rounds`` reproduces the synchronous schedule: cohort *r* arrives
     as one simultaneous block at time *r*.  ``poisson`` spreads the
-    epoch's queue over exponential inter-arrivals at ``rate`` clients
-    per sim-second.  ``diurnal`` draws arrival times from a sinusoidally
+    epoch's queue over exponential inter-arrivals at
+    ``engine.POISSON_RATE`` clients per sim-second.  ``diurnal`` draws arrival times from a sinusoidally
     modulated intensity (period ``period``, modulation ``amplitude``)
     over a day-long window, keeping queue order.
     """
 
     kind: str = "rounds"
-    rate: float = 64.0
     period: float = 24.0
     amplitude: float = 0.8
 
     def __post_init__(self) -> None:
         if self.kind not in _ARRIVALS:
             raise ValueError(f"arrival kind must be one of {_ARRIVALS}, got {self.kind!r}")
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate}")
         if self.period <= 0:
             raise ValueError(f"arrival period must be positive, got {self.period}")
         if not 0.0 <= self.amplitude < 1.0:
@@ -118,10 +115,9 @@ class SimulationConfig:
 
     Population shape (``num_clients``/``num_items``/``dim``) only
     applies to surrogate-fleet scenarios; trainer-backed runs take their
-    population from the trainer.  ``quorum`` defaults to
-    ``clients_per_round`` — an aggregation window closes as soon as that
-    many uploads are buffered, or when its deadline expires, whichever
-    comes first.
+    population from the trainer.  An aggregation window closes as soon
+    as ``clients_per_round`` uploads are buffered (its quorum), or when
+    its deadline expires, whichever comes first.
     """
 
     # Population (surrogate backend).
@@ -133,7 +129,6 @@ class SimulationConfig:
     # Schedule.
     epochs: int = 1
     clients_per_round: int = 64
-    quorum: Optional[int] = None
 
     # Aggregation-window management.
     round_deadline: float = math.inf
@@ -148,7 +143,6 @@ class SimulationConfig:
     # Upload behaviour.
     upload_timeout: float = math.inf
     max_retries: int = 2
-    retry_backoff: float = 1.5
     #: Probability that a delivered upload is delivered *again* shortly
     #: after (a retry racing its original) — exercises duplicate-user
     #: merging in the aggregation path.
@@ -159,9 +153,6 @@ class SimulationConfig:
     latency: LatencyModelConfig = field(default_factory=LatencyModelConfig)
     dropout: DropoutModelConfig = field(default_factory=DropoutModelConfig)
     arrival: ArrivalModelConfig = field(default_factory=ArrivalModelConfig)
-
-    # Server step size for the surrogate backend's item table.
-    server_lr: float = 1.0
 
     seed: int = 0
 
@@ -174,24 +165,16 @@ class SimulationConfig:
                      "epochs", "clients_per_round"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.quorum is not None and self.quorum < 1:
-            raise ValueError(f"quorum must be >= 1, got {self.quorum}")
         if self.round_deadline <= 0:
             raise ValueError(f"round_deadline must be positive, got {self.round_deadline}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 1.0:
-            raise ValueError(f"retry_backoff must be >= 1, got {self.retry_backoff}")
         if not 0.0 < self.staleness_weight <= 1.0:
             raise ValueError(
                 f"staleness_weight must be in (0, 1], got {self.staleness_weight}"
             )
         if not 0.0 <= self.duplicate_rate <= 1.0:
             raise ValueError(f"duplicate_rate must be in [0, 1], got {self.duplicate_rate}")
-
-    @property
-    def effective_quorum(self) -> int:
-        return self.clients_per_round if self.quorum is None else self.quorum
 
     def copy_with(self, **overrides) -> "SimulationConfig":
         from dataclasses import replace

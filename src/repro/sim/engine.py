@@ -131,6 +131,10 @@ class DropoutModel:
         return self._rng.random() < self.config.rate
 
 
+#: Clients per sim-second of the ``poisson`` arrival kind.
+POISSON_RATE = 64.0
+
+
 class ArrivalModel:
     """Assigns arrival times to one epoch's participation queue.
 
@@ -158,7 +162,7 @@ class ArrivalModel:
         if not queue:
             return []
         if cfg.kind == "poisson":
-            gaps = self._rng.exponential(1.0 / cfg.rate, size=len(queue))
+            gaps = self._rng.exponential(1.0 / POISSON_RATE, size=len(queue))
             times = epoch_start + np.cumsum(gaps)
         else:  # diurnal
             times = epoch_start + self._diurnal_times(len(queue))

@@ -130,10 +130,9 @@ class SurrogateFleet:
         return updates
 
     def apply(self, updates: Sequence[ClientUpdate]) -> None:
-        lr = self.config.server_lr
         for update in updates:
             delta = update.embedding_delta
-            self.item_table[delta.rows] += lr * delta.values
+            self.item_table[delta.rows] += delta.values
 
     def end_epoch(self, epoch: int, losses: Sequence[float]) -> None:
         pass

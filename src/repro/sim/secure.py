@@ -27,7 +27,7 @@ a pure function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -50,9 +50,6 @@ class SecureScenarioConfig:
     #: (0 disables storms).
     storm_every: int = 0
     storm_rate: float = 0.75
-    aggregation: SecureAggregationConfig = field(
-        default_factory=SecureAggregationConfig
-    )
 
     def __post_init__(self) -> None:
         for name in ("dropout_rate", "duplicate_rate", "storm_rate"):
@@ -79,9 +76,7 @@ class SecureAggregatingBackend:
         self._rng = rng
         self._round = 0
         self._carried: List[ClientUpdate] = []
-        codec = FixedPointCodec(
-            config.aggregation.precision_bits, config.aggregation.clip_range
-        )
+        codec = FixedPointCodec()
         self._quant_bound = codec.quantisation_error_bound()
         # Scenario-facing counters (copied into ScenarioResult by _run).
         self.rounds_applied = 0
@@ -125,7 +120,7 @@ class SecureAggregatingBackend:
         self._round += 1
         faults = self._draw_faults(merged)
         embeddings, heads, report = run_secure_round(
-            merged, self.dims, self.config.aggregation, self._round, faults
+            merged, self.dims, SecureAggregationConfig(), self._round, faults
         )
         for phase in PHASES:
             self.dropouts_injected[phase] += len(

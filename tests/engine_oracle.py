@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor, no_grad
+from repro.core import distillation
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD
 from tape_functional import standardize_columns
@@ -252,9 +253,9 @@ def relation_distillation_step(
     losses: Dict[str, float] = {}
     for name, param in embeddings.items():
         final = 0.0
-        if config.steps:
-            optimizer = SGD([param], lr=config.lr)
-            for _ in range(config.steps):
+        if distillation.STEPS:
+            optimizer = SGD([param], lr=distillation.LR)
+            for _ in range(distillation.STEPS):
                 optimizer.zero_grad()
                 loss = relation_distillation_loss(param, subset, target)
                 loss.backward()

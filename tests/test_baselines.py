@@ -88,11 +88,9 @@ class TestBuildMethodKeepsTheConfig:
             local_epochs=2,
             lr=0.02,
             negative_ratio=2,
-            aggregation=AggregationConfig(embedding_mode="mean"),
+            aggregation=AggregationConfig(theta_mode="sum"),
             seed=5,
             eval_every=2,
-            eval_k=7,
-            embedding_init_std=0.02,
             privacy=PrivacyConfig(clip_norm=1.0),
             secure_aggregation=SecureAggregationConfig(),
             compression=CompressionConfig(kind="topk", ratio=0.5),

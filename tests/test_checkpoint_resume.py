@@ -22,7 +22,7 @@ from reference_trainer import tape_scores
 
 from repro.baselines.standalone import StandaloneTrainer
 from repro.compression.codecs import CompressionConfig
-from repro.core import HeteFedRec, HeteFedRecConfig
+from repro.core import HeteFedRec, HeteFedRecConfig, hetefedrec
 from repro.core.grouping import divide_clients
 from repro.eval.evaluator import Evaluator
 from repro.federated.availability import AvailabilityConfig
@@ -100,16 +100,14 @@ class TestBitwiseResume:
         assert_bitwise_identical(uninterrupted, resumed)
 
     def test_hetefedrec_dual_task_availability_secure_agg(
-        self, tiny_dataset, tiny_clients, tmp_path
+        self, tiny_dataset, tiny_clients, tmp_path, monkeypatch
     ):
         """The full paper config plus every stream-shaping component."""
+        monkeypatch.setattr(hetefedrec, "DDR_ROW_SAMPLE", 8)
         config = HeteFedRecConfig(
             dims=DIMS, epochs=3, local_epochs=2, lr=0.01, seed=0,
-            clients_per_round=16, eval_every=1, ddr_row_sample=8,
-            availability=AvailabilityConfig(
-                offline_rate=0.15, straggler_rate=0.2,
-                staleness_weight=0.5, seed=3,
-            ),
+            clients_per_round=16, eval_every=1,
+            availability=AvailabilityConfig(offline_rate=0.15, straggler_rate=0.2, seed=3),
             secure_aggregation=SecureAggregationConfig(),
         )
 

@@ -6,6 +6,7 @@ import pytest
 from engine_oracle import relation_distillation_loss
 
 from repro.autograd import ops, Tensor
+from repro.core import distillation
 from repro.core.distillation import (
     DistillationConfig,
     ensemble_relation,
@@ -27,12 +28,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             DistillationConfig(num_items=1)
         with pytest.raises(ValueError):
-            DistillationConfig(steps=-1)
+            DistillationConfig(num_items=0)
 
     def test_defaults(self):
         config = DistillationConfig()
         assert config.num_items >= 2
-        assert config.lr > 0
+        assert distillation.LR > 0 and distillation.STEPS >= 0
 
 
 class TestEnsembleRelation:
@@ -74,10 +75,11 @@ class TestDistillationLoss:
 
 
 class TestDistillationStep:
-    def test_reduces_relation_distance(self):
+    def test_reduces_relation_distance(self, monkeypatch):
         """Repeated steps shrink every table's distance to the ensemble."""
+        monkeypatch.setattr(distillation, "LR", 0.05)
         ts = tables(seed=1)
-        config = DistillationConfig(num_items=10, steps=1, lr=0.05)
+        config = DistillationConfig(num_items=10)
         rng = np.random.default_rng(0)
 
         # Fixed subset probe: measure alignment before and after.
@@ -99,16 +101,17 @@ class TestDistillationStep:
     def test_returns_losses_per_table(self):
         ts = tables()
         losses = relation_distillation_step(
-            ts, DistillationConfig(num_items=8, steps=1, lr=0.01), np.random.default_rng(0)
+            ts, DistillationConfig(num_items=8), np.random.default_rng(0)
         )
         assert set(losses) == {"s", "m", "l"}
         assert all(v >= 0 for v in losses.values())
 
-    def test_zero_steps_leaves_tables_unchanged(self):
+    def test_zero_steps_leaves_tables_unchanged(self, monkeypatch):
+        monkeypatch.setattr(distillation, "STEPS", 0)
         ts = tables()
         snapshot = {k: t.copy() for k, t in ts.items()}
         relation_distillation_step(
-            ts, DistillationConfig(num_items=8, steps=0), np.random.default_rng(0)
+            ts, DistillationConfig(num_items=8), np.random.default_rng(0)
         )
         for k, t in ts.items():
             assert np.array_equal(t, snapshot[k])
@@ -116,14 +119,15 @@ class TestDistillationStep:
     def test_subset_capped_at_catalogue(self):
         ts = tables(items=5)
         relation_distillation_step(
-            ts, DistillationConfig(num_items=1000, steps=1, lr=0.01),
+            ts, DistillationConfig(num_items=1000),
             np.random.default_rng(0),
         )  # must not raise
 
-    def test_only_subset_rows_move(self):
+    def test_only_subset_rows_move(self, monkeypatch):
+        monkeypatch.setattr(distillation, "LR", 0.1)
         ts = tables(items=30)
         snapshot = ts["l"].copy()
-        config = DistillationConfig(num_items=5, steps=1, lr=0.1)
+        config = DistillationConfig(num_items=5)
         relation_distillation_step(ts, config, np.random.default_rng(3))
         moved = np.abs(ts["l"] - snapshot).sum(axis=1) > 0
         assert 0 < moved.sum() <= 5
@@ -139,8 +143,10 @@ class TestReskdClosedForm:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @pytest.mark.parametrize("steps", [0, 1, 3])
     @pytest.mark.parametrize("num_items", [2, 32, 1000], ids=["2", "32", "over-catalogue"])
-    def test_bitwise_the_tape_step(self, num_items, steps, dtype):
-        config = DistillationConfig(num_items=num_items, steps=steps, lr=0.05)
+    def test_bitwise_the_tape_step(self, num_items, steps, dtype, monkeypatch):
+        monkeypatch.setattr(distillation, "STEPS", steps)
+        monkeypatch.setattr(distillation, "LR", 0.05)
+        config = DistillationConfig(num_items=num_items)
         numpy_tables = tables(seed=4, items=self.CATALOGUE, dtype=dtype)
         tape_tables = {k: Parameter(t.copy()) for k, t in numpy_tables.items()}
         numpy_rng, tape_rng = np.random.default_rng(9), np.random.default_rng(9)

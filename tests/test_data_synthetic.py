@@ -11,11 +11,13 @@ import pytest
 from repro.data.stats import dataset_statistics, tail_heaviness
 from repro.data.synthetic import (
     DATASET_SPECS,
+    MIN_INTERACTIONS,
     DatasetSpec,
     SyntheticConfig,
     generate_dataset,
     load_benchmark_dataset,
 )
+from repro.experiments.profiles import get_profile
 
 FAST = SyntheticConfig(scale=0.02, item_scale=0.06, seed=0)
 
@@ -71,7 +73,7 @@ class TestGeneration:
 
     def test_minimum_interactions_respected(self):
         data = load_benchmark_dataset("ml", FAST)
-        assert data.interaction_counts().min() >= FAST.min_interactions
+        assert data.interaction_counts().min() >= MIN_INTERACTIONS
 
     def test_valid_item_ids(self):
         data = load_benchmark_dataset("douban", FAST)
@@ -113,27 +115,6 @@ class TestHeavyTail:
 
 
 class TestActivityLinks:
-    def test_noise_link_changes_light_users_most(self):
-        """With noise off, light users' interactions align better with
-        other users' (signal); the link specifically degrades them."""
-        on = load_benchmark_dataset("ml", FAST)
-        off = load_benchmark_dataset(
-            "ml",
-            SyntheticConfig(
-                scale=0.02, item_scale=0.06, seed=0, noise_link=False,
-                complexity_link=False,
-            ),
-        )
-        # Same activity layout either way (counts drawn before the links).
-        assert np.array_equal(on.interaction_counts(), off.interaction_counts())
-
-    def test_links_can_be_disabled(self):
-        cfg = SyntheticConfig(
-            scale=0.02, item_scale=0.06, seed=0, noise_link=False, complexity_link=False
-        )
-        data = load_benchmark_dataset("ml", cfg)
-        assert data.num_interactions > 0
-
     def test_popularity_concentration(self):
         """Interactions concentrate on few items (Zipf-ish catalogue)."""
         data = load_benchmark_dataset("ml", FAST)
@@ -169,11 +150,28 @@ def _interaction_digest(dataset) -> str:
             SyntheticConfig(scale=0.03, item_scale=0.05, avg_interactions=16.0, seed=11),
             "6a1d53bd0f0a1292e3a77210811db23b5652e790c4116df87b02c7fdc716ecc6",
         ),
+        # The `bench` profile's three datasets, as every results/ artefact
+        # trains on them.
+        (
+            "ml",
+            get_profile("bench").synthetic_config(),
+            "4175e76a92db12fc96c93a41fcd0a070b7b979b624192b818060e15188e13df6",
+        ),
+        (
+            "anime",
+            get_profile("bench").synthetic_config(),
+            "7432d75688980f071dcfacccead3f205755743ba1e73e70c043d7e9ada9e1406",
+        ),
+        (
+            "douban",
+            get_profile("bench").synthetic_config(),
+            "3cfd4f7e3598c5dbf0a5053c9783a2a879c3ae78036c19930b6cb509e27520f2",
+        ),
     ],
 )
 def test_generated_interactions_are_pinned(name, config, expected):
-    """The noise pool is the sorted complement of each user's signal draw;
-    building it by a boolean mask instead of ``np.setdiff1d`` must leave
-    every draw, hence every interaction list, unchanged (digests recorded
-    with the ``setdiff1d`` generator)."""
+    """Generation is pinned byte for byte.  The first two digests were
+    recorded with the ``setdiff1d`` noise pool (a boolean mask must draw
+    the same complement); the three ``bench`` digests were recorded while
+    the generative constants were still ``SyntheticConfig`` fields."""
     assert _interaction_digest(load_benchmark_dataset(name, config)) == expected

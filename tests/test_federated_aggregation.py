@@ -128,12 +128,10 @@ class TestHeadAggregation:
 class TestAggregationConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AggregationConfig(embedding_mode="median")
+            AggregationConfig(theta_mode="median")
         with pytest.raises(ValueError):
             AggregationConfig(theta_mode="max")
 
     def test_defaults(self):
         config = AggregationConfig()
-        assert config.embedding_mode == "sum"
         assert config.theta_mode == "mean"
-        assert config.server_lr == 1.0

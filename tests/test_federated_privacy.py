@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import HeteFedRec, HeteFedRecConfig
+from repro.federated import privacy
 from repro.federated.payload import ClientUpdate
 from repro.federated.privacy import (
     PrivacyConfig,
@@ -32,16 +33,17 @@ class TestPrivacyConfig:
     def test_disabled_by_default(self):
         assert not PrivacyConfig().enabled
 
-    def test_enabled_when_any_set(self):
+    def test_enabled_when_any_set(self, monkeypatch):
         assert PrivacyConfig(clip_norm=1.0).enabled
         assert PrivacyConfig(noise_std=0.1).enabled
-        assert PrivacyConfig(pseudo_items=4).enabled
+        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 4)
+        assert PrivacyConfig().enabled
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             PrivacyConfig(clip_norm=-1.0)
         with pytest.raises(ValueError):
-            PrivacyConfig(pseudo_items=-1)
+            PrivacyConfig(noise_std=-1.0)
 
 
 class TestClipping:
@@ -116,26 +118,30 @@ class TestProtectUpdate:
         out = protect_update(update, config, np.random.default_rng(0))
         assert not np.allclose(out.head_deltas["s"]["w"], update.head_deltas["s"]["w"])
 
-    def test_original_never_mutated(self):
+    def test_original_never_mutated(self, monkeypatch):
+        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 5)
         update = sparse_update()
         snapshot = update.embedding_delta.copy()
         protect_update(
             update,
-            PrivacyConfig(clip_norm=0.1, noise_std=1.0, pseudo_items=5),
+            PrivacyConfig(clip_norm=0.1, noise_std=1.0),
             np.random.default_rng(0),
         )
         assert np.array_equal(update.embedding_delta, snapshot)
 
 
 class TestTrainerIntegration:
-    def test_private_training_runs_and_obfuscates(self, tiny_dataset, tiny_clients):
+    def test_private_training_runs_and_obfuscates(
+        self, tiny_dataset, tiny_clients, monkeypatch
+    ):
+        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 4)
         config = HeteFedRecConfig(
             dims={"s": 4, "m": 6, "l": 8},
             epochs=1,
             local_epochs=1,
             lr=0.01,
             seed=0,
-            privacy=PrivacyConfig(clip_norm=0.5, noise_std=0.05, pseudo_items=4),
+            privacy=PrivacyConfig(clip_norm=0.5, noise_std=0.05),
         )
         trainer = HeteFedRec(tiny_dataset.num_items, tiny_clients, config)
         (update,) = trainer._train_clients([next(iter(trainer.runtimes))])
@@ -161,7 +167,7 @@ class TestTrainerIntegration:
 
 
 @pytest.mark.parametrize("protection", ["clip", "noise", "pseudo-items", "topk", "quantize"])
-def test_float32_uploads_stay_float32(protection, tiny_dataset, tiny_clients):
+def test_float32_uploads_stay_float32(protection, tiny_dataset, tiny_clients, monkeypatch):
     """Protection and compression keep the trained dtype: every array a
     float32 client uploads is float32, the Gaussian head noise and both
     codecs (which compute in float64) included."""
@@ -170,10 +176,12 @@ def test_float32_uploads_stay_float32(protection, tiny_dataset, tiny_clients):
     options = {
         "clip": dict(privacy=PrivacyConfig(clip_norm=0.5)),
         "noise": dict(privacy=PrivacyConfig(clip_norm=0.5, noise_std=0.1)),
-        "pseudo-items": dict(privacy=PrivacyConfig(pseudo_items=3)),
+        "pseudo-items": dict(privacy=PrivacyConfig()),
         "topk": dict(compression=CompressionConfig(kind="topk", ratio=0.3)),
         "quantize": dict(compression=CompressionConfig(kind="quantize", bits=4)),
     }[protection]
+    if protection == "pseudo-items":
+        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 3)
     trainer = HeteFedRec(
         tiny_dataset.num_items,
         tiny_clients,

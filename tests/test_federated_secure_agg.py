@@ -320,8 +320,8 @@ class TestSecureAggregateUpdates:
 class TestConfigValidation:
     def test_bad_precision(self):
         with pytest.raises(ValueError):
-            SecureAggregationConfig(precision_bits=0)
+            FixedPointCodec(precision_bits=0)
 
     def test_bad_clip(self):
         with pytest.raises(ValueError):
-            SecureAggregationConfig(clip_range=-1.0)
+            FixedPointCodec(clip_range=-1.0)

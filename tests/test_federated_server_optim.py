@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.federated import server_optim
 from repro.federated.server_optim import ServerOptimizer, ServerOptimizerConfig
 
 
@@ -22,10 +23,9 @@ class TestConfigValidation:
             ServerOptimizerConfig(momentum=1.0)
 
     def test_bad_betas(self):
-        with pytest.raises(ValueError):
-            ServerOptimizerConfig(beta1=-0.1)
-        with pytest.raises(ValueError):
-            ServerOptimizerConfig(beta2=1.5)
+        """The moment decay rates are constants, and valid ones."""
+        assert 0.0 <= server_optim.BETA1 < 1.0
+        assert 0.0 <= server_optim.BETA2 < 1.0
 
 
 class TestSGDMode:
@@ -83,10 +83,12 @@ class TestFedAdam:
         step = opt.step("x", np.array([1.0, -1.0]))
         assert step[0] > 0 > step[1]
 
-    def test_adaptive_normalisation(self):
+    def test_adaptive_normalisation(self, monkeypatch):
         """Constant deltas of different magnitude converge to similar step
-        sizes — the signature of adaptive methods."""
-        opt = ServerOptimizer(ServerOptimizerConfig(kind="fedadam", lr=0.1, eps=1e-8))
+        sizes — the signature of adaptive methods (with Adam's small
+        ``EPS``, so the floor does not dominate the small delta)."""
+        monkeypatch.setattr(server_optim, "EPS", 1e-8)
+        opt = ServerOptimizer(ServerOptimizerConfig(kind="fedadam", lr=0.1))
         small = big = None
         for _ in range(500):
             small = opt.step("small", np.array([0.01]))
@@ -101,8 +103,8 @@ class TestFedAdam:
 class TestFedYogi:
     def test_second_moment_grows_slower_than_adam(self):
         """Yogi's additive rule reacts less violently to a variance spike."""
-        adam = ServerOptimizer(ServerOptimizerConfig(kind="fedadam", lr=1.0, beta2=0.99))
-        yogi = ServerOptimizer(ServerOptimizerConfig(kind="fedyogi", lr=1.0, beta2=0.99))
+        adam = ServerOptimizer(ServerOptimizerConfig(kind="fedadam", lr=1.0))
+        yogi = ServerOptimizer(ServerOptimizerConfig(kind="fedyogi", lr=1.0))
         for _ in range(20):
             adam.step("x", np.array([0.01]))
             yogi.step("x", np.array([0.01]))

@@ -33,7 +33,7 @@ class TestSystemProfile:
             assert a[user].compute == b[user].compute
 
     def test_homogeneous_fleet_at_zero_sigma(self):
-        profile = SystemProfile(bandwidth_sigma=0.0, compute_sigma=0.0)
+        profile = SystemProfile(bandwidth_sigma=0.0)
         devices = profile.sample_devices(range(10))
         bandwidths = {d.bandwidth for d in devices.values()}
         assert len(bandwidths) == 1

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.federated.aggregation import pad_columns, padded_embedding_aggregate
 from repro.federated.availability import merge_duplicate_users
+from repro.federated import privacy
 from repro.federated.payload import ClientUpdate, SparseRowDelta, touched_rows
 from repro.federated.privacy import (
     PrivacyConfig,
@@ -32,6 +33,7 @@ from repro.federated.secure_agg import (
     _round_layout,
 )
 from repro.federated.secure_protocol import run_secure_round
+from repro.robustness import attacks
 from repro.robustness.attacks import AttackConfig, poison_update
 from repro.robustness.defenses import (
     robust_embedding_aggregate,
@@ -240,7 +242,7 @@ def protect_dense_oracle(table, heads, config, rng):
     """clip → pseudo → noise on the dense table, heads noised after."""
     sigma = config.noise_std * (config.clip_norm if config.clip_norm else 1.0)
     table = clip_rows(table, config.clip_norm)
-    table = add_pseudo_items(table, config.pseudo_items, rng)
+    table = add_pseudo_items(table, privacy.PSEUDO_ITEMS, rng)
     if sigma > 0:
         support = touched_rows(table)
         table = table.copy()
@@ -253,14 +255,16 @@ class TestPrivacyEquivalence:
     @pytest.mark.parametrize(
         "config",
         [
-            PrivacyConfig(clip_norm=0.5),
-            PrivacyConfig(clip_norm=0.5, noise_std=0.1),
-            PrivacyConfig(pseudo_items=4),
-            PrivacyConfig(clip_norm=0.5, noise_std=0.1, pseudo_items=4),
+            (PrivacyConfig(clip_norm=0.5), 0),
+            (PrivacyConfig(clip_norm=0.5, noise_std=0.1), 0),
+            (PrivacyConfig(), 4),
+            (PrivacyConfig(clip_norm=0.5, noise_std=0.1), 4),
         ],
         ids=["clip", "clip+noise", "pseudo", "all"],
     )
-    def test_protection_matches_dense(self, rng, config):
+    def test_protection_matches_dense(self, rng, config, monkeypatch):
+        config, pseudo_items = config
+        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", pseudo_items)
         update, table = sparse_update(0, "l", rng)
         out = protect_update(update, config, np.random.default_rng(123))
         expected, expected_heads = protect_dense_oracle(
@@ -274,10 +278,10 @@ class TestPrivacyEquivalence:
                     out.head_deltas[head_group][name], value
                 )
 
-    def test_pseudo_rows_join_the_sparse_support(self, rng):
+    def test_pseudo_rows_join_the_sparse_support(self, rng, monkeypatch):
+        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 7)
         sparse, _ = sparse_update(0, "m", rng, touched=5)
-        config = PrivacyConfig(pseudo_items=7)
-        out = protect_update(sparse, config, np.random.default_rng(9))
+        out = protect_update(sparse, PrivacyConfig(), np.random.default_rng(9))
         assert out.embedding_delta.rows.size == 12
         # Wire cost grows with the obfuscated support, as it should.
         assert out.embedding_delta.wire_size > sparse.embedding_delta.wire_size
@@ -285,7 +289,7 @@ class TestPrivacyEquivalence:
 
 def fixed_point_sum(blocks, config):
     """encode → add in uint64 → decode: the secure sum with no masks."""
-    codec = FixedPointCodec(config.precision_bits, config.clip_range)
+    codec = FixedPointCodec()
     total = np.zeros(blocks[0].size, dtype=np.uint64)
     for block in blocks:
         total = total + codec.encode(block.ravel())
@@ -371,12 +375,13 @@ class TestRobustnessPaths:
         assert isinstance(out.embedding_delta, SparseRowDelta)
         np.testing.assert_array_equal(out.embedding_delta.dense(), table * -4.0)
 
-    def test_promote_attack_adds_target_row(self, rng):
+    def test_promote_attack_adds_target_row(self, rng, monkeypatch):
         update, table = sparse_update(0, "l", rng)
         target = int(
             np.setdiff1d(np.arange(NUM_ITEMS), update.embedding_delta.rows)[0]
         )
-        config = AttackConfig(kind="promote", fraction=1.0, target_item=target)
+        monkeypatch.setattr(attacks, "TARGET_ITEM", target)
+        config = AttackConfig(kind="promote", fraction=1.0)
         out = poison_update(update, config, rng)
         assert isinstance(out.embedding_delta, SparseRowDelta)
         assert target in out.embedding_delta.rows

@@ -76,18 +76,38 @@ def checkpoints(tmp_path_factory):
     return {"paths": paths, "clients": clients}
 
 
-def make_resilient(checkpoints, tmp_path, clock=None, **config):
+#: ``make_resilient`` keywords that configure the service's health
+#: monitor (``HealthMonitor`` argument names) rather than its config.
+HEALTH_KEYWORDS = {
+    "health_window": "window", "degraded_at": "degraded_at",
+    "unhealthy_at": "unhealthy_at", "recovery_successes": "recovery_successes",
+}
+
+
+def make_resilient(checkpoints, tmp_path, clock=None, probe_every=None, **config):
     """A fresh ResilientService over a private copy of v1 (swap targets
-    are copies too, so quarantine renames never eat the fixture)."""
+    are copies too, so quarantine renames never eat the fixture).
+
+    The one place that translates the health and probe settings the
+    tests vary: a ``HealthMonitor`` built from them replaces the
+    service's, and ``probe_every`` overrides ``PROBE_EVERY`` on the
+    instance."""
     clock = clock or ManualClock()
     v1 = str(tmp_path / "serve_v1.npz")
     shutil.copyfile(checkpoints["paths"]["v1"], v1)
     service = RecommendationService(v1, k=10, cache_size=512)
+    health = {HEALTH_KEYWORDS[key]: config.pop(key) for key in list(config)
+              if key in HEALTH_KEYWORDS}
     defaults = dict(admission_capacity=4, max_waiting=4, swap_backoff_s=0.0)
     defaults.update(config)
-    return ResilientService(
+    resilient = ResilientService(
         service, ResilienceConfig(**defaults), clock=clock, sleep=clock.sleep
-    ), clock
+    )
+    if health:
+        resilient.health = HealthMonitor(**health)
+    if probe_every is not None:
+        resilient.PROBE_EVERY = probe_every
+    return resilient, clock
 
 
 # ----------------------------------------------------------------------

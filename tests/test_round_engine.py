@@ -20,6 +20,7 @@ from reference_trainer import ReferenceTrainer, tape_scores
 from repro.autograd.tensor import Tensor
 from repro.core.config import HeteFedRecConfig
 from repro.core.grouping import divide_clients, homogeneous_assignment
+from repro.core import hetefedrec
 from repro.core.hetefedrec import HeteFedRec
 from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
 from repro.data.splitting import train_test_split_per_user
@@ -299,12 +300,11 @@ class TestDualTaskEngineEquivalence:
         assert vectorized._engine is not None
         assert_equivalent(reference, vectorized)
 
-    def test_full_table_ddr(self, tiny_dataset, tiny_clients):
-        """ddr_row_sample=0 regularises the whole table (the reference's
+    def test_full_table_ddr(self, tiny_dataset, tiny_clients, monkeypatch):
+        """DDR_ROW_SAMPLE=0 regularises the whole table (the reference's
         small-catalogue branch, which consumes no DDR RNG)."""
-        reference, vectorized = self.hetefedrec_pair(
-            tiny_dataset, tiny_clients, ddr_row_sample=0, epochs=1
-        )
+        monkeypatch.setattr(hetefedrec, "DDR_ROW_SAMPLE", 0)
+        reference, vectorized = self.hetefedrec_pair(tiny_dataset, tiny_clients, epochs=1)
         assert vectorized._engine is not None
         assert_equivalent(reference, vectorized)
 

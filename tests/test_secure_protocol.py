@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.federated.aggregation import (
     AggregationConfig,
-    mean_over_column_contributors,
     mean_over_head_contributors,
 )
 from repro.federated.availability import AvailabilityConfig
@@ -77,7 +76,7 @@ def make_updates(ids, dim=4, num_items=NUM_ITEMS, seed=0):
 
 def plain_fixed_point_sum(updates, ids, dim=4):
     """What the survivors' exact fixed-point sum should decode to."""
-    codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+    codec = FixedPointCodec()
     chosen = [u for u in updates if int(u.user_id) in set(ids)]
     total = np.zeros(NUM_ITEMS * dim, dtype=np.uint64)
     for update in chosen:
@@ -118,7 +117,7 @@ def plain_padded_fixed_point_sums(updates, ids, dims=HET_DIMS):
     """Eq. 8 / Eq. 15 on the fixed-point field: encode every chosen
     upload, add it into the widest table's column prefix (and into its
     heads' slots) in uint64, decode, slice per group."""
-    codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+    codec = FixedPointCodec()
     chosen = {int(uid) for uid in ids}
     rows = updates[0].embedding_delta.num_rows
     table = np.zeros((rows, max(dims.values())), dtype=np.uint64)
@@ -188,7 +187,7 @@ def unmask_and_decode(server, clients):
 
 def plain_prefix_sum(vectors, ids):
     """Each chosen vector encoded and added into ``total[:len]``."""
-    codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+    codec = FixedPointCodec()
     total = np.zeros(max(v.size for v in vectors.values()), dtype=np.uint64)
     for uid in ids:
         total[: vectors[uid].size] += codec.encode(vectors[uid])
@@ -366,8 +365,7 @@ class TestServerStateMachine:
 
     def test_below_threshold_roster_aborts(self):
         server = SecureAggregationServer(
-            range(6), {u: 8 for u in range(6)}, 1,
-            SecureAggregationConfig(threshold_fraction=0.5),
+            range(6), {u: 8 for u in range(6)}, 1, CFG
         )
         assert server.threshold == 3
         server.receive_advertisement(SecureAggregationClient(0, 1, CFG).advertise())
@@ -579,7 +577,7 @@ class TestHeterogeneousRounds:
         faults = FaultPlan(drops={MASKED_INPUT: frozenset({5})})
         emb, heads, report = run_secure_round(updates, HET_DIMS, CFG, 1, faults)
         assert report.survivors == [1, 2, 3, 4]
-        codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+        codec = FixedPointCodec()
         lone = next(u for u in updates if u.user_id == 4)
         own = lone.embedding_delta.dense()[:, HET_DIMS["m"] :]
         np.testing.assert_array_equal(
@@ -677,12 +675,13 @@ class TestRoundLayoutValidation:
         with pytest.raises(ValueError, match="user 2 carries head group 'xl'"):
             run_secure_round(updates, HET_DIMS, CFG, 1)
 
-    def test_threshold_reads_the_config_field(self):
-        server = SecureAggregationServer(
-            range(10), {u: 4 for u in range(10)}, 1,
-            SecureAggregationConfig(threshold_fraction=0.75),
-        )
-        assert server.threshold == 8
+    def test_threshold_reads_the_config_field(self, monkeypatch):
+        """The threshold is read from ``THRESHOLD_FRACTION`` at
+        construction."""
+        sizes = {u: 4 for u in range(10)}
+        assert SecureAggregationServer(range(10), sizes, 1, CFG).threshold == 5
+        monkeypatch.setattr(secure_protocol, "THRESHOLD_FRACTION", 0.75)
+        assert SecureAggregationServer(range(10), sizes, 1, CFG).threshold == 8
 
 
 #: Three vector lengths over five clients, as a server would assign them.
@@ -1173,6 +1172,46 @@ class TestProtocolMessageFuzz:
             decoded, plain_prefix_sum(vectors, server.survivors)
         )
 
+    @pytest.mark.parametrize("salt", range(6))
+    def test_tampered_self_share_aborts_at_unmask(self, salt, monkeypatch):
+        """Pinned from the fuzz pass above (``self_share``, victim 1, no
+        redelivery): a tampered share *value* passes every arrival check,
+        and the self-mask seed reconstructed from it failed its commitment
+        in ``finalize`` with a ``ProtocolError`` that ``run_secure_round``
+        did not catch, so it ended ``fit``.  It is an abort at unmask now,
+        and the round's updates take the abort path.  The tampered share
+        is used when its receiver is among the first ``threshold`` (3)
+        responders, bundle positions 0–2 (salts 0, 1, 2, 5); otherwise the
+        round decodes the survivors' exact sum."""
+        def tamper(bundle):
+            return mutate_share_bundle(bundle, "self_share", salt)
+
+        used = salt % len(DOOR_SIZES) < 3
+        if not used:
+            server, decoded, _, vectors = fuzzed_round(
+                SHARES, 1, tamper, redeliver=False, late=False, seed=salt
+            )
+            np.testing.assert_array_equal(
+                decoded, plain_prefix_sum(vectors, server.survivors)
+            )
+            return
+        with pytest.raises(SecureRoundAbort) as info:
+            fuzzed_round(SHARES, 1, tamper, redeliver=False, late=False, seed=salt)
+        assert info.value.phase == UNMASK
+
+        genuine = SecureAggregationClient.make_shares
+
+        def tampered(client, *args, **kwargs):
+            bundle = genuine(client, *args, **kwargs)
+            return tamper(bundle) if client.client_id == 1 else bundle
+
+        monkeypatch.setattr(SecureAggregationClient, "make_shares", tampered)
+        embeddings, heads, report = run_secure_round(
+            make_updates(sorted(DOOR_SIZES), seed=salt), {"s": 4}, CFG, 1
+        )
+        assert report.aborted and report.abort_phase == UNMASK
+        assert embeddings == {} and heads == {}
+
     @settings(deadline=None, max_examples=60)
     @given(
         field_name=st.sampled_from([
@@ -1288,7 +1327,7 @@ class TestMaskedSumProperties:
     def test_plaintext_bytes_are_not_uniform(self):
         """Control: the unmasked encoding of the same vector is wildly
         non-uniform — the masking, not the codec, provides the hiding."""
-        codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+        codec = FixedPointCodec()
         encoded = codec.encode(np.full(4096, 0.125))
         data = np.frombuffer(encoded.tobytes(), dtype=np.uint8)
         counts = np.bincount(data, minlength=256)
@@ -1307,7 +1346,7 @@ def hetefedrec_round(dataset, clients, mode="sum", dtype="float64"):
     config = HeteFedRecConfig(
         dims=TRAINER_DIMS, epochs=1, clients_per_round=24, local_epochs=1,
         lr=0.05, seed=0, dtype=dtype,
-        aggregation=AggregationConfig(embedding_mode=mode, theta_mode=mode),
+        aggregation=AggregationConfig(theta_mode=mode),
         secure_aggregation=SecureAggregationConfig(),
     )
     trainer = HeteFedRec(dataset.num_items, clients, config)
@@ -1326,15 +1365,12 @@ def hetefedrec_round(dataset, clients, mode="sum", dtype="float64"):
 
 def plain_round_deltas(updates, survivors, mode):
     """What the trainer should step by: the survivors' plain fixed-point
-    padded sums, divided by the public contributor counts in mean mode."""
+    padded sums, the heads divided by their public contributor counts in
+    mean mode (item embeddings always sum)."""
     embeddings, heads = plain_padded_fixed_point_sums(updates, survivors, TRAINER_DIMS)
     if mode == "mean":
         surviving = [u for u in updates if int(u.user_id) in set(survivors)]
         mean_over_head_contributors(surviving, heads)
-        embeddings = {
-            group: mean_over_column_contributors(surviving, summed)
-            for group, summed in embeddings.items()
-        }
     return embeddings, heads
 
 
@@ -1356,14 +1392,13 @@ class TestFloat32SecureRound:
                  for g in trainer.groups}
         trainer.apply_updates(updates)
         embedding_deltas, head_deltas = plain_round_deltas(updates, survivors, "sum")
-        lr = trainer.config.aggregation.server_lr
         for group in trainer.groups:
-            tables[group] += lr * embedding_deltas[group]
+            tables[group] += embedding_deltas[group]
             after = trainer.models[group].item_embedding.weight.data
             assert after.dtype == np.float32
             np.testing.assert_array_equal(after, tables[group], err_msg=group)
             for name, param in trainer.models[group].head.named_parameters():
-                heads[group][name] += lr * head_deltas[group][name]
+                heads[group][name] += head_deltas[group][name]
                 assert param.data.dtype == np.float32
                 np.testing.assert_array_equal(param.data, heads[group][name])
 
@@ -1420,7 +1455,7 @@ class TestTrainerIntegration:
         )
         plain.fit()
         secure.fit()
-        codec = FixedPointCodec(CFG.precision_bits, CFG.clip_range)
+        codec = FixedPointCodec()
         # Per aggregated scalar: one quantisation error per contributor
         # per round; this loose bound is the documented guarantee.
         bound = codec.quantisation_error_bound() * 16 * plain._round_counter * 10

@@ -121,12 +121,13 @@ class TestDeadlinePolicies:
         assert result.updates_aggregated == len(trainer.clients)
 
     def test_extend_policy_buys_time(self, tiny_dataset, tiny_clients):
-        # Quorum needs two cohorts (16 > cohort size 8): the deadline
-        # fires between the first and second cohort's arrivals, on a
-        # half-full buffer — the extension is what saves the window.
+        # Latencies spread around the deadline: it fires while part of the
+        # cohort is still in flight, on a partly full buffer — the
+        # extension is what saves the window.
         trainer = build_trainer(tiny_dataset, tiny_clients, epochs=1)
         config = self._config(
-            trainer, quorum=16, round_deadline=30.5,
+            trainer, round_deadline=30.5,
+            latency=LatencyModelConfig(kind="lognormal", scale=30.0, sigma=1.0),
             deadline_policy="extend", max_extensions=3,
         )
         result = AsyncFedServer(TrainerBackend(trainer), config).run()
@@ -134,13 +135,13 @@ class TestDeadlinePolicies:
         assert result.updates_aggregated == len(trainer.clients)
 
     def test_skip_policy_ages_and_evicts(self, tiny_dataset, tiny_clients):
-        # Short deadlines + an unreachable-within-one-cohort quorum: every
-        # window expires on a partial buffer, and max_age 0 means each
-        # skip evicts what it was holding.
+        # Latencies spread around a short deadline: windows expire on a
+        # partial buffer, and max_age 0 means each skip evicts what it
+        # was holding.
         trainer = build_trainer(tiny_dataset, tiny_clients, epochs=1)
         config = self._config(
             trainer,
-            quorum=16,
+            latency=LatencyModelConfig(kind="lognormal", scale=2.0, sigma=1.0),
             round_deadline=2.0,
             deadline_policy="skip",
             buffer_max_age_rounds=0,

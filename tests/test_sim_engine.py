@@ -132,7 +132,7 @@ class TestArrivalModel:
         assert schedule == [(5.0, [1, 2, 3]), (6.0, [4, 5])]
 
     def test_poisson_spreads_into_singletons(self):
-        model = self._model(kind="poisson", rate=10.0)
+        model = self._model(kind="poisson")
         schedule = model.schedule(0.0, [[1, 2], [3, 4]])
         assert [cohort for _, cohort in schedule] == [[1], [2], [3], [4]]
         times = [t for t, _ in schedule]
