@@ -8,12 +8,14 @@ strongest untargeted baseline of the FedRec attack literature the paper
 cites).  We train the four quadrants — {clean, attacked} × {undefended,
 defended} — and report the ranking quality of each, showing the damage
 an unprotected heterogeneous aggregation takes and how much a robust
-server rule recovers.
+server rule recovers.  An attack and a defence are two config fields,
+``attack`` and ``defense``, on the same HeteFedRec config; under an
+attack the trainer scores its honest clients only.
 """
 
 from repro.api import (
-    AdversarialHeteFedRec,
     AttackConfig,
+    build_method,
     Evaluator,
     format_table,
     HeteFedRecConfig,
@@ -44,12 +46,14 @@ def main() -> None:
     ]
     rows = []
     for label, attack, defense in quadrants:
-        trainer = AdversarialHeteFedRec(
-            dataset.num_items, clients, config, attack=attack, defense=defense
+        trainer = build_method(
+            "hetefedrec",
+            dataset.num_items,
+            clients,
+            config.copy_with(attack=attack, defense=defense),
         )
         trainer.fit()
-        honest = trainer.honest_clients()
-        result = trainer.evaluate_with(evaluator, user_subset=honest)
+        result = trainer.evaluate_with(evaluator)
         rows.append([label, result.recall, result.ndcg])
         print(f"finished: {label}")
 

@@ -21,7 +21,7 @@ Quickstart
 Recall@20=... NDCG@20=...
 """
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "HeteFedRec",

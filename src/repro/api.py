@@ -86,7 +86,6 @@ _EXPORTS = {
     "blocked_top_k": "repro.eval",
     # subsystems
     "CompressionConfig": "repro.compression",
-    "AdversarialHeteFedRec": "repro.robustness",
     "AttackConfig": "repro.robustness",
     "RobustAggregationConfig": "repro.robustness",
     # experiment harness helpers the examples use

@@ -36,17 +36,15 @@ from repro.compression.codecs import CompressionConfig
 from repro.core.distillation import DistillationConfig
 from repro.data.splitting import train_test_split_per_user
 from repro.data.synthetic import load_benchmark_dataset
-from repro.eval.evaluator import Evaluator
 from repro.experiments.profiles import get_profile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, build_config, run_tree
+from repro.experiments.runner import RunResult, RunSpec, run_tree
 from repro.federated.aggregation import AggregationConfig
 from repro.federated.privacy import PrivacyConfig
 from repro.federated.secure_agg import SecureAggregationConfig
 from repro.federated.server_optim import ServerOptimizerConfig
 from repro.robustness.attacks import AttackConfig
 from repro.robustness.defenses import RobustAggregationConfig
-from repro.robustness.harness import AdversarialHeteFedRec
 
 DATASET = "ml"  # ablations probe design choices; one dataset suffices
 
@@ -68,10 +66,10 @@ def theta_mode_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunS
 
 
 def run_theta_mode(
-    profile: str = "bench", arch: str = "ncf", jobs: Optional[int] = None
+    profile: str = "bench", arch: str = "ncf"
 ) -> Dict[str, RunResult]:
     """HeteFedRec with Θ averaged (default) vs summed (Eq. 15 verbatim)."""
-    return run_tree(theta_mode_grid(profile, arch), jobs)
+    return run_tree(theta_mode_grid(profile, arch))
 
 
 def format_theta_mode(results: Dict[str, RunResult]) -> str:
@@ -107,10 +105,10 @@ def server_optimizer_grid(
 
 
 def run_server_optimizer(
-    profile: str = "bench", arch: str = "ncf", jobs: Optional[int] = None
+    profile: str = "bench", arch: str = "ncf"
 ) -> Dict[str, RunResult]:
     """Aggregated deltas applied directly vs through adaptive server rules."""
-    return run_tree(server_optimizer_grid(profile, arch), jobs)
+    return run_tree(server_optimizer_grid(profile, arch))
 
 
 def format_server_optimizer(results: Dict[str, RunResult]) -> str:
@@ -145,10 +143,10 @@ def compression_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, Run
 
 
 def run_compression(
-    profile: str = "bench", arch: str = "ncf", jobs: Optional[int] = None
+    profile: str = "bench", arch: str = "ncf"
 ) -> Dict[str, RunResult]:
     """Upload codecs: ranking quality vs bytes on the wire."""
-    return run_tree(compression_grid(profile, arch), jobs)
+    return run_tree(compression_grid(profile, arch))
 
 
 def format_compression(results: Dict[str, RunResult]) -> str:
@@ -190,10 +188,9 @@ def run_kd_subset(
     profile: str = "bench",
     arch: str = "ncf",
     sizes: Sequence[int] = (8, 32, 128),
-    jobs: Optional[int] = None,
 ) -> Dict[str, RunResult]:
     """|V_kd| sweep: the paper subsamples 'to avoid heavy computation'."""
-    return run_tree(kd_subset_grid(profile, arch, sizes), jobs)
+    return run_tree(kd_subset_grid(profile, arch, sizes))
 
 
 def format_kd_subset(results: Dict[str, RunResult]) -> str:
@@ -226,7 +223,6 @@ def run_arch_comparison(
     profile: str = "bench",
     archs: Sequence[str] = ("ncf", "lightgcn", "mf"),
     dataset: str = "anime",
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
     """HeteFedRec vs the strongest homogeneous baseline per architecture.
 
@@ -236,7 +232,7 @@ def run_arch_comparison(
     overtraining (on the ML analogue every method peaks by epoch 4–8 and
     decays after; see ``results/fig7_convergence.txt``).
     """
-    return run_tree(arch_comparison_grid(profile, archs, dataset), jobs)
+    return run_tree(arch_comparison_grid(profile, archs, dataset))
 
 
 def format_arch_comparison(results: Dict[str, Dict[str, RunResult]]) -> str:
@@ -284,7 +280,7 @@ def privacy_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec
 
 
 def run_privacy(
-    profile: str = "bench", arch: str = "ncf", jobs: Optional[int] = None
+    profile: str = "bench", arch: str = "ncf"
 ) -> Dict[str, RunResult]:
     """Upload-protection ladder with its measured (ε, δ) spend.
 
@@ -293,7 +289,7 @@ def run_privacy(
     secure-aggregation arm additionally pays the honest protocol wire
     cost, visible in the communication column.
     """
-    return run_tree(privacy_grid(profile, arch), jobs)
+    return run_tree(privacy_grid(profile, arch))
 
 
 def format_privacy(results: Dict[str, RunResult]) -> str:
@@ -314,40 +310,39 @@ def format_privacy(results: Dict[str, RunResult]) -> str:
 # ----------------------------------------------------------------------
 # Robustness quadrants
 # ----------------------------------------------------------------------
+_ATTACK = AttackConfig(kind="signflip", fraction=0.2, scale=25.0, seed=7)
+_DEFENSE = RobustAggregationConfig(kind="clip", clip_headroom=2.0)
+_QUADRANTS: Tuple[Tuple[str, Optional[dict]], ...] = (
+    # The clean, undefended arm shares the Table II cache entry.
+    ("clean / undefended", None),
+    ("clean / defended", {"defense": _DEFENSE}),
+    ("attacked / undefended", {"attack": _ATTACK}),
+    ("attacked / defended", {"attack": _ATTACK, "defense": _DEFENSE}),
+)
+
+
+def robustness_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
+    return {
+        label: RunSpec(
+            DATASET, "hetefedrec", arch=arch, profile=profile,
+            config_overrides=overrides,
+        )
+        for label, overrides in _QUADRANTS
+    }
+
+
 def run_robustness(
     profile: str = "bench", arch: str = "ncf"
 ) -> Dict[str, Tuple[float, float]]:
     """{clean, attacked} × {undefended, defended} → (recall, ndcg).
 
-    Not routed through the run cache (the adversarial trainer is not a
-    registry method), but trained on the fused engine and scored blocked
-    like every other artefact; metrics cover honest clients only.
+    An attacked run scores its honest clients only (the trainer's
+    ``evaluate_with`` under ``config.attack``).
     """
-    prof = get_profile(profile)
-    data = load_benchmark_dataset(DATASET, prof.synthetic_config())
-    clients = train_test_split_per_user(data, seed=prof.seed)
-    evaluator = Evaluator(clients, k=20)
-    config = build_config(prof, arch, prof.seed)
-
-    attack = AttackConfig(kind="signflip", fraction=0.2, scale=25.0, seed=7)
-    defense = RobustAggregationConfig(kind="clip", clip_headroom=2.0)
-    quadrants = {
-        "clean / undefended": (None, None),
-        "clean / defended": (None, defense),
-        "attacked / undefended": (attack, None),
-        "attacked / defended": (attack, defense),
+    return {
+        label: (result.recall, result.ndcg)
+        for label, result in run_tree(robustness_grid(profile, arch)).items()
     }
-    results: Dict[str, Tuple[float, float]] = {}
-    for label, (atk, dfs) in quadrants.items():
-        trainer = AdversarialHeteFedRec(
-            data.num_items, clients, config, attack=atk, defense=dfs
-        )
-        trainer.fit()
-        evaluation = trainer.evaluate_with(
-            evaluator, user_subset=trainer.honest_clients()
-        )
-        results[label] = (evaluation.recall, evaluation.ndcg)
-    return results
 
 
 def format_robustness(results: Dict[str, Tuple[float, float]]) -> str:

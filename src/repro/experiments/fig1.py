@@ -51,7 +51,3 @@ def format_fig1(results: Dict[str, dict]) -> str:
             bar = ascii_bar(float(height), float(peak), width=40)
             lines.append(f"  [{left:6.0f},{right:6.0f})  {int(height):4d}  {bar}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(format_fig1(run_fig1()))

@@ -7,7 +7,7 @@ highlights.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.baselines.registry import DISPLAY_NAMES
 from repro.experiments.profiles import ExperimentProfile
@@ -35,10 +35,9 @@ def run_fig6(
     archs: Sequence[str] = ("ncf", "lightgcn"),
     methods: Sequence[str] = FOCUS_METHODS,
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][dataset][method]`` with per-group metrics inside."""
-    return run_tree(fig6_grid(profile, datasets, archs, methods, seed), jobs)
+    return run_tree(fig6_grid(profile, datasets, archs, methods, seed))
 
 
 def format_fig6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
@@ -62,7 +61,3 @@ def format_fig6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
                 )
             )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":
-    print(format_fig6(run_fig6()))

@@ -7,7 +7,7 @@ from the trainers' evaluation history of Table II's runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.baselines.registry import DISPLAY_NAMES
 from repro.experiments.profiles import ExperimentProfile
@@ -36,10 +36,9 @@ def run_fig7(
     archs: Sequence[str] = ("ncf", "lightgcn"),
     methods: Sequence[str] = CURVE_METHODS,
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, RunResult]]:
     """``results[arch][method]`` with ndcg_curve populated."""
-    return run_tree(fig7_grid(profile, dataset, archs, methods, seed), jobs)
+    return run_tree(fig7_grid(profile, dataset, archs, methods, seed))
 
 
 def format_fig7(results: Dict[str, Dict[str, RunResult]]) -> str:
@@ -75,7 +74,3 @@ def convergence_epochs(
             )
             out[arch][method] = int(epoch)
     return out
-
-
-if __name__ == "__main__":
-    print(format_fig7(run_fig7()))

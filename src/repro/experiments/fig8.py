@@ -7,7 +7,7 @@ dominate the recommendation loss).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_series
@@ -49,10 +49,9 @@ def run_fig8(
     archs: Sequence[str] = ("ncf", "lightgcn"),
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, List[Tuple[float, RunResult]]]:
     """``results[arch] = [(alpha, run), ...]`` sorted by alpha."""
-    runs = run_tree(fig8_grid(profile, dataset, archs, alphas, seed), jobs)
+    runs = run_tree(fig8_grid(profile, dataset, archs, alphas, seed))
     return {arch: list(per_alpha.items()) for arch, per_alpha in runs.items()}
 
 
@@ -75,7 +74,3 @@ def has_interior_peak(series: List[Tuple[float, RunResult]]) -> bool:
     values = [run.ndcg for _, run in series]
     best = max(range(len(values)), key=values.__getitem__)
     return 0 < best < len(values) - 1
-
-
-if __name__ == "__main__":
-    print(format_fig8(run_fig8()))

@@ -93,9 +93,8 @@ ARTEFACTS: Dict[str, Artefact] = {
         ablations.format_arch_comparison,
         archs=("ncf", "lightgcn", "mf"),
     ),
-    # Trains the adversarial harness directly (not a registry method).
     "ablation_robustness": _fixed(
-        None, ablations.run_robustness, ablations.format_robustness
+        ablations.robustness_grid, ablations.run_robustness, ablations.format_robustness
     ),
     "ablation_systems": _fixed(None, ablations.run_systems, ablations.format_systems),
     "ablation_privacy": _fixed(

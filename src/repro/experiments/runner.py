@@ -477,15 +477,17 @@ def tree_specs(tree: "RunSpec | Mapping[Any, Any]") -> List[RunSpec]:
     return [spec for child in tree.values() for spec in tree_specs(child)]
 
 
-def run_tree(tree: Mapping[Any, Any], jobs: Optional[int] = None) -> Dict[Any, Any]:
+def run_tree(tree: Mapping[Any, Any]) -> Dict[Any, Any]:
     """Run a nested ``label → … → RunSpec`` mapping through :func:`run_grid`.
 
     An artefact declares its grid once, in the shape its formatter
     consumes (``grid[arch][dataset][label]``); this executes the leaves
     as one deduped grid and hands back the same shape with a
-    :class:`RunResult` in place of each :class:`RunSpec`.
+    :class:`RunResult` in place of each :class:`RunSpec`.  Misses train
+    serially: :func:`repro.experiments.run_all.run_all` warms the cache
+    ``--jobs``-wide before any artefact asks.
     """
-    grid = run_grid(tree_specs(tree), jobs=jobs)
+    grid = run_grid(tree_specs(tree))
 
     def fill(node):
         if isinstance(node, RunSpec):

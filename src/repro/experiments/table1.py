@@ -56,7 +56,3 @@ def format_table1(stats: Dict[str, DatasetStatistics]) -> str:
             ]
         )
     return format_table(headers, rows, title="Table I: dataset statistics")
-
-
-if __name__ == "__main__":
-    print(format_table1(run_table1()))

@@ -7,7 +7,7 @@ so their runs are the same cache entries.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.baselines.registry import DISPLAY_NAMES, TABLE2_ORDER
 from repro.experiments.profiles import ExperimentProfile
@@ -44,10 +44,9 @@ def run_table2(
     archs: Sequence[str] = ARCHS,
     methods: Sequence[str] = TABLE2_ORDER,
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """Run the full grid; returns ``results[arch][dataset][method]``."""
-    return run_tree(table2_grid(profile, datasets, archs, methods, seed), jobs)
+    return run_tree(table2_grid(profile, datasets, archs, methods, seed))
 
 
 def format_table2(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
@@ -72,7 +71,3 @@ def winner_per_dataset(
                 per_method, key=lambda m: getattr(per_method[m], metric)
             )
     return winners
-
-
-if __name__ == "__main__":
-    print(format_table2(run_table2()))

@@ -81,7 +81,3 @@ def hetefedrec_extra_head_cost(dims: Mapping[str, int] = None, hidden=(8, 8)) ->
         "m": head_parameter_count(dims["s"], hidden),
         "l": head_parameter_count(dims["s"], hidden) + head_parameter_count(dims["m"], hidden),
     }
-
-
-if __name__ == "__main__":
-    print(format_table3(run_table3()))

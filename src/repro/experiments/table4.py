@@ -7,7 +7,7 @@ construction, the Directly Aggregate baseline.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_recall_ndcg_blocks
@@ -57,15 +57,10 @@ def run_table4(
     datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][dataset][variant_label]``."""
-    return run_tree(table4_grid(profile, datasets, archs, seed), jobs)
+    return run_tree(table4_grid(profile, datasets, archs, seed))
 
 
 def format_table4(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
     return format_recall_ndcg_blocks(results, "Variant", "Table IV ({arch}): ablation")
-
-
-if __name__ == "__main__":
-    print(format_table4(run_table4()))

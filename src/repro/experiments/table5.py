@@ -8,7 +8,7 @@ prevent.  The two arms are Table IV's middle rungs (same cache entries).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
@@ -38,14 +38,13 @@ def run_table5(
     datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """``variance[arch][dataset][{'+ DDR', '- DDR'}]`` for the V_l table.
 
     RESKD is disabled in both arms so the comparison isolates DDR, which
     is also how the paper's Table V pairs with its ablation.
     """
-    runs = run_tree(table5_grid(profile, datasets, archs, seed), jobs)
+    runs = run_tree(table5_grid(profile, datasets, archs, seed))
     return {
         arch: {
             dataset: {label: run.collapse.get("l", 0.0) for label, run in arms.items()}
@@ -77,7 +76,3 @@ def format_table5(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":
-    print(format_table5(run_table5()))

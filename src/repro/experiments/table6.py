@@ -55,10 +55,9 @@ def run_table6(
     datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][dataset][column]`` with the paper's five columns."""
-    return run_tree(table6_grid(profile, datasets, archs, seed), jobs)
+    return run_tree(table6_grid(profile, datasets, archs, seed))
 
 
 def format_table6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
@@ -78,7 +77,3 @@ def format_table6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
             format_table(headers, rows, title=f"Table VI ({arch}): client division")
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":
-    print(format_table6(run_table6()))

@@ -8,7 +8,7 @@ data's sweet spot.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
@@ -55,10 +55,9 @@ def run_table7(
     dataset: str = "ml",
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
-    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
     """``results[arch][setting_label][method]`` (NDCG is the paper's metric)."""
-    return run_tree(table7_grid(profile, dataset, archs, seed), jobs)
+    return run_tree(table7_grid(profile, dataset, archs, seed))
 
 
 def format_table7(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
@@ -78,7 +77,3 @@ def format_table7(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":
-    print(format_table7(run_table7()))

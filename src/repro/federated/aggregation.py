@@ -57,16 +57,12 @@ def pad_columns(delta: np.ndarray, target_width: int) -> np.ndarray:
 def padded_embedding_aggregate(
     updates: Sequence[ClientUpdate],
     dims: Mapping[str, int],
-    mode: str = "sum",
 ) -> Dict[str, np.ndarray]:
     """Aggregate heterogeneous item-embedding deltas (Eq. 8).
 
-    Pads every delta to the widest dimension, combines, and slices the
+    Pads every delta to the widest dimension, sums, and slices the
     per-group prefixes back out.  Returns ``{group: delta}`` for each group
-    in ``dims``.  In 'mean' mode each *column block* is divided by the
-    number of clients that actually contributed to it (clients with narrow
-    tables never touch the trailing columns, so a global mean would
-    underweight them).
+    in ``dims``.
 
     Each upload scatter-adds its touched rows into the accumulator —
     O(rows touched) instead of O(catalogue) — which is numerically
@@ -81,10 +77,6 @@ def padded_embedding_aggregate(
     for update in updates:
         delta = update.embedding_delta
         total[delta.rows, : delta.width] += delta.values
-
-    if mode == "mean":
-        total = mean_over_column_contributors(updates, total)
-
     return {group: total[:, :width].copy() for group, width in dims.items()}
 
 
@@ -111,17 +103,6 @@ def aggregate_head_updates(
     if mode == "mean":
         mean_over_head_contributors(updates, sums)
     return sums
-
-
-def mean_over_column_contributors(
-    updates: Sequence[ClientUpdate], summed: np.ndarray
-) -> np.ndarray:
-    """Eq. 8 'mean' mode: each column of a summed block over the number
-    of ``updates`` whose table reaches it."""
-    contributors = np.zeros(summed.shape[1], dtype=np.float64)
-    for update in updates:
-        contributors[: update.embedding_delta.width] += 1.0
-    return summed / np.maximum(contributors, 1.0)[np.newaxis, :]
 
 
 def mean_over_head_contributors(

@@ -192,6 +192,8 @@ def _feature_signature(trainer) -> Dict[str, object]:
             else None
         ),
         "privacy": bool(cfg.privacy is not None and cfg.privacy.enabled),
+        "attack": cfg.attack.kind if cfg.attack is not None else None,
+        "defense": cfg.defense.kind if cfg.defense is not None else None,
     }
 
 

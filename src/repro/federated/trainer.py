@@ -15,6 +15,8 @@ Standalone                  per-client models (``_client_states``), no aggregati
 HeteFedRec                  overrides ``trained_head_groups`` (UDL),
                             ``fused_objective`` + ``presample_ddr_rows`` (DDR)
                             and ``post_aggregate`` (RESKD)
+Any method under attack     + ``config.attack`` (poisoned uploads) and/or
+                            ``config.defense`` (robust aggregation)
 ==========================  =====================================================
 
 Local training always runs on the vectorized round engine
@@ -61,6 +63,14 @@ from repro.federated.secure_agg import SecureAggregationConfig
 from repro.federated.secure_protocol import SecureRoundReport, run_secure_round
 from repro.federated.server_optim import ServerOptimizer, ServerOptimizerConfig
 from repro.federated.user_table import UserTable
+from repro.robustness.attacks import AttackConfig, choose_malicious, poison_update
+from repro.robustness.defenses import (
+    ROW_KINDS,
+    RobustAggregationConfig,
+    krum_select,
+    robust_embedding_aggregate,
+    server_clip_updates,
+)
 from repro.compression.client import ClientCompressor
 from repro.compression.codecs import CompressionConfig
 from repro.models.factory import build_model
@@ -101,6 +111,12 @@ class FederatedConfig:
     #: Optional server-side optimiser for applying aggregated deltas
     #: (FedAvgM / FedAdam / FedYogi); ``None`` = the aggregate is applied unscaled.
     server_optimizer: Optional["ServerOptimizerConfig"] = None
+    #: Optional poisoning: a fraction of clients uploads poisoned deltas;
+    #: see :mod:`repro.robustness.attacks`.  ``None`` = every client honest.
+    attack: Optional["AttackConfig"] = None
+    #: Optional robust aggregation on the server; see
+    #: :mod:`repro.robustness.defenses`.  ``None`` = the plain padded sum.
+    defense: Optional["RobustAggregationConfig"] = None
     #: Optional offline/straggler simulation; see
     #: :mod:`repro.federated.availability`.  ``None`` = everyone on time.
     availability: Optional["AvailabilityConfig"] = None
@@ -184,14 +200,31 @@ class FederatedTrainer:
             and config.privacy.noise_std > 0
             else None
         )
-        if (
-            config.secure_aggregation is not None
-            and type(self).aggregate_embeddings is not FederatedTrainer.aggregate_embeddings
-        ):
-            raise ValueError(
-                "secure aggregation implements the padded-sum path and cannot "
-                f"honour {type(self).__name__}'s custom embedding aggregation"
+        #: The malicious sub-population and its poison stream, drawn once
+        #: per malicious client per round.
+        self.malicious: Set[int] = set()
+        if config.attack is not None:
+            self.malicious = choose_malicious(
+                self.clients, config.attack.fraction, seed=config.attack.seed
             )
+            self._attack_rng = np.random.default_rng(config.attack.seed + 101)
+        if config.secure_aggregation is not None and config.defense is not None:
+            raise ValueError(
+                "robust aggregation needs plaintext uploads; it cannot run "
+                "under secure aggregation (the server only sees sums there)"
+            )
+        if type(self).aggregate_embeddings is not FederatedTrainer.aggregate_embeddings:
+            if config.secure_aggregation is not None:
+                raise ValueError(
+                    "secure aggregation implements the padded-sum path and cannot "
+                    f"honour {type(self).__name__}'s custom embedding aggregation"
+                )
+            if config.defense is not None and config.defense.kind in ROW_KINDS:
+                raise ValueError(
+                    f"a {config.defense.kind} defense replaces the padded sum and "
+                    f"cannot honour {type(self).__name__}'s custom embedding "
+                    "aggregation"
+                )
 
         missing = [c.user_id for c in self.clients if c.user_id not in self.group_of]
         if missing:
@@ -308,8 +341,12 @@ class FederatedTrainer:
         return update.user_id not in self.excluded_uploaders
 
     def aggregate_embeddings(self, updates: Sequence[ClientUpdate]) -> Dict[str, np.ndarray]:
-        """Default: the paper's padding aggregation (Eq. 8)."""
+        """Default: the paper's padding aggregation (Eq. 8); a median or
+        trimmed-mean defense takes its per-row robust statistic instead."""
         dims = {g: self.config.dims[g] for g in self.groups}
+        defense = self.config.defense
+        if defense is not None and defense.kind in ROW_KINDS:
+            return robust_embedding_aggregate(updates, dims, kind=defense.kind)
         return padded_embedding_aggregate(updates, dims)
 
     def post_aggregate(self, epoch: int) -> None:
@@ -343,6 +380,14 @@ class FederatedTrainer:
     # Server-side aggregation
     # ------------------------------------------------------------------
     def apply_updates(self, updates: Sequence[ClientUpdate]) -> None:
+        defense = self.config.defense
+        if defense is not None:
+            # Upload-level defences run before anything is aggregated.
+            if defense.kind == "clip":
+                updates = server_clip_updates(updates, defense.clip_headroom)
+            elif defense.kind == "krum":
+                dims = {g: self.config.dims[g] for g in self.groups}
+                updates = krum_select(updates, dims)
         accepted = [u for u in updates if self.accept_update(u)]
         if not accepted:
             return
@@ -397,10 +442,9 @@ class FederatedTrainer:
         round's *survivors*.  A below-threshold abort reroutes the
         updates into the straggler buffer and returns ``None``.
 
-        Mean modes are reproduced from public metadata: the server knows
+        Θ's mean mode is reproduced from public metadata: the server knows
         which group every surviving uploader belongs to, hence the
-        per-column and per-head contributor counts, without seeing any
-        plaintext values.
+        per-head contributor counts, without seeing any plaintext values.
         """
         cfg = self.config
         dims = {g: cfg.dims[g] for g in self.groups}
@@ -546,10 +590,24 @@ class FederatedTrainer:
 
     def _train_clients(self, users: Sequence[int]) -> List[ClientUpdate]:
         """Local-training phase for one round's client list: every client's
-        upload, in list order, from the round engine."""
+        upload, in list order, from the round engine.
+
+        Under an attack a malicious client's finished upload is then
+        poisoned — a pure post-transform, so local training stays on the
+        engine — and list order fixes the poison stream's draw order.
+        """
         if not users:
             return []
-        return self._engine.train_round(users)
+        updates = self._engine.train_round(users)
+        attack = self.config.attack
+        if attack is None:
+            return updates
+        return [
+            poison_update(update, attack, self._attack_rng)
+            if update.user_id in self.malicious
+            else update
+            for update in updates
+        ]
 
     def fit(self, evaluator: Optional[Evaluator] = None) -> TrainingHistory:
         """Run the full federated schedule, logging history per epoch.
@@ -598,7 +656,10 @@ class FederatedTrainer:
         return self._epochs_done
 
     def evaluate_with(self, evaluator: Evaluator, user_subset=None):
-        """Run ``evaluator`` over this trainer's block scorer."""
+        """Run ``evaluator`` over this trainer's block scorer; under an
+        attack, over the honest clients unless ``user_subset`` says otherwise."""
+        if user_subset is None and self.config.attack is not None:
+            user_subset = self.honest_clients()
         return evaluator.evaluate(self.score_item_matrix, user_subset=user_subset)
 
     # ------------------------------------------------------------------
@@ -651,6 +712,9 @@ class FederatedTrainer:
         rngs = {"trainer": self._rng}
         if self._compressor is not None:
             rngs["codec"] = self._compressor.codec._rng
+        if self.config.attack is not None:
+            # Without it a resumed attack run replays fresh poison noise.
+            rngs["attack"] = self._attack_rng
         return rngs
 
     def _checkpoint_extra_state(self) -> Tuple[Dict[str, np.ndarray], dict]:
@@ -672,6 +736,10 @@ class FederatedTrainer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def honest_clients(self) -> List[int]:
+        """Every client outside the malicious sub-population, in order."""
+        return [c.user_id for c in self.clients if c.user_id not in self.malicious]
+
     def group_sizes(self) -> Dict[str, int]:
         sizes: Dict[str, int] = {}
         for user, group in self.group_of.items():

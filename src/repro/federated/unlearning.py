@@ -19,7 +19,9 @@ precision when RESKD is off.  RESKD entangles tables after each round,
 so with it enabled the subtraction is the standard first-order
 approximation and recovery epochs do the rest.  Server optimisers and
 secure aggregation are rejected: the former make contributions
-non-linear, the latter hides them by design.
+non-linear, the latter hides them by design.  A robust-aggregation
+defense is rejected too: it clips, drops or re-weights uploads after the
+ledger has recorded them.
 """
 
 from __future__ import annotations
@@ -152,6 +154,11 @@ class UnlearningHeteFedRec(HeteFedRec):
             raise ValueError(
                 "unlearning's subtraction is exact only under direct delta "
                 "application; server optimisers make contributions non-linear"
+            )
+        if config.defense is not None:
+            raise ValueError(
+                "unlearning records the uploads as sent; a robust-aggregation "
+                "defense changes what is applied, so the ledger would not match"
             )
         super().__init__(num_items, clients, config, group_of=group_of)
         self.ledger = ContributionLedger()

@@ -12,11 +12,17 @@ table) — together with the standard server-side defences.
   (random-noise, sign-flip/model poisoning, target-item promotion);
 * :mod:`repro.robustness.defenses` — robust aggregators (server-side
   norm clipping, per-row trimmed mean / median, multi-Krum selection);
-* :mod:`repro.robustness.harness` — :class:`AdversarialHeteFedRec`, a
-  HeteFedRec trainer with a malicious sub-population and an optional
-  defence;
 * :mod:`repro.robustness.metrics` — attack-success measures
   (exposure-rate@K of a promoted item).
+
+Attacks and defences are config features, not a trainer of their own:
+``FederatedConfig.attack`` (an :class:`AttackConfig`) and
+``FederatedConfig.defense`` (a :class:`RobustAggregationConfig`) switch
+them on in any trainer, beside privacy, compression and availability.
+:class:`~repro.federated.trainer.FederatedTrainer` poisons the malicious
+clients' finished uploads, clips or multi-Krum-filters the uploads
+before aggregation, takes the median / trimmed mean in place of the
+padded sum, and scores honest clients only.
 
 This is defensive-security tooling: it exists to measure and harden the
 aggregation rules, mirroring the published attack evaluations.
@@ -29,7 +35,6 @@ from repro.robustness.defenses import (
     robust_embedding_aggregate,
     server_clip_updates,
 )
-from repro.robustness.harness import AdversarialHeteFedRec
 from repro.robustness.metrics import exposure_at_k, prediction_shift
 
 __all__ = [
@@ -40,7 +45,6 @@ __all__ = [
     "krum_select",
     "robust_embedding_aggregate",
     "server_clip_updates",
-    "AdversarialHeteFedRec",
     "exposure_at_k",
     "prediction_shift",
 ]

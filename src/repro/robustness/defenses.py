@@ -54,6 +54,8 @@ class RobustAggregationConfig:
             raise ValueError(f"clip_headroom must be positive, got {self.clip_headroom}")
 
 
+#: The defences that replace the padded sum with a per-row robust statistic.
+ROW_KINDS = ("median", "trimmed_mean")
 #: Fraction trimmed from each tail by 'trimmed_mean'.
 TRIM_FRACTION = 0.2
 #: Fraction of uploads multi-Krum keeps.
@@ -125,8 +127,8 @@ def robust_embedding_aggregate(
     """
     if not updates:
         return {}
-    if kind not in ("median", "trimmed_mean"):
-        raise ValueError(f"kind must be 'median' or 'trimmed_mean', got {kind!r}")
+    if kind not in ROW_KINDS:
+        raise ValueError(f"kind must be one of {ROW_KINDS}, got {kind!r}")
     widest = max(dims.values())
     stacked = _padded_deltas(updates, widest)
     support = _row_support(stacked)

@@ -27,7 +27,7 @@ from repro.federated.communication import NetworkStats
 APPLY, EXTEND, SKIP = "apply", "extend", "skip"
 _POLICIES = (APPLY, EXTEND, SKIP)
 
-_ARRIVALS = ("rounds", "poisson", "diurnal")
+_ARRIVALS = ("rounds", "diurnal")
 _LATENCIES = ("zero", "fixed", "lognormal", "pareto")
 _DROPOUTS = ("none", "bernoulli", "markov")
 
@@ -89,11 +89,9 @@ class ArrivalModelConfig:
     """When each epoch's participating clients show up.
 
     ``rounds`` reproduces the synchronous schedule: cohort *r* arrives
-    as one simultaneous block at time *r*.  ``poisson`` spreads the
-    epoch's queue over exponential inter-arrivals at
-    ``engine.POISSON_RATE`` clients per sim-second.  ``diurnal`` draws arrival times from a sinusoidally
-    modulated intensity (period ``period``, modulation ``amplitude``)
-    over a day-long window, keeping queue order.
+    as one simultaneous block at time *r*.  ``diurnal`` draws arrival
+    times from a sinusoidally modulated intensity (period ``period``,
+    modulation ``amplitude``) over a day-long window, keeping queue order.
     """
 
     kind: str = "rounds"

@@ -131,10 +131,6 @@ class DropoutModel:
         return self._rng.random() < self.config.rate
 
 
-#: Clients per sim-second of the ``poisson`` arrival kind.
-POISSON_RATE = 64.0
-
-
 class ArrivalModel:
     """Assigns arrival times to one epoch's participation queue.
 
@@ -161,11 +157,8 @@ class ArrivalModel:
         queue = [int(u) for cohort in cohorts for u in cohort]
         if not queue:
             return []
-        if cfg.kind == "poisson":
-            gaps = self._rng.exponential(1.0 / POISSON_RATE, size=len(queue))
-            times = epoch_start + np.cumsum(gaps)
-        else:  # diurnal
-            times = epoch_start + self._diurnal_times(len(queue))
+        # diurnal: one singleton cohort per client, in queue order.
+        times = epoch_start + self._diurnal_times(len(queue))
         return [(float(t), [user]) for t, user in zip(times, queue)]
 
     def _diurnal_times(self, count: int) -> np.ndarray:

@@ -20,7 +20,7 @@ generator keyed on the seed alone, never from a
 shifts.  Malicious clients run the real
 :mod:`repro.robustness.attacks` transformations over their honest
 surrogate updates — spam/poisoning at population scale exercises the
-identical code path the robustness harness evaluates.
+identical code path a trainer under ``config.attack`` runs.
 """
 
 from __future__ import annotations

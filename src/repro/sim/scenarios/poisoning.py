@@ -2,8 +2,8 @@
 
 Ten percent of the fleet is malicious and runs the real
 :mod:`repro.robustness.attacks` sign-flip transformation over its
-(surrogate) honest updates — the identical code path the robustness
-harness evaluates, but at populations the harness cannot reach.
+(surrogate) honest updates — the identical code path a trainer under
+``config.attack`` runs, but at populations the trainer cannot reach.
 ``poisoned_updates`` counts every poisoned upload that was trained.
 """
 

@@ -78,6 +78,7 @@ class TestBuildMethodKeepsTheConfig:
         from repro.federated.secure_agg import SecureAggregationConfig
         from repro.federated.server_optim import ServerOptimizerConfig
         from repro.federated.trainer import FederatedConfig
+        from repro.robustness import AttackConfig, RobustAggregationConfig
 
         return FederatedConfig(
             arch="mf",
@@ -95,6 +96,8 @@ class TestBuildMethodKeepsTheConfig:
             secure_aggregation=SecureAggregationConfig(),
             compression=CompressionConfig(kind="topk", ratio=0.5),
             server_optimizer=ServerOptimizerConfig(kind="fedavgm"),
+            attack=AttackConfig(kind="noise", fraction=0.25, seed=1),
+            defense=RobustAggregationConfig(kind="clip"),
             availability=AvailabilityConfig(offline_rate=0.1),
             dtype="float32",
             checkpoint_path=str(tmp_path / "autosave.npz"),
@@ -116,21 +119,30 @@ class TestBuildMethodKeepsTheConfig:
     ):
         from dataclasses import fields
 
-        passed = self.every_field_set(tmp_path)
-        if name == "clustered":
-            # Documented refusal: its custom embedding aggregation cannot
-            # run under the padded-sum secure protocol.
-            with pytest.raises(ValueError, match="secure aggregation"):
-                build_method(name, tiny_dataset.num_items, tiny_clients, passed)
-            passed = passed.copy_with(secure_aggregation=None)
-        trainer = build_method(name, tiny_dataset.num_items, tiny_clients, passed)
-        for f in fields(passed):
-            if f.name not in self.BY_DEFINITION.get(name, ()):
-                assert getattr(trainer.config, f.name) == getattr(passed, f.name), f.name
-        if name == "directly_aggregate":
-            cfg = trainer.config
-            assert not (cfg.enable_udl or cfg.enable_ddr or cfg.enable_reskd)
-        assert trainer.models[trainer.groups[0]].item_embedding.weight.data.dtype == np.float32
+        probe = self.every_field_set(tmp_path)
+        # Documented refusal: robust aggregation needs plaintext uploads,
+        # so the probe's defense and its secure aggregation are carried
+        # in two accepted builds, one without each.
+        with pytest.raises(ValueError, match="robust aggregation"):
+            build_method(name, tiny_dataset.num_items, tiny_clients, probe)
+        for passed in (
+            probe.copy_with(defense=None),
+            probe.copy_with(secure_aggregation=None),
+        ):
+            if name == "clustered" and passed.secure_aggregation is not None:
+                # Documented refusal: its custom embedding aggregation
+                # cannot run under the padded-sum secure protocol.
+                with pytest.raises(ValueError, match="secure aggregation"):
+                    build_method(name, tiny_dataset.num_items, tiny_clients, passed)
+                passed = passed.copy_with(secure_aggregation=None)
+            trainer = build_method(name, tiny_dataset.num_items, tiny_clients, passed)
+            for f in fields(passed):
+                if f.name not in self.BY_DEFINITION.get(name, ()):
+                    assert getattr(trainer.config, f.name) == getattr(passed, f.name), f.name
+            if name == "directly_aggregate":
+                cfg = trainer.config
+                assert not (cfg.enable_udl or cfg.enable_ddr or cfg.enable_reskd)
+            assert trainer.models[trainer.groups[0]].item_embedding.weight.data.dtype == np.float32
 
 
 class TestHomogeneous:

@@ -107,11 +107,12 @@ class TestDedup:
 class TestRunTree:
     def test_same_shape_back_from_one_grid_call(self, monkeypatch):
         """A nested label → spec mapping executes as ONE grid (so dedup
-        spans the whole tree) and comes back in the same shape."""
+        spans the whole tree) and comes back in the same shape.  It passes
+        no ``jobs``: only ``run_all``'s warm pass fans out."""
         calls = []
 
-        def fake_run_grid(specs, jobs=None):
-            calls.append((list(specs), jobs))
+        def fake_run_grid(specs, **kwargs):
+            calls.append((list(specs), kwargs))
             return {spec: f"{spec.dataset}/{spec.method}" for spec in specs}
 
         monkeypatch.setattr(runner, "run_grid", fake_run_grid)
@@ -119,11 +120,11 @@ class TestRunTree:
         hete = RunSpec("anime", "hetefedrec", profile="smoke")
         tree = {"ncf": {"a": small, "b": hete}, "other": {0.5: small}}
         assert tree_specs(tree) == [small, hete, small]
-        assert run_tree(tree, jobs=3) == {
+        assert run_tree(tree) == {
             "ncf": {"a": "ml/all_small", "b": "anime/hetefedrec"},
             "other": {0.5: "ml/all_small"},
         }
-        assert calls == [([small, hete, small], 3)]
+        assert calls == [([small, hete, small], {})]
 
 
 class TestParallelExecution:

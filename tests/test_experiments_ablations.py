@@ -83,5 +83,18 @@ class TestRegistryIntegration:
         ):
             grid, runner, formatter = ARTEFACTS[name]
             assert callable(runner) and callable(formatter)
-            # Only the robustness quadrants train outside the run cache.
-            assert (grid is None) == (name == "ablation_robustness")
+            # Every ablation that trains declares its cached grid.
+            assert callable(grid)
+
+    def test_robustness_clean_arm_is_the_table2_run(self):
+        """The clean, undefended quadrant is Table II's ml HeteFedRec
+        cell: one cache entry, under the key Table II has always used
+        (a ``RunSpec`` version bump would change it)."""
+        from repro.experiments.ablations import robustness_grid
+        from repro.experiments.table2 import table2_grid
+
+        grid = robustness_grid("bench")
+        clean = grid["clean / undefended"]
+        assert clean == table2_grid("bench")["ncf"]["ml"]["hetefedrec"]
+        assert clean.key() == "272ef1720a9111b7b100874e"
+        assert len({spec.key() for spec in grid.values()}) == 4

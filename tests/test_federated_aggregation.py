@@ -50,7 +50,7 @@ class TestPaddedEmbeddingAggregate:
             update(1, "m", np.full((2, 3), 10.0)),
             update(2, "l", np.full((2, 4), 100.0)),
         ]
-        agg = padded_embedding_aggregate(updates, self.DIMS, mode="sum")
+        agg = padded_embedding_aggregate(updates, self.DIMS)
         assert np.allclose(agg["l"][0], [111.0, 111.0, 110.0, 100.0])
         assert np.allclose(agg["m"], agg["l"][:, :3])
         assert np.allclose(agg["s"], agg["l"][:, :2])
@@ -63,19 +63,9 @@ class TestPaddedEmbeddingAggregate:
             update(i, g, rng.normal(size=(5, self.DIMS[g])))
             for i, g in enumerate(["s", "s", "m", "l", "l"])
         ]
-        agg = padded_embedding_aggregate(updates, self.DIMS, mode="sum")
+        agg = padded_embedding_aggregate(updates, self.DIMS)
         assert np.allclose(agg["s"], agg["m"][:, :2])
         assert np.allclose(agg["m"], agg["l"][:, :3])
-
-    def test_mean_mode_per_column_block(self):
-        """'mean' divides each column block by its actual contributors."""
-        updates = [
-            update(0, "s", np.full((1, 2), 2.0)),
-            update(1, "l", np.full((1, 4), 4.0)),
-        ]
-        agg = padded_embedding_aggregate(updates, self.DIMS, mode="mean")
-        # Columns 0-1: two contributors → (2+4)/2 = 3; columns 2-3: one → 4.
-        assert np.allclose(agg["l"][0], [3.0, 3.0, 4.0, 4.0])
 
     def test_empty_updates(self):
         assert padded_embedding_aggregate([], self.DIMS) == {}
@@ -89,9 +79,9 @@ class TestPaddedEmbeddingAggregate:
             update(i, g, rng.normal(size=(3, self.DIMS[g])))
             for i, g in enumerate(groups)
         ]
-        whole = padded_embedding_aggregate(updates, self.DIMS, mode="sum")
+        whole = padded_embedding_aggregate(updates, self.DIMS)
         parts = [
-            padded_embedding_aggregate([u], self.DIMS, mode="sum") for u in updates
+            padded_embedding_aggregate([u], self.DIMS) for u in updates
         ]
         for group in self.DIMS:
             summed = sum(p[group] for p in parts)

@@ -26,6 +26,7 @@ import repro.federated.checkpoint as checkpoint_module
 from repro.compression.codecs import CompressionConfig
 from repro.core import HeteFedRec, HeteFedRecConfig
 from repro.federated.availability import AvailabilityConfig
+from repro.robustness import AttackConfig, RobustAggregationConfig
 from repro.api import load_model, user_embedding_from_checkpoint
 from repro.federated.checkpoint import (
     CheckpointMismatchError,
@@ -574,6 +575,31 @@ class TestMismatch:
         )
         with pytest.raises(CheckpointMismatchError, match="features"):
             load_checkpoint(other, saved)
+
+    @pytest.mark.parametrize(
+        "field, saved_as, resumed_as",
+        [
+            ("attack", AttackConfig(kind="noise"), AttackConfig(kind="signflip")),
+            (
+                "defense",
+                RobustAggregationConfig(kind="clip"),
+                RobustAggregationConfig(kind="krum"),
+            ),
+        ],
+    )
+    def test_wrong_attack_or_defense_kind(
+        self, field, saved_as, resumed_as, tiny_dataset, tiny_clients, tmp_path
+    ):
+        """Poisoning and robust aggregation reshape every remaining
+        round, and the method name no longer tells the runs apart: a
+        resume under another attack or defense kind must raise."""
+        path = str(tmp_path / f"{field}.npz")
+        save_checkpoint(
+            fresh_trainer(tiny_dataset, tiny_clients, **{field: saved_as}), path
+        )
+        other = fresh_trainer(tiny_dataset, tiny_clients, **{field: resumed_as})
+        with pytest.raises(CheckpointMismatchError, match="features"):
+            load_checkpoint(other, path)
 
     def test_wrong_training_hyperparameters(self, saved, tiny_dataset, tiny_clients):
         """lr / local_epochs / clients_per_round / negative_ratio shape

@@ -261,7 +261,7 @@ class TestSecureAggregateUpdates:
         secure_emb, secure_heads, _ = run_secure_round(
             updates, self.DIMS, config, round_id=3
         )
-        plain_emb = padded_embedding_aggregate(updates, self.DIMS, mode="sum")
+        plain_emb = padded_embedding_aggregate(updates, self.DIMS)
         plain_heads = aggregate_head_updates(updates, mode="sum")
         for group in self.DIMS:
             assert np.allclose(secure_emb[group], plain_emb[group], atol=1e-5)
@@ -297,7 +297,7 @@ class TestSecureAggregateUpdates:
         )
         assert report.dropouts_by_phase["masked_input"] == [9]
         survivors = [u for u in updates if u.user_id != 9]
-        plain = padded_embedding_aggregate(survivors, self.DIMS, mode="sum")
+        plain = padded_embedding_aggregate(survivors, self.DIMS)
         assert np.allclose(emb["l"], plain["l"], atol=1e-5)
 
     def test_empty_round(self):

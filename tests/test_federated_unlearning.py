@@ -65,6 +65,19 @@ class TestConstructorGuards:
                 config(server_optimizer=ServerOptimizerConfig()),
             )
 
+    @pytest.mark.parametrize("kind", ["clip", "krum", "median"])
+    def test_rejects_defense(self, kind, tiny_dataset, tiny_clients):
+        """A defense changes what is applied after the ledger recorded
+        the uploads, so the ledger would no longer sum to the applied
+        movement: refused."""
+        from repro.robustness import RobustAggregationConfig
+
+        with pytest.raises(ValueError, match="defense"):
+            UnlearningHeteFedRec(
+                tiny_dataset.num_items, tiny_clients,
+                config(defense=RobustAggregationConfig(kind=kind)),
+            )
+
 
 class TestLedgerExactness:
     def test_ledger_sums_to_total_movement(self, tiny_dataset, tiny_clients):

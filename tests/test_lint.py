@@ -384,6 +384,18 @@ class TestRngRegistrationRule:
         found = findings_for(src, SEEDED, "rng-registration")
         assert len(found) == 1 and "_b" in found[0].message
 
+    def test_sees_the_trainers_attack_stream(self):
+        """The base trainer's conditional poison stream is in the rule's
+        scope: dropping its registration is a finding."""
+        path = REPO_ROOT / "src" / "repro" / "federated" / "trainer.py"
+        src = path.read_text()
+        logical = "repro/federated/trainer.py"
+        assert rules_fired(src, logical, "rng-registration") == []
+        line = '            rngs["attack"] = self._attack_rng\n'
+        assert line in src
+        found = findings_for(src.replace(line, "            pass\n"), logical, "rng-registration")
+        assert len(found) == 1 and "_attack_rng" in found[0].message
+
     def test_non_trainer_class_is_silent(self):
         src = (
             "import numpy as np\n"

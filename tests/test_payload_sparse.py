@@ -206,19 +206,8 @@ class TestClientUpdateConstructor:
 class TestAggregationEquivalence:
     def test_padded_aggregate_sum(self, rng):
         updates, tables = paired_round(rng)
-        out = padded_embedding_aggregate(updates, DIMS, mode="sum")
+        out = padded_embedding_aggregate(updates, DIMS)
         expected = padded_sum(tables)
-        for group, width in DIMS.items():
-            np.testing.assert_array_equal(out[group], expected[:, :width])
-
-    def test_padded_aggregate_mean(self, rng):
-        updates, tables = paired_round(rng)
-        out = padded_embedding_aggregate(updates, DIMS, mode="mean")
-        # Each column is averaged over the clients wide enough to own it.
-        contributors = np.zeros(WIDEST)
-        for table in tables:
-            contributors[: table.shape[1]] += 1.0
-        expected = padded_sum(tables) / contributors[np.newaxis, :]
         for group, width in DIMS.items():
             np.testing.assert_array_equal(out[group], expected[:, :width])
 
@@ -232,7 +221,7 @@ class TestAggregationEquivalence:
             else ClientUpdate(user_id=u.user_id, group=u.group, embedding_delta=t)
             for i, (u, t) in enumerate(zip(updates, tables))
         ]
-        out = padded_embedding_aggregate(mixed, DIMS, mode="sum")
+        out = padded_embedding_aggregate(mixed, DIMS)
         expected = padded_sum(tables)
         for group, width in DIMS.items():
             np.testing.assert_array_equal(out[group], expected[:, :width])
@@ -470,7 +459,7 @@ class TestConsumersMatchNumpyOracle:
         updates = [u for u, _ in pairs]
         tables = [t for _, t in pairs]
 
-        out = padded_embedding_aggregate(updates, DIMS, mode="sum")
+        out = padded_embedding_aggregate(updates, DIMS)
         expected = padded_sum(tables)
         for group, width in DIMS.items():
             np.testing.assert_array_equal(out[group], expected[:, :width])

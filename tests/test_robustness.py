@@ -1,4 +1,5 @@
-"""Tests for the poisoning attacks, robust aggregators, and harness."""
+"""Tests for the poisoning attacks, robust aggregators, and the trainer's
+``attack`` / ``defense`` config features."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from repro.core.config import HeteFedRecConfig
 from repro.federated.aggregation import padded_embedding_aggregate
 from repro.federated.payload import ClientUpdate
 from repro.robustness import (
-    AdversarialHeteFedRec,
     AttackConfig,
     RobustAggregationConfig,
     choose_malicious,
@@ -165,14 +165,14 @@ class TestRobustEmbeddingAggregate:
         """With identical honest updates, median·count equals the sum."""
         updates = [honest_update(user_id=i, seed=7) for i in range(5)]
         robust = robust_embedding_aggregate(updates, DIMS, kind="median")
-        plain = padded_embedding_aggregate(updates, DIMS, mode="sum")
+        plain = padded_embedding_aggregate(updates, DIMS)
         assert np.allclose(robust["l"], plain["l"])
 
     def test_median_resists_minority_outlier(self):
         honest = [honest_update(user_id=i, seed=7) for i in range(4)]
         attacker = honest_update(user_id=9, seed=7).scaled(-100.0)
         robust = robust_embedding_aggregate(honest + [attacker], DIMS, kind="median")
-        clean = padded_embedding_aggregate(honest, DIMS, mode="sum")
+        clean = padded_embedding_aggregate(honest, DIMS)
         # Median of 5 values with 1 outlier is an honest value; scaled by 5
         # contributors instead of 4, so compare directions not magnitudes.
         honest_dir = clean["s"][0] / np.linalg.norm(clean["s"][0])
@@ -186,7 +186,7 @@ class TestRobustEmbeddingAggregate:
         robust = robust_embedding_aggregate(
             honest + [low, high], DIMS, kind="trimmed_mean", trim_fraction=0.2
         )
-        clean = padded_embedding_aggregate(honest, DIMS, mode="sum")
+        clean = padded_embedding_aggregate(honest, DIMS)
         honest_dir = clean["s"][0] / np.linalg.norm(clean["s"][0])
         robust_dir = robust["s"][0] / np.linalg.norm(robust["s"][0])
         assert np.dot(honest_dir, robust_dir) > 0.99
@@ -244,18 +244,22 @@ class TestDefenseConfig:
 
 
 class TestAdversarialHarness:
+    """Poisoning and robust aggregation ride any trainer through
+    ``FederatedConfig.attack`` / ``.defense``."""
+
     def _config(self, **overrides):
         defaults = dict(epochs=1, clients_per_round=16, local_epochs=2, seed=3)
         defaults.update(overrides)
         return HeteFedRecConfig(**defaults)
 
-    def test_clean_run_matches_hetefedrec(self, tiny_dataset, tiny_clients):
+    def _build(self, dataset, clients, **overrides):
         from repro.core.hetefedrec import HeteFedRec
 
-        clean = HeteFedRec(tiny_dataset.num_items, tiny_clients, self._config())
-        adversarial = AdversarialHeteFedRec(
-            tiny_dataset.num_items, tiny_clients, self._config(), attack=None
-        )
+        return HeteFedRec(dataset.num_items, clients, self._config(**overrides))
+
+    def test_clean_run_matches_hetefedrec(self, tiny_dataset, tiny_clients):
+        clean = self._build(tiny_dataset, tiny_clients)
+        adversarial = self._build(tiny_dataset, tiny_clients, attack=None)
         clean.fit()
         adversarial.fit()
         for group in clean.groups:
@@ -265,33 +269,27 @@ class TestAdversarialHarness:
             )
 
     def test_attack_degrades_training(self, tiny_dataset, tiny_clients):
-        attacked = AdversarialHeteFedRec(
-            tiny_dataset.num_items,
+        attacked = self._build(
+            tiny_dataset,
             tiny_clients,
-            self._config(),
             attack=AttackConfig(kind="signflip", fraction=0.3, scale=20.0),
         )
         attacked.fit()
         # The attack must have registered some malicious population.
         assert len(attacked.malicious) == round(len(tiny_clients) * 0.3)
-        summary = attacked.summary()
-        assert summary["attack"] == "signflip" and summary["defense"] == "none"
+        assert attacked.config.attack.kind == "signflip"
+        assert attacked.config.defense is None
 
     def test_clip_defense_bounds_damage(self, tiny_dataset, tiny_clients):
         """Under a scale attack, clipping must keep the model closer to the
         clean one than no defence does."""
-        from repro.core.hetefedrec import HeteFedRec
-
-        clean = HeteFedRec(tiny_dataset.num_items, tiny_clients, self._config())
+        clean = self._build(tiny_dataset, tiny_clients)
         clean.fit()
         attack = AttackConfig(kind="signflip", fraction=0.2, scale=50.0, seed=1)
-        undefended = AdversarialHeteFedRec(
-            tiny_dataset.num_items, tiny_clients, self._config(), attack=attack
-        )
-        defended = AdversarialHeteFedRec(
-            tiny_dataset.num_items,
+        undefended = self._build(tiny_dataset, tiny_clients, attack=attack)
+        defended = self._build(
+            tiny_dataset,
             tiny_clients,
-            self._config(),
             attack=attack,
             defense=RobustAggregationConfig(kind="clip", clip_headroom=2.0),
         )
@@ -312,24 +310,68 @@ class TestAdversarialHarness:
         from repro.federated.secure_agg import SecureAggregationConfig
 
         with pytest.raises(ValueError):
-            AdversarialHeteFedRec(
-                tiny_dataset.num_items,
+            self._build(
+                tiny_dataset,
                 tiny_clients,
-                self._config(secure_aggregation=SecureAggregationConfig()),
+                secure_aggregation=SecureAggregationConfig(),
                 attack=AttackConfig(),
                 defense=RobustAggregationConfig(kind="median"),
             )
 
-    def test_honest_clients_listed(self, tiny_dataset, tiny_clients):
-        trainer = AdversarialHeteFedRec(
-            tiny_dataset.num_items,
+    @pytest.mark.parametrize("kind", ["median", "trimmed_mean"])
+    def test_row_defense_with_custom_aggregation_rejected(
+        self, kind, tiny_dataset, tiny_clients
+    ):
+        """A median / trimmed-mean defense replaces the padded sum, so a
+        trainer with its own embedding aggregation (Clustered) is refused
+        the way secure aggregation refuses it; the upload-level defences
+        leave aggregation alone and are accepted."""
+        from repro.baselines.registry import build_method
+
+        def build(defense):
+            return build_method(
+                "clustered", tiny_dataset.num_items, tiny_clients,
+                self._config(defense=defense),
+            )
+
+        with pytest.raises(ValueError, match=f"{kind} defense"):
+            build(RobustAggregationConfig(kind=kind))
+        for accepted in ("clip", "krum"):
+            build(RobustAggregationConfig(kind=accepted))
+
+    @pytest.mark.parametrize("kind", ["median", "trimmed_mean", "krum"])
+    def test_every_defense_trains_finite(self, kind, tiny_dataset, tiny_clients):
+        trainer = self._build(
+            tiny_dataset,
             tiny_clients,
-            self._config(),
-            attack=AttackConfig(fraction=0.25, seed=2),
+            attack=AttackConfig(kind="noise", fraction=0.2, scale=5.0),
+            defense=RobustAggregationConfig(kind=kind),
+        )
+        trainer.fit()
+        for model in trainer.models.values():
+            assert np.all(np.isfinite(model.item_embedding.weight.data))
+
+    def test_honest_clients_listed(self, tiny_dataset, tiny_clients):
+        trainer = self._build(
+            tiny_dataset, tiny_clients, attack=AttackConfig(fraction=0.25, seed=2)
         )
         honest = set(trainer.honest_clients())
         assert honest.isdisjoint(trainer.malicious)
         assert len(honest) + len(trainer.malicious) == len(tiny_clients)
+
+    def test_evaluation_scores_honest_clients_only(self, tiny_dataset, tiny_clients):
+        from repro.eval.evaluator import Evaluator
+
+        trainer = self._build(
+            tiny_dataset, tiny_clients, attack=AttackConfig(fraction=0.25, seed=2)
+        )
+        evaluator = Evaluator(tiny_clients)
+        scored = set(trainer.evaluate_with(evaluator).evaluated_users.tolist())
+        assert scored and scored.isdisjoint(trainer.malicious)
+        everyone = trainer.evaluate_with(
+            evaluator, user_subset=[c.user_id for c in tiny_clients]
+        )
+        assert set(everyone.evaluated_users.tolist()) & trainer.malicious
 
 
 class TestAttackMetrics:
@@ -372,13 +414,12 @@ class TestAttackMetrics:
 
 
 class TestAttackRngCheckpoint:
-    """The poison stream must survive checkpoint/resume bitwise (PR 10).
+    """The poison stream must survive checkpoint/resume bitwise.
 
-    ``AdversarialHeteFedRec`` owns ``_attack_rng``; before PR 10 it was
-    not registered in ``_checkpoint_rngs``, so a resumed attack run
-    replayed fresh noise and silently diverged from the uninterrupted
-    one — exactly the defect class the ``rng-registration`` lint rule
-    now catches at diff time.
+    A trainer under ``config.attack`` owns ``_attack_rng``; left out of
+    ``_checkpoint_rngs``, a resumed attack run would replay fresh noise
+    and silently diverge from the uninterrupted one — exactly the defect
+    class the ``rng-registration`` lint rule catches at diff time.
     """
 
     def _attack(self):
@@ -388,19 +429,28 @@ class TestAttackRngCheckpoint:
 
     def _config(self, epochs):
         return HeteFedRecConfig(
-            epochs=epochs, clients_per_round=16, local_epochs=1, seed=3
+            epochs=epochs, clients_per_round=16, local_epochs=1, seed=3,
+            attack=self._attack(),
         )
 
     def _build(self, dataset, clients, epochs):
-        return AdversarialHeteFedRec(
-            dataset.num_items, clients, self._config(epochs),
-            attack=self._attack(),
-        )
+        from repro.core.hetefedrec import HeteFedRec
+
+        return HeteFedRec(dataset.num_items, clients, self._config(epochs))
 
     def test_attack_stream_is_registered(self, tiny_dataset, tiny_clients):
         trainer = self._build(tiny_dataset, tiny_clients, epochs=1)
         rngs = trainer._checkpoint_rngs()
         assert rngs["attack"] is trainer._attack_rng
+        # Without an attack there is no stream: a plain run's manifest
+        # carries the same streams as before the config field existed.
+        from repro.core.hetefedrec import HeteFedRec
+
+        plain = HeteFedRec(
+            tiny_dataset.num_items, tiny_clients,
+            self._config(epochs=1).copy_with(attack=None),
+        )
+        assert "attack" not in plain._checkpoint_rngs()
 
     def test_bitwise_resume_under_attack(self, tiny_dataset, tiny_clients, tmp_path):
         from repro.federated.checkpoint import (

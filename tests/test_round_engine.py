@@ -582,12 +582,12 @@ class TestDispatch:
     def test_adversarial_harness_rides_engine(
         self, tiny_dataset, tiny_clients, monkeypatch
     ):
-        """AdversarialHeteFedRec poisons finished uploads on the round
-        hook (``_train_clients``), so local training rides the fused
+        """An attack (``config.attack``) poisons finished uploads on the
+        round hook (``_train_clients``), so local training rides the fused
         engine, and an attacked run matches the reference path with the
         same poisoned uploads in the same order and the same final
         attack-stream state."""
-        from repro.robustness import harness
+        import repro.federated.trainer as trainer_module
         from repro.robustness.attacks import AttackConfig, poison_update
 
         evaluator = Evaluator(tiny_clients, k=10)
@@ -600,8 +600,8 @@ class TestDispatch:
                     log.append(update.user_id)
                     return poison_update(update, config, rng)
 
-                monkeypatch.setattr(harness, "poison_update", recording)
-                trainers[engine] = harness.AdversarialHeteFedRec(
+                monkeypatch.setattr(trainer_module, "poison_update", recording)
+                trainers[engine] = HeteFedRec(
                     tiny_dataset.num_items,
                     tiny_clients,
                     HeteFedRecConfig(
@@ -610,8 +610,8 @@ class TestDispatch:
                         epochs=2,
                         clients_per_round=8,
                         local_epochs=2,
+                        attack=AttackConfig(kind="noise", fraction=0.2, scale=3.0),
                     ),
-                    attack=AttackConfig(kind="noise", fraction=0.2, scale=3.0),
                 )
                 if engine == "reference":
                     reference_trainer.install(trainers[engine])

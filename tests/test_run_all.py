@@ -1,11 +1,12 @@
-"""Tests for the regenerate-everything CLI; none of them trains.
+"""Tests for the regenerate-everything CLI.
 
 Training-based artefacts are exercised by the benchmark suite; here we
 verify the orchestration: artefact registry completeness, that the
 warm-up list is derived from (and covers) what the registered runners
 request, error propagation, file output, the fast (no-training)
 artefacts end to end at smoke scale, and that the registry and the
-committed ``results/`` have not drifted apart.
+committed ``results/`` have not drifted apart.  Only
+:class:`TestWarmRender` trains: the whole suite once, at ``smoke``.
 """
 
 import os
@@ -17,6 +18,7 @@ import repro.experiments.run_all as run_all_module
 import repro.experiments.runner as runner_module
 from repro.experiments.run_all import ARTEFACTS, collect_suite_specs, render, run_all
 from repro.experiments.runner import RunResult
+from repro.federated.trainer import FederatedTrainer
 
 
 FAST_ARTEFACTS = {"table1_datasets", "fig1_distribution", "table3_communication"}
@@ -67,10 +69,10 @@ class TestRegistry:
         for name, (grid, runner, formatter) in ARTEFACTS.items():
             assert callable(runner) and callable(formatter), name
             assert grid is None or callable(grid), name
-        # Exactly the analytic artefacts and the robustness quadrants
-        # declare no cached training grid.
+        # Exactly the analytic artefacts declare no cached training grid:
+        # everything that trains goes through the run cache.
         assert {name for name, (grid, _, _) in ARTEFACTS.items() if grid is None} == (
-            FAST_ARTEFACTS | {"ablation_robustness", "ablation_systems"}
+            FAST_ARTEFACTS | {"ablation_systems"}
         )
 
     @pytest.mark.parametrize("archs", [("ncf",), ("ncf", "lightgcn")])
@@ -159,3 +161,24 @@ class TestCommittedResults:
         render(name, "bench", out_dir=str(tmp_path))
         rendered = (tmp_path / f"{name}.txt").read_bytes()
         assert rendered == (RESULTS_DIR / f"{name}.txt").read_bytes()
+
+
+class TestWarmRender:
+    def test_nothing_trains_after_the_warm_pass(self, tmp_path, monkeypatch):
+        """Every artefact that trains declares its grid, so ``run_all``'s
+        warm pass covers it and a later ``render`` only reads the cache:
+        with training patched to raise, every artefact renders the bytes
+        the warm run wrote."""
+        monkeypatch.setattr(runner_module, "CACHE_DIR", str(tmp_path / "cache"))
+        run_all(profile="smoke", out_dir=str(tmp_path / "warm"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an artefact trained after the warm pass")
+
+        monkeypatch.setattr(runner_module, "_train_spec", refuse)
+        monkeypatch.setattr(runner_module, "build_method", refuse)
+        monkeypatch.setattr(FederatedTrainer, "__init__", refuse)
+        for name in ARTEFACTS:
+            render(name, "smoke", out_dir=str(tmp_path / "again"))
+            again = (tmp_path / "again" / f"{name}.txt").read_bytes()
+            assert again == (tmp_path / "warm" / f"{name}.txt").read_bytes(), name

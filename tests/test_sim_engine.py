@@ -131,14 +131,6 @@ class TestArrivalModel:
         schedule = model.schedule(5.0, [[1, 2, 3], [4, 5], []])
         assert schedule == [(5.0, [1, 2, 3]), (6.0, [4, 5])]
 
-    def test_poisson_spreads_into_singletons(self):
-        model = self._model(kind="poisson")
-        schedule = model.schedule(0.0, [[1, 2], [3, 4]])
-        assert [cohort for _, cohort in schedule] == [[1], [2], [3], [4]]
-        times = [t for t, _ in schedule]
-        assert times == sorted(times)
-        assert all(t > 0.0 for t in times)
-
     def test_diurnal_times_within_period_and_ordered(self):
         model = self._model(kind="diurnal", period=24.0, amplitude=0.8)
         schedule = model.schedule(100.0, [list(range(50))])
@@ -155,7 +147,7 @@ class TestArrivalModel:
         assert peak > 2 * trough
 
     def test_empty_queue(self):
-        assert self._model(kind="poisson").schedule(0.0, [[]]) == []
+        assert self._model(kind="diurnal").schedule(0.0, [[]]) == []
 
 
 def test_build_models_wires_owned_streams():
