@@ -5,7 +5,7 @@ consumer grids — Table II, Fig. 6, Fig. 7 and Table VI's homogeneous
 brackets all request runs from one shared pool — through
 :func:`repro.experiments.runner.run_grid` in three configurations:
 
-* ``legacy serial``  — one ``run_method`` call per requested spec with
+* ``legacy serial``  — one ``run_spec`` call per requested spec with
   the per-process dataset memo cleared between calls: the pre-executor
   execution model (duplicates resolve through the result cache, every
   run regenerates its dataset);

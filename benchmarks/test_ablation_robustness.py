@@ -14,10 +14,10 @@ from repro.experiments.run_all import render
 def test_ablation_robustness_quadrants():
     results = render("ablation_robustness", "bench")
 
-    clean_u = results["clean / undefended"][1]
-    clean_d = results["clean / defended"][1]
-    attacked_u = results["attacked / undefended"][1]
-    attacked_d = results["attacked / defended"][1]
+    clean_u = results["clean / undefended"].ndcg
+    clean_d = results["clean / defended"].ndcg
+    attacked_u = results["attacked / undefended"].ndcg
+    attacked_d = results["attacked / defended"].ndcg
     assert all(np.isfinite(v) for v in (clean_u, clean_d, attacked_u, attacked_d))
 
     # The attack does real damage without a defence...

@@ -12,8 +12,8 @@ from repro.experiments.run_all import render
 def test_fig8_alpha_sensitivity():
     results = render("fig8_alpha", "bench")
 
-    for arch, series in results.items():
-        values = [run.ndcg for _, run in series]
+    for arch, per_alpha in results.items():
+        values = [run.ndcg for run in per_alpha.values()]
         best = max(values)
         # The robust half of the paper's shape at any horizon: too much
         # regularisation drowns the recommendation loss — the largest α
@@ -23,7 +23,7 @@ def test_fig8_alpha_sensitivity():
         # The other half — small α permitting collapse — needs long
         # training horizons to manifest (collapse accumulates over
         # epochs); report rather than assert at bench scale.
-        if has_interior_peak(series):
+        if has_interior_peak(per_alpha):
             print(f"\n{arch}: interior optimum reproduced (paper shape)")
         else:
             print(

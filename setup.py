@@ -15,7 +15,7 @@ from setuptools import setup, find_packages
 
 setup(
     name="repro",
-    version="1.3.0",
+    version="1.4.0",
     description=(
         "HeteFedRec reproduction: heterogeneous federated recommendation "
         "with a vectorized round engine (NCF / MF / LightGCN)"

@@ -13,15 +13,10 @@ helper, re-exported lazily.  The names in ``__all__`` stay importable
 from ``repro`` directly for convenience, resolved through that same
 lazy facade, so ``import repro`` (and ``import repro.api``) stays light.
 
-Quickstart
-----------
->>> from repro import quick_run
->>> result = quick_run(dataset="ml", method="hetefedrec", epochs=3)
->>> print(result)                                        # doctest: +SKIP
-Recall@20=... NDCG@20=...
+``examples/quickstart.py`` trains and evaluates one method end to end.
 """
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "HeteFedRec",
@@ -35,7 +30,6 @@ __all__ = [
     "load_benchmark_dataset",
     "train_test_split_per_user",
     "Evaluator",
-    "quick_run",
     "fit",
     "load_model",
     "recommend",
@@ -51,34 +45,3 @@ def __getattr__(name: str):
 
         return getattr(api, name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def quick_run(
-    dataset: str = "ml",
-    method: str = "hetefedrec",
-    arch: str = "ncf",
-    epochs: int = 5,
-    scale: float = 0.04,
-    seed: int = 0,
-):
-    """Train one method on one (small) dataset and return its evaluation.
-
-    A convenience wrapper for interactive use and the quickstart example;
-    the experiment harness in :mod:`repro.experiments` offers full control.
-    """
-    from repro.api import (
-        Evaluator,
-        HeteFedRecConfig,
-        SyntheticConfig,
-        build_method,
-        load_benchmark_dataset,
-        train_test_split_per_user,
-    )
-
-    data = load_benchmark_dataset(dataset, SyntheticConfig(scale=scale, seed=seed))
-    clients = train_test_split_per_user(data, seed=seed)
-    config = HeteFedRecConfig(arch=arch, epochs=epochs, seed=seed)
-    trainer = build_method(method, data.num_items, clients, config)
-    evaluator = Evaluator(clients)
-    trainer.fit()
-    return trainer.evaluate_with(evaluator)

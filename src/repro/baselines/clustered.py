@@ -9,7 +9,7 @@ collaborative signal recommendation depends on.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -29,12 +29,9 @@ class ClusteredTrainer(FederatedTrainer):
         num_items: int,
         clients: Sequence[ClientData],
         config: FederatedConfig,
-        group_of: Optional[Mapping[int, str]] = None,
         ratios: Sequence[float] = (5, 3, 2),
     ) -> None:
-        if group_of is None:
-            group_of = divide_clients(clients, ratios)
-        super().__init__(num_items, clients, group_of, config)
+        super().__init__(num_items, clients, divide_clients(clients, ratios), config)
 
     def aggregate_embeddings(
         self, updates: Sequence[ClientUpdate]

@@ -9,7 +9,7 @@ equivalence (−RESKD,DDR,UDL ≡ Directly Aggregate) true by construction.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from repro.core.config import HeteFedRecConfig
 from repro.core.hetefedrec import HeteFedRec
@@ -27,9 +27,8 @@ class DirectAggregateTrainer(HeteFedRec):
         num_items: int,
         clients: Sequence[ClientData],
         config: FederatedConfig,
-        group_of: Optional[Mapping[int, str]] = None,
     ) -> None:
         config = HeteFedRecConfig.widen(config).copy_with(
             enable_udl=False, enable_ddr=False, enable_reskd=False
         )
-        super().__init__(num_items, clients, config, group_of=group_of)
+        super().__init__(num_items, clients, config)

@@ -27,11 +27,10 @@ class HomogeneousTrainer(FederatedTrainer):
         clients: Sequence[ClientData],
         config: FederatedConfig,
         dim: int,
-        group_label: str = "all",
         excluded_uploaders: Optional[Set[int]] = None,
     ) -> None:
-        config = config.copy_with(dims={group_label: dim})
-        group_of = homogeneous_assignment(clients, group=group_label)
+        config = config.copy_with(dims={"all": dim})
+        group_of = homogeneous_assignment(clients, group="all")
         super().__init__(
             num_items, clients, group_of, config, excluded_uploaders=excluded_uploaders
         )

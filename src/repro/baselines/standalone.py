@@ -10,7 +10,7 @@ way it trains downloaded global models, and returns empty updates.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -30,12 +30,9 @@ class StandaloneTrainer(FederatedTrainer):
         num_items: int,
         clients: Sequence[ClientData],
         config: FederatedConfig,
-        group_of: Optional[Mapping[int, str]] = None,
         ratios: Sequence[float] = (5, 3, 2),
     ) -> None:
-        if group_of is None:
-            group_of = divide_clients(clients, ratios)
-        super().__init__(num_items, clients, group_of, config)
+        super().__init__(num_items, clients, divide_clients(clients, ratios), config)
         # Each client's personal copy of the public parameters, seeded from
         # the (shared-prefix) global initialisation so standalone and
         # federated runs start from identical points.

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Guard of :func:`effective_rank` against an all-zero spectrum and log(0).
+EPS = 1e-12
+
 
 def singular_value_variance(embedding: np.ndarray) -> float:
     """Table V diagnostic: spread of the covariance spectrum of ``V``.
@@ -41,7 +44,7 @@ def singular_value_variance(embedding: np.ndarray) -> float:
     return float(normalised.var())
 
 
-def effective_rank(embedding: np.ndarray, eps: float = 1e-12) -> float:
+def effective_rank(embedding: np.ndarray) -> float:
     """Shannon effective rank of the covariance spectrum.
 
     A complementary collapse diagnostic used in the extended analysis:
@@ -55,8 +58,8 @@ def effective_rank(embedding: np.ndarray, eps: float = 1e-12) -> float:
     covariance = centred.T @ centred / max(embedding.shape[0] - 1, 1)
     spectrum = np.linalg.svd(covariance, compute_uv=False)
     total = spectrum.sum()
-    if total <= eps:
+    if total <= EPS:
         return 0.0
     p = spectrum / total
-    entropy = -np.sum(p * np.log(p + eps))
+    entropy = -np.sum(p * np.log(p + EPS))
     return float(np.exp(entropy))

@@ -77,6 +77,10 @@ def default_candidate_grid() -> List[Candidate]:
     ]
 
 
+#: The halving rate of :func:`successive_halving`: 1/ETA of a rung survives.
+ETA = 2
+
+
 def halving_schedule(num_candidates: int, eta: int = 2) -> List[int]:
     """Survivor counts per rung: n, ⌈n/η⌉, … down to 1.
 
@@ -126,13 +130,12 @@ def successive_halving(
     config: HeteFedRecConfig,
     candidates: Optional[Sequence[Candidate]] = None,
     epochs_per_rung: int = 1,
-    eta: int = 2,
-    k: int = 20,
 ) -> HalvingResult:
     """Joint ratio/size search under successive halving.
 
     Every surviving candidate trains ``epochs_per_rung`` more epochs per
-    rung; after scoring, the top ``1/eta`` fraction survives.  The
+    rung; after scoring (validation NDCG@20), the top ``1/ETA`` fraction
+    survives.  The
     returned audit trail records every (candidate, score) pair per rung.
     A candidate listed twice is rejected: it would name one trainer, so
     each rung would train and score it twice.
@@ -142,7 +145,7 @@ def successive_halving(
         raise ValueError("candidate pool is empty")
     if epochs_per_rung < 1:
         raise ValueError(f"epochs_per_rung must be ≥ 1, got {epochs_per_rung}")
-    evaluator = Evaluator(clients, k=k, split="valid")
+    evaluator = Evaluator(clients, split="valid")
 
     trainers: Dict[Candidate, HeteFedRec] = {}
     for candidate in pool:
@@ -153,7 +156,7 @@ def successive_halving(
         )
         trainers[candidate] = HeteFedRec(num_items, clients, run_config)
 
-    schedule = halving_schedule(len(pool), eta=eta)
+    schedule = halving_schedule(len(pool), eta=ETA)
     alive = list(pool)
     rungs: List[RungRecord] = []
     total_epochs = 0

@@ -17,18 +17,8 @@ from repro.data.synthetic import (
     load_benchmark_dataset,
 )
 from repro.data.movielens import load_movielens
-from repro.data.loaders import (
-    load_anime,
-    load_delimited,
-    load_douban,
-    load_timestamped,
-)
-from repro.data.splitting import (
-    leave_one_out_split,
-    temporal_split_per_user,
-    train_test_split_per_user,
-)
-from repro.data.sampling import NegativeSampler, build_training_batch
+from repro.data.splitting import train_test_split_per_user
+from repro.data.sampling import NegativeSampler
 from repro.data.stats import dataset_statistics, interaction_histogram
 
 __all__ = [
@@ -40,15 +30,8 @@ __all__ = [
     "generate_dataset",
     "load_benchmark_dataset",
     "load_movielens",
-    "load_anime",
-    "load_delimited",
-    "load_douban",
-    "load_timestamped",
     "train_test_split_per_user",
-    "leave_one_out_split",
-    "temporal_split_per_user",
     "NegativeSampler",
-    "build_training_batch",
     "dataset_statistics",
     "interaction_histogram",
 ]

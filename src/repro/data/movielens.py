@@ -12,11 +12,13 @@ from __future__ import annotations
 import os
 from typing import Optional, Tuple
 
-
 from repro.data.dataset import InteractionDataset
 
+#: The field separator of ``ratings.dat``.
+SEPARATOR = "::"
 
-def parse_ratings_line(line: str, separator: str = "::") -> Optional[Tuple[int, int]]:
+
+def parse_ratings_line(line: str) -> Optional[Tuple[int, int]]:
     """Parse one ``ratings.dat`` line into a (user, item) pair.
 
     Returns ``None`` for blank/malformed lines rather than raising, since
@@ -25,7 +27,7 @@ def parse_ratings_line(line: str, separator: str = "::") -> Optional[Tuple[int, 
     line = line.strip()
     if not line:
         return None
-    parts = line.split(separator)
+    parts = line.split(SEPARATOR)
     if len(parts) < 3:
         return None
     try:
@@ -35,12 +37,7 @@ def parse_ratings_line(line: str, separator: str = "::") -> Optional[Tuple[int, 
     return user, item
 
 
-def load_movielens(
-    path: str,
-    separator: str = "::",
-    min_interactions: int = 1,
-    name: str = "ml-1m",
-) -> InteractionDataset:
+def load_movielens(path: str, min_interactions: int = 1) -> InteractionDataset:
     """Load a MovieLens-format ratings file into an :class:`InteractionDataset`.
 
     Users and items are densely re-indexed in order of first appearance;
@@ -55,7 +52,7 @@ def load_movielens(
     pairs = []
     with open(path, encoding="utf-8", errors="replace") as handle:
         for line in handle:
-            parsed = parse_ratings_line(line, separator=separator)
+            parsed = parse_ratings_line(line)
             if parsed is None:
                 continue
             raw_user, raw_item = parsed
@@ -64,14 +61,14 @@ def load_movielens(
             pairs.append((user, item))
 
     dataset = InteractionDataset.from_pairs(
-        pairs, num_users=len(user_index), num_items=len(item_index), name=name
+        pairs, num_users=len(user_index), num_items=len(item_index), name="ml-1m"
     )
     if min_interactions > 1:
         dataset = dataset.filter_min_interactions(min_interactions)
     return dataset
 
 
-def save_ratings(dataset: InteractionDataset, path: str, separator: str = "::") -> None:
+def save_ratings(dataset: InteractionDataset, path: str) -> None:
     """Write a dataset back out in ``ratings.dat`` format (rating=1, ts=0).
 
     Useful for round-trip tests and for exporting synthetic datasets to
@@ -80,4 +77,4 @@ def save_ratings(dataset: InteractionDataset, path: str, separator: str = "::") 
     with open(path, "w", encoding="utf-8") as handle:
         for user, items in enumerate(dataset.user_items):
             for item in items:
-                handle.write(f"{user}{separator}{item}{separator}1{separator}0\n")
+                handle.write(f"{user}{SEPARATOR}{item}{SEPARATOR}1{SEPARATOR}0\n")

@@ -14,8 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.data.dataset import ClientData
-
 
 class NegativeSampler:
     """Uniform negative sampler over a user's non-interacted items.
@@ -91,18 +89,6 @@ class TrainingBatch:
 
     def __len__(self) -> int:
         return int(self.items.size)
-
-
-def build_training_batch(
-    client: ClientData,
-    sampler: NegativeSampler,
-    negative_ratio: int = 4,
-    shuffle_rng: np.random.Generator | None = None,
-) -> TrainingBatch:
-    """Positives + ``negative_ratio``× sampled negatives, shuffled together."""
-    positives = client.train_items
-    negatives = sampler.sample(client.known_items(), positives.size * negative_ratio)
-    return assemble_batch(positives, negatives, shuffle_rng)
 
 
 def assemble_batch(

@@ -14,133 +14,35 @@ import numpy as np
 
 from repro.data.dataset import ClientData, InteractionDataset
 
+#: The paper's split: 80% of a user's interactions train, 20% test, and
+#: 10% of the training portion is the local validation set.
+TRAIN_FRACTION = 0.8
+VALID_FRACTION = 0.1
 
-def train_test_split_per_user(
-    dataset: InteractionDataset,
-    train_fraction: float = 0.8,
-    valid_fraction: float = 0.1,
-    seed: int = 0,
-) -> List[ClientData]:
+
+def train_test_split_per_user(dataset: InteractionDataset, seed: int = 0) -> List[ClientData]:
     """Split every user's interactions into train/valid/test.
 
-    ``valid_fraction`` is taken *from the training portion* (paper: "10% of
+    ``VALID_FRACTION`` is taken *from the training portion* (paper: "10% of
     its training data will be used as the validation set").  Every user is
     guaranteed at least one training item; users with a single interaction
     get it as training data and empty valid/test sets.
     """
-    if not 0.0 < train_fraction <= 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
-    if not 0.0 <= valid_fraction < 1.0:
-        raise ValueError(f"valid_fraction must be in [0, 1), got {valid_fraction}")
-
     rng = np.random.default_rng(seed)
     clients: List[ClientData] = []
     for user_id, items in enumerate(dataset.user_items):
         permuted = rng.permutation(items)
         n = permuted.size
-        n_train_total = max(int(round(n * train_fraction)), 1) if n else 0
+        n_train_total = max(int(round(n * TRAIN_FRACTION)), 1) if n else 0
         train_and_valid = permuted[:n_train_total]
         test = permuted[n_train_total:]
 
-        n_valid = int(round(train_and_valid.size * valid_fraction))
+        n_valid = int(round(train_and_valid.size * VALID_FRACTION))
         # Keep at least one training item.
         n_valid = min(n_valid, max(train_and_valid.size - 1, 0))
         valid = train_and_valid[:n_valid]
         train = train_and_valid[n_valid:]
 
-        clients.append(
-            ClientData(
-                user_id=user_id,
-                train_items=np.sort(train),
-                valid_items=np.sort(valid),
-                test_items=np.sort(test),
-            )
-        )
-    return clients
-
-
-def training_sizes(clients: List[ClientData]) -> np.ndarray:
-    """Array of per-client training-set sizes (drives client grouping)."""
-    return np.array([client.num_train for client in clients], dtype=np.int64)
-
-
-def leave_one_out_split(
-    dataset: InteractionDataset,
-    with_validation: bool = True,
-    seed: int = 0,
-) -> List[ClientData]:
-    """The NCF-style protocol: one random held-out item per user as test.
-
-    With ``with_validation`` a second held-out item becomes the local
-    validation set.  Users with too few interactions degrade gracefully:
-    a single-interaction user keeps it for training (empty test), a
-    two-interaction user gets train + test but no validation.
-    """
-    rng = np.random.default_rng(seed)
-    clients: List[ClientData] = []
-    for user_id, items in enumerate(dataset.user_items):
-        permuted = rng.permutation(items)
-        n = permuted.size
-        test = permuted[:1] if n >= 2 else permuted[:0]
-        take_valid = 1 if (with_validation and n >= 3) else 0
-        valid = permuted[1 : 1 + take_valid]
-        train = permuted[1 + take_valid :] if n >= 2 else permuted
-        clients.append(
-            ClientData(
-                user_id=user_id,
-                train_items=np.sort(train),
-                valid_items=np.sort(valid),
-                test_items=np.sort(test),
-            )
-        )
-    return clients
-
-
-def temporal_split_per_user(
-    triples: List[tuple],
-    num_users: int,
-    train_fraction: float = 0.8,
-    valid_fraction: float = 0.1,
-) -> List[ClientData]:
-    """Chronological per-user split over (user, item, timestamp) triples.
-
-    Each user's interactions are ordered by timestamp; the earliest
-    ``train_fraction`` train (with the latest ``valid_fraction`` of that
-    portion as validation) and the most recent interactions test —
-    evaluation never sees the future.  Duplicate (user, item) pairs keep
-    their earliest occurrence.
-    """
-    if not 0.0 < train_fraction <= 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1], got {train_fraction}")
-    if not 0.0 <= valid_fraction < 1.0:
-        raise ValueError(f"valid_fraction must be in [0, 1), got {valid_fraction}")
-
-    per_user: List[List[tuple]] = [[] for _ in range(num_users)]
-    for user, item, timestamp in triples:
-        if not 0 <= user < num_users:
-            raise ValueError(f"user id {user} out of range [0, {num_users})")
-        per_user[int(user)].append((float(timestamp), int(item)))
-
-    clients: List[ClientData] = []
-    for user_id, events in enumerate(per_user):
-        events.sort()
-        seen = set()
-        ordered = []
-        for _, item in events:
-            if item not in seen:
-                seen.add(item)
-                ordered.append(item)
-        ordered = np.asarray(ordered, dtype=np.int64)
-        n = ordered.size
-        n_train_total = max(int(round(n * train_fraction)), 1) if n else 0
-        train_and_valid = ordered[:n_train_total]
-        test = ordered[n_train_total:]
-        n_valid = int(round(train_and_valid.size * valid_fraction))
-        n_valid = min(n_valid, max(train_and_valid.size - 1, 0))
-        # Validation takes the *latest* training interactions: it acts as
-        # a near-future probe for the genuinely-future test set.
-        train = train_and_valid[: train_and_valid.size - n_valid]
-        valid = train_and_valid[train_and_valid.size - n_valid :]
         clients.append(
             ClientData(
                 user_id=user_id,

@@ -12,7 +12,6 @@ from repro.eval.evaluator import EvaluationResult, Evaluator
 from repro.eval.groups import GroupMetrics, per_group_metrics
 from repro.eval.significance import (
     BootstrapResult,
-    compare_results,
     paired_bootstrap,
     sign_test_pvalue,
 )
@@ -31,5 +30,4 @@ __all__ = [
     "BootstrapResult",
     "paired_bootstrap",
     "sign_test_pvalue",
-    "compare_results",
 ]

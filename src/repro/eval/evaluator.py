@@ -35,6 +35,10 @@ class EvaluationResult:
         return f"Recall@{self.k}={self.recall:.5f} NDCG@{self.k}={self.ndcg:.5f}"
 
 
+#: Users scored per block of :meth:`Evaluator.evaluate`.
+BLOCK_SIZE = 256
+
+
 class Evaluator:
     """Full-ranking evaluation over a fixed client split.
 
@@ -75,12 +79,12 @@ class Evaluator:
         self,
         score_block_fn: ScoreBlockFn,
         user_subset: Optional[Sequence[int]] = None,
-        block_size: int = 256,
     ) -> EvaluationResult:
         """Full-ranking evaluation over blocks of users at once.
 
         ``score_block_fn`` maps a list of clients to one (B, num_items)
-        score matrix (e.g. :meth:`FederatedTrainer.score_item_matrix`);
+        score matrix (e.g. :meth:`FederatedTrainer.score_item_matrix`),
+        ``BLOCK_SIZE`` clients a block;
         exclusion masking, top-k extraction and both metrics then run as
         block-level array operations.  Per user this equals ranking with
         :func:`~repro.eval.metrics.rank_items` and scoring with
@@ -105,8 +109,8 @@ class Evaluator:
         ideal_cum = np.cumsum(discounts)
         recalls: List[np.ndarray] = []
         ndcgs: List[np.ndarray] = []
-        for start in range(0, len(eligible), max(block_size, 1)):
-            block = eligible[start : start + max(block_size, 1)]
+        for start in range(0, len(eligible), BLOCK_SIZE):
+            block = eligible[start : start + BLOCK_SIZE]
             scores = np.array(score_block_fn(block), dtype=np.float64, copy=True)
             if scores.shape[0] != len(block):
                 raise ValueError(

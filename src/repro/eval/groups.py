@@ -8,7 +8,7 @@ within each — producing the ``U_s`` / ``U_m`` / ``U_l`` bars of Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -28,9 +28,8 @@ class GroupMetrics:
 def per_group_metrics(
     result: EvaluationResult,
     group_of_user: Mapping[int, str],
-    groups: Sequence[str] = ("s", "m", "l"),
 ) -> Dict[str, GroupMetrics]:
-    """Split a result's per-user metrics by client group.
+    """Split a result's per-user metrics by the ``s`` / ``m`` / ``l`` groups.
 
     ``group_of_user`` maps user id → group label; users missing from the
     mapping are ignored (they were not part of the experiment).
@@ -39,7 +38,7 @@ def per_group_metrics(
     labels = np.array(
         [group_of_user.get(int(user), "?") for user in result.evaluated_users]
     )
-    for group in groups:
+    for group in ("s", "m", "l"):
         mask = labels == group
         if not mask.any():
             out[group] = GroupMetrics(group=group, recall=0.0, ndcg=0.0, num_users=0)

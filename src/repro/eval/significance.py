@@ -21,6 +21,10 @@ from math import comb
 
 import numpy as np
 
+#: Bootstrap resamples of the users, and the two-sided CI level.
+NUM_SAMPLES = 2000
+CONFIDENCE = 0.95
+
 
 @dataclass(frozen=True)
 class BootstrapResult:
@@ -34,16 +38,12 @@ class BootstrapResult:
 
     @property
     def significant(self) -> bool:
-        """True when the 95% CI of the gap excludes zero."""
+        """True when the ``CONFIDENCE`` (95%) CI of the gap excludes zero."""
         return self.ci_low > 0.0 or self.ci_high < 0.0
 
 
 def paired_bootstrap(
-    metric_a: np.ndarray,
-    metric_b: np.ndarray,
-    num_samples: int = 2000,
-    confidence: float = 0.95,
-    seed: int = 0,
+    metric_a: np.ndarray, metric_b: np.ndarray, seed: int = 0
 ) -> BootstrapResult:
     """Paired bootstrap over users for the mean metric difference A − B.
 
@@ -59,10 +59,10 @@ def paired_bootstrap(
     differences = metric_a - metric_b
     rng = np.random.default_rng(seed)
     n = differences.size
-    indices = rng.integers(0, n, size=(num_samples, n))
+    indices = rng.integers(0, n, size=(NUM_SAMPLES, n))
     sampled_means = differences[indices].mean(axis=1)
 
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - CONFIDENCE) / 2.0
     return BootstrapResult(
         mean_difference=float(differences.mean()),
         ci_low=float(np.quantile(sampled_means, alpha)),
@@ -91,19 +91,3 @@ def sign_test_pvalue(metric_a: np.ndarray, metric_b: np.ndarray) -> float:
     # P(X >= k) for X ~ Binomial(n, 1/2), doubled (two-sided), capped at 1.
     tail = sum(comb(n, i) for i in range(k, n + 1)) / 2.0**n
     return float(min(1.0, 2.0 * tail))
-
-
-def compare_results(result_a, result_b, metric: str = "ndcg") -> BootstrapResult:
-    """Convenience: paired bootstrap between two ``EvaluationResult``s.
-
-    Aligns users by id (both evaluations must cover the same user set).
-    """
-    users_a = {int(u): i for i, u in enumerate(result_a.evaluated_users)}
-    users_b = {int(u): i for i, u in enumerate(result_b.evaluated_users)}
-    common = sorted(set(users_a) & set(users_b))
-    if not common:
-        raise ValueError("no common evaluated users to compare")
-    attr = f"per_user_{metric}"
-    a = getattr(result_a, attr)[[users_a[u] for u in common]]
-    b = getattr(result_b, attr)[[users_b[u] for u in common]]
-    return paired_bootstrap(a, b)

@@ -2,11 +2,12 @@
 
 Every artefact of the paper's evaluation section has a module here that
 declares its training grid **once** (``*_grid``: a nested ``label → … →``
-:class:`RunSpec` mapping in the shape its formatter consumes), runs it
-through the shared :func:`repro.experiments.runner.run_tree` (``run_*``:
-same shape, a :class:`RunResult` per leaf) and formats it the way the
-paper prints it (``format_*``).  :mod:`repro.experiments.run_all`
-registers each as *(grid, run, format)*, derives the suite's deduped
+:class:`RunSpec` mapping in the shape its formatter consumes) and
+formats the same shape, a :class:`RunResult` per leaf, the way the paper
+prints it (``format_*``); the four analytic artefacts compute theirs in a
+``run_*`` instead.  :mod:`repro.experiments.run_all` registers each as
+*(grid, format)* or *(run, format)*, runs every grid through the shared
+:func:`repro.experiments.runner.run_tree`, derives the suite's deduped
 warm-up from the grids, and writes every ``results/`` file through its
 one ``render``; ``benchmarks/`` asserts on what ``render`` returns.
 
@@ -19,7 +20,7 @@ the design-choice ablations → :mod:`ablations`.
 """
 
 from repro.experiments.profiles import PROFILES, ExperimentProfile
-from repro.experiments.runner import RunResult, RunSpec, run_grid, run_method
+from repro.experiments.runner import RunResult, RunSpec, run_grid, run_spec
 from repro.experiments.reporting import format_table
 
 __all__ = [
@@ -28,6 +29,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "run_grid",
-    "run_method",
+    "run_spec",
     "format_table",
 ]

@@ -8,24 +8,26 @@ its components, declaring its grid once as a label → :class:`~repro.
 experiments.runner.RunSpec` mapping and running it through the shared
 cached :func:`repro.experiments.runner.run_tree` where it trains.
 
-Runners (one per ablation bench):
+Grids (one per ablation bench; :data:`repro.experiments.run_all.ARTEFACTS`
+runs each through :func:`~repro.experiments.runner.run_tree`):
 
-* :func:`run_theta_mode`   — Θ deltas summed (paper Eq. 15 verbatim)
+* :func:`theta_mode_grid`   — Θ deltas summed (paper Eq. 15 verbatim)
   vs averaged (this repo's default);
-* :func:`run_server_optimizer` — plain delta application vs
+* :func:`server_optimizer_grid` — plain delta application vs
   FedAvgM/FedAdam/FedYogi pseudo-gradient rules;
-* :func:`run_compression`  — upload codecs vs accuracy and volume;
-* :func:`run_kd_subset`    — RESKD's |V_kd| sweep (cost/benefit of the
+* :func:`compression_grid`  — upload codecs vs accuracy and volume;
+* :func:`kd_subset_grid`    — RESKD's |V_kd| sweep (cost/benefit of the
   paper's subsampling);
-* :func:`run_arch_comparison` — NCF / LightGCN / GMF under HeteFedRec
+* :func:`arch_comparison_grid` — NCF / LightGCN / GMF under HeteFedRec
   and the strongest homogeneous baseline;
-* :func:`run_robustness`   — the poisoning quadrants (clean/attacked ×
+* :func:`robustness_grid`   — the poisoning quadrants (clean/attacked ×
   undefended/defended);
-* :func:`run_systems`      — analytic round wall-clock per method under
-  a bandwidth-constrained device fleet;
-* :func:`run_privacy`      — upload protection ladder (none / clip /
+* :func:`privacy_grid`      — upload protection ladder (none / clip /
   clip+noise / clip+noise behind secure aggregation) with the end-to-end
   (ε, δ) spend from :mod:`repro.federated.accounting`.
+
+and one analytic runner, :func:`run_systems` — round wall-clock per
+method under a bandwidth-constrained device fleet.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.data.splitting import train_test_split_per_user
 from repro.data.synthetic import load_benchmark_dataset
 from repro.experiments.profiles import get_profile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 from repro.federated.aggregation import AggregationConfig
 from repro.federated.privacy import PrivacyConfig
 from repro.federated.secure_agg import SecureAggregationConfig
@@ -46,30 +48,22 @@ from repro.federated.server_optim import ServerOptimizerConfig
 from repro.robustness.attacks import AttackConfig
 from repro.robustness.defenses import RobustAggregationConfig
 
-DATASET = "ml"  # ablations probe design choices; one dataset suffices
+DATASET = "ml"  # ablations probe design choices; one dataset and one base model suffice
 
 
 # ----------------------------------------------------------------------
 # Θ aggregation mode
 # ----------------------------------------------------------------------
-def theta_mode_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
+def theta_mode_grid(profile: str = "bench") -> Dict[str, RunSpec]:
+    """HeteFedRec with Θ averaged (default) vs summed (Eq. 15 verbatim)."""
     return {
         # No override for the default arm — it shares the Table II cache entry.
-        "theta mean (default)": RunSpec(
-            DATASET, "hetefedrec", arch=arch, profile=profile
-        ),
+        "theta mean (default)": RunSpec(DATASET, "hetefedrec", profile=profile),
         "theta sum (paper)": RunSpec(
-            DATASET, "hetefedrec", arch=arch, profile=profile,
+            DATASET, "hetefedrec", profile=profile,
             config_overrides={"aggregation": AggregationConfig(theta_mode="sum")},
         ),
     }
-
-
-def run_theta_mode(
-    profile: str = "bench", arch: str = "ncf"
-) -> Dict[str, RunResult]:
-    """HeteFedRec with Θ averaged (default) vs summed (Eq. 15 verbatim)."""
-    return run_tree(theta_mode_grid(profile, arch))
 
 
 def format_theta_mode(results: Dict[str, RunResult]) -> str:
@@ -92,23 +86,15 @@ _SERVER_RULES: Tuple[Tuple[str, object], ...] = (
 )
 
 
-def server_optimizer_grid(
-    profile: str = "bench", arch: str = "ncf"
-) -> Dict[str, RunSpec]:
+def server_optimizer_grid(profile: str = "bench") -> Dict[str, RunSpec]:
+    """Aggregated deltas applied directly vs through adaptive server rules."""
     return {
         label: RunSpec(
-            DATASET, "hetefedrec", arch=arch, profile=profile,
+            DATASET, "hetefedrec", profile=profile,
             config_overrides=None if rule is None else {"server_optimizer": rule},
         )
         for label, rule in _SERVER_RULES
     }
-
-
-def run_server_optimizer(
-    profile: str = "bench", arch: str = "ncf"
-) -> Dict[str, RunResult]:
-    """Aggregated deltas applied directly vs through adaptive server rules."""
-    return run_tree(server_optimizer_grid(profile, arch))
 
 
 def format_server_optimizer(results: Dict[str, RunResult]) -> str:
@@ -132,21 +118,15 @@ _CODECS: Tuple[Tuple[str, object], ...] = (
 )
 
 
-def compression_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
+def compression_grid(profile: str = "bench") -> Dict[str, RunSpec]:
+    """Upload codecs: ranking quality vs bytes on the wire."""
     return {
         label: RunSpec(
-            DATASET, "hetefedrec", arch=arch, profile=profile,
+            DATASET, "hetefedrec", profile=profile,
             config_overrides=None if codec is None else {"compression": codec},
         )
         for label, codec in _CODECS
     }
-
-
-def run_compression(
-    profile: str = "bench", arch: str = "ncf"
-) -> Dict[str, RunResult]:
-    """Upload codecs: ranking quality vs bytes on the wire."""
-    return run_tree(compression_grid(profile, arch))
 
 
 def format_compression(results: Dict[str, RunResult]) -> str:
@@ -165,32 +145,23 @@ def format_compression(results: Dict[str, RunResult]) -> str:
 # ----------------------------------------------------------------------
 # RESKD subset size
 # ----------------------------------------------------------------------
-def kd_subset_grid(
-    profile: str = "bench",
-    arch: str = "ncf",
-    sizes: Sequence[int] = (8, 32, 128),
-) -> Dict[str, RunSpec]:
+KD_SIZES = (8, 32, 128)
+
+
+def kd_subset_grid(profile: str = "bench") -> Dict[str, RunSpec]:
+    """|V_kd| sweep: the paper subsamples 'to avoid heavy computation'."""
     default_size = DistillationConfig().num_items
     return {
         f"|V_kd| = {size}": RunSpec(
-            DATASET, "hetefedrec", arch=arch, profile=profile,
+            DATASET, "hetefedrec", profile=profile,
             config_overrides=(
                 None  # the default size shares the Table II cache entry
                 if size == default_size
                 else {"distillation": DistillationConfig(num_items=size)}
             ),
         )
-        for size in sizes
+        for size in KD_SIZES
     }
-
-
-def run_kd_subset(
-    profile: str = "bench",
-    arch: str = "ncf",
-    sizes: Sequence[int] = (8, 32, 128),
-) -> Dict[str, RunResult]:
-    """|V_kd| sweep: the paper subsamples 'to avoid heavy computation'."""
-    return run_tree(kd_subset_grid(profile, arch, sizes))
 
 
 def format_kd_subset(results: Dict[str, RunResult]) -> str:
@@ -205,34 +176,26 @@ def format_kd_subset(results: Dict[str, RunResult]) -> str:
 # ----------------------------------------------------------------------
 # Architecture generality (NCF / LightGCN / GMF)
 # ----------------------------------------------------------------------
+#: The dataset where the bench profile's epoch budget sits at every
+#: method's convergence point, so the architecture comparison is not
+#: confounded by differential overtraining (on the ML analogue every
+#: method peaks by epoch 4–8 and decays after; see
+#: ``results/fig7_convergence.txt``).
+ARCH_DATASET = "anime"
+
+
 def arch_comparison_grid(
     profile: str = "bench",
     archs: Sequence[str] = ("ncf", "lightgcn", "mf"),
-    dataset: str = "anime",
 ) -> Dict[str, Dict[str, RunSpec]]:
+    """HeteFedRec vs the strongest homogeneous baseline per architecture."""
     return {
         arch: {
-            method: RunSpec(dataset, method, arch=arch, profile=profile)
+            method: RunSpec(ARCH_DATASET, method, arch=arch, profile=profile)
             for method in ("all_small", "hetefedrec")
         }
         for arch in archs
     }
-
-
-def run_arch_comparison(
-    profile: str = "bench",
-    archs: Sequence[str] = ("ncf", "lightgcn", "mf"),
-    dataset: str = "anime",
-) -> Dict[str, Dict[str, RunResult]]:
-    """HeteFedRec vs the strongest homogeneous baseline per architecture.
-
-    Runs on Anime by default — the dataset where the bench profile's
-    epoch budget sits at every method's convergence point, so the
-    architecture comparison is not confounded by differential
-    overtraining (on the ML analogue every method peaks by epoch 4–8 and
-    decays after; see ``results/fig7_convergence.txt``).
-    """
-    return run_tree(arch_comparison_grid(profile, archs, dataset))
 
 
 def format_arch_comparison(results: Dict[str, Dict[str, RunResult]]) -> str:
@@ -263,7 +226,14 @@ _PRIVACY_ARMS: Tuple[Tuple[str, Optional[PrivacyConfig], bool], ...] = (
 )
 
 
-def privacy_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
+def privacy_grid(profile: str = "bench") -> Dict[str, RunSpec]:
+    """Upload-protection ladder with its measured (ε, δ) spend.
+
+    The noised arms report the accountant's end-to-end guarantee (the
+    min of basic and advanced composition over all training rounds); the
+    secure-aggregation arm additionally pays the honest protocol wire
+    cost, visible in the communication column.
+    """
     specs: Dict[str, RunSpec] = {}
     for label, privacy, secure in _PRIVACY_ARMS:
         overrides: Dict[str, object] = {}
@@ -272,24 +242,11 @@ def privacy_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec
         if secure:
             overrides["secure_aggregation"] = SecureAggregationConfig()
         specs[label] = RunSpec(
-            DATASET, "hetefedrec", arch=arch, profile=profile,
+            DATASET, "hetefedrec", profile=profile,
             # The unprotected arm shares the Table II cache entry.
             config_overrides=overrides or None,
         )
     return specs
-
-
-def run_privacy(
-    profile: str = "bench", arch: str = "ncf"
-) -> Dict[str, RunResult]:
-    """Upload-protection ladder with its measured (ε, δ) spend.
-
-    The noised arms report the accountant's end-to-end guarantee (the
-    min of basic and advanced composition over all training rounds); the
-    secure-aggregation arm additionally pays the honest protocol wire
-    cost, visible in the communication column.
-    """
-    return run_tree(privacy_grid(profile, arch))
 
 
 def format_privacy(results: Dict[str, RunResult]) -> str:
@@ -321,32 +278,22 @@ _QUADRANTS: Tuple[Tuple[str, Optional[dict]], ...] = (
 )
 
 
-def robustness_grid(profile: str = "bench", arch: str = "ncf") -> Dict[str, RunSpec]:
-    return {
-        label: RunSpec(
-            DATASET, "hetefedrec", arch=arch, profile=profile,
-            config_overrides=overrides,
-        )
-        for label, overrides in _QUADRANTS
-    }
-
-
-def run_robustness(
-    profile: str = "bench", arch: str = "ncf"
-) -> Dict[str, Tuple[float, float]]:
-    """{clean, attacked} × {undefended, defended} → (recall, ndcg).
+def robustness_grid(profile: str = "bench") -> Dict[str, RunSpec]:
+    """{clean, attacked} × {undefended, defended}.
 
     An attacked run scores its honest clients only (the trainer's
     ``evaluate_with`` under ``config.attack``).
     """
     return {
-        label: (result.recall, result.ndcg)
-        for label, result in run_tree(robustness_grid(profile, arch)).items()
+        label: RunSpec(
+            DATASET, "hetefedrec", profile=profile, config_overrides=overrides,
+        )
+        for label, overrides in _QUADRANTS
     }
 
 
-def format_robustness(results: Dict[str, Tuple[float, float]]) -> str:
-    rows = [[label, recall, ndcg] for label, (recall, ndcg) in results.items()]
+def format_robustness(results: Dict[str, RunResult]) -> str:
+    rows = [[label, r.recall, r.ndcg] for label, r in results.items()]
     return format_table(
         ["Scenario", "Recall@20", "NDCG@20"],
         rows,
@@ -357,10 +304,10 @@ def format_robustness(results: Dict[str, Tuple[float, float]]) -> str:
 # ----------------------------------------------------------------------
 # Systems wall-clock (analytic — no training)
 # ----------------------------------------------------------------------
-def run_systems(
-    profile: str = "bench",
-    methods: Sequence[str] = ("all_small", "all_large", "hetefedrec"),
-) -> Dict[str, Dict[str, float]]:
+SYSTEMS_METHODS = ("all_small", "all_large", "hetefedrec")
+
+
+def run_systems(profile: str = "bench") -> Dict[str, Dict[str, float]]:
     """Round wall-clock per method under a bandwidth-constrained fleet.
 
     Analytic (seconds to run): converts Table III payloads plus per-client
@@ -383,7 +330,7 @@ def run_systems(
     fleet = SystemProfile(seed=prof.seed, median_bandwidth=2e4, bandwidth_sigma=1.0)
 
     results: Dict[str, Dict[str, float]] = {}
-    for method in methods:
+    for method in SYSTEMS_METHODS:
         times = simulate_round_times(
             method, group_of, train_sizes, data.num_items, dims, fleet,
             clients_per_round=min(prof.clients_per_round, len(clients)),

@@ -9,22 +9,22 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-
 from repro.data.stats import interaction_histogram, tail_heaviness
 from repro.data.synthetic import DATASET_SPECS, load_benchmark_dataset
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.reporting import ascii_bar
 
+#: Histogram bins per dataset.
+BINS = 12
 
-def run_fig1(
-    profile: str | ExperimentProfile = "bench", bins: int = 12
-) -> Dict[str, dict]:
+
+def run_fig1(profile: str | ExperimentProfile = "bench") -> Dict[str, dict]:
     """Histogram + dispersion stats per dataset."""
     prof = profile if isinstance(profile, ExperimentProfile) else get_profile(profile)
     out: Dict[str, dict] = {}
     for name in DATASET_SPECS:
         dataset = load_benchmark_dataset(name, prof.synthetic_config())
-        edges, hist = interaction_histogram(dataset, bins=bins)
+        edges, hist = interaction_histogram(dataset, bins=BINS)
         counts = dataset.interaction_counts().astype(float)
         out[name] = {
             "edges": edges,

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 from repro.baselines.registry import DISPLAY_NAMES
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 from repro.experiments.table2 import DATASETS, table2_grid
 
 FOCUS_METHODS = ("all_small", "all_large", "hetefedrec")
@@ -20,24 +20,12 @@ FOCUS_METHODS = ("all_small", "all_large", "hetefedrec")
 
 def fig6_grid(
     profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = DATASETS,
     archs: Sequence[str] = ("ncf", "lightgcn"),
-    methods: Sequence[str] = FOCUS_METHODS,
     seed: int = 0,
 ) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
-    """Table II's grid restricted to the focus methods."""
-    return table2_grid(profile, datasets, archs, methods, seed)
-
-
-def run_fig6(
-    profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = DATASETS,
-    archs: Sequence[str] = ("ncf", "lightgcn"),
-    methods: Sequence[str] = FOCUS_METHODS,
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
-    """``results[arch][dataset][method]`` with per-group metrics inside."""
-    return run_tree(fig6_grid(profile, datasets, archs, methods, seed))
+    """Table II's grid restricted to the focus methods,
+    ``grid[arch][dataset][method]``."""
+    return table2_grid(profile, DATASETS, archs, FOCUS_METHODS, seed)
 
 
 def format_fig6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:

@@ -12,33 +12,22 @@ from typing import Dict, List, Sequence
 from repro.baselines.registry import DISPLAY_NAMES
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_series
-from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 from repro.experiments.table2 import table2_grid
 
 CURVE_METHODS = ("all_small", "all_large", "hetefedrec")
+DATASET = "ml"
 
 
 def fig7_grid(
     profile: str | ExperimentProfile = "bench",
-    dataset: str = "ml",
     archs: Sequence[str] = ("ncf", "lightgcn"),
     methods: Sequence[str] = CURVE_METHODS,
     seed: int = 0,
 ) -> Dict[str, Dict[str, RunSpec]]:
     """One dataset column of the Table II grid, ``grid[arch][method]``."""
-    columns = table2_grid(profile, (dataset,), archs, methods, seed)
-    return {arch: per_dataset[dataset] for arch, per_dataset in columns.items()}
-
-
-def run_fig7(
-    profile: str | ExperimentProfile = "bench",
-    dataset: str = "ml",
-    archs: Sequence[str] = ("ncf", "lightgcn"),
-    methods: Sequence[str] = CURVE_METHODS,
-    seed: int = 0,
-) -> Dict[str, Dict[str, RunResult]]:
-    """``results[arch][method]`` with ndcg_curve populated."""
-    return run_tree(fig7_grid(profile, dataset, archs, methods, seed))
+    columns = table2_grid(profile, (DATASET,), archs, methods, seed)
+    return {arch: per_dataset[DATASET] for arch, per_dataset in columns.items()}
 
 
 def format_fig7(results: Dict[str, Dict[str, RunResult]]) -> str:
@@ -53,7 +42,7 @@ def format_fig7(results: Dict[str, Dict[str, RunResult]]) -> str:
 
 
 def convergence_epochs(
-    results: Dict[str, Dict[str, RunResult]], fraction: float = 0.95
+    results: Dict[str, Dict[str, RunResult]], fraction: float
 ) -> Dict[str, Dict[str, int]]:
     """Epoch where each run first reaches ``fraction`` of its final NDCG.
 

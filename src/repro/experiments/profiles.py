@@ -33,11 +33,9 @@ class ExperimentProfile:
     lr: float = 0.01
     seed: int = 0
 
-    def synthetic_config(self, seed_offset: int = 0) -> SyntheticConfig:
+    def synthetic_config(self) -> SyntheticConfig:
         return SyntheticConfig(
-            scale=self.scale,
-            item_scale=self.item_scale,
-            seed=self.seed + seed_offset,
+            scale=self.scale, item_scale=self.item_scale, seed=self.seed
         )
 
 

@@ -93,13 +93,9 @@ def ascii_bar(value: float, maximum: float, width: int = 40) -> str:
     return "#" * min(filled, width)
 
 
-def format_series(
-    series: Sequence[tuple],
-    label: str = "",
-    value_format: str = "{:.4f}",
-) -> str:
+def format_series(series: Sequence[tuple], label: str = "") -> str:
     """Render an (x, y) series as one aligned line per point."""
     lines = [label] if label else []
     for x, y in series:
-        lines.append(f"  {x:>6}  {value_format.format(y)}")
+        lines.append(f"  {x:>6}  {y:.4f}")
     return "\n".join(lines)

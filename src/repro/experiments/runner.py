@@ -1,9 +1,10 @@
 """Shared experiment runner: cached single runs and a parallel grid executor.
 
-``run_method`` trains one (dataset, method, architecture) triple under a
-profile and returns a :class:`RunResult` with everything the table/figure
-modules need: overall metrics, per-group metrics, the NDCG-vs-epoch
-curve, communication totals, and collapse diagnostics.
+:func:`run_spec` trains one :class:`RunSpec` — a (dataset, method,
+architecture) triple under a profile — and returns a :class:`RunResult`
+with everything the table/figure modules need: overall metrics,
+per-group metrics, the NDCG-vs-epoch curve, communication totals, and
+collapse diagnostics.
 
 Results are cached as JSON under ``.repro_cache/`` keyed by the exact
 run parameters, so re-running a benchmark suite (or building several
@@ -14,7 +15,7 @@ Grid execution
 --------------
 Experiment modules declare each grid once, as a nested ``label → … →``
 :class:`RunSpec` mapping (a hashable run descriptor — the same
-parameters ``run_method`` takes), and hand it to :func:`run_tree`, which
+parameters of one training run), and hand it to :func:`run_tree`, which
 runs the leaves through :func:`run_grid` and returns the same shape with
 results at the leaves.  ``run_grid``
 
@@ -48,8 +49,8 @@ incompatible checkpoint makes the spec restart cleanly — but it is
 *quarantined* as ``{key}.ckpt.corrupt`` (with a ``RuntimeWarning``
 naming it), never silently deleted, so fault post-mortems can inspect
 what the crashed writer left behind.  The checkpoint is deleted once
-the result is published.  ``use_cache=False`` runs stay fully stateless
-(no checkpoint reads or writes).
+the result is published.  :func:`_train_spec` alone (the tests' ground
+truth) stays fully stateless (no checkpoint reads or writes).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class RunResult:
 
 @dataclass(frozen=True, eq=False)
 class RunSpec:
-    """Hashable descriptor of one training run — ``run_method``'s arguments.
+    """Hashable descriptor of one training run.
 
     Identity (``==`` / ``hash``) is the cache key: two specs that would
     produce the same cache entry are the same run, regardless of whether
@@ -342,53 +343,30 @@ def _train_spec(spec: RunSpec, checkpoint: bool = False) -> RunResult:
     )
 
 
-def run_spec(spec: RunSpec, use_cache: bool = True) -> RunResult:
+def run_spec(spec: RunSpec) -> RunResult:
     """Train one spec through the cache (the serial execution path).
 
-    Cached runs checkpoint while training and resume a killed run's
-    checkpoint; ``use_cache=False`` runs are stateless.
+    The run checkpoints while training and resumes a killed run's
+    checkpoint.
     """
-    key = spec.key()
-    if use_cache:
-        from repro.federated.checkpoint import remove_checkpoint
+    from repro.federated.checkpoint import remove_checkpoint
 
-        cached = _load_cached(key)
-        if cached is not None:
-            # A kill between a previous publish and its cleanup can
-            # orphan the checkpoint; the hit path sweeps it.
-            remove_checkpoint(_spec_checkpoint_path(key))
-            return cached
-    result = _train_spec(spec, checkpoint=use_cache)
-    if use_cache:
-        _store_cached(key, result)
-        # Only now is the run durable; dropping the checkpoint earlier
-        # would open a kill window that loses the whole run.
+    key = spec.key()
+    cached = _load_cached(key)
+    if cached is not None:
+        # A kill between a previous publish and its cleanup can
+        # orphan the checkpoint; the hit path sweeps it.
         remove_checkpoint(_spec_checkpoint_path(key))
+        return cached
+    result = _train_spec(spec, checkpoint=True)
+    _store_cached(key, result)
+    # Only now is the run durable; dropping the checkpoint earlier
+    # would open a kill window that loses the whole run.
+    remove_checkpoint(_spec_checkpoint_path(key))
     return result
 
 
-def run_method(
-    dataset: str,
-    method: str,
-    arch: str = "ncf",
-    profile: "str | ExperimentProfile" = "bench",
-    seed: int = 0,
-    use_cache: bool = True,
-    config_overrides: Optional[dict] = None,
-) -> RunResult:
-    """Train one method on one dataset and return (cached) results."""
-    spec = RunSpec(
-        dataset=dataset,
-        method=method,
-        arch=arch,
-        profile=profile,
-        seed=seed,
-        config_overrides=config_overrides,
-    )
-    return run_spec(spec, use_cache=use_cache)
-
-
-def _grid_worker(spec: RunSpec, use_cache: bool, cache_dir: str) -> RunResult:
+def _grid_worker(spec: RunSpec, cache_dir: str) -> RunResult:
     """Resolve one dispatched miss inside a pool worker.
 
     ``cache_dir`` is passed explicitly because only fork-started workers
@@ -401,13 +379,11 @@ def _grid_worker(spec: RunSpec, use_cache: bool, cache_dir: str) -> RunResult:
     """
     global CACHE_DIR
     CACHE_DIR = cache_dir
-    return run_spec(spec, use_cache=use_cache)
+    return run_spec(spec)
 
 
 def run_grid(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = None,
-    use_cache: bool = True,
+    specs: Sequence[RunSpec], jobs: Optional[int] = None
 ) -> Dict[RunSpec, RunResult]:
     """Execute a grid of runs, deduped, cached, and optionally in parallel.
 
@@ -420,10 +396,8 @@ def run_grid(
         Worker processes for cache misses.  ``None``/``1`` trains the
         misses serially in-process; ``jobs > 1`` fans them out over a
         ``ProcessPoolExecutor``.  Results are bitwise-identical either
-        way (training is deterministic in the spec).
-    use_cache:
-        When ``True`` (default), hits are served from ``.repro_cache/``
-        and misses are published back to it.
+        way (training is deterministic in the spec).  Hits are served
+        from ``.repro_cache/`` and misses are published back to it.
 
     Returns a mapping from spec to result; index it with any
     :class:`RunSpec` equal to one of the inputs (spec identity is the
@@ -435,21 +409,18 @@ def run_grid(
 
     results: Dict[str, RunResult] = {}
     misses: List[RunSpec] = []
-    if use_cache:
-        for key, spec in unique.items():
-            cached = _load_cached(key)
-            if cached is not None:
-                results[key] = cached
-            else:
-                misses.append(spec)
-    else:
-        misses = list(unique.values())
+    for key, spec in unique.items():
+        cached = _load_cached(key)
+        if cached is not None:
+            results[key] = cached
+        else:
+            misses.append(spec)
 
     workers = 1 if jobs is None else max(int(jobs), 1)
     if misses:
         if workers == 1 or len(misses) == 1:
             for spec in misses:
-                results[spec.key()] = run_spec(spec, use_cache=use_cache)
+                results[spec.key()] = run_spec(spec)
         else:
             # Warm the dataset memo once in the parent: fork-started
             # workers inherit the generated datasets, sparing each its
@@ -461,7 +432,7 @@ def run_grid(
                 )
             with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
                 futures = {
-                    spec.key(): pool.submit(_grid_worker, spec, use_cache, CACHE_DIR)
+                    spec.key(): pool.submit(_grid_worker, spec, CACHE_DIR)
                     for spec in misses
                 }
                 for key, future in futures.items():

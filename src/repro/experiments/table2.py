@@ -12,7 +12,7 @@ from typing import Dict, Sequence
 from repro.baselines.registry import DISPLAY_NAMES, TABLE2_ORDER
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_recall_ndcg_blocks
-from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 
 DATASETS = ("ml", "anime", "douban")
 ARCHS = ("ncf", "lightgcn")
@@ -25,7 +25,8 @@ def table2_grid(
     methods: Sequence[str] = TABLE2_ORDER,
     seed: int = 0,
 ) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
-    """The Table II grid, ``grid[arch][dataset][method]``."""
+    """The Table II grid, ``grid[arch][dataset][method]`` (Fig. 6 and
+    Fig. 7 take slices of it through ``datasets`` / ``methods``)."""
     return {
         arch: {
             dataset: {
@@ -36,17 +37,6 @@ def table2_grid(
         }
         for arch in archs
     }
-
-
-def run_table2(
-    profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = DATASETS,
-    archs: Sequence[str] = ARCHS,
-    methods: Sequence[str] = TABLE2_ORDER,
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
-    """Run the full grid; returns ``results[arch][dataset][method]``."""
-    return run_tree(table2_grid(profile, datasets, archs, methods, seed))
 
 
 def format_table2(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
@@ -60,14 +50,15 @@ def format_table2(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
 
 
 def winner_per_dataset(
-    results: Dict[str, Dict[str, Dict[str, RunResult]]], metric: str = "ndcg"
+    results: Dict[str, Dict[str, Dict[str, RunResult]]]
 ) -> Dict[str, Dict[str, str]]:
-    """Which method wins each (arch, dataset) cell — the headline claim."""
+    """Which method wins each (arch, dataset) cell on NDCG@20 — the
+    headline claim."""
     winners: Dict[str, Dict[str, str]] = {}
     for arch, per_dataset in results.items():
         winners[arch] = {}
         for dataset, per_method in per_dataset.items():
             winners[arch][dataset] = max(
-                per_method, key=lambda m: getattr(per_method[m], metric)
+                per_method, key=lambda m: per_method[m].ndcg
             )
     return winners

@@ -8,21 +8,20 @@ homogeneous baselines — the "negligible extra cost" claim.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.reporting import format_table
 from repro.data.synthetic import catalogue_size
 from repro.federated.communication import head_parameter_count, transmission_cost
 
-DEFAULT_DIMS = {"s": 8, "m": 16, "l": 32}
+#: The paper's {N_s, N_m, N_l} and the heads' hidden widths.
+DIMS = {"s": 8, "m": 16, "l": 32}
+HIDDEN = (8, 8)
 
 
 def run_table3(
-    profile: str | ExperimentProfile = "bench",
-    dataset: str = "ml",
-    dims: Mapping[str, int] = None,
-    hidden=(8, 8),
+    profile: str | ExperimentProfile = "bench", dataset: str = "ml"
 ) -> Dict[str, Dict[str, int]]:
     """``costs[client_group][method]`` in scalar parameters.
 
@@ -31,12 +30,11 @@ def run_table3(
     of generating interactions nobody looks at.
     """
     prof = profile if isinstance(profile, ExperimentProfile) else get_profile(profile)
-    dims = dict(dims or DEFAULT_DIMS)
     num_items = catalogue_size(dataset, prof.synthetic_config())
     costs: Dict[str, Dict[str, int]] = {}
     for group in ("s", "m", "l"):
         costs[group] = {
-            method: transmission_cost(method, group, num_items, dims, hidden)
+            method: transmission_cost(method, group, num_items, DIMS, HIDDEN)
             for method in ("all_small", "all_large", "hetefedrec")
         }
     return costs
@@ -69,15 +67,14 @@ def format_table3(costs: Dict[str, Dict[str, int]]) -> str:
     )
 
 
-def hetefedrec_extra_head_cost(dims: Mapping[str, int] = None, hidden=(8, 8)) -> Dict[str, int]:
+def hetefedrec_extra_head_cost() -> Dict[str, int]:
     """The *only* extra cost HeteFedRec incurs: smaller heads for U_m / U_l.
 
     Paper: "the only additional costs ... are size(Θ_s) for clients in U_m
     and size(Θ_{s,m}) for users in U_l", argued to be negligible next to
     the embedding tables.
     """
-    dims = dict(dims or DEFAULT_DIMS)
     return {
-        "m": head_parameter_count(dims["s"], hidden),
-        "l": head_parameter_count(dims["s"], hidden) + head_parameter_count(dims["m"], hidden),
+        "m": head_parameter_count(DIMS["s"], HIDDEN),
+        "l": head_parameter_count(DIMS["s"], HIDDEN) + head_parameter_count(DIMS["m"], HIDDEN),
     }

@@ -11,7 +11,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_recall_ndcg_blocks
-from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 
 #: (label, config overrides) in the paper's row order.
 ABLATION_LADDER: Tuple[Tuple[str, dict], ...] = (
@@ -25,9 +25,11 @@ ABLATION_LADDER: Tuple[Tuple[str, dict], ...] = (
 )
 
 
+DATASETS = ("ml", "anime", "douban")
+
+
 def table4_grid(
     profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
     ladder: Sequence[Tuple[str, dict]] = ABLATION_LADDER,
@@ -46,20 +48,10 @@ def table4_grid(
                 )
                 for label, overrides in ladder
             }
-            for dataset in datasets
+            for dataset in DATASETS
         }
         for arch in archs
     }
-
-
-def run_table4(
-    profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = ("ml", "anime", "douban"),
-    archs: Sequence[str] = ("ncf", "lightgcn"),
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
-    """``results[arch][dataset][variant_label]``."""
-    return run_tree(table4_grid(profile, datasets, archs, seed))
 
 
 def format_table4(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 from repro.experiments.table4 import table4_grid
 
 #: Both arms disable RESKD so the comparison isolates DDR; these are the
@@ -25,36 +25,23 @@ ARMS = (
 
 def table5_grid(
     profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
 ) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
-    """``grid[arch][dataset][{'+ DDR', '- DDR'}]`` — a two-rung Table IV."""
-    return table4_grid(profile, datasets, archs, seed, ladder=ARMS)
-
-
-def run_table5(
-    profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = ("ml", "anime", "douban"),
-    archs: Sequence[str] = ("ncf", "lightgcn"),
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """``variance[arch][dataset][{'+ DDR', '- DDR'}]`` for the V_l table.
+    """``grid[arch][dataset][{'+ DDR', '- DDR'}]`` — a two-rung Table IV.
 
     RESKD is disabled in both arms so the comparison isolates DDR, which
     is also how the paper's Table V pairs with its ablation.
     """
-    runs = run_tree(table5_grid(profile, datasets, archs, seed))
-    return {
-        arch: {
-            dataset: {label: run.collapse.get("l", 0.0) for label, run in arms.items()}
-            for dataset, arms in per_dataset.items()
-        }
-        for arch, per_dataset in runs.items()
-    }
+    return table4_grid(profile, archs, seed, ladder=ARMS)
 
 
-def format_table5(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
+def collapse_variance(run: RunResult) -> float:
+    """The singular-value variance of cov(V_l) one run measured."""
+    return run.collapse.get("l", 0.0)
+
+
+def format_table5(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:
     blocks: List[str] = []
     for arch, per_dataset in results.items():
         headers = ["Variant"] + list(per_dataset)
@@ -62,7 +49,7 @@ def format_table5(results: Dict[str, Dict[str, Dict[str, float]]]) -> str:
         for variant in ("- DDR", "+ DDR"):
             row: List = [variant]
             for dataset in per_dataset:
-                row.append(per_dataset[dataset][variant])
+                row.append(collapse_variance(per_dataset[dataset][variant]))
             rows.append(row)
         blocks.append(
             format_table(

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 
 #: The paper's five columns, in order: (label, method, config overrides).
 #: The two brackets carry no override, so they are Table II's cache entries.
@@ -24,9 +24,11 @@ COLUMNS: Tuple[Tuple[str, str, Optional[dict]], ...] = (
 )
 
 
+DATASETS = ("ml", "anime", "douban")
+
+
 def table6_grid(
     profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = ("ml", "anime", "douban"),
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
 ) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
@@ -44,20 +46,10 @@ def table6_grid(
                 )
                 for label, method, overrides in COLUMNS
             }
-            for dataset in datasets
+            for dataset in DATASETS
         }
         for arch in archs
     }
-
-
-def run_table6(
-    profile: str | ExperimentProfile = "bench",
-    datasets: Sequence[str] = ("ml", "anime", "douban"),
-    archs: Sequence[str] = ("ncf", "lightgcn"),
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
-    """``results[arch][dataset][column]`` with the paper's five columns."""
-    return run_tree(table6_grid(profile, datasets, archs, seed))
 
 
 def format_table6(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:

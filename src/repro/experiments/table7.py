@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import RunResult, RunSpec, run_tree
+from repro.experiments.runner import RunResult, RunSpec
 
 SIZE_SETTINGS: Tuple[Tuple[str, dict], ...] = (
     ("{2,4,8}", {"s": 2, "m": 4, "l": 8}),
@@ -22,11 +22,11 @@ SIZE_SETTINGS: Tuple[Tuple[str, dict], ...] = (
 
 #: method → row label, in the paper's row order.
 METHODS = {"all_small": "All Small", "all_large": "All Large", "hetefedrec": "HeteFedRec"}
+DATASET = "ml"
 
 
 def table7_grid(
     profile: str | ExperimentProfile = "bench",
-    dataset: str = "ml",
     archs: Sequence[str] = ("ncf", "lightgcn"),
     seed: int = 0,
 ) -> Dict[str, Dict[str, Dict[str, RunSpec]]]:
@@ -35,7 +35,7 @@ def table7_grid(
         arch: {
             label: {
                 method: RunSpec(
-                    dataset,
+                    DATASET,
                     method,
                     arch=arch,
                     profile=profile,
@@ -48,16 +48,6 @@ def table7_grid(
         }
         for arch in archs
     }
-
-
-def run_table7(
-    profile: str | ExperimentProfile = "bench",
-    dataset: str = "ml",
-    archs: Sequence[str] = ("ncf", "lightgcn"),
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, RunResult]]]:
-    """``results[arch][setting_label][method]`` (NDCG is the paper's metric)."""
-    return run_tree(table7_grid(profile, dataset, archs, seed))
 
 
 def format_table7(results: Dict[str, Dict[str, Dict[str, RunResult]]]) -> str:

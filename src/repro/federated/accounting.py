@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -106,35 +106,31 @@ class PrivacyAccountant:
     guarantee is only meaningful while the mechanism is actually active
     — ``noise_multiplier > 0`` — otherwise :meth:`spent` reports
     ``ε = inf`` to make "no noise, no privacy" impossible to misread.
+    The δ budget is ``TARGET_DELTA`` when the accountant is built (a
+    checkpoint restores its own).
     """
 
-    def __init__(self, noise_multiplier: float, target_delta: float = TARGET_DELTA) -> None:
+    def __init__(self, noise_multiplier: float) -> None:
         if noise_multiplier < 0:
             raise ValueError(
                 f"noise_multiplier must be >= 0, got {noise_multiplier}"
             )
-        if not 0 < target_delta < 1:
-            raise ValueError(
-                f"target_delta must be in (0, 1), got {target_delta}"
-            )
         self.noise_multiplier = float(noise_multiplier)
-        self.target_delta = float(target_delta)
+        self.target_delta = TARGET_DELTA
         self.rounds = 0
 
     @property
     def active(self) -> bool:
         return self.noise_multiplier > 0
 
-    def record_round(self, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self.rounds += int(count)
+    def record_round(self) -> None:
+        self.rounds += 1
 
-    def spent(self, rounds: Optional[int] = None) -> PrivacySpent:
-        """The tighter of basic vs advanced composition at ``rounds``."""
-        k = self.rounds if rounds is None else int(rounds)
-        if k <= 0:
-            return PrivacySpent(0.0, 0.0, max(k, 0), "basic")
+    def spent(self) -> PrivacySpent:
+        """The tighter of basic vs advanced composition over the rounds so far."""
+        k = self.rounds
+        if k == 0:
+            return PrivacySpent(0.0, 0.0, 0, "basic")
         if not self.active:
             return PrivacySpent(math.inf, self.target_delta, k, "basic")
         eps_basic, _ = compose_basic(self.noise_multiplier, k, self.target_delta)

@@ -27,9 +27,12 @@ from repro.federated.payload import ClientUpdate
 class AggregationConfig:
     """How client deltas combine into global parameter movements.
 
-    Item-embedding deltas always sum (paper Eq. 8 — stable because
-    per-client embedding updates touch nearly disjoint item rows), and
-    the server applies the aggregate unscaled.
+    Item-embedding deltas always sum (paper Eq. 8), and the server
+    applies the aggregate unscaled.  The sum is not small: at the bench
+    profile every client joins every round, and an ml item row is summed
+    over about 93 contributing clients per round, so after a 20-epoch
+    fit the mean item-row L2 norm reads 33–47 (ROADMAP measurement E).
+    Bounding that step is ROADMAP item 23.
 
     ``theta_mode``:
         'mean' (default, stable) or 'sum' (paper Eq. 15 verbatim).

@@ -224,16 +224,12 @@ class StragglerBuffer:
         return [int(age) for age, _ in self._pending]
 
     def restore_pending(
-        self,
-        updates: Iterable[ClientUpdate],
-        ages: Optional[Sequence[int]] = None,
+        self, updates: Iterable[ClientUpdate], ages: Sequence[int]
     ) -> None:
         """Replace the buffer with checkpointed updates, verbatim (no
         re-scaling: they were scaled once when originally added).  ``ages``
-        restores eviction clocks; absent (older checkpoints) they reset."""
+        restores their eviction clocks."""
         updates = list(updates)
-        if ages is None:
-            ages = [0] * len(updates)
         if len(ages) != len(updates):
             raise ValueError(
                 f"{len(ages)} ages for {len(updates)} buffered updates"

@@ -18,6 +18,7 @@ import numpy as np
 from repro.data.dataset import ClientData
 from repro.data.sampling import NegativeSampler, TrainingBatch, assemble_batch
 from repro.federated.user_table import UserTable
+from repro.nn.init import EMBEDDING_STD
 
 
 class ClientRuntime:
@@ -29,7 +30,6 @@ class ClientRuntime:
         embedding_dim: int,
         num_items: int,
         seed: int = 0,
-        init_std: float = 0.01,
         dtype: np.dtype = np.float64,
     ) -> None:
         self.data = data
@@ -41,7 +41,7 @@ class ClientRuntime:
         self._exclusion = None
         # Drawn in float64 (keeps the RNG stream identical across dtypes),
         # then cast to the session precision.
-        initial = self.rng.normal(0.0, init_std, size=embedding_dim).astype(
+        initial = self.rng.normal(0.0, EMBEDDING_STD, size=embedding_dim).astype(
             dtype, copy=False
         )
         self.table = UserTable(

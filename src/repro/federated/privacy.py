@@ -1,26 +1,21 @@
-"""Upload protection: clipping, local DP noise, pseudo-item obfuscation.
+"""Upload protection: clipping, then local DP noise.
 
 The paper's privacy model keeps user embeddings local, but — as the
 FedRec attack literature it cites shows ([48], [49]: interaction-level
-membership inference) — the *sparsity pattern* of an uploaded
-item-embedding delta still reveals which items a client interacted with,
-and raw delta values can leak rating signals.  This module implements the
-three standard counter-measures, composable:
+membership inference) — raw delta values of an uploaded item-embedding
+delta can leak rating signals.  This module implements the two standard
+counter-measures, composable:
 
 * **Norm clipping**: bound each item row's delta norm (a prerequisite for
   any DP guarantee, and a robustness measure against poisoning scale).
 * **Local differential privacy**: Gaussian noise on every uploaded value
   after clipping (the Gaussian mechanism; σ is expressed relative to the
   clip bound).
-* **Pseudo-items**: the client also uploads plausible (noise) updates for
-  a random set of items it never touched, hiding the true interaction
-  support — the mechanism used by the FedNCF line of work ([44], [49]).
-  Its count is the module constant ``PSEUDO_ITEMS``, 0 (off).
 
 Enable by setting ``FederatedConfig.privacy`` to a :class:`PrivacyConfig`;
 the trainer applies :func:`protect_update` to every upload.  Protection
 composes with *every* method in the repo, including HeteFedRec — padding
-aggregation is oblivious to whether a delta row is real or pseudo.
+aggregation is oblivious to whether a delta row was clipped or noised.
 """
 
 from __future__ import annotations
@@ -44,8 +39,7 @@ class PrivacyConfig:
         uploaded scalar (0 disables).  Requires ``clip_norm`` > 0 to be
         meaningful as DP; applied as absolute std if clipping is off.
 
-    The pseudo-item count is the module constant ``PSEUDO_ITEMS``, and the
-    accountant's δ budget is ``accounting.TARGET_DELTA``.
+    The accountant's δ budget is ``accounting.TARGET_DELTA``.
     """
 
     clip_norm: float = 0.0
@@ -57,14 +51,7 @@ class PrivacyConfig:
 
     @property
     def enabled(self) -> bool:
-        return bool(self.clip_norm or self.noise_std or PSEUDO_ITEMS)
-
-
-#: Number of untouched items per upload that receive fabricated deltas
-#: (0 disables).  Fabricated rows are Gaussian with the same per-row norm
-#: distribution as the client's real rows, so they are statistically
-#: indistinguishable to the server.
-PSEUDO_ITEMS = 0
+        return bool(self.clip_norm or self.noise_std)
 
 
 def clip_rows(delta: np.ndarray, max_norm: float) -> np.ndarray:
@@ -74,33 +61,6 @@ def clip_rows(delta: np.ndarray, max_norm: float) -> np.ndarray:
     norms = np.linalg.norm(delta, axis=1, keepdims=True)
     scale = np.minimum(1.0, max_norm / np.maximum(norms, 1e-12))
     return delta * scale
-
-
-def add_pseudo_items(
-    delta: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Fabricate deltas for ``count`` untouched rows (returns a copy).
-
-    Fake rows are drawn isotropic Gaussian, scaled to norms resampled
-    from the client's real row-norm distribution, so support-based
-    membership inference cannot separate real from fake.
-    """
-    if count <= 0:
-        return delta
-    real = touched_rows(delta)
-    untouched = np.setdiff1d(np.arange(delta.shape[0]), real)
-    if untouched.size == 0 or real.size == 0:
-        return delta
-    chosen = rng.choice(untouched, size=min(count, untouched.size), replace=False)
-
-    real_norms = np.linalg.norm(delta[real], axis=1)
-    fake = rng.normal(size=(chosen.size, delta.shape[1]))
-    fake /= np.maximum(np.linalg.norm(fake, axis=1, keepdims=True), 1e-12)
-    fake *= rng.choice(real_norms, size=chosen.size)[:, np.newaxis]
-
-    out = delta.copy()
-    out[chosen] = fake
-    return out
 
 
 def gaussian_noise_like(
@@ -121,49 +81,19 @@ def _protect_delta(
     sigma: float,
     rng: np.random.Generator,
 ) -> SparseRowDelta:
-    """The clip → pseudo → noise pipeline on an upload's touched rows.
+    """The clip → noise pipeline on an upload's touched rows.
 
     Consumes the client RNG in exactly the order of the dense oracle
-    (:func:`clip_rows` → :func:`add_pseudo_items` → support noise on
-    ``delta.dense()``: pseudo-row choice, fake directions, fake norms,
-    then noise) and protects to the same values — the payload
-    equivalence suite pins this.  Work is O(rows) in the value blocks;
-    only the pseudo-item *index* arithmetic touches the catalogue range,
-    with no ``width`` factor.
+    (:func:`clip_rows`, then support noise on ``delta.dense()``) and
+    protects to the same values — the payload equivalence suite pins
+    this.  Work is O(rows) in the value blocks, with no catalogue-range
+    factor.
     """
-    rows = delta.rows
-    values = clip_rows(delta.values, config.clip_norm)
-
-    if PSEUDO_ITEMS > 0:
-        real_pos = touched_rows(values)
-        real = rows[real_pos]
-        untouched = np.setdiff1d(np.arange(delta.num_rows), real)
-        if untouched.size and real.size:
-            chosen = rng.choice(
-                untouched, size=min(PSEUDO_ITEMS, untouched.size), replace=False
-            )
-            real_norms = np.linalg.norm(values[real_pos], axis=1)
-            fake = rng.normal(size=(chosen.size, delta.width))
-            fake /= np.maximum(np.linalg.norm(fake, axis=1, keepdims=True), 1e-12)
-            fake *= rng.choice(real_norms, size=chosen.size)[:, np.newaxis]
-
-            merged_rows = np.union1d(rows, chosen)
-            merged = np.zeros((merged_rows.size, delta.width), dtype=values.dtype)
-            merged[np.searchsorted(merged_rows, rows)] = values
-            # Assignment, not addition: the dense oracle overwrites the
-            # chosen rows (they are untouched, hence zero, by selection).
-            merged[np.searchsorted(merged_rows, chosen)] = fake
-            rows, values = merged_rows, merged
-        else:
-            values = values.copy()
-    else:
-        values = values.copy()
-
+    values = clip_rows(delta.values, config.clip_norm).copy()
     if sigma > 0:
         support = touched_rows(values)
         values[support] += rng.normal(0.0, sigma, size=(support.size, delta.width))
-
-    return SparseRowDelta(delta.num_rows, rows, values)
+    return SparseRowDelta(delta.num_rows, delta.rows, values)
 
 
 def protect_update(

@@ -169,21 +169,22 @@ def _unpad_head_value(
     return padded
 
 
-def _length_buckets(
-    lengths: np.ndarray,
-    dim: int,
-    waste: float = 1.35,
-    area_cap: int = 16_000_000,
-) -> List[np.ndarray]:
+#: A length bucket closes before its padded area passes ``BUCKET_WASTE``×
+#: its real area, or its padded activations ``BUCKET_AREA_CAP`` elements.
+BUCKET_WASTE = 1.35
+BUCKET_AREA_CAP = 16_000_000
+
+
+def _length_buckets(lengths: np.ndarray, dim: int) -> List[np.ndarray]:
     """Partition clients into padding-friendly buckets by batch length.
 
     Within a bucket every batch is right-padded to the bucket maximum.
     Walking clients in ascending length order, a bucket is closed when
     admitting the next client would push the bucket's *padded* area
-    ``(B+1)·L_max`` beyond ``waste``× its real area ``Σ L_b`` — so padded
-    positions stay under ~35% while near-uniform rounds fuse into a
+    ``(B+1)·L_max`` beyond ``BUCKET_WASTE``× its real area ``Σ L_b`` — so
+    padded positions stay under ~35% while near-uniform rounds fuse into a
     single bucket — or when the padded activation area ``B·L·d`` would
-    pass ``area_cap`` elements (bounds peak memory for huge rounds).
+    pass ``BUCKET_AREA_CAP`` elements (bounds peak memory for huge rounds).
     Interaction counts are heavy-tailed, so without this the whole
     group would pad to its one chattiest client.
     """
@@ -195,8 +196,8 @@ def _length_buckets(
         length = max(int(lengths[position]), 1)
         padded_area = (len(current) + 1) * length
         if current and (
-            padded_area > waste * (real_area + length)
-            or padded_area * dim > area_cap
+            padded_area > BUCKET_WASTE * (real_area + length)
+            or padded_area * dim > BUCKET_AREA_CAP
         ):
             buckets.append(np.asarray(current, dtype=np.int64))
             current = []
@@ -262,12 +263,14 @@ def _sum_mid(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij->...j", x)[..., None, :]
 
 
-def _decorrelation_backward(
-    stack: np.ndarray, alpha: float, eps: float = 1e-8
-) -> Tuple[np.ndarray, np.ndarray]:
+#: Eq. 13's guard against a zero variance or norm, where the tape form puts it.
+DDR_EPS = 1e-8
+
+
+def _decorrelation_backward(stack: np.ndarray, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """Eq. 13 per batch slice and its gradient: ``(B, M, d) → (B,), (B, M, d)``.
 
-    The same standardisation, in-norm diagonal and ``eps`` placement as
+    The same standardisation, in-norm diagonal and ``DDR_EPS`` placement as
     Eq. 13's tape form (``decorrelation_penalty`` in
     ``tests/engine_oracle.py``) on each ``(M, d)`` slice; returns the
     penalties and the gradient of ``alpha · Σ_b penalty_b`` with respect
@@ -278,11 +281,11 @@ def _decorrelation_backward(
     """
     _, rows, dim = stack.shape
     centred = stack - _sum_mid(stack) / float(rows)
-    variance = _sum_mid(centred * centred) / float(rows) + eps
+    variance = _sum_mid(centred * centred) / float(rows) + DDR_EPS
     scale = variance**0.5
     z = centred / scale
     corr = np.matmul(z.transpose(0, 2, 1), z) / float(rows)
-    total = (corr * corr).sum(axis=(1, 2)) + eps
+    total = (corr * corr).sum(axis=(1, 2)) + DDR_EPS
     penalty = total**0.5 / float(dim)
 
     d_square = (alpha / float(dim) * 0.5 * total ** (-0.5))[:, None, None]

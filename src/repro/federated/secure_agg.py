@@ -85,23 +85,17 @@ class FixedPointCodec:
     Addition in the field corresponds to addition of the encoded reals as
     long as the true sum stays within ``±2^63 / 2^f``.
 
-    Scalars outside ``±clip_range`` saturate at the clamp — the decoded
+    Scalars outside ``±CLIP_RANGE`` saturate at the clamp — the decoded
     sum is then silently smaller than the true sum.  ``encode`` counts
     them (``saturated_total`` accumulates across calls) and warns once,
-    so a mis-sized ``clip_range`` shows up in the meter and the console
-    instead of corrupting Table II numbers invisibly.
+    so a mis-sized ``CLIP_RANGE`` shows up in the meter and the console
+    instead of corrupting Table II numbers invisibly.  A codec reads
+    ``PRECISION_BITS`` and ``CLIP_RANGE`` when it is built.
     """
 
-    def __init__(
-        self, precision_bits: int = PRECISION_BITS, clip_range: float = CLIP_RANGE
-    ) -> None:
-        if not 1 <= precision_bits <= 40:
-            raise ValueError(f"precision_bits must be in [1, 40], got {precision_bits}")
-        if clip_range <= 0:
-            raise ValueError(f"clip_range must be positive, got {clip_range}")
-        self.precision_bits = precision_bits
-        self.clip_range = clip_range
-        self.scale = float(2**precision_bits)
+    def __init__(self) -> None:
+        self.clip_range = CLIP_RANGE
+        self.scale = float(2**PRECISION_BITS)
         self.saturated_total = 0
 
     def encode(self, values: np.ndarray) -> np.ndarray:
@@ -112,8 +106,8 @@ class FixedPointCodec:
             self.saturated_total += saturated
             warnings.warn(
                 f"fixed-point encoding saturated {saturated} scalar(s) at "
-                f"clip_range={self.clip_range}; the decoded sum under-counts "
-                "these coordinates (raise clip_range or shrink updates)",
+                f"clip range {self.clip_range}; the decoded sum under-counts "
+                "these coordinates (raise CLIP_RANGE or shrink updates)",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -33,6 +33,12 @@ BYTES_PER_SCALAR = 4
 #: the log-normal shape of its spread.
 MEDIAN_COMPUTE = 2000.0
 COMPUTE_SIGMA = 0.75
+#: What a simulated client trains per round: the paper's local epochs
+#: (Section V-D) on a model with the default ``(8, 8)`` head widths.
+LOCAL_EPOCHS = 4
+HIDDEN = (8, 8)
+#: Aggregation rounds per training epoch in :func:`time_to_accuracy`.
+ROUNDS_PER_EPOCH = 1
 
 
 @dataclass
@@ -115,20 +121,20 @@ def simulate_round_times(
     profile: SystemProfile,
     clients_per_round: int = 256,
     num_rounds: int = 50,
-    local_epochs: int = 4,
-    hidden: Sequence[int] = (8, 8),
 ) -> np.ndarray:
     """Wall-clock seconds of ``num_rounds`` synchronous rounds.
 
     Each round samples ``clients_per_round`` clients uniformly and
-    completes at the slowest one.  Returns the per-round times, from
-    which time-to-accuracy curves and tail statistics follow.
+    completes at the slowest one; every client trains ``LOCAL_EPOCHS``
+    local epochs of a model with ``HIDDEN`` head widths.  Returns the
+    per-round times, from which time-to-accuracy curves and tail
+    statistics follow.
     """
     user_ids = sorted(group_of)
     devices = profile.sample_devices(user_ids)
     rng = np.random.default_rng(profile.seed + 1)
     payloads = {
-        group: payload_for(method, group, num_items, dims, hidden)
+        group: payload_for(method, group, num_items, dims, HIDDEN)
         for group in set(group_of.values())
     }
     # Per-client round time is round-independent; precompute it once.
@@ -137,7 +143,7 @@ def simulate_round_times(
             devices[user_id],
             payloads[group_of[user_id]],
             train_examples=int(train_sizes.get(user_id, 1)) * 5,  # 1:4 negatives
-            local_epochs=local_epochs,
+            local_epochs=LOCAL_EPOCHS,
         )
         for user_id in user_ids
     }
@@ -153,9 +159,9 @@ def simulate_round_times(
 def time_to_accuracy(
     ndcg_curve: Sequence[Tuple[int, float]],
     round_times: np.ndarray,
-    rounds_per_epoch: int = 1,
 ) -> List[Tuple[float, float]]:
-    """Map an (epoch, NDCG) curve onto cumulative wall-clock seconds.
+    """Map an (epoch, NDCG) curve onto cumulative wall-clock seconds,
+    ``ROUNDS_PER_EPOCH`` rounds an epoch.
 
     ``round_times`` cycles if shorter than the needed horizon (the model
     is stationary, so re-sampling and cycling are equivalent).
@@ -164,7 +170,7 @@ def time_to_accuracy(
         raise ValueError("round_times is empty")
     curve: List[Tuple[float, float]] = []
     for epoch, ndcg in ndcg_curve:
-        rounds_needed = int(epoch) * rounds_per_epoch
+        rounds_needed = int(epoch) * ROUNDS_PER_EPOCH
         full_cycles, rest = divmod(rounds_needed, len(round_times))
         seconds = full_cycles * float(round_times.sum()) + float(
             round_times[:rest].sum()

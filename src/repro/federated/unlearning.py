@@ -26,7 +26,7 @@ ledger has recorded them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -143,7 +143,6 @@ class UnlearningHeteFedRec(HeteFedRec):
         num_items: int,
         clients: Sequence[ClientData],
         config: HeteFedRecConfig,
-        group_of: Optional[Mapping[int, str]] = None,
     ) -> None:
         if config.secure_aggregation is not None:
             raise ValueError(
@@ -160,7 +159,7 @@ class UnlearningHeteFedRec(HeteFedRec):
                 "unlearning records the uploads as sent; a robust-aggregation "
                 "defense changes what is applied, so the ledger would not match"
             )
-        super().__init__(num_items, clients, config, group_of=group_of)
+        super().__init__(num_items, clients, config)
         self.ledger = ContributionLedger()
 
     # ------------------------------------------------------------------

@@ -170,8 +170,6 @@ class BaseRecommender(Module):
     def score_matrix(
         self,
         user_mat: np.ndarray,
-        width: Optional[int] = None,
-        head: Optional[ScoringHead] = None,
         train_items: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> np.ndarray:
         """Scores of *every* catalogue item for a stacked block of users.
@@ -188,32 +186,13 @@ class BaseRecommender(Module):
             f"{type(self).__name__} does not support batched scoring"
         )
 
-    def _validate_prefix(
-        self, width: Optional[int], head: Optional[ScoringHead]
-    ) -> Tuple[int, ScoringHead]:
-        """Resolve and validate a (width, head) prefix-submodel selection.
-
-        ``width`` defaults to the full table and ``head`` to this model's
-        own; the head must be exactly ``width`` wide.
-        """
-        head = head if head is not None else self.head
-        effective = width if width is not None else self.dim
-        if effective > self.dim:
-            raise ValueError(f"width {effective} exceeds table dim {self.dim}")
-        if head.dim != effective:
-            raise ValueError(f"head dim {head.dim} does not match width {effective}")
-        return effective, head
-
-    def _prefix_block(
-        self, user_mat: np.ndarray, width: Optional[int], head: Optional[ScoringHead]
-    ) -> Tuple[np.ndarray, np.ndarray, ScoringHead]:
-        """Shared prefix handling for :meth:`score_matrix` implementations."""
-        effective, head = self._validate_prefix(width, head)
+    def _block(self, user_mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The validated user block and the item table :meth:`score_matrix`
+        implementations score."""
         user_mat = np.asarray(user_mat)
         if user_mat.ndim != 2:
             raise ValueError(f"user_mat must be (B, d), got {user_mat.shape}")
-        item_mat = self.item_embedding.weight.data[:, :effective]
-        return user_mat[:, :effective], item_mat, head
+        return user_mat, self.item_embedding.weight.data
 
     # ------------------------------------------------------------------
     # Parameter partition (public V vs public Θ)

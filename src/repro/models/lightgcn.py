@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.models.base import BaseRecommender, ScoringHead
+from repro.models.base import BaseRecommender
 
 
 class LightGCN(BaseRecommender):
@@ -34,8 +34,6 @@ class LightGCN(BaseRecommender):
     def score_matrix(
         self,
         user_mat: np.ndarray,
-        width: Optional[int] = None,
-        head: Optional[ScoringHead] = None,
         train_items: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> np.ndarray:
         """Blocked full-catalogue scoring through the star-graph propagation.
@@ -50,7 +48,8 @@ class LightGCN(BaseRecommender):
         omitted (or empty per user) degenerates to the un-propagated
         limit: an empty neighbourhood leaves the embeddings as they are.
         """
-        user_mat, item_mat, head = self._prefix_block(user_mat, width, head)
+        user_mat, item_mat = self._block(user_mat)
+        head = self.head
         num_users = user_mat.shape[0]
         if train_items is None:
             train_items = [None] * num_users

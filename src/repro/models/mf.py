@@ -15,11 +15,9 @@ experiments (Table VII) are sharpest under it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.models.base import BaseRecommender, ScoringHead
+from repro.models.base import BaseRecommender
 
 
 class GMF(BaseRecommender):
@@ -37,9 +35,7 @@ class GMF(BaseRecommender):
     def score_matrix(
         self,
         user_mat: np.ndarray,
-        width: Optional[int] = None,
-        head: Optional[ScoringHead] = None,
         train_items=None,  # GMF scoring has no propagation stage
     ) -> np.ndarray:
-        user_mat, item_mat, head = self._prefix_block(user_mat, width, head)
-        return head.gmf_matrix(user_mat, item_mat)
+        user_mat, item_mat = self._block(user_mat)
+        return self.head.gmf_matrix(user_mat, item_mat)

@@ -7,11 +7,9 @@ in the loss (``bce_with_logits``).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.models.base import BaseRecommender, ScoringHead
+from repro.models.base import BaseRecommender
 
 
 class NCF(BaseRecommender):
@@ -22,9 +20,7 @@ class NCF(BaseRecommender):
     def score_matrix(
         self,
         user_mat: np.ndarray,
-        width: Optional[int] = None,
-        head: Optional[ScoringHead] = None,
         train_items=None,  # NCF scoring has no propagation stage
     ) -> np.ndarray:
-        user_mat, item_mat, head = self._prefix_block(user_mat, width, head)
-        return head.logits_matrix(user_mat, item_mat)
+        user_mat, item_mat = self._block(user_mat)
+        return self.head.logits_matrix(user_mat, item_mat)

@@ -20,6 +20,9 @@ import numpy as np
 _DEFAULT_SEED = 0
 _default_rng = np.random.default_rng(_DEFAULT_SEED)
 
+#: Std of every embedding initialisation: item tables, user embeddings.
+EMBEDDING_STD = 0.01
+
 
 def normal(shape, std: float = 0.01, rng: np.random.Generator | None = None) -> np.ndarray:
     """Gaussian initialisation, the standard choice for embedding tables."""
@@ -42,7 +45,6 @@ def zeros(shape) -> np.ndarray:
 def nested_embedding_tables(
     num_items: int,
     dims: Sequence[int],
-    std: float = 0.01,
     rng: np.random.Generator | None = None,
 ) -> Dict[int, np.ndarray]:
     """Initialise one embedding table per dimension with shared prefixes.
@@ -56,5 +58,5 @@ def nested_embedding_tables(
     if not dims:
         raise ValueError("dims must be non-empty")
     rng = rng or _default_rng
-    master = rng.normal(0.0, std, size=(num_items, max(dims)))
+    master = rng.normal(0.0, EMBEDDING_STD, size=(num_items, max(dims)))
     return {d: master[:, :d].copy() for d in dims}

@@ -45,7 +45,6 @@ class Embedding(Module):
         self,
         num_embeddings: int,
         embedding_dim: int,
-        std: float = 0.01,
         rng: Optional[np.random.Generator] = None,
         weight: Optional[np.ndarray] = None,
     ) -> None:
@@ -63,7 +62,9 @@ class Embedding(Module):
             keep = weight.dtype in (np.float32, np.float64)
             values = np.array(weight, dtype=weight.dtype if keep else np.float64)
         else:
-            values = init.normal((num_embeddings, embedding_dim), std=std, rng=rng)
+            values = init.normal(
+                (num_embeddings, embedding_dim), std=init.EMBEDDING_STD, rng=rng
+            )
         self.weight = Parameter(values, name="embedding")
 
     def __repr__(self) -> str:

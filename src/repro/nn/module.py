@@ -20,13 +20,12 @@ from repro.autograd.tensor import Tensor
 class Parameter(Tensor):
     """A :class:`Tensor` that is always trainable and owned by a module.
 
-    ``dtype`` optionally casts the initial value (float32/float64); when
-    omitted the tape's default coercion applies (float64, with float32
+    Its value takes the tape's default coercion (float64, with float32
     arrays passed through — see ``repro.autograd.tensor._as_array``).
     """
 
-    def __init__(self, data, name: str = "", dtype=None) -> None:
-        super().__init__(data, requires_grad=True, name=name, dtype=dtype)
+    def __init__(self, data, name: str = "") -> None:
+        super().__init__(data, requires_grad=True, name=name)
 
 
 class Module:
@@ -76,18 +75,17 @@ class Module:
         """Copy all parameters into a plain ``{name: ndarray}`` mapping."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter values in place from a ``state_dict`` mapping."""
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load parameter values in place from a ``state_dict`` mapping
+        naming exactly this module's parameters."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(
                 f"state mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}"
             )
         for name, values in state.items():
-            if name not in own:
-                continue
             param = own[name]
             if param.data.shape != values.shape:
                 raise ValueError(

@@ -14,6 +14,16 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
+#: SGD's momentum and L2 weight decay (0: plain SGD, the reference
+#: trainer's local step).
+MOMENTUM = 0.0
+WEIGHT_DECAY = 0.0
+
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's values).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Optimizer:
     """Common bookkeeping: parameter list, ``zero_grad`` and ``step``."""
@@ -35,18 +45,10 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
+    """Stochastic gradient descent, with ``MOMENTUM`` / ``WEIGHT_DECAY``."""
 
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
         super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
@@ -54,11 +56,11 @@ class SGD(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
+            if WEIGHT_DECAY:
+                grad = grad + WEIGHT_DECAY * param.data
+            if MOMENTUM:
                 velocity = self._velocity.setdefault(id(param), np.zeros_like(param.data))
-                velocity *= self.momentum
+                velocity *= MOMENTUM
                 velocity += grad
                 grad = velocity
             param.data -= self.lr * grad
@@ -80,23 +82,12 @@ class Adam(Optimizer):
     #: Elements per block (2^15: a float64 block is 256 KiB).
     BLOCK = 1 << 15
 
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.001,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 0.001) -> None:
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t: Dict[int, int] = {}
-        #: One block-sized scratch pair per dtype: without weight decay a
-        #: step allocates nothing, with it only block-sized temporaries.
+        #: One block-sized scratch pair per dtype: a step allocates nothing.
         self._scratch: Dict[np.dtype, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _scratch_for(self, dtype: np.dtype, size: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -122,37 +113,28 @@ class Adam(Optimizer):
             grads = param.grad.reshape(-1)
             ms, vs = self._m[key].reshape(-1), self._v[key].reshape(-1)
             works, steps = self._scratch_for(data.dtype, flat.size)
-            bias1, bias2 = 1.0 - self.beta1**t, 1.0 - self.beta2**t
+            bias1, bias2 = 1.0 - BETA1**t, 1.0 - BETA2**t
             for lo in range(0, flat.size, self.BLOCK):
                 hi = min(lo + self.BLOCK, flat.size)
                 theta, m, v = flat[lo:hi], ms[lo:hi], vs[lo:hi]
                 work, step = works[: hi - lo], steps[: hi - lo]
                 grad = grads[lo:hi]
-                if self.weight_decay:
-                    grad = grad + self.weight_decay * theta
                 # In place, with the per-element operation order of the
                 # textbook update: m ← β1·m + (1−β1)·g, v ← β2·v + (1−β2)·g²,
                 # θ ← θ − lr · (m / (1−β1ᵗ)) / (√(v / (1−β2ᵗ)) + ε).
-                m *= self.beta1
-                np.multiply(grad, 1.0 - self.beta1, out=work)
+                m *= BETA1
+                np.multiply(grad, 1.0 - BETA1, out=work)
                 m += work
-                v *= self.beta2
+                v *= BETA2
                 np.multiply(grad, grad, out=work)
-                work *= 1.0 - self.beta2
+                work *= 1.0 - BETA2
                 v += work
                 np.divide(v, bias2, out=work)
                 np.sqrt(work, out=work)
-                work += self.eps
+                work += EPS
                 np.divide(m, bias1, out=step)
                 step /= work
                 step *= self.lr
                 theta -= step
             if not np.may_share_memory(flat, data):
                 data[...] = flat.reshape(data.shape)
-
-    def reset_state(self) -> None:
-        """Forget moment estimates (used when a client re-joins a round)."""
-        self._m.clear()
-        self._v.clear()
-        self._t.clear()
-        self._scratch.clear()

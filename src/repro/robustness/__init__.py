@@ -11,9 +11,7 @@ table) — together with the standard server-side defences.
 * :mod:`repro.robustness.attacks` — malicious-client behaviours
   (random-noise, sign-flip/model poisoning, target-item promotion);
 * :mod:`repro.robustness.defenses` — robust aggregators (server-side
-  norm clipping, per-row trimmed mean / median, multi-Krum selection);
-* :mod:`repro.robustness.metrics` — attack-success measures
-  (exposure-rate@K of a promoted item).
+  norm clipping, per-row trimmed mean / median, multi-Krum selection).
 
 Attacks and defences are config features, not a trainer of their own:
 ``FederatedConfig.attack`` (an :class:`AttackConfig`) and
@@ -35,7 +33,6 @@ from repro.robustness.defenses import (
     robust_embedding_aggregate,
     server_clip_updates,
 )
-from repro.robustness.metrics import exposure_at_k, prediction_shift
 
 __all__ = [
     "AttackConfig",
@@ -45,6 +42,4 @@ __all__ = [
     "krum_select",
     "robust_embedding_aggregate",
     "server_clip_updates",
-    "exposure_at_k",
-    "prediction_shift",
 ]

@@ -114,7 +114,6 @@ def robust_embedding_aggregate(
     updates: Sequence[ClientUpdate],
     dims: Mapping[str, int],
     kind: str = "median",
-    trim_fraction: float = TRIM_FRACTION,
 ) -> Dict[str, np.ndarray]:
     """Per-row robust combination, rescaled to sum semantics.
 
@@ -141,7 +140,7 @@ def robust_embedding_aggregate(
         if kind == "median":
             statistic = np.median(contributors, axis=0)
         else:
-            k = int(np.floor(contributors.shape[0] * trim_fraction))
+            k = int(np.floor(contributors.shape[0] * TRIM_FRACTION))
             if 2 * k >= contributors.shape[0]:
                 statistic = np.median(contributors, axis=0)
             else:
@@ -156,20 +155,19 @@ def robust_embedding_aggregate(
 def krum_select(
     updates: Sequence[ClientUpdate],
     dims: Mapping[str, int],
-    keep_fraction: float = KRUM_KEEP,
 ) -> List[ClientUpdate]:
     """Multi-Krum: keep the uploads closest to their nearest peers.
 
     Each upload is scored by the sum of squared distances to its
     ``n - f - 1`` nearest neighbours (f = number dropped); the
-    ``keep_fraction`` lowest-scoring uploads survive.  Distances are over
+    ``KRUM_KEEP`` lowest-scoring uploads survive.  Distances are over
     zero-padded flat embedding deltas, normalised per upload so that
     group width does not dominate the geometry.
     """
     n = len(updates)
     if n <= 2:
         return list(updates)
-    keep = max(int(round(n * keep_fraction)), 1)
+    keep = max(int(round(n * KRUM_KEEP)), 1)
     if keep >= n:
         return list(updates)
 

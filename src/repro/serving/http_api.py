@@ -325,7 +325,6 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8777,
     verbose: bool = True,
-    ready: Optional[threading.Event] = None,
     request_timeout_s: Optional[float] = 30.0,
 ) -> None:
     """Serve until interrupted (the blocking entry ``repro serve`` uses).
@@ -351,8 +350,6 @@ def run_server(
             f"{front.stats()['users']} users) on http://{bound[0]}:{bound[1]}"
             + (" [graceful drain armed]" if installed else "")
         )
-    if ready is not None:
-        ready.set()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

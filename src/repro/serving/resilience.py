@@ -309,33 +309,32 @@ class AdmissionQueue:
 # ----------------------------------------------------------------------
 # Health state machine
 # ----------------------------------------------------------------------
+#: The health window (scoring outcomes), the failure fractions that make
+#: the service degraded / unhealthy, and the consecutive successes that
+#: leave unhealthy.
+HEALTH_WINDOW = 32
+DEGRADED_AT = 0.1
+UNHEALTHY_AT = 0.5
+RECOVERY_SUCCESSES = 3
+
+
 class HealthMonitor:
     """healthy / degraded / unhealthy, from a sliding outcome window.
 
-    The failure fraction over the last ``window`` scoring outcomes
-    drives the state: ≥ ``unhealthy_at`` → unhealthy, ≥ ``degraded_at``
+    The failure fraction over the last ``HEALTH_WINDOW`` scoring outcomes
+    drives the state: ≥ ``UNHEALTHY_AT`` → unhealthy, ≥ ``DEGRADED_AT``
     → degraded, else healthy — with one hysteresis rule: leaving
-    ``unhealthy`` additionally requires ``recovery_successes``
+    ``unhealthy`` additionally requires ``RECOVERY_SUCCESSES``
     *consecutive* successes, so a single lucky probe cannot flap the
-    service back to full scoring mid-incident.
+    service back to full scoring mid-incident.  A monitor reads the four
+    constants when it is built.
     """
 
-    def __init__(
-        self,
-        window: int = 32,
-        degraded_at: float = 0.1,
-        unhealthy_at: float = 0.5,
-        recovery_successes: int = 3,
-    ) -> None:
-        if not 0.0 < degraded_at <= unhealthy_at <= 1.0:
-            raise ValueError(
-                f"need 0 < degraded_at <= unhealthy_at <= 1, got "
-                f"{degraded_at}/{unhealthy_at}"
-            )
-        self.window = int(window)
-        self.degraded_at = float(degraded_at)
-        self.unhealthy_at = float(unhealthy_at)
-        self.recovery_successes = int(recovery_successes)
+    def __init__(self) -> None:
+        self.window = HEALTH_WINDOW
+        self.degraded_at = DEGRADED_AT
+        self.unhealthy_at = UNHEALTHY_AT
+        self.recovery_successes = RECOVERY_SUCCESSES
         self._outcomes: deque = deque(maxlen=self.window)
         self._consecutive_ok = 0
         self._state = HEALTHY
@@ -471,7 +470,7 @@ class ResilienceConfig:
     """The admission and hot-swap knobs of the resilience layer.
 
     Defaults are transparent: generous capacity, no default deadline.  The
-    health state machine runs at :class:`HealthMonitor`'s defaults and the
+    health state machine runs at :class:`HealthMonitor`'s constants and the
     ladder probes at :attr:`ResilientService.PROBE_EVERY`.
     """
 
@@ -576,10 +575,10 @@ class ResilientService:
         k: Optional[int] = None,
         exclude: Optional[np.ndarray] = None,
         deadline_ms: Optional[float] = None,
-        priority: int = 0,
     ) -> Recommendation:
-        """One admission-controlled, deadline-bounded, ladder-backed query."""
-        ticket = self.try_admit(deadline_ms, priority)
+        """One admission-controlled, deadline-bounded, ladder-backed query
+        (at the default priority, 0)."""
+        ticket = self.try_admit(deadline_ms)
         return self.execute(ticket, user_id, k=k, exclude=exclude)
 
     def run_admitted(

@@ -84,6 +84,23 @@ def item_vectors(
     return vecs
 
 
+def _validate_prefix(
+    model: BaseRecommender, width: Optional[int], head: Optional[ScoringHead]
+):
+    """Resolve and validate a (width, head) prefix-submodel selection.
+
+    ``width`` defaults to the full table and ``head`` to the model's own;
+    the head must be exactly ``width`` wide.
+    """
+    head = head if head is not None else model.head
+    effective = width if width is not None else model.dim
+    if effective > model.dim:
+        raise ValueError(f"width {effective} exceeds table dim {model.dim}")
+    if head.dim != effective:
+        raise ValueError(f"head dim {head.dim} does not match width {effective}")
+    return effective, head
+
+
 def logits(
     model: BaseRecommender,
     user_vec: Tensor,
@@ -100,7 +117,7 @@ def logits(
     the defaults this is ordinary full-width scoring.  ``train_item_ids``
     carries the user's local graph for LightGCN; NCF and GMF ignore it.
     """
-    effective, head = model._validate_prefix(width, head)
+    effective, head = _validate_prefix(model, width, head)
     item_vecs = item_vectors(model, np.asarray(item_ids, dtype=np.int64), width=effective)
     if effective < user_vec.shape[-1]:
         user_vec = user_vec[:effective]

@@ -1,13 +1,16 @@
 """Tests for the pilot search over division ratios and model sizes.
 
 A grid of fixed-length pilot runs is a one-rung successive halving
-(``eta=len(candidates)``); every pilot is scored on the *validation*
+(``ETA = len(candidates)``); every pilot is scored on the *validation*
 split through ``Evaluator(..., split="valid")``.
 """
+
+from unittest import mock
 
 import numpy as np
 
 from repro.core import HeteFedRec, HeteFedRecConfig
+from repro.core import size_search
 from repro.core.size_search import Candidate, successive_halving
 from repro.eval.evaluator import Evaluator
 
@@ -28,14 +31,14 @@ def config(**overrides):
 
 def pilot_search(num_items, clients, candidates, pilot_epochs=1):
     """The grid of pilot runs: every candidate trains once, then the best wins."""
-    return successive_halving(
-        num_items,
-        clients,
-        config(),
-        candidates=candidates,
-        epochs_per_rung=pilot_epochs,
-        eta=max(len(candidates), 2),
-    )
+    with mock.patch.object(size_search, "ETA", max(len(candidates), 2)):
+        return successive_halving(
+            num_items,
+            clients,
+            config(),
+            candidates=candidates,
+            epochs_per_rung=pilot_epochs,
+        )
 
 
 class TestValidationNDCG:
@@ -47,10 +50,11 @@ class TestValidationNDCG:
         ranked = {c.user_id for c in tiny_clients if c.valid_items.size}
         assert set(result.evaluated_users.tolist()) == ranked
 
-    def test_empty_validation_sets(self, tiny_dataset):
-        from repro.data.splitting import train_test_split_per_user
+    def test_empty_validation_sets(self, tiny_dataset, monkeypatch):
+        from repro.data import splitting
 
-        clients = train_test_split_per_user(tiny_dataset, valid_fraction=0.0, seed=0)
+        monkeypatch.setattr(splitting, "VALID_FRACTION", 0.0)
+        clients = splitting.train_test_split_per_user(tiny_dataset, seed=0)
         trainer = HeteFedRec(tiny_dataset.num_items, clients, config())
         result = trainer.evaluate_with(Evaluator(clients, split="valid"))
         assert result.ndcg == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import movielens
 from repro.data.movielens import load_movielens, parse_ratings_line, save_ratings
 from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
 
@@ -17,8 +18,9 @@ class TestParseLine:
         assert parse_ratings_line("1::2") is None  # missing rating column
         assert parse_ratings_line("a::b::c") is None
 
-    def test_custom_separator(self):
-        assert parse_ratings_line("3,7,4,0", separator=",") == (3, 7)
+    def test_custom_separator(self, monkeypatch):
+        monkeypatch.setattr(movielens, "SEPARATOR", ",")
+        assert parse_ratings_line("3,7,4,0") == (3, 7)
 
 
 class TestLoad:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import ClientData
-from repro.data.sampling import NegativeSampler, TrainingBatch, build_training_batch
+from repro.data.sampling import NegativeSampler, TrainingBatch
 
 
 class TestNegativeSampler:
@@ -64,46 +64,6 @@ class TestTrainingBatch:
     def test_len(self):
         batch = TrainingBatch(items=np.arange(4), labels=np.zeros(4))
         assert len(batch) == 4
-
-
-class TestBuildTrainingBatch:
-    @pytest.fixture()
-    def client(self):
-        return ClientData(
-            user_id=0,
-            train_items=np.array([1, 2, 3]),
-            valid_items=np.array([4]),
-            test_items=np.array([5]),
-        )
-
-    def test_ratio(self, client):
-        sampler = NegativeSampler(100, seed=0)
-        batch = build_training_batch(client, sampler, negative_ratio=4)
-        assert len(batch) == 3 * 5
-        assert batch.labels.sum() == 3
-
-    def test_negatives_avoid_train_and_valid_but_not_test(self, client):
-        """Negatives must avoid known (train+valid) items; test items are
-        legitimately unknown at training time and may be sampled."""
-        sampler = NegativeSampler(7, seed=0)  # items 0..6; known = 1,2,3,4
-        batch = build_training_batch(client, sampler, negative_ratio=4)
-        negatives = set(batch.items[batch.labels == 0].tolist())
-        assert not negatives & {1, 2, 3, 4}
-        assert negatives <= {0, 5, 6}
-
-    def test_shuffle_mixes_labels(self, client):
-        sampler = NegativeSampler(100, seed=0)
-        batch = build_training_batch(
-            client, sampler, negative_ratio=4, shuffle_rng=np.random.default_rng(0)
-        )
-        # After shuffling, positives are not all at the front.
-        assert batch.labels[: 3].sum() < 3 or batch.labels[3:].sum() > 0
-
-    def test_positive_items_preserved(self, client):
-        sampler = NegativeSampler(100, seed=0)
-        batch = build_training_batch(client, sampler)
-        positives = set(batch.items[batch.labels == 1].tolist())
-        assert positives == {1, 2, 3}
 
 
 def test_client_batches_are_pinned():

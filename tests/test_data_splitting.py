@@ -1,12 +1,12 @@
 """Tests for per-user train/valid/test splitting."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import InteractionDataset
-from repro.data.splitting import train_test_split_per_user, training_sizes
+from repro.data import splitting
+from repro.data.splitting import train_test_split_per_user
 
 
 class TestSplitInvariants:
@@ -59,14 +59,9 @@ class TestEdgeCases:
         assert clients[0].train_items.tolist() == [2]
         assert clients[0].test_items.size == 0
 
-    def test_invalid_fractions(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            train_test_split_per_user(tiny_dataset, train_fraction=0.0)
-        with pytest.raises(ValueError):
-            train_test_split_per_user(tiny_dataset, valid_fraction=1.0)
-
-    def test_no_validation(self, tiny_dataset):
-        clients = train_test_split_per_user(tiny_dataset, valid_fraction=0.0)
+    def test_no_validation(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(splitting, "VALID_FRACTION", 0.0)
+        clients = train_test_split_per_user(tiny_dataset)
         assert all(c.valid_items.size == 0 for c in clients)
 
     @given(st.integers(1, 60), st.integers(0, 2**16))
@@ -80,9 +75,3 @@ class TestEdgeCases:
         )
         assert np.array_equal(combined, items)
         assert client.num_train >= 1
-
-
-class TestTrainingSizes:
-    def test_matches_clients(self, tiny_clients):
-        sizes = training_sizes(tiny_clients)
-        assert sizes.tolist() == [c.num_train for c in tiny_clients]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.federated.round_engine import BucketObjective, SegmentPlan
 from repro.nn.module import Parameter
+from repro.nn import optim
 from repro.nn.optim import Adam
 
 ATOL = 1e-6
@@ -228,10 +229,11 @@ def test_adam_matches_textbook_update():
     parameter whose grad is None is neither moved nor given state."""
     rng = np.random.default_rng(0)
     lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+    assert (optim.BETA1, optim.BETA2, optim.EPS) == (beta1, beta2, eps)
     trained = Parameter(rng.normal(size=(3, 2)))
     frozen = Parameter(rng.normal(size=(4,)))
     frozen_before = frozen.data.copy()
-    optimizer = Adam([trained, frozen], lr=lr, betas=(beta1, beta2), eps=eps)
+    optimizer = Adam([trained, frozen], lr=lr)
 
     value = trained.data.copy()
     m = np.zeros_like(value)

@@ -7,6 +7,7 @@ from ranking_oracle import assert_matches_oracle, held_out_and_masked, oracle_me
 from repro.baselines.registry import METHODS, build_method
 from repro.core.config import HeteFedRecConfig
 from repro.data.dataset import ClientData
+from repro.eval import evaluator as evaluator_module
 from repro.eval.evaluator import Evaluator
 from repro.eval.groups import per_group_metrics
 
@@ -186,11 +187,12 @@ def trained(tiny_dataset, tiny_clients):
 @pytest.mark.parametrize("k", K_CASES)
 class TestBlockedEqualsOracle:
     @pytest.mark.parametrize("kind", ["plain", "nan", "tied"])
-    def test_edge_scores(self, kind, k, split):
+    def test_edge_scores(self, kind, k, split, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "BLOCK_SIZE", 2)
         clients = edge_clients()
         scores = edge_scores(kind)
         result = Evaluator(clients, k=k, split=split).evaluate(
-            lambda block: scores[[c.user_id for c in block]], block_size=2
+            lambda block: scores[[c.user_id for c in block]]
         )
         oracle = oracle_metrics(clients, lambda c: scores[c.user_id], k, split)
         assert_matches_oracle(result, oracle)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.eval.evaluator import EvaluationResult
+from repro.eval import significance
 from repro.eval.significance import (
     BootstrapResult,
-    compare_results,
     paired_bootstrap,
     sign_test_pvalue,
 )
@@ -28,11 +27,12 @@ class TestPairedBootstrap:
         assert result.mean_difference == 0.0
         assert not result.significant
 
-    def test_noise_only_not_significant(self):
+    def test_noise_only_not_significant(self, monkeypatch):
+        monkeypatch.setattr(significance, "NUM_SAMPLES", 500)
         rng = np.random.default_rng(2)
         a = rng.uniform(0, 1, 50)
         b = a + rng.normal(0, 0.5, 50)  # huge noise, no systematic gap
-        result = paired_bootstrap(a, b, seed=0, num_samples=500)
+        result = paired_bootstrap(a, b, seed=0)
         assert isinstance(result, BootstrapResult)
         assert result.ci_low < 0 < result.ci_high or abs(result.mean_difference) > 0.1
 
@@ -69,29 +69,3 @@ class TestSignTest:
         rng = np.random.default_rng(4)
         a, b = rng.uniform(size=25), rng.uniform(size=25)
         assert sign_test_pvalue(a, b) == pytest.approx(sign_test_pvalue(b, a))
-
-
-class TestCompareResults:
-    def make_result(self, users, values):
-        values = np.asarray(values, dtype=float)
-        return EvaluationResult(
-            recall=float(values.mean()),
-            ndcg=float(values.mean()),
-            k=20,
-            per_user_recall=values,
-            per_user_ndcg=values,
-            evaluated_users=np.asarray(users),
-        )
-
-    def test_aligns_users_by_id(self):
-        a = self.make_result([1, 2, 3], [0.9, 0.8, 0.7])
-        b = self.make_result([3, 2, 1], [0.1, 0.2, 0.3])  # reversed order
-        result = compare_results(a, b)
-        # Aligned per user: gaps are (0.6, 0.6, 0.6) exactly.
-        assert result.mean_difference == pytest.approx(0.6)
-
-    def test_no_common_users(self):
-        a = self.make_result([1], [0.5])
-        b = self.make_result([2], [0.5])
-        with pytest.raises(ValueError):
-            compare_results(a, b)

@@ -83,14 +83,14 @@ class TestFig7Formatter:
 
 class TestFig8Formatter:
     def test_alpha_series(self):
-        series = [(0.25, fake_run(ndcg=0.2)), (1.0, fake_run(ndcg=0.1))]
-        text = format_fig8({"ncf": series})
+        per_alpha = {0.25: fake_run(ndcg=0.2), 1.0: fake_run(ndcg=0.1)}
+        text = format_fig8({"ncf": per_alpha})
         assert "Fig. 8 (ncf on ml): α → NDCG@20" in text
         assert "0.2000" in text
 
     def test_title_names_the_dataset_that_ran(self):
-        series = [(0.25, fake_run(dataset="douban")), (1.0, fake_run(dataset="douban"))]
-        assert "Fig. 8 (ncf on douban)" in format_fig8({"ncf": series})
+        per_alpha = {0.25: fake_run(dataset="douban"), 1.0: fake_run(dataset="douban")}
+        assert "Fig. 8 (ncf on douban)" in format_fig8({"ncf": per_alpha})
 
 
 class TestTable4Formatter:
@@ -110,8 +110,14 @@ class TestTable4Formatter:
 
 class TestTable5Formatter:
     def test_variants(self):
-        results = {"ncf": {"ml": {"+ DDR": 0.1, "- DDR": 0.9}}}
+        def collapsed(variance):
+            run = fake_run()
+            run.collapse = {"l": variance}
+            return run
+
+        results = {"ncf": {"ml": {"+ DDR": collapsed(0.1), "- DDR": collapsed(0.9)}}}
         text = format_table5(results)
+        assert "0.1000" in text and "0.9000" in text
         assert "- DDR" in text and "+ DDR" in text
         assert "higher = more collapsed" in text
 

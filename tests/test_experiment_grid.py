@@ -17,7 +17,6 @@ from repro.experiments.fig7 import fig7_grid
 from repro.experiments.runner import (
     RunSpec,
     run_grid,
-    run_method,
     run_spec,
     run_tree,
     tree_specs,
@@ -43,6 +42,14 @@ def train_counter(monkeypatch):
 
     monkeypatch.setattr(runner, "_train_spec", counting)
     return calls
+
+
+def _ml_methods(grid, methods):
+    """Slice a full ``grid[arch][dataset][method]`` to the ml column and ``methods``."""
+    return {
+        arch: {"ml": {method: per_dataset["ml"][method] for method in methods}}
+        for arch, per_dataset in grid.items()
+    }
 
 
 def _cache_files():
@@ -74,7 +81,7 @@ class TestRunSpec:
 
     def test_key_matches_run_method_cache(self):
         spec = RunSpec("ml", "all_small", profile="smoke")
-        result = run_method("ml", "all_small", profile="smoke")
+        result = run_spec(spec)
         assert runner._load_cached(spec.key()).ndcg == result.ndcg
 
 
@@ -84,8 +91,8 @@ class TestDedup:
         methods = ("all_small", "hetefedrec")
         specs = (
             tree_specs(table2_grid("smoke", datasets=("ml",), archs=("ncf",), methods=methods))
-            + tree_specs(fig6_grid("smoke", datasets=("ml",), archs=("ncf",), methods=methods))
-            + tree_specs(fig7_grid("smoke", dataset="ml", archs=("ncf",), methods=methods))
+            + tree_specs(_ml_methods(fig6_grid("smoke", archs=("ncf",)), methods))
+            + tree_specs(fig7_grid("smoke", archs=("ncf",), methods=methods))
         )
         assert len(specs) == 6  # three consumers × two methods
         results = run_grid(specs)
@@ -95,13 +102,6 @@ class TestDedup:
         # Every consumer's spec fetches a result.
         for spec in specs:
             assert results[spec].method == spec.method
-
-    def test_dedup_happens_before_dispatch_without_cache(self, train_counter):
-        spec = RunSpec("ml", "all_small", profile="smoke")
-        results = run_grid([spec, spec, spec], use_cache=False)
-        assert len(train_counter) == 1
-        assert _cache_files() == []  # use_cache=False never writes
-        assert results[spec].recall >= 0.0
 
 
 class TestRunTree:
@@ -150,7 +150,7 @@ class TestParallelExecution:
         monkeypatch.setattr(runner, "CACHE_DIR", str(tmp_path / "par"))
         parallel = run_grid(specs, jobs=3)
         for spec in specs:
-            assert asdict(parallel[spec]) == asdict(run_spec(spec, use_cache=False))
+            assert asdict(parallel[spec]) == asdict(runner._train_spec(spec))
         # Seeds produce genuinely different runs (the grid is not collapsing).
         curves = {tuple(parallel[spec].ndcg_curve) for spec in specs}
         assert len(curves) == 3
@@ -170,7 +170,7 @@ class TestParallelExecution:
 class TestCacheShortCircuit:
     def test_hits_never_reach_training(self, train_counter):
         spec = RunSpec("ml", "all_small", profile="smoke")
-        first = run_method("ml", "all_small", profile="smoke")
+        first = run_spec(RunSpec("ml", "all_small", profile="smoke"))
         assert len(train_counter) == 1
         results = run_grid([spec], jobs=4)  # all hits → no pool, no training
         assert len(train_counter) == 1
@@ -178,7 +178,7 @@ class TestCacheShortCircuit:
 
     def test_mixed_hits_and_misses(self, train_counter):
         cached_spec = RunSpec("ml", "all_small", profile="smoke")
-        run_method("ml", "all_small", profile="smoke")
+        run_spec(RunSpec("ml", "all_small", profile="smoke"))
         miss_spec = RunSpec("ml", "all_large", profile="smoke")
         results = run_grid([cached_spec, miss_spec])
         assert [k for k in train_counter] == [cached_spec.key(), miss_spec.key()]
@@ -188,7 +188,7 @@ class TestCacheShortCircuit:
 
 class TestCacheSafety:
     def test_store_is_atomic_no_tmp_left_behind(self):
-        run_method("ml", "all_small", profile="smoke")
+        run_spec(RunSpec("ml", "all_small", profile="smoke"))
         names = os.listdir(runner.CACHE_DIR)
         assert len([n for n in names if n.endswith(".json")]) == 1
         assert not [n for n in names if n.endswith(".tmp")]
@@ -196,14 +196,14 @@ class TestCacheSafety:
     def test_corrupt_entry_recovers(self, train_counter):
         """A torn write must read as a miss and be healed by a re-run."""
         spec = RunSpec("ml", "all_small", profile="smoke")
-        first = run_method("ml", "all_small", profile="smoke")
+        first = run_spec(RunSpec("ml", "all_small", profile="smoke"))
         path = runner._cache_path(spec.key())
         payload = open(path, encoding="utf-8").read()
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(payload[: len(payload) // 2])  # torn mid-entry
         assert runner._load_cached(spec.key()) is None
 
-        healed = run_method("ml", "all_small", profile="smoke")
+        healed = run_spec(RunSpec("ml", "all_small", profile="smoke"))
         assert len(train_counter) == 2  # first run + the healing re-train
         assert asdict(healed) == asdict(first)
         assert runner._load_cached(spec.key()) is not None
@@ -218,7 +218,7 @@ class TestCacheSafety:
             raise AssertionError("worker must re-check the cache first")
 
         monkeypatch.setattr(runner, "_train_spec", explode)
-        worked = runner._grid_worker(spec, True, runner.CACHE_DIR)
+        worked = runner._grid_worker(spec, runner.CACHE_DIR)
         assert asdict(worked) == asdict(result)
 
     def test_worker_uses_the_cache_dir_it_is_handed(self, tmp_path):
@@ -226,7 +226,7 @@ class TestCacheSafety:
         the dispatched cache directory must arrive as an argument."""
         spec = RunSpec("ml", "all_small", profile="smoke")
         other = str(tmp_path / "elsewhere")
-        runner._grid_worker(spec, True, other)
+        runner._grid_worker(spec, other)
         assert runner.CACHE_DIR == other
         assert [n for n in os.listdir(other) if n.endswith(".json")]
 
@@ -255,7 +255,7 @@ class TestDatasetMemo:
     def test_memoized_runs_match_fresh_generation(self, tmp_path, monkeypatch):
         spec = RunSpec("ml", "all_small", profile="smoke")
         runner._DATASET_MEMO.clear()
-        warm_twice = [run_spec(spec, use_cache=False) for _ in range(2)]
+        warm_twice = [runner._train_spec(spec) for _ in range(2)]
         runner._DATASET_MEMO.clear()
-        fresh = run_spec(spec, use_cache=False)
+        fresh = runner._train_spec(spec)
         assert asdict(warm_twice[0]) == asdict(warm_twice[1]) == asdict(fresh)

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments import PROFILES, format_table, run_method
+from repro.experiments import PROFILES, format_table, run_spec
+from repro.experiments import fig1
 from repro.experiments.fig1 import format_fig1, run_fig1
 from repro.experiments.fig7 import convergence_epochs
 from repro.experiments.fig8 import has_interior_peak
@@ -43,19 +44,18 @@ class TestProfiles:
 
 class TestRunner:
     def test_run_and_cache(self):
-        first = run_method("ml", "all_small", profile="smoke")
-        second = run_method("ml", "all_small", profile="smoke")
+        first = run_spec(RunSpec("ml", "all_small", profile="smoke"))
+        second = run_spec(RunSpec("ml", "all_small", profile="smoke"))
         assert first.ndcg == second.ndcg
         assert isinstance(first, RunResult)
         assert first.communication_total > 0
         assert set(first.group_ndcg) >= {"s", "m", "l"}
 
     def test_overrides_change_cache_key(self):
-        a = run_method("ml", "hetefedrec", profile="smoke")
-        b = run_method(
-            "ml", "hetefedrec", profile="smoke",
-            config_overrides={"alpha": 9.9},
-        )
+        a = run_spec(RunSpec("ml", "hetefedrec", profile="smoke"))
+        b = run_spec(RunSpec(
+            "ml", "hetefedrec", profile="smoke", config_overrides={"alpha": 9.9},
+        ))
         # Different configs may coincidentally tie on metrics, but they
         # must at least be separate cache entries (both persisted).
         import repro.experiments.runner as runner
@@ -76,13 +76,13 @@ class TestRunner:
         assert varied != stock
 
     def test_json_roundtrip(self):
-        result = run_method("ml", "all_small", profile="smoke")
+        result = run_spec(RunSpec("ml", "all_small", profile="smoke"))
         clone = RunResult.from_json(result.to_json())
         assert clone.ndcg == result.ndcg
         assert clone.ndcg_curve == result.ndcg_curve
 
     def test_clear_cache(self):
-        run_method("ml", "all_small", profile="smoke")
+        run_spec(RunSpec("ml", "all_small", profile="smoke"))
         assert clear_cache() >= 1
 
 
@@ -93,8 +93,9 @@ class TestTable1AndFig1:
         text = format_table1(stats)
         assert "Table I" in text and "ml" in text and "paper" in text
 
-    def test_fig1(self):
-        results = run_fig1("smoke", bins=6)
+    def test_fig1(self, monkeypatch):
+        monkeypatch.setattr(fig1, "BINS", 6)
+        results = run_fig1("smoke")
         text = format_fig1(results)
         assert "std" in text
         for name, result in results.items():
@@ -134,8 +135,8 @@ class TestAnalysisHelpers:
                 communication_per_round=0.0, collapse={},
             )
 
-        peaked = [(0.1, fake(0.1)), (0.5, fake(0.3)), (1.0, fake(0.2))]
-        monotone = [(0.1, fake(0.1)), (0.5, fake(0.2)), (1.0, fake(0.3))]
+        peaked = {0.1: fake(0.1), 0.5: fake(0.3), 1.0: fake(0.2)}
+        monotone = {0.1: fake(0.1), 0.5: fake(0.2), 1.0: fake(0.3)}
         assert has_interior_peak(peaked)
         assert not has_interior_peak(monotone)
 

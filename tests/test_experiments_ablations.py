@@ -61,8 +61,8 @@ class TestFormatters:
     def test_robustness(self):
         text = format_robustness(
             {
-                "clean / undefended": (0.2, 0.15),
-                "attacked / undefended": (0.05, 0.02),
+                "clean / undefended": stub(recall=0.2, ndcg=0.15),
+                "attacked / undefended": stub(recall=0.05, ndcg=0.02),
             }
         )
         assert "clean / undefended" in text
@@ -81,10 +81,10 @@ class TestRegistryIntegration:
             "ablation_arch",
             "ablation_robustness",
         ):
-            grid, runner, formatter = ARTEFACTS[name]
-            assert callable(runner) and callable(formatter)
+            entry = ARTEFACTS[name]
+            assert callable(entry.fmt) and entry.run is None
             # Every ablation that trains declares its cached grid.
-            assert callable(grid)
+            assert callable(entry.grid)
 
     def test_robustness_clean_arm_is_the_table2_run(self):
         """The clean, undefended quadrant is Table II's ml HeteFedRec

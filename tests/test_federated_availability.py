@@ -229,13 +229,6 @@ class TestStragglerBuffer:
         # One more round expires both, exactly as without the round-trip.
         assert len(restored.tick()) == 2
 
-    def test_restore_pending_defaults_ages_to_zero(self):
-        # Older checkpoints carry no ages; their entries restart young.
-        buffer = StragglerBuffer(max_age_rounds=1)
-        buffer.restore_pending([make_update(1, 1.0)])
-        assert buffer.export_ages() == [0]
-        assert buffer.tick() == []
-
     def test_restore_pending_rejects_misaligned_ages(self):
         buffer = StragglerBuffer()
         with pytest.raises(ValueError):

@@ -1,14 +1,12 @@
-"""Tests for upload protection: clipping, LDP noise, pseudo-items."""
+"""Tests for upload protection: clipping and LDP noise."""
 
 import numpy as np
 import pytest
 
 from repro.core import HeteFedRec, HeteFedRecConfig
-from repro.federated import privacy
 from repro.federated.payload import ClientUpdate
 from repro.federated.privacy import (
     PrivacyConfig,
-    add_pseudo_items,
     clip_rows,
     gaussian_noise_like,
     protect_update,
@@ -33,11 +31,9 @@ class TestPrivacyConfig:
     def test_disabled_by_default(self):
         assert not PrivacyConfig().enabled
 
-    def test_enabled_when_any_set(self, monkeypatch):
+    def test_enabled_when_any_set(self):
         assert PrivacyConfig(clip_norm=1.0).enabled
         assert PrivacyConfig(noise_std=0.1).enabled
-        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 4)
-        assert PrivacyConfig().enabled
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -64,38 +60,6 @@ class TestClipping:
         assert np.array_equal(clip_rows(delta, 0.0), delta)
 
 
-class TestPseudoItems:
-    """The dense helper (the payload suite's oracle) on a dense table."""
-
-    def test_support_grows_with_untouched_rows(self):
-        delta = sparse_update().embedding_delta.dense()
-        protected = add_pseudo_items(delta, 5, np.random.default_rng(0))
-        before = set(touched_rows(delta))
-        after = set(touched_rows(protected))
-        assert before < after
-        assert len(after) == len(before) + 5
-
-    def test_fake_norms_within_real_range(self):
-        delta = sparse_update().embedding_delta.dense()
-        protected = add_pseudo_items(delta, 8, np.random.default_rng(1))
-        real = touched_rows(delta)
-        fake = np.setdiff1d(touched_rows(protected), real)
-        real_norms = np.linalg.norm(delta[real], axis=1)
-        fake_norms = np.linalg.norm(protected[fake], axis=1)
-        assert fake_norms.min() >= real_norms.min() - 1e-9
-        assert fake_norms.max() <= real_norms.max() + 1e-9
-
-    def test_real_rows_unchanged(self):
-        delta = sparse_update().embedding_delta.dense()
-        protected = add_pseudo_items(delta, 3, np.random.default_rng(2))
-        real = touched_rows(delta)
-        assert np.array_equal(protected[real], delta[real])
-
-    def test_zero_count_is_identity(self):
-        delta = sparse_update().embedding_delta.dense()
-        assert add_pseudo_items(delta, 0, np.random.default_rng(0)) is delta
-
-
 class TestProtectUpdate:
     def test_disabled_passthrough(self):
         update = sparse_update()
@@ -118,8 +82,7 @@ class TestProtectUpdate:
         out = protect_update(update, config, np.random.default_rng(0))
         assert not np.allclose(out.head_deltas["s"]["w"], update.head_deltas["s"]["w"])
 
-    def test_original_never_mutated(self, monkeypatch):
-        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 5)
+    def test_original_never_mutated(self):
         update = sparse_update()
         snapshot = update.embedding_delta.copy()
         protect_update(
@@ -131,10 +94,7 @@ class TestProtectUpdate:
 
 
 class TestTrainerIntegration:
-    def test_private_training_runs_and_obfuscates(
-        self, tiny_dataset, tiny_clients, monkeypatch
-    ):
-        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 4)
+    def test_private_training_runs_and_obfuscates(self, tiny_dataset, tiny_clients):
         config = HeteFedRecConfig(
             dims={"s": 4, "m": 6, "l": 8},
             epochs=1,
@@ -146,8 +106,8 @@ class TestTrainerIntegration:
         trainer = HeteFedRec(tiny_dataset.num_items, tiny_clients, config)
         (update,) = trainer._train_clients([next(iter(trainer.runtimes))])
         support = touched_rows(update.embedding_delta)
-        # Support must exceed the client's true item exposure by the
-        # pseudo count (batch = train items + sampled negatives).
+        # The noised upload keeps the client's true support (batch =
+        # train items + sampled negatives).
         assert support.size > 0
         assert np.isfinite(trainer.run_epoch(1))
 
@@ -166,8 +126,8 @@ class TestTrainerIntegration:
         )
 
 
-@pytest.mark.parametrize("protection", ["clip", "noise", "pseudo-items", "topk", "quantize"])
-def test_float32_uploads_stay_float32(protection, tiny_dataset, tiny_clients, monkeypatch):
+@pytest.mark.parametrize("protection", ["clip", "noise", "topk", "quantize"])
+def test_float32_uploads_stay_float32(protection, tiny_dataset, tiny_clients):
     """Protection and compression keep the trained dtype: every array a
     float32 client uploads is float32, the Gaussian head noise and both
     codecs (which compute in float64) included."""
@@ -176,12 +136,9 @@ def test_float32_uploads_stay_float32(protection, tiny_dataset, tiny_clients, mo
     options = {
         "clip": dict(privacy=PrivacyConfig(clip_norm=0.5)),
         "noise": dict(privacy=PrivacyConfig(clip_norm=0.5, noise_std=0.1)),
-        "pseudo-items": dict(privacy=PrivacyConfig()),
         "topk": dict(compression=CompressionConfig(kind="topk", ratio=0.3)),
         "quantize": dict(compression=CompressionConfig(kind="quantize", bits=4)),
     }[protection]
-    if protection == "pseudo-items":
-        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 3)
     trainer = HeteFedRec(
         tiny_dataset.num_items,
         tiny_clients,

@@ -21,6 +21,7 @@ from repro.federated.aggregation import (
     aggregate_head_updates,
     padded_embedding_aggregate,
 )
+from repro.federated import secure_agg
 from repro.federated.payload import ClientUpdate
 from repro.federated.secure_agg import (
     FixedPointCodec,
@@ -81,22 +82,30 @@ def secure_sum(vectors, round_id=0, drops=(), seed=5):
     return emb["s"].ravel(), report
 
 
+@pytest.fixture()
+def narrow_codec(monkeypatch):
+    """An 8-bit codec that clamps at ±2."""
+    monkeypatch.setattr(secure_agg, "PRECISION_BITS", 8)
+    monkeypatch.setattr(secure_agg, "CLIP_RANGE", 2.0)
+    return FixedPointCodec()
+
+
 class TestFixedPointCodec:
     def test_round_trip_within_error_bound(self):
-        codec = FixedPointCodec(precision_bits=24, clip_range=64.0)
+        codec = FixedPointCodec()
         values = np.array([0.0, 1.0, -1.0, 3.14159, -2.71828, 63.999])
         decoded = codec.decode(codec.encode(values))
         assert np.max(np.abs(decoded - values)) <= codec.quantisation_error_bound()
 
-    def test_clipping_applies(self):
-        codec = FixedPointCodec(precision_bits=8, clip_range=2.0)
+    def test_clipping_applies(self, narrow_codec):
+        codec = narrow_codec
         with pytest.warns(RuntimeWarning, match="saturated 2 scalar"):
             decoded = codec.decode(codec.encode(np.array([100.0, -100.0])))
         assert np.allclose(decoded, [2.0, -2.0])
         assert codec.saturated_total == 2
 
-    def test_in_range_values_do_not_warn_or_count(self):
-        codec = FixedPointCodec(precision_bits=8, clip_range=2.0)
+    def test_in_range_values_do_not_warn_or_count(self, narrow_codec):
+        codec = narrow_codec
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             codec.encode(np.array([1.5, -1.99, 0.0]))
@@ -107,8 +116,9 @@ class TestFixedPointCodec:
         values = np.array([-0.5, -1e-3, -10.0])
         assert np.all(codec.decode(codec.encode(values)) < 0)
 
-    def test_field_addition_matches_real_addition(self):
-        codec = FixedPointCodec(precision_bits=20)
+    def test_field_addition_matches_real_addition(self, monkeypatch):
+        monkeypatch.setattr(secure_agg, "PRECISION_BITS", 20)
+        codec = FixedPointCodec()
         a, b = np.array([1.25, -3.5]), np.array([2.75, 1.5])
         total = codec.decode(codec.encode(a) + codec.encode(b))
         assert np.allclose(total, a + b, atol=2 * codec.quantisation_error_bound())
@@ -122,7 +132,7 @@ class TestFixedPointCodec:
     )
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, floats):
-        codec = FixedPointCodec(precision_bits=24, clip_range=64.0)
+        codec = FixedPointCodec()
         values = np.array(floats)
         decoded = codec.decode(codec.encode(values))
         assert np.max(np.abs(decoded - values)) <= codec.quantisation_error_bound()
@@ -315,13 +325,3 @@ class TestSecureAggregateUpdates:
             round_one[3].masked_input(vector).vector,
             round_two[3].masked_input(vector).vector,
         )
-
-
-class TestConfigValidation:
-    def test_bad_precision(self):
-        with pytest.raises(ValueError):
-            FixedPointCodec(precision_bits=0)
-
-    def test_bad_clip(self):
-        with pytest.raises(ValueError):
-            FixedPointCodec(clip_range=-1.0)

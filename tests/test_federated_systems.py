@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.federated.communication import transmission_cost
+from repro.federated import systems
 from repro.federated.systems import (
     Device,
     SystemProfile,
@@ -123,9 +124,10 @@ class TestTimeToAccuracy:
         curve = time_to_accuracy([(3, 0.5)], times)
         assert curve == [(40.0, 0.5)]  # 10+20 then 10 again
 
-    def test_rounds_per_epoch(self):
+    def test_rounds_per_epoch(self, monkeypatch):
+        monkeypatch.setattr(systems, "ROUNDS_PER_EPOCH", 3)
         times = np.array([5.0] * 10)
-        curve = time_to_accuracy([(2, 0.4)], times, rounds_per_epoch=3)
+        curve = time_to_accuracy([(2, 0.4)], times)
         assert curve == [(30.0, 0.4)]
 
     def test_empty_times_rejected(self):

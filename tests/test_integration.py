@@ -13,7 +13,6 @@ from repro import (
     HeteFedRecConfig,
     build_method,
     load_benchmark_dataset,
-    quick_run,
     train_test_split_per_user,
 )
 from repro.data.synthetic import SyntheticConfig
@@ -59,22 +58,6 @@ class TestQualitativeOrderings:
             lambda block: rng.normal(size=(len(block), data.num_items))
         )
         assert result.ndcg > random_result.ndcg
-
-
-class TestQuickRun:
-    def test_quick_run_api(self):
-        result = quick_run(
-            dataset="ml", method="hetefedrec", epochs=1, scale=0.015, seed=2
-        )
-        assert 0.0 <= result.recall <= 1.0
-        assert 0.0 <= result.ndcg <= 1.0
-
-    def test_quick_run_lightgcn(self):
-        result = quick_run(
-            dataset="douban", method="all_small", arch="lightgcn",
-            epochs=1, scale=0.015, seed=2,
-        )
-        assert np.isfinite(result.ndcg)
 
 
 class TestDeterminism:

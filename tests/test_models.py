@@ -178,19 +178,6 @@ class TestLightGCNBlockedScoring:
         assert np.array_equal(bare, empty)
         assert bare.shape == (len(user_mat), model.num_items)
 
-    def test_prefix_block(self):
-        model, user_mat, train_items = self._block_setup(dim=8)
-        head = ScoringHead(4, rng=np.random.default_rng(1))
-        scores = model.score_matrix(
-            user_mat, width=4, head=head, train_items=train_items
-        )
-        all_items = np.arange(model.num_items)
-        for row, (u, train) in enumerate(zip(user_mat, train_items)):
-            ref = logits(
-                model, Tensor(u), all_items, train_item_ids=train, width=4, head=head
-            )
-            assert np.allclose(scores[row], ref.data, atol=1e-12), row
-
     def test_row_count_mismatch_rejected(self):
         model, user_mat, train_items = self._block_setup()
         with pytest.raises(ValueError):
@@ -235,12 +222,11 @@ class TestHeadLayout:
             user = pulled
         return head.logits_pairs(np.tile(user, (len(items), 1)), items)
 
-    def _check(self, model, user_mat, train_items, dtype, width=None, head=None):
-        scores = model.score_matrix(user_mat, width=width, head=head, train_items=train_items)
+    def _check(self, model, user_mat, train_items, dtype):
+        scores = model.score_matrix(user_mat, train_items=train_items)
         assert scores.shape == (len(user_mat), self.NUM_ITEMS)
         assert scores.dtype == dtype  # no silent upcast
-        width = width if width is not None else model.dim
-        head = head if head is not None else model.head
+        width, head = model.dim, model.head
         all_items = np.arange(self.NUM_ITEMS)
         for row, (user, train) in enumerate(zip(user_mat, train_items)):
             tape = logits(
@@ -264,13 +250,6 @@ class TestHeadLayout:
         model, user_mat, train_items = self._setup(arch, hidden, dtype, num_users)
         self._check(model, user_mat, train_items, dtype)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    @pytest.mark.parametrize("arch", ["ncf", "lightgcn"])
-    def test_prefix_block_matches_reference_paths(self, arch, dtype):
-        model, user_mat, train_items = self._setup(arch, (8, 8), dtype, 5, dim=8)
-        head = ScoringHead(4, rng=np.random.default_rng(1))
-        self._randomise(head, dtype, np.random.default_rng(2))
-        self._check(model, user_mat, train_items, dtype, width=4, head=head)
 
 
 class TestFactory:

@@ -7,7 +7,8 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam
+from repro.nn import optim
+from repro.nn.optim import BETA1, BETA2, EPS, SGD, Adam
 
 
 def quadratic_step(optimizer, param, target):
@@ -26,18 +27,20 @@ class TestSGD:
         opt.step()
         assert np.allclose(p.data, [0.8])
 
-    def test_momentum_accumulates(self):
+    def test_momentum_accumulates(self, monkeypatch):
+        monkeypatch.setattr(optim, "MOMENTUM", 0.9)
         p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=1.0, momentum=0.9)
+        opt = SGD([p], lr=1.0)
         p.grad = np.array([1.0])
         opt.step()  # velocity = 1 → p = -1
         p.grad = np.array([1.0])
         opt.step()  # velocity = 1.9 → p = -2.9
         assert np.allclose(p.data, [-2.9])
 
-    def test_weight_decay(self):
+    def test_weight_decay(self, monkeypatch):
+        monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.5)
         p = Parameter(np.array([10.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
+        opt = SGD([p], lr=0.1)
         p.grad = np.array([0.0])
         opt.step()
         assert np.allclose(p.data, [10.0 - 0.1 * 0.5 * 10.0])
@@ -68,8 +71,9 @@ class TestAdam:
     def test_two_steps_match_reference(self):
         # Hand-computed two steps of Adam on a constant gradient of 1.
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+        assert (BETA1, BETA2, EPS) == (b1, b2, eps)
         p = Parameter(np.array([0.0]))
-        opt = Adam([p], lr=lr, betas=(b1, b2), eps=eps)
+        opt = Adam([p], lr=lr)
         m = v = 0.0
         x = 0.0
         for t in (1, 2):
@@ -90,14 +94,6 @@ class TestAdam:
         assert a.data[0] != 0.0
         assert b.data[0] == 0.0
 
-    def test_reset_state(self):
-        p = Parameter(np.array([0.0]))
-        opt = Adam([p], lr=0.1)
-        p.grad = np.array([1.0])
-        opt.step()
-        opt.reset_state()
-        assert not opt._m and not opt._v and not opt._t
-
     def test_converges_on_quadratic(self):
         p = Parameter(np.array([5.0, -3.0]))
         opt = Adam([p], lr=0.05)
@@ -105,14 +101,6 @@ class TestAdam:
         for _ in range(500):
             quadratic_step(opt, p, target)
         assert np.allclose(p.data, target, atol=1e-3)
-
-    def test_weight_decay_pulls_to_zero(self):
-        p = Parameter(np.array([1.0]))
-        opt = Adam([p], lr=0.1, weight_decay=1.0)
-        for _ in range(100):
-            p.grad = np.zeros(1)
-            opt.step()
-        assert abs(p.data[0]) < 1.0
 
 
 class UnblockedAdam(Adam):
@@ -124,8 +112,6 @@ class UnblockedAdam(Adam):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             key = id(param)
             if key not in self._m:
                 self._m[key] = np.zeros_like(param.data)
@@ -135,17 +121,17 @@ class UnblockedAdam(Adam):
             work, step = self._scratch[key]
             t = self._t.get(key, 0) + 1
             self._t[key] = t
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=work)
+            m *= BETA1
+            np.multiply(grad, 1.0 - BETA1, out=work)
             m += work
-            v *= self.beta2
+            v *= BETA2
             np.multiply(grad, grad, out=work)
-            work *= 1.0 - self.beta2
+            work *= 1.0 - BETA2
             v += work
-            np.divide(v, 1.0 - self.beta2**t, out=work)
+            np.divide(v, 1.0 - BETA2**t, out=work)
             np.sqrt(work, out=work)
-            work += self.eps
-            np.divide(m, 1.0 - self.beta1**t, out=step)
+            work += EPS
+            np.divide(m, 1.0 - BETA1**t, out=step)
             step /= work
             step *= self.lr
             param.data -= step
@@ -158,7 +144,6 @@ class TestBlockedAdam:
     """Adam walks each parameter in ``Adam.BLOCK``-element blocks; every
     element must see exactly the unblocked step's arithmetic."""
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "shape",
@@ -169,14 +154,14 @@ class TestBlockedAdam:
         ],
         ids=lambda shape: "x".join(map(str, shape)),
     )
-    def test_bitwise_equal_to_the_unblocked_step(self, shape, dtype, weight_decay):
+    def test_bitwise_equal_to_the_unblocked_step(self, shape, dtype):
         rng = np.random.default_rng(0)
         start = rng.normal(size=shape).astype(dtype)
         blocked, unblocked = Parameter(start.copy()), Parameter(start.copy())
         # A second, small parameter shares each optimizer's scratch.
         small = [Parameter(np.ones(3, dtype=dtype)) for _ in range(2)]
         optimizers = [
-            cls([param, extra], lr=0.01, weight_decay=weight_decay)
+            cls([param, extra], lr=0.01)
             for cls, param, extra in ((Adam, blocked, small[0]), (UnblockedAdam, unblocked, small[1]))
         ]
         for _ in range(5):
@@ -204,11 +189,10 @@ class TestBlockedAdam:
         assert blocked.data is held
         np.testing.assert_array_equal(blocked.data, unblocked.data)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_a_step_allocates_nothing_parameter_sized(self, weight_decay):
+    def test_a_step_allocates_nothing_parameter_sized(self):
         param = Parameter(np.zeros(1_000_000))
         param.grad = np.full(param.data.shape, 0.5)
-        optimizer = Adam([param], lr=0.01, weight_decay=weight_decay)
+        optimizer = Adam([param], lr=0.01)
         tracemalloc.start()
         try:
             optimizer.step()  # allocates the two moment arrays and the scratch

@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 
 from repro.federated.aggregation import pad_columns, padded_embedding_aggregate
 from repro.federated.availability import merge_duplicate_users
-from repro.federated import privacy
 from repro.federated.payload import ClientUpdate, SparseRowDelta, touched_rows
 from repro.federated.privacy import (
     PrivacyConfig,
-    add_pseudo_items,
     clip_rows,
     gaussian_noise_like,
     protect_update,
@@ -228,10 +226,9 @@ class TestAggregationEquivalence:
 
 
 def protect_dense_oracle(table, heads, config, rng):
-    """clip → pseudo → noise on the dense table, heads noised after."""
+    """clip → noise on the dense table, heads noised after."""
     sigma = config.noise_std * (config.clip_norm if config.clip_norm else 1.0)
     table = clip_rows(table, config.clip_norm)
-    table = add_pseudo_items(table, privacy.PSEUDO_ITEMS, rng)
     if sigma > 0:
         support = touched_rows(table)
         table = table.copy()
@@ -243,17 +240,10 @@ def protect_dense_oracle(table, heads, config, rng):
 class TestPrivacyEquivalence:
     @pytest.mark.parametrize(
         "config",
-        [
-            (PrivacyConfig(clip_norm=0.5), 0),
-            (PrivacyConfig(clip_norm=0.5, noise_std=0.1), 0),
-            (PrivacyConfig(), 4),
-            (PrivacyConfig(clip_norm=0.5, noise_std=0.1), 4),
-        ],
-        ids=["clip", "clip+noise", "pseudo", "all"],
+        [PrivacyConfig(clip_norm=0.5), PrivacyConfig(clip_norm=0.5, noise_std=0.1)],
+        ids=["clip", "clip+noise"],
     )
-    def test_protection_matches_dense(self, rng, config, monkeypatch):
-        config, pseudo_items = config
-        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", pseudo_items)
+    def test_protection_matches_dense(self, rng, config):
         update, table = sparse_update(0, "l", rng)
         out = protect_update(update, config, np.random.default_rng(123))
         expected, expected_heads = protect_dense_oracle(
@@ -266,14 +256,6 @@ class TestPrivacyEquivalence:
                 np.testing.assert_array_equal(
                     out.head_deltas[head_group][name], value
                 )
-
-    def test_pseudo_rows_join_the_sparse_support(self, rng, monkeypatch):
-        monkeypatch.setattr(privacy, "PSEUDO_ITEMS", 7)
-        sparse, _ = sparse_update(0, "m", rng, touched=5)
-        out = protect_update(sparse, PrivacyConfig(), np.random.default_rng(9))
-        assert out.embedding_delta.rows.size == 12
-        # Wire cost grows with the obfuscated support, as it should.
-        assert out.embedding_delta.wire_size > sparse.embedding_delta.wire_size
 
 
 def fixed_point_sum(blocks, config):

@@ -14,6 +14,7 @@ Everything runs on the injectable manual clock — no sleeps.
 
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.serving import (
     ShedError,
     TopKCache,
 )
+from repro.serving import resilience as resilience_module
 from repro.serving.chaos import ManualClock
 from repro.serving.resilience import DEGRADED, HEALTHY, UNHEALTHY
 
@@ -77,10 +79,11 @@ def checkpoints(tmp_path_factory):
 
 
 #: ``make_resilient`` keywords that configure the service's health
-#: monitor (``HealthMonitor`` argument names) rather than its config.
+#: monitor (the ``resilience`` constants a ``HealthMonitor`` reads)
+#: rather than its config.
 HEALTH_KEYWORDS = {
-    "health_window": "window", "degraded_at": "degraded_at",
-    "unhealthy_at": "unhealthy_at", "recovery_successes": "recovery_successes",
+    "health_window": "HEALTH_WINDOW", "degraded_at": "DEGRADED_AT",
+    "unhealthy_at": "UNHEALTHY_AT", "recovery_successes": "RECOVERY_SUCCESSES",
 }
 
 
@@ -104,7 +107,8 @@ def make_resilient(checkpoints, tmp_path, clock=None, probe_every=None, **config
         service, ResilienceConfig(**defaults), clock=clock, sleep=clock.sleep
     )
     if health:
-        resilient.health = HealthMonitor(**health)
+        with mock.patch.multiple(resilience_module, **health):
+            resilient.health = HealthMonitor()
     if probe_every is not None:
         resilient.PROBE_EVERY = probe_every
     return resilient, clock
@@ -269,10 +273,11 @@ class TestCircuitBreaker:
 
 
 class TestHealthMonitor:
-    def test_degrades_and_recovers_with_hysteresis(self):
-        health = HealthMonitor(
-            window=10, degraded_at=0.2, unhealthy_at=0.5, recovery_successes=3
-        )
+    def test_degrades_and_recovers_with_hysteresis(self, monkeypatch):
+        for name, value in (("HEALTH_WINDOW", 10), ("DEGRADED_AT", 0.2),
+                            ("UNHEALTHY_AT", 0.5), ("RECOVERY_SUCCESSES", 3)):
+            monkeypatch.setattr(resilience_module, name, value)
+        health = HealthMonitor()
         for _ in range(10):
             health.record(True)
         assert health.state == HEALTHY

@@ -1,6 +1,8 @@
 """Tests for the poisoning attacks, robust aggregators, and the trainer's
 ``attack`` / ``defense`` config features."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,12 @@ from repro.robustness import (
     AttackConfig,
     RobustAggregationConfig,
     choose_malicious,
-    exposure_at_k,
     krum_select,
     poison_update,
-    prediction_shift,
     robust_embedding_aggregate,
     server_clip_updates,
 )
+from repro.robustness import defenses
 from repro.robustness.attacks import TARGET_ITEM
 
 DIMS = {"s": 2, "m": 3, "l": 4}
@@ -184,7 +185,7 @@ class TestRobustEmbeddingAggregate:
         low = honest_update(user_id=90, seed=7).scaled(-50.0)
         high = honest_update(user_id=91, seed=7).scaled(50.0)
         robust = robust_embedding_aggregate(
-            honest + [low, high], DIMS, kind="trimmed_mean", trim_fraction=0.2
+            honest + [low, high], DIMS, kind="trimmed_mean"
         )
         clean = padded_embedding_aggregate(honest, DIMS)
         honest_dir = clean["s"][0] / np.linalg.norm(clean["s"][0])
@@ -213,12 +214,13 @@ class TestKrum:
             AttackConfig(kind="noise", scale=50.0),
             np.random.default_rng(3),
         )
-        survivors = krum_select(honest + [attacker], DIMS, keep_fraction=0.7)
+        survivors = krum_select(honest + [attacker], DIMS)
         assert all(u.user_id != 99 for u in survivors)
 
-    def test_keep_fraction_respected(self):
+    def test_keep_fraction_respected(self, monkeypatch):
+        monkeypatch.setattr(defenses, "KRUM_KEEP", 0.5)
         updates = [honest_update(user_id=i, seed=i) for i in range(10)]
-        survivors = krum_select(updates, DIMS, keep_fraction=0.5)
+        survivors = krum_select(updates, DIMS)
         assert len(survivors) == 5
 
     def test_tiny_rounds_pass_through(self):
@@ -229,7 +231,8 @@ class TestKrum:
     @settings(max_examples=20, deadline=None)
     def test_survivors_are_subset_in_order(self, keep):
         updates = [honest_update(user_id=i, seed=i) for i in range(8)]
-        survivors = krum_select(updates, DIMS, keep_fraction=keep)
+        with mock.patch.object(defenses, "KRUM_KEEP", keep):
+            survivors = krum_select(updates, DIMS)
         ids = [u.user_id for u in survivors]
         assert ids == sorted(ids)
         assert set(ids) <= set(range(8))
@@ -372,45 +375,6 @@ class TestAdversarialHarness:
             evaluator, user_subset=[c.user_id for c in tiny_clients]
         )
         assert set(everyone.evaluated_users.tolist()) & trainer.malicious
-
-
-class TestAttackMetrics:
-    def test_exposure_counts_topk_presence(self, handmade_dataset):
-        from repro.data.splitting import train_test_split_per_user
-
-        clients = train_test_split_per_user(handmade_dataset, seed=0)
-
-        def always_item_3_first(client):
-            scores = np.zeros(handmade_dataset.num_items)
-            scores[3] = 10.0
-            return scores
-
-        rate = exposure_at_k(always_item_3_first, clients, target_item=3, k=1)
-        # Users who already know item 3 are excluded; everyone else exposed.
-        assert 0.0 < rate <= 1.0
-
-    def test_exposure_zero_when_item_never_ranked(self, handmade_dataset):
-        from repro.data.splitting import train_test_split_per_user
-
-        clients = train_test_split_per_user(handmade_dataset, seed=0)
-
-        def item_3_last(client):
-            scores = np.ones(handmade_dataset.num_items)
-            scores[3] = -10.0
-            return scores
-
-        assert exposure_at_k(item_3_last, clients, target_item=3, k=1) == 0.0
-
-    def test_prediction_shift(self, handmade_dataset):
-        from repro.data.splitting import train_test_split_per_user
-
-        clients = train_test_split_per_user(handmade_dataset, seed=0)
-        clean = lambda client: np.zeros(handmade_dataset.num_items)
-        attacked = lambda client: np.full(handmade_dataset.num_items, 2.0)
-        assert prediction_shift(clean, attacked, clients, target_item=0) == 2.0
-
-    def test_prediction_shift_empty_clients(self):
-        assert prediction_shift(lambda c: None, lambda c: None, [], 0) == 0.0
 
 
 class TestAttackRngCheckpoint:

@@ -24,6 +24,7 @@ from repro.core import hetefedrec
 from repro.core.hetefedrec import HeteFedRec
 from repro.data.synthetic import SyntheticConfig, load_benchmark_dataset
 from repro.data.splitting import train_test_split_per_user
+from repro.eval import evaluator as evaluator_module
 from repro.eval.evaluator import Evaluator
 from repro import parallel
 from repro.federated import round_engine
@@ -390,10 +391,12 @@ class TestBlockedEvaluation:
         assert_matches_oracle(result, oracle, atol=ATOL)
         assert result.ndcg == pytest.approx(oracle[2].mean(), abs=ATOL)
 
-    def test_block_size_invariance(self, trained, tiny_clients):
+    def test_block_size_invariance(self, trained, tiny_clients, monkeypatch):
         evaluator = Evaluator(tiny_clients, k=10)
-        small_blocks = evaluator.evaluate(trained.score_item_matrix, block_size=7)
-        one_block = evaluator.evaluate(trained.score_item_matrix, block_size=10_000)
+        monkeypatch.setattr(evaluator_module, "BLOCK_SIZE", 7)
+        small_blocks = evaluator.evaluate(trained.score_item_matrix)
+        monkeypatch.setattr(evaluator_module, "BLOCK_SIZE", 10_000)
+        one_block = evaluator.evaluate(trained.score_item_matrix)
         np.testing.assert_allclose(
             small_blocks.per_user_ndcg, one_block.per_user_ndcg, atol=ATOL
         )
@@ -664,13 +667,6 @@ class TestDtypeKnob:
             small_config(),
         )
         assert trainer.models["s"].item_embedding.weight.data.dtype == np.float64
-
-    def test_parameter_dtype_validated(self):
-        from repro.nn.module import Parameter
-
-        assert Parameter(np.zeros(3), dtype=np.float32).data.dtype == np.float32
-        with pytest.raises(TypeError):
-            Parameter(np.zeros(3), dtype=np.float16)
 
     def test_invalid_dtype_rejected(self, tiny_dataset, tiny_clients):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 Training-based artefacts are exercised by the benchmark suite; here we
 verify the orchestration: artefact registry completeness, that the
-warm-up list is derived from (and covers) what the registered runners
+warm-up list is derived from (and covers) what the registered grids
 request, error propagation, file output, the fast (no-training)
 artefacts end to end at smoke scale, and that the registry and the
 committed ``results/`` have not drifted apart.  Only
@@ -16,8 +16,14 @@ import pytest
 
 import repro.experiments.run_all as run_all_module
 import repro.experiments.runner as runner_module
-from repro.experiments.run_all import ARTEFACTS, collect_suite_specs, render, run_all
-from repro.experiments.runner import RunResult
+from repro.experiments.run_all import (
+    ARTEFACTS,
+    Artefact,
+    collect_suite_specs,
+    render,
+    run_all,
+)
+from repro.experiments.runner import RunResult, run_tree
 from repro.federated.trainer import FederatedTrainer
 
 
@@ -66,12 +72,14 @@ class TestRegistry:
         assert set(ARTEFACTS) == expected | ablations
 
     def test_runners_and_formatters_callable(self):
-        for name, (grid, runner, formatter) in ARTEFACTS.items():
-            assert callable(runner) and callable(formatter), name
-            assert grid is None or callable(grid), name
+        for name, entry in ARTEFACTS.items():
+            assert callable(entry.fmt), name
+            # An entry names its grid or, if it trains nothing, its runner.
+            assert (entry.grid is None) != (entry.run is None), name
+            assert callable(entry.grid or entry.run), name
         # Exactly the analytic artefacts declare no cached training grid:
         # everything that trains goes through the run cache.
-        assert {name for name, (grid, _, _) in ARTEFACTS.items() if grid is None} == (
+        assert {name for name, entry in ARTEFACTS.items() if entry.grid is None} == (
             FAST_ARTEFACTS | {"ablation_systems"}
         )
 
@@ -88,11 +96,11 @@ class TestRegistry:
 
         monkeypatch.setattr(runner_module, "run_grid", fake_run_grid)
         warmed = set(collect_suite_specs("smoke", archs))
-        for name, (grid, run, formatter) in ARTEFACTS.items():
-            if grid is None:
+        for name, entry in ARTEFACTS.items():
+            if entry.grid is None:
                 continue  # trains nothing through the cache
             del requested[:]
-            text = formatter(run("smoke", archs=archs))
+            text = entry.fmt(run_tree(entry.grid("smoke", archs=archs)))
             assert requested and set(requested) <= warmed, name
             assert text, name
 
@@ -107,7 +115,7 @@ class TestRegistry:
             raise TypeError("bug inside the runner")
 
         monkeypatch.setattr(
-            run_all_module, "ARTEFACTS", {"broken": (None, broken, str)}
+            run_all_module, "ARTEFACTS", {"broken": Artefact(broken, str)}
         )
         with pytest.raises(TypeError, match="bug inside the runner"):
             run_all(profile="smoke", out_dir=str(tmp_path), archs=("lightgcn",))

@@ -181,7 +181,7 @@ class TestWorkerResume:
         assert not os.path.exists(checkpoint_path())
 
     def test_stateless_runs_never_touch_checkpoints(self, epoch_recorder):
-        run_spec(SPEC, use_cache=False)
+        runner._train_spec(SPEC)
         assert not os.path.isdir(runner.CACHE_DIR) or not os.listdir(
             runner.CACHE_DIR
         )

@@ -29,6 +29,7 @@ import repro.parallel as parallel
 from repro.api import load_model
 from repro.baselines import build_method
 from repro.core import HeteFedRec, HeteFedRecConfig
+from repro.eval import evaluator as evaluator_module
 from repro.eval.metrics import blocked_top_k
 from repro.federated.checkpoint import (
     CheckpointMismatchError,
@@ -871,7 +872,8 @@ class TestConcurrentGroups:
         trainer = HeteFedRec(
             service.num_items, clients, HeteFedRecConfig(seed=0, **CONFIG)
         )
-        Evaluator(clients, k=5).evaluate(trainer.score_item_matrix, block_size=16)
+        monkeypatch.setattr(evaluator_module, "BLOCK_SIZE", 16)
+        Evaluator(clients, k=5).evaluate(trainer.score_item_matrix)
         assert len(selected_on) > served_calls
         assert self.workers(started)
         assert set(selected_on) == {threading.get_ident()}
